@@ -233,20 +233,46 @@ def test_analytic_samples_are_members():
         assert len(member.steps.breakpoints) == 2
 
 
-def test_analytic_distance_matches_quadrature():
-    cls = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.8, amplitude=1.0)
-    rng = np.random.default_rng(3)
-    a = cls.sample(rng, 64)
-    b = cls.sample(rng, 64)
-    exact = cls.distance(a, b)
-    numeric = _numeric_l2_distance(
-        member_evaluator(cls, a),
-        member_evaluator(cls, b),
-        sorted(set(member_kinks(cls, a)) | set(member_kinks(cls, b))),
-        points_per_piece=2**14 + 1,
+def _quadrature_cases():
+    piecewise = PiecewiseSmoothClass(
+        degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.8, level_bound=1.0
     )
-    np.testing.assert_allclose(exact, numeric, rtol=1e-7)
-    assert cls.distance(a, a) == 0.0
+    one_jump = PiecewiseSmoothClass(
+        degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
+    )
+    components = (Signal(np.eye(8)[3] * 2.0), Signal(np.eye(8)[5] * 1.5))
+    return {
+        "smooth": SmoothClass(smoothness=2, amplitude=1.0),
+        "piecewise": piecewise,
+        "analytic": PiecewiseAnalyticClass(max_jumps=2, strip_width=0.8, amplitude=1.0),
+        "warped_piecewise": WarpedClass(
+            base=one_jump, num_warp_params=2, lipschitz_bound=5.0
+        ),
+        "additive_smooth": AdditiveSpanClass(
+            base=SmoothClass(smoothness=2, amplitude=1.0),
+            components=components,
+            coeff_bound=1.0,
+        ),
+        "additive_piecewise": AdditiveSpanClass(
+            base=piecewise, components=components, coeff_bound=1.0
+        ),
+    }
+
+
+def test_analytic_distance_matches_quadrature():
+    for name, cls in _quadrature_cases().items():
+        rng = np.random.default_rng(3)
+        a = cls.sample(rng, 64)
+        b = cls.sample(rng, 64)
+        exact = cls.distance(a, b)
+        numeric = _numeric_l2_distance(
+            member_evaluator(cls, a),
+            member_evaluator(cls, b),
+            sorted(set(member_kinks(cls, a)) | set(member_kinks(cls, b))),
+            points_per_piece=2**14 + 1,
+        )
+        np.testing.assert_allclose(exact, numeric, rtol=1e-7, err_msg=name)
+        assert cls.distance(a, a) == 0.0, name
 
 
 # ---------------------------------------------------------------------------

@@ -217,21 +217,24 @@ def test_witness_within_resolution_analytic():
 
 
 def test_witness_within_resolution_warped():
-    base = PiecewiseSmoothClass(
-        degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-    )
-    family = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
-    net = build_net(family, 1.0, mode="counted")
-    rng = np.random.default_rng(505)
-    for _ in range(8):
-        member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
-        assert family.distance(member, witness) <= 1.0
-        # Warp parameters land on the one-sided grid.
-        step = net.axes[-1].step
-        for tau in witness.warp_params:
-            assert tau >= 0.0
-            assert abs(tau / step - round(tau / step)) < 1e-9
+    for base in (
+        PiecewiseSmoothClass(
+            degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
+        ),
+        SmoothClass(smoothness=2, amplitude=1.0),
+    ):
+        family = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
+        net = build_net(family, 1.0, mode="counted")
+        rng = np.random.default_rng(505)
+        for _ in range(8):
+            member = family.sample(rng, 512)
+            witness = round_to_net(net, member)
+            assert family.distance(member, witness) <= 1.0
+            # Warp parameters land on the one-sided grid.
+            step = net.axes[-1].step
+            for tau in witness.warp_params:
+                assert tau >= 0.0
+                assert abs(tau / step - round(tau / step)) < 1e-9
 
 
 def test_witness_within_resolution_additive():
@@ -239,17 +242,15 @@ def test_witness_within_resolution_additive():
         Signal(np.array([0.0, 1.0, 0.0, 0.5])),
         Signal(np.array([0.0, 0.0, 1.0, 0.0, 0.25])),
     )
-    family = AdditiveSpanClass(
-        base=SmoothClass(smoothness=2, amplitude=2.0),
-        components=components,
-        coeff_bound=1.0,
-    )
-    net = build_net(family, 0.6, mode="counted")
-    rng = np.random.default_rng(606)
-    for _ in range(25):
-        member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
-        assert family.distance(member, witness) <= 0.6
+    bases = ((SmoothClass(smoothness=2, amplitude=2.0), 0.6), (step_class(), 1.0))
+    for base, eps1 in bases:
+        family = AdditiveSpanClass(base=base, components=components, coeff_bound=1.0)
+        net = build_net(family, eps1, mode="counted")
+        rng = np.random.default_rng(606)
+        for _ in range(25):
+            member = family.sample(rng, 512)
+            witness = round_to_net(net, member)
+            assert family.distance(member, witness) <= eps1
 
 
 def test_centers_are_members_with_grid_overshoot_tolerance():
