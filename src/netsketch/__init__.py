@@ -67,13 +67,8 @@ from .reconstructor import (
     verify_guarantee,
     with_new_operator,
 )
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    load_experiment_config,
-    run_experiment,
-    wilson_interval,
-)
+from .config import ExperimentConfig, load_experiment_config
+from .experiment import ExperimentResult, run_experiment, wilson_interval
 
 __version__ = "0.1.0"
 

@@ -19,33 +19,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import NetSketchError, UsageError
-from .experiment import (
-    _CLASS_SCHEMAS,
-    _as_choice,
-    _as_dims,
-    _as_float,
-    _as_int,
-    build_family,
+from .config import (
+    EntropyScanConfig,
+    JlCheckConfig,
+    NetBuildConfig,
+    TailfitConfig,
+    load_config,
     load_experiment_config,
-    parse_flat_config,
-    run_experiment,
-    write_summary_json,
-    write_trials_csv,
 )
+from .errors import NetSketchError, UsageError
+from .experiment import run_experiment, write_summary_json, write_trials_csv
 from .function_classes import count_tail_violations, fit_class_tail_model
-from .hilbert import DEFAULT_AMBIENT_DIM
-from .jl import DEFAULT_JL_CONSTANT, distortion_ok, random_subspace, required_measurements
-from .nets import DEFAULT_NET_BUDGET, build_net, write_net
+from .jl import (
+    DEFAULT_JL_CONSTANT,
+    SEED_RANGE,
+    distortion_ok,
+    random_subspace,
+    required_measurements,
+)
+from .nets import build_net, write_net
 from .entropy import fit_growth
 
 __all__ = ["main"]
-
-_SEED_RANGE = 2**63 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,11 +67,6 @@ def _exact_int_str(value: int) -> str:
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# Config plumbing shared by the non-experiment subcommands
-# ---------------------------------------------------------------------------
-
-
 def _read_config(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as stream:
@@ -81,89 +75,23 @@ def _read_config(path: str) -> str:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
 
 
-def _load_config(
-    path: str,
-    schema: Mapping[str, Callable[[str], Any]],
-    required: Sequence[str],
-    *,
-    with_class: bool,
-) -> tuple[Any, dict[str, Any]]:
-    """Parse a flat config against ``schema``; returns (family, values)."""
-    raw = parse_flat_config(_read_config(path))
-    family = build_family(raw) if with_class else None
-    allowed = set(schema)
-    if with_class:
-        allowed |= {"class", *_CLASS_SCHEMAS[raw["class"]]}
-    unknown = sorted(key for key in raw if key not in allowed)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(key for key in required if key not in raw)
-    if missing:
-        raise UsageError(f"config is missing required keys: {', '.join(missing)}")
-    values = {key: schema[key](raw[key]) for key in schema if key in raw}
-    return family, values
-
-
-def _resolve_seed(values: Mapping[str, Any], override: int | None) -> int:
-    seed = override if override is not None else values.get("seed")
-    if seed is None:
-        raise UsageError("config needs a 'seed' key (or pass --seed)")
-    if seed < 0:
-        raise UsageError(f"seed must be non-negative, got {seed!r}")
-    return int(seed)
-
-
-def _as_float_list(key: str) -> Callable[[str], tuple[float, ...]]:
-    def parse(value: str) -> tuple[float, ...]:
-        try:
-            parts = tuple(
-                float(part.strip()) for part in value.split(",") if part.strip()
-            )
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs numbers, got {value!r}")
-        if not parts:
-            raise UsageError(f"config key {key!r} must list at least one value")
-        return parts
-
-    return parse
-
-
-def _as_net_budget(value: str) -> float:
-    if value == "inf":
-        return float("inf")
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"config key 'm_max' needs an integer or 'inf', got {value!r}")
+def _load(args: argparse.Namespace, command: type) -> Any:
+    return load_config(_read_config(args.config), command, seed_override=args.seed)
 
 
 # ---------------------------------------------------------------------------
 # net build
 # ---------------------------------------------------------------------------
 
-_NET_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "eps1": _as_float("eps1"),
-    "mode": _as_choice("mode", ("auto", "counted", "materialized", "factored")),
-    "m_max": _as_net_budget,
-    "ambient_dim": _as_int("ambient_dim"),
-}
-
-
 def _cmd_net_build(args: argparse.Namespace) -> int:
-    family, values = _load_config(args.config, _NET_SCHEMA, ("eps1",), with_class=True)
-    net = build_net(
-        family,
-        values["eps1"],
-        mode=values.get("mode", "auto"),
-        m_max=values.get("m_max", DEFAULT_NET_BUDGET),
-    )
+    config = _load(args, NetBuildConfig)
+    net = build_net(config.family, config.eps1, mode=config.mode, m_max=config.m_max)
     print(
-        f"net: class={family.spec_string()} eps1={net.eps1!r} mode={net.mode} "
+        f"net: class={config.family.spec_string()} eps1={net.eps1!r} mode={net.mode} "
         f"size={_exact_int_str(net.size)} entropy_bits={net.entropy_bits!r}"
     )
     if args.out is not None:
-        ambient_dim = values.get("ambient_dim", DEFAULT_AMBIENT_DIM)
-        write_net(args.out, net, ambient_dim)
+        write_net(args.out, net, config.ambient_dim)
         print(f"wrote {args.out}")
     return 0
 
@@ -171,16 +99,6 @@ def _cmd_net_build(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # jl check
 # ---------------------------------------------------------------------------
-
-_JL_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "d": _as_int("d"),
-    "m": _as_int("m"),
-    "p": _as_float("p"),
-    "seeds": _as_int("seeds"),
-    "jl_constant": _as_float("jl_constant"),
-    "seed": _as_int("seed"),
-}
-
 
 def run_jl_check(
     d: int,
@@ -209,7 +127,7 @@ def run_jl_check(
         point_rng = np.random.default_rng([seed, 1, draw])
         points = point_rng.normal(size=(m, d))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
-        op_seed = int(np.random.default_rng([seed, 2, draw]).integers(_SEED_RANGE))
+        op_seed = int(np.random.default_rng([seed, 2, draw]).integers(SEED_RANGE))
         operator = random_subspace(d, n, seed=op_seed)
         report = distortion_ok(operator, points)
         successes += bool(report.ok)
@@ -229,14 +147,14 @@ def run_jl_check(
 
 
 def _cmd_jl_check(args: argparse.Namespace) -> int:
-    _, values = _load_config(args.config, _JL_SCHEMA, (), with_class=False)
+    config = _load(args, JlCheckConfig)
     report = run_jl_check(
-        d=values.get("d", 512),
-        m=values.get("m", 64),
-        p=values.get("p", 0.5),
-        draws=values.get("seeds", 200),
-        seed=_resolve_seed(values, args.seed),
-        jl_constant=values.get("jl_constant", DEFAULT_JL_CONSTANT),
+        d=config.d,
+        m=config.m,
+        p=config.p,
+        draws=config.seeds,
+        seed=config.seed,
+        jl_constant=config.jl_constant,
     )
     print(
         f"jl check: d={report['d']} m={report['m']} n={report['n']} "
@@ -287,23 +205,15 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
 # entropy scan
 # ---------------------------------------------------------------------------
 
-_ENTROPY_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "eps_values": _as_float_list("eps_values"),
-    "model": _as_choice("model", ("power", "logsquare")),
-}
-
-
 def _cmd_entropy_scan(args: argparse.Namespace) -> int:
-    family, values = _load_config(
-        args.config, _ENTROPY_SCHEMA, ("eps_values", "model"), with_class=True
-    )
-    eps_values = values["eps_values"]
+    config = _load(args, EntropyScanConfig)
+    family, eps_values = config.family, config.eps_values
     nets = [build_net(family, eps, mode="counted") for eps in eps_values]
     # Exact covering numbers as decimal strings: they routinely outgrow both
     # the int-to-str digit cap and what a JSON number can round-trip.
     sizes = [_exact_int_str(net.size) for net in nets]
     entropy_bits = [net.entropy_bits for net in nets]
-    scan = fit_growth(eps_values, entropy_bits, values["model"])
+    scan = fit_growth(eps_values, entropy_bits, config.model)
     params = " ".join(
         f"{name}={value!r}" for name, value in sorted(scan.fit_params.items())
     )
@@ -341,25 +251,15 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
 # tailfit
 # ---------------------------------------------------------------------------
 
-_TAILFIT_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "tail_samples": _as_int("tail_samples"),
-    "tail_dims": _as_dims,
-    "validation_samples": _as_int("validation_samples"),
-    "ambient_dim": _as_int("ambient_dim"),
-    "reference_beta": _as_float("reference_beta"),
-    "seed": _as_int("seed"),
-}
-
-
 def run_tailfit(
     family,
     seed: int,
     *,
-    tail_samples: int = 40,
-    tail_dims: Sequence[int] = (64, 128, 256, 512, 1024),
-    validation_samples: int = 100,
-    ambient_dim: int = DEFAULT_AMBIENT_DIM,
-    reference_beta: float = 1.0,
+    tail_samples: int = TailfitConfig.tail_samples,
+    tail_dims: Sequence[int] = TailfitConfig.tail_dims,
+    validation_samples: int = TailfitConfig.validation_samples,
+    ambient_dim: int = TailfitConfig.ambient_dim,
+    reference_beta: float = TailfitConfig.reference_beta,
 ) -> dict[str, Any]:
     """Fit a tail-decay model, then validate the bound on fresh samples."""
     if validation_samples < 1:
@@ -392,15 +292,15 @@ def run_tailfit(
 
 
 def _cmd_tailfit(args: argparse.Namespace) -> int:
-    family, values = _load_config(args.config, _TAILFIT_SCHEMA, (), with_class=True)
+    config = _load(args, TailfitConfig)
     report = run_tailfit(
-        family,
-        _resolve_seed(values, args.seed),
-        tail_samples=values.get("tail_samples", 40),
-        tail_dims=values.get("tail_dims", (64, 128, 256, 512, 1024)),
-        validation_samples=values.get("validation_samples", 100),
-        ambient_dim=values.get("ambient_dim", DEFAULT_AMBIENT_DIM),
-        reference_beta=values.get("reference_beta", 1.0),
+        config.family,
+        config.seed,
+        tail_samples=config.tail_samples,
+        tail_dims=config.tail_dims,
+        validation_samples=config.validation_samples,
+        ambient_dim=config.ambient_dim,
+        reference_beta=config.reference_beta,
     )
     print(
         f"tailfit: class={report['class']} fitted_beta={report['fitted_beta']!r} "

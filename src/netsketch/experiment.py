@@ -1,11 +1,11 @@
 """Seeded Monte Carlo reconstruction experiments with CSV/JSON reporting.
 
-A flat ``key = value`` config describes one experiment: a function class, an
-accuracy target, a trial count, and the trial framing — ``fixed_x`` redraws
-the measurement operator around one signal, ``fixed_w`` redraws the signal
-under one operator.  ``run_experiment`` executes the trials on per-trial
-random streams derived from the master seed, so results are reproducible
-bit-for-bit and independent of the worker count.
+An ``ExperimentConfig`` (see ``config``) describes one experiment: a function
+class, an accuracy target, a trial count, and the trial framing — ``fixed_x``
+redraws the measurement operator around one signal, ``fixed_w`` redraws the
+signal under one operator.  ``run_experiment`` executes the trials on
+per-trial random streams derived from the master seed, so results are
+reproducible bit-for-bit and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -17,21 +17,18 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any
 
 import numpy as np
 
+# build_family is imported for callers that still import it from here.
+from .config import ExperimentConfig, build_family  # noqa: F401
 from .errors import NetSketchError, UsageError
 from .entropy import measurement_lower_bound, within_measurement_budget
-from .function_classes import (
-    PiecewiseAnalyticClass,
-    PiecewiseSmoothClass,
-    SmoothClass,
-    fit_class_tail_model,
-)
-from .hilbert import DEFAULT_AMBIENT_DIM, Signal, tail_norm
-from .jl import DEFAULT_JL_CONSTANT, apply_operator
-from .nets import DEFAULT_NET_BUDGET, build_net
+from .function_classes import fit_class_tail_model
+from .hilbert import Signal, tail_norm
+from .jl import apply_operator
+from .nets import build_net
 from .reconstructor import (
     PreparedSampler,
     measure,
@@ -42,11 +39,7 @@ from .reconstructor import (
 
 __all__ = [
     "CSV_COLUMNS",
-    "ExperimentConfig",
     "ExperimentResult",
-    "build_family",
-    "load_experiment_config",
-    "parse_flat_config",
     "run_experiment",
     "wilson_interval",
     "write_summary_json",
@@ -90,215 +83,6 @@ CSV_COLUMNS = (
 
 def _stream(master_seed: int, domain: int, trial: int = 0, lane: int = 0):
     return np.random.default_rng([master_seed, domain, trial, lane])
-
-
-# ---------------------------------------------------------------------------
-# Flat key=value configuration
-# ---------------------------------------------------------------------------
-
-
-def parse_flat_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment, blanks skipped."""
-    values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"config line {lineno} is not 'key = value': {raw_line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise UsageError(f"config line {lineno} has an empty key")
-        if key in values:
-            raise UsageError(f"config line {lineno} repeats key {key!r}")
-        values[key] = value
-    return values
-
-
-def _as_int(key: str) -> Callable[[str], int]:
-    def parse(value: str) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs an integer, got {value!r}")
-
-    return parse
-
-
-def _as_float(key: str) -> Callable[[str], float]:
-    def parse(value: str) -> float:
-        try:
-            return float(value)
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs a number, got {value!r}")
-
-    return parse
-
-
-def _as_choice(key: str, choices: tuple[str, ...]) -> Callable[[str], str]:
-    def parse(value: str) -> str:
-        if value not in choices:
-            raise UsageError(
-                f"config key {key!r} must be one of {', '.join(choices)}, got {value!r}"
-            )
-        return value
-
-    return parse
-
-
-def _as_delta(value: str) -> float | None:
-    if value == "auto":
-        return None
-    try:
-        delta = float(value)
-    except ValueError:
-        raise UsageError(f"config key 'delta' needs a number or 'auto', got {value!r}")
-    if delta < 0.0:
-        raise UsageError(f"config key 'delta' must be non-negative, got {value!r}")
-    return delta
-
-
-def _as_budget(value: str) -> float:
-    if value == "inf":
-        return math.inf
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"config key 'm_max' needs an integer or 'inf', got {value!r}")
-
-
-def _as_dims(value: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part.strip()) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"config key 'tail_dims' needs integers, got {value!r}")
-    if not dims:
-        raise UsageError("config key 'tail_dims' must list at least one dimension")
-    return dims
-
-
-# Class schemas: the keys each family accepts, all required.
-_CLASS_SCHEMAS: dict[str, dict[str, Callable[[str], Any]]] = {
-    "smooth": {
-        "smoothness": _as_int("smoothness"),
-        "amplitude": _as_float("amplitude"),
-    },
-    "piecewise": {
-        "degree": _as_int("degree"),
-        "max_jumps": _as_int("max_jumps"),
-        "deriv_bound": _as_float("deriv_bound"),
-        "min_gap": _as_float("min_gap"),
-        "level_bound": _as_float("level_bound"),
-    },
-    "analytic": {
-        "max_jumps": _as_int("max_jumps"),
-        "strip_width": _as_float("strip_width"),
-        "amplitude": _as_float("amplitude"),
-    },
-}
-
-_CLASS_BUILDERS: dict[str, Callable[..., Any]] = {
-    "smooth": lambda smoothness, amplitude: SmoothClass(smoothness, amplitude),
-    "piecewise": lambda **kw: PiecewiseSmoothClass(**kw),
-    "analytic": lambda **kw: PiecewiseAnalyticClass(**kw),
-}
-
-
-def build_family(raw: Mapping[str, str]) -> Any:
-    """Construct the function class named by ``class`` from flat keys."""
-    if "class" not in raw:
-        raise UsageError("config is missing the 'class' key")
-    name = raw["class"]
-    if name not in _CLASS_SCHEMAS:
-        raise UsageError(
-            f"unknown class {name!r}; expected one of {', '.join(sorted(_CLASS_SCHEMAS))}"
-        )
-    schema = _CLASS_SCHEMAS[name]
-    missing = sorted(key for key in schema if key not in raw)
-    if missing:
-        raise UsageError(f"class {name!r} needs config keys: {', '.join(missing)}")
-    kwargs = {key: schema[key](raw[key]) for key in schema}
-    return _CLASS_BUILDERS[name](**kwargs)
-
-
-# Experiment keys beyond the class block.  `value: None` marks required keys.
-_EXPERIMENT_SCHEMA: dict[str, Callable[[str], Any]] = {
-    "eps": _as_float("eps"),
-    "p": _as_float("p"),
-    "trials": _as_int("trials"),
-    "mode": _as_choice("mode", ("fixed_x", "fixed_w")),
-    "seed": _as_int("seed"),
-    "delta": _as_delta,
-    "jl_constant": _as_float("jl_constant"),
-    "ambient_dim": _as_int("ambient_dim"),
-    "m_max": _as_budget,
-    "tail_samples": _as_int("tail_samples"),
-    "tail_dims": _as_dims,
-    "csv_out": str,
-    "json_out": str,
-}
-_EXPERIMENT_REQUIRED = ("eps", "p", "trials", "mode")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully validated experiment description."""
-
-    family: Any
-    class_name: str
-    eps: float
-    p: float
-    trials: int
-    seed: int
-    mode: str
-    delta: float | None = 0.0  # None means "auto": eps / (4 sqrt(d))
-    jl_constant: float = DEFAULT_JL_CONSTANT
-    ambient_dim: int = DEFAULT_AMBIENT_DIM
-    m_max: float = DEFAULT_NET_BUDGET
-    tail_samples: int = 40
-    tail_dims: tuple[int, ...] = (64, 128, 256, 512, 1024)
-    csv_out: str | None = None
-    json_out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise UsageError(f"trials must be >= 1, got {self.trials!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise UsageError(f"eps must be positive, got {self.eps!r}")
-        if not 0.0 < self.p < 1.0:
-            raise UsageError(f"p must lie in (0, 1), got {self.p!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {self.seed!r}")
-        if self.tail_samples < 2:
-            raise UsageError(f"tail_samples must be >= 2, got {self.tail_samples!r}")
-
-
-def load_experiment_config(
-    text: str, *, seed_override: int | None = None
-) -> ExperimentConfig:
-    """Parse and validate an experiment config; unknown keys are errors."""
-    raw = parse_flat_config(text)
-    family = build_family(raw)
-    class_name = raw["class"]
-    allowed = {"class", *_CLASS_SCHEMAS[class_name], *_EXPERIMENT_SCHEMA}
-    unknown = sorted(key for key in raw if key not in allowed)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(key for key in _EXPERIMENT_REQUIRED if key not in raw)
-    if missing:
-        raise UsageError(f"config is missing required keys: {', '.join(missing)}")
-    if seed_override is None and "seed" not in raw:
-        raise UsageError("config needs a 'seed' key (or pass --seed)")
-    values: dict[str, Any] = {
-        key: _EXPERIMENT_SCHEMA[key](raw[key])
-        for key in _EXPERIMENT_SCHEMA
-        if key in raw
-    }
-    if seed_override is not None:
-        values["seed"] = seed_override
-    return ExperimentConfig(family=family, class_name=class_name, **values)
 
 
 # ---------------------------------------------------------------------------

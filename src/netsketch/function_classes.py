@@ -5,7 +5,9 @@ through a structured member representation (coefficient vectors, piecewise
 descriptions, warp or span parameters).  A class object knows how to sample a
 member, turn a member into ambient coefficients, test membership, and compute
 distances between members — exactly where a closed form exists, by adaptive
-quadrature otherwise.
+quadrature otherwise.  It also carries everything class-specific about its
+covering net (see ``FunctionClass``); ``nets`` supplies the grids and builds
+the net without knowing which class it covers.
 
 The tail-decay model summarizes how fast coefficient tails shrink with the
 truncation dimension; it is fitted empirically from samples and used to pick
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
@@ -27,16 +30,33 @@ from scipy.optimize import brentq
 from .errors import UsageError
 from .hilbert import (
     MAX_PIECE_DEGREE,
+    TWO_PI,
     PiecewiseDescription,
     Signal,
+    _piece_polynomial_at,
     analyze_piecewise,
     dump_signal,
     exact_l2_distance,
+    pad_or_truncate,
     synthesize,
     tail_norm,
 )
+from .nets import (
+    AxisLog,
+    FactoredStepDecoder,
+    NetPlan,
+    axis_grids,
+    build_net,
+    gap_separated_count,
+    grid_count,
+    iter_gap_tuples,
+    position_grid,
+    snap_to_symmetric_grid,
+    symmetric_grid,
+)
 
 __all__ = [
+    "FunctionClass",
     "SmoothClass",
     "PiecewiseSmoothClass",
     "PiecewiseAnalyticClass",
@@ -56,6 +76,7 @@ __all__ = [
 
 _MAX_SAMPLE_ATTEMPTS = 1000
 _MEMBERSHIP_TOLERANCE = 1e-9
+_SQRT_2PI = math.sqrt(TWO_PI)
 
 
 def _fmt(value: float) -> str:
@@ -71,14 +92,6 @@ def _frozen_array(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coefficient_prefix(signal: Signal, dim: int) -> np.ndarray:
-    """First ``dim`` coefficients, zero-padded — no energy guard."""
-    out = np.zeros(dim)
-    keep = min(dim, signal.ambient_dim)
-    out[:keep] = signal.coefficients[:keep]
-    return out
-
-
 def _ball_uniform(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Uniform draw from the unit ball of ``R^dim``."""
     direction = rng.standard_normal(dim)
@@ -90,13 +103,41 @@ def _ball_uniform(rng: np.random.Generator, dim: int) -> np.ndarray:
     return direction * (radius / norm)
 
 
+def _monomial_norm(m: int) -> float:
+    """L2 norm of ``u^m`` over ``[-pi, pi]``: ``sqrt(2 pi^(2m+1) / (2m+1))``."""
+    return math.sqrt(2.0 * math.pi ** (2 * m + 1) / (2 * m + 1))
+
+
+class FunctionClass:
+    """The protocol every function class follows; subclasses are frozen dataclasses.
+
+    Members: ``sample(rng, ambient_dim)``, ``to_signal(member, ambient_dim)``,
+    ``contains(member, tolerance)``, ``distance(a, b)``, ``spec_string()``,
+    ``evaluate(member, t)`` and ``kinks(member)``, the points where a member
+    may jump.  Covering nets: ``net_plan(eps1)`` lays out the net's axes and
+    breakpoint configurations, ``enumerate_members(plan, m_max)`` yields every
+    center in index order, ``round_member(plan, member)`` returns the center
+    that witnesses the covering, and ``factored_decoder(plan)`` returns an
+    exact decoder that needs no enumeration, or ``None``.  A class usable as
+    the base of a warped or additive class also provides
+    ``coefficient_prefix(member, dim)``: the first ``dim`` coefficients, with
+    no check on the energy beyond them.
+    """
+
+    def kinks(self, member) -> tuple[float, ...]:
+        return ()
+
+    def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Smooth (Sobolev ellipsoid) class
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SmoothClass:
+class SmoothClass(FunctionClass):
     """Coefficient ellipsoid ``sum((i+1)^k c_i)^2 <= K^2``.
 
     ``smoothness`` is the decay order ``k`` and ``amplitude`` the ellipsoid
@@ -125,17 +166,15 @@ class SmoothClass:
         weights = _ball_uniform(rng, ambient_dim)
         return Signal(self.coefficient_envelope(ambient_dim) * weights)
 
+    def coefficient_prefix(self, member: Signal, dim: int) -> np.ndarray:
+        return pad_or_truncate(member.coefficients, dim)
+
     def to_signal(self, member: Signal, ambient_dim: int) -> Signal:
-        if member.ambient_dim > ambient_dim:
-            trailing = tail_norm(member, ambient_dim)
-            if trailing > 0.0:
-                raise UsageError(
-                    f"member carries energy beyond ambient dimension {ambient_dim}"
-                )
-            return Signal(member.coefficients[:ambient_dim])
-        padded = np.zeros(ambient_dim)
-        padded[: member.ambient_dim] = member.coefficients
-        return Signal(padded)
+        if member.ambient_dim > ambient_dim and tail_norm(member, ambient_dim) > 0.0:
+            raise UsageError(
+                f"member carries energy beyond ambient dimension {ambient_dim}"
+            )
+        return Signal(self.coefficient_prefix(member, ambient_dim))
 
     def contains(self, member: Signal, tolerance: float = _MEMBERSHIP_TOLERANCE) -> bool:
         weights = np.arange(1, member.ambient_dim + 1, dtype=np.float64) ** float(
@@ -146,11 +185,39 @@ class SmoothClass:
 
     def distance(self, a: Signal, b: Signal) -> float:
         dim = max(a.ambient_dim, b.ambient_dim)
-        pa = np.zeros(dim)
-        pa[: a.ambient_dim] = a.coefficients
-        pb = np.zeros(dim)
-        pb[: b.ambient_dim] = b.coefficients
-        return float(np.linalg.norm(pa - pb))
+        delta = self.coefficient_prefix(a, dim) - self.coefficient_prefix(b, dim)
+        return float(np.linalg.norm(delta))
+
+    def evaluate(self, member: Signal, t: np.ndarray) -> np.ndarray:
+        return synthesize(member.coefficients, t)
+
+    def net_plan(self, eps1: float) -> NetPlan:
+        k, big_k = self.smoothness, self.amplitude
+        truncation = max(1, int(math.ceil((2.0 * big_k / eps1) ** (1.0 / k))))
+        step = eps1 / math.sqrt(truncation)
+        envelope = self.coefficient_envelope(truncation)
+        axes = tuple(
+            AxisLog(
+                label=f"coefficient[{i}]", count=grid_count(envelope[i], step), step=step
+            )
+            for i in range(truncation)
+        )
+        return NetPlan(eps1=eps1, axes=axes, config_count=1)
+
+    def enumerate_members(self, plan: NetPlan, m_max: int | float) -> Iterator[Signal]:
+        for values in itertools.product(*axis_grids(plan.axes)):
+            yield Signal(np.array(values))
+
+    def round_member(self, plan: NetPlan, member: Signal) -> Signal:
+        truncation = len(plan.axes)
+        envelope = self.coefficient_envelope(truncation)
+        coeffs = np.zeros(truncation)
+        kept = min(truncation, member.ambient_dim)
+        for i in range(kept):
+            coeffs[i] = snap_to_symmetric_grid(
+                float(member.coefficients[i]), envelope[i], plan.axes[i].step
+            )[1]
+        return Signal(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +226,7 @@ class SmoothClass:
 
 
 @dataclass(frozen=True)
-class PiecewiseSmoothClass:
+class PiecewiseSmoothClass(FunctionClass):
     """Piecewise polynomials on ``[-pi, pi]`` with bounded data.
 
     Members have at most ``max_jumps`` interior breakpoints, consecutive
@@ -229,6 +296,9 @@ class PiecewiseSmoothClass:
     def to_signal(self, member: PiecewiseDescription, ambient_dim: int) -> Signal:
         return analyze_piecewise(member, ambient_dim)
 
+    def coefficient_prefix(self, member: PiecewiseDescription, dim: int) -> np.ndarray:
+        return analyze_piecewise(member, dim).coefficients
+
     def contains(
         self,
         member: PiecewiseDescription,
@@ -253,6 +323,127 @@ class PiecewiseSmoothClass:
     def distance(self, a: PiecewiseDescription, b: PiecewiseDescription) -> float:
         return exact_l2_distance(a, b)
 
+    def evaluate(self, member: PiecewiseDescription, t: np.ndarray) -> np.ndarray:
+        return member.evaluate(t)
+
+    def kinks(self, member: PiecewiseDescription) -> tuple[float, ...]:
+        return tuple(float(b) for b in member.breakpoints)
+
+    def net_plan(self, eps1: float) -> NetPlan:
+        s = self.max_jumps
+        if s == 0:
+            positions = np.array([])
+            gap = 1
+            configs = 1
+        elif s == 1:
+            positions, _, _ = position_grid(eps1, s, self.level_bound, periodic=False)
+            gap = 1
+            configs = positions.size
+        else:
+            positions, effective, pitch = position_grid(
+                eps1, s, self.level_bound, periodic=False
+            )
+            slack = self.min_gap - 2.0 * pitch
+            gap = max(1, int(math.ceil(slack / effective))) if slack > 0.0 else 1
+            if positions.size - (s - 1) * (gap - 1) < s:
+                raise UsageError(
+                    "no breakpoint configuration satisfies the gap constraint"
+                )
+            configs = gap_separated_count(positions.size, s, gap)
+        bounds = self.coefficient_bounds()
+        denom = math.sqrt(s + 1.0) * (self.degree + 1)
+        steps = [eps1 / (denom * _monomial_norm(m)) for m in range(self.degree + 1)]
+        axes = tuple(
+            AxisLog(
+                label=f"piece[{piece}].coeff[{m}]",
+                count=grid_count(bounds[m], steps[m]),
+                step=steps[m],
+            )
+            for piece in range(s + 1)
+            for m in range(self.degree + 1)
+        )
+        return NetPlan(
+            eps1=eps1,
+            axes=axes,
+            config_count=int(configs),
+            positions=positions,
+            index_gap=gap,
+        )
+
+    def enumerate_members(
+        self, plan: NetPlan, m_max: int | float
+    ) -> Iterator[PiecewiseDescription]:
+        per_piece = self.degree + 1
+        grids = axis_grids(plan.axes)
+        gap_tuples = iter_gap_tuples(plan.positions.size, self.max_jumps, plan.index_gap)
+        for combo in gap_tuples:
+            breakpoints = tuple(float(plan.positions[i]) for i in combo)
+            for values in itertools.product(*grids):
+                pieces = tuple(
+                    tuple(values[p * per_piece : (p + 1) * per_piece])
+                    for p in range(self.max_jumps + 1)
+                )
+                yield PiecewiseDescription(
+                    breakpoints=breakpoints,
+                    piece_coefficients=pieces,
+                    periodic=False,
+                )
+
+    def _snap_breakpoints(self, plan: NetPlan, member_points) -> tuple[float, ...]:
+        if self.max_jumps == 0:
+            return ()
+        positions = plan.positions
+        effective = TWO_PI / positions.size
+        indices: list[int] = []
+        for b in np.sort(np.asarray(member_points, dtype=np.float64)):
+            idx = int(math.floor((b + math.pi) / effective))
+            idx = max(0, min(positions.size - 1, idx))
+            indices.append(idx)
+        # Enforce distinctness and the configuration gap, bumping forward.
+        for t in range(1, len(indices)):
+            indices[t] = max(indices[t], indices[t - 1] + plan.index_gap)
+        while len(indices) < self.max_jumps:
+            candidate = (indices[-1] + plan.index_gap) if indices else 0
+            indices.append(candidate)
+        if indices and indices[-1] >= positions.size:
+            raise UsageError("member breakpoints cannot be snapped into the net grid")
+        return tuple(float(positions[i]) for i in indices)
+
+    def round_member(
+        self, plan: NetPlan, member: PiecewiseDescription
+    ) -> PiecewiseDescription:
+        breakpoints = self._snap_breakpoints(plan, member.breakpoints)
+        bounds = self.coefficient_bounds()
+        steps = [plan.axes[m].step for m in range(self.degree + 1)]
+        edges = [-math.pi, *breakpoints, math.pi]
+        pieces = []
+        for left, right in zip(edges[:-1], edges[1:]):
+            midpoint = 0.5 * (left + right)
+            polynomial = _piece_polynomial_at(member, midpoint)
+            local = polynomial(np.polynomial.Polynomial([midpoint, 1.0]))
+            coeffs = np.zeros(self.degree + 1)
+            raw = local.coef[: self.degree + 1]
+            coeffs[: raw.size] = raw
+            rounded = tuple(
+                snap_to_symmetric_grid(float(c), bounds[m], steps[m])[1]
+                for m, c in enumerate(coeffs)
+            )
+            pieces.append(rounded)
+        return PiecewiseDescription(
+            breakpoints=breakpoints, piece_coefficients=tuple(pieces), periodic=False
+        )
+
+    def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
+        """The exact sweep decoder, for single-jump piecewise-constant classes."""
+        if self.degree != 0 or self.max_jumps != 1:
+            return None
+        level_step = plan.axes[0].step
+        return FactoredStepDecoder(
+            positions=plan.positions,
+            levels=symmetric_grid(self.level_bound, level_step),
+            level_step=level_step,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Piecewise analytic class
@@ -275,7 +466,7 @@ class AnalyticStepMember:
 
 
 @dataclass(frozen=True)
-class PiecewiseAnalyticClass:
+class PiecewiseAnalyticClass(FunctionClass):
     """Analytic part with geometric coefficient decay plus bounded steps.
 
     The analytic part satisfies ``|c_i| <= K exp(-eta j)`` where ``j`` is the
@@ -323,9 +514,7 @@ class PiecewiseAnalyticClass:
         raise UsageError("could not draw distinct step positions")  # pragma: no cover
 
     def to_signal(self, member: AnalyticStepMember, ambient_dim: int) -> Signal:
-        smooth = np.zeros(ambient_dim)
-        keep = min(ambient_dim, member.smooth.ambient_dim)
-        smooth[:keep] = member.smooth.coefficients[:keep]
+        smooth = pad_or_truncate(member.smooth.coefficients, ambient_dim)
         steps = analyze_piecewise(member.steps, ambient_dim)
         return Signal(smooth + steps.coefficients)
 
@@ -346,11 +535,8 @@ class PiecewiseAnalyticClass:
 
     def distance(self, a: AnalyticStepMember, b: AnalyticStepMember) -> float:
         dim = max(a.smooth.ambient_dim, b.smooth.ambient_dim)
-        smooth_a = np.zeros(dim)
-        smooth_a[: a.smooth.ambient_dim] = a.smooth.coefficients
-        smooth_b = np.zeros(dim)
-        smooth_b[: b.smooth.ambient_dim] = b.smooth.coefficients
-        smooth_delta = smooth_a - smooth_b
+        smooth_a = pad_or_truncate(a.smooth.coefficients, dim)
+        smooth_delta = smooth_a - pad_or_truncate(b.smooth.coefficients, dim)
         # || smooth_delta + step_delta ||^2 expands exactly: the smooth part
         # has finite support, so its inner product with the step difference
         # needs only the first ``dim`` step coefficients.
@@ -360,6 +546,110 @@ class PiecewiseAnalyticClass:
         step_sq = exact_l2_distance(a.steps, b.steps) ** 2
         total = float(np.dot(smooth_delta, smooth_delta)) + 2.0 * cross + step_sq
         return math.sqrt(max(total, 0.0))
+
+    def evaluate(self, member: AnalyticStepMember, t: np.ndarray) -> np.ndarray:
+        return synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t)
+
+    def kinks(self, member: AnalyticStepMember) -> tuple[float, ...]:
+        return tuple(float(b) for b in member.steps.breakpoints)
+
+    def net_plan(self, eps1: float) -> NetPlan:
+        kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
+        positions, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
+        level_step = eps1 / (2.0 * _SQRT_2PI)
+        axes = [
+            AxisLog(
+                label=f"level[{p}]", count=grid_count(big_k, level_step), step=level_step
+            )
+            for p in range(kappa)
+        ]
+        ratio = 4.0 * big_k / ((1.0 - math.exp(-eta)) * eps1)
+        freq_cut = max(1, int(math.ceil(math.log(max(ratio, 1.0 + 1e-12)) / eta)))
+        n_coeffs = 2 * freq_cut + 1
+        coeff_step = eps1 / (2.0 * math.sqrt(n_coeffs))
+        envelope = self.coefficient_envelope(n_coeffs)
+        axes.extend(
+            AxisLog(
+                label=f"coefficient[{i}]",
+                count=grid_count(envelope[i], coeff_step),
+                step=coeff_step,
+            )
+            for i in range(n_coeffs)
+        )
+        return NetPlan(
+            eps1=eps1,
+            axes=tuple(axes),
+            config_count=int(math.comb(positions.size, kappa)),
+            positions=positions,
+        )
+
+    def enumerate_members(
+        self, plan: NetPlan, m_max: int | float
+    ) -> Iterator[AnalyticStepMember]:
+        kappa = self.max_jumps
+        grids = axis_grids(plan.axes)
+        level_grids, coeff_grids = grids[:kappa], grids[kappa:]
+        for combo in itertools.combinations(range(plan.positions.size), kappa):
+            breakpoints = tuple(float(plan.positions[i]) for i in combo)
+            for levels in itertools.product(*level_grids):
+                steps = PiecewiseDescription(
+                    breakpoints=breakpoints,
+                    piece_coefficients=tuple((float(v),) for v in levels),
+                    periodic=True,
+                )
+                for coeffs in itertools.product(*coeff_grids):
+                    yield AnalyticStepMember(
+                        smooth=Signal(np.array(coeffs)), steps=steps
+                    )
+
+    def round_member(
+        self, plan: NetPlan, member: AnalyticStepMember
+    ) -> AnalyticStepMember:
+        positions = plan.positions
+        count = positions.size
+        effective = TWO_PI / count
+        taken: set[int] = set()
+        indices: list[int] = []
+        for b in np.asarray(member.steps.breakpoints, dtype=np.float64):
+            idx = int(math.floor((b + math.pi) / effective + 0.5)) % count
+            while idx in taken:
+                idx = (idx + 1) % count
+            taken.add(idx)
+            indices.append(idx)
+        while len(indices) < self.max_jumps:
+            idx = 0
+            while idx in taken:
+                idx += 1
+            if idx >= count:
+                raise UsageError("step positions cannot be snapped into the net grid")
+            taken.add(idx)
+            indices.append(idx)
+        indices = sorted(indices)
+        snapped = [float(positions[i]) for i in indices]
+        level_step = plan.axes[0].step
+        arcs = snapped + [snapped[0] + TWO_PI]
+        levels = []
+        for left, right in zip(arcs[:-1], arcs[1:]):
+            midpoint = 0.5 * (left + right)
+            value = float(member.steps.evaluate(np.array([midpoint]))[0])
+            levels.append(
+                (snap_to_symmetric_grid(value, self.amplitude, level_step)[1],)
+            )
+        steps = PiecewiseDescription(
+            breakpoints=tuple(snapped),
+            piece_coefficients=tuple(levels),
+            periodic=True,
+        )
+        coeff_axes = plan.axes[self.max_jumps :]
+        n_coeffs = len(coeff_axes)
+        envelope = self.coefficient_envelope(n_coeffs)
+        kept = min(n_coeffs, member.smooth.ambient_dim)
+        rounded = np.zeros(max(n_coeffs, 1))
+        for i in range(kept):
+            rounded[i] = snap_to_symmetric_grid(
+                float(member.smooth.coefficients[i]), envelope[i], coeff_axes[i].step
+            )[1]
+        return AnalyticStepMember(smooth=Signal(rounded), steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +687,7 @@ class WarpedMember:
 
 
 @dataclass(frozen=True)
-class WarpedClass:
+class WarpedClass(FunctionClass):
     """Members of a base class composed with smooth domain warps.
 
     The warp family is ``x + sum_i tau_i a_i sin(i (x + pi))`` with amplitudes
@@ -434,8 +724,9 @@ class WarpedClass:
         params = rng.uniform(0.0, 1.0, self.num_warp_params)
         return WarpedMember(base_member=base_member, warp_params=params)
 
-    def _kink_preimages(self, member: WarpedMember) -> tuple[float, ...]:
-        kinks = member_kinks(self.base, member.base_member)
+    def kinks(self, member: WarpedMember) -> tuple[float, ...]:
+        """Preimages under the warp of the base member's kinks."""
+        kinks = self.base.kinks(member.base_member)
         if len(kinks) == 0:
             return ()
         psi = warp_map(member.warp_params)
@@ -445,9 +736,8 @@ class WarpedClass:
         )
 
     def evaluate(self, member: WarpedMember, t: np.ndarray) -> np.ndarray:
-        base_eval = member_evaluator(self.base, member.base_member)
         psi = warp_map(member.warp_params)
-        return base_eval(psi(t))
+        return self.base.evaluate(member.base_member, psi(t))
 
     def to_signal(
         self,
@@ -461,7 +751,7 @@ class WarpedClass:
             quadrature_analyze(
                 lambda t: self.evaluate(member, t),
                 ambient_dim,
-                split_points=self._kink_preimages(member),
+                split_points=self.kinks(member),
                 points_per_piece=points_per_piece,
             )
         )
@@ -485,13 +775,52 @@ class WarpedClass:
         b: WarpedMember,
         points_per_piece: int = 4097,
     ) -> float:
-        kinks = sorted(set(self._kink_preimages(a)) | set(self._kink_preimages(b)))
+        kinks = sorted(set(self.kinks(a)) | set(self.kinks(b)))
         return _numeric_l2_distance(
             lambda t: self.evaluate(a, t),
             lambda t: self.evaluate(b, t),
             kinks,
             points_per_piece,
         )
+
+    def _warp_axes(self, eps1: float) -> tuple[AxisLog, ...]:
+        step = eps1 / (
+            2.0 * self.lipschitz_bound * math.sqrt(TWO_PI * self.num_warp_params)
+        )
+        count = int(math.floor(1.0 / step + 0.5)) + 1  # one-sided grid over [0, 1]
+        return tuple(
+            AxisLog(label=f"warp[{i}]", count=count, step=step, start=0.0)
+            for i in range(self.num_warp_params)
+        )
+
+    def net_plan(self, eps1: float) -> NetPlan:
+        """The base net at ``eps1 / 2`` times one axis per warp parameter."""
+        base_plan = self.base.net_plan(eps1 / 2.0)
+        axes = base_plan.axes + self._warp_axes(eps1)
+        return replace(base_plan, eps1=eps1, axes=axes)
+
+    def enumerate_members(
+        self, plan: NetPlan, m_max: int | float
+    ) -> Iterator[WarpedMember]:
+        base_net = build_net(
+            self.base, plan.eps1 / 2.0, mode="materialized", m_max=m_max
+        )
+        warp_grids = axis_grids(plan.axes[-self.num_warp_params :])
+        for base_member in base_net.members:
+            for params in itertools.product(*warp_grids):
+                yield WarpedMember(
+                    base_member=base_member, warp_params=np.array(params)
+                )
+
+    def round_member(self, plan: NetPlan, member: WarpedMember) -> WarpedMember:
+        base_plan = self.base.net_plan(plan.eps1 / 2.0)
+        base_witness = self.base.round_member(base_plan, member.base_member)
+        params = []
+        for t, axis in zip(member.warp_params, plan.axes[-self.num_warp_params :]):
+            k = int(math.floor(float(t) / axis.step + 0.5))
+            k = max(0, min(axis.count - 1, k))
+            params.append(k * axis.step)
+        return WarpedMember(base_member=base_witness, warp_params=np.array(params))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +838,7 @@ class AdditiveMember:
 
 
 @dataclass(frozen=True)
-class AdditiveSpanClass:
+class AdditiveSpanClass(FunctionClass):
     """Base members shifted by a bounded span of fixed component signals."""
 
     base: object
@@ -547,9 +876,13 @@ class AdditiveSpanClass:
                 raise UsageError(
                     f"component {row} carries energy beyond ambient dimension {ambient_dim}"
                 )
-            keep = min(ambient_dim, component.ambient_dim)
-            out[row, :keep] = component.coefficients[:keep]
+            out[row] = pad_or_truncate(component.coefficients, ambient_dim)
         return out
+
+    def _span(self, weights: np.ndarray) -> np.ndarray:
+        """Coefficients of the span combination, at the components' dimension."""
+        span_dim = max(component.ambient_dim for component in self.components)
+        return weights @ self.component_matrix(span_dim)
 
     def sample(self, rng: np.random.Generator, ambient_dim: int) -> AdditiveMember:
         base_member = self.base.sample(rng, ambient_dim)
@@ -573,64 +906,68 @@ class AdditiveSpanClass:
         return self.base.contains(member.base_member, tolerance)
 
     def distance(self, a: AdditiveMember, b: AdditiveMember) -> float:
-        span_dim = max(component.ambient_dim for component in self.components)
-        span_delta = (a.weights - b.weights) @ self.component_matrix(span_dim)
+        span_delta = self._span(a.weights - b.weights)
         base_sq = self.base.distance(a.base_member, b.base_member) ** 2
         # The span difference has finite support, so the cross term needs the
         # base difference only up to the component dimension — exact either way.
-        if isinstance(self.base, SmoothClass):
-            base_delta = _coefficient_prefix(
-                a.base_member, span_dim
-            ) - _coefficient_prefix(b.base_member, span_dim)
-        else:
-            base_delta = (
-                analyze_piecewise(a.base_member, span_dim).coefficients
-                - analyze_piecewise(b.base_member, span_dim).coefficients
-            )
-        cross = float(np.dot(base_delta, span_delta))
+        prefix_a = self.base.coefficient_prefix(a.base_member, span_delta.size)
+        prefix_b = self.base.coefficient_prefix(b.base_member, span_delta.size)
+        cross = float(np.dot(prefix_a - prefix_b, span_delta))
         total = base_sq + 2.0 * cross + float(np.dot(span_delta, span_delta))
         return math.sqrt(max(total, 0.0))
 
+    def evaluate(self, member: AdditiveMember, t: np.ndarray) -> np.ndarray:
+        base = self.base.evaluate(member.base_member, t)
+        return base + synthesize(self._span(member.weights), t)
 
-# ---------------------------------------------------------------------------
-# Member helpers shared across classes
-# ---------------------------------------------------------------------------
+    def kinks(self, member: AdditiveMember) -> tuple[float, ...]:
+        return self.base.kinks(member.base_member)
 
-
-def member_evaluator(cls: object, member: object) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise evaluator for a member of any supported class."""
-    if isinstance(cls, SmoothClass):
-        return lambda t: synthesize(member.coefficients, t)
-    if isinstance(cls, PiecewiseSmoothClass):
-        return member.evaluate
-    if isinstance(cls, PiecewiseAnalyticClass):
-        return lambda t: synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t)
-    if isinstance(cls, WarpedClass):
-        return lambda t: cls.evaluate(member, t)
-    if isinstance(cls, AdditiveSpanClass):
-        base_eval = member_evaluator(cls.base, member.base_member)
-        matrix = cls.component_matrix(
-            max(component.ambient_dim for component in cls.components)
+    def _span_axes(self, eps1: float) -> tuple[AxisLog, ...]:
+        max_norm = max(component.norm() for component in self.components)
+        r = len(self.components)
+        step = eps1 / (2.0 * math.sqrt(r) * max_norm)
+        return tuple(
+            AxisLog(
+                label=f"span[{i}]", count=grid_count(self.coeff_bound, step), step=step
+            )
+            for i in range(r)
         )
-        span = member.weights @ matrix
 
-        return lambda t: base_eval(t) + synthesize(span, t)
-    raise UsageError(f"unsupported class object: {type(cls).__name__}")
+    def net_plan(self, eps1: float) -> NetPlan:
+        """The base net at ``eps1 / 2`` times one axis per span weight."""
+        base_plan = self.base.net_plan(eps1 / 2.0)
+        axes = base_plan.axes + self._span_axes(eps1)
+        return replace(base_plan, eps1=eps1, axes=axes)
+
+    def enumerate_members(
+        self, plan: NetPlan, m_max: int | float
+    ) -> Iterator[AdditiveMember]:
+        base_net = build_net(
+            self.base, plan.eps1 / 2.0, mode="materialized", m_max=m_max
+        )
+        span_grids = axis_grids(plan.axes[-len(self.components) :])
+        for base_member in base_net.members:
+            for weights in itertools.product(*span_grids):
+                yield AdditiveMember(
+                    base_member=base_member, weights=np.array(weights)
+                )
+
+    def round_member(self, plan: NetPlan, member: AdditiveMember) -> AdditiveMember:
+        base_plan = self.base.net_plan(plan.eps1 / 2.0)
+        base_witness = self.base.round_member(base_plan, member.base_member)
+        weights = np.array(
+            [
+                snap_to_symmetric_grid(float(t), self.coeff_bound, axis.step)[1]
+                for t, axis in zip(member.weights, plan.axes[-len(self.components) :])
+            ]
+        )
+        return AdditiveMember(base_member=base_witness, weights=weights)
 
 
-def member_kinks(cls: object, member: object) -> tuple[float, ...]:
-    """Discontinuity locations of a member, for split-aware quadrature."""
-    if isinstance(cls, SmoothClass):
-        return ()
-    if isinstance(cls, PiecewiseSmoothClass):
-        return tuple(float(b) for b in member.breakpoints)
-    if isinstance(cls, PiecewiseAnalyticClass):
-        return tuple(float(b) for b in member.steps.breakpoints)
-    if isinstance(cls, WarpedClass):
-        return cls._kink_preimages(member)
-    if isinstance(cls, AdditiveSpanClass):
-        return member_kinks(cls.base, member.base_member)
-    raise UsageError(f"unsupported class object: {type(cls).__name__}")
+# ---------------------------------------------------------------------------
+# Quadrature distance
+# ---------------------------------------------------------------------------
 
 
 def _numeric_l2_distance(

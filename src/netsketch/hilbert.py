@@ -89,6 +89,14 @@ def project_prefix(x: Signal, d: int) -> Signal:
     return Signal(coeffs)
 
 
+def pad_or_truncate(values: np.ndarray, dim: int) -> np.ndarray:
+    """The first ``dim`` entries of ``values``, zero-padded when it is shorter."""
+    out = np.zeros(dim)
+    keep = min(dim, values.shape[0])
+    out[:keep] = values[:keep]
+    return out
+
+
 def tail_norm(x: Signal, d: int) -> float:
     """Euclidean norm of the coefficients beyond the first ``d``."""
     if not 1 <= d <= x.ambient_dim:
@@ -442,17 +450,3 @@ def load_signal(stream) -> Signal:
             raise FormatError(f"signal: expected {dim} coefficients, found {i}")
         coeffs[i] = _parse_float(line, "signal")
     return Signal(coeffs)
-
-
-def write_signal(path, signal: Signal) -> None:
-    with open(path, "w", encoding="ascii") as stream:
-        dump_signal(stream, signal)
-
-
-def read_signal(path) -> Signal:
-    with open(path, "r", encoding="ascii") as stream:
-        signal = load_signal(stream)
-        remainder = stream.read().strip()
-        if remainder:
-            raise FormatError("signal: trailing data after coefficients")
-    return signal

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import FormatError, NetSketchError, UsageError
-from .hilbert import Signal, dump_signal, load_signal, parse_header
+from .errors import NetSketchError, UsageError
+from .hilbert import Signal
 
 __all__ = [
     "MeasurementOperator",
@@ -28,17 +28,16 @@ __all__ = [
     "random_subspace",
     "apply_operator",
     "distortion_ok",
-    "dump_operator",
-    "load_operator",
-    "write_operator",
-    "read_operator",
 ]
 
 DEFAULT_JL_CONSTANT = 20.0
 
+#: Operator seeds are drawn from a caller's stream as ints below this bound,
+#: so ``(d, n, seed)`` alone reproduces an operator.
+SEED_RANGE = 2**63 - 1
+
 _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
-_ORTHONORMALITY_TOLERANCE = 1e-8
 
 
 def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONSTANT) -> int:
@@ -195,57 +194,3 @@ def distortion_ok(
         lower=lower,
         upper=upper,
     )
-
-
-def dump_operator(stream: IO[str], op: MeasurementOperator) -> None:
-    """Write an operator as a header line plus one signal block per row."""
-    stream.write(f"d={op.d} n={op.n} seed={op.seed}\n")
-    for row in op.frame:
-        dump_signal(stream, Signal(row))
-
-
-def load_operator(stream: IO[str]) -> MeasurementOperator:
-    """Parse an operator, validating shape and row orthonormality."""
-    header = stream.readline()
-    if not header:
-        raise FormatError("empty operator input")
-    fields = parse_header(header, ("d", "n", "seed"), context="operator header")
-    try:
-        d = int(fields["d"])
-        n = int(fields["n"])
-        seed = int(fields["seed"])
-    except ValueError as exc:
-        raise FormatError(f"non-integer value in operator header: {exc}") from exc
-    if n < 1 or d < 1 or n > d:
-        raise FormatError(f"inconsistent operator dimensions d={d}, n={n}")
-    rows = []
-    for index in range(n):
-        try:
-            row = load_signal(stream)
-        except FormatError as exc:
-            raise FormatError(f"operator row {index}: {exc}") from exc
-        if row.ambient_dim != d:
-            raise FormatError(
-                f"operator row {index} has {row.ambient_dim} coefficients, expected {d}"
-            )
-        rows.append(row.coefficients)
-    if stream.read().strip():
-        raise FormatError("trailing data after operator rows")
-    frame = np.vstack(rows)
-    gram = frame @ frame.T
-    residual = float(np.max(np.abs(gram - np.eye(n))))
-    if residual > _ORTHONORMALITY_TOLERANCE:
-        raise FormatError(
-            f"operator rows are not orthonormal (residual {residual:.3e})"
-        )
-    return MeasurementOperator(frame=frame, seed=seed)
-
-
-def write_operator(path, op: MeasurementOperator) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        dump_operator(stream, op)
-
-
-def read_operator(path) -> MeasurementOperator:
-    with open(path, "r", encoding="utf-8") as stream:
-        return load_operator(stream)

@@ -27,21 +27,9 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import FormatError, NetTooLargeError, UsageError
-from .function_classes import (
-    AdditiveMember,
-    AdditiveSpanClass,
-    AnalyticStepMember,
-    PiecewiseAnalyticClass,
-    PiecewiseSmoothClass,
-    SmoothClass,
-    WarpedClass,
-    WarpedMember,
-)
 from .hilbert import (
     PiecewiseDescription,
     Signal,
-    _piece_polynomial_at,
-    analyze_piecewise,
     dump_signal,
     load_signal,
     parse_header,
@@ -53,7 +41,12 @@ __all__ = [
     "FactoredStepDecoder",
     "DecodeResult",
     "LoadedNet",
+    "NetPlan",
+    "axis_grids",
     "build_net",
+    "gap_separated_count",
+    "iter_gap_tuples",
+    "position_grid",
     "round_to_net",
     "grid_count",
     "symmetric_grid",
@@ -84,9 +77,12 @@ def grid_count(bound: float, step: float) -> int:
     return 2 * int(math.floor(bound / step + 0.5)) + 1
 
 
-def symmetric_grid(bound: float, step: float) -> np.ndarray:
-    count = grid_count(bound, step)
+def _centered_grid(count: int, step: float) -> np.ndarray:
     return (np.arange(count) - (count - 1) / 2.0) * step
+
+
+def symmetric_grid(bound: float, step: float) -> np.ndarray:
+    return _centered_grid(grid_count(bound, step), step)
 
 
 def snap_to_symmetric_grid(value: float, bound: float, step: float) -> tuple[int, float]:
@@ -95,11 +91,6 @@ def snap_to_symmetric_grid(value: float, bound: float, step: float) -> tuple[int
     k = int(math.floor(value / step + 0.5))
     k = max(-half, min(half, k))
     return k + half, k * step
-
-
-def _monomial_norm(m: int) -> float:
-    """L2 norm of ``u^m`` over ``[-pi, pi]``: ``sqrt(2 pi^(2m+1) / (2m+1))``."""
-    return math.sqrt(2.0 * math.pi ** (2 * m + 1) / (2 * m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +277,27 @@ class CoveringNet:
 
 
 # ---------------------------------------------------------------------------
-# Per-family construction plans
+# Construction plans: what every class builds its net from
 # ---------------------------------------------------------------------------
 
 
-def _position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
+@dataclass(frozen=True)
+class NetPlan:
+    """A class's net at resolution ``eps1``, before any member exists.
+
+    The net is every choice of one of ``config_count`` breakpoint
+    configurations (drawn from the grid ``positions``, consecutive indices at
+    least ``index_gap`` apart) times one point on each axis.
+    """
+
+    eps1: float
+    axes: tuple[AxisLog, ...]
+    config_count: int
+    positions: np.ndarray | None = None
+    index_gap: int = 1
+
+
+def position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
     """Breakpoint grid: nominal pitch from the jump budget, rescaled to fit.
 
     The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` (quarter budget
@@ -308,151 +315,12 @@ def _position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bo
     return points, effective, pitch
 
 
-def _gap_separated_count(total: int, choose: int, gap: int) -> int:
+def gap_separated_count(total: int, choose: int, gap: int) -> int:
     """Sorted index tuples from ``range(total)`` with consecutive gaps >= gap."""
     return math.comb(total - (choose - 1) * (gap - 1), choose) if choose >= 1 else 1
 
 
-@dataclass(frozen=True)
-class _Plan:
-    axes: tuple[AxisLog, ...]
-    config_count: int
-    positions: np.ndarray | None = None
-    index_gap: int = 1
-    extra: dict = field(default_factory=dict)
-
-
-def _smooth_plan(family: SmoothClass, eps1: float) -> _Plan:
-    k, big_k = family.smoothness, family.amplitude
-    truncation = max(1, int(math.ceil((2.0 * big_k / eps1) ** (1.0 / k))))
-    step = eps1 / math.sqrt(truncation)
-    envelope = family.coefficient_envelope(truncation)
-    axes = tuple(
-        AxisLog(label=f"coefficient[{i}]", count=grid_count(envelope[i], step), step=step)
-        for i in range(truncation)
-    )
-    return _Plan(axes=axes, config_count=1)
-
-
-def _piecewise_plan(family: PiecewiseSmoothClass, eps1: float) -> _Plan:
-    s = family.max_jumps
-    if s == 0:
-        positions = np.array([])
-        effective = TWO_PI
-        gap = 1
-        configs = 1
-    elif s == 1:
-        positions, effective, _ = _position_grid(
-            eps1, s, family.level_bound, periodic=False
-        )
-        gap = 1
-        configs = positions.size
-    else:
-        positions, effective, pitch = _position_grid(
-            eps1, s, family.level_bound, periodic=False
-        )
-        slack = family.min_gap - 2.0 * pitch
-        gap = max(1, int(math.ceil(slack / effective))) if slack > 0.0 else 1
-        if positions.size - (s - 1) * (gap - 1) < s:
-            raise UsageError(
-                "no breakpoint configuration satisfies the gap constraint"
-            )
-        configs = _gap_separated_count(positions.size, s, gap)
-    bounds = family.coefficient_bounds()
-    denom = math.sqrt(s + 1.0) * (family.degree + 1)
-    steps = [eps1 / (denom * _monomial_norm(m)) for m in range(family.degree + 1)]
-    axes = []
-    for piece in range(s + 1):
-        for m in range(family.degree + 1):
-            axes.append(
-                AxisLog(
-                    label=f"piece[{piece}].coeff[{m}]",
-                    count=grid_count(bounds[m], steps[m]),
-                    step=steps[m],
-                )
-            )
-    return _Plan(
-        axes=tuple(axes),
-        config_count=int(configs),
-        positions=positions,
-        index_gap=gap,
-        extra={"effective": effective},
-    )
-
-
-def _analytic_truncation(family: PiecewiseAnalyticClass, eps1: float) -> int:
-    eta, big_k = family.strip_width, family.amplitude
-    ratio = 4.0 * big_k / ((1.0 - math.exp(-eta)) * eps1)
-    return max(1, int(math.ceil(math.log(max(ratio, 1.0 + 1e-12)) / eta)))
-
-
-def _analytic_plan(family: PiecewiseAnalyticClass, eps1: float) -> _Plan:
-    kappa, big_k = family.max_jumps, family.amplitude
-    positions, effective, _ = _position_grid(eps1, kappa, big_k, periodic=True)
-    configs = math.comb(positions.size, kappa)
-    level_step = eps1 / (2.0 * _SQRT_2PI)
-    axes = [
-        AxisLog(label=f"level[{p}]", count=grid_count(big_k, level_step), step=level_step)
-        for p in range(kappa)
-    ]
-    freq_cut = _analytic_truncation(family, eps1)
-    n_coeffs = 2 * freq_cut + 1
-    coeff_step = eps1 / (2.0 * math.sqrt(n_coeffs))
-    envelope = family.coefficient_envelope(n_coeffs)
-    axes.extend(
-        AxisLog(
-            label=f"coefficient[{i}]",
-            count=grid_count(envelope[i], coeff_step),
-            step=coeff_step,
-        )
-        for i in range(n_coeffs)
-    )
-    return _Plan(
-        axes=tuple(axes),
-        config_count=int(configs),
-        positions=positions,
-        extra={"effective": effective, "level_step": level_step,
-               "coeff_step": coeff_step, "n_coeffs": n_coeffs},
-    )
-
-
-def _warp_axes(family: WarpedClass, eps1: float) -> tuple[AxisLog, ...]:
-    step = eps1 / (
-        2.0 * family.lipschitz_bound * math.sqrt(TWO_PI * family.num_warp_params)
-    )
-    count = int(math.floor(1.0 / step + 0.5)) + 1  # one-sided grid over [0, 1]
-    return tuple(
-        AxisLog(label=f"warp[{i}]", count=count, step=step, start=0.0)
-        for i in range(family.num_warp_params)
-    )
-
-
-def _span_axes(family: AdditiveSpanClass, eps1: float) -> tuple[AxisLog, ...]:
-    max_norm = max(component.norm() for component in family.components)
-    r = len(family.components)
-    step = eps1 / (2.0 * math.sqrt(r) * max_norm)
-    return tuple(
-        AxisLog(label=f"span[{i}]", count=grid_count(family.coeff_bound, step), step=step)
-        for i in range(r)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Member enumeration (materialized mode)
-# ---------------------------------------------------------------------------
-
-
-def _axis_grids(axes: tuple[AxisLog, ...]) -> list[np.ndarray]:
-    grids = []
-    for axis in axes:
-        if axis.start is None:
-            grids.append((np.arange(axis.count) - (axis.count - 1) / 2.0) * axis.step)
-        else:
-            grids.append(axis.start + np.arange(axis.count) * axis.step)
-    return grids
-
-
-def _iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ...]]:
+def iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ...]]:
     if choose == 1:
         yield from ((i,) for i in range(total))
         return
@@ -461,102 +329,20 @@ def _iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, .
             yield combo
 
 
-def _enumerate_members(
-    family, plan: _Plan, eps1: float, m_max: int | float
-) -> Iterator[object]:
-    if isinstance(family, SmoothClass):
-        for values in itertools.product(*_axis_grids(plan.axes)):
-            yield Signal(np.array(values))
-    elif isinstance(family, PiecewiseSmoothClass):
-        per_piece = family.degree + 1
-        grids = _axis_grids(plan.axes)
-        for combo in _iter_gap_tuples(
-            plan.positions.size, family.max_jumps, plan.index_gap
-        ):
-            breakpoints = tuple(float(plan.positions[i]) for i in combo)
-            for values in itertools.product(*grids):
-                pieces = tuple(
-                    tuple(values[p * per_piece : (p + 1) * per_piece])
-                    for p in range(family.max_jumps + 1)
-                )
-                yield PiecewiseDescription(
-                    breakpoints=breakpoints,
-                    piece_coefficients=pieces,
-                    periodic=False,
-                )
-    elif isinstance(family, PiecewiseAnalyticClass):
-        kappa = family.max_jumps
-        grids = _axis_grids(plan.axes)
-        level_grids, coeff_grids = grids[:kappa], grids[kappa:]
-        for combo in itertools.combinations(range(plan.positions.size), kappa):
-            breakpoints = tuple(float(plan.positions[i]) for i in combo)
-            for levels in itertools.product(*level_grids):
-                steps = PiecewiseDescription(
-                    breakpoints=breakpoints,
-                    piece_coefficients=tuple((float(v),) for v in levels),
-                    periodic=True,
-                )
-                for coeffs in itertools.product(*coeff_grids):
-                    yield AnalyticStepMember(
-                        smooth=Signal(np.array(coeffs)), steps=steps
-                    )
-    elif isinstance(family, WarpedClass):
-        base_net = build_net(family.base, eps1 / 2.0, mode="materialized", m_max=m_max)
-        warp_grids = _axis_grids(plan.axes[-family.num_warp_params :])
-        for base_member in base_net.members:
-            for params in itertools.product(*warp_grids):
-                yield WarpedMember(
-                    base_member=base_member, warp_params=np.array(params)
-                )
-    elif isinstance(family, AdditiveSpanClass):
-        base_net = build_net(family.base, eps1 / 2.0, mode="materialized", m_max=m_max)
-        span_grids = _axis_grids(plan.axes[-len(family.components) :])
-        for base_member in base_net.members:
-            for weights in itertools.product(*span_grids):
-                yield AdditiveMember(
-                    base_member=base_member, weights=np.array(weights)
-                )
-    else:  # pragma: no cover - guarded by build_net
-        raise UsageError(f"unsupported class object: {type(family).__name__}")
+def axis_grids(axes: tuple[AxisLog, ...]) -> list[np.ndarray]:
+    """The points of each axis, in index order."""
+    grids = []
+    for axis in axes:
+        if axis.start is None:
+            grids.append(_centered_grid(axis.count, axis.step))
+        else:
+            grids.append(axis.start + np.arange(axis.count) * axis.step)
+    return grids
 
 
 # ---------------------------------------------------------------------------
-# Building
+# Building and rounding
 # ---------------------------------------------------------------------------
-
-
-def _family_plan(family, eps1: float) -> _Plan:
-    if isinstance(family, SmoothClass):
-        return _smooth_plan(family, eps1)
-    if isinstance(family, PiecewiseSmoothClass):
-        return _piecewise_plan(family, eps1)
-    if isinstance(family, PiecewiseAnalyticClass):
-        return _analytic_plan(family, eps1)
-    if isinstance(family, WarpedClass):
-        base_plan = _family_plan(family.base, eps1 / 2.0)
-        return _Plan(
-            axes=base_plan.axes + _warp_axes(family, eps1),
-            config_count=base_plan.config_count,
-            positions=base_plan.positions,
-            index_gap=base_plan.index_gap,
-        )
-    if isinstance(family, AdditiveSpanClass):
-        base_plan = _family_plan(family.base, eps1 / 2.0)
-        return _Plan(
-            axes=base_plan.axes + _span_axes(family, eps1),
-            config_count=base_plan.config_count,
-            positions=base_plan.positions,
-            index_gap=base_plan.index_gap,
-        )
-    raise UsageError(f"unsupported class object: {type(family).__name__}")
-
-
-def _supports_factored(family) -> bool:
-    return (
-        isinstance(family, PiecewiseSmoothClass)
-        and family.degree == 0
-        and family.max_jumps == 1
-    )
 
 
 def build_net(
@@ -575,42 +361,35 @@ def build_net(
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
     if mode not in ("auto", "counted", "materialized", "factored"):
         raise UsageError(f"unknown net mode: {mode!r}")
-    plan = _family_plan(family, eps1)
+    plan = family.net_plan(eps1)
     size = plan.config_count
     for axis in plan.axes:
         size *= axis.count
     entropy_bits = math.log2(plan.config_count) + float(
         sum(math.log2(axis.count) for axis in plan.axes)
     )
+    decoder = family.factored_decoder(plan)
     if mode == "auto":
         if size <= m_max:
             mode = "materialized"
-        elif _supports_factored(family):
+        elif decoder is not None:
             mode = "factored"
         else:
             mode = "counted"
     members = None
-    decoder = None
     if mode == "materialized":
         if size > m_max:
             raise NetTooLargeError(
                 f"net has {size} members, over the materialization budget {m_max}"
             )
-        members = tuple(_enumerate_members(family, plan, eps1, m_max))
+        members = tuple(family.enumerate_members(plan, m_max))
         if len(members) != size:
             raise UsageError(
                 f"enumerated {len(members)} members but counted {size}"
             )  # pragma: no cover - internal consistency
-    elif mode == "factored":
-        if not _supports_factored(family):
-            raise UsageError(
-                "factored nets require a single-jump piecewise-constant class"
-            )
-        level_axis = plan.axes[0]
-        decoder = FactoredStepDecoder(
-            positions=plan.positions,
-            levels=symmetric_grid(family.level_bound, level_axis.step),
-            level_step=level_axis.step,
+    elif mode == "factored" and decoder is None:
+        raise UsageError(
+            "factored nets require a single-jump piecewise-constant class"
         )
     return CoveringNet(
         family=family,
@@ -622,112 +401,8 @@ def build_net(
         axes=plan.axes,
         positions=plan.positions,
         members=members,
-        decoder=decoder,
+        decoder=decoder if mode == "factored" else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# Witness rounding
-# ---------------------------------------------------------------------------
-
-
-def _snap_breakpoints_interval(
-    member_points: np.ndarray, plan: _Plan, num_jumps: int
-) -> tuple[float, ...]:
-    if num_jumps == 0:
-        return ()
-    positions = plan.positions
-    effective = TWO_PI / positions.size
-    indices: list[int] = []
-    for b in np.sort(np.asarray(member_points, dtype=np.float64)):
-        idx = int(math.floor((b + math.pi) / effective))
-        idx = max(0, min(positions.size - 1, idx))
-        indices.append(idx)
-    # Enforce distinctness and the configuration gap, bumping forward.
-    for t in range(1, len(indices)):
-        indices[t] = max(indices[t], indices[t - 1] + plan.index_gap)
-    while len(indices) < num_jumps:
-        candidate = (indices[-1] + plan.index_gap) if indices else 0
-        indices.append(candidate)
-    if indices and indices[-1] >= positions.size:
-        raise UsageError("member breakpoints cannot be snapped into the net grid")
-    return tuple(float(positions[i]) for i in indices)
-
-
-def _round_piecewise(
-    family: PiecewiseSmoothClass, plan: _Plan, member: PiecewiseDescription
-) -> PiecewiseDescription:
-    breakpoints = _snap_breakpoints_interval(
-        member.breakpoints, plan, family.max_jumps
-    )
-    bounds = family.coefficient_bounds()
-    steps = [plan.axes[m].step for m in range(family.degree + 1)]
-    edges = [-math.pi, *breakpoints, math.pi]
-    pieces = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        midpoint = 0.5 * (left + right)
-        polynomial = _piece_polynomial_at(member, midpoint)
-        local = polynomial(np.polynomial.Polynomial([midpoint, 1.0]))
-        coeffs = np.zeros(family.degree + 1)
-        raw = local.coef[: family.degree + 1]
-        coeffs[: raw.size] = raw
-        rounded = tuple(
-            snap_to_symmetric_grid(float(c), bounds[m], steps[m])[1]
-            for m, c in enumerate(coeffs)
-        )
-        pieces.append(rounded)
-    return PiecewiseDescription(
-        breakpoints=breakpoints, piece_coefficients=tuple(pieces), periodic=False
-    )
-
-
-def _round_analytic(
-    family: PiecewiseAnalyticClass, plan: _Plan, member: AnalyticStepMember
-) -> AnalyticStepMember:
-    positions = plan.positions
-    count = positions.size
-    taken: set[int] = set()
-    indices: list[int] = []
-    for b in np.asarray(member.steps.breakpoints, dtype=np.float64):
-        idx = int(math.floor((b + math.pi) / plan.extra["effective"] + 0.5)) % count
-        while idx in taken:
-            idx = (idx + 1) % count
-        taken.add(idx)
-        indices.append(idx)
-    while len(indices) < family.max_jumps:
-        idx = 0
-        while idx in taken:
-            idx += 1
-        if idx >= count:
-            raise UsageError("step positions cannot be snapped into the net grid")
-        taken.add(idx)
-        indices.append(idx)
-    indices = sorted(indices)
-    snapped = [float(positions[i]) for i in indices]
-    level_step = plan.extra["level_step"]
-    arcs = snapped + [snapped[0] + TWO_PI]
-    levels = []
-    for left, right in zip(arcs[:-1], arcs[1:]):
-        midpoint = 0.5 * (left + right)
-        value = float(member.steps.evaluate(np.array([midpoint]))[0])
-        levels.append(
-            (snap_to_symmetric_grid(value, family.amplitude, level_step)[1],)
-        )
-    steps = PiecewiseDescription(
-        breakpoints=tuple(snapped),
-        piece_coefficients=tuple(levels),
-        periodic=True,
-    )
-    n_coeffs = plan.extra["n_coeffs"]
-    coeff_step = plan.extra["coeff_step"]
-    envelope = family.coefficient_envelope(n_coeffs)
-    kept = min(n_coeffs, member.smooth.ambient_dim)
-    rounded = np.zeros(max(n_coeffs, 1))
-    for i in range(kept):
-        rounded[i] = snap_to_symmetric_grid(
-            float(member.smooth.coefficients[i]), envelope[i], coeff_step
-        )[1]
-    return AnalyticStepMember(smooth=Signal(rounded), steps=steps)
 
 
 def round_to_net(net: CoveringNet, member: object) -> object:
@@ -736,44 +411,7 @@ def round_to_net(net: CoveringNet, member: object) -> object:
     Returns a member-like object of the same structural type; its distance to
     the input (by the class metric) is the witnessed covering error.
     """
-    family = net.family
-    plan = _family_plan(family, net.eps1)
-    if isinstance(family, SmoothClass):
-        truncation = len(plan.axes)
-        envelope = family.coefficient_envelope(truncation)
-        coeffs = np.zeros(truncation)
-        kept = min(truncation, member.ambient_dim)
-        for i in range(kept):
-            coeffs[i] = snap_to_symmetric_grid(
-                float(member.coefficients[i]), envelope[i], plan.axes[i].step
-            )[1]
-        return Signal(coeffs)
-    if isinstance(family, PiecewiseSmoothClass):
-        return _round_piecewise(family, plan, member)
-    if isinstance(family, PiecewiseAnalyticClass):
-        return _round_analytic(family, plan, member)
-    if isinstance(family, WarpedClass):
-        base_net = build_net(family.base, net.eps1 / 2.0, mode="counted")
-        base_witness = round_to_net(base_net, member.base_member)
-        axes = _warp_axes(family, net.eps1)
-        params = []
-        for t, axis in zip(member.warp_params, axes):
-            k = int(math.floor(float(t) / axis.step + 0.5))
-            k = max(0, min(axis.count - 1, k))
-            params.append(k * axis.step)
-        return WarpedMember(base_member=base_witness, warp_params=np.array(params))
-    if isinstance(family, AdditiveSpanClass):
-        base_net = build_net(family.base, net.eps1 / 2.0, mode="counted")
-        base_witness = round_to_net(base_net, member.base_member)
-        axes = _span_axes(family, net.eps1)
-        weights = np.array(
-            [
-                snap_to_symmetric_grid(float(t), family.coeff_bound, axis.step)[1]
-                for t, axis in zip(member.weights, axes)
-            ]
-        )
-        return AdditiveMember(base_member=base_witness, weights=weights)
-    raise UsageError(f"unsupported class object: {type(family).__name__}")
+    return net.family.round_member(net.family.net_plan(net.eps1), member)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ import numpy as np
 
 from .errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from .function_classes import TailDecayModel
-from .hilbert import DEFAULT_AMBIENT_DIM, Signal, tail_norm
+from .hilbert import DEFAULT_AMBIENT_DIM, Signal, pad_or_truncate, tail_norm
 from .jl import (
     DEFAULT_JL_CONSTANT,
+    SEED_RANGE,
     MeasurementOperator,
     apply_operator,
     random_subspace,
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Operator seeds are drawn from the caller's stream but stored as plain ints,
-# so an operator can be redrawn or serialized without the stream itself.
-_SEED_RANGE = 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def preprocess(
         )
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
-    operator = random_subspace(d, n, seed=int(rng.integers(_SEED_RANGE)))
+    operator = random_subspace(d, n, seed=int(rng.integers(SEED_RANGE)))
     logger.info(
         "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s",
         eps,
@@ -192,7 +189,7 @@ def with_new_operator(
 ) -> PreparedSampler:
     """Redraw the measurement operator, keeping dimensions and net fixed."""
     operator = random_subspace(
-        sampler.d, sampler.operator.n, seed=int(rng.integers(_SEED_RANGE))
+        sampler.d, sampler.operator.n, seed=int(rng.integers(SEED_RANGE))
     )
     return replace(
         sampler,
@@ -248,9 +245,7 @@ class ReconstructionOutcome:
 def _padded_distance(a: Signal, b: Signal) -> float:
     """Distance between signals, padding the shorter one with zeros."""
     dim = max(a.ambient_dim, b.ambient_dim)
-    diff = np.zeros(dim)
-    diff[: a.ambient_dim] = a.coefficients
-    diff[: b.ambient_dim] -= b.coefficients
+    diff = pad_or_truncate(a.coefficients, dim) - pad_or_truncate(b.coefficients, dim)
     return float(np.linalg.norm(diff))
 
 
@@ -332,9 +327,7 @@ def verify_guarantee(
 ) -> GuaranteeReport:
     """Audit one reconstruction against the three-term error budget."""
     if x.ambient_dim < sampler.d:
-        padded = np.zeros(sampler.d)
-        padded[: x.ambient_dim] = x.coefficients
-        x = Signal(padded)
+        x = Signal(pad_or_truncate(x.coefficients, sampler.d))
     center_signal = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
     truncation_tail = tail_norm(x, sampler.d)
     center_tail = tail_norm(center_signal, sampler.d)

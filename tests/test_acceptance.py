@@ -17,7 +17,8 @@ from netsketch.entropy import (
     greedy_cover,
     within_measurement_budget,
 )
-from netsketch.experiment import load_experiment_config, run_experiment
+from netsketch.config import load_experiment_config
+from netsketch.experiment import run_experiment
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,

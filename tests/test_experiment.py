@@ -8,13 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from netsketch.config import build_family, load_experiment_config, parse_flat_config
 from netsketch.entropy import measurement_lower_bound
 from netsketch.errors import AmbientTooSmallError, UsageError
 from netsketch.experiment import (
     CSV_COLUMNS,
-    build_family,
-    load_experiment_config,
-    parse_flat_config,
     run_experiment,
     wilson_interval,
     write_summary_json,

@@ -22,8 +22,6 @@ from netsketch.function_classes import (
     _numeric_l2_distance,
     count_tail_violations,
     fit_tail_model,
-    member_evaluator,
-    member_kinks,
     tail_bound,
     warp_amplitudes,
     warp_map,
@@ -266,9 +264,9 @@ def test_analytic_distance_matches_quadrature():
         b = cls.sample(rng, 64)
         exact = cls.distance(a, b)
         numeric = _numeric_l2_distance(
-            member_evaluator(cls, a),
-            member_evaluator(cls, b),
-            sorted(set(member_kinks(cls, a)) | set(member_kinks(cls, b))),
+            lambda t: cls.evaluate(a, t),
+            lambda t: cls.evaluate(b, t),
+            sorted(set(cls.kinks(a)) | set(cls.kinks(b))),
             points_per_piece=2**14 + 1,
         )
         np.testing.assert_allclose(exact, numeric, rtol=1e-7, err_msg=name)
@@ -302,7 +300,7 @@ def test_warp_kink_preimages_invert_the_warp():
     rng = np.random.default_rng(4)
     member = cls.sample(rng, 64)
     psi = warp_map(member.warp_params)
-    preimages = cls._kink_preimages(member)
+    preimages = cls.kinks(member)
     np.testing.assert_allclose(
         psi(np.array(preimages)), member.base_member.breakpoints, atol=1e-10
     )

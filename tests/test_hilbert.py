@@ -22,10 +22,8 @@ from netsketch.hilbert import (
     load_signal,
     project_prefix,
     quadrature_analyze,
-    read_signal,
     synthesize,
     tail_norm,
-    write_signal,
 )
 
 # ---------------------------------------------------------------------------
@@ -342,16 +340,6 @@ def test_piecewise_validation_rejects_bad_input():
 # ---------------------------------------------------------------------------
 # Signal IO
 # ---------------------------------------------------------------------------
-
-
-def test_signal_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    signal = Signal(rng.normal(size=64) * 10.0 ** rng.integers(-8, 8, size=64))
-    path = tmp_path / "signal.txt"
-    write_signal(path, signal)
-    loaded = read_signal(path)
-    assert loaded.ambient_dim == 64
-    assert np.array_equal(loaded.coefficients, signal.coefficients)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
 import pytest
 
-from netsketch.errors import FormatError, NetSketchError, UsageError
+from netsketch.errors import NetSketchError, UsageError
 from netsketch.hilbert import Signal
 from netsketch.jl import (
     MeasurementOperator,
     apply_operator,
     distortion_ok,
-    dump_operator,
-    load_operator,
     random_subspace,
-    read_operator,
     required_measurements,
-    write_operator,
 )
 
 # ---------------------------------------------------------------------------
@@ -171,41 +166,6 @@ def test_distortion_band_usually_holds_at_formula_count():
         distortion_ok(random_subspace(512, n, seed=s), points).ok for s in range(30)
     )
     assert hits / 30 >= 0.5  # expected near 1.0; the bound is conservative
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_operator_roundtrip_is_bit_exact(tmp_path):
-    op = random_subspace(24, 6, seed=77)
-    path = tmp_path / "operator.txt"
-    write_operator(path, op)
-    loaded = read_operator(path)
-    assert loaded.d == op.d and loaded.n == op.n and loaded.seed == op.seed
-    assert np.array_equal(loaded.frame, op.frame)
-    # Writing the loaded operator reproduces the file bytes.
-    first = path.read_text()
-    write_operator(path, loaded)
-    assert path.read_text() == first
-
-
-def test_operator_load_rejects_malformed_input():
-    with pytest.raises(FormatError):
-        load_operator(io.StringIO("d=4 n=2\n"))
-    op = random_subspace(6, 2, seed=1)
-    buffer = io.StringIO()
-    dump_operator(buffer, op)
-    text = buffer.getvalue()
-    with pytest.raises(FormatError):
-        load_operator(io.StringIO(text.rsplit("basis=", 1)[0]))
-    # Corrupt a coefficient so the rows are no longer orthonormal.
-    rows = text.splitlines()
-    rows[2] = "0.5"
-    rows[3] = "0.5"
-    with pytest.raises(FormatError):
-        load_operator(io.StringIO("\n".join(rows) + "\n"))
 
 
 def test_rank_deficiency_error_path():

@@ -21,11 +21,11 @@ from netsketch.function_classes import (
 from netsketch.hilbert import PiecewiseDescription, Signal, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
-    _gap_separated_count,
-    _iter_gap_tuples,
     build_net,
     dump_net,
+    gap_separated_count,
     grid_count,
+    iter_gap_tuples,
     load_net,
     round_to_net,
     snap_to_symmetric_grid,
@@ -82,9 +82,9 @@ def test_snap_error_bounded_by_half_step(bound, ratio, offset):
 
 def test_gap_separated_count_matches_enumeration():
     for total, choose, gap in [(20, 2, 3), (12, 3, 2), (9, 4, 1), (7, 2, 5)]:
-        brute = sum(1 for _ in _iter_gap_tuples(total, choose, gap))
-        assert _gap_separated_count(total, choose, gap) == brute
-    assert _gap_separated_count(20, 2, 3) == math.comb(18, 2)
+        brute = sum(1 for _ in iter_gap_tuples(total, choose, gap))
+        assert gap_separated_count(total, choose, gap) == brute
+    assert gap_separated_count(20, 2, 3) == math.comb(18, 2)
 
 
 # ---------------------------------------------------------------------------
