@@ -9,15 +9,18 @@ Subcommands::
     netsketch tailfit CONFIG          fit and validate a tail-decay model
 
 Every subcommand reads a flat ``key = value`` config file and accepts
-``--seed`` (overrides the config's seed) and ``--out`` (output path, or path
-prefix where a subcommand writes both a CSV and a JSON file).  Exit status is
-0 on success, 1 on a usage error, and 2 on an internal failure.
+``--seed`` (overrides the config's seed), ``--out`` (output path, or path
+prefix where a subcommand writes both a CSV and a JSON file) and
+``--log-level``/``-v`` (log lines on stderr; never in the output files).
+Exit status is 0 on success, 1 on a usage error, and 2 on an internal
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 from typing import Any, Sequence
 
@@ -45,6 +48,8 @@ from .nets import build_net, write_net
 from .entropy import fit_growth
 
 __all__ = ["main"]
+
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,6 +332,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out", default=None, help="output path (or path prefix for CSV+JSON pairs)"
     )
+    parser.add_argument(
+        "--log-level",
+        choices=_LOG_LEVELS,
+        default="WARNING",
+        help="show netsketch log lines at this level and above on stderr",
+    )
+    parser.add_argument(
+        "-v",
+        dest="log_level",
+        action="store_const",
+        const="INFO",
+        help="same as --log-level INFO",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,9 +395,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit status."""
+    """Entry point; returns the process exit status.
+
+    Log lines of the ``netsketch`` loggers at the requested level go to
+    stderr for the duration of the call; the handler is removed on return.
+    """
+    logger = logging.getLogger("netsketch")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    previous_level = logger.level
+    logger.addHandler(handler)
     try:
         args = _build_parser().parse_args(argv)
+        logger.setLevel(args.log_level)
         return int(args.handler(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -390,6 +418,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # fail closed: anything unexpected is internal
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -730,8 +730,17 @@ class WarpedClass(FunctionClass):
         if len(kinks) == 0:
             return ()
         psi = warp_map(member.warp_params)
+        # brentq's default xtol (2e-12) is coarser than the 1e-9 * h nudge
+        # that samples just inside each piece, so bracket to the last bits.
         return tuple(
-            float(brentq(lambda x, b=b: float(psi(np.float64(x))) - b, -math.pi, math.pi))
+            float(
+                brentq(
+                    lambda x, b=b: float(psi(np.float64(x))) - b,
+                    -math.pi,
+                    math.pi,
+                    xtol=1e-15,
+                )
+            )
             for b in kinks
         )
 

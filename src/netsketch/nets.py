@@ -20,7 +20,10 @@ rounding error never exceeds half a step even at the boundary.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
@@ -61,6 +64,8 @@ TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(TWO_PI)
 
 DEFAULT_NET_BUDGET = 10**6
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,47 @@ class LoadedNet:
     signals: tuple[Signal, ...]
 
 
+@dataclass(frozen=True)
+class _OperatorTerms:
+    """Operator-only parts of a measured decode, shared by every trial.
+
+    ``projected`` holds the measured indicator rows ``W R^T`` (``P x n``),
+    ``v_full`` the measured constant-one function, and ``g00``/``g0f``/``gff``
+    their Gram entries.
+    """
+
+    projected: np.ndarray
+    v_full: np.ndarray
+    g00: np.ndarray
+    g0f: np.ndarray
+    gff: float
+
+
+def _add_real_series(
+    spectrum: np.ndarray,
+    freqs: np.ndarray,
+    values: np.ndarray,
+    count: int,
+    lane: complex,
+) -> None:
+    """Add ``lane`` times the series ``Re sum_f values_f exp(2 pi i f p / count)``.
+
+    ``spectrum`` holds, along its last axis, the ``count`` bins of an inverse
+    DFT over ``count`` points.  A term splits into conjugate halves at bins
+    ``f`` and ``-f`` (mod ``count``), so its inverse DFT is real, and a lane
+    of 1 or 1j puts a series in the real or the imaginary part.  Frequencies
+    (ascending) a whole turn apart share bins, so each turn is added
+    separately.
+    """
+    turns = freqs // count
+    for turn in np.unique(turns):
+        lo, hi = np.searchsorted(turns, [turn, turn + 1])
+        bins = freqs[lo:hi] - turn * count
+        spectrum[..., bins] += values[..., lo:hi] * (0.5 * lane)
+        mirrored = values[..., lo:hi] * (0.5 * np.conj(lane))
+        spectrum[..., -bins % count] += np.conj(mirrored, out=mirrored)
+
+
 @dataclass
 class FactoredStepDecoder:
     """Exact nearest-member search over a single-jump step-function net.
@@ -130,6 +176,11 @@ class FactoredStepDecoder:
     ``b`` on a breakpoint grid and levels on a shared symmetric grid.  For a
     fixed configuration the best ``c1`` solves a scalar quadratic, so the
     sweep touches every configuration without enumerating the full product.
+
+    The breakpoints must be a uniform grid of pitch ``2 pi / P`` (as
+    ``position_grid`` makes them): the indicator coefficients are then
+    trigonometric series sampled on that grid, and one inverse FFT of length
+    ``P`` applies all ``P`` indicator rows at once.
     """
 
     positions: np.ndarray
@@ -139,38 +190,122 @@ class FactoredStepDecoder:
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.levels = np.asarray(self.levels, dtype=np.float64)
-        self._indicator_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if self.positions.ndim != 1 or self.positions.size < 1:
+            raise UsageError("breakpoint positions must be a nonempty 1-d grid")
+        pitch = TWO_PI / self.positions.size
+        if not np.allclose(np.diff(self.positions), pitch, rtol=0.0, atol=1e-12):
+            raise UsageError("breakpoint positions must have the uniform pitch 2 pi / P")
+        self._lock = threading.Lock()
+        self._operator_slot: tuple[object, _OperatorTerms] | None = None
 
     @property
     def size(self) -> int:
         return self.positions.size * self.levels.size ** 2
 
-    def _indicators(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Truncated coefficients of the pre-jump indicators, with row norms.
+    def _indicator_products(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``W @ block`` and the squared row norms of ``W``, never forming ``W``.
 
-        Closed forms: the constant coefficient is ``(b+pi)/sqrt(2 pi)``, the
-        cosine-``j`` one ``sin(j b)/(j sqrt(pi))``, and the sine-``j`` one
-        ``((-1)^j - cos(j b))/(j sqrt(pi))``.
+        Row ``p`` of ``W`` holds the first ``d = len(block)`` coefficients of
+        the pre-jump indicator of ``[-pi, b_p]``.  Closed forms: the constant
+        coefficient is ``(b+pi)/sqrt(2 pi)``, the cosine-``j`` one
+        ``sin(j b)/(j sqrt(pi))``, and the sine-``j`` one
+        ``((-1)^j - cos(j b))/(j sqrt(pi))``.  Apart from the ``(b+pi)`` term,
+        each column of ``W @ block`` is then ``Re sum_j z_j exp(i j b)`` with
+        ``z_j = -(s_j + i c_j) / (j sqrt(pi))`` for the block's cosine-``j``
+        and sine-``j`` rows ``c_j``, ``s_j``, plus the constant
+        ``sum_j (-1)^j s_j / (j sqrt(pi))``.  Squaring and summing the closed
+        forms, the ``cos(2 j b)`` terms cancel except the last cosine's, so
+
+            |w(b)|^2 = (b+pi)^2/(2 pi) + sum_{j<=d//2} 1/(2 pi j^2)
+                       + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
+                       - [d even] cos(d b)/(2 pi (d/2)^2).
+
+        With ``b_p = b_0 + 2 pi p / P`` frequency ``j`` is frequency
+        ``j mod P`` on the grid, so every series is one inverse DFT of length
+        ``P``.  Two real series share one complex DFT, the first as its real
+        and the second as its imaginary part (at lengths with a large prime
+        factor, like 10054 = 2 * 11 * 457, a real FFT costs as much as a
+        complex one).  Output row ``r`` (the block's columns, then the norms)
+        is the real or imaginary part of DFT row ``r // 2``.
         """
-        if d < 1:
-            raise UsageError(f"truncation dimension must be positive, got {d!r}")
-        cached = self._indicator_cache.get(d)
-        if cached is not None:
-            return cached
-        b = self.positions
-        w = np.zeros((b.size, d))
-        w[:, 0] = (b + math.pi) / _SQRT_2PI
-        if d > 1:
-            n_cos = d // 2
-            js = np.arange(1, n_cos + 1, dtype=np.float64)
-            phases = np.outer(b, js)
-            w[:, 1::2] = np.sin(phases) / (js * math.sqrt(math.pi))
-            signs = np.where(js.astype(int) % 2 == 0, 1.0, -1.0)
-            sines = (signs - np.cos(phases)) / (js * math.sqrt(math.pi))
-            w[:, 2::2] = sines[:, : (d - 1) // 2]
-        norms_sq = np.einsum("ij,ij->i", w, w)
-        self._indicator_cache[d] = (w, norms_sq)
-        return self._indicator_cache[d]
+        d, cols = block.shape
+        count = self.positions.size
+        n_cos, n_sin = d // 2, (d - 1) // 2
+        js = np.arange(1, n_cos + 1)
+        weights = 1.0 / (js * math.sqrt(math.pi))
+        signs = np.where(js % 2 == 0, 1.0, -1.0)
+        sin_rows = block[2::2].T
+        terms = (-1j * weights) * block[1::2].T
+        terms[:, :n_sin] -= weights[:n_sin] * sin_rows
+        terms *= np.exp(1j * js * self.positions[0])
+        norm_freqs = js[:n_sin]
+        norm_terms = -2.0 * signs[:n_sin] * weights[:n_sin] ** 2
+        if d % 2 == 0:
+            norm_freqs = np.append(norm_freqs, d)
+            norm_terms = np.append(norm_terms, -(weights[-1] ** 2) / 2.0)
+        norm_terms = norm_terms * np.exp(1j * norm_freqs * self.positions[0])
+        pairs = cols // 2 + 1
+        constants = np.zeros(2 * pairs)
+        constants[:cols] = sin_rows @ (signs[:n_sin] * weights[:n_sin])
+        constants[cols] = np.sum(weights**2) / 2.0 + 1.5 * np.sum(weights[:n_sin] ** 2)
+        spectrum = np.zeros((pairs, count), dtype=np.complex128)
+        spectrum[:, 0] = constants[0::2] + 1j * constants[1::2]
+        _add_real_series(spectrum[: (cols + 1) // 2], js, terms[0::2], count, 1.0)
+        _add_real_series(spectrum[: cols // 2], js, terms[1::2], count, 1j)
+        _add_real_series(
+            spectrum[cols // 2], norm_freqs, norm_terms, count, 1j if cols % 2 else 1.0
+        )
+        series = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
+        shift = self.positions + math.pi
+        out = np.zeros((2 * pairs, count))
+        np.multiply.outer(block[0] / _SQRT_2PI, shift, out=out[:cols])
+        out[cols] = shift**2 / TWO_PI
+        lanes = out.reshape(pairs, 2, count)
+        lanes[:, 0] += series.real
+        lanes[:, 1] += series.imag
+        return out[:cols].T, out[cols]
+
+    def _operator_terms(self, operator) -> _OperatorTerms:
+        """The decode terms that depend on ``operator`` only, built on first use.
+
+        One slot, shared by every thread that decodes, holds the terms of the
+        last operator seen: a run under a fixed operator builds them once,
+        and a new operator replaces them.  The slot keeps a reference to its
+        operator, so an identity check cannot match a different operator
+        allocated at a reused address.
+        """
+        with self._lock:
+            slot = self._operator_slot
+            if slot is not None and slot[0] is operator:
+                return slot[1]
+            # Release the previous operator's terms before building new ones.
+            self._operator_slot = None
+        del slot
+        started = time.perf_counter()
+        rows = operator.scale * operator.frame
+        projected, _ = self._indicator_products(rows.T)
+        v_full = _SQRT_2PI * rows[:, 0]
+        terms = _OperatorTerms(
+            projected=projected,
+            v_full=v_full,
+            g00=np.einsum("ij,ij->i", projected, projected),
+            g0f=projected @ v_full,
+            gff=float(np.dot(v_full, v_full)),
+        )
+        with self._lock:
+            self._operator_slot = (operator, terms)
+        count, (n, d) = self.positions.size, operator.frame.shape
+        logger.debug(
+            "factored decoder terms: P=%d d=%d n=%d projected=%d bytes"
+            " spectrum=%d bytes built in %.3fs",
+            count,
+            d,
+            n,
+            projected.nbytes,
+            (n // 2 + 1) * count * 16,
+            time.perf_counter() - started,
+        )
+        return terms
 
     def _sweep(
         self,
@@ -192,16 +327,28 @@ class FactoredStepDecoder:
         g01 = g0f - g00
         g11 = gff - 2.0 * g0f + g00
         half = (self.levels.size - 1) // 2
-        c1_opt = (q1[:, None] - np.outer(g01, c0)) / g11[:, None]
-        k = np.floor(c1_opt / self.level_step + 0.5)
+        # In place, one rounding step per line, each formula left to right:
+        #   c1_opt = (q1 - g01 c0) / g11,  k = clip(floor(c1_opt / step + 1/2))
+        #   objective = -2 (c0 q0 + c1 q1) + c0^2 g00 + 2 c0 c1 g01 + c1^2 g11
+        k = np.multiply.outer(g01, c0)
+        np.subtract(q1[:, None], k, out=k)
+        k /= g11[:, None]
+        k /= self.level_step
+        k += 0.5
+        np.floor(k, out=k)
         np.clip(k, -half, half, out=k)
         c1 = k * self.level_step
-        objective = (
-            -2.0 * (c0[None, :] * q0[:, None] + c1 * q1[:, None])
-            + c0[None, :] ** 2 * g00[:, None]
-            + 2.0 * c0[None, :] * c1 * g01[:, None]
-            + c1**2 * g11[:, None]
-        )
+        objective = np.multiply.outer(q0, c0)
+        term = c1 * q1[:, None]
+        objective += term
+        objective *= -2.0
+        objective += np.multiply.outer(g00, c0**2)
+        np.multiply(2.0 * c0, c1, out=term)
+        term *= g01[:, None]
+        objective += term
+        np.square(c1, out=c1)
+        c1 *= g11[:, None]
+        objective += c1
         flat = int(np.argmin(objective))
         p_idx, c0_idx = divmod(flat, c0.size)
         c1_idx = int(k[p_idx, c0_idx]) + half
@@ -224,13 +371,11 @@ class FactoredStepDecoder:
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 1 or target.size < 1:
             raise UsageError("decode target must be a nonempty 1-d vector")
-        d = target.size
-        w, norms_sq = self._indicators(d)
-        q0 = w @ target
+        q0, norms_sq = self._indicator_products(target[:, None])
         q_full = _SQRT_2PI * float(target[0])
         g0f = self.positions + math.pi  # <w(b), 1-function> is exact at any d
         return self._sweep(
-            q0, q_full, norms_sq, g0f, TWO_PI, float(np.dot(target, target))
+            q0[:, 0], q_full, norms_sq, g0f, TWO_PI, float(np.dot(target, target))
         )
 
     def decode_measurements(self, y: np.ndarray, operator) -> "DecodeResult":
@@ -240,17 +385,15 @@ class FactoredStepDecoder:
             raise UsageError(
                 f"expected {operator.n} measurements, got shape {y.shape}"
             )
-        d = operator.d
-        w, _ = self._indicators(d)
-        rows = operator.scale * operator.frame
-        projected = w @ rows.T
-        v_full = _SQRT_2PI * rows[:, 0]
-        q0 = projected @ y
-        q_full = float(np.dot(v_full, y))
-        g00 = np.einsum("ij,ij->i", projected, projected)
-        g0f = projected @ v_full
-        gff = float(np.dot(v_full, v_full))
-        return self._sweep(q0, q_full, g00, g0f, gff, float(np.dot(y, y)))
+        terms = self._operator_terms(operator)
+        return self._sweep(
+            terms.projected @ y,
+            float(np.dot(terms.v_full, y)),
+            terms.g00,
+            terms.g0f,
+            terms.gff,
+            float(np.dot(y, y)),
+        )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,28 @@ jl_constant = 4.0
 tail_dims = 32,64,128,256
 """
 
+# A step class over m_max = 100 forces the factored decoder; jl_constant 0.5
+# keeps n below d, and the auto noise level makes every trial noisy.
+FACTORED_EXPERIMENT = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 3.0
+p = 0.5
+trials = 12
+mode = {mode}
+seed = 5
+delta = auto
+jl_constant = 0.5
+m_max = 100
+ambient_dim = 512
+tail_samples = 10
+tail_dims = 32,64,128
+"""
+
 JL_CHECK = """
 d = 64
 m = 8
@@ -113,6 +135,38 @@ def test_experiment_run_jobs_flag_changes_nothing(tmp_path):
     ) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
+    for mode in ("fixed_w", "fixed_x"):
+        cfg = _write(tmp_path, f"{mode}.cfg", FACTORED_EXPERIMENT.format(mode=mode))
+        one, two = str(tmp_path / f"{mode}_1"), str(tmp_path / f"{mode}_2")
+        assert main(["experiment", "run", cfg, "--out", one]) == 0
+        assert main(["experiment", "run", cfg, "--jobs", "2", "--out", two]) == 0
+        summary = json.loads((tmp_path / f"{mode}_1.json").read_text(encoding="utf-8"))
+        assert summary["net_mode"] == "factored" and not summary["clamped"]
+        for suffix in (".csv", ".json"):
+            assert open(one + suffix, "rb").read() == open(two + suffix, "rb").read()
+
+
+def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
+    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
+    quiet, loud = str(tmp_path / "quiet"), str(tmp_path / "loud")
+    assert main(["experiment", "run", cfg, "--out", quiet]) == 0
+    quiet_streams = capsys.readouterr()
+    assert quiet_streams.err == ""
+    assert main(["experiment", "run", cfg, "-v", "--out", loud]) == 0
+    loud_streams = capsys.readouterr()
+    assert "netsketch.reconstructor: prepared sampler:" in loud_streams.err
+    assert "factored decoder terms" not in loud_streams.err
+    assert loud_streams.out == quiet_streams.out.replace(quiet, loud)
+    for suffix in (".csv", ".json"):
+        assert open(quiet + suffix, "rb").read() == open(loud + suffix, "rb").read()
+    assert main(["experiment", "run", cfg, "--log-level", "DEBUG"]) == 0
+    debug_err = capsys.readouterr().err
+    assert "netsketch.nets: factored decoder terms: P=" in debug_err
+    assert main(["experiment", "run", cfg, "--log-level", "LOUD"]) == 1
+    assert "invalid choice: 'LOUD'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,9 @@ def _quadrature_cases():
         "warped_piecewise": WarpedClass(
             base=one_jump, num_warp_params=2, lipschitz_bound=5.0
         ),
+        "warped_two_jump": WarpedClass(
+            base=piecewise, num_warp_params=2, lipschitz_bound=5.0
+        ),
         "additive_smooth": AdditiveSpanClass(
             base=SmoothClass(smoothness=2, amplitude=1.0),
             components=components,
@@ -269,7 +272,7 @@ def test_analytic_distance_matches_quadrature():
             sorted(set(cls.kinks(a)) | set(cls.kinks(b))),
             points_per_piece=2**14 + 1,
         )
-        np.testing.assert_allclose(exact, numeric, rtol=1e-7, err_msg=name)
+        np.testing.assert_allclose(exact, numeric, rtol=1e-12, err_msg=name)
         assert cls.distance(a, a) == 0.0, name
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from netsketch.function_classes import (
 from netsketch.hilbert import PiecewiseDescription, Signal, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
+    FactoredStepDecoder,
     build_net,
     dump_net,
     gap_separated_count,
@@ -414,6 +417,76 @@ def test_factored_decoder_matches_brute_force_under_measurements():
         result = factored.decoder.decode_measurements(y, operator)
         assert result.index == expected_index
         assert result.distance == pytest.approx(float(distances[expected_index]), rel=1e-10)
+
+
+def dense_indicator_rows(positions, d):
+    """The pre-jump indicator coefficients, written out from the closed forms."""
+    b = np.asarray(positions)[:, None]
+    w = np.zeros((b.size, d))
+    w[:, :1] = (b + math.pi) / math.sqrt(TWO_PI)
+    for j in range(1, d // 2 + 1):
+        w[:, 2 * j - 1] = np.sin(j * b[:, 0]) / (j * math.sqrt(math.pi))
+        if 2 * j < d:
+            w[:, 2 * j] = ((-1.0) ** j - np.cos(j * b[:, 0])) / (j * math.sqrt(math.pi))
+    return w
+
+
+def test_indicator_products_match_the_dense_closed_form():
+    rng = np.random.default_rng(29)
+    # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 70 (even); d = 300 puts
+    # frequencies past P / 2, where they alias on the breakpoint grid.
+    for eps1, count in ((1.5, 45), (1.2, 70)):
+        decoder = build_net(step_class(), eps1, mode="factored").decoder
+        assert decoder.positions.size == count
+        for d in (1, 2, 3, 16, 17, 300, 301):
+            w = dense_indicator_rows(decoder.positions, d)
+            # Columns share complex DFT rows in pairs: cover odd and even counts.
+            for cols in (1, 4, 5):
+                block = rng.normal(size=(d, cols))
+                products, norms_sq = decoder._indicator_products(block)
+                assert products.shape == (count, cols) and norms_sq.shape == (count,)
+                np.testing.assert_allclose(products, w @ block, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(
+                    norms_sq, np.einsum("ij,ij->i", w, w), rtol=0.0, atol=1e-12
+                )
+
+
+def test_decoder_rejects_positions_off_the_uniform_grid():
+    positions = np.linspace(-3.0, 3.0, 8)
+    with pytest.raises(UsageError):
+        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5)
+
+
+def test_operator_terms_follow_the_operator():
+    decoder = build_net(step_class(), 1.5, mode="factored").decoder
+    operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
+    ys = np.random.default_rng(37).normal(size=(6, 9))
+    expected = []
+    for operator in operators:
+        fresh = build_net(step_class(), 1.5, mode="factored").decoder
+        expected.append([fresh.decode_measurements(y, operator) for y in ys])
+    # Alternate operators on one decoder: every switch rebuilds the terms.
+    for _ in range(2):
+        for which, operator in enumerate(operators):
+            for y, want in zip(ys, expected[which]):
+                assert decoder.decode_measurements(y, operator) == want
+
+    # Threads sharing the decoder, each with its own operator, switching often.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(
+                    lambda k: [decoder.decode_measurements(y, operators[k % 2]) for y in ys],
+                    k,
+                )
+                for k in range(8)
+            ]
+            for k, future in enumerate(futures):
+                assert future.result(timeout=60) == expected[k % 2]
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
