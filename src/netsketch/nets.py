@@ -154,10 +154,10 @@ def _add_real_series(
 
     ``spectrum`` holds, along its last axis, the ``count`` bins of an inverse
     DFT over ``count`` points.  A term splits into conjugate halves at bins
-    ``f`` and ``-f`` (mod ``count``), so its inverse DFT is real, and a lane
-    of 1 or 1j puts a series in the real or the imaginary part.  Frequencies
-    (ascending) a whole turn apart share bins, so each turn is added
-    separately.
+    ``f`` and ``-f`` (mod ``count``), so a series alone has a real inverse
+    DFT, and a lane of 1 or 1j puts it in the real or the imaginary part.
+    Frequencies (ascending) a whole turn apart share bins, so each turn is
+    added separately.
     """
     turns = freqs // count
     for turn in np.unique(turns):
@@ -194,7 +194,9 @@ class FactoredStepDecoder:
             raise UsageError("breakpoint positions must be a nonempty 1-d grid")
         pitch = TWO_PI / self.positions.size
         if not np.allclose(np.diff(self.positions), pitch, rtol=0.0, atol=1e-12):
-            raise UsageError("breakpoint positions must have the uniform pitch 2 pi / P")
+            raise UsageError(
+                "breakpoint positions must have the uniform pitch 2 pi / P"
+            )
         self._lock = threading.Lock()
         self._operator_slot: tuple[object, _OperatorTerms] | None = None
 

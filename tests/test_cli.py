@@ -140,28 +140,30 @@ def test_experiment_run_jobs_flag_changes_nothing(tmp_path):
 def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
     for mode in ("fixed_w", "fixed_x"):
         cfg = _write(tmp_path, f"{mode}.cfg", FACTORED_EXPERIMENT.format(mode=mode))
-        one, two = str(tmp_path / f"{mode}_1"), str(tmp_path / f"{mode}_2")
-        assert main(["experiment", "run", cfg, "--out", one]) == 0
-        assert main(["experiment", "run", cfg, "--jobs", "2", "--out", two]) == 0
-        summary = json.loads((tmp_path / f"{mode}_1.json").read_text(encoding="utf-8"))
+        one, two = tmp_path / f"{mode}_1", tmp_path / f"{mode}_2"
+        assert main(["experiment", "run", cfg, "--out", str(one)]) == 0
+        assert main(["experiment", "run", cfg, "--jobs", "2", "--out", str(two)]) == 0
+        summary = json.loads(one.with_suffix(".json").read_text(encoding="utf-8"))
         assert summary["net_mode"] == "factored" and not summary["clamped"]
         for suffix in (".csv", ".json"):
-            assert open(one + suffix, "rb").read() == open(two + suffix, "rb").read()
+            first, second = one.with_suffix(suffix), two.with_suffix(suffix)
+            assert first.read_bytes() == second.read_bytes()
 
 
 def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
-    quiet, loud = str(tmp_path / "quiet"), str(tmp_path / "loud")
-    assert main(["experiment", "run", cfg, "--out", quiet]) == 0
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["experiment", "run", cfg, "--out", str(quiet)]) == 0
     quiet_streams = capsys.readouterr()
     assert quiet_streams.err == ""
-    assert main(["experiment", "run", cfg, "-v", "--out", loud]) == 0
+    assert main(["experiment", "run", cfg, "-v", "--out", str(loud)]) == 0
     loud_streams = capsys.readouterr()
     assert "netsketch.reconstructor: prepared sampler:" in loud_streams.err
     assert "factored decoder terms" not in loud_streams.err
-    assert loud_streams.out == quiet_streams.out.replace(quiet, loud)
+    assert loud_streams.out == quiet_streams.out.replace(str(quiet), str(loud))
     for suffix in (".csv", ".json"):
-        assert open(quiet + suffix, "rb").read() == open(loud + suffix, "rb").read()
+        first, second = quiet.with_suffix(suffix), loud.with_suffix(suffix)
+        assert first.read_bytes() == second.read_bytes()
     assert main(["experiment", "run", cfg, "--log-level", "DEBUG"]) == 0
     debug_err = capsys.readouterr().err
     assert "netsketch.nets: factored decoder terms: P=" in debug_err

@@ -472,17 +472,14 @@ def test_operator_terms_follow_the_operator():
                 assert decoder.decode_measurements(y, operator) == want
 
     # Threads sharing the decoder, each with its own operator, switching often.
+    def decode_all(k):
+        return [decoder.decode_measurements(y, operators[k % 2]) for y in ys]
+
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(
-                    lambda k: [decoder.decode_measurements(y, operators[k % 2]) for y in ys],
-                    k,
-                )
-                for k in range(8)
-            ]
+            futures = [pool.submit(decode_all, k) for k in range(8)]
             for k, future in enumerate(futures):
                 assert future.result(timeout=60) == expected[k % 2]
     finally:
