@@ -31,6 +31,7 @@ from .jl import apply_operator
 from .nets import build_net
 from .reconstructor import (
     PreparedSampler,
+    ReconstructionOutcome,
     measure,
     preprocess,
     reconstruct,
@@ -40,6 +41,8 @@ from .reconstructor import (
 __all__ = [
     "CSV_COLUMNS",
     "ExperimentResult",
+    "TrialAudit",
+    "audit_trial",
     "run_experiment",
     "wilson_interval",
     "write_summary_json",
@@ -133,6 +136,64 @@ def _nearest_in_coefficients(
     return member_signal.coefficients
 
 
+@dataclass(frozen=True)
+class TrialAudit:
+    """The premise of the accuracy chain for one trial, checked term by term.
+
+    The chain needs the upper distortion band on the pair (x, nearest
+    center), the lower band on the pair (x, decoded center), exact
+    measurements, and both tails beyond ``d`` within ``eps1``.  A
+    counterexample is a trial whose premise holds but whose guarantee fails.
+    """
+
+    distortion_ok: bool
+    premise: bool
+    counterexample: bool
+
+
+def audit_trial(
+    sampler: PreparedSampler,
+    member_matrix: np.ndarray | None,
+    x: Signal,
+    outcome: ReconstructionOutcome,
+    delta: float,
+    trial: int,
+) -> TrialAudit:
+    """Audit one reconstruction of ``x`` made with ground truth supplied.
+
+    ``member_matrix`` holds the truncated coefficients of a materialized net,
+    one member per row; factored nets pass ``None`` and decode instead.
+    Raises ``NetSketchError`` when a clamped operator distorts a pair.
+    """
+    d = sampler.d
+    x_truncated = x.coefficients[:d]
+    center_signal = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
+    nearest = _nearest_in_coefficients(sampler, member_matrix, x_truncated)
+    upper_ratio = _distortion_ratio(sampler.operator, x_truncated - nearest)
+    lower_ratio = _distortion_ratio(
+        sampler.operator, x_truncated - center_signal.coefficients[:d]
+    )
+    distortion_ok = upper_ratio <= 2.0 and lower_ratio >= 0.5
+    if sampler.clamped:
+        # n = d makes the operator a full orthogonal map; any visible
+        # distortion here is an internal error, not statistical bad luck.
+        for ratio in (upper_ratio, lower_ratio):
+            if abs(ratio - 1.0) > 1e-10:
+                raise NetSketchError(
+                    f"clamped operator distorted a pair by {ratio!r} in trial {trial}"
+                )
+    tails_ok = (
+        tail_norm(x, d) <= sampler.eps1
+        and tail_norm(center_signal, d) <= sampler.eps1
+    )
+    premise = distortion_ok and delta == 0.0 and tails_ok
+    return TrialAudit(
+        distortion_ok=distortion_ok,
+        premise=premise,
+        counterexample=premise and not outcome.guarantee_met,
+    )
+
+
 def _run_trial(
     config: ExperimentConfig,
     sampler: PreparedSampler,
@@ -159,34 +220,8 @@ def _run_trial(
     )
     y = measure(trial_sampler, x, delta=delta, rng=noise_rng)
     outcome = reconstruct(trial_sampler, y, delta=delta, ground_truth=x)
-
-    d = trial_sampler.d
-    x_truncated = x.coefficients[:d]
-    center_signal = family.to_signal(outcome.center, config.ambient_dim)
-    nearest = _nearest_in_coefficients(trial_sampler, member_matrix, x_truncated)
-    # The accuracy chain needs the upper band on the pair (x, nearest center)
-    # and the lower band on the pair (x, decoded center).
-    upper_ratio = _distortion_ratio(trial_sampler.operator, x_truncated - nearest)
-    lower_ratio = _distortion_ratio(
-        trial_sampler.operator, x_truncated - center_signal.coefficients[:d]
-    )
-    distortion_ok = upper_ratio <= 2.0 and lower_ratio >= 0.5
-    if trial_sampler.clamped:
-        # n = d makes the operator a full orthogonal map; any visible
-        # distortion here is an internal error, not statistical bad luck.
-        for ratio in (upper_ratio, lower_ratio):
-            if abs(ratio - 1.0) > 1e-10:
-                raise NetSketchError(
-                    f"clamped operator distorted a pair by {ratio!r} in trial {trial}"
-                )
-
-    tails_ok = (
-        tail_norm(x, d) <= sampler.eps1
-        and tail_norm(center_signal, d) <= sampler.eps1
-    )
-    exact = delta == 0.0
-    premise = distortion_ok and exact and tails_ok
-    if premise and not outcome.guarantee_met:
+    audit = audit_trial(trial_sampler, member_matrix, x, outcome, delta, trial)
+    if audit.counterexample:
         raise NetSketchError(
             f"trial {trial}: reconstruction guarantee failed although distortion,"
             " exactness, and tail bounds were all verified"
@@ -206,13 +241,13 @@ def _run_trial(
         "within_ball": outcome.within_ball,
         "ambient_error": outcome.ambient_error,
         "guarantee_met": outcome.guarantee_met,
-        "distortion_ok": distortion_ok,
+        "distortion_ok": audit.distortion_ok,
     }
     stats = _TrialStats(
         success=bool(outcome.guarantee_met),
         within_ball=outcome.within_ball,
-        distortion_ok=distortion_ok,
-        premise=premise,
+        distortion_ok=audit.distortion_ok,
+        premise=audit.premise,
         ambient_error=float(outcome.ambient_error),
     )
     return row, stats

@@ -131,41 +131,72 @@ class LoadedNet:
 class _OperatorTerms:
     """Operator-only parts of a measured decode, shared by every trial.
 
-    ``projected`` holds the measured indicator rows ``W R^T`` (``P x n``),
-    ``v_full`` the measured constant-one function, and ``g00``/``g0f``/``gff``
-    their Gram entries.
+    With ``R`` the scaled operator rows and ``w(b)`` the pre-jump indicator
+    coefficients, ``g00(b) = |R w(b)|^2`` and ``g0f(b) = <R w(b), v_full>``
+    on the breakpoint grid, where ``v_full`` is the measured constant-one
+    function and ``gff = |v_full|^2``.
     """
 
-    projected: np.ndarray
     v_full: np.ndarray
     g00: np.ndarray
     g0f: np.ndarray
     gff: float
 
 
-def _add_real_series(
-    spectrum: np.ndarray,
-    freqs: np.ndarray,
-    values: np.ndarray,
-    count: int,
-    lane: complex,
-) -> None:
-    """Add ``lane`` times the series ``Re sum_f values_f exp(2 pi i f p / count)``.
+def _add_real_series(spectrum: np.ndarray, values: np.ndarray, count: int) -> None:
+    """Add the series ``Re sum_f values_f exp(2 pi i f p / count)``, ``f = 0, 1, ...``.
 
     ``spectrum`` holds, along its last axis, the ``count`` bins of an inverse
     DFT over ``count`` points.  A term splits into conjugate halves at bins
-    ``f`` and ``-f`` (mod ``count``), so a series alone has a real inverse
-    DFT, and a lane of 1 or 1j puts it in the real or the imaginary part.
-    Frequencies (ascending) a whole turn apart share bins, so each turn is
-    added separately.
+    ``f`` and ``-f`` (mod ``count``), so the series has a real inverse DFT.
+    Frequencies a whole turn apart share bins, so each turn is added
+    separately.
     """
-    turns = freqs // count
-    for turn in np.unique(turns):
-        lo, hi = np.searchsorted(turns, [turn, turn + 1])
-        bins = freqs[lo:hi] - turn * count
-        spectrum[..., bins] += values[..., lo:hi] * (0.5 * lane)
-        mirrored = values[..., lo:hi] * (0.5 * np.conj(lane))
-        spectrum[..., -bins % count] += np.conj(mirrored, out=mirrored)
+    for start in range(0, values.shape[-1], count):
+        half = 0.5 * values[..., start : start + count]
+        bins = np.arange(half.shape[-1])
+        spectrum[..., bins] += half
+        spectrum[..., -bins % count] += np.conj(half, out=half)
+
+
+def _indicator_series(rows: np.ndarray, width: int) -> np.ndarray:
+    """Series ``z_0 .. z_{width-1}`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``.
+
+    Row ``p`` of the indicator matrix ``W`` holds the first ``d`` coefficients
+    ``w(b_p)`` of the pre-jump indicator of ``[-pi, b_p]``.  Closed forms: the
+    constant coefficient is ``(b+pi)/sqrt(2 pi)``, the cosine-``j`` one
+    ``sin(j b)/(j sqrt(pi))``, and the sine-``j`` one
+    ``((-1)^j - cos(j b))/(j sqrt(pi))``.  Apart from the ``(b+pi)`` term, a
+    row's inner product with ``w(b)`` is then ``Re sum_j z_j exp(i j b)``, a
+    trigonometric polynomial of degree ``d // 2``, with
+    ``z_j = -(s_j + i c_j) / (j sqrt(pi))`` for the row's cosine-``j`` and
+    sine-``j`` entries ``c_j``, ``s_j``, and the constant
+    ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``.  Entries past ``d // 2`` are 0.
+    """
+    d = rows.shape[-1]
+    n_sin = (d - 1) // 2
+    js = np.arange(1, d // 2 + 1)
+    weights = 1.0 / (js * math.sqrt(math.pi))
+    signs = np.where(js % 2 == 0, 1.0, -1.0)
+    sin_rows = rows[..., 2::2]
+    series = np.zeros(rows.shape[:-1] + (width,), dtype=np.complex128)
+    series[..., 0] = sin_rows @ (signs[:n_sin] * weights[:n_sin])
+    series[..., 1 : js.size + 1] = (-1j * weights) * rows[..., 1::2]
+    series[..., 1 : n_sin + 1] -= weights[:n_sin] * sin_rows
+    return series
+
+
+def _indicator_coefficients(b: float, d: int) -> np.ndarray:
+    """``w(b)``: the first ``d`` coefficients of the indicator of ``[-pi, b]``."""
+    js = np.arange(1, d // 2 + 1)
+    weights = 1.0 / (js * math.sqrt(math.pi))
+    signs = np.where(js % 2 == 0, 1.0, -1.0)
+    n_sin = (d - 1) // 2
+    w = np.empty(d)
+    w[0] = (b + math.pi) / _SQRT_2PI
+    w[1::2] = np.sin(js * b) * weights
+    w[2::2] = (signs[:n_sin] - np.cos(js[:n_sin] * b)) * weights[:n_sin]
+    return w
 
 
 @dataclass
@@ -178,9 +209,9 @@ class FactoredStepDecoder:
     sweep touches every configuration without enumerating the full product.
 
     The breakpoints must be a uniform grid of pitch ``2 pi / P`` (as
-    ``position_grid`` makes them): the indicator coefficients are then
-    trigonometric series sampled on that grid, and one inverse FFT of length
-    ``P`` applies all ``P`` indicator rows at once.
+    ``position_grid`` makes them): every term the sweep needs is then a
+    trigonometric polynomial in ``b``, and one inverse FFT of length ``P``
+    evaluates it on all ``P`` breakpoints at once.
     """
 
     positions: np.ndarray
@@ -204,71 +235,62 @@ class FactoredStepDecoder:
     def size(self) -> int:
         return self.positions.size * self.levels.size ** 2
 
-    def _indicator_products(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``W @ block`` and the squared row norms of ``W``, never forming ``W``.
+    def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
+        """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
 
-        Row ``p`` of ``W`` holds the first ``d = len(block)`` coefficients of
-        the pre-jump indicator of ``[-pi, b_p]``.  Closed forms: the constant
-        coefficient is ``(b+pi)/sqrt(2 pi)``, the cosine-``j`` one
-        ``sin(j b)/(j sqrt(pi))``, and the sine-``j`` one
-        ``((-1)^j - cos(j b))/(j sqrt(pi))``.  Apart from the ``(b+pi)`` term,
-        each column of ``W @ block`` is then ``Re sum_j z_j exp(i j b)`` with
-        ``z_j = -(s_j + i c_j) / (j sqrt(pi))`` for the block's cosine-``j``
-        and sine-``j`` rows ``c_j``, ``s_j``, plus the constant
-        ``sum_j (-1)^j s_j / (j sqrt(pi))``.  Squaring and summing the closed
-        forms, the ``cos(2 j b)`` terms cancel except the last cosine's, so
+        With ``b_p = b_0 + 2 pi p / P``, frequency ``f`` is frequency
+        ``f mod P`` on the grid, so each series (along the last axis) is one
+        inverse DFT of length ``P``.
+        """
+        count = self.positions.size
+        phases = np.exp(1j * np.arange(series.shape[-1]) * self.positions[0])
+        spectrum = np.zeros(series.shape[:-1] + (count,), dtype=np.complex128)
+        _add_real_series(spectrum, series * phases, count)
+        return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
+
+    def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
+        """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
+        periodic = self._on_breakpoints(
+            _indicator_series(rows, rows.shape[-1] // 2 + 1)
+        )
+        return periodic + np.multiply.outer(
+            rows[..., 0] / _SQRT_2PI, self.positions + math.pi
+        )
+
+    def _indicator_norms_sq(self, d: int) -> np.ndarray:
+        """``|w(b)|^2`` at every breakpoint, from the squared closed forms.
+
+        The ``cos(2 j b)`` terms cancel except the last cosine's, so
 
             |w(b)|^2 = (b+pi)^2/(2 pi) + sum_{j<=d//2} 1/(2 pi j^2)
                        + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
                        - [d even] cos(d b)/(2 pi (d/2)^2).
-
-        With ``b_p = b_0 + 2 pi p / P`` frequency ``j`` is frequency
-        ``j mod P`` on the grid, so every series is one inverse DFT of length
-        ``P``.  Two real series share one complex DFT, the first as its real
-        and the second as its imaginary part (at lengths with a large prime
-        factor, like 10054 = 2 * 11 * 457, a real FFT costs as much as a
-        complex one).  Output row ``r`` (the block's columns, then the norms)
-        is the real or imaginary part of DFT row ``r // 2``.
         """
-        d, cols = block.shape
-        count = self.positions.size
-        n_cos, n_sin = d // 2, (d - 1) // 2
-        js = np.arange(1, n_cos + 1)
-        weights = 1.0 / (js * math.sqrt(math.pi))
-        signs = np.where(js % 2 == 0, 1.0, -1.0)
-        sin_rows = block[2::2].T
-        terms = (-1j * weights) * block[1::2].T
-        terms[:, :n_sin] -= weights[:n_sin] * sin_rows
-        terms *= np.exp(1j * js * self.positions[0])
-        norm_freqs = js[:n_sin]
-        norm_terms = -2.0 * signs[:n_sin] * weights[:n_sin] ** 2
+        n_sin = (d - 1) // 2
+        js = np.arange(1, d // 2 + 1)
+        weights_sq = 1.0 / (math.pi * js**2)
+        series = np.zeros(d + 1)
+        series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
+        alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
+        series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
         if d % 2 == 0:
-            norm_freqs = np.append(norm_freqs, d)
-            norm_terms = np.append(norm_terms, -(weights[-1] ** 2) / 2.0)
-        norm_terms = norm_terms * np.exp(1j * norm_freqs * self.positions[0])
-        pairs = cols // 2 + 1
-        constants = np.zeros(2 * pairs)
-        constants[:cols] = sin_rows @ (signs[:n_sin] * weights[:n_sin])
-        constants[cols] = np.sum(weights**2) / 2.0 + 1.5 * np.sum(weights[:n_sin] ** 2)
-        spectrum = np.zeros((pairs, count), dtype=np.complex128)
-        spectrum[:, 0] = constants[0::2] + 1j * constants[1::2]
-        _add_real_series(spectrum[: (cols + 1) // 2], js, terms[0::2], count, 1.0)
-        _add_real_series(spectrum[: cols // 2], js, terms[1::2], count, 1j)
-        _add_real_series(
-            spectrum[cols // 2], norm_freqs, norm_terms, count, 1j if cols % 2 else 1.0
-        )
-        series = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
-        shift = self.positions + math.pi
-        out = np.zeros((2 * pairs, count))
-        np.multiply.outer(block[0] / _SQRT_2PI, shift, out=out[:cols])
-        out[cols] = shift**2 / TWO_PI
-        lanes = out.reshape(pairs, 2, count)
-        lanes[:, 0] += series.real
-        lanes[:, 1] += series.imag
-        return out[:cols].T, out[cols]
+            series[d] = -weights_sq[-1] / 2.0
+        return self._on_breakpoints(series) + (self.positions + math.pi) ** 2 / TWO_PI
 
     def _operator_terms(self, operator) -> _OperatorTerms:
         """The decode terms that depend on ``operator`` only, built on first use.
+
+        With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` (degree
+        ``K = d // 2``) and ``beta = R[:, 0] / sqrt(2 pi)``,
+
+            |R w(b)|^2 = (b+pi)^2 |beta|^2 + 2 (b+pi) t[R^T beta](b)
+                         + sum_r t_r(b)^2,
+
+        and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
+        ``g0f = W R^T v_full`` and the square-sum.  The square-sum has degree
+        ``2 K``: one real inverse FFT evaluates every ``t_r`` on ``N >= 4 K + 1``
+        uniform points (``N`` a power of two), and one real forward FFT of
+        the summed squares gives its coefficients exactly.
 
         One slot, shared by every thread that decodes, holds the terms of the
         last operator seen: a run under a fixed operator builds them once,
@@ -285,26 +307,37 @@ class FactoredStepDecoder:
         del slot
         started = time.perf_counter()
         rows = operator.scale * operator.frame
-        projected, _ = self._indicator_products(rows.T)
+        n, d = rows.shape
+        degree = d // 2
+        points = 1 << (4 * degree).bit_length()
+        # Bin f of a real inverse DFT holds half of z_f, except at f = 0.
+        series = _indicator_series(rows, points // 2 + 1)
+        series[:, 1:] *= 0.5
+        grid = np.fft.irfft(series, n=points, axis=-1, norm="forward")
+        del series  # as large as the grid; freeing it lowers a run's peak RSS
+        square_sum = np.fft.rfft(np.einsum("ij,ij->j", grid, grid), norm="forward")
+        square_sum = square_sum[: 2 * degree + 1]
+        square_sum[1:] *= 2.0
         v_full = _SQRT_2PI * rows[:, 0]
+        lead = float(np.dot(rows[:, 0], rows[:, 0]))
+        g0f = self._indicator_products(v_full @ rows)
+        shift = self.positions + math.pi
+        g00 = self._on_breakpoints(square_sum)
+        g00 += shift * (2.0 * g0f - shift * lead) / TWO_PI
         terms = _OperatorTerms(
-            projected=projected,
-            v_full=v_full,
-            g00=np.einsum("ij,ij->i", projected, projected),
-            g0f=projected @ v_full,
-            gff=float(np.dot(v_full, v_full)),
+            v_full=v_full, g00=g00, g0f=g0f, gff=float(np.dot(v_full, v_full))
         )
         with self._lock:
             self._operator_slot = (operator, terms)
-        count, (n, d) = self.positions.size, operator.frame.shape
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d projected=%d bytes"
-            " spectrum=%d bytes built in %.3fs",
-            count,
+            "factored decoder terms: P=%d d=%d n=%d N=%d grid=%d bytes"
+            " kept=%d bytes built in %.3fs",
+            self.positions.size,
             d,
             n,
-            projected.nbytes,
-            (n // 2 + 1) * count * 16,
+            points,
+            grid.nbytes,
+            g00.nbytes + g0f.nbytes + v_full.nbytes,
             time.perf_counter() - started,
         )
         return terms
@@ -316,13 +349,13 @@ class FactoredStepDecoder:
         g00: np.ndarray,
         g0f: np.ndarray,
         gff: float,
-        target_norm_sq: float,
-    ) -> "DecodeResult":
+    ) -> tuple[int, int, int]:
         """Minimize ``|target - c0 w - c1 (v - w)|`` over the grid.
 
         ``q0``/``q_full`` are inner products of the target with the indicator
         rows and the constant-one function; ``g00``/``g0f``/``gff`` the
-        corresponding Gram entries, all in the working geometry.
+        corresponding Gram entries, all in the working geometry.  Returns the
+        winner's breakpoint, ``c0`` and ``c1`` indices.
         """
         c0 = self.levels
         q1 = q_full - q0
@@ -351,34 +384,47 @@ class FactoredStepDecoder:
         np.square(c1, out=c1)
         c1 *= g11[:, None]
         objective += c1
-        flat = int(np.argmin(objective))
-        p_idx, c0_idx = divmod(flat, c0.size)
-        c1_idx = int(k[p_idx, c0_idx]) + half
+        p_idx, c0_idx = divmod(int(np.argmin(objective)), c0.size)
+        return p_idx, c0_idx, int(k[p_idx, c0_idx]) + half
+
+    def _decoded(
+        self, winner: tuple[int, int, int], d: int, measure, target: np.ndarray
+    ) -> "DecodeResult":
+        """The winner as a member, with its distance from the residual.
+
+        The distance is ``|target - measure(x)|`` for the winner's ``d``
+        coefficients ``x``, computed directly: the sweep's objective equals
+        the squared distance minus ``|target|^2``, and recovering a small
+        distance from it cancels.
+        """
+        p_idx, c0_idx, c1_idx = winner
+        c0, c1 = float(self.levels[c0_idx]), float(self.levels[c1_idx])
+        b = float(self.positions[p_idx])
+        coefficients = (c0 - c1) * _indicator_coefficients(b, d)
+        coefficients[0] += c1 * _SQRT_2PI
         member = PiecewiseDescription(
-            breakpoints=(float(self.positions[p_idx]),),
-            piece_coefficients=(
-                (float(c0[c0_idx]),),
-                (float(self.levels[c1_idx]),),
-            ),
+            breakpoints=(b,),
+            piece_coefficients=((c0,), (c1,)),
             periodic=False,
         )
-        index = (p_idx * c0.size + c0_idx) * c0.size + c1_idx
-        distance_sq = target_norm_sq + float(objective[p_idx, c0_idx])
-        return DecodeResult(
-            member=member, index=index, distance=math.sqrt(max(distance_sq, 0.0))
-        )
+        index = (p_idx * self.levels.size + c0_idx) * self.levels.size + c1_idx
+        distance = float(np.linalg.norm(target - measure(coefficients)))
+        return DecodeResult(member=member, index=index, distance=distance)
 
     def decode_coefficients(self, target: np.ndarray) -> "DecodeResult":
         """Nearest net member to a truncated coefficient vector (exactly)."""
         target = np.asarray(target, dtype=np.float64)
         if target.ndim != 1 or target.size < 1:
             raise UsageError("decode target must be a nonempty 1-d vector")
-        q0, norms_sq = self._indicator_products(target[:, None])
-        q_full = _SQRT_2PI * float(target[0])
         g0f = self.positions + math.pi  # <w(b), 1-function> is exact at any d
-        return self._sweep(
-            q0[:, 0], q_full, norms_sq, g0f, TWO_PI, float(np.dot(target, target))
+        winner = self._sweep(
+            self._indicator_products(target),
+            _SQRT_2PI * float(target[0]),
+            self._indicator_norms_sq(target.size),
+            g0f,
+            TWO_PI,
         )
+        return self._decoded(winner, target.size, lambda x: x, target)
 
     def decode_measurements(self, y: np.ndarray, operator) -> "DecodeResult":
         """Nearest net member to measurements under a general operator."""
@@ -388,13 +434,15 @@ class FactoredStepDecoder:
                 f"expected {operator.n} measurements, got shape {y.shape}"
             )
         terms = self._operator_terms(operator)
-        return self._sweep(
-            terms.projected @ y,
+        winner = self._sweep(
+            self._indicator_products(operator.scale * (y @ operator.frame)),
             float(np.dot(terms.v_full, y)),
             terms.g00,
             terms.g0f,
             terms.gff,
-            float(np.dot(y, y)),
+        )
+        return self._decoded(
+            winner, operator.d, lambda x: operator.scale * (operator.frame @ x), y
         )
 
 

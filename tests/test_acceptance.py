@@ -18,15 +18,14 @@ from netsketch.entropy import (
     within_measurement_budget,
 )
 from netsketch.config import load_experiment_config
-from netsketch.experiment import run_experiment
+from netsketch.experiment import audit_trial, run_experiment
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
     TailDecayModel,
 )
-from netsketch.hilbert import tail_norm
-from netsketch.jl import apply_operator, required_measurements
+from netsketch.jl import required_measurements
 from netsketch.nets import build_net
 from netsketch.reconstructor import measure, preprocess, reconstruct, verify_guarantee
 
@@ -85,13 +84,6 @@ def unclamped_trials():
         ]
     )
 
-    def ratio(diff: np.ndarray) -> float:
-        true = float(np.linalg.norm(diff))
-        if true == 0.0:
-            return 1.0
-        projected = float(np.linalg.norm(apply_operator(sampler.operator, diff)))
-        return projected / true
-
     trials = 100
     premises = counterexamples = successes = 0
     for trial in range(trials):
@@ -99,17 +91,9 @@ def unclamped_trials():
         x = family.to_signal(member, ambient)
         outcome = reconstruct(sampler, measure(sampler, x), ground_truth=x)
         successes += bool(outcome.guarantee_met)
-        x_truncated = x.coefficients[: sampler.d]
-        nearest = int(np.argmin(np.linalg.norm(matrix - x_truncated, axis=1)))
-        center = family.to_signal(sampler.net.members[outcome.index], ambient)
-        premise = (
-            ratio(x_truncated - matrix[nearest]) <= 2.0
-            and ratio(x_truncated - matrix[outcome.index]) >= 0.5
-            and tail_norm(x, sampler.d) <= sampler.eps1
-            and tail_norm(center, sampler.d) <= sampler.eps1
-        )
-        premises += premise
-        counterexamples += premise and not outcome.guarantee_met
+        audit = audit_trial(sampler, matrix, x, outcome, delta=0.0, trial=trial)
+        premises += audit.premise
+        counterexamples += audit.counterexample
         report = verify_guarantee(sampler, x, outcome)
         assert report.guarantee_met == outcome.guarantee_met
 

@@ -419,6 +419,28 @@ def test_factored_decoder_matches_brute_force_under_measurements():
         assert result.distance == pytest.approx(float(distances[expected_index]), rel=1e-10)
 
 
+def test_decoded_distance_is_exact_next_to_a_member():
+    family = step_class()
+    materialized = build_net(family, 1.5, mode="materialized")
+    decoder = build_net(family, 1.5, mode="factored").decoder
+    operator = random_subspace(16, 7, seed=9)
+    coefficients = brute_force_coefficients(materialized, 16)
+    table = coefficients @ (operator.scale * operator.frame).T
+    rng = np.random.default_rng(43)
+    # A small residual is where |y|^2 + objective cancels.  Constant members
+    # repeat at every breakpoint, so compare with the decoded index's row.
+    for index in rng.choice(len(table), size=8, replace=False):
+        for rows, decode in (
+            (table, lambda y: decoder.decode_measurements(y, operator)),
+            (coefficients, decoder.decode_coefficients),
+        ):
+            y = rows[index] + 1e-4 * rng.normal(size=rows.shape[1])
+            result = decode(y)
+            distances = np.linalg.norm(rows - y, axis=1)
+            assert distances[result.index] == pytest.approx(np.min(distances), rel=1e-9)
+            assert result.distance == pytest.approx(distances[result.index], rel=1e-12)
+
+
 def dense_indicator_rows(positions, d):
     """The pre-jump indicator coefficients, written out from the closed forms."""
     b = np.asarray(positions)[:, None]
@@ -440,14 +462,49 @@ def test_indicator_products_match_the_dense_closed_form():
         assert decoder.positions.size == count
         for d in (1, 2, 3, 16, 17, 300, 301):
             w = dense_indicator_rows(decoder.positions, d)
-            # Columns share complex DFT rows in pairs: cover odd and even counts.
-            for cols in (1, 4, 5):
-                block = rng.normal(size=(d, cols))
-                products, norms_sq = decoder._indicator_products(block)
-                assert products.shape == (count, cols) and norms_sq.shape == (count,)
-                np.testing.assert_allclose(products, w @ block, rtol=0.0, atol=1e-12)
+            # One vector, or a block of rows along the leading axis.
+            for shape in ((d,), (4, d)):
+                block = rng.normal(size=shape)
+                products = decoder._indicator_products(block)
+                assert products.shape == shape[:-1] + (count,)
+                np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                decoder._indicator_norms_sq(d),
+                np.einsum("ij,ij->i", w, w),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+
+def test_operator_terms_match_the_dense_closed_form():
+    rng = np.random.default_rng(41)
+    # P = 45 and 70.  At d = 300 and 301 the square-sum's degree 2 (d // 2) =
+    # 300 is past P / 2, so it folds onto the grid; n = d is the clamped case.
+    for eps1 in (1.5, 1.2):
+        decoder = build_net(step_class(), eps1, mode="factored").decoder
+        for d in (1, 2, 3, 16, 17, 300, 301):
+            w = dense_indicator_rows(decoder.positions, d)
+            for n in sorted({1, max(1, d // 2), d}):
+                operator = random_subspace(d, n, seed=1000 * d + n)
+                rows = operator.scale * operator.frame
+                projected = w @ rows.T
+                v_full = math.sqrt(TWO_PI) * rows[:, 0]
+                terms = decoder._operator_terms(operator)
                 np.testing.assert_allclose(
-                    norms_sq, np.einsum("ij,ij->i", w, w), rtol=0.0, atol=1e-12
+                    terms.g00,
+                    np.einsum("ij,ij->i", projected, projected),
+                    rtol=0.0,
+                    atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    terms.g0f, projected @ v_full, rtol=0.0, atol=1e-12
+                )
+                y = rng.normal(size=n)
+                np.testing.assert_allclose(
+                    decoder._indicator_products(y @ rows),
+                    projected @ y,
+                    rtol=0.0,
+                    atol=1e-12,
                 )
 
 
