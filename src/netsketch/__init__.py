@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import (
     AmbientTooSmallError,
-    FormatError,
     NetSketchError,
     NetTooLargeError,
     UsageError,
@@ -82,7 +81,6 @@ __all__ = [
     "EntropyScan",
     "ExperimentConfig",
     "ExperimentResult",
-    "FormatError",
     "GuaranteeReport",
     "MeasurementOperator",
     "NetSketchError",

@@ -39,6 +39,7 @@ from .experiment import run_experiment, write_summary_json, write_trials_csv
 from .function_classes import count_tail_violations, fit_class_tail_model
 from .jl import (
     DEFAULT_JL_CONSTANT,
+    DISTORTION_BAND,
     SEED_RANGE,
     distortion_ok,
     random_subspace,
@@ -114,7 +115,7 @@ def run_jl_check(
     jl_constant: float = DEFAULT_JL_CONSTANT,
 ) -> dict[str, Any]:
     """Draw random subspaces and count how often all pairwise ratios land
-    in the [1/2, 2] distortion band for ``m`` random unit vectors."""
+    in ``DISTORTION_BAND`` for ``m`` random unit vectors."""
     if d < 1:
         raise UsageError(f"ambient dimension must be positive, got {d!r}")
     if m < 2:
@@ -146,8 +147,8 @@ def run_jl_check(
         "seed": seed,
         "successes": successes,
         "success_fraction": successes / draws,
-        "lower": 0.5,
-        "upper": 2.0,
+        "lower": DISTORTION_BAND[0],
+        "upper": DISTORTION_BAND[1],
     }
 
 

@@ -1,9 +1,9 @@
 """Exception hierarchy for the netsketch package.
 
 ``UsageError`` (and its subclasses) marks problems caused by bad inputs:
-malformed files, inconsistent configuration, or requests that exceed
-configured resource limits.  The command line maps these to exit code 1,
-while unexpected internal failures map to exit code 2.
+inconsistent configuration, or requests that exceed configured resource
+limits.  The command line maps these to exit code 1, while unexpected
+internal failures map to exit code 2.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ class NetSketchError(Exception):
 
 class UsageError(NetSketchError):
     """The caller supplied invalid input or configuration."""
-
-
-class FormatError(UsageError):
-    """A file did not conform to the expected on-disk format."""
 
 
 class AmbientTooSmallError(UsageError):

@@ -27,7 +27,7 @@ from .errors import NetSketchError, UsageError
 from .entropy import measurement_lower_bound, within_measurement_budget
 from .function_classes import fit_class_tail_model
 from .hilbert import Signal, tail_norm
-from .jl import apply_operator
+from .jl import DISTORTION_BAND, apply_operator
 from .nets import build_net
 from .reconstructor import (
     PreparedSampler,
@@ -101,15 +101,6 @@ class ExperimentResult:
     rows: list[dict[str, Any]]
 
 
-@dataclass(frozen=True)
-class _TrialStats:
-    success: bool
-    within_ball: bool
-    distortion_ok: bool
-    premise: bool
-    ambient_error: float
-
-
 def _distortion_ratio(
     operator, difference: np.ndarray
 ) -> float:
@@ -118,22 +109,6 @@ def _distortion_ratio(
     if true == 0.0:
         return 1.0
     return float(np.linalg.norm(apply_operator(operator, difference))) / true
-
-
-def _nearest_in_coefficients(
-    sampler: PreparedSampler,
-    member_matrix: np.ndarray | None,
-    x_truncated: np.ndarray,
-) -> np.ndarray:
-    """Truncated coefficients of the net center nearest to ``x_truncated``."""
-    if member_matrix is not None:
-        index = int(
-            np.argmin(np.linalg.norm(member_matrix - x_truncated, axis=1))
-        )
-        return member_matrix[index]
-    decoded = sampler.net.decoder.decode_coefficients(x_truncated)
-    member_signal = sampler.net.family.to_signal(decoded.member, sampler.d)
-    return member_signal.coefficients
 
 
 @dataclass(frozen=True)
@@ -153,7 +128,6 @@ class TrialAudit:
 
 def audit_trial(
     sampler: PreparedSampler,
-    member_matrix: np.ndarray | None,
     x: Signal,
     outcome: ReconstructionOutcome,
     delta: float,
@@ -161,19 +135,18 @@ def audit_trial(
 ) -> TrialAudit:
     """Audit one reconstruction of ``x`` made with ground truth supplied.
 
-    ``member_matrix`` holds the truncated coefficients of a materialized net,
-    one member per row; factored nets pass ``None`` and decode instead.
     Raises ``NetSketchError`` when a clamped operator distorts a pair.
     """
     d = sampler.d
     x_truncated = x.coefficients[:d]
     center_signal = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
-    nearest = _nearest_in_coefficients(sampler, member_matrix, x_truncated)
+    nearest = sampler.decoder.decode_coefficients(x_truncated).coefficients
     upper_ratio = _distortion_ratio(sampler.operator, x_truncated - nearest)
     lower_ratio = _distortion_ratio(
         sampler.operator, x_truncated - center_signal.coefficients[:d]
     )
-    distortion_ok = upper_ratio <= 2.0 and lower_ratio >= 0.5
+    lower, upper = DISTORTION_BAND
+    distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
         # n = d makes the operator a full orthogonal map; any visible
         # distortion here is an internal error, not statistical bad luck.
@@ -197,11 +170,11 @@ def audit_trial(
 def _run_trial(
     config: ExperimentConfig,
     sampler: PreparedSampler,
-    member_matrix: np.ndarray | None,
     fixed_signal: Signal | None,
     delta: float,
     trial: int,
-) -> tuple[dict[str, Any], _TrialStats]:
+) -> tuple[dict[str, Any], bool]:
+    """One trial's CSV row, and whether the accuracy chain's premise held."""
     family = config.family
     if config.mode == "fixed_x":
         trial_sampler = with_new_operator(
@@ -220,7 +193,7 @@ def _run_trial(
     )
     y = measure(trial_sampler, x, delta=delta, rng=noise_rng)
     outcome = reconstruct(trial_sampler, y, delta=delta, ground_truth=x)
-    audit = audit_trial(trial_sampler, member_matrix, x, outcome, delta, trial)
+    audit = audit_trial(trial_sampler, x, outcome, delta, trial)
     if audit.counterexample:
         raise NetSketchError(
             f"trial {trial}: reconstruction guarantee failed although distortion,"
@@ -243,14 +216,7 @@ def _run_trial(
         "guarantee_met": outcome.guarantee_met,
         "distortion_ok": audit.distortion_ok,
     }
-    stats = _TrialStats(
-        success=bool(outcome.guarantee_met),
-        within_ball=outcome.within_ball,
-        distortion_ok=audit.distortion_ok,
-        premise=audit.premise,
-        ambient_error=float(outcome.ambient_error),
-    )
-    return row, stats
+    return row, audit.premise
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -304,14 +270,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         if config.delta is None
         else config.delta
     )
-    member_matrix = None
-    if sampler.net.mode == "materialized":
-        member_matrix = np.vstack(
-            [
-                family.to_signal(member, config.ambient_dim).coefficients[: sampler.d]
-                for member in sampler.net.members
-            ]
-        )
     fixed_signal = None
     if config.mode == "fixed_x":
         member = family.sample(
@@ -319,8 +277,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         )
         fixed_signal = family.to_signal(member, config.ambient_dim)
 
-    def worker(trial: int) -> tuple[dict[str, Any], _TrialStats]:
-        return _run_trial(config, sampler, member_matrix, fixed_signal, delta, trial)
+    def worker(trial: int) -> tuple[dict[str, Any], bool]:
+        return _run_trial(config, sampler, fixed_signal, delta, trial)
 
     if jobs == 1:
         results = [worker(trial) for trial in range(config.trials)]
@@ -328,10 +286,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, range(config.trials)))
     rows = [row for row, _ in results]
-    stats = [trial_stats for _, trial_stats in results]
+    premises = sum(premise for _, premise in results)
 
-    successes = sum(1 for s in stats if s.success)
-    errors = [s.ambient_error for s in stats]
+    successes = sum(1 for row in rows if row["guarantee_met"])
+    errors = [row["ambient_error"] for row in rows]
     interval = wilson_interval(successes, config.trials)
     entropy_bits = sampler.net.entropy_bits
     # The information-theoretic measurement bound is stated at the target
@@ -371,14 +329,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "success_ci": [interval[0], interval[1]],
         "mean_ambient_error": float(np.mean(errors)),
         "max_ambient_error": float(np.max(errors)),
-        "within_ball_failures": sum(1 for s in stats if not s.within_ball),
-        "distortion_failures": sum(1 for s in stats if not s.distortion_ok),
+        "within_ball_failures": sum(1 for row in rows if not row["within_ball"]),
+        "distortion_failures": sum(1 for row in rows if not row["distortion_ok"]),
         "theorem_bound_check": within_measurement_budget(
             sampler.n, config.p, entropy_bits
         ),
         "measurement_lower_bound": lower_bound,
         "n_meets_lower_bound": sampler.n >= lower_bound,
-        "implication_premise_trials": sum(1 for s in stats if s.premise),
+        "implication_premise_trials": premises,
         "implication_counterexamples": 0,
     }
     logger.info(

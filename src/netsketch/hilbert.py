@@ -1,4 +1,4 @@
-"""Trigonometric basis on [-pi, pi], piecewise-polynomial analysis, signal IO.
+"""Trigonometric basis on [-pi, pi], piecewise-polynomial analysis, signal text output.
 
 Basis convention (orthonormal in L2[-pi, pi]):
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import FormatError, UsageError
+from .errors import UsageError
 
 TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -392,34 +392,8 @@ def quadrature_analyze(
 
 
 # ---------------------------------------------------------------------------
-# Signal IO
+# Signal text output
 # ---------------------------------------------------------------------------
-
-
-def parse_header(line: str, required: tuple[str, ...], context: str) -> dict[str, str]:
-    """Parse a ``key=value`` header line, requiring exactly the given keys."""
-    fields: dict[str, str] = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep or not key:
-            raise FormatError(f"{context}: malformed header token {token!r}")
-        if key in fields:
-            raise FormatError(f"{context}: duplicate header key {key!r}")
-        fields[key] = value
-    missing = [key for key in required if key not in fields]
-    extra = [key for key in fields if key not in required]
-    if missing or extra:
-        raise FormatError(
-            f"{context}: header must contain exactly {' '.join(required)}"
-        )
-    return fields
-
-
-def _parse_float(text: str, context: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise FormatError(f"{context}: invalid number {text.strip()!r}") from exc
 
 
 def dump_signal(stream, signal: Signal) -> None:
@@ -427,26 +401,3 @@ def dump_signal(stream, signal: Signal) -> None:
     stream.write(f"basis=trig ambient_dim={signal.ambient_dim}\n")
     for value in signal.coefficients:
         stream.write(f"{float(value):.17g}\n")
-
-
-def load_signal(stream) -> Signal:
-    """Read one signal from a text stream (leaves trailing content unread)."""
-    header = stream.readline()
-    if not header:
-        raise FormatError("signal: missing header line")
-    fields = parse_header(header, ("basis", "ambient_dim"), "signal")
-    if fields["basis"] != "trig":
-        raise FormatError(f"signal: unsupported basis {fields['basis']!r}")
-    try:
-        dim = int(fields["ambient_dim"])
-    except ValueError as exc:
-        raise FormatError("signal: ambient_dim must be an integer") from exc
-    if dim < 1:
-        raise FormatError("signal: ambient_dim must be positive")
-    coeffs = np.empty(dim)
-    for i in range(dim):
-        line = stream.readline()
-        if not line:
-            raise FormatError(f"signal: expected {dim} coefficients, found {i}")
-        coeffs[i] = _parse_float(line, "signal")
-    return Signal(coeffs)

@@ -12,7 +12,7 @@ accounting: ``n = ceil(c / (1 - p) * ln m)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,7 @@ from .hilbert import Signal
 
 __all__ = [
     "MeasurementOperator",
+    "DISTORTION_BAND",
     "DistortionReport",
     "required_measurements",
     "random_subspace",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 DEFAULT_JL_CONSTANT = 20.0
+
+#: A pair's measured-over-true distance ratio passes inside ``[1/2, 2]``.
+DISTORTION_BAND = (0.5, 2.0)
 
 #: Operator seeds are drawn from a caller's stream as ints below this bound,
 #: so ``(d, n, seed)`` alone reproduces an operator.
@@ -140,23 +144,16 @@ def apply_operator(op: MeasurementOperator, x: Signal | np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Outcome of checking pairwise distance ratios against a fixed band."""
+    """Outcome of checking pairwise distance ratios against ``DISTORTION_BAND``."""
 
     ok: bool
     min_ratio: float | None
     max_ratio: float | None
     pairs_checked: int
-    lower: float = field(default=0.5)
-    upper: float = field(default=2.0)
 
 
-def distortion_ok(
-    op: MeasurementOperator,
-    points: np.ndarray,
-    lower: float = 0.5,
-    upper: float = 2.0,
-) -> DistortionReport:
-    """Check that projected pairwise distances stay within ``[lower, upper]``.
+def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionReport:
+    """Check that projected pairwise distances stay within ``DISTORTION_BAND``.
 
     ``points`` is an ``(m, k)`` array of coefficient vectors with ``k >= op.d``;
     ratios compare distances after measurement to distances among the
@@ -170,27 +167,18 @@ def distortion_ok(
             f"points have {points.shape[1]} coefficients but the operator needs {op.d}"
         )
     truncated = points[:, : op.d]
-    if points.shape[0] < 2:
-        return DistortionReport(
-            ok=True, min_ratio=None, max_ratio=None, pairs_checked=0,
-            lower=lower, upper=upper,
-        )
     original = pdist(truncated)
     projected = pdist(truncated @ (op.scale * op.frame).T)
     nonzero = original > 0.0
-    if not np.any(nonzero):
-        return DistortionReport(
-            ok=True, min_ratio=None, max_ratio=None, pairs_checked=0,
-            lower=lower, upper=upper,
-        )
+    if not np.any(nonzero):  # fewer than two points, or all coincide
+        return DistortionReport(ok=True, min_ratio=None, max_ratio=None, pairs_checked=0)
     ratios = projected[nonzero] / original[nonzero]
     min_ratio = float(np.min(ratios))
     max_ratio = float(np.max(ratios))
+    lower, upper = DISTORTION_BAND
     return DistortionReport(
         ok=bool(lower <= min_ratio and max_ratio <= upper),
         min_ratio=min_ratio,
         max_ratio=max_ratio,
         pairs_checked=int(np.count_nonzero(nonzero)),
-        lower=lower,
-        upper=upper,
     )

@@ -6,11 +6,17 @@ in three modes:
 
 - ``counted``: only the construction log is kept — sizes and entropy are
   available, members are never enumerated.  Works at any scale.
-- ``materialized``: all members are enumerated (guarded by ``m_max``).
+- ``materialized``: all members are enumerated (guarded by ``m_max``), and
+  ``MaterializedDecoder`` finds the nearest one by scanning their first
+  ``d`` coefficients, or their images under a measurement operator.
 - ``factored``: for single-jump piecewise-constant classes the net is a
-  product of a breakpoint grid and two level grids, and the nearest member
-  under a measurement operator is found exactly by sweeping configurations
-  with the inner minimization solved in closed form.
+  product of a breakpoint grid and two level grids, and ``FactoredStepDecoder``
+  finds the nearest member exactly by sweeping configurations with the inner
+  minimization solved in closed form.
+
+Both decoders answer ``decode_coefficients(target)`` and
+``decode_measurements(y, operator)`` with a ``DecodeResult``; ties go to the
+lowest member index.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
@@ -29,21 +35,15 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import FormatError, NetTooLargeError, UsageError
-from .hilbert import (
-    PiecewiseDescription,
-    Signal,
-    dump_signal,
-    load_signal,
-    parse_header,
-)
+from .errors import NetTooLargeError, UsageError
+from .hilbert import PiecewiseDescription, dump_signal
 
 __all__ = [
     "AxisLog",
     "CoveringNet",
     "FactoredStepDecoder",
     "DecodeResult",
-    "LoadedNet",
+    "MaterializedDecoder",
     "NetPlan",
     "axis_grids",
     "build_net",
@@ -55,15 +55,16 @@ __all__ = [
     "symmetric_grid",
     "snap_to_symmetric_grid",
     "dump_net",
-    "load_net",
     "write_net",
-    "read_net",
 ]
 
 TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(TWO_PI)
 
 DEFAULT_NET_BUDGET = 10**6
+
+# Largest temporary a materialized nearest-member scan allocates at once.
+_SCAN_BLOCK_BYTES = 128 * 1024
 
 logger = logging.getLogger(__name__)
 
@@ -118,16 +119,6 @@ class AxisLog:
 
 
 @dataclass(frozen=True)
-class LoadedNet:
-    """Materialized net read back from disk: header fields plus signals."""
-
-    eps1: float
-    size: int
-    spec: str
-    signals: tuple[Signal, ...]
-
-
-@dataclass(frozen=True)
 class _OperatorTerms:
     """Operator-only parts of a measured decode, shared by every trial.
 
@@ -141,6 +132,54 @@ class _OperatorTerms:
     g00: np.ndarray
     g0f: np.ndarray
     gff: float
+
+
+class _OperatorSlot:
+    """What a decoder built for the last operator it decoded under.
+
+    One slot, shared by every thread that decodes: a run under a fixed
+    operator builds once, and a new operator replaces the contents.  The slot
+    keeps a reference to its operator, so an identity check cannot match a
+    different operator allocated at a reused address.
+    """
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._lock = threading.Lock()
+        self._held: tuple[object, object] | None = None
+
+    def get(self, operator):
+        with self._lock:
+            held = self._held
+            if held is not None and held[0] is operator:
+                return held[1]
+            # Release the previous operator's contents before building anew.
+            self._held = None
+        del held
+        built = self._build(operator)
+        with self._lock:
+            self._held = (operator, built)
+        return built
+
+
+def _nearest_row(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
+    """Index and distance of the row of ``table`` nearest to ``target``.
+
+    Ties go to the lowest index.  Rows are scanned in blocks of at most
+    ``_SCAN_BLOCK_BYTES`` with the per-row arithmetic of
+    ``np.linalg.norm(table - target, axis=1)``, so the distances are the same
+    bits without a temporary as large as the table.
+    """
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * table.shape[1]))
+    best_index, best = 0, math.inf
+    for start in range(0, table.shape[0], step):
+        block = table[start : start + step] - target
+        np.square(block, out=block)
+        distances = np.sqrt(np.add.reduce(block, axis=1))
+        local = int(np.argmin(distances))
+        if distances[local] < best:
+            best_index, best = start + local, float(distances[local])
+    return best_index, best
 
 
 def _add_real_series(spectrum: np.ndarray, values: np.ndarray, count: int) -> None:
@@ -228,8 +267,7 @@ class FactoredStepDecoder:
             raise UsageError(
                 "breakpoint positions must have the uniform pitch 2 pi / P"
             )
-        self._lock = threading.Lock()
-        self._operator_slot: tuple[object, _OperatorTerms] | None = None
+        self._terms = _OperatorSlot(self._operator_terms)
 
     @property
     def size(self) -> int:
@@ -278,7 +316,7 @@ class FactoredStepDecoder:
         return self._on_breakpoints(series) + (self.positions + math.pi) ** 2 / TWO_PI
 
     def _operator_terms(self, operator) -> _OperatorTerms:
-        """The decode terms that depend on ``operator`` only, built on first use.
+        """The decode terms that depend on ``operator`` only.
 
         With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` (degree
         ``K = d // 2``) and ``beta = R[:, 0] / sqrt(2 pi)``,
@@ -290,21 +328,10 @@ class FactoredStepDecoder:
         ``g0f = W R^T v_full`` and the square-sum.  The square-sum has degree
         ``2 K``: one real inverse FFT evaluates every ``t_r`` on ``N >= 4 K + 1``
         uniform points (``N`` a power of two), and one real forward FFT of
-        the summed squares gives its coefficients exactly.
-
-        One slot, shared by every thread that decodes, holds the terms of the
-        last operator seen: a run under a fixed operator builds them once,
-        and a new operator replaces them.  The slot keeps a reference to its
-        operator, so an identity check cannot match a different operator
-        allocated at a reused address.
+        the summed squares gives its coefficients exactly.  Decoding keeps
+        the last operator's terms in a slot, so they are built once per
+        operator.
         """
-        with self._lock:
-            slot = self._operator_slot
-            if slot is not None and slot[0] is operator:
-                return slot[1]
-            # Release the previous operator's terms before building new ones.
-            self._operator_slot = None
-        del slot
         started = time.perf_counter()
         rows = operator.scale * operator.frame
         n, d = rows.shape
@@ -327,8 +354,6 @@ class FactoredStepDecoder:
         terms = _OperatorTerms(
             v_full=v_full, g00=g00, g0f=g0f, gff=float(np.dot(v_full, v_full))
         )
-        with self._lock:
-            self._operator_slot = (operator, terms)
         logger.debug(
             "factored decoder terms: P=%d d=%d n=%d N=%d grid=%d bytes"
             " kept=%d bytes built in %.3fs",
@@ -409,7 +434,7 @@ class FactoredStepDecoder:
         )
         index = (p_idx * self.levels.size + c0_idx) * self.levels.size + c1_idx
         distance = float(np.linalg.norm(target - measure(coefficients)))
-        return DecodeResult(member=member, index=index, distance=distance)
+        return DecodeResult(member, index, distance, coefficients)
 
     def decode_coefficients(self, target: np.ndarray) -> "DecodeResult":
         """Nearest net member to a truncated coefficient vector (exactly)."""
@@ -433,7 +458,7 @@ class FactoredStepDecoder:
             raise UsageError(
                 f"expected {operator.n} measurements, got shape {y.shape}"
             )
-        terms = self._operator_terms(operator)
+        terms = self._terms.get(operator)
         winner = self._sweep(
             self._indicator_products(operator.scale * (y @ operator.frame)),
             float(np.dot(terms.v_full, y)),
@@ -448,9 +473,81 @@ class FactoredStepDecoder:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    member: PiecewiseDescription
+    """The nearest member, its index in net order, and its distance.
+
+    ``coefficients`` holds the member's first ``d`` coefficients, the space
+    the decode ran in.
+    """
+
+    member: object
     index: int
     distance: float
+    coefficients: np.ndarray = field(compare=False)
+
+
+@dataclass(eq=False)
+class MaterializedDecoder:
+    """Exact nearest-member search over an enumerated net.
+
+    ``rows`` holds each member's first ``d`` coefficients, one row per member
+    in index order, and is made read-only.  Measured decodes scan the rows'
+    images ``scale * rows R^T`` under the operator, one matrix product built
+    on the first decode under each operator.
+    """
+
+    members: tuple
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if self.rows.ndim != 2 or self.rows.shape[0] != len(self.members):
+            raise UsageError(
+                f"expected one coefficient row per member, got shape {self.rows.shape}"
+                f" for {len(self.members)} members"
+            )
+        self.rows.flags.writeable = False
+        self._tables = _OperatorSlot(self._measured_rows)
+
+    def _measured_rows(self, operator) -> np.ndarray:
+        started = time.perf_counter()
+        table = self.rows @ operator.frame.T
+        table *= operator.scale
+        logger.debug(
+            "materialized decoder table: M=%d d=%d n=%d bytes=%d built in %.3fs",
+            self.rows.shape[0],
+            operator.d,
+            operator.n,
+            table.nbytes,
+            time.perf_counter() - started,
+        )
+        return table
+
+    def _decoded(self, table: np.ndarray, target: np.ndarray) -> DecodeResult:
+        index, distance = _nearest_row(table, target)
+        return DecodeResult(self.members[index], index, distance, self.rows[index])
+
+    def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
+        """Nearest net member to a truncated coefficient vector."""
+        target = np.asarray(target, dtype=np.float64)
+        if target.shape != self.rows.shape[1:]:
+            raise UsageError(
+                f"expected {self.rows.shape[1]} coefficients, got shape {target.shape}"
+            )
+        return self._decoded(self.rows, target)
+
+    def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
+        """Nearest net member to measurements under ``operator``."""
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (operator.n,):
+            raise UsageError(
+                f"expected {operator.n} measurements, got shape {y.shape}"
+            )
+        if operator.d != self.rows.shape[1]:
+            raise UsageError(
+                f"operator acts on {operator.d} coefficients, the net rows have"
+                f" {self.rows.shape[1]}"
+            )
+        return self._decoded(self._tables.get(operator), y)
 
 
 @dataclass(frozen=True)
@@ -623,40 +720,6 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
         dump_signal(stream, net.family.to_signal(member, ambient_dim))
 
 
-def load_net(stream: IO[str]) -> LoadedNet:
-    header = stream.readline()
-    if not header:
-        raise FormatError("empty net input")
-    fields = parse_header(header, ("eps1", "M", "spec"), context="net header")
-    try:
-        eps1 = float(fields["eps1"])
-        size = int(fields["M"])
-    except ValueError as exc:
-        raise FormatError(f"bad numeric field in net header: {exc}") from exc
-    if size < 0:
-        raise FormatError(f"net size must be nonnegative, got {size}")
-    signals = []
-    for index in range(size):
-        if index:
-            separator = stream.readline()
-            if separator.strip() != "---":
-                raise FormatError(f"missing separator before net member {index}")
-        try:
-            signals.append(load_signal(stream))
-        except FormatError as exc:
-            raise FormatError(f"net member {index}: {exc}") from exc
-    if stream.read().strip():
-        raise FormatError("trailing data after net members")
-    return LoadedNet(
-        eps1=eps1, size=size, spec=fields["spec"], signals=tuple(signals)
-    )
-
-
 def write_net(path, net: CoveringNet, ambient_dim: int) -> None:
     with open(path, "w", encoding="utf-8") as stream:
         dump_net(stream, net, ambient_dim)
-
-
-def read_net(path) -> LoadedNet:
-    with open(path, "r", encoding="utf-8") as stream:
-        return load_net(stream)

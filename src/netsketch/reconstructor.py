@@ -31,7 +31,13 @@ from .jl import (
     random_subspace,
     required_measurements,
 )
-from .nets import DEFAULT_NET_BUDGET, CoveringNet, build_net
+from .nets import (
+    DEFAULT_NET_BUDGET,
+    CoveringNet,
+    FactoredStepDecoder,
+    MaterializedDecoder,
+    build_net,
+)
 
 __all__ = [
     "GuaranteeReport",
@@ -79,9 +85,10 @@ def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
 class PreparedSampler:
     """Everything fixed before measuring: dimensions, net, and operator.
 
-    ``projected_net`` holds the measured net centers as rows for materialized
-    nets and is ``None`` when decoding goes through the net's factored
-    decoder.  ``clamped`` records that the Johnson-Lindenstrauss requirement
+    ``decoder`` finds the nearest net center, to measurements or to truncated
+    coefficients: the net's own decoder for factored nets, and for
+    materialized nets one over the centers' first ``d`` coefficients.
+    ``clamped`` records that the Johnson-Lindenstrauss requirement
     met or exceeded ``d``, so the operator is a full orthogonal map and the
     sketch is exact on the truncated space.
     """
@@ -93,31 +100,23 @@ class PreparedSampler:
     d: int
     operator: MeasurementOperator
     net: CoveringNet
-    projected_net: np.ndarray | None
+    decoder: FactoredStepDecoder | MaterializedDecoder
     clamped: bool
     ambient_dim: int
-
-    def __post_init__(self) -> None:
-        if self.projected_net is not None:
-            rows = np.ascontiguousarray(self.projected_net, dtype=np.float64)
-            rows.flags.writeable = False
-            object.__setattr__(self, "projected_net", rows)
 
     @property
     def n(self) -> int:
         return self.operator.n
 
 
-def _project_members(
-    net: CoveringNet, operator: MeasurementOperator, ambient_dim: int
-) -> np.ndarray | None:
-    """Measure every materialized center; ``None`` for factored nets."""
-    if net.mode != "materialized":
-        return None
-    rows = np.empty((net.size, operator.n))
-    for j, member in enumerate(net.members):
-        rows[j] = apply_operator(operator, net.family.to_signal(member, ambient_dim))
-    return rows
+def _materialized_decoder(
+    net: CoveringNet, d: int, ambient_dim: int
+) -> MaterializedDecoder:
+    """A decoder over the first ``d`` coefficients of every enumerated center."""
+    rows = np.empty((net.size, d))
+    for row, member in zip(rows, net.members):
+        row[:] = net.family.to_signal(member, ambient_dim).coefficients[:d]
+    return MaterializedDecoder(net.members, rows)
 
 
 def preprocess(
@@ -158,6 +157,9 @@ def preprocess(
             f"net with {net.size} centers cannot be decoded: materialization"
             f" is capped at {m_max} and no factored decoder applies"
         )
+    decoder = net.decoder
+    if decoder is None:
+        decoder = _materialized_decoder(net, d, ambient_dim)
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
     operator = random_subspace(d, n, seed=int(rng.integers(SEED_RANGE)))
@@ -178,7 +180,7 @@ def preprocess(
         d=d,
         operator=operator,
         net=net,
-        projected_net=_project_members(net, operator, ambient_dim),
+        decoder=decoder,
         clamped=wanted >= d,
         ambient_dim=ambient_dim,
     )
@@ -187,14 +189,12 @@ def preprocess(
 def with_new_operator(
     sampler: PreparedSampler, rng: np.random.Generator
 ) -> PreparedSampler:
-    """Redraw the measurement operator, keeping dimensions and net fixed."""
-    operator = random_subspace(
-        sampler.d, sampler.operator.n, seed=int(rng.integers(SEED_RANGE))
-    )
+    """Redraw the measurement operator, keeping dimensions, net and decoder."""
     return replace(
         sampler,
-        operator=operator,
-        projected_net=_project_members(sampler.net, operator, sampler.ambient_dim),
+        operator=random_subspace(
+            sampler.d, sampler.operator.n, seed=int(rng.integers(SEED_RANGE))
+        ),
     )
 
 
@@ -264,33 +264,21 @@ def reconstruct(
     """
     if delta < 0.0:
         raise UsageError(f"noise level must be non-negative, got {delta!r}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (sampler.operator.n,):
-        raise UsageError(
-            f"expected {sampler.operator.n} measurements, got shape {y.shape}"
-        )
-    if sampler.projected_net is not None:
-        distances = np.linalg.norm(sampler.projected_net - y, axis=1)
-        index = int(np.argmin(distances))
-        projected_distance = float(distances[index])
-        center = sampler.net.members[index]
-    else:
-        decoded = sampler.net.decoder.decode_measurements(y, sampler.operator)
-        index = decoded.index
-        projected_distance = decoded.distance
-        center = decoded.member
+    decoded = sampler.decoder.decode_measurements(y, sampler.operator)
     noise_shift = math.sqrt(sampler.operator.n) * delta * sampler.operator.scale
     ambient_error = None
     guarantee_met = None
     if ground_truth is not None:
-        center_signal = sampler.net.family.to_signal(center, sampler.ambient_dim)
+        center_signal = sampler.net.family.to_signal(
+            decoded.member, sampler.ambient_dim
+        )
         ambient_error = _padded_distance(ground_truth, center_signal)
         guarantee_met = ambient_error <= sampler.eps
     return ReconstructionOutcome(
-        index=index,
-        center=center,
-        projected_distance=projected_distance,
-        within_ball=projected_distance <= 2.0 * sampler.eps1 + noise_shift,
+        index=decoded.index,
+        center=decoded.member,
+        projected_distance=decoded.distance,
+        within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
         ambient_error=ambient_error,
         guarantee_met=guarantee_met,
     )

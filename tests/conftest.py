@@ -50,3 +50,9 @@ def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
 def grid_l2_inner(values_a: np.ndarray, values_b: np.ndarray, grid: np.ndarray) -> float:
     """L2 inner product of two sampled functions via composite Simpson."""
     return float(integrate.simpson(values_a * values_b, x=grid))
+
+
+def split_net_text(text: str) -> tuple[str, list[list[str]]]:
+    """A dumped net's header line and, per member, its signal's lines."""
+    header, _, body = text.partition("\n")
+    return header, [block.splitlines() for block in body.split("---\n")]

@@ -77,13 +77,6 @@ def unclamped_trials():
     assert not sampler.clamped and sampler.n < sampler.d
 
     ambient = sampler.ambient_dim
-    matrix = np.vstack(
-        [
-            family.to_signal(member, ambient).coefficients[: sampler.d]
-            for member in sampler.net.members
-        ]
-    )
-
     trials = 100
     premises = counterexamples = successes = 0
     for trial in range(trials):
@@ -91,7 +84,7 @@ def unclamped_trials():
         x = family.to_signal(member, ambient)
         outcome = reconstruct(sampler, measure(sampler, x), ground_truth=x)
         successes += bool(outcome.guarantee_met)
-        audit = audit_trial(sampler, matrix, x, outcome, delta=0.0, trial=trial)
+        audit = audit_trial(sampler, x, outcome, delta=0.0, trial=trial)
         premises += audit.premise
         counterexamples += audit.counterexample
         report = verify_guarantee(sampler, x, outcome)

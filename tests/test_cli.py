@@ -6,12 +6,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from conftest import split_net_text
 
 from netsketch.cli import main, run_jl_check
 from netsketch.errors import NetSketchError
+from netsketch.function_classes import SmoothClass
 from netsketch.jl import required_measurements
-from netsketch.nets import read_net
+from netsketch.nets import build_net
 
 SMOOTH_EXPERIMENT = """
 class = smooth
@@ -43,6 +46,27 @@ seed = 5
 delta = auto
 jl_constant = 0.5
 m_max = 100
+ambient_dim = 512
+tail_samples = 10
+tail_dims = 32,64,128
+"""
+
+# The same class at a coarse resolution materializes its 1,125 centers;
+# jl_constant 0.1 keeps n below d.
+MATERIALIZED_EXPERIMENT = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 9.0
+p = 0.5
+trials = 12
+mode = {mode}
+seed = 5
+delta = auto
+jl_constant = 0.1
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
@@ -138,13 +162,18 @@ def test_experiment_run_jobs_flag_changes_nothing(tmp_path):
 
 
 def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
-    for mode in ("fixed_w", "fixed_x"):
-        cfg = _write(tmp_path, f"{mode}.cfg", FACTORED_EXPERIMENT.format(mode=mode))
-        one, two = tmp_path / f"{mode}_1", tmp_path / f"{mode}_2"
+    # A materialized fixed_x run switches its decoder's operator every trial.
+    for name, config, net_mode in (
+        ("fixed_w", FACTORED_EXPERIMENT.format(mode="fixed_w"), "factored"),
+        ("fixed_x", FACTORED_EXPERIMENT.format(mode="fixed_x"), "factored"),
+        ("materialized", MATERIALIZED_EXPERIMENT.format(mode="fixed_x"), "materialized"),
+    ):
+        cfg = _write(tmp_path, f"{name}.cfg", config)
+        one, two = tmp_path / f"{name}_1", tmp_path / f"{name}_2"
         assert main(["experiment", "run", cfg, "--out", str(one)]) == 0
         assert main(["experiment", "run", cfg, "--jobs", "2", "--out", str(two)]) == 0
         summary = json.loads(one.with_suffix(".json").read_text(encoding="utf-8"))
-        assert summary["net_mode"] == "factored" and not summary["clamped"]
+        assert summary["net_mode"] == net_mode and not summary["clamped"]
         for suffix in (".csv", ".json"):
             first, second = one.with_suffix(suffix), two.with_suffix(suffix)
             assert first.read_bytes() == second.read_bytes()
@@ -216,9 +245,16 @@ def test_net_build_writes_net_file(tmp_path, capsys):
     out = str(tmp_path / "net.txt")
     assert main(["net", "build", cfg, "--out", out]) == 0
     assert "size=39" in capsys.readouterr().out
-    loaded = read_net(out)
-    assert loaded.size == 39
-    assert loaded.eps1 == 0.5
+    family = SmoothClass(3, 2.0)
+    header, blocks = split_net_text((tmp_path / "net.txt").read_text(encoding="utf-8"))
+    assert header == f"eps1=0.5 M=39 spec={family.spec_string()}"
+    assert len(blocks) == 39
+    for lines, member in zip(blocks, build_net(family, 0.5).members):
+        assert lines[0] == "basis=trig ambient_dim=4096"
+        np.testing.assert_array_equal(
+            [float(line) for line in lines[1:]],
+            family.to_signal(member, 4096).coefficients,
+        )
 
 
 def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Covering nets: frozen sizes, rounding validity, exact decoding, file IO."""
+"""Covering nets: frozen sizes, rounding validity, exact decoding, file output."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import split_net_text
 from hypothesis import strategies as st
 
-from netsketch.errors import FormatError, NetTooLargeError, UsageError
+from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
     AdditiveSpanClass,
     PiecewiseAnalyticClass,
@@ -24,12 +25,12 @@ from netsketch.hilbert import PiecewiseDescription, Signal, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
     FactoredStepDecoder,
+    MaterializedDecoder,
     build_net,
     dump_net,
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
-    load_net,
     round_to_net,
     snap_to_symmetric_grid,
     symmetric_grid,
@@ -515,32 +516,40 @@ def test_decoder_rejects_positions_off_the_uniform_grid():
 
 
 def test_operator_terms_follow_the_operator():
-    decoder = build_net(step_class(), 1.5, mode="factored").decoder
+    materialized = build_net(step_class(), 1.5, mode="materialized")
+    rows = brute_force_coefficients(materialized, 40)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
     ys = np.random.default_rng(37).normal(size=(6, 9))
-    expected = []
-    for operator in operators:
-        fresh = build_net(step_class(), 1.5, mode="factored").decoder
-        expected.append([fresh.decode_measurements(y, operator) for y in ys])
-    # Alternate operators on one decoder: every switch rebuilds the terms.
-    for _ in range(2):
-        for which, operator in enumerate(operators):
-            for y, want in zip(ys, expected[which]):
-                assert decoder.decode_measurements(y, operator) == want
 
-    # Threads sharing the decoder, each with its own operator, switching often.
-    def decode_all(k):
-        return [decoder.decode_measurements(y, operators[k % 2]) for y in ys]
+    def decode_all(decoder, operator):
+        results = [decoder.decode_measurements(y, operator) for y in ys]
+        return [(result.index, result.distance) for result in results]
 
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(decode_all, k) for k in range(8)]
-            for k, future in enumerate(futures):
-                assert future.result(timeout=60) == expected[k % 2]
-    finally:
-        sys.setswitchinterval(previous)
+    # Both decoders keep per-operator terms in one shared slot.
+    for make_decoder in (
+        lambda: build_net(step_class(), 1.5, mode="factored").decoder,
+        lambda: MaterializedDecoder(materialized.members, rows),
+    ):
+        expected = [decode_all(make_decoder(), operator) for operator in operators]
+        decoder = make_decoder()
+        # Alternate operators on one decoder: every switch rebuilds the terms.
+        for _ in range(2):
+            for which, operator in enumerate(operators):
+                assert decode_all(decoder, operator) == expected[which]
+
+        # Threads sharing the decoder, each with its own operator, switching
+        # often.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(decode_all, decoder, operators[k % 2]) for k in range(8)
+                ]
+                for k, future in enumerate(futures):
+                    assert future.result(timeout=60) == expected[k % 2]
+        finally:
+            sys.setswitchinterval(previous)
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
@@ -558,14 +567,27 @@ def test_full_rank_measurements_reduce_to_coefficient_decoding():
 
 
 def test_decoder_input_validation():
-    decoder = build_net(step_class(), 1.5, mode="factored").decoder
-    with pytest.raises(UsageError):
-        decoder.decode_coefficients(np.zeros((2, 3)))
-    with pytest.raises(UsageError):
-        decoder.decode_coefficients(np.array([]))
+    materialized = build_net(step_class(), 1.5, mode="materialized")
     operator = random_subspace(16, 7, seed=9)
+    for decoder in (
+        build_net(step_class(), 1.5, mode="factored").decoder,
+        MaterializedDecoder(
+            materialized.members, brute_force_coefficients(materialized, 16)
+        ),
+    ):
+        with pytest.raises(UsageError):
+            decoder.decode_coefficients(np.zeros((2, 3)))
+        with pytest.raises(UsageError):
+            decoder.decode_coefficients(np.array([]))
+        with pytest.raises(UsageError):
+            decoder.decode_measurements(np.zeros(6), operator)
+    # The materialized rows fix d: other lengths and operators are refused.
     with pytest.raises(UsageError):
-        decoder.decode_measurements(np.zeros(6), operator)
+        decoder.decode_coefficients(np.zeros(15))
+    with pytest.raises(UsageError):
+        decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
+    with pytest.raises(UsageError):
+        MaterializedDecoder(materialized.members[1:], decoder.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +606,14 @@ def test_net_serialization_roundtrip():
     dump_net(again, net, ambient_dim=32)
     assert again.getvalue() == text
 
-    loaded = load_net(io.StringIO(text))
-    assert loaded.eps1 == 1.5
-    assert loaded.size == net.size == len(loaded.signals)
-    assert loaded.spec == family.spec_string()
-    for signal, member in zip(loaded.signals, net.members):
+    header, blocks = split_net_text(text)
+    assert header == f"eps1=1.5 M={net.size} spec={family.spec_string()}"
+    assert text.count("---\n") == net.size - 1 == len(blocks) - 1
+    for lines, member in zip(blocks, net.members):
+        assert lines[0] == "basis=trig ambient_dim=32"
         np.testing.assert_array_equal(
-            signal.coefficients, analyze_piecewise(member, 32).coefficients
+            [float(line) for line in lines[1:]],
+            analyze_piecewise(member, 32).coefficients,
         )
 
 
@@ -600,8 +623,13 @@ def test_single_member_net_roundtrip_has_no_separator():
     dump_net(buffer, net, ambient_dim=8)
     text = buffer.getvalue()
     assert "---" not in text
-    loaded = load_net(io.StringIO(text))
-    assert loaded.size == 1
+    header, [lines] = split_net_text(text)
+    assert " M=1 " in header
+    assert lines[0] == "basis=trig ambient_dim=8"
+    np.testing.assert_array_equal(
+        [float(line) for line in lines[1:]],
+        analyze_piecewise(net.members[0], 8).coefficients,
+    )
 
 
 def test_net_serialization_rejects_malformed():
@@ -609,19 +637,3 @@ def test_net_serialization_rejects_malformed():
         dump_net(io.StringIO(), build_net(step_class(), 0.5, mode="counted"), 8)
     with pytest.raises(UsageError):
         dump_net(io.StringIO(), build_net(step_class(), 1.5, mode="factored"), 8)
-    with pytest.raises(FormatError):
-        load_net(io.StringIO(""))
-
-    net = build_net(SmoothClass(smoothness=2, amplitude=1.0), 1.0, mode="materialized")
-    assert net.size == 3
-    buffer = io.StringIO()
-    dump_net(buffer, net, ambient_dim=4)
-    text = buffer.getvalue()
-
-    with pytest.raises(FormatError):
-        load_net(io.StringIO(text.replace("---", "-*-")))
-    lines = text.splitlines(keepends=True)
-    with pytest.raises(FormatError):
-        load_net(io.StringIO("".join(lines[:-2])))
-    with pytest.raises(FormatError):
-        load_net(io.StringIO(text + "leftover\n"))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from netsketch import nets
 from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from netsketch.function_classes import (
     PiecewiseSmoothClass,
@@ -17,7 +18,7 @@ from netsketch.function_classes import (
 )
 from netsketch.hilbert import Signal
 from netsketch.jl import apply_operator, required_measurements
-from netsketch.nets import build_net
+from netsketch.nets import MaterializedDecoder, build_net
 from netsketch.reconstructor import (
     measure,
     preprocess,
@@ -90,7 +91,7 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     # ceil(4 / (1 - 0.5) * ln 40) = 30 rows wanted, below d = 36
     assert s.n == 30
     assert not s.clamped
-    assert s.projected_net.shape == (39, 30)
+    assert s.decoder.rows.shape == (39, 36)
     assert s.operator.frame.shape == (30, 36)
 
 
@@ -121,7 +122,7 @@ def test_preprocess_clamp_example_numbers():
     assert s.d == 100
     assert s.net.mode == "factored"
     assert s.net.size == 50_682_214
-    assert s.projected_net is None
+    assert s.decoder is s.net.decoder
     assert s.n == 100
     assert s.clamped
 
@@ -167,14 +168,14 @@ def test_preprocess_is_deterministic_given_stream():
     second = preprocess(family, 3.0, 0.5, model, np.random.default_rng(42))
     assert first.operator.seed == second.operator.seed
     assert np.array_equal(first.operator.frame, second.operator.frame)
-    assert np.array_equal(first.projected_net, second.projected_net)
+    assert np.array_equal(first.decoder.rows, second.decoder.rows)
     other = preprocess(family, 3.0, 0.5, model, np.random.default_rng(43))
     assert other.operator.seed != first.operator.seed
 
 
-def test_projected_net_is_read_only(smooth_sampler):
+def test_decoder_rows_are_read_only(smooth_sampler):
     with pytest.raises(ValueError):
-        smooth_sampler.projected_net[0, 0] = 1.0
+        smooth_sampler.decoder.rows[0, 0] = 1.0
 
 
 def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
@@ -183,9 +184,9 @@ def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
     assert redrawn.d == smooth_sampler.d
     assert redrawn.n == smooth_sampler.n
     assert not np.array_equal(redrawn.operator.frame, smooth_sampler.operator.frame)
-    assert redrawn.projected_net.shape == smooth_sampler.projected_net.shape
+    assert redrawn.decoder is smooth_sampler.decoder
     # centers still decode to themselves under the fresh frame
-    out = reconstruct(redrawn, redrawn.projected_net[7])
+    out = reconstruct(redrawn, apply_operator(redrawn.operator, redrawn.decoder.rows[7]))
     assert out.index == 7
     assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
     # redraws are reproducible from the stream
@@ -230,7 +231,7 @@ def test_measure_validates_noise_arguments(smooth_sampler):
 
 
 def test_reconstruct_exact_center_measurement(smooth_sampler):
-    y = smooth_sampler.projected_net[5]
+    y = apply_operator(smooth_sampler.operator, smooth_sampler.decoder.rows[5])
     out = reconstruct(smooth_sampler, y)
     assert out.index == 5
     assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
@@ -239,12 +240,34 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
     assert out.guarantee_met is None
 
 
-def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
-    rows = np.array(smooth_sampler.projected_net)
+def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler, monkeypatch):
+    rows = np.array(smooth_sampler.decoder.rows)
     rows[4] = rows[1]
-    tied = replace(smooth_sampler, projected_net=rows)
-    out = reconstruct(tied, rows[1])
-    assert out.index == 1
+    decoder = MaterializedDecoder(smooth_sampler.net.members, rows)
+    tied = replace(smooth_sampler, decoder=decoder)
+    measured = np.array([apply_operator(tied.operator, row) for row in rows])
+    probe = np.random.default_rng(53)
+    # One block holds the whole table; then blocks of four rows put the tied
+    # rows in different blocks.
+    for block_bytes in (nets._SCAN_BLOCK_BYTES, 4 * 8 * tied.n):
+        monkeypatch.setattr(nets, "_SCAN_BLOCK_BYTES", block_bytes)
+        assert reconstruct(tied, measured[1]).index == 1
+        assert decoder.decode_coefficients(rows[1]).index == 1
+        # Both spaces against brute force, near members and far from them.
+        for scale in (1e-3, 0.3, 3.0):
+            y = measured[probe.integers(len(rows))] + scale * probe.normal(size=tied.n)
+            distances = np.linalg.norm(measured - y, axis=1)
+            out = reconstruct(tied, y)
+            assert out.index == int(np.argmin(distances))
+            assert out.projected_distance == pytest.approx(
+                distances[out.index], rel=1e-12
+            )
+            target = rows[probe.integers(len(rows))] + scale * probe.normal(size=tied.d)
+            distances = np.linalg.norm(rows - target, axis=1)
+            result = decoder.decode_coefficients(target)
+            assert result.index == int(np.argmin(distances))
+            assert result.distance == pytest.approx(distances[result.index], rel=1e-12)
+            np.testing.assert_array_equal(result.coefficients, rows[result.index])
 
 
 def test_reconstruct_validates_inputs(smooth_sampler):
@@ -255,7 +278,7 @@ def test_reconstruct_validates_inputs(smooth_sampler):
 
 
 def test_reconstruct_far_measurement_leaves_ball(smooth_sampler):
-    y = smooth_sampler.projected_net[0] + 10.0
+    y = apply_operator(smooth_sampler.operator, smooth_sampler.decoder.rows[0]) + 10.0
     out = reconstruct(smooth_sampler, y)
     assert not out.within_ball
     assert out.projected_distance > 2.0 * smooth_sampler.eps1
@@ -305,7 +328,7 @@ def test_reconstruct_factored_agrees_with_materialized():
     assert s.net.mode == "materialized" and s.net.size == 1125
     assert s.d == 300 and s.n == 282 and not s.clamped
     factored_net = build_net(family, s.eps1, mode="factored")
-    factored = replace(s, net=factored_net, projected_net=None)
+    factored = replace(s, net=factored_net, decoder=factored_net.decoder)
     probe = np.random.default_rng(43)
     for _ in range(10):
         x = family.to_signal(family.sample(probe, 512), 512)
