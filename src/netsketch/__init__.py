@@ -22,7 +22,6 @@ from .hilbert import (
     analyze_piecewise,
     exact_l2_distance,
     inner,
-    project_prefix,
     synthesize,
     tail_norm,
 )
@@ -36,9 +35,8 @@ from .function_classes import (
     count_tail_violations,
     fit_class_tail_model,
     fit_tail_model,
-    tail_bound,
 )
-from .nets import DEFAULT_NET_BUDGET, CoveringNet, build_net, round_to_net
+from .nets import DEFAULT_NET_BUDGET, CoveringNet, build_net
 from .jl import (
     DEFAULT_JL_CONSTANT,
     MeasurementOperator,
@@ -111,14 +109,11 @@ __all__ = [
     "measure",
     "measurement_lower_bound",
     "preprocess",
-    "project_prefix",
     "random_subspace",
     "reconstruct",
     "required_measurements",
-    "round_to_net",
     "run_experiment",
     "synthesize",
-    "tail_bound",
     "tail_norm",
     "truncation_dimension",
     "verify_guarantee",

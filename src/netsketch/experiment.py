@@ -139,7 +139,7 @@ def audit_trial(
     """
     d = sampler.d
     x_truncated = x.coefficients[:d]
-    center_signal = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
+    center_signal = outcome.center_signal
     nearest = sampler.decoder.decode_coefficients(x_truncated).coefficients
     upper_ratio = _distortion_ratio(sampler.operator, x_truncated - nearest)
     lower_ratio = _distortion_ratio(
@@ -276,6 +276,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
             _stream(config.seed, _DOMAIN_FIXED_MEMBER), config.ambient_dim
         )
         fixed_signal = family.to_signal(member, config.ambient_dim)
+    else:
+        # Every trial measures through this operator: draw it in set-up,
+        # before worker threads share the sampler.
+        sampler.operator
 
     def worker(trial: int) -> tuple[dict[str, Any], bool]:
         return _run_trial(config, sampler, fixed_signal, delta, trial)

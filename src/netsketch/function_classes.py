@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .errors import UsageError
 from .hilbert import (
@@ -68,7 +66,6 @@ __all__ = [
     "TailDecayModel",
     "fit_tail_model",
     "fit_class_tail_model",
-    "tail_bound",
     "count_tail_violations",
     "warp_amplitudes",
     "warp_map",
@@ -726,6 +723,8 @@ class WarpedClass(FunctionClass):
 
     def kinks(self, member: WarpedMember) -> tuple[float, ...]:
         """Preimages under the warp of the base member's kinks."""
+        from scipy.optimize import brentq  # see README, "Start-up cost"
+
         kinks = self.base.kinks(member.base_member)
         if len(kinks) == 0:
             return ()
@@ -985,6 +984,8 @@ def _numeric_l2_distance(
     kinks: Sequence[float],
     points_per_piece: int,
 ) -> float:
+    from scipy.integrate import simpson  # see README, "Start-up cost"
+
     cuts = [-math.pi]
     for kink in sorted(kinks):
         if -math.pi < kink < math.pi:
@@ -1088,15 +1089,6 @@ def fit_class_tail_model(
         for _ in range(n_samples)
     ]
     return fit_tail_model(samples, dims)
-
-
-def tail_bound(model: TailDecayModel, d: int) -> float:
-    """Absolute tail bound ``C * R * d^-beta`` at truncation dimension ``d``."""
-    if d < 1:
-        raise UsageError(f"truncation dimension must be positive, got {d!r}")
-    if math.isinf(model.decay_exponent):
-        return 0.0
-    return model.constant * model.norm_bound * float(d) ** (-model.decay_exponent)
 
 
 def count_tail_violations(

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import UsageError
 
@@ -78,15 +77,6 @@ def inner(x: Signal, y: Signal) -> float:
             f"inner product needs matching bases: {x.ambient_dim} vs {y.ambient_dim}"
         )
     return float(np.dot(x.coefficients, y.coefficients))
-
-
-def project_prefix(x: Signal, d: int) -> Signal:
-    """Project onto the span of the first ``d`` basis functions (low-pass)."""
-    if not 1 <= d <= x.ambient_dim:
-        raise UsageError(f"projection dimension {d} outside [1, {x.ambient_dim}]")
-    coeffs = np.zeros(x.ambient_dim)
-    coeffs[:d] = x.coefficients[:d]
-    return Signal(coeffs)
 
 
 def pad_or_truncate(values: np.ndarray, dim: int) -> np.ndarray:
@@ -354,6 +344,8 @@ def quadrature_analyze(
     below net tolerances for frequencies up to a few hundred; raise
     ``points_per_piece`` when near machine-precision agreement is needed.
     """
+    from scipy.integrate import simpson  # see README, "Start-up cost"
+
     edges = np.unique(
         np.concatenate([[-math.pi], np.asarray(split_points, float), [math.pi]])
     )
@@ -374,13 +366,13 @@ def quadrature_analyze(
         eval_points[0] += nudge
         eval_points[-1] -= nudge
         values = np.asarray(func(eval_points), dtype=float)
-        total_const += integrate.simpson(values, x=grid)
+        total_const += simpson(values, x=grid)
         for lo in range(0, jmax, 128):
             phases = js[lo : lo + 128, None] * grid[None, :]
-            total_cos[lo : lo + 128] += integrate.simpson(
+            total_cos[lo : lo + 128] += simpson(
                 values[None, :] * np.cos(phases), x=grid, axis=1
             )
-            total_sin[lo : lo + 128] += integrate.simpson(
+            total_sin[lo : lo + 128] += simpson(
                 values[None, :] * np.sin(phases), x=grid, axis=1
             )
     coeffs = np.zeros(ambient_dim)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import NetSketchError, UsageError
 from .hilbert import Signal
@@ -159,6 +158,10 @@ def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionRepo
     ratios compare distances after measurement to distances among the
     truncated originals.  Coincident pairs are skipped.
     """
+    # Imported here: see README, "Start-up cost".  pdist, not numpy: it sums
+    # each distance in sequence, and the report's ratios are pinned to those bits.
+    from scipy.spatial.distance import pdist
+
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise UsageError("expected a 2-d array of points")

@@ -50,7 +50,6 @@ __all__ = [
     "gap_separated_count",
     "iter_gap_tuples",
     "position_grid",
-    "round_to_net",
     "grid_count",
     "symmetric_grid",
     "snap_to_symmetric_grid",
@@ -268,6 +267,8 @@ class FactoredStepDecoder:
                 "breakpoint positions must have the uniform pitch 2 pi / P"
             )
         self._terms = _OperatorSlot(self._operator_terms)
+        self._norms_sq: dict[int, np.ndarray] = {}
+        self._norms_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -303,17 +304,28 @@ class FactoredStepDecoder:
             |w(b)|^2 = (b+pi)^2/(2 pi) + sum_{j<=d//2} 1/(2 pi j^2)
                        + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
                        - [d even] cos(d b)/(2 pi (d/2)^2).
+
+        They depend on ``d`` and the grid only, so the norms for each ``d``
+        are built once, kept read-only, and shared by every thread.
         """
-        n_sin = (d - 1) // 2
-        js = np.arange(1, d // 2 + 1)
-        weights_sq = 1.0 / (math.pi * js**2)
-        series = np.zeros(d + 1)
-        series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
-        alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
-        series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
-        if d % 2 == 0:
-            series[d] = -weights_sq[-1] / 2.0
-        return self._on_breakpoints(series) + (self.positions + math.pi) ** 2 / TWO_PI
+        with self._norms_lock:
+            norms = self._norms_sq.get(d)
+            if norms is not None:
+                return norms
+            n_sin = (d - 1) // 2
+            js = np.arange(1, d // 2 + 1)
+            weights_sq = 1.0 / (math.pi * js**2)
+            series = np.zeros(d + 1)
+            series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
+            alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
+            series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
+            if d % 2 == 0:
+                series[d] = -weights_sq[-1] / 2.0
+            shift_sq = (self.positions + math.pi) ** 2 / TWO_PI
+            norms = self._on_breakpoints(series) + shift_sq
+            norms.setflags(write=False)
+            self._norms_sq[d] = norms
+        return norms
 
     def _operator_terms(self, operator) -> _OperatorTerms:
         """The decode terms that depend on ``operator`` only.
@@ -693,15 +705,6 @@ def build_net(
         members=members,
         decoder=decoder if mode == "factored" else None,
     )
-
-
-def round_to_net(net: CoveringNet, member: object) -> object:
-    """Round a class member onto the net, coordinate by coordinate.
-
-    Returns a member-like object of the same structural type; its distance to
-    the input (by the class metric) is the witnessed covering error.
-    """
-    return net.family.round_member(net.family.net_plan(net.eps1), member)
 
 
 # ---------------------------------------------------------------------------

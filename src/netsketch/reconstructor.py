@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -91,6 +91,11 @@ class PreparedSampler:
     ``clamped`` records that the Johnson-Lindenstrauss requirement
     met or exceeded ``d``, so the operator is a full orthogonal map and the
     sketch is exact on the truncated space.
+
+    The ``n x d`` operator is drawn from ``operator_seed`` on first use of
+    ``operator``, so a sampler whose operator is replaced before any
+    measurement (every trial of a ``fixed_x`` run) never pays for the QR.
+    The draw takes no lock: draw it before threads share the sampler.
     """
 
     eps: float
@@ -98,15 +103,20 @@ class PreparedSampler:
     p: float
     tail_model: TailDecayModel
     d: int
-    operator: MeasurementOperator
+    n: int
+    operator_seed: int
     net: CoveringNet
     decoder: FactoredStepDecoder | MaterializedDecoder
     clamped: bool
     ambient_dim: int
 
     @property
-    def n(self) -> int:
-        return self.operator.n
+    def operator(self) -> MeasurementOperator:
+        drawn = self.__dict__.get("_operator")
+        if drawn is None:
+            drawn = random_subspace(self.d, self.n, seed=self.operator_seed)
+            object.__setattr__(self, "_operator", drawn)
+        return drawn
 
 
 def _materialized_decoder(
@@ -162,7 +172,6 @@ def preprocess(
         decoder = _materialized_decoder(net, d, ambient_dim)
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
-    operator = random_subspace(d, n, seed=int(rng.integers(SEED_RANGE)))
     logger.info(
         "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s",
         eps,
@@ -178,7 +187,8 @@ def preprocess(
         p=p,
         tail_model=tail_model,
         d=d,
-        operator=operator,
+        n=n,
+        operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
         decoder=decoder,
         clamped=wanted >= d,
@@ -189,13 +199,12 @@ def preprocess(
 def with_new_operator(
     sampler: PreparedSampler, rng: np.random.Generator
 ) -> PreparedSampler:
-    """Redraw the measurement operator, keeping dimensions, net and decoder."""
-    return replace(
-        sampler,
-        operator=random_subspace(
-            sampler.d, sampler.operator.n, seed=int(rng.integers(SEED_RANGE))
-        ),
-    )
+    """Redraw the measurement operator, keeping dimensions, net and decoder.
+
+    Takes the new operator's seed from ``rng`` now; the operator itself is
+    drawn on first use.
+    """
+    return replace(sampler, operator_seed=int(rng.integers(SEED_RANGE)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +239,10 @@ def measure(
 class ReconstructionOutcome:
     """Decoded center plus the error accounting for one reconstruction.
 
-    ``ambient_error`` and ``guarantee_met`` are ``None`` unless the ground
-    truth was supplied to ``reconstruct``.
+    ``ambient_error``, ``guarantee_met`` and ``center_signal`` (the center's
+    coefficients at the ambient dimension, which the error was measured
+    against) are ``None`` unless the ground truth was supplied to
+    ``reconstruct``.
     """
 
     index: int
@@ -240,6 +251,7 @@ class ReconstructionOutcome:
     within_ball: bool
     ambient_error: float | None = None
     guarantee_met: bool | None = None
+    center_signal: Signal | None = field(default=None, compare=False)
 
 
 def _padded_distance(a: Signal, b: Signal) -> float:
@@ -268,6 +280,7 @@ def reconstruct(
     noise_shift = math.sqrt(sampler.operator.n) * delta * sampler.operator.scale
     ambient_error = None
     guarantee_met = None
+    center_signal = None
     if ground_truth is not None:
         center_signal = sampler.net.family.to_signal(
             decoded.member, sampler.ambient_dim
@@ -281,6 +294,7 @@ def reconstruct(
         within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
         ambient_error=ambient_error,
         guarantee_met=guarantee_met,
+        center_signal=center_signal,
     )
 
 

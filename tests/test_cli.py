@@ -385,3 +385,26 @@ def test_module_entry_point_usage_error(tmp_path):
     )
     assert proc.returncode == 1
     assert "no-such-file" in proc.stderr
+
+
+def _scipy_modules_after(statement: str) -> set[str]:
+    """The ``scipy`` modules a fresh interpreter holds after ``statement``."""
+    probe = (
+        f"{statement}; import sys; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    # scipy is imported where the warped class and jl check use it; every
+    # command pays for what the import of netsketch.cli loads.
+    loaded = _scipy_modules_after("import netsketch.cli")
+    assert loaded <= _scipy_modules_after("import scipy")

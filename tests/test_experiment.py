@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from netsketch import experiment, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
 from netsketch.entropy import measurement_lower_bound
 from netsketch.errors import AmbientTooSmallError, UsageError
@@ -195,6 +196,36 @@ def test_run_experiment_is_deterministic_and_jobs_invariant(smooth_result):
     parallel = run_experiment(cfg, jobs=3)
     assert parallel.summary == smooth_result.summary
     assert parallel.rows == smooth_result.rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_operator_draws_per_run(monkeypatch, jobs):
+    # fixed_x draws one operator per trial and none in set-up; fixed_w draws
+    # its one operator in set-up, before any trial starts.
+    started = []
+    draws = []
+    draw = reconstructor.random_subspace
+    trial = experiment._run_trial
+
+    def counted_draw(*args, **kwargs):
+        draws.append(len(started))
+        return draw(*args, **kwargs)
+
+    def counted_trial(*args, **kwargs):
+        started.append(None)
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(reconstructor, "random_subspace", counted_draw)
+    monkeypatch.setattr(experiment, "_run_trial", counted_trial)
+    fixed_w = load_experiment_config(SMOOTH_CONFIG)
+    run_experiment(fixed_w, jobs=jobs)
+    assert draws == [0]
+    draws.clear()
+    started.clear()
+    fixed_x = load_experiment_config(SMOOTH_CONFIG.replace("fixed_w", "fixed_x"))
+    run_experiment(fixed_x, jobs=jobs)
+    assert len(draws) == fixed_x.trials
+    assert min(draws) >= 1
 
 
 def test_run_experiment_seed_changes_trials(smooth_result):

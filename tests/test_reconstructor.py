@@ -8,14 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from netsketch import nets
+from netsketch import nets, reconstructor
 from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
-from netsketch.function_classes import (
-    PiecewiseSmoothClass,
-    SmoothClass,
-    TailDecayModel,
-    tail_bound,
-)
+from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import Signal
 from netsketch.jl import apply_operator, required_measurements
 from netsketch.nets import MaterializedDecoder, build_net
@@ -53,8 +48,10 @@ def test_truncation_dimension_is_minimal():
     model = TailDecayModel(constant=1.0, decay_exponent=0.5, norm_bound=1.0)
     d = truncation_dimension(model, 0.1)
     assert d == 100
-    assert tail_bound(model, d) <= 0.1
-    assert tail_bound(model, d - 1) > 0.1
+    # the absolute tail bound C * R * d**-beta first drops to eps1 at d
+    mass = model.constant * model.norm_bound
+    assert mass * d ** -model.decay_exponent <= 0.1
+    assert mass * (d - 1) ** -model.decay_exponent > 0.1
     # the eps -> eps/6 split lands on the same dimension
     assert truncation_dimension(model, 0.6 / 6.0) == 100
 
@@ -192,6 +189,28 @@ def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
     # redraws are reproducible from the stream
     again = with_new_operator(smooth_sampler, np.random.default_rng(8))
     assert np.array_equal(again.operator.frame, redrawn.operator.frame)
+
+
+def test_operator_is_drawn_from_its_seed_on_first_use(monkeypatch):
+    draws = []
+    draw = reconstructor.random_subspace
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs["seed"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(reconstructor, "random_subspace", counted)
+    family = SmoothClass(3, 2.0)
+    model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
+    sampler = preprocess(family, 3.0, 0.5, model, np.random.default_rng(11))
+    redrawn = with_new_operator(sampler, np.random.default_rng(8))
+    assert draws == []
+    operator = sampler.operator
+    assert sampler.operator is operator
+    assert draws == [sampler.operator_seed] == [operator.seed]
+    assert (operator.n, operator.d) == (sampler.n, sampler.d)
+    assert redrawn.operator.seed == redrawn.operator_seed != operator.seed
+    assert draws == [operator.seed, redrawn.operator_seed]
 
 
 # ---------------------------------------------------------------------------
