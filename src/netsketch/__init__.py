@@ -54,14 +54,12 @@ from .entropy import (
     within_measurement_budget,
 )
 from .reconstructor import (
-    GuaranteeReport,
     PreparedSampler,
     ReconstructionOutcome,
     measure,
     preprocess,
     reconstruct,
     truncation_dimension,
-    verify_guarantee,
     with_new_operator,
 )
 from .config import ExperimentConfig, load_experiment_config
@@ -79,7 +77,6 @@ __all__ = [
     "EntropyScan",
     "ExperimentConfig",
     "ExperimentResult",
-    "GuaranteeReport",
     "MeasurementOperator",
     "NetSketchError",
     "NetTooLargeError",
@@ -116,7 +113,6 @@ __all__ = [
     "synthesize",
     "tail_norm",
     "truncation_dimension",
-    "verify_guarantee",
     "wilson_interval",
     "within_measurement_budget",
     "with_new_operator",

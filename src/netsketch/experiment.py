@@ -26,7 +26,7 @@ from .config import ExperimentConfig, build_family  # noqa: F401
 from .errors import NetSketchError, UsageError
 from .entropy import measurement_lower_bound, within_measurement_budget
 from .function_classes import fit_class_tail_model
-from .hilbert import Signal, tail_norm
+from .hilbert import Signal, pad_or_truncate, tail_norm
 from .jl import DISTORTION_BAND, apply_operator
 from .nets import build_net
 from .reconstructor import (
@@ -113,14 +113,24 @@ def _distortion_ratio(
 
 @dataclass(frozen=True)
 class TrialAudit:
-    """The premise of the accuracy chain for one trial, checked term by term.
+    """One reconstruction checked against its ground truth.
 
-    The chain needs the upper distortion band on the pair (x, nearest
-    center), the lower band on the pair (x, decoded center), exact
-    measurements, and both tails beyond ``d`` within ``eps1``.  A
-    counterexample is a trial whose premise holds but whose guarantee fails.
+    The accuracy chain bounds ``ambient_error`` by ``truncation_tail`` (the
+    signal's energy beyond dimension ``d``) plus ``projected_offset`` (its
+    distance to the decoded center in the first ``d`` coefficients) plus
+    ``center_tail`` (the center's energy beyond ``d``), with budgets
+    ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``.  The chain's
+    premise needs the upper distortion band on the pair (x, nearest center),
+    the lower band on the pair (x, decoded center), exact measurements, and
+    both tails within ``eps1``.  A counterexample is a trial whose premise
+    holds but whose guarantee fails.
     """
 
+    truncation_tail: float
+    projected_offset: float
+    center_tail: float
+    ambient_error: float
+    guarantee_met: bool
     distortion_ok: bool
     premise: bool
     counterexample: bool
@@ -133,18 +143,22 @@ def audit_trial(
     delta: float,
     trial: int,
 ) -> TrialAudit:
-    """Audit one reconstruction of ``x`` made with ground truth supplied.
+    """Audit one reconstruction of ``x``; the only comparison with ground truth.
 
-    Raises ``NetSketchError`` when a clamped operator distorts a pair.
+    Raises ``UsageError`` when ``x`` has fewer than ``d`` coefficients, and
+    ``NetSketchError`` when a clamped operator distorts a pair.
     """
     d = sampler.d
+    if x.ambient_dim < d:
+        raise UsageError(
+            f"ground truth has {x.ambient_dim} coefficients, fewer than d = {d}"
+        )
+    center = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
     x_truncated = x.coefficients[:d]
-    center_signal = outcome.center_signal
+    offset = x_truncated - center.coefficients[:d]
     nearest = sampler.decoder.decode_coefficients(x_truncated).coefficients
     upper_ratio = _distortion_ratio(sampler.operator, x_truncated - nearest)
-    lower_ratio = _distortion_ratio(
-        sampler.operator, x_truncated - center_signal.coefficients[:d]
-    )
+    lower_ratio = _distortion_ratio(sampler.operator, offset)
     lower, upper = DISTORTION_BAND
     distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
@@ -155,15 +169,32 @@ def audit_trial(
                 raise NetSketchError(
                     f"clamped operator distorted a pair by {ratio!r} in trial {trial}"
                 )
-    tails_ok = (
-        tail_norm(x, d) <= sampler.eps1
-        and tail_norm(center_signal, d) <= sampler.eps1
+    truncation_tail = tail_norm(x, d)
+    center_tail = tail_norm(center, d)
+    # Zero-pad the shorter signal: coefficients it lacks are zero.
+    dim = max(x.ambient_dim, center.ambient_dim)
+    ambient_error = float(
+        np.linalg.norm(
+            pad_or_truncate(x.coefficients, dim)
+            - pad_or_truncate(center.coefficients, dim)
+        )
     )
-    premise = distortion_ok and delta == 0.0 and tails_ok
+    guarantee_met = ambient_error <= sampler.eps
+    premise = (
+        distortion_ok
+        and delta == 0.0
+        and truncation_tail <= sampler.eps1
+        and center_tail <= sampler.eps1
+    )
     return TrialAudit(
+        truncation_tail=truncation_tail,
+        projected_offset=float(np.linalg.norm(offset)),
+        center_tail=center_tail,
+        ambient_error=ambient_error,
+        guarantee_met=guarantee_met,
         distortion_ok=distortion_ok,
         premise=premise,
-        counterexample=premise and not outcome.guarantee_met,
+        counterexample=premise and not guarantee_met,
     )
 
 
@@ -173,8 +204,8 @@ def _run_trial(
     fixed_signal: Signal | None,
     delta: float,
     trial: int,
-) -> tuple[dict[str, Any], bool]:
-    """One trial's CSV row, and whether the accuracy chain's premise held."""
+) -> tuple[dict[str, Any], TrialAudit]:
+    """One trial's CSV row and its audit."""
     family = config.family
     if config.mode == "fixed_x":
         trial_sampler = with_new_operator(
@@ -192,7 +223,7 @@ def _run_trial(
         _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_NOISE) if delta > 0.0 else None
     )
     y = measure(trial_sampler, x, delta=delta, rng=noise_rng)
-    outcome = reconstruct(trial_sampler, y, delta=delta, ground_truth=x)
+    outcome = reconstruct(trial_sampler, y, delta=delta)
     audit = audit_trial(trial_sampler, x, outcome, delta, trial)
     if audit.counterexample:
         raise NetSketchError(
@@ -212,11 +243,11 @@ def _run_trial(
         "delta": delta,
         "projected_distance": outcome.projected_distance,
         "within_ball": outcome.within_ball,
-        "ambient_error": outcome.ambient_error,
-        "guarantee_met": outcome.guarantee_met,
+        "ambient_error": audit.ambient_error,
+        "guarantee_met": audit.guarantee_met,
         "distortion_ok": audit.distortion_ok,
     }
-    return row, audit.premise
+    return row, audit
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -281,7 +312,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         # before worker threads share the sampler.
         sampler.operator
 
-    def worker(trial: int) -> tuple[dict[str, Any], bool]:
+    def worker(trial: int) -> tuple[dict[str, Any], TrialAudit]:
         return _run_trial(config, sampler, fixed_signal, delta, trial)
 
     if jobs == 1:
@@ -290,7 +321,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, range(config.trials)))
     rows = [row for row, _ in results]
-    premises = sum(premise for _, premise in results)
+    premises = sum(audit.premise for _, audit in results)
+    counterexamples = sum(audit.counterexample for _, audit in results)
 
     successes = sum(1 for row in rows if row["guarantee_met"])
     errors = [row["ambient_error"] for row in rows]
@@ -341,7 +373,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "measurement_lower_bound": lower_bound,
         "n_meets_lower_bound": sampler.n >= lower_bound,
         "implication_premise_trials": premises,
-        "implication_counterexamples": 0,
+        "implication_counterexamples": counterexamples,
     }
     logger.info(
         "experiment done: class=%s mode=%s success=%d/%d elapsed=%.2fs",

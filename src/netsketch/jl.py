@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,12 +90,7 @@ class MeasurementOperator:
         return math.sqrt(self.d / self.n)
 
 
-def random_subspace(
-    d: int,
-    n: int,
-    seed: int,
-    _rng_factory: Callable[[int], object] = np.random.default_rng,
-) -> MeasurementOperator:
+def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     """Draw a uniformly random ``n``-dimensional subspace of ``R^d``.
 
     Orthonormalizes ``n`` independent Gaussian vectors by QR decomposition.
@@ -107,7 +101,7 @@ def random_subspace(
         raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
     if n > d:
         raise UsageError(f"subspace dimension n={n} exceeds ambient dimension d={d}")
-    rng = _rng_factory(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(1 + _QR_RETRIES):
         gaussian = rng.standard_normal((d, n))
         q, r = np.linalg.qr(gaussian, mode="reduced")

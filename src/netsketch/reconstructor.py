@@ -5,24 +5,23 @@ produces a ``PreparedSampler``: a truncation dimension ``d`` that absorbs the
 coefficient tails, a covering net at resolution ``eps1 = eps / 6``, and a
 random ``n``-dimensional measurement operator sized for the net by the
 Johnson-Lindenstrauss requirement.  ``measure`` sketches a signal through the
-operator (optionally with bounded noise), ``reconstruct`` decodes the sketch
-to the nearest projected net center, and ``verify_guarantee`` splits the
-ambient reconstruction error into the three budgeted terms whose sum is the
-``eps`` accuracy guarantee.
+operator (optionally with bounded noise), and ``reconstruct`` decodes the
+sketch to the nearest projected net center.  Comparing a reconstruction with
+its ground truth is ``experiment.audit_trial``'s job.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from .function_classes import TailDecayModel
-from .hilbert import DEFAULT_AMBIENT_DIM, Signal, pad_or_truncate, tail_norm
+from .hilbert import DEFAULT_AMBIENT_DIM, Signal
 from .jl import (
     DEFAULT_JL_CONSTANT,
     SEED_RANGE,
@@ -40,14 +39,12 @@ from .nets import (
 )
 
 __all__ = [
-    "GuaranteeReport",
     "PreparedSampler",
     "ReconstructionOutcome",
     "measure",
     "preprocess",
     "reconstruct",
     "truncation_dimension",
-    "verify_guarantee",
     "with_new_operator",
 ]
 
@@ -237,116 +234,30 @@ def measure(
 
 @dataclass(frozen=True)
 class ReconstructionOutcome:
-    """Decoded center plus the error accounting for one reconstruction.
-
-    ``ambient_error``, ``guarantee_met`` and ``center_signal`` (the center's
-    coefficients at the ambient dimension, which the error was measured
-    against) are ``None`` unless the ground truth was supplied to
-    ``reconstruct``.
-    """
+    """The decoded center, its index, and its distance to the measurements."""
 
     index: int
     center: Any
     projected_distance: float
     within_ball: bool
-    ambient_error: float | None = None
-    guarantee_met: bool | None = None
-    center_signal: Signal | None = field(default=None, compare=False)
-
-
-def _padded_distance(a: Signal, b: Signal) -> float:
-    """Distance between signals, padding the shorter one with zeros."""
-    dim = max(a.ambient_dim, b.ambient_dim)
-    diff = pad_or_truncate(a.coefficients, dim) - pad_or_truncate(b.coefficients, dim)
-    return float(np.linalg.norm(diff))
 
 
 def reconstruct(
-    sampler: PreparedSampler,
-    y: np.ndarray,
-    delta: float = 0.0,
-    ground_truth: Signal | None = None,
+    sampler: PreparedSampler, y: np.ndarray, delta: float = 0.0
 ) -> ReconstructionOutcome:
     """Decode measurements to the nearest projected net center.
 
     Ties break toward the lowest center index.  ``within_ball`` compares the
     decoded distance against ``2 * eps1`` plus the worst-case noise shift
-    ``sqrt(n) * delta * scale``.  Supplying the ground truth additionally
-    reports the ambient error and whether it meets the ``eps`` guarantee.
+    ``sqrt(n) * delta * scale``.
     """
     if delta < 0.0:
         raise UsageError(f"noise level must be non-negative, got {delta!r}")
     decoded = sampler.decoder.decode_measurements(y, sampler.operator)
     noise_shift = math.sqrt(sampler.operator.n) * delta * sampler.operator.scale
-    ambient_error = None
-    guarantee_met = None
-    center_signal = None
-    if ground_truth is not None:
-        center_signal = sampler.net.family.to_signal(
-            decoded.member, sampler.ambient_dim
-        )
-        ambient_error = _padded_distance(ground_truth, center_signal)
-        guarantee_met = ambient_error <= sampler.eps
     return ReconstructionOutcome(
         index=decoded.index,
         center=decoded.member,
         projected_distance=decoded.distance,
         within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
-        ambient_error=ambient_error,
-        guarantee_met=guarantee_met,
-        center_signal=center_signal,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Guarantee audit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GuaranteeReport:
-    """Three-term decomposition of the ambient reconstruction error.
-
-    The triangle inequality bounds the ambient error by ``truncation_tail``
-    (signal energy beyond dimension ``d``) plus ``projected_offset`` (distance
-    to the decoded center inside the truncated space) plus ``center_tail``
-    (center energy beyond ``d``).  The budgets are ``eps1``, ``4 * eps1`` and
-    ``eps1``; all three within budget implies the ``6 * eps1 = eps``
-    guarantee.
-    """
-
-    truncation_tail: float
-    projected_offset: float
-    center_tail: float
-    budgets: tuple[float, float, float]
-    within_budget: tuple[bool, bool, bool]
-    ambient_error: float
-    guarantee_met: bool
-
-
-def verify_guarantee(
-    sampler: PreparedSampler, x: Signal, outcome: ReconstructionOutcome
-) -> GuaranteeReport:
-    """Audit one reconstruction against the three-term error budget."""
-    if x.ambient_dim < sampler.d:
-        x = Signal(pad_or_truncate(x.coefficients, sampler.d))
-    center_signal = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
-    truncation_tail = tail_norm(x, sampler.d)
-    center_tail = tail_norm(center_signal, sampler.d)
-    projected_offset = float(
-        np.linalg.norm(
-            x.coefficients[: sampler.d] - center_signal.coefficients[: sampler.d]
-        )
-    )
-    budgets = (sampler.eps1, 4.0 * sampler.eps1, sampler.eps1)
-    terms = (truncation_tail, projected_offset, center_tail)
-    ambient_error = _padded_distance(x, center_signal)
-    return GuaranteeReport(
-        truncation_tail=truncation_tail,
-        projected_offset=projected_offset,
-        center_tail=center_tail,
-        budgets=budgets,
-        within_budget=tuple(t <= b for t, b in zip(terms, budgets)),
-        ambient_error=ambient_error,
-        guarantee_met=ambient_error <= sampler.eps,
     )

@@ -168,10 +168,11 @@ def test_distortion_band_usually_holds_at_formula_count():
     assert hits / 30 >= 0.5  # expected near 1.0; the bound is conservative
 
 
-def test_rank_deficiency_error_path():
+def test_rank_deficiency_error_path(monkeypatch):
     class ZeroRNG:
         def standard_normal(self, size):
             return np.zeros(size)
 
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroRNG())
     with pytest.raises(NetSketchError):
-        random_subspace(4, 2, seed=0, _rng_factory=lambda seed: ZeroRNG())
+        random_subspace(4, 2, seed=0)

@@ -7,9 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsketch import nets, reconstructor
 from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
+from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import Signal
 from netsketch.jl import apply_operator, required_measurements
@@ -19,7 +22,6 @@ from netsketch.reconstructor import (
     preprocess,
     reconstruct,
     truncation_dimension,
-    verify_guarantee,
     with_new_operator,
 )
 
@@ -37,6 +39,14 @@ def smooth_sampler():
     model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
     rng = np.random.default_rng(11)
     return preprocess(family, 3.0, 0.5, model, rng, jl_constant=4.0)
+
+
+@pytest.fixture(scope="module")
+def factored_step_sampler():
+    """Factored step net of 1,125 centers: d=300, n=282, ambient 512."""
+    model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
+    rng = np.random.default_rng(41)
+    return preprocess(step_class(), 9.0, 0.5, model, rng, ambient_dim=512, m_max=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +265,6 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
     assert out.index == 5
     assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
     assert out.within_ball
-    assert out.ambient_error is None
-    assert out.guarantee_met is None
 
 
 def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler, monkeypatch):
@@ -308,10 +316,11 @@ def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = family.sample(rng, smooth_sampler.ambient_dim)
-        out = reconstruct(smooth_sampler, measure(smooth_sampler, x), ground_truth=x)
+        out = reconstruct(smooth_sampler, measure(smooth_sampler, x))
+        audit = audit_trial(smooth_sampler, x, out, delta=0.0, trial=0)
         assert out.within_ball
-        assert out.ambient_error <= smooth_sampler.eps
-        assert out.guarantee_met
+        assert audit.ambient_error <= smooth_sampler.eps
+        assert audit.guarantee_met
 
 
 def test_reconstruct_noisy_accounting(smooth_sampler):
@@ -332,11 +341,12 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
 def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
     family = SmoothClass(3, 2.0)
     x = family.sample(np.random.default_rng(37), smooth_sampler.ambient_dim)
-    out = reconstruct(smooth_sampler, measure(smooth_sampler, x), ground_truth=x)
+    out = reconstruct(smooth_sampler, measure(smooth_sampler, x))
+    audit = audit_trial(smooth_sampler, x, out, delta=0.0, trial=0)
     center = family.to_signal(out.center, smooth_sampler.ambient_dim)
     expected = np.linalg.norm(x.coefficients - center.coefficients)
-    assert out.ambient_error == pytest.approx(expected, rel=1e-12)
-    assert out.guarantee_met == (out.ambient_error <= smooth_sampler.eps)
+    assert audit.ambient_error == pytest.approx(expected, rel=1e-12)
+    assert audit.guarantee_met == (audit.ambient_error <= smooth_sampler.eps)
 
 
 def test_reconstruct_factored_agrees_with_materialized():
@@ -373,35 +383,52 @@ def test_reconstruct_factored_agrees_with_materialized():
 # ---------------------------------------------------------------------------
 
 
-def test_verify_guarantee_triangle_and_budgets(smooth_sampler):
-    family = SmoothClass(3, 2.0)
-    rng = np.random.default_rng(47)
-    eps1 = smooth_sampler.eps1
-    for _ in range(10):
-        x = family.sample(rng, smooth_sampler.ambient_dim)
-        out = reconstruct(smooth_sampler, measure(smooth_sampler, x), ground_truth=x)
-        report = verify_guarantee(smooth_sampler, x, out)
-        assert report.budgets == (eps1, 4.0 * eps1, eps1)
-        total = (
-            report.truncation_tail + report.projected_offset + report.center_tail
-        )
-        assert report.ambient_error <= total + 1e-12
-        assert report.within_budget == (
-            report.truncation_tail <= eps1,
-            report.projected_offset <= 4.0 * eps1,
-            report.center_tail <= eps1,
-        )
-        if all(report.within_budget):
-            assert report.guarantee_met
-        assert report.ambient_error == pytest.approx(out.ambient_error, rel=1e-12)
-        assert report.guarantee_met == out.guarantee_met
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), factored=st.booleans())
+def test_audit_decomposes_ambient_error(
+    smooth_sampler, factored_step_sampler, seed, factored
+):
+    """The audit's three terms against its ambient error, on fresh operators.
+
+    The first ``d`` coefficients are orthogonal to the rest, so the squared
+    ambient error splits exactly into the squared projected offset and the
+    squared distance between the two tails; the triangle inequality then
+    bounds the error by the three terms, and their budgets add up to eps.
+    """
+    base = factored_step_sampler if factored else smooth_sampler
+    family = base.net.family
+    rng = np.random.default_rng(seed)
+    sampler = with_new_operator(base, rng)
+    x = family.to_signal(family.sample(rng, sampler.ambient_dim), sampler.ambient_dim)
+    out = reconstruct(sampler, measure(sampler, x))
+    audit = audit_trial(sampler, x, out, delta=0.0, trial=0)
+
+    d, eps1 = sampler.d, sampler.eps1
+    center = family.to_signal(out.center, sampler.ambient_dim).coefficients
+    tail_gap = np.linalg.norm(x.coefficients[d:] - center[d:])
+    assert audit.ambient_error**2 == pytest.approx(
+        audit.projected_offset**2 + tail_gap**2, rel=1e-12
+    )
+    assert audit.ambient_error == pytest.approx(
+        np.linalg.norm(x.coefficients - center), rel=1e-12
+    )
+    total = audit.truncation_tail + audit.projected_offset + audit.center_tail
+    assert audit.ambient_error <= total + 1e-12
+    assert eps1 + 4.0 * eps1 + eps1 == pytest.approx(sampler.eps, rel=1e-12)
+    if (
+        audit.truncation_tail <= eps1
+        and audit.projected_offset <= 4.0 * eps1
+        and audit.center_tail <= eps1
+    ):
+        assert audit.guarantee_met
+    assert audit.guarantee_met == (audit.ambient_error <= sampler.eps)
+    assert audit.counterexample == (audit.premise and not audit.guarantee_met)
 
 
-def test_verify_guarantee_pads_short_ground_truth(smooth_sampler):
+def test_audit_trial_refuses_short_ground_truth(smooth_sampler):
     short = Signal(np.array([0.3, -0.2]))
     padded = np.zeros(smooth_sampler.d)
     padded[:2] = short.coefficients
     out = reconstruct(smooth_sampler, measure(smooth_sampler, Signal(padded)))
-    report = verify_guarantee(smooth_sampler, short, out)
-    assert report.truncation_tail == 0.0
-    assert report.ambient_error >= report.projected_offset
+    with pytest.raises(UsageError, match="fewer than d"):
+        audit_trial(smooth_sampler, short, out, delta=0.0, trial=0)
