@@ -38,7 +38,6 @@ from .errors import NetSketchError, UsageError
 from .experiment import run_experiment, write_summary_json, write_trials_csv
 from .function_classes import count_tail_violations, fit_class_tail_model
 from .jl import (
-    DEFAULT_JL_CONSTANT,
     DISTORTION_BAND,
     SEED_RANGE,
     distortion_ok,
@@ -93,7 +92,7 @@ def _cmd_net_build(args: argparse.Namespace) -> int:
     config = _load(args, NetBuildConfig)
     net = build_net(config.family, config.eps1, mode=config.mode, m_max=config.m_max)
     print(
-        f"net: class={config.family.spec_string()} eps1={net.eps1!r} mode={net.mode} "
+        f"net: class={config.family.spec_string()} eps1={net.plan.eps1!r} mode={net.mode} "
         f"size={_exact_int_str(net.size)} entropy_bits={net.entropy_bits!r}"
     )
     if args.out is not None:
@@ -106,16 +105,11 @@ def _cmd_net_build(args: argparse.Namespace) -> int:
 # jl check
 # ---------------------------------------------------------------------------
 
-def run_jl_check(
-    d: int,
-    m: int,
-    p: float,
-    draws: int,
-    seed: int,
-    jl_constant: float = DEFAULT_JL_CONSTANT,
-) -> dict[str, Any]:
-    """Draw random subspaces and count how often all pairwise ratios land
-    in ``DISTORTION_BAND`` for ``m`` random unit vectors."""
+def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
+    """Draw ``seeds`` random subspaces and count how often all pairwise
+    ratios land in ``DISTORTION_BAND`` for ``m`` random unit vectors."""
+    d, m, p, draws = config.d, config.m, config.p, config.seeds
+    seed, jl_constant = config.seed, config.jl_constant
     if d < 1:
         raise UsageError(f"ambient dimension must be positive, got {d!r}")
     if m < 2:
@@ -153,15 +147,7 @@ def run_jl_check(
 
 
 def _cmd_jl_check(args: argparse.Namespace) -> int:
-    config = _load(args, JlCheckConfig)
-    report = run_jl_check(
-        d=config.d,
-        m=config.m,
-        p=config.p,
-        draws=config.seeds,
-        seed=config.seed,
-        jl_constant=config.jl_constant,
-    )
+    report = run_jl_check(_load(args, JlCheckConfig))
     print(
         f"jl check: d={report['d']} m={report['m']} n={report['n']} "
         f"all-pairs distortion within [1/2, 2] in {report['successes']}/"
@@ -257,57 +243,42 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
 # tailfit
 # ---------------------------------------------------------------------------
 
-def run_tailfit(
-    family,
-    seed: int,
-    *,
-    tail_samples: int = TailfitConfig.tail_samples,
-    tail_dims: Sequence[int] = TailfitConfig.tail_dims,
-    validation_samples: int = TailfitConfig.validation_samples,
-    ambient_dim: int = TailfitConfig.ambient_dim,
-    reference_beta: float = TailfitConfig.reference_beta,
-) -> dict[str, Any]:
+def run_tailfit(config: TailfitConfig) -> dict[str, Any]:
     """Fit a tail-decay model, then validate the bound on fresh samples."""
-    if validation_samples < 1:
+    family, ambient_dim = config.family, config.ambient_dim
+    if config.validation_samples < 1:
         raise UsageError(
-            f"validation_samples must be >= 1, got {validation_samples!r}"
+            f"validation_samples must be >= 1, got {config.validation_samples!r}"
         )
-    fit_rng = np.random.default_rng([seed, 1])
-    model = fit_class_tail_model(family, tail_samples, tail_dims, fit_rng, ambient_dim)
-    validation_rng = np.random.default_rng([seed, 2])
+    fit_rng = np.random.default_rng([config.seed, 1])
+    model = fit_class_tail_model(
+        family, config.tail_samples, config.tail_dims, fit_rng, ambient_dim
+    )
+    validation_rng = np.random.default_rng([config.seed, 2])
     validation = [
         family.to_signal(family.sample(validation_rng, ambient_dim), ambient_dim)
-        for _ in range(validation_samples)
+        for _ in range(config.validation_samples)
     ]
-    violations = count_tail_violations(model, validation, tail_dims)
+    violations = count_tail_violations(model, validation, config.tail_dims)
     return {
         "class": family.spec_string(),
-        "seed": seed,
-        "tail_samples": tail_samples,
-        "tail_dims": list(tail_dims),
-        "validation_samples": validation_samples,
+        "seed": config.seed,
+        "tail_samples": config.tail_samples,
+        "tail_dims": list(config.tail_dims),
+        "validation_samples": config.validation_samples,
         "ambient_dim": ambient_dim,
         "constant": model.constant,
         "norm_bound": model.norm_bound,
         "fitted_beta": model.decay_exponent,
-        "reference_beta": reference_beta,
-        "beta_discrepancy": model.decay_exponent - reference_beta,
+        "reference_beta": config.reference_beta,
+        "beta_discrepancy": model.decay_exponent - config.reference_beta,
         "violations": violations,
-        "checks": validation_samples * len(tail_dims),
+        "checks": config.validation_samples * len(config.tail_dims),
     }
 
 
 def _cmd_tailfit(args: argparse.Namespace) -> int:
-    config = _load(args, TailfitConfig)
-    report = run_tailfit(
-        config.family,
-        config.seed,
-        tail_samples=config.tail_samples,
-        tail_dims=config.tail_dims,
-        validation_samples=config.validation_samples,
-        ambient_dim=config.ambient_dim,
-        reference_beta=config.reference_beta,
-    )
+    report = run_tailfit(_load(args, TailfitConfig))
     print(
         f"tailfit: class={report['class']} fitted_beta={report['fitted_beta']!r} "
         f"reference_beta={report['reference_beta']!r} "

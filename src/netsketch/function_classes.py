@@ -16,6 +16,7 @@ working dimensions downstream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import itertools
@@ -43,13 +44,10 @@ from .nets import (
     AxisLog,
     FactoredStepDecoder,
     NetPlan,
-    axis_grids,
-    build_net,
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
     position_grid,
-    snap_to_symmetric_grid,
     symmetric_grid,
 )
 
@@ -111,12 +109,19 @@ class FunctionClass:
     Members: ``sample(rng, ambient_dim)``, ``to_signal(member, ambient_dim)``,
     ``contains(member, tolerance)``, ``distance(a, b)``, ``spec_string()``,
     ``evaluate(member, t)`` and ``kinks(member)``, the points where a member
-    may jump.  Covering nets: ``net_plan(eps1)`` lays out the net's axes and
-    breakpoint configurations, ``enumerate_members(plan, m_max)`` yields every
-    center in index order, ``round_member(plan, member)`` returns the center
-    that witnesses the covering, and ``factored_decoder(plan)`` returns an
-    exact decoder that needs no enumeration, or ``None``.  A class usable as
-    the base of a warped or additive class also provides
+    may jump.
+
+    Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
+    configurations times one point on each quantized axis, and
+    ``factored_decoder(plan)`` returns an exact decoder that needs no
+    enumeration, or ``None``.  Enumeration and rounding walk that layout here,
+    for every class, through three hooks: ``member(breakpoints, values)``
+    builds the center at a configuration and one value per axis;
+    ``snap_breakpoints(plan, member)`` snaps a member's breakpoints onto a
+    configuration; and ``coordinates(plan, member, breakpoints)`` gives the
+    member's unsnapped value on each axis, given its snapped breakpoints.
+
+    A class usable as the base of a warped or additive class also provides
     ``coefficient_prefix(member, dim)``: the first ``dim`` coefficients, with
     no check on the energy beyond them.
     """
@@ -126,6 +131,28 @@ class FunctionClass:
 
     def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
         return None
+
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+        return ()
+
+    def enumerate_members(self, plan: NetPlan) -> Iterator:
+        """Every center in index order: configurations, then axis points."""
+        positions = () if plan.positions is None else plan.positions
+        grids = [axis.points() for axis in plan.axes]
+        for combo in iter_gap_tuples(len(positions), plan.jumps, plan.index_gap):
+            breakpoints = tuple(float(positions[i]) for i in combo)
+            for values in itertools.product(*grids):
+                yield self.member(breakpoints, values)
+
+    def round_member(self, plan: NetPlan, member):
+        """The center that witnesses the covering of ``member``."""
+        breakpoints = self.snap_breakpoints(plan, member)
+        coordinates = self.coordinates(plan, member, breakpoints)
+        values = tuple(
+            axis.snap(float(value))
+            for axis, value in zip(plan.axes, coordinates, strict=True)
+        )
+        return self.member(breakpoints, values)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +228,11 @@ class SmoothClass(FunctionClass):
         )
         return NetPlan(eps1=eps1, axes=axes, config_count=1)
 
-    def enumerate_members(self, plan: NetPlan, m_max: int | float) -> Iterator[Signal]:
-        for values in itertools.product(*axis_grids(plan.axes)):
-            yield Signal(np.array(values))
+    def member(self, breakpoints, values) -> Signal:
+        return Signal(np.array(values))
 
-    def round_member(self, plan: NetPlan, member: Signal) -> Signal:
-        truncation = len(plan.axes)
-        envelope = self.coefficient_envelope(truncation)
-        coeffs = np.zeros(truncation)
-        kept = min(truncation, member.ambient_dim)
-        for i in range(kept):
-            coeffs[i] = snap_to_symmetric_grid(
-                float(member.coefficients[i]), envelope[i], plan.axes[i].step
-            )[1]
-        return Signal(coeffs)
+    def coordinates(self, plan: NetPlan, member, breakpoints) -> np.ndarray:
+        return pad_or_truncate(member.coefficients, len(plan.axes))
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +383,26 @@ class PiecewiseSmoothClass(FunctionClass):
             config_count=int(configs),
             positions=positions,
             index_gap=gap,
+            jumps=s,
         )
 
-    def enumerate_members(
-        self, plan: NetPlan, m_max: int | float
-    ) -> Iterator[PiecewiseDescription]:
+    def member(self, breakpoints, values) -> PiecewiseDescription:
         per_piece = self.degree + 1
-        grids = axis_grids(plan.axes)
-        gap_tuples = iter_gap_tuples(plan.positions.size, self.max_jumps, plan.index_gap)
-        for combo in gap_tuples:
-            breakpoints = tuple(float(plan.positions[i]) for i in combo)
-            for values in itertools.product(*grids):
-                pieces = tuple(
-                    tuple(values[p * per_piece : (p + 1) * per_piece])
-                    for p in range(self.max_jumps + 1)
-                )
-                yield PiecewiseDescription(
-                    breakpoints=breakpoints,
-                    piece_coefficients=pieces,
-                    periodic=False,
-                )
+        pieces = tuple(
+            tuple(values[p * per_piece : (p + 1) * per_piece])
+            for p in range(self.max_jumps + 1)
+        )
+        return PiecewiseDescription(
+            breakpoints=breakpoints, piece_coefficients=pieces, periodic=False
+        )
 
-    def _snap_breakpoints(self, plan: NetPlan, member_points) -> tuple[float, ...]:
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
         if self.max_jumps == 0:
             return ()
         positions = plan.positions
         effective = TWO_PI / positions.size
         indices: list[int] = []
-        for b in np.sort(np.asarray(member_points, dtype=np.float64)):
+        for b in np.sort(np.asarray(member.breakpoints, dtype=np.float64)):
             idx = int(math.floor((b + math.pi) / effective))
             idx = max(0, min(positions.size - 1, idx))
             indices.append(idx)
@@ -406,29 +416,16 @@ class PiecewiseSmoothClass(FunctionClass):
             raise UsageError("member breakpoints cannot be snapped into the net grid")
         return tuple(float(positions[i]) for i in indices)
 
-    def round_member(
-        self, plan: NetPlan, member: PiecewiseDescription
-    ) -> PiecewiseDescription:
-        breakpoints = self._snap_breakpoints(plan, member.breakpoints)
-        bounds = self.coefficient_bounds()
-        steps = [plan.axes[m].step for m in range(self.degree + 1)]
+    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
+        """Each piece's local coefficients about its midpoint, piece by piece."""
         edges = [-math.pi, *breakpoints, math.pi]
-        pieces = []
+        values: list[float] = []
         for left, right in zip(edges[:-1], edges[1:]):
             midpoint = 0.5 * (left + right)
             polynomial = _piece_polynomial_at(member, midpoint)
             local = polynomial(np.polynomial.Polynomial([midpoint, 1.0]))
-            coeffs = np.zeros(self.degree + 1)
-            raw = local.coef[: self.degree + 1]
-            coeffs[: raw.size] = raw
-            rounded = tuple(
-                snap_to_symmetric_grid(float(c), bounds[m], steps[m])[1]
-                for m, c in enumerate(coeffs)
-            )
-            pieces.append(rounded)
-        return PiecewiseDescription(
-            breakpoints=breakpoints, piece_coefficients=tuple(pieces), periodic=False
-        )
+            values.extend(pad_or_truncate(local.coef, self.degree + 1))
+        return values
 
     def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
         """The exact sweep decoder, for single-jump piecewise-constant classes."""
@@ -578,30 +575,18 @@ class PiecewiseAnalyticClass(FunctionClass):
             axes=tuple(axes),
             config_count=int(math.comb(positions.size, kappa)),
             positions=positions,
+            jumps=kappa,
         )
 
-    def enumerate_members(
-        self, plan: NetPlan, m_max: int | float
-    ) -> Iterator[AnalyticStepMember]:
+    def member(self, breakpoints, values) -> AnalyticStepMember:
         kappa = self.max_jumps
-        grids = axis_grids(plan.axes)
-        level_grids, coeff_grids = grids[:kappa], grids[kappa:]
-        for combo in itertools.combinations(range(plan.positions.size), kappa):
-            breakpoints = tuple(float(plan.positions[i]) for i in combo)
-            for levels in itertools.product(*level_grids):
-                steps = PiecewiseDescription(
-                    breakpoints=breakpoints,
-                    piece_coefficients=tuple((float(v),) for v in levels),
-                    periodic=True,
-                )
-                for coeffs in itertools.product(*coeff_grids):
-                    yield AnalyticStepMember(
-                        smooth=Signal(np.array(coeffs)), steps=steps
-                    )
+        return AnalyticStepMember(
+            smooth=Signal(np.array(values[kappa:])),
+            steps=_shared(_step_component, breakpoints, values[:kappa]),
+        )
 
-    def round_member(
-        self, plan: NetPlan, member: AnalyticStepMember
-    ) -> AnalyticStepMember:
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+        """Nearest free grid points on the circle, moving on past taken ones."""
         positions = plan.positions
         count = positions.size
         effective = TWO_PI / count
@@ -621,32 +606,24 @@ class PiecewiseAnalyticClass(FunctionClass):
                 raise UsageError("step positions cannot be snapped into the net grid")
             taken.add(idx)
             indices.append(idx)
-        indices = sorted(indices)
-        snapped = [float(positions[i]) for i in indices]
-        level_step = plan.axes[0].step
-        arcs = snapped + [snapped[0] + TWO_PI]
-        levels = []
-        for left, right in zip(arcs[:-1], arcs[1:]):
-            midpoint = 0.5 * (left + right)
-            value = float(member.steps.evaluate(np.array([midpoint]))[0])
-            levels.append(
-                (snap_to_symmetric_grid(value, self.amplitude, level_step)[1],)
-            )
-        steps = PiecewiseDescription(
-            breakpoints=tuple(snapped),
-            piece_coefficients=tuple(levels),
-            periodic=True,
+        return tuple(float(positions[i]) for i in sorted(indices))
+
+    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
+        """The step levels at the snapped arcs' midpoints, then the coefficients."""
+        arcs = [*breakpoints, breakpoints[0] + TWO_PI]
+        midpoints = [0.5 * (left + right) for left, right in zip(arcs[:-1], arcs[1:])]
+        coefficients = pad_or_truncate(
+            member.smooth.coefficients, len(plan.axes) - self.max_jumps
         )
-        coeff_axes = plan.axes[self.max_jumps :]
-        n_coeffs = len(coeff_axes)
-        envelope = self.coefficient_envelope(n_coeffs)
-        kept = min(n_coeffs, member.smooth.ambient_dim)
-        rounded = np.zeros(max(n_coeffs, 1))
-        for i in range(kept):
-            rounded[i] = snap_to_symmetric_grid(
-                float(member.smooth.coefficients[i]), envelope[i], coeff_axes[i].step
-            )[1]
-        return AnalyticStepMember(smooth=Signal(rounded), steps=steps)
+        return [*member.steps.evaluate(np.array(midpoints)), *coefficients]
+
+
+def _step_component(breakpoints, levels) -> PiecewiseDescription:
+    return PiecewiseDescription(
+        breakpoints=breakpoints,
+        piece_coefficients=tuple((float(v),) for v in levels),
+        periodic=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -807,28 +784,20 @@ class WarpedClass(FunctionClass):
         axes = base_plan.axes + self._warp_axes(eps1)
         return replace(base_plan, eps1=eps1, axes=axes)
 
-    def enumerate_members(
-        self, plan: NetPlan, m_max: int | float
-    ) -> Iterator[WarpedMember]:
-        base_net = build_net(
-            self.base, plan.eps1 / 2.0, mode="materialized", m_max=m_max
+    def member(self, breakpoints, values) -> WarpedMember:
+        w = self.num_warp_params
+        return WarpedMember(
+            base_member=_shared(self.base.member, breakpoints, values[:-w]),
+            warp_params=np.array(values[-w:]),
         )
-        warp_grids = axis_grids(plan.axes[-self.num_warp_params :])
-        for base_member in base_net.members:
-            for params in itertools.product(*warp_grids):
-                yield WarpedMember(
-                    base_member=base_member, warp_params=np.array(params)
-                )
 
-    def round_member(self, plan: NetPlan, member: WarpedMember) -> WarpedMember:
-        base_plan = self.base.net_plan(plan.eps1 / 2.0)
-        base_witness = self.base.round_member(base_plan, member.base_member)
-        params = []
-        for t, axis in zip(member.warp_params, plan.axes[-self.num_warp_params :]):
-            k = int(math.floor(float(t) / axis.step + 0.5))
-            k = max(0, min(axis.count - 1, k))
-            params.append(k * axis.step)
-        return WarpedMember(base_member=base_witness, warp_params=np.array(params))
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+        return self.base.snap_breakpoints(plan, member.base_member)
+
+    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
+        base_plan = replace(plan, axes=plan.axes[: -self.num_warp_params])
+        base = self.base.coordinates(base_plan, member.base_member, breakpoints)
+        return [*base, *member.warp_params]
 
 
 # ---------------------------------------------------------------------------
@@ -948,29 +917,31 @@ class AdditiveSpanClass(FunctionClass):
         axes = base_plan.axes + self._span_axes(eps1)
         return replace(base_plan, eps1=eps1, axes=axes)
 
-    def enumerate_members(
-        self, plan: NetPlan, m_max: int | float
-    ) -> Iterator[AdditiveMember]:
-        base_net = build_net(
-            self.base, plan.eps1 / 2.0, mode="materialized", m_max=m_max
+    def member(self, breakpoints, values) -> AdditiveMember:
+        r = len(self.components)
+        return AdditiveMember(
+            base_member=_shared(self.base.member, breakpoints, values[:-r]),
+            weights=np.array(values[-r:]),
         )
-        span_grids = axis_grids(plan.axes[-len(self.components) :])
-        for base_member in base_net.members:
-            for weights in itertools.product(*span_grids):
-                yield AdditiveMember(
-                    base_member=base_member, weights=np.array(weights)
-                )
 
-    def round_member(self, plan: NetPlan, member: AdditiveMember) -> AdditiveMember:
-        base_plan = self.base.net_plan(plan.eps1 / 2.0)
-        base_witness = self.base.round_member(base_plan, member.base_member)
-        weights = np.array(
-            [
-                snap_to_symmetric_grid(float(t), self.coeff_bound, axis.step)[1]
-                for t, axis in zip(member.weights, plan.axes[-len(self.components) :])
-            ]
-        )
-        return AdditiveMember(base_member=base_witness, weights=weights)
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+        return self.base.snap_breakpoints(plan, member.base_member)
+
+    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
+        base_plan = replace(plan, axes=plan.axes[: -len(self.components)])
+        base = self.base.coordinates(base_plan, member.base_member, breakpoints)
+        return [*base, *member.weights]
+
+
+@functools.lru_cache(maxsize=1)
+def _shared(make: Callable, *args):
+    """``make(*args)``, one object for consecutive calls with equal arguments.
+
+    Enumeration yields in a row the members that share a part (an analytic
+    member's step component, a composed member's base member), so one cached
+    entry makes that part one object for all of them.
+    """
+    return make(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,12 @@ __all__ = [
     "DecodeResult",
     "MaterializedDecoder",
     "NetPlan",
-    "axis_grids",
     "build_net",
     "gap_separated_count",
     "iter_gap_tuples",
     "position_grid",
     "grid_count",
     "symmetric_grid",
-    "snap_to_symmetric_grid",
     "dump_net",
     "write_net",
 ]
@@ -90,14 +88,6 @@ def symmetric_grid(bound: float, step: float) -> np.ndarray:
     return _centered_grid(grid_count(bound, step), step)
 
 
-def snap_to_symmetric_grid(value: float, bound: float, step: float) -> tuple[int, float]:
-    """Nearest grid index and value; the grid always contains the image."""
-    half = (grid_count(bound, step) - 1) // 2
-    k = int(math.floor(value / step + 0.5))
-    k = max(-half, min(half, k))
-    return k + half, k * step
-
-
 # ---------------------------------------------------------------------------
 # Net containers
 # ---------------------------------------------------------------------------
@@ -115,6 +105,21 @@ class AxisLog:
     count: int
     step: float
     start: float | None = None
+
+    def points(self) -> np.ndarray:
+        """The axis's grid points, in index order."""
+        if self.start is None:
+            return _centered_grid(self.count, self.step)
+        return self.start + np.arange(self.count) * self.step
+
+    def snap(self, value: float) -> float:
+        """The nearest grid point, clamped to the grid's ends."""
+        if self.start is None:
+            half = (self.count - 1) // 2
+            k = int(math.floor(value / self.step + 0.5))
+            return max(-half, min(half, k)) * self.step
+        k = int(math.floor((value - self.start) / self.step + 0.5))
+        return self.start + max(0, min(self.count - 1, k)) * self.step
 
 
 @dataclass(frozen=True)
@@ -564,16 +569,13 @@ class MaterializedDecoder:
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A constructed net: counts and logs always, members when materialized."""
+    """A constructed net: its layout and counts always, members when materialized."""
 
     family: object
-    eps1: float
     mode: str
     size: int
     entropy_bits: float
-    config_count: int
-    axes: tuple[AxisLog, ...]
-    positions: np.ndarray | None = field(default=None)
+    plan: NetPlan
     members: tuple | None = field(default=None)
     decoder: FactoredStepDecoder | None = field(default=None)
 
@@ -588,8 +590,9 @@ class NetPlan:
     """A class's net at resolution ``eps1``, before any member exists.
 
     The net is every choice of one of ``config_count`` breakpoint
-    configurations (drawn from the grid ``positions``, consecutive indices at
-    least ``index_gap`` apart) times one point on each axis.
+    configurations (``jumps`` breakpoints drawn from the grid ``positions``,
+    consecutive indices at least ``index_gap`` apart) times one point on each
+    axis.
     """
 
     eps1: float
@@ -597,6 +600,7 @@ class NetPlan:
     config_count: int
     positions: np.ndarray | None = None
     index_gap: int = 1
+    jumps: int = 0
 
 
 def position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
@@ -631,19 +635,8 @@ def iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ..
             yield combo
 
 
-def axis_grids(axes: tuple[AxisLog, ...]) -> list[np.ndarray]:
-    """The points of each axis, in index order."""
-    grids = []
-    for axis in axes:
-        if axis.start is None:
-            grids.append(_centered_grid(axis.count, axis.step))
-        else:
-            grids.append(axis.start + np.arange(axis.count) * axis.step)
-    return grids
-
-
 # ---------------------------------------------------------------------------
-# Building and rounding
+# Building
 # ---------------------------------------------------------------------------
 
 
@@ -684,7 +677,7 @@ def build_net(
             raise NetTooLargeError(
                 f"net has {size} members, over the materialization budget {m_max}"
             )
-        members = tuple(family.enumerate_members(plan, m_max))
+        members = tuple(family.enumerate_members(plan))
         if len(members) != size:
             raise UsageError(
                 f"enumerated {len(members)} members but counted {size}"
@@ -695,13 +688,10 @@ def build_net(
         )
     return CoveringNet(
         family=family,
-        eps1=eps1,
         mode=mode,
         size=size,
         entropy_bits=entropy_bits,
-        config_count=plan.config_count,
-        axes=plan.axes,
-        positions=plan.positions,
+        plan=plan,
         members=members,
         decoder=decoder if mode == "factored" else None,
     )
@@ -716,7 +706,7 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
     if net.mode != "materialized":
         raise UsageError(f"only materialized nets can be serialized, not {net.mode}")
     spec = net.family.spec_string()
-    stream.write(f"eps1={net.eps1:.17g} M={net.size} spec={spec}\n")
+    stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
     for index, member in enumerate(net.members):
         if index:
             stream.write("---\n")

@@ -17,7 +17,7 @@ from netsketch.entropy import (
     greedy_cover,
     within_measurement_budget,
 )
-from netsketch.config import load_experiment_config
+from netsketch.config import JlCheckConfig, TailfitConfig, load_experiment_config
 from netsketch.experiment import audit_trial, run_experiment
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
@@ -105,7 +105,7 @@ def unclamped_trials():
 def test_jl_distortion_band_success_fraction():
     assert required_measurements(0.5, 64) == 167
     started = time.monotonic()
-    report = run_jl_check(d=512, m=64, p=0.5, draws=200, seed=9001)
+    report = run_jl_check(JlCheckConfig(seed=9001, d=512, m=64, p=0.5, seeds=200))
     elapsed = time.monotonic() - started
     assert report["n"] == 167
     assert report["success_fraction"] >= 0.5
@@ -174,7 +174,7 @@ def test_tail_model_fit_band_and_validation():
     family = PiecewiseSmoothClass(
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
-    report = run_tailfit(family, seed=0)
+    report = run_tailfit(TailfitConfig(family=family, seed=0))
     assert report["validation_samples"] == 100
     assert 0.4 <= report["fitted_beta"] <= 0.6
     assert report["violations"] == 0

@@ -11,6 +11,7 @@ import pytest
 from conftest import split_net_text
 
 from netsketch.cli import main, run_jl_check
+from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
 from netsketch.function_classes import SmoothClass
 from netsketch.jl import required_measurements
@@ -225,14 +226,15 @@ def test_jl_check_seed_flag_substitutes_for_config_key(tmp_path, capsys):
 
 
 def test_run_jl_check_is_deterministic():
-    first = run_jl_check(d=32, m=4, p=0.5, draws=5, seed=7, jl_constant=4.0)
-    second = run_jl_check(d=32, m=4, p=0.5, draws=5, seed=7, jl_constant=4.0)
+    config = JlCheckConfig(seed=7, d=32, m=4, p=0.5, seeds=5, jl_constant=4.0)
+    first = run_jl_check(config)
+    second = run_jl_check(config)
     assert first == second
 
 
 def test_run_jl_check_rejects_undersized_ambient():
     with pytest.raises(Exception, match="exceeds the ambient dimension"):
-        run_jl_check(d=8, m=64, p=0.5, draws=1, seed=0)
+        run_jl_check(JlCheckConfig(seed=0, d=8, m=64, p=0.5, seeds=1))
 
 
 # ---------------------------------------------------------------------------

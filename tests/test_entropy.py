@@ -178,7 +178,7 @@ def test_construction_entropy_matches_grid_logs():
         degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
     net = build_net(family, 0.5, mode="counted")
-    expected = math.log2(net.config_count) + sum(
-        math.log2(axis.count) for axis in net.axes
+    expected = math.log2(net.plan.config_count) + sum(
+        math.log2(axis.count) for axis in net.plan.axes
     )
     assert net.entropy_bits == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import sys
@@ -24,6 +25,7 @@ from netsketch.function_classes import (
 from netsketch.hilbert import PiecewiseDescription, Signal, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
+    AxisLog,
     FactoredStepDecoder,
     MaterializedDecoder,
     build_net,
@@ -31,7 +33,6 @@ from netsketch.nets import (
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
-    snap_to_symmetric_grid,
     symmetric_grid,
 )
 
@@ -61,12 +62,27 @@ def test_grid_count_and_symmetric_grid_basics():
 
 
 def test_snap_picks_nearest_and_clamps():
-    assert snap_to_symmetric_grid(0.49, 1.0, 1.0) == (1, 0.0)
-    assert snap_to_symmetric_grid(0.51, 1.0, 1.0) == (2, 1.0)
-    assert snap_to_symmetric_grid(-0.51, 1.0, 1.0) == (0, -1.0)
+    axis = AxisLog(label="x", count=grid_count(1.0, 1.0), step=1.0)
+    points = axis.points()
+    np.testing.assert_array_equal(points, [-1.0, 0.0, 1.0])
+    assert axis.snap(0.49) == points[1] == 0.0
+    assert axis.snap(0.51) == points[2] == 1.0
+    assert axis.snap(-0.51) == points[0] == -1.0
     # Out-of-range values clamp to the last grid point.
-    assert snap_to_symmetric_grid(7.3, 1.0, 1.0) == (2, 1.0)
-    assert snap_to_symmetric_grid(-7.3, 1.0, 1.0) == (0, -1.0)
+    assert axis.snap(7.3) == points[2] == 1.0
+    assert axis.snap(-7.3) == points[0] == -1.0
+
+
+def test_one_sided_snap_picks_nearest_and_clamps():
+    # The warp grid: points start at 0 and only go up.
+    axis = AxisLog(label="warp", count=5, step=0.25, start=0.0)
+    points = axis.points()
+    np.testing.assert_array_equal(points, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert axis.snap(0.12) == points[0] == 0.0
+    assert axis.snap(0.13) == points[1] == 0.25
+    assert axis.snap(0.6) == points[2] == 0.5
+    assert axis.snap(-3.0) == points[0] == 0.0
+    assert axis.snap(7.0) == points[4] == 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,12 +90,20 @@ def test_snap_picks_nearest_and_clamps():
     bound=st.floats(0.01, 1e3),
     ratio=st.floats(1e-3, 10.0),
     offset=st.floats(-1.0, 1.0),
+    one_sided=st.booleans(),
 )
-def test_snap_error_bounded_by_half_step(bound, ratio, offset):
+def test_snap_error_bounded_by_half_step(bound, ratio, offset, one_sided):
     step = bound * ratio
-    value = bound * offset
-    index, snapped = snap_to_symmetric_grid(value, bound, step)
-    assert 0 <= index < grid_count(bound, step)
+    if one_sided:
+        # A warp-style grid over [0, bound], as ``WarpedClass`` lays it out.
+        count = int(math.floor(bound / step + 0.5)) + 1
+        axis = AxisLog(label="warp", count=count, step=step, start=0.0)
+        value = bound * abs(offset)
+    else:
+        axis = AxisLog(label="x", count=grid_count(bound, step), step=step)
+        value = bound * offset
+    snapped = axis.snap(value)
+    assert np.any(axis.points() == snapped)
     assert abs(snapped - value) <= 0.5 * step * (1.0 + 1e-9) + 1e-12
 
 
@@ -98,24 +122,25 @@ def test_gap_separated_count_matches_enumeration():
 def test_single_jump_net_matches_hand_counts():
     family = step_class()
     net = build_net(family, 0.5, mode="counted")
-    assert net.config_count == 403
-    assert [axis.count for axis in net.axes] == [15, 15]
+    assert net.plan.config_count == 403
+    assert [axis.count for axis in net.plan.axes] == [15, 15]
     assert net.size == 403 * 15 * 15 == 90675
-    assert net.positions.size == 403
-    assert np.all(net.positions > -math.pi) and np.all(net.positions < math.pi)
-    spacing = np.diff(net.positions)
+    positions = net.plan.positions
+    assert positions.size == 403
+    assert np.all(positions > -math.pi) and np.all(positions < math.pi)
+    spacing = np.diff(positions)
     np.testing.assert_allclose(spacing, TWO_PI / 403, rtol=1e-12)
 
     finer = build_net(family, 0.1, mode="counted")
-    assert finer.config_count == 10054
-    assert [axis.count for axis in finer.axes] == [71, 71]
+    assert finer.plan.config_count == 10054
+    assert [axis.count for axis in finer.plan.axes] == [71, 71]
     assert finer.size == 10054 * 71 * 71 == 50_682_214
 
 
 def test_flat_class_net_is_a_single_member():
     family = step_class(max_jumps=0)
     net = build_net(family, 6.0)
-    plan = family.net_plan(net.eps1)
+    plan = net.plan
     assert net.mode == "materialized"
     assert net.size == 1 and len(net.members) == 1
     only = net.members[0]
@@ -131,11 +156,11 @@ def test_flat_class_net_is_a_single_member():
 def test_two_jump_net_configurations():
     family = step_class(max_jumps=2, min_gap=1.5)
     net = build_net(family, 3.0, mode="materialized")
-    plan = family.net_plan(net.eps1)
-    positions = net.positions
+    plan = net.plan
+    positions = plan.positions
     effective = TWO_PI / positions.size
     assert positions.size == 23
-    assert net.config_count == math.comb(20, 2) == 190
+    assert plan.config_count == math.comb(20, 2) == 190
     assert net.size == 190 * 3**3 == 5130 == len(net.members)
 
     # Center breakpoints may sit closer than the pristine minimum gap by the
@@ -149,7 +174,7 @@ def test_two_jump_net_configurations():
         i1 = int(np.argmin(np.abs(positions - b[1])))
         assert i1 - i0 >= 4  # configuration gap in grid indices
         assert family.contains(member, tolerance=gap_tolerance)
-    assert len(pairs) == net.config_count
+    assert len(pairs) == plan.config_count
 
     rng = np.random.default_rng(21)
     for _ in range(15):
@@ -162,8 +187,8 @@ def test_two_jump_net_configurations():
 def test_rounding_bumps_colliding_breakpoints_forward():
     family = step_class(max_jumps=2, min_gap=1.5)
     net = build_net(family, 3.0, mode="counted")
-    plan = family.net_plan(net.eps1)
-    effective = TWO_PI / net.positions.size
+    plan = net.plan
+    effective = TWO_PI / plan.positions.size
     # Breakpoints closer than the configuration gap still snap to a
     # configuration of the net: the second index is pushed forward.
     member = PiecewiseDescription(
@@ -183,7 +208,7 @@ def test_rounding_bumps_colliding_breakpoints_forward():
 def test_witness_within_resolution_single_jump():
     family = step_class()
     net = build_net(family, 0.5, mode="counted")
-    plan = family.net_plan(net.eps1)
+    plan = net.plan
     rng = np.random.default_rng(101)
     for _ in range(40):
         member = family.sample(rng, 512)
@@ -196,7 +221,7 @@ def test_witness_within_resolution_piecewise_linear():
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
     net = build_net(family, 0.75, mode="counted")
-    plan = family.net_plan(net.eps1)
+    plan = net.plan
     rng = np.random.default_rng(202)
     for _ in range(25):
         member = family.sample(rng, 512)
@@ -207,7 +232,7 @@ def test_witness_within_resolution_piecewise_linear():
 def test_witness_within_resolution_smooth():
     family = SmoothClass(smoothness=2, amplitude=100.0)
     net = build_net(family, 0.5, mode="counted")
-    plan = family.net_plan(net.eps1)
+    plan = net.plan
     rng = np.random.default_rng(303)
     for _ in range(40):
         member = family.sample(rng, 512)
@@ -218,7 +243,7 @@ def test_witness_within_resolution_smooth():
 def test_witness_within_resolution_analytic():
     family = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
     net = build_net(family, 1.0, mode="counted")
-    plan = family.net_plan(net.eps1)
+    plan = net.plan
     rng = np.random.default_rng(404)
     for _ in range(20):
         member = family.sample(rng, 512)
@@ -235,14 +260,14 @@ def test_witness_within_resolution_warped():
     ):
         family = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
         net = build_net(family, 1.0, mode="counted")
-        plan = family.net_plan(net.eps1)
+        plan = net.plan
         rng = np.random.default_rng(505)
         for _ in range(8):
             member = family.sample(rng, 512)
             witness = family.round_member(plan, member)
             assert family.distance(member, witness) <= 1.0
             # Warp parameters land on the one-sided grid.
-            step = net.axes[-1].step
+            step = plan.axes[-1].step
             for tau in witness.warp_params:
                 assert tau >= 0.0
                 assert abs(tau / step - round(tau / step)) < 1e-9
@@ -257,12 +282,53 @@ def test_witness_within_resolution_additive():
     for base, eps1 in bases:
         family = AdditiveSpanClass(base=base, components=components, coeff_bound=1.0)
         net = build_net(family, eps1, mode="counted")
-        plan = family.net_plan(net.eps1)
+        plan = net.plan
         rng = np.random.default_rng(606)
         for _ in range(25):
             member = family.sample(rng, 512)
             witness = family.round_member(plan, member)
             assert family.distance(member, witness) <= eps1
+
+
+def member_bytes(value) -> bytes:
+    """Every number of a member, as the bytes of its float64 value."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return b"(" + b",".join(member_bytes(getattr(value, f.name)) for f in fields) + b")"
+    if isinstance(value, tuple):
+        return b"[" + b",".join(member_bytes(v) for v in value) + b"]"
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def test_witness_is_a_center_bit_for_bit():
+    components = (
+        Signal(np.array([0.0, 1.0, 0.0, 0.5])),
+        Signal(np.array([0.0, 0.0, 1.0, 0.0, 0.25])),
+    )
+    cases = (
+        (SmoothClass(smoothness=2, amplitude=1.0), 0.5),
+        (step_class(), 1.5),
+        (step_class(max_jumps=0), 6.0),
+        (step_class(max_jumps=2, min_gap=1.5), 3.0),
+        (step_class(degree=1), 6.0),
+        (PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5), 2.0),
+        (WarpedClass(base=SmoothClass(2, 1.0), num_warp_params=1, lipschitz_bound=1.0), 2.0),
+        (WarpedClass(base=step_class(), num_warp_params=1, lipschitz_bound=1.0), 3.0),
+        (AdditiveSpanClass(SmoothClass(2, 2.0), components, coeff_bound=1.0), 1.2),
+        (AdditiveSpanClass(step_class(), components, coeff_bound=1.0), 3.0),
+    )
+    rng = np.random.default_rng(707)
+    for family, eps1 in cases:
+        net = build_net(family, eps1, mode="materialized")
+        centers = {member_bytes(center): index for index, center in enumerate(net.members)}
+        assert len(centers) == net.size
+        for _ in range(40):
+            witness = family.round_member(net.plan, family.sample(rng, 128))
+            assert member_bytes(witness) in centers
+        for index in rng.choice(net.size, size=min(40, net.size), replace=False):
+            center = net.members[index]
+            fixed = member_bytes(family.round_member(net.plan, center))
+            assert centers[fixed] == index
 
 
 def test_centers_are_members_with_grid_overshoot_tolerance():
@@ -271,7 +337,7 @@ def test_centers_are_members_with_grid_overshoot_tolerance():
     assert net.size == 234
     # Grids may overshoot a bound by half a step, so membership of the
     # centers holds under the matching relative slack.
-    slack = max(axis.step for axis in net.axes) / (2.0 * 0.5)
+    slack = max(axis.step for axis in net.plan.axes) / (2.0 * 0.5)
     assert all(family.contains(member, tolerance=slack) for member in net.members)
 
     step_net = build_net(step_class(), 1.5, mode="materialized")
@@ -297,7 +363,7 @@ def test_composed_net_sizes_factor_exactly():
     net = build_net(warped, 1.0, mode="counted")
     base_net = build_net(base, 0.5, mode="counted")
     overhead = 1
-    for axis in net.axes[-2:]:
+    for axis in net.plan.axes[-2:]:
         overhead *= axis.count
     assert net.size == base_net.size * overhead
 
@@ -313,7 +379,7 @@ def test_composed_net_sizes_factor_exactly():
     add_net = build_net(additive, 0.6, mode="counted")
     add_base = build_net(additive.base, 0.3, mode="counted")
     overhead = 1
-    for axis in add_net.axes[-2:]:
+    for axis in add_net.plan.axes[-2:]:
         overhead *= axis.count
     assert add_net.size == add_base.size * overhead
 
@@ -333,7 +399,7 @@ def test_materialized_warp_grid_is_one_sided():
     base = SmoothClass(smoothness=2, amplitude=1.0)
     family = WarpedClass(base=base, num_warp_params=1, lipschitz_bound=1.0)
     net = build_net(family, 2.0, mode="materialized")
-    axis = net.axes[-1]
+    axis = net.plan.axes[-1]
     assert axis.start == 0.0
     assert net.size == len(net.members)
     taus = sorted({float(member.warp_params[0]) for member in net.members})
