@@ -11,7 +11,7 @@ in three modes:
   ``d`` coefficients, or their images under a measurement operator.
 - ``factored``: for single-jump piecewise-constant classes the net is a
   product of a breakpoint grid and two level grids, and ``FactoredStepDecoder``
-  finds the nearest member exactly by sweeping configurations with the inner
+  finds the nearest member exactly by a branch-and-bound sweep with the inner
   minimization solved in closed form.
 
 Both decoders answer ``decode_coefficients(target)`` and
@@ -57,6 +57,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(TWO_PI)
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 DEFAULT_NET_BUDGET = 10**6
 
@@ -248,8 +249,8 @@ class FactoredStepDecoder:
 
     Net members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, with
     ``b`` on a breakpoint grid and levels on a shared symmetric grid.  For a
-    fixed configuration the best ``c1`` solves a scalar quadratic, so the
-    sweep touches every configuration without enumerating the full product.
+    fixed configuration the best ``c1`` solves a scalar quadratic, and a
+    per-breakpoint lower bound skips the breakpoints that cannot win.
 
     The breakpoints must be a uniform grid of pitch ``2 pi / P`` (as
     ``position_grid`` makes them): every term the sweep needs is then a
@@ -384,29 +385,16 @@ class FactoredStepDecoder:
         )
         return terms
 
-    def _sweep(
-        self,
-        q0: np.ndarray,
-        q_full: float,
-        g00: np.ndarray,
-        g0f: np.ndarray,
-        gff: float,
-    ) -> tuple[int, int, int]:
-        """Minimize ``|target - c0 w - c1 (v - w)|`` over the grid.
+    def _objective_rows(self, q0, q1, g00, g01, g11) -> tuple[np.ndarray, np.ndarray]:
+        """The objective at each (row, ``c0``), and the best ``c1`` index ``k``.
 
-        ``q0``/``q_full`` are inner products of the target with the indicator
-        rows and the constant-one function; ``g00``/``g0f``/``gff`` the
-        corresponding Gram entries, all in the working geometry.  Returns the
-        winner's breakpoint, ``c0`` and ``c1`` indices.
+        In place, one rounding step per line, each formula left to right:
+          c1_opt = (q1 - g01 c0) / g11,  k = clip(floor(c1_opt / step + 1/2))
+          objective = -2 (c0 q0 + c1 q1) + c0^2 g00 + 2 c0 c1 g01 + c1^2 g11
+        Every step is elementwise, so a row's bits do not depend on the others.
         """
         c0 = self.levels
-        q1 = q_full - q0
-        g01 = g0f - g00
-        g11 = gff - 2.0 * g0f + g00
-        half = (self.levels.size - 1) // 2
-        # In place, one rounding step per line, each formula left to right:
-        #   c1_opt = (q1 - g01 c0) / g11,  k = clip(floor(c1_opt / step + 1/2))
-        #   objective = -2 (c0 q0 + c1 q1) + c0^2 g00 + 2 c0 c1 g01 + c1^2 g11
+        half = (c0.size - 1) // 2
         k = np.multiply.outer(g01, c0)
         np.subtract(q1[:, None], k, out=k)
         k /= g11[:, None]
@@ -426,8 +414,70 @@ class FactoredStepDecoder:
         np.square(c1, out=c1)
         c1 *= g11[:, None]
         objective += c1
-        p_idx, c0_idx = divmod(int(np.argmin(objective)), c0.size)
-        return p_idx, c0_idx, int(k[p_idx, c0_idx]) + half
+        return objective, k + half
+
+    def _sweep(
+        self,
+        q0: np.ndarray,
+        q_full: float,
+        g00: np.ndarray,
+        g0f: np.ndarray,
+        gff: float,
+    ) -> tuple[int, int, int]:
+        """Minimize ``|target - c0 w - c1 (v - w)|`` over the grid, exactly.
+
+        ``q0``/``q_full`` are inner products of the target with the indicator
+        rows and the constant-one function; ``g00``/``g0f``/``gff`` the
+        corresponding Gram entries, all in the working geometry.  Returns the
+        winner's breakpoint, ``c0`` and ``c1`` indices.
+
+        Branch and bound (Fincke & Pohst 1985; Agrell et al. 2002): where
+        ``G = [[g00, g01], [g01, g11]]`` is positive definite, no real
+        ``(c0, c1)`` beats ``beta = -q^T G^-1 q``.  The best-bounded
+        breakpoint is swept first; its best objective ``U`` prunes every
+        breakpoint whose ``beta - slack`` exceeds ``U``, and the rest are swept
+        in ascending order.  The winner, its objective bits and the
+        lowest-index tie-break are then those of sweeping every breakpoint.
+
+        ``slack`` bounds the rounding of both sides.  A sum whose terms each
+        pass through at most ``m`` roundings is off by at most ``gamma_m =
+        m u / (1 - m u)`` times their magnitudes' sum (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, ch. 3).  Objective terms pass
+        through at most five, and ``|c0|, |c1| <= L``, the largest level: a
+        computed objective is within ``gamma_5 T``, ``T = 2 L (|q0| + |q1|)
+        + L^2 (g00 + 2 |g01| + |g11|)``.  ``beta``'s numerator is within
+        ``gamma_4 N~`` (``N~`` its terms' magnitudes) and ``D = det G`` within
+        ``gamma_2 D~``, ``D~ = g00 g11 + g01^2``, so ``beta`` is within
+        ``gamma_4 (|beta| D~ + N~) / D`` to first order.  Breakpoints with
+        ``g00 <= 0`` or ``D <= 1e-8 g00 g11`` (``w(b) -> 0`` near ``b = -pi``)
+        are never pruned; elsewhere ``D~ / D < 2e8``, higher orders add under
+        ``1e-7`` of this, and ``slack = 2 gamma_5 (T + (|beta| D~ + N~) / D)``.
+        """
+        q1, g01, g11 = q_full - q0, g0f - g00, gff - 2.0 * g0f + g00
+        inputs = np.stack((q0, q1, g00, g01, g11))
+        det = g00 * g11 - g01 * g01
+        bound = -(g11 * q0 * q0 - 2.0 * g01 * q0 * q1 + g00 * q1 * q1) / det
+        top = float(self.levels[-1])  # the grid is symmetric: L = levels[-1]
+        slack = (np.abs(q0) + np.abs(q1)) * 2.0 * top
+        slack += (g00 + 2.0 * np.abs(g01) + np.abs(g11)) * top**2
+        spread = g11 * q0 * q0 + np.abs(2.0 * g01 * q0 * q1) + g00 * q1 * q1
+        slack += (np.abs(bound) * (g00 * g11 + g01 * g01) + spread) / det
+        lower = bound - slack * (10.0 * _UNIT_ROUNDOFF / (1.0 - 5.0 * _UNIT_ROUNDOFF))
+        valid = (g00 > 0.0) & (det > 1e-8 * g00 * g11) & np.isfinite(lower)
+        lower[~valid] = -np.inf
+        seed = int(np.argmin(np.where(valid, bound, np.inf)))
+        keep = lower <= np.min(self._objective_rows(*inputs[:, seed : seed + 1])[0])
+        keep[seed] = True
+        kept = np.flatnonzero(keep)
+        objective, k = self._objective_rows(*inputs[:, kept])
+        row, c0_idx = divmod(int(np.argmin(objective)), self.levels.size)
+        logger.debug(
+            "factored decode: swept %d of %d breakpoints (%d never pruned)",
+            kept.size,
+            keep.size,
+            np.count_nonzero(~valid),
+        )
+        return int(kept[row]), c0_idx, int(k[row, c0_idx])
 
     def _decoded(
         self, winner: tuple[int, int, int], d: int, measure, target: np.ndarray

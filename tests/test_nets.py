@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import io
+import logging
 import math
+import re
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -697,6 +702,118 @@ def test_decoder_input_validation():
         decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
     with pytest.raises(UsageError):
         MaterializedDecoder(materialized.members[1:], decoder.rows)
+
+
+# ---------------------------------------------------------------------------
+# Branch-and-bound decode against the full sweep
+# ---------------------------------------------------------------------------
+
+
+def full_sweep(self, q0, q_full, g00, g0f, gff):
+    """Reference: every (breakpoint, ``c0``) pair, in the decoder's arithmetic.
+
+    The factored decoder's sweep before it pruned breakpoints, kept here as
+    the oracle the pruned sweep must match bit for bit.
+    """
+    c0 = self.levels
+    q1 = q_full - q0
+    g01 = g0f - g00
+    g11 = gff - 2.0 * g0f + g00
+    half = (self.levels.size - 1) // 2
+    k = np.multiply.outer(g01, c0)
+    np.subtract(q1[:, None], k, out=k)
+    k /= g11[:, None]
+    k /= self.level_step
+    k += 0.5
+    np.floor(k, out=k)
+    np.clip(k, -half, half, out=k)
+    c1 = k * self.level_step
+    objective = np.multiply.outer(q0, c0)
+    term = c1 * q1[:, None]
+    objective += term
+    objective *= -2.0
+    objective += np.multiply.outer(g00, c0**2)
+    np.multiply(2.0 * c0, c1, out=term)
+    term *= g01[:, None]
+    objective += term
+    np.square(c1, out=c1)
+    c1 *= g11[:, None]
+    objective += c1
+    p_idx, c0_idx = divmod(int(np.argmin(objective)), c0.size)
+    return p_idx, c0_idx, int(k[p_idx, c0_idx]) + half
+
+
+@functools.lru_cache(maxsize=1)
+def bench_step_decoders():
+    """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1), and
+    a copy that sweeps every breakpoint."""
+    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    assert (decoder.positions.size, decoder.levels.size) == (10_054, 71)
+    reference = copy.copy(decoder)
+    reference._sweep = types.MethodType(full_sweep, reference)
+    return decoder, reference
+
+
+def step_member_coefficients(b, c0, c1, d):
+    coefficients = (c0 - c1) * dense_indicator_rows([b], d)[0]
+    coefficients[0] += c1 * math.sqrt(TWO_PI)
+    return coefficients
+
+
+def assert_same_decode(got, want):
+    assert got.index == want.index
+    assert got.distance.hex() == want.distance.hex()
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.member == want.member
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["member", "constant"]),
+    noise=st.sampled_from([0.0, 1e-9, 1e-4, 0.03, 0.3]),
+    operator_seed=st.integers(0, 2**31 - 1),
+    data_seed=st.integers(0, 2**31 - 1),
+)
+def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_seed):
+    decoder, reference = bench_step_decoders()
+    d, n = 300, 150
+    operator = random_subspace(d, n, seed=operator_seed)
+    rng = np.random.default_rng(data_seed)
+    if kind == "constant":
+        level = rng.choice(decoder.levels)  # c * 1 ties at every breakpoint
+        target = step_member_coefficients(0.0, level, level, d)
+    else:
+        b = rng.choice(decoder.positions)
+        target = step_member_coefficients(b, *rng.choice(decoder.levels, 2), d)
+        target += noise * rng.normal(size=d)
+    for decode in (
+        lambda dec, x: dec.decode_coefficients(x),
+        lambda dec, x: dec.decode_measurements(apply_operator(operator, x), operator),
+    ):
+        want = decode(reference, target)
+        assert_same_decode(decode(decoder, target), want)
+        # On a member the winner's objective meets its bound up to rounding.
+        member = decode(reference, want.coefficients)
+        assert_same_decode(decode(decoder, want.coefficients), member)
+
+
+def test_pruning_sweeps_few_breakpoints(caplog):
+    decoder, _ = bench_step_decoders()
+    d, n = 1_886, 710  # the bench's fitted d and n at seed 1
+    operator = random_subspace(d, n, seed=11)
+    rng = np.random.default_rng(101)
+    with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
+        for _ in range(20):
+            # Constant members (c0 = c1) tie at every breakpoint and sweep them all.
+            c0, c1 = rng.choice(decoder.levels, 2, replace=False)
+            target = step_member_coefficients(rng.choice(decoder.positions), c0, c1, d)
+            decoder.decode_coefficients(target)
+            decoder.decode_measurements(apply_operator(operator, target), operator)
+    line = re.compile(r"factored decode: swept (\d+) of 10054 breakpoints \(\d+ never pruned\)")
+    swept = [int(match.group(1)) for match in map(line.fullmatch, caplog.messages) if match]
+    assert len(swept) == 40
+    assert np.median(swept[0::2]) <= 0.01 * 10_054
+    assert np.median(swept[1::2]) <= 0.01 * 10_054
 
 
 # ---------------------------------------------------------------------------
