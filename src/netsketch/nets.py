@@ -385,34 +385,33 @@ class FactoredStepDecoder:
         )
         return terms
 
-    def _objective_rows(self, q0, q1, g00, g01, g11) -> tuple[np.ndarray, np.ndarray]:
-        """The objective at each (row, ``c0``), and the best ``c1`` index ``k``.
+    def _objective_pairs(self, q0, q1, g00, g01, g11, c0) -> tuple[np.ndarray, np.ndarray]:
+        """The objective at each (breakpoint, ``c0``) pair, and its best ``c1`` index.
 
         In place, one rounding step per line, each formula left to right:
           c1_opt = (q1 - g01 c0) / g11,  k = clip(floor(c1_opt / step + 1/2))
           objective = -2 (c0 q0 + c1 q1) + c0^2 g00 + 2 c0 c1 g01 + c1^2 g11
-        Every step is elementwise, so a row's bits do not depend on the others.
+        Every step is elementwise, so a pair's bits do not depend on the others.
         """
-        c0 = self.levels
-        half = (c0.size - 1) // 2
-        k = np.multiply.outer(g01, c0)
-        np.subtract(q1[:, None], k, out=k)
-        k /= g11[:, None]
+        half = (self.levels.size - 1) // 2
+        k = g01 * c0
+        np.subtract(q1, k, out=k)
+        k /= g11
         k /= self.level_step
         k += 0.5
         np.floor(k, out=k)
         np.clip(k, -half, half, out=k)
         c1 = k * self.level_step
-        objective = np.multiply.outer(q0, c0)
-        term = c1 * q1[:, None]
+        objective = q0 * c0
+        term = c1 * q1
         objective += term
         objective *= -2.0
-        objective += np.multiply.outer(g00, c0**2)
+        objective += g00 * c0**2
         np.multiply(2.0 * c0, c1, out=term)
-        term *= g01[:, None]
+        term *= g01
         objective += term
         np.square(c1, out=c1)
-        c1 *= g11[:, None]
+        c1 *= g11
         objective += c1
         return objective, k + half
 
@@ -432,12 +431,16 @@ class FactoredStepDecoder:
         winner's breakpoint, ``c0`` and ``c1`` indices.
 
         Branch and bound (Fincke & Pohst 1985; Agrell et al. 2002): where
-        ``G = [[g00, g01], [g01, g11]]`` is positive definite, no real
-        ``(c0, c1)`` beats ``beta = -q^T G^-1 q``.  The best-bounded
-        breakpoint is swept first; its best objective ``U`` prunes every
-        breakpoint whose ``beta - slack`` exceeds ``U``, and the rest are swept
-        in ascending order.  The winner, its objective bits and the
-        lowest-index tie-break are then those of sweeping every breakpoint.
+        ``G = [[g00, g01], [g01, g11]]`` is positive definite, the objective
+        at ``c0`` is at least ``beta + S (c0 - c0*)^2`` for every ``c1``, with
+        ``beta = -q^T G^-1 q``, ``S = D / g11``, ``D = det G`` and ``c0* =
+        (g11 q0 - g01 q1) / D``.  The best-bounded breakpoint is swept first;
+        with its best objective ``U`` and ``lower = beta - slack``, another
+        breakpoint sweeps only the levels within ``sqrt((U - lower) / S)`` of
+        ``c0*``, none if ``lower > U``.  A near-constant target ties at every
+        breakpoint, and still sweeps about one level at each.  The pairs are
+        swept in ascending order, so the winner, its objective bits and the
+        lowest-index tie-break are those of sweeping every pair.
 
         ``slack`` bounds the rounding of both sides.  A sum whose terms each
         pass through at most ``m`` roundings is off by at most ``gamma_m =
@@ -446,38 +449,57 @@ class FactoredStepDecoder:
         through at most five, and ``|c0|, |c1| <= L``, the largest level: a
         computed objective is within ``gamma_5 T``, ``T = 2 L (|q0| + |q1|)
         + L^2 (g00 + 2 |g01| + |g11|)``.  ``beta``'s numerator is within
-        ``gamma_4 N~`` (``N~`` its terms' magnitudes) and ``D = det G`` within
+        ``gamma_4 N~`` (``N~`` its terms' magnitudes) and ``D`` within
         ``gamma_2 D~``, ``D~ = g00 g11 + g01^2``, so ``beta`` is within
         ``gamma_4 (|beta| D~ + N~) / D`` to first order.  Breakpoints with
         ``g00 <= 0`` or ``D <= 1e-8 g00 g11`` (``w(b) -> 0`` near ``b = -pi``)
-        are never pruned; elsewhere ``D~ / D < 2e8``, higher orders add under
+        sweep every level; elsewhere ``D~ / D < 2e8``, higher orders add under
         ``1e-7`` of this, and ``slack = 2 gamma_5 (T + (|beta| D~ + N~) / D)``.
+        Likewise ``c0*`` is within ``gamma_3 (|g11 q0| + |g01 q1| + |c0*| D~)
+        / D`` and ``S`` within a factor ``1 + 1e-7``; the window's half-width
+        adds twice the first, and a factor ``1 + 1e-6`` covers the rest.
         """
+        levels = self.levels
         q1, g01, g11 = q_full - q0, g0f - g00, gff - 2.0 * g0f + g00
-        inputs = np.stack((q0, q1, g00, g01, g11))
         det = g00 * g11 - g01 * g01
         bound = -(g11 * q0 * q0 - 2.0 * g01 * q0 * q1 + g00 * q1 * q1) / det
-        top = float(self.levels[-1])  # the grid is symmetric: L = levels[-1]
+        top = float(levels[-1])  # the grid is symmetric: L = levels[-1]
         slack = (np.abs(q0) + np.abs(q1)) * 2.0 * top
         slack += (g00 + 2.0 * np.abs(g01) + np.abs(g11)) * top**2
         spread = g11 * q0 * q0 + np.abs(2.0 * g01 * q0 * q1) + g00 * q1 * q1
         slack += (np.abs(bound) * (g00 * g11 + g01 * g01) + spread) / det
         lower = bound - slack * (10.0 * _UNIT_ROUNDOFF / (1.0 - 5.0 * _UNIT_ROUNDOFF))
         valid = (g00 > 0.0) & (det > 1e-8 * g00 * g11) & np.isfinite(lower)
-        lower[~valid] = -np.inf
         seed = int(np.argmin(np.where(valid, bound, np.inf)))
-        keep = lower <= np.min(self._objective_rows(*inputs[:, seed : seed + 1])[0])
-        keep[seed] = True
-        kept = np.flatnonzero(keep)
-        objective, k = self._objective_rows(*inputs[:, kept])
-        row, c0_idx = divmod(int(np.argmin(objective)), self.levels.size)
+        inputs = (q0, q1, g00, g01, g11)
+        incumbent = np.min(self._objective_pairs(*(a[seed] for a in inputs), levels)[0])
+        # Levels [lo, hi) swept at each breakpoint: all of them at the seed and
+        # where G is near singular, else a window about c0*, empty if pruned.
+        lo, hi = np.zeros(q0.size, dtype=np.intp), np.full(q0.size, levels.size)
+        hi[valid] = 0
+        rows = np.flatnonzero(valid & (lower <= incumbent))
+        r0, r1, r00, r01, r11, rdet = (a[rows] for a in (*inputs, det))
+        centre = (r11 * r0 - r01 * r1) / rdet
+        shift = np.abs(r11 * r0) + np.abs(r01 * r1) + np.abs(centre) * (r00 * r11 + r01 * r01)
+        shift *= 6.0 * _UNIT_ROUNDOFF / (1.0 - 3.0 * _UNIT_ROUNDOFF) / rdet
+        radius = (np.sqrt((incumbent - lower[rows]) * r11 / rdet) + shift) * (1.0 + 1e-6)
+        lo[rows] = np.searchsorted(levels, centre - radius)
+        hi[rows] = np.searchsorted(levels, centre + radius, side="right")
+        lo[seed], hi[seed] = 0, levels.size
+        counts = hi - lo
+        pairs = np.repeat(np.arange(q0.size), counts)
+        columns = np.arange(pairs.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        objective, k = self._objective_pairs(*(a[pairs] for a in inputs), levels[columns])
+        best = int(np.argmin(objective))
         logger.debug(
-            "factored decode: swept %d of %d breakpoints (%d never pruned)",
-            kept.size,
-            keep.size,
+            "factored decode: swept %d of %d breakpoints (%d of %d pairs, %d never pruned)",
+            np.count_nonzero(counts),
+            q0.size,
+            pairs.size,
+            counts.size * levels.size,
             np.count_nonzero(~valid),
         )
-        return int(kept[row]), c0_idx, int(k[row, c0_idx])
+        return int(pairs[best]), int(columns[best]), int(k[best])
 
     def _decoded(
         self, winner: tuple[int, int, int], d: int, measure, target: np.ndarray

@@ -802,18 +802,29 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     d, n = 1_886, 710  # the bench's fitted d and n at seed 1
     operator = random_subspace(d, n, seed=11)
     rng = np.random.default_rng(101)
+    targets = []
+    for _ in range(20):
+        c0, c1 = rng.choice(decoder.levels, 2, replace=False)
+        targets.append(step_member_coefficients(rng.choice(decoder.positions), c0, c1, d))
+    # A constant (c0 = c1) ties at every breakpoint, so none can be pruned;
+    # the level window still skips all levels but about one of each.
+    for noise in (0.0, 1e-3):
+        level = rng.choice(decoder.levels)
+        targets.append(step_member_coefficients(0.0, level, level, d) + noise * rng.normal(size=d))
     with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
-        for _ in range(20):
-            # Constant members (c0 = c1) tie at every breakpoint and sweep them all.
-            c0, c1 = rng.choice(decoder.levels, 2, replace=False)
-            target = step_member_coefficients(rng.choice(decoder.positions), c0, c1, d)
+        for target in targets:
             decoder.decode_coefficients(target)
             decoder.decode_measurements(apply_operator(operator, target), operator)
-    line = re.compile(r"factored decode: swept (\d+) of 10054 breakpoints \(\d+ never pruned\)")
-    swept = [int(match.group(1)) for match in map(line.fullmatch, caplog.messages) if match]
-    assert len(swept) == 40
-    assert np.median(swept[0::2]) <= 0.01 * 10_054
-    assert np.median(swept[1::2]) <= 0.01 * 10_054
+    line = re.compile(
+        r"factored decode: swept (\d+) of 10054 breakpoints"
+        r" \((\d+) of 713834 pairs, \d+ never pruned\)"
+    )
+    matches = [match for match in map(line.fullmatch, caplog.messages) if match]
+    swept = np.array([(int(match.group(1)), int(match.group(2))) for match in matches])
+    assert swept.shape == (44, 2)
+    assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_054
+    assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_054
+    assert np.all(swept[:, 1] <= 2 * 10_054)
 
 
 # ---------------------------------------------------------------------------
