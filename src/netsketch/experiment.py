@@ -308,9 +308,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         )
         fixed_signal = family.to_signal(member, config.ambient_dim)
     else:
-        # Every trial measures through this operator: draw it in set-up,
-        # before worker threads share the sampler.
-        sampler.operator
+        # Every trial measures through this operator: draw it and build the
+        # decoder's terms for it in set-up, before worker threads share them.
+        sampler.decoder.prepare(sampler.operator)
 
     def worker(trial: int) -> tuple[dict[str, Any], TrialAudit]:
         return _run_trial(config, sampler, fixed_signal, delta, trial)

@@ -6,12 +6,15 @@ first ``d`` coefficients, projects onto the row span, and rescales by
 ``sqrt(d / n)`` so that squared norms are preserved in expectation over a
 uniformly random subspace.  The measurement count needed for a target success
 probability over a finite point set follows the usual Johnson-Lindenstrauss
-accounting: ``n = ceil(c / (1 - p) * ln m)``.
+accounting: ``n = ceil(c / (1 - p) * ln m)``.  An operator's rows are the
+orthonormalized columns of a Gaussian ``d x n`` draw, by verified Cholesky QR.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,10 @@ SEED_RANGE = 2**63 - 1
 
 _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
+_CHOLESKY_PASSES = 3
+_PRODUCT_ROWS = 64
+
+logger = logging.getLogger(__name__)
 
 
 def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONSTANT) -> int:
@@ -90,29 +97,67 @@ class MeasurementOperator:
         return math.sqrt(self.d / self.n)
 
 
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive halving (``n^3 / 3`` flops)."""
+    n = lower.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(lower))
+    h = n // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = _lower_inverse(lower[:h, :h])
+    out[h:, h:] = _lower_inverse(lower[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
+    return out
+
+
 def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     """Draw a uniformly random ``n``-dimensional subspace of ``R^d``.
 
-    Orthonormalizes ``n`` independent Gaussian vectors by QR decomposition.
-    Rank deficiency has probability zero but is still checked; after three
-    fresh redraws a failure is treated as an internal error.
+    The frame is the ``Q`` factor, with positive ``diag R``, of a Gaussian
+    ``d x n`` draw ``G``.  That factor is unique: with ``G^T G = L L^T``
+    (Cholesky), ``Q^T = L^{-1} G^T``.  Cholesky QR leaves an orthogonality
+    error near ``kappa(G)^2 u``, so each pass is verified and, if it fails, run
+    again on its own output (CholeskyQR2, Fukaya et al. 2014), three at most.  Rounding
+    an exactly orthonormal frame leaves ``|F F^T - I| <= 2u + u^2`` entrywise,
+    and computing ``F F^T`` adds at most ``gamma_d |f_i| |f_j| ~ d u`` (Higham,
+    *Accuracy and Stability*, section 3.1), so a frame is accepted when the
+    computed ``max |F F^T - I| <= (d + 2) eps``, twice that floor.  A
+    Cholesky diagonal (Householder QR's ``|diag R|``) at most
+    ``_RANK_TOLERANCE``, or a failed factorization (``kappa(G) >~ 1e9``),
+    counts as rank deficient: the draw is repeated, and after three fresh
+    redraws a failure is treated as an internal error.
     """
     if n < 1 or d < 1:
         raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
     if n > d:
         raise UsageError(f"subspace dimension n={n} exceeds ambient dimension d={d}")
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    for _ in range(1 + _QR_RETRIES):
+    tolerance = (d + 2) * np.finfo(np.float64).eps
+    for redraws in range(1 + _QR_RETRIES):
         gaussian = rng.standard_normal((d, n))
-        q, r = np.linalg.qr(gaussian, mode="reduced")
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) <= _RANK_TOLERANCE:
-            continue
-        # Fix the QR sign ambiguity so the frame is canonical for the draw.
-        signs = np.where(diag < 0.0, -1.0, 1.0)
-        return MeasurementOperator(frame=(q * signs).T, seed=seed)
+        frame, gram = gaussian.T, gaussian.T @ gaussian
+        for passes in range(1, 1 + _CHOLESKY_PASSES):
+            try:
+                lower = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                break
+            if np.min(np.diag(lower)) <= _RANK_TOLERANCE:
+                break
+            inverse, previous, frame = _lower_inverse(lower), frame, np.empty((n, d))
+            for start in range(0, n, _PRODUCT_ROWS):  # only the lower triangle
+                stop = min(n, start + _PRODUCT_ROWS)
+                np.matmul(inverse[start:stop, :stop], previous[:stop], out=frame[start:stop])
+            gram = frame @ frame.T
+            error = float(np.max(np.abs(gram - np.eye(n))))
+            if error <= tolerance:
+                logger.debug(
+                    "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d in %.3fs",
+                    d, n, passes, error, redraws, time.perf_counter() - started,
+                )
+                return MeasurementOperator(frame=frame, seed=seed)
     raise NetSketchError(
-        f"rank-deficient Gaussian draw persisted over {1 + _QR_RETRIES} attempts"
+        f"rank-deficient or ill-conditioned draw persisted over {1 + _QR_RETRIES} attempts"
     )
 
 

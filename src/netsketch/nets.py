@@ -63,6 +63,8 @@ DEFAULT_NET_BUDGET = 10**6
 
 # Largest temporary a materialized nearest-member scan allocates at once.
 _SCAN_BLOCK_BYTES = 128 * 1024
+# Operator rows per block of the factored decoder's square-sum grid.
+_TERMS_BLOCK_ROWS = 32
 
 logger = logging.getLogger(__name__)
 
@@ -344,23 +346,25 @@ class FactoredStepDecoder:
 
         and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
         ``g0f = W R^T v_full`` and the square-sum.  The square-sum has degree
-        ``2 K``: one real inverse FFT evaluates every ``t_r`` on ``N >= 4 K + 1``
-        uniform points (``N`` a power of two), and one real forward FFT of
-        the summed squares gives its coefficients exactly.  Decoding keeps
-        the last operator's terms in a slot, so they are built once per
-        operator.
+        ``2 K``: a real inverse FFT evaluates the ``t_r`` of a block of
+        ``_TERMS_BLOCK_ROWS`` rows on ``N >= 4 K + 1`` uniform points (``N`` a
+        power of two), the blocks' squares are summed into one length-``N``
+        vector, and one real forward FFT of it gives its coefficients exactly.
+        Decoding keeps the last operator's terms in a slot, so they are built
+        once per operator.
         """
         started = time.perf_counter()
         rows = operator.scale * operator.frame
         n, d = rows.shape
         degree = d // 2
         points = 1 << (4 * degree).bit_length()
-        # Bin f of a real inverse DFT holds half of z_f, except at f = 0.
-        series = _indicator_series(rows, points // 2 + 1)
-        series[:, 1:] *= 0.5
-        grid = np.fft.irfft(series, n=points, axis=-1, norm="forward")
-        del series  # as large as the grid; freeing it lowers a run's peak RSS
-        square_sum = np.fft.rfft(np.einsum("ij,ij->j", grid, grid), norm="forward")
+        squares = np.zeros(points)
+        for start in range(0, n, _TERMS_BLOCK_ROWS):
+            series = _indicator_series(rows[start : start + _TERMS_BLOCK_ROWS], points // 2 + 1)
+            series[:, 1:] *= 0.5  # bin f of a real inverse DFT holds half of z_f, f > 0
+            block = np.fft.irfft(series, n=points, axis=-1, norm="forward")
+            squares += np.einsum("ij,ij->j", block, block)
+        square_sum = np.fft.rfft(squares, norm="forward")
         square_sum = square_sum[: 2 * degree + 1]
         square_sum[1:] *= 2.0
         v_full = _SQRT_2PI * rows[:, 0]
@@ -373,17 +377,21 @@ class FactoredStepDecoder:
             v_full=v_full, g00=g00, g0f=g0f, gff=float(np.dot(v_full, v_full))
         )
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d N=%d grid=%d bytes"
+            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes"
             " kept=%d bytes built in %.3fs",
             self.positions.size,
             d,
             n,
             points,
-            grid.nbytes,
+            min(n, _TERMS_BLOCK_ROWS) * points * 8,
             g00.nbytes + g0f.nbytes + v_full.nbytes,
             time.perf_counter() - started,
         )
         return terms
+
+    def prepare(self, operator) -> None:
+        """Build the terms for ``operator`` now, as its first decode would."""
+        self._terms.get(operator)
 
     def _objective_pairs(self, q0, q1, g00, g01, g11, c0) -> tuple[np.ndarray, np.ndarray]:
         """The objective at each (breakpoint, ``c0``) pair, and its best ``c1`` index.
@@ -610,6 +618,10 @@ class MaterializedDecoder:
             time.perf_counter() - started,
         )
         return table
+
+    def prepare(self, operator) -> None:
+        """Build the measured table for ``operator`` now, as its first decode would."""
+        self._tables.get(operator)
 
     def _decoded(self, table: np.ndarray, target: np.ndarray) -> DecodeResult:
         index, distance = _nearest_row(table, target)

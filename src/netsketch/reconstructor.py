@@ -91,7 +91,7 @@ class PreparedSampler:
 
     The ``n x d`` operator is drawn from ``operator_seed`` on first use of
     ``operator``, so a sampler whose operator is replaced before any
-    measurement (every trial of a ``fixed_x`` run) never pays for the QR.
+    measurement (every trial of a ``fixed_x`` run) never pays for the draw.
     The draw takes no lock: draw it before threads share the sampler.
     """
 

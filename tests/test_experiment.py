@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from netsketch import experiment, reconstructor
+from netsketch import experiment, nets, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
 from netsketch.entropy import measurement_lower_bound
 from netsketch.errors import AmbientTooSmallError, UsageError
@@ -226,6 +226,62 @@ def test_operator_draws_per_run(monkeypatch, jobs):
     run_experiment(fixed_x, jobs=jobs)
     assert len(draws) == fixed_x.trials
     assert min(draws) >= 1
+
+
+# A step class over m_max = 100 forces the factored decoder.
+FACTORED_FIXED_W_CONFIG = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 3.0
+p = 0.5
+trials = 4
+mode = fixed_w
+seed = 5
+jl_constant = 0.5
+m_max = 100
+ambient_dim = 512
+tail_samples = 10
+tail_dims = 32,64,128
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
+    # Both decoders build what they need for the run's one operator in
+    # set-up, so no trial, the first one included, pays for it.
+    started = []
+    builds = []
+    trial = experiment._run_trial
+
+    def counted_trial(*args, **kwargs):
+        started.append(None)
+        return trial(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_run_trial", counted_trial)
+    for decoder, name in (
+        (nets.FactoredStepDecoder, "_operator_terms"),
+        (nets.MaterializedDecoder, "_measured_rows"),
+    ):
+
+        def counted_build(self, operator, build=getattr(decoder, name), name=name):
+            builds.append((name, len(started)))
+            return build(self, operator)
+
+        monkeypatch.setattr(decoder, name, counted_build)
+    for text, name in (
+        (FACTORED_FIXED_W_CONFIG, "_operator_terms"),
+        (SMOOTH_CONFIG, "_measured_rows"),
+    ):
+        builds.clear()
+        started.clear()
+        config = load_experiment_config(text)
+        run_experiment(config, jobs=jobs)
+        assert len(started) == config.trials
+        assert builds == [(name, 0)]
 
 
 def test_run_experiment_seed_changes_trials(smooth_result):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,12 +48,26 @@ def test_required_measurements_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 
+def householder_frame(gaussian):
+    """The reference frame: Householder QR's ``Q``, signs fixed so ``diag R > 0``."""
+    q, r = np.linalg.qr(gaussian, mode="reduced")
+    return (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
+
+
+def gram_error(frame):
+    return np.max(np.abs(frame @ frame.T - np.eye(frame.shape[0])))
+
+
 def test_orthonormal_rows():
-    op = random_subspace(512, 128, seed=7)
-    gram = op.frame @ op.frame.T
-    assert np.max(np.abs(gram - np.eye(128))) <= 1e-10
-    assert op.d == 512 and op.n == 128
-    np.testing.assert_allclose(op.scale**2 * op.n / op.d, 1.0, atol=1e-12)
+    # The square shapes have the worst-conditioned Gaussians, so their first
+    # Cholesky pass is the one most often repeated.
+    for d, n in ((512, 128), (512, 167), (300, 150), (1, 1), (2, 2), (32, 32), (301, 301)):
+        op = random_subspace(d, n, seed=7)
+        assert op.d == d and op.n == n
+        assert gram_error(op.frame) <= (d + 2) * np.finfo(np.float64).eps
+        reference = householder_frame(np.random.default_rng(7).standard_normal((d, n)))
+        np.testing.assert_allclose(op.frame, reference, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(op.scale**2 * op.n / op.d, 1.0, atol=1e-12)
 
 
 def test_seed_determinism():
@@ -168,11 +185,62 @@ def test_distortion_band_usually_holds_at_formula_count():
     assert hits / 30 >= 0.5  # expected near 1.0; the bound is conservative
 
 
-def test_rank_deficiency_error_path(monkeypatch):
-    class ZeroRNG:
-        def standard_normal(self, size):
-            return np.zeros(size)
+def conditioned_gaussian(d, n, kappa):
+    """A ``d x n`` matrix with singular values spread geometrically from 1 to 1/kappa."""
+    rng = np.random.default_rng(int(math.log10(kappa)))
+    left = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (left * np.geomspace(1.0, 1.0 / kappa, n)) @ right.T
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroRNG())
+
+class FixedRNG:
+    """Stands in for ``np.random.default_rng(seed)``: every draw is ``matrix``."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def standard_normal(self, size):
+        assert size == self.matrix.shape
+        return self.matrix.copy()
+
+
+def test_ill_conditioned_draw_needs_a_second_cholesky_pass(monkeypatch, caplog):
+    # One Cholesky QR pass leaves an orthogonality error near kappa^2 u, about
+    # 1e-5 here; the verified second pass brings it to rounding level.
+    gaussian = conditioned_gaussian(300, 150, 1e6)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(gaussian))
+    with caplog.at_level(logging.DEBUG, logger="netsketch.jl"):
+        op = random_subspace(300, 150, seed=0)
+    assert gram_error(op.frame) <= 302 * np.finfo(np.float64).eps
+    # The rows span the Gaussian's column space: projecting onto them keeps it.
+    residual = gaussian - op.frame.T @ (op.frame @ gaussian)
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(gaussian)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "netsketch.jl"]
+    assert "d=300 n=150 passes=2 " in line and "redraws=0" in line
+
+
+def test_numerically_singular_draw_is_rank_deficient(monkeypatch):
+    # At kappa = 1e9 the Gram matrix's condition number, 1e18, is past 1/u.
+    gaussian = conditioned_gaussian(300, 150, 1e9)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(gaussian))
+    with pytest.raises(NetSketchError):
+        random_subspace(300, 150, seed=0)
+
+
+def test_draw_leaves_scipy_linalg_unimported():
+    # Importing scipy.linalg costs about 0.2 s of start-up; a draw needs none of it.
+    probe = (
+        "import sys; from netsketch.jl import random_subspace; "
+        "random_subspace(64, 16, seed=1); print(*sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "scipy.linalg" not in proc.stdout.split()
+
+
+def test_rank_deficiency_error_path(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(np.zeros((4, 2))))
     with pytest.raises(NetSketchError):
         random_subspace(4, 2, seed=0)

@@ -560,9 +560,10 @@ def test_operator_terms_match_the_dense_closed_form():
     rng = np.random.default_rng(41)
     # P = 45 and 70.  At d = 300 and 301 the square-sum's degree 2 (d // 2) =
     # 300 is past P / 2, so it folds onto the grid; n = d is the clamped case.
+    # At d = 64, n = 32 and 64 fill whole blocks of the square-sum's rows.
     for eps1 in (1.5, 1.2):
         decoder = build_net(step_class(), eps1, mode="factored").decoder
-        for d in (1, 2, 3, 16, 17, 300, 301):
+        for d in (1, 2, 3, 16, 17, 64, 300, 301):
             w = dense_indicator_rows(decoder.positions, d)
             for n in sorted({1, max(1, d // 2), d}):
                 operator = random_subspace(d, n, seed=1000 * d + n)
