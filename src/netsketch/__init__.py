@@ -26,12 +26,10 @@ from .hilbert import (
     tail_norm,
 )
 from .function_classes import (
-    AdditiveSpanClass,
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
     TailDecayModel,
-    WarpedClass,
     count_tail_violations,
     fit_class_tail_model,
     fit_tail_model,
@@ -68,7 +66,6 @@ from .experiment import ExperimentResult, run_experiment, wilson_interval
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveSpanClass",
     "AmbientTooSmallError",
     "CoveringNet",
     "DEFAULT_AMBIENT_DIM",
@@ -89,7 +86,6 @@ __all__ = [
     "SmoothClass",
     "TailDecayModel",
     "UsageError",
-    "WarpedClass",
     "analyze_piecewise",
     "apply_operator",
     "build_net",

@@ -1,13 +1,12 @@
 """Generative function classes and tail-decay models.
 
 Each class describes a family of square-integrable functions on ``[-pi, pi]``
-through a structured member representation (coefficient vectors, piecewise
-descriptions, warp or span parameters).  A class object knows how to sample a
-member, turn a member into ambient coefficients, test membership, and compute
-distances between members — exactly where a closed form exists, by adaptive
-quadrature otherwise.  It also carries everything class-specific about its
-covering net (see ``FunctionClass``); ``nets`` supplies the grids and builds
-the net without knowing which class it covers.
+through a structured member representation (coefficient vectors or
+piecewise descriptions).  A class object knows how to sample a member, turn a
+member into ambient coefficients, test membership, and compute distances
+between members in closed form.  It also carries everything class-specific
+about its covering net (see ``FunctionClass``); ``nets`` supplies the grids
+and builds the net without knowing which class it covers.
 
 The tail-decay model summarizes how fast coefficient tails shrink with the
 truncation dimension; it is fitted empirically from samples and used to pick
@@ -17,11 +16,9 @@ working dimensions downstream.
 from __future__ import annotations
 
 import functools
-import hashlib
-import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -34,10 +31,8 @@ from .hilbert import (
     Signal,
     _piece_polynomial_at,
     analyze_piecewise,
-    dump_signal,
     exact_l2_distance,
     pad_or_truncate,
-    synthesize,
     tail_norm,
 )
 from .nets import (
@@ -56,17 +51,11 @@ __all__ = [
     "SmoothClass",
     "PiecewiseSmoothClass",
     "PiecewiseAnalyticClass",
-    "WarpedClass",
-    "AdditiveSpanClass",
     "AnalyticStepMember",
-    "WarpedMember",
-    "AdditiveMember",
     "TailDecayModel",
     "fit_tail_model",
     "fit_class_tail_model",
     "count_tail_violations",
-    "warp_amplitudes",
-    "warp_map",
 ]
 
 _MAX_SAMPLE_ATTEMPTS = 1000
@@ -79,12 +68,6 @@ def _fmt(value: float) -> str:
     if float(value) == int(value):
         return str(int(value))
     return format(float(value), "g")
-
-
-def _frozen_array(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 def _ball_uniform(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -107,9 +90,7 @@ class FunctionClass:
     """The protocol every function class follows; subclasses are frozen dataclasses.
 
     Members: ``sample(rng, ambient_dim)``, ``to_signal(member, ambient_dim)``,
-    ``contains(member, tolerance)``, ``distance(a, b)``, ``spec_string()``,
-    ``evaluate(member, t)`` and ``kinks(member)``, the points where a member
-    may jump.
+    ``contains(member, tolerance)``, ``distance(a, b)`` and ``spec_string()``.
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
     configurations times one point on each quantized axis, and
@@ -121,13 +102,10 @@ class FunctionClass:
     configuration; and ``coordinates(plan, member, breakpoints)`` gives the
     member's unsnapped value on each axis, given its snapped breakpoints.
 
-    A class usable as the base of a warped or additive class also provides
+    The smooth and piecewise smooth classes also provide
     ``coefficient_prefix(member, dim)``: the first ``dim`` coefficients, with
     no check on the energy beyond them.
     """
-
-    def kinks(self, member) -> tuple[float, ...]:
-        return ()
 
     def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
         return None
@@ -211,9 +189,6 @@ class SmoothClass(FunctionClass):
         dim = max(a.ambient_dim, b.ambient_dim)
         delta = self.coefficient_prefix(a, dim) - self.coefficient_prefix(b, dim)
         return float(np.linalg.norm(delta))
-
-    def evaluate(self, member: Signal, t: np.ndarray) -> np.ndarray:
-        return synthesize(member.coefficients, t)
 
     def net_plan(self, eps1: float) -> NetPlan:
         k, big_k = self.smoothness, self.amplitude
@@ -337,12 +312,6 @@ class PiecewiseSmoothClass(FunctionClass):
 
     def distance(self, a: PiecewiseDescription, b: PiecewiseDescription) -> float:
         return exact_l2_distance(a, b)
-
-    def evaluate(self, member: PiecewiseDescription, t: np.ndarray) -> np.ndarray:
-        return member.evaluate(t)
-
-    def kinks(self, member: PiecewiseDescription) -> tuple[float, ...]:
-        return tuple(float(b) for b in member.breakpoints)
 
     def net_plan(self, eps1: float) -> NetPlan:
         s = self.max_jumps
@@ -541,12 +510,6 @@ class PiecewiseAnalyticClass(FunctionClass):
         total = float(np.dot(smooth_delta, smooth_delta)) + 2.0 * cross + step_sq
         return math.sqrt(max(total, 0.0))
 
-    def evaluate(self, member: AnalyticStepMember, t: np.ndarray) -> np.ndarray:
-        return synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t)
-
-    def kinks(self, member: AnalyticStepMember) -> tuple[float, ...]:
-        return tuple(float(b) for b in member.steps.breakpoints)
-
     def net_plan(self, eps1: float) -> NetPlan:
         kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
         positions, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
@@ -626,354 +589,14 @@ def _step_component(breakpoints, levels) -> PiecewiseDescription:
     )
 
 
-# ---------------------------------------------------------------------------
-# Warped class
-# ---------------------------------------------------------------------------
-
-
-def warp_amplitudes(num_params: int) -> np.ndarray:
-    """Geometric amplitudes ``0.15 / 2^i`` keeping every warp bi-Lipschitz."""
-    return 0.15 / 2.0 ** np.arange(1, num_params + 1)
-
-
-def warp_map(params: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Increasing reparameterization of ``[-pi, pi]`` fixing both endpoints."""
-    params = np.asarray(params, dtype=np.float64)
-    amplitudes = warp_amplitudes(params.size) * params
-
-    def psi(x):
-        x = np.asarray(x, dtype=np.float64)
-        shift = np.zeros_like(x)
-        for i, coeff in enumerate(amplitudes, start=1):
-            shift = shift + coeff * np.sin(i * (x + math.pi))
-        return x + shift
-
-    return psi
-
-
-@dataclass(frozen=True)
-class WarpedMember:
-    base_member: object
-    warp_params: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "warp_params", _frozen_array(self.warp_params))
-
-
-@dataclass(frozen=True)
-class WarpedClass(FunctionClass):
-    """Members of a base class composed with smooth domain warps.
-
-    The warp family is ``x + sum_i tau_i a_i sin(i (x + pi))`` with amplitudes
-    ``a_i = 0.15 / 2^i`` and parameters ``tau`` in ``[0, 1]^num_warp_params``;
-    every warp is increasing with derivative at least ``0.7`` and fixes the
-    endpoints.  ``lipschitz_bound`` is the promised Lipschitz constant of base
-    members away from their jumps.
-    """
-
-    base: object
-    num_warp_params: int
-    lipschitz_bound: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, (SmoothClass, PiecewiseSmoothClass)):
-            raise UsageError("warped base must be a smooth or piecewise smooth class")
-        if not 1 <= self.num_warp_params <= 16:
-            raise UsageError(
-                f"num_warp_params must lie in [1, 16], got {self.num_warp_params!r}"
-            )
-        if not self.lipschitz_bound > 0.0:
-            raise UsageError(
-                f"lipschitz_bound must be positive, got {self.lipschitz_bound!r}"
-            )
-
-    def spec_string(self) -> str:
-        return (
-            f"warped(base={self.base.spec_string()},s={self.num_warp_params},"
-            f"L={_fmt(self.lipschitz_bound)})"
-        )
-
-    def sample(self, rng: np.random.Generator, ambient_dim: int) -> WarpedMember:
-        base_member = self.base.sample(rng, ambient_dim)
-        params = rng.uniform(0.0, 1.0, self.num_warp_params)
-        return WarpedMember(base_member=base_member, warp_params=params)
-
-    def kinks(self, member: WarpedMember) -> tuple[float, ...]:
-        """Preimages under the warp of the base member's kinks."""
-        from scipy.optimize import brentq  # see README, "Start-up cost"
-
-        kinks = self.base.kinks(member.base_member)
-        if len(kinks) == 0:
-            return ()
-        psi = warp_map(member.warp_params)
-        # brentq's default xtol (2e-12) is coarser than the 1e-9 * h nudge
-        # that samples just inside each piece, so bracket to the last bits.
-        return tuple(
-            float(
-                brentq(
-                    lambda x, b=b: float(psi(np.float64(x))) - b,
-                    -math.pi,
-                    math.pi,
-                    xtol=1e-15,
-                )
-            )
-            for b in kinks
-        )
-
-    def evaluate(self, member: WarpedMember, t: np.ndarray) -> np.ndarray:
-        psi = warp_map(member.warp_params)
-        return self.base.evaluate(member.base_member, psi(t))
-
-    def to_signal(
-        self,
-        member: WarpedMember,
-        ambient_dim: int,
-        points_per_piece: int = 2049,
-    ) -> Signal:
-        from .hilbert import quadrature_analyze
-
-        return Signal(
-            quadrature_analyze(
-                lambda t: self.evaluate(member, t),
-                ambient_dim,
-                split_points=self.kinks(member),
-                points_per_piece=points_per_piece,
-            )
-        )
-
-    def contains(
-        self,
-        member: WarpedMember,
-        tolerance: float = _MEMBERSHIP_TOLERANCE,
-    ) -> bool:
-        if member.warp_params.size != self.num_warp_params:
-            return False
-        if np.any(member.warp_params < -tolerance) or np.any(
-            member.warp_params > 1.0 + tolerance
-        ):
-            return False
-        return self.base.contains(member.base_member, tolerance)
-
-    def distance(
-        self,
-        a: WarpedMember,
-        b: WarpedMember,
-        points_per_piece: int = 4097,
-    ) -> float:
-        kinks = sorted(set(self.kinks(a)) | set(self.kinks(b)))
-        return _numeric_l2_distance(
-            lambda t: self.evaluate(a, t),
-            lambda t: self.evaluate(b, t),
-            kinks,
-            points_per_piece,
-        )
-
-    def _warp_axes(self, eps1: float) -> tuple[AxisLog, ...]:
-        step = eps1 / (
-            2.0 * self.lipschitz_bound * math.sqrt(TWO_PI * self.num_warp_params)
-        )
-        count = int(math.floor(1.0 / step + 0.5)) + 1  # one-sided grid over [0, 1]
-        return tuple(
-            AxisLog(label=f"warp[{i}]", count=count, step=step, start=0.0)
-            for i in range(self.num_warp_params)
-        )
-
-    def net_plan(self, eps1: float) -> NetPlan:
-        """The base net at ``eps1 / 2`` times one axis per warp parameter."""
-        base_plan = self.base.net_plan(eps1 / 2.0)
-        axes = base_plan.axes + self._warp_axes(eps1)
-        return replace(base_plan, eps1=eps1, axes=axes)
-
-    def member(self, breakpoints, values) -> WarpedMember:
-        w = self.num_warp_params
-        return WarpedMember(
-            base_member=_shared(self.base.member, breakpoints, values[:-w]),
-            warp_params=np.array(values[-w:]),
-        )
-
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
-        return self.base.snap_breakpoints(plan, member.base_member)
-
-    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
-        base_plan = replace(plan, axes=plan.axes[: -self.num_warp_params])
-        base = self.base.coordinates(base_plan, member.base_member, breakpoints)
-        return [*base, *member.warp_params]
-
-
-# ---------------------------------------------------------------------------
-# Additive span class
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdditiveMember:
-    base_member: object
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-
-
-@dataclass(frozen=True)
-class AdditiveSpanClass(FunctionClass):
-    """Base members shifted by a bounded span of fixed component signals."""
-
-    base: object
-    components: tuple[Signal, ...]
-    coeff_bound: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, (SmoothClass, PiecewiseSmoothClass)):
-            raise UsageError("additive base must be a smooth or piecewise smooth class")
-        components = tuple(self.components)
-        if not components:
-            raise UsageError("additive span needs at least one component")
-        for component in components:
-            if not isinstance(component, Signal):
-                raise UsageError("components must be coefficient signals")
-        if not self.coeff_bound > 0.0:
-            raise UsageError(f"coeff_bound must be positive, got {self.coeff_bound!r}")
-        object.__setattr__(self, "components", components)
-
-    def spec_string(self) -> str:
-        digest = hashlib.sha256()
-        for component in self.components:
-            buffer = io.StringIO()
-            dump_signal(buffer, component)
-            digest.update(buffer.getvalue().encode("utf-8"))
-        return (
-            f"additive(base={self.base.spec_string()},r={len(self.components)},"
-            f"bound={_fmt(self.coeff_bound)},components={digest.hexdigest()[:12]})"
-        )
-
-    def component_matrix(self, ambient_dim: int) -> np.ndarray:
-        out = np.zeros((len(self.components), ambient_dim))
-        for row, component in enumerate(self.components):
-            if component.ambient_dim > ambient_dim and tail_norm(component, ambient_dim) > 0.0:
-                raise UsageError(
-                    f"component {row} carries energy beyond ambient dimension {ambient_dim}"
-                )
-            out[row] = pad_or_truncate(component.coefficients, ambient_dim)
-        return out
-
-    def _span(self, weights: np.ndarray) -> np.ndarray:
-        """Coefficients of the span combination, at the components' dimension."""
-        span_dim = max(component.ambient_dim for component in self.components)
-        return weights @ self.component_matrix(span_dim)
-
-    def sample(self, rng: np.random.Generator, ambient_dim: int) -> AdditiveMember:
-        base_member = self.base.sample(rng, ambient_dim)
-        weights = rng.uniform(-self.coeff_bound, self.coeff_bound, len(self.components))
-        return AdditiveMember(base_member=base_member, weights=weights)
-
-    def to_signal(self, member: AdditiveMember, ambient_dim: int) -> Signal:
-        base = self.base.to_signal(member.base_member, ambient_dim)
-        span = member.weights @ self.component_matrix(ambient_dim)
-        return Signal(base.coefficients + span)
-
-    def contains(
-        self,
-        member: AdditiveMember,
-        tolerance: float = _MEMBERSHIP_TOLERANCE,
-    ) -> bool:
-        if member.weights.size != len(self.components):
-            return False
-        if np.any(np.abs(member.weights) > self.coeff_bound * (1.0 + tolerance)):
-            return False
-        return self.base.contains(member.base_member, tolerance)
-
-    def distance(self, a: AdditiveMember, b: AdditiveMember) -> float:
-        span_delta = self._span(a.weights - b.weights)
-        base_sq = self.base.distance(a.base_member, b.base_member) ** 2
-        # The span difference has finite support, so the cross term needs the
-        # base difference only up to the component dimension — exact either way.
-        prefix_a = self.base.coefficient_prefix(a.base_member, span_delta.size)
-        prefix_b = self.base.coefficient_prefix(b.base_member, span_delta.size)
-        cross = float(np.dot(prefix_a - prefix_b, span_delta))
-        total = base_sq + 2.0 * cross + float(np.dot(span_delta, span_delta))
-        return math.sqrt(max(total, 0.0))
-
-    def evaluate(self, member: AdditiveMember, t: np.ndarray) -> np.ndarray:
-        base = self.base.evaluate(member.base_member, t)
-        return base + synthesize(self._span(member.weights), t)
-
-    def kinks(self, member: AdditiveMember) -> tuple[float, ...]:
-        return self.base.kinks(member.base_member)
-
-    def _span_axes(self, eps1: float) -> tuple[AxisLog, ...]:
-        max_norm = max(component.norm() for component in self.components)
-        r = len(self.components)
-        step = eps1 / (2.0 * math.sqrt(r) * max_norm)
-        return tuple(
-            AxisLog(
-                label=f"span[{i}]", count=grid_count(self.coeff_bound, step), step=step
-            )
-            for i in range(r)
-        )
-
-    def net_plan(self, eps1: float) -> NetPlan:
-        """The base net at ``eps1 / 2`` times one axis per span weight."""
-        base_plan = self.base.net_plan(eps1 / 2.0)
-        axes = base_plan.axes + self._span_axes(eps1)
-        return replace(base_plan, eps1=eps1, axes=axes)
-
-    def member(self, breakpoints, values) -> AdditiveMember:
-        r = len(self.components)
-        return AdditiveMember(
-            base_member=_shared(self.base.member, breakpoints, values[:-r]),
-            weights=np.array(values[-r:]),
-        )
-
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
-        return self.base.snap_breakpoints(plan, member.base_member)
-
-    def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
-        base_plan = replace(plan, axes=plan.axes[: -len(self.components)])
-        base = self.base.coordinates(base_plan, member.base_member, breakpoints)
-        return [*base, *member.weights]
-
-
 @functools.lru_cache(maxsize=1)
 def _shared(make: Callable, *args):
     """``make(*args)``, one object for consecutive calls with equal arguments.
 
-    Enumeration yields in a row the members that share a part (an analytic
-    member's step component, a composed member's base member), so one cached
-    entry makes that part one object for all of them.
+    Enumeration yields in a row the analytic members that share a step
+    component, so one cached entry makes it one object for all of them.
     """
     return make(*args)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature distance
-# ---------------------------------------------------------------------------
-
-
-def _numeric_l2_distance(
-    eval_a: Callable[[np.ndarray], np.ndarray],
-    eval_b: Callable[[np.ndarray], np.ndarray],
-    kinks: Sequence[float],
-    points_per_piece: int,
-) -> float:
-    from scipy.integrate import simpson  # see README, "Start-up cost"
-
-    cuts = [-math.pi]
-    for kink in sorted(kinks):
-        if -math.pi < kink < math.pi:
-            cuts.append(float(kink))
-    cuts.append(math.pi)
-    total = 0.0
-    for start, end in zip(cuts[:-1], cuts[1:]):
-        if end - start <= 1e-15:
-            continue
-        grid = np.linspace(start, end, points_per_piece)
-        nudge = 1e-9 * (end - start) / points_per_piece
-        points = grid.copy()
-        points[0] += nudge
-        points[-1] -= nudge
-        delta = eval_a(points) - eval_b(points)
-        total += float(simpson(delta * delta, x=grid))
-    return math.sqrt(max(total, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -331,58 +331,6 @@ def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float
     return math.sqrt(max(total, 0.0))
 
 
-def quadrature_analyze(
-    func,
-    ambient_dim: int,
-    split_points=(),
-    points_per_piece: int = 8193,
-) -> np.ndarray:
-    """Numerical trig-basis coefficients of an arbitrary callable.
-
-    Composite Simpson between the supplied split points (where ``func`` may
-    jump or kink).  The default resolution targets coefficient errors well
-    below net tolerances for frequencies up to a few hundred; raise
-    ``points_per_piece`` when near machine-precision agreement is needed.
-    """
-    from scipy.integrate import simpson  # see README, "Start-up cost"
-
-    edges = np.unique(
-        np.concatenate([[-math.pi], np.asarray(split_points, float), [math.pi]])
-    )
-    edges = edges[(edges >= -math.pi) & (edges <= math.pi)]
-    jmax = ambient_dim // 2
-    js = np.arange(1, jmax + 1, dtype=float)
-    total_const = 0.0
-    total_cos = np.zeros(jmax)
-    total_sin = np.zeros(jmax)
-    for start, end in zip(edges[:-1], edges[1:]):
-        if end - start < 1e-12:
-            continue
-        grid = np.linspace(start, end, points_per_piece)
-        # Take one-sided limits at the piece boundaries so jumps sitting
-        # exactly on a split point cannot contaminate the endpoint samples.
-        eval_points = grid.copy()
-        nudge = 1e-9 * (end - start) / points_per_piece
-        eval_points[0] += nudge
-        eval_points[-1] -= nudge
-        values = np.asarray(func(eval_points), dtype=float)
-        total_const += simpson(values, x=grid)
-        for lo in range(0, jmax, 128):
-            phases = js[lo : lo + 128, None] * grid[None, :]
-            total_cos[lo : lo + 128] += simpson(
-                values[None, :] * np.cos(phases), x=grid, axis=1
-            )
-            total_sin[lo : lo + 128] += simpson(
-                values[None, :] * np.sin(phases), x=grid, axis=1
-            )
-    coeffs = np.zeros(ambient_dim)
-    coeffs[0] = total_const / _SQRT_2PI
-    if ambient_dim > 1:
-        coeffs[1::2] = total_cos[: ambient_dim // 2] / _SQRT_PI
-        coeffs[2::2] = total_sin[: (ambient_dim - 1) // 2] / _SQRT_PI
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Signal text output
 # ---------------------------------------------------------------------------

@@ -66,7 +66,12 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
 
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """An ``n x d`` orthonormal frame with the seed that produced it."""
+    """An ``n x d`` orthonormal frame with the seed that produced it.
+
+    ``frame`` is held read-only.  Any array a caller could still write
+    through is copied; a read-only C-ordered array that owns its data, as
+    ``random_subspace`` passes, is kept as it is.
+    """
 
     frame: np.ndarray
     seed: int
@@ -79,8 +84,10 @@ class MeasurementOperator:
             raise UsageError(
                 f"operator has more rows than columns: {frame.shape[0]} > {frame.shape[1]}"
             )
-        frame = frame.copy()
-        frame.setflags(write=False)
+        flags = frame.flags
+        if flags.writeable or not flags.owndata or not flags.c_contiguous:
+            frame = frame.copy()
+            frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 
     @property
@@ -155,6 +162,7 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
                     "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d in %.3fs",
                     d, n, passes, error, redraws, time.perf_counter() - started,
                 )
+                frame.setflags(write=False)
                 return MeasurementOperator(frame=frame, seed=seed)
     raise NetSketchError(
         f"rank-deficient or ill-conditioned draw persisted over {1 + _QR_RETRIES} attempts"

@@ -100,29 +100,22 @@ def symmetric_grid(bound: float, step: float) -> np.ndarray:
 class AxisLog:
     """One quantized coordinate of the construction: label, size, spacing.
 
-    ``start`` is ``None`` for grids symmetric about zero; one-sided grids
-    (warp parameters live in ``[0, 1]``) record their first point instead.
+    The axis's grid is symmetric about zero: ``count`` points ``step`` apart.
     """
 
     label: str
     count: int
     step: float
-    start: float | None = None
 
     def points(self) -> np.ndarray:
         """The axis's grid points, in index order."""
-        if self.start is None:
-            return _centered_grid(self.count, self.step)
-        return self.start + np.arange(self.count) * self.step
+        return _centered_grid(self.count, self.step)
 
     def snap(self, value: float) -> float:
         """The nearest grid point, clamped to the grid's ends."""
-        if self.start is None:
-            half = (self.count - 1) // 2
-            k = int(math.floor(value / self.step + 0.5))
-            return max(-half, min(half, k)) * self.step
-        k = int(math.floor((value - self.start) / self.step + 0.5))
-        return self.start + max(0, min(self.count - 1, k)) * self.step
+        half = (self.count - 1) // 2
+        k = int(math.floor(value / self.step + 0.5))
+        return max(-half, min(half, k)) * self.step
 
 
 @dataclass(frozen=True)

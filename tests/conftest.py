@@ -1,8 +1,9 @@
 """Shared test helpers: independent quadrature oracles for trig-basis analysis.
 
-The oracle computes basis coefficients of a piecewise polynomial with
-``scipy.integrate.quad`` using its oscillatory-weight rules, which shares no
-code with the closed-form recursions in the package.
+One oracle computes basis coefficients of a piecewise polynomial with
+``scipy.integrate.quad`` using its oscillatory-weight rules; another computes
+L2 distances between class members by composite Simpson over point values.
+Neither shares code with the closed forms in the package.
 """
 
 from __future__ import annotations
@@ -45,6 +46,37 @@ def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
     coeffs[1::2] = cos_part[:n_cos] / math.sqrt(math.pi)
     coeffs[2::2] = sin_part[:n_sin] / math.sqrt(math.pi)
     return coeffs
+
+
+def _point_values(member):
+    """A smooth, piecewise or analytic member's point evaluator and its jumps."""
+    if hasattr(member, "steps"):  # analytic: smooth part plus periodic steps
+        return (
+            lambda t: member.smooth.evaluate(t) + member.steps.evaluate(t),
+            member.steps.breakpoints,
+        )
+    return member.evaluate, getattr(member, "breakpoints", ())
+
+
+def oracle_l2_distance(a, b, points_per_piece: int) -> float:
+    """L2[-pi, pi] distance of two members by composite Simpson between jumps.
+
+    Each piece is sampled just inside its ends, so a jump on a cut cannot
+    leak into the samples of its neighbour.
+    """
+    eval_a, jumps_a = _point_values(a)
+    eval_b, jumps_b = _point_values(b)
+    cuts = sorted({-math.pi, math.pi, *map(float, jumps_a), *map(float, jumps_b)})
+    total = 0.0
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        grid = np.linspace(start, end, points_per_piece)
+        points = grid.copy()
+        nudge = 1e-9 * (end - start) / points_per_piece
+        points[0] += nudge
+        points[-1] -= nudge
+        delta = eval_a(points) - eval_b(points)
+        total += float(integrate.simpson(delta * delta, x=grid))
+    return math.sqrt(total)
 
 
 def grid_l2_inner(values_a: np.ndarray, values_b: np.ndarray, grid: np.ndarray) -> float:

@@ -405,8 +405,15 @@ def _scipy_modules_after(statement: str) -> set[str]:
     return set(proc.stdout.split())
 
 
-def test_cli_import_loads_no_scipy_submodule():
-    # scipy is imported where the warped class and jl check use it; every
-    # command pays for what the import of netsketch.cli loads.
+def test_cli_import_loads_no_scipy_submodule(tmp_path):
+    # scipy is imported only where jl check uses it; every command pays for
+    # what the import of netsketch.cli loads.
     loaded = _scipy_modules_after("import netsketch.cli")
     assert loaded <= _scipy_modules_after("import scipy")
+    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
+    run = (
+        "import io, sys, netsketch.cli; shown, sys.stdout = sys.stdout, io.StringIO(); "
+        f"code = netsketch.cli.main(['experiment', 'run', {cfg!r}]); "
+        "sys.stdout = shown; assert code == 0, code"
+    )
+    assert _scipy_modules_after(run) == set()

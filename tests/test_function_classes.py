@@ -6,24 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle_l2_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsketch.errors import UsageError
 from netsketch.function_classes import (
-    AdditiveSpanClass,
     AnalyticStepMember,
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
     TailDecayModel,
-    WarpedClass,
-    WarpedMember,
-    _numeric_l2_distance,
     count_tail_violations,
     fit_tail_model,
-    warp_amplitudes,
-    warp_map,
 )
 from netsketch.hilbert import PiecewiseDescription, Signal, tail_norm
 from netsketch.reconstructor import truncation_dimension
@@ -237,28 +232,10 @@ def _quadrature_cases():
     piecewise = PiecewiseSmoothClass(
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.8, level_bound=1.0
     )
-    one_jump = PiecewiseSmoothClass(
-        degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-    )
-    components = (Signal(np.eye(8)[3] * 2.0), Signal(np.eye(8)[5] * 1.5))
     return {
         "smooth": SmoothClass(smoothness=2, amplitude=1.0),
         "piecewise": piecewise,
         "analytic": PiecewiseAnalyticClass(max_jumps=2, strip_width=0.8, amplitude=1.0),
-        "warped_piecewise": WarpedClass(
-            base=one_jump, num_warp_params=2, lipschitz_bound=5.0
-        ),
-        "warped_two_jump": WarpedClass(
-            base=piecewise, num_warp_params=2, lipschitz_bound=5.0
-        ),
-        "additive_smooth": AdditiveSpanClass(
-            base=SmoothClass(smoothness=2, amplitude=1.0),
-            components=components,
-            coeff_bound=1.0,
-        ),
-        "additive_piecewise": AdditiveSpanClass(
-            base=piecewise, components=components, coeff_bound=1.0
-        ),
     }
 
 
@@ -268,119 +245,9 @@ def test_analytic_distance_matches_quadrature():
         a = cls.sample(rng, 64)
         b = cls.sample(rng, 64)
         exact = cls.distance(a, b)
-        numeric = _numeric_l2_distance(
-            lambda t: cls.evaluate(a, t),
-            lambda t: cls.evaluate(b, t),
-            sorted(set(cls.kinks(a)) | set(cls.kinks(b))),
-            points_per_piece=2**14 + 1,
-        )
+        numeric = oracle_l2_distance(a, b, points_per_piece=2**14 + 1)
         np.testing.assert_allclose(exact, numeric, rtol=1e-12, err_msg=name)
         assert cls.distance(a, a) == 0.0, name
-
-
-# ---------------------------------------------------------------------------
-# Warped class
-# ---------------------------------------------------------------------------
-
-
-def test_warp_map_fixes_endpoints_and_is_increasing():
-    params = np.array([1.0, -1.0, 0.5])
-    psi = warp_map(params)
-    np.testing.assert_allclose(psi(np.array([-math.pi, math.pi])),
-                               [-math.pi, math.pi], atol=1e-12)
-    grid = np.linspace(-math.pi, math.pi, 4001)
-    values = psi(grid)
-    slopes = np.diff(values) / np.diff(grid)
-    assert np.all(slopes > 0.65)  # derivative bound 0.7 up to discretization
-    identity = warp_map(np.zeros(2))
-    np.testing.assert_array_equal(identity(grid), grid)
-    assert np.sum(np.arange(1, 17) * warp_amplitudes(16)) <= 0.3 + 1e-12
-
-
-def test_warp_kink_preimages_invert_the_warp():
-    base = PiecewiseSmoothClass(
-        degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.8, level_bound=1.0
-    )
-    cls = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=5.0)
-    rng = np.random.default_rng(4)
-    member = cls.sample(rng, 64)
-    psi = warp_map(member.warp_params)
-    preimages = cls.kinks(member)
-    np.testing.assert_allclose(
-        psi(np.array(preimages)), member.base_member.breakpoints, atol=1e-10
-    )
-
-
-def test_warped_identity_params_reproduce_base_coefficients():
-    base = SmoothClass(smoothness=2, amplitude=1.0)
-    cls = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=5.0)
-    rng = np.random.default_rng(5)
-    base_member = base.sample(rng, 32)
-    member = WarpedMember(base_member=base_member, warp_params=np.zeros(2))
-    analyzed = cls.to_signal(member, 32, points_per_piece=2**14 + 1)
-    np.testing.assert_allclose(
-        analyzed.coefficients, base_member.coefficients, atol=1e-7
-    )
-    assert cls.distance(member, member) == 0.0
-    assert cls.contains(member)
-    stretched = WarpedMember(base_member=base_member, warp_params=np.array([2.0, 0.0]))
-    assert not cls.contains(stretched)
-
-
-def test_warped_base_type_is_validated():
-    with pytest.raises(UsageError):
-        WarpedClass(base="not a class", num_warp_params=2, lipschitz_bound=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Additive span class
-# ---------------------------------------------------------------------------
-
-
-def make_additive_class() -> AdditiveSpanClass:
-    base = SmoothClass(smoothness=2, amplitude=1.0)
-    components = (
-        Signal(np.eye(8)[3] * 2.0),
-        Signal(np.eye(8)[5] * 1.5),
-    )
-    return AdditiveSpanClass(base=base, components=components, coeff_bound=1.0)
-
-
-def test_additive_to_signal_is_base_plus_span():
-    cls = make_additive_class()
-    rng = np.random.default_rng(6)
-    member = cls.sample(rng, 16)
-    combined = cls.to_signal(member, 16)
-    base_part = cls.base.to_signal(member.base_member, 16)
-    manual = base_part.coefficients.copy()
-    manual[3] += member.weights[0] * 2.0
-    manual[5] += member.weights[1] * 1.5
-    np.testing.assert_allclose(combined.coefficients, manual, atol=1e-15)
-    assert cls.contains(member)
-
-
-def test_additive_distance_exact_for_orthogonal_components():
-    cls = make_additive_class()
-    rng = np.random.default_rng(7)
-    a = cls.sample(rng, 16)
-    b = cls.sample(rng, 16)
-    direct = cls.distance(a, b)
-    via_signals = float(
-        np.linalg.norm(
-            cls.to_signal(a, 16).coefficients - cls.to_signal(b, 16).coefficients
-        )
-    )
-    np.testing.assert_allclose(direct, via_signals, rtol=1e-12)
-
-
-def test_additive_validation():
-    base = SmoothClass(smoothness=1, amplitude=1.0)
-    with pytest.raises(UsageError):
-        AdditiveSpanClass(base=base, components=(), coeff_bound=1.0)
-    with pytest.raises(UsageError):
-        AdditiveSpanClass(
-            base=base, components=(Signal(np.ones(4)),), coeff_bound=0.0
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +263,6 @@ def test_spec_strings_are_canonical():
     assert piecewise.spec_string() == "piecewise_smooth(k=1,s=2,K2=1,gap=0.5,A=1)"
     analytic = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
     assert analytic.spec_string() == "piecewise_analytic(jumps=2,eta=0.5,K=1)"
-    warped = WarpedClass(
-        base=SmoothClass(2, 1.0), num_warp_params=2, lipschitz_bound=5.0
-    )
-    assert warped.spec_string() == "warped(base=smooth(k=2,K=1),s=2,L=5)"
-    additive = make_additive_class()
-    label = additive.spec_string()
-    assert " " not in label and label == make_additive_class().spec_string()
-    other = AdditiveSpanClass(
-        base=additive.base,
-        components=(Signal(np.ones(4)),),
-        coeff_bound=1.0,
-    )
-    assert other.spec_string() != label
 
 
 def test_sampling_is_deterministic_per_seed():

@@ -20,7 +20,6 @@ from netsketch.hilbert import (
     exact_l2_distance,
     inner,
     pad_or_truncate,
-    quadrature_analyze,
     synthesize,
     tail_norm,
 )
@@ -119,18 +118,6 @@ def test_analyze_matches_quadrature_oracle(periodic, seed):
     computed = analyze_piecewise(desc, ambient_dim=128).coefficients
     expected = oracle_trig_coefficients(desc, ambient_dim=128)
     np.testing.assert_allclose(computed, expected, atol=1e-8)
-
-
-def test_quadrature_analyze_matches_closed_form():
-    desc = random_description(np.random.default_rng(7), periodic=False)
-    closed = analyze_piecewise(desc, ambient_dim=128).coefficients
-    numeric = quadrature_analyze(
-        desc.evaluate,
-        ambient_dim=128,
-        split_points=desc.breakpoints,
-        points_per_piece=2**16 + 1,
-    )
-    np.testing.assert_allclose(numeric, closed, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

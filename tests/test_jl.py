@@ -78,6 +78,25 @@ def test_seed_determinism():
     assert not np.array_equal(a.frame, c.frame)
 
 
+def test_operator_frame_cannot_be_written_through():
+    frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    op = MeasurementOperator(frame=frame, seed=0)
+    frame[0, 0] = 5.0
+    assert op.frame[0, 0] == 1.0 and not op.frame.flags.writeable
+    with pytest.raises(ValueError):
+        op.frame[0, 0] = 5.0
+    # A read-only view of a writable array is copied too.
+    view = frame[:, :]
+    view.setflags(write=False)
+    op = MeasurementOperator(frame=view, seed=0)
+    frame[0, 0] = 7.0
+    assert op.frame[0, 0] == 5.0 and not op.frame.flags.writeable
+    # A fresh frame from the draw is read-only already and kept as it is.
+    drawn = random_subspace(16, 4, seed=3).frame
+    assert not drawn.flags.writeable
+    assert MeasurementOperator(frame=drawn, seed=3).frame is drawn
+
+
 def test_full_rank_case_is_invertible():
     op = random_subspace(32, 32, seed=5)
     rng = np.random.default_rng(0)

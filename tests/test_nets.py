@@ -21,13 +21,11 @@ from hypothesis import strategies as st
 
 from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
-    AdditiveSpanClass,
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
-    WarpedClass,
 )
-from netsketch.hilbert import PiecewiseDescription, Signal, analyze_piecewise
+from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
     AxisLog,
@@ -78,35 +76,16 @@ def test_snap_picks_nearest_and_clamps():
     assert axis.snap(-7.3) == points[0] == -1.0
 
 
-def test_one_sided_snap_picks_nearest_and_clamps():
-    # The warp grid: points start at 0 and only go up.
-    axis = AxisLog(label="warp", count=5, step=0.25, start=0.0)
-    points = axis.points()
-    np.testing.assert_array_equal(points, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert axis.snap(0.12) == points[0] == 0.0
-    assert axis.snap(0.13) == points[1] == 0.25
-    assert axis.snap(0.6) == points[2] == 0.5
-    assert axis.snap(-3.0) == points[0] == 0.0
-    assert axis.snap(7.0) == points[4] == 1.0
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     bound=st.floats(0.01, 1e3),
     ratio=st.floats(1e-3, 10.0),
     offset=st.floats(-1.0, 1.0),
-    one_sided=st.booleans(),
 )
-def test_snap_error_bounded_by_half_step(bound, ratio, offset, one_sided):
+def test_snap_error_bounded_by_half_step(bound, ratio, offset):
     step = bound * ratio
-    if one_sided:
-        # A warp-style grid over [0, bound], as ``WarpedClass`` lays it out.
-        count = int(math.floor(bound / step + 0.5)) + 1
-        axis = AxisLog(label="warp", count=count, step=step, start=0.0)
-        value = bound * abs(offset)
-    else:
-        axis = AxisLog(label="x", count=grid_count(bound, step), step=step)
-        value = bound * offset
+    axis = AxisLog(label="x", count=grid_count(bound, step), step=step)
+    value = bound * offset
     snapped = axis.snap(value)
     assert np.any(axis.points() == snapped)
     assert abs(snapped - value) <= 0.5 * step * (1.0 + 1e-9) + 1e-12
@@ -256,45 +235,6 @@ def test_witness_within_resolution_analytic():
         assert family.distance(member, witness) <= 1.0
 
 
-def test_witness_within_resolution_warped():
-    for base in (
-        PiecewiseSmoothClass(
-            degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-        ),
-        SmoothClass(smoothness=2, amplitude=1.0),
-    ):
-        family = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
-        net = build_net(family, 1.0, mode="counted")
-        plan = net.plan
-        rng = np.random.default_rng(505)
-        for _ in range(8):
-            member = family.sample(rng, 512)
-            witness = family.round_member(plan, member)
-            assert family.distance(member, witness) <= 1.0
-            # Warp parameters land on the one-sided grid.
-            step = plan.axes[-1].step
-            for tau in witness.warp_params:
-                assert tau >= 0.0
-                assert abs(tau / step - round(tau / step)) < 1e-9
-
-
-def test_witness_within_resolution_additive():
-    components = (
-        Signal(np.array([0.0, 1.0, 0.0, 0.5])),
-        Signal(np.array([0.0, 0.0, 1.0, 0.0, 0.25])),
-    )
-    bases = ((SmoothClass(smoothness=2, amplitude=2.0), 0.6), (step_class(), 1.0))
-    for base, eps1 in bases:
-        family = AdditiveSpanClass(base=base, components=components, coeff_bound=1.0)
-        net = build_net(family, eps1, mode="counted")
-        plan = net.plan
-        rng = np.random.default_rng(606)
-        for _ in range(25):
-            member = family.sample(rng, 512)
-            witness = family.round_member(plan, member)
-            assert family.distance(member, witness) <= eps1
-
-
 def member_bytes(value) -> bytes:
     """Every number of a member, as the bytes of its float64 value."""
     if dataclasses.is_dataclass(value):
@@ -306,10 +246,6 @@ def member_bytes(value) -> bytes:
 
 
 def test_witness_is_a_center_bit_for_bit():
-    components = (
-        Signal(np.array([0.0, 1.0, 0.0, 0.5])),
-        Signal(np.array([0.0, 0.0, 1.0, 0.0, 0.25])),
-    )
     cases = (
         (SmoothClass(smoothness=2, amplitude=1.0), 0.5),
         (step_class(), 1.5),
@@ -317,10 +253,6 @@ def test_witness_is_a_center_bit_for_bit():
         (step_class(max_jumps=2, min_gap=1.5), 3.0),
         (step_class(degree=1), 6.0),
         (PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5), 2.0),
-        (WarpedClass(base=SmoothClass(2, 1.0), num_warp_params=1, lipschitz_bound=1.0), 2.0),
-        (WarpedClass(base=step_class(), num_warp_params=1, lipschitz_bound=1.0), 3.0),
-        (AdditiveSpanClass(SmoothClass(2, 2.0), components, coeff_bound=1.0), 1.2),
-        (AdditiveSpanClass(step_class(), components, coeff_bound=1.0), 3.0),
     )
     rng = np.random.default_rng(707)
     for family, eps1 in cases:
@@ -360,35 +292,6 @@ def test_net_size_monotone_in_resolution():
         assert sizes == sorted(sizes)
 
 
-def test_composed_net_sizes_factor_exactly():
-    base = PiecewiseSmoothClass(
-        degree=1, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-    )
-    warped = WarpedClass(base=base, num_warp_params=2, lipschitz_bound=2.0)
-    net = build_net(warped, 1.0, mode="counted")
-    base_net = build_net(base, 0.5, mode="counted")
-    overhead = 1
-    for axis in net.plan.axes[-2:]:
-        overhead *= axis.count
-    assert net.size == base_net.size * overhead
-
-    components = (
-        Signal(np.array([0.0, 1.0, 0.0, 0.5])),
-        Signal(np.array([0.0, 0.0, 1.0, 0.0, 0.25])),
-    )
-    additive = AdditiveSpanClass(
-        base=SmoothClass(smoothness=2, amplitude=2.0),
-        components=components,
-        coeff_bound=1.0,
-    )
-    add_net = build_net(additive, 0.6, mode="counted")
-    add_base = build_net(additive.base, 0.3, mode="counted")
-    overhead = 1
-    for axis in add_net.plan.axes[-2:]:
-        overhead *= axis.count
-    assert add_net.size == add_base.size * overhead
-
-
 def test_entropy_bits_match_sizes():
     for family, eps1 in (
         (step_class(), 0.5),
@@ -398,19 +301,6 @@ def test_entropy_bits_match_sizes():
     ):
         net = build_net(family, eps1, mode="counted")
         assert net.entropy_bits == pytest.approx(math.log2(net.size), rel=1e-12)
-
-
-def test_materialized_warp_grid_is_one_sided():
-    base = SmoothClass(smoothness=2, amplitude=1.0)
-    family = WarpedClass(base=base, num_warp_params=1, lipschitz_bound=1.0)
-    net = build_net(family, 2.0, mode="materialized")
-    axis = net.plan.axes[-1]
-    assert axis.start == 0.0
-    assert net.size == len(net.members)
-    taus = sorted({float(member.warp_params[0]) for member in net.members})
-    assert taus[0] == 0.0
-    assert taus[-1] <= 1.0 + axis.step / 2.0
-    np.testing.assert_allclose(np.diff(taus), axis.step, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
