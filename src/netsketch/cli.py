@@ -19,7 +19,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from typing import Any, Sequence
@@ -28,13 +27,14 @@ import numpy as np
 
 from .config import (
     EntropyScanConfig,
+    ExperimentConfig,
     JlCheckConfig,
     NetBuildConfig,
     TailfitConfig,
     load_config,
     load_experiment_config,
 )
-from .errors import NetSketchError, UsageError
+from .errors import UsageError
 from .experiment import run_experiment, write_summary_json, write_trials_csv
 from .function_classes import count_tail_violations, fit_class_tail_model
 from .jl import (
@@ -47,7 +47,7 @@ from .jl import (
 from .nets import build_net, write_net
 from .entropy import fit_growth
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "main"]
 
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
@@ -80,30 +80,26 @@ def _read_config(path: str) -> str:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
 
 
-def _load(args: argparse.Namespace, command: type) -> Any:
-    return load_config(_read_config(args.config), command, seed_override=args.seed)
+def _write(out: str | None, suffix: str, writer, *content: Any) -> None:
+    """Write ``out + suffix`` by ``writer`` and name it; nothing without ``--out``."""
+    if out is not None:
+        writer(f"{out}{suffix}", *content)
+        print(f"wrote {out}{suffix}")
 
 
 # ---------------------------------------------------------------------------
-# net build
+# Subcommand handlers: each gets its loaded config and the parsed flags.  They
+# call the library through this module's globals, which the benchmark wraps.
 # ---------------------------------------------------------------------------
 
-def _cmd_net_build(args: argparse.Namespace) -> int:
-    config = _load(args, NetBuildConfig)
+def _net_build(config: NetBuildConfig, args: argparse.Namespace) -> None:
     net = build_net(config.family, config.eps1, mode=config.mode, m_max=config.m_max)
     print(
         f"net: class={config.family.spec_string()} eps1={net.plan.eps1!r} mode={net.mode} "
         f"size={_exact_int_str(net.size)} entropy_bits={net.entropy_bits!r}"
     )
-    if args.out is not None:
-        write_net(args.out, net, config.ambient_dim)
-        print(f"wrote {args.out}")
-    return 0
+    _write(args.out, "", write_net, net, config.ambient_dim)
 
-
-# ---------------------------------------------------------------------------
-# jl check
-# ---------------------------------------------------------------------------
 
 def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
     """Draw ``seeds`` random subspaces and count how often all pairwise
@@ -146,32 +142,17 @@ def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
     }
 
 
-def _cmd_jl_check(args: argparse.Namespace) -> int:
-    report = run_jl_check(_load(args, JlCheckConfig))
+def _jl_check(config: JlCheckConfig, args: argparse.Namespace) -> None:
+    report = run_jl_check(config)
     print(
         f"jl check: d={report['d']} m={report['m']} n={report['n']} "
         f"all-pairs distortion within [1/2, 2] in {report['successes']}/"
         f"{report['draws']} draws (fraction {report['success_fraction']!r})"
     )
-    if args.out is not None:
-        write_summary_json(args.out, report)
-        print(f"wrote {args.out}")
-    return 0
+    _write(args.out, "", write_summary_json, report)
 
 
-# ---------------------------------------------------------------------------
-# experiment run
-# ---------------------------------------------------------------------------
-
-
-def _cmd_experiment_run(args: argparse.Namespace) -> int:
-    config = load_experiment_config(
-        _read_config(args.config), seed_override=args.seed
-    )
-    if args.out is not None:
-        config = dataclasses.replace(
-            config, csv_out=f"{args.out}.csv", json_out=f"{args.out}.json"
-        )
+def _experiment_run(config: ExperimentConfig, args: argparse.Namespace) -> None:
     result = run_experiment(config, jobs=args.jobs)
     summary = result.summary
     print(
@@ -184,21 +165,11 @@ def _cmd_experiment_run(args: argparse.Namespace) -> int:
         f"(rate {summary['success_rate']!r}, "
         f"95% CI [{summary['success_ci'][0]!r}, {summary['success_ci'][1]!r}])"
     )
-    if config.csv_out is not None:
-        write_trials_csv(config.csv_out, result.rows)
-        print(f"wrote {config.csv_out}")
-    if config.json_out is not None:
-        write_summary_json(config.json_out, summary)
-        print(f"wrote {config.json_out}")
-    return 0
+    _write(args.out, ".csv", write_trials_csv, result.rows)
+    _write(args.out, ".json", write_summary_json, summary)
 
 
-# ---------------------------------------------------------------------------
-# entropy scan
-# ---------------------------------------------------------------------------
-
-def _cmd_entropy_scan(args: argparse.Namespace) -> int:
-    config = _load(args, EntropyScanConfig)
+def _entropy_scan(config: EntropyScanConfig, args: argparse.Namespace) -> None:
     family, eps_values = config.family, config.eps_values
     nets = [build_net(family, eps, mode="counted") for eps in eps_values]
     # Exact covering numbers as decimal strings: they routinely outgrow both
@@ -213,35 +184,21 @@ def _cmd_entropy_scan(args: argparse.Namespace) -> int:
         f"entropy scan: class={family.spec_string()} model={scan.model} "
         f"{params} r_squared={scan.r_squared!r}"
     )
-    if args.out is not None:
-        csv_path = f"{args.out}.csv"
-        rows = [
-            (repr(float(eps)), size, repr(float(bits)))
-            for eps, size, bits in zip(eps_values, sizes, entropy_bits)
-        ]
-        with open(csv_path, "w", encoding="utf-8", newline="") as stream:
-            stream.write("eps,M,H\n")
-            for row in rows:
-                stream.write(",".join(row) + "\n")
-        report = {
-            "class": family.spec_string(),
-            "model": scan.model,
-            "eps_values": list(eps_values),
-            "net_sizes": sizes,
-            "entropy_bits": entropy_bits,
-            "fit_params": scan.fit_params,
-            "r_squared": scan.r_squared,
-            "non_monotone": scan.non_monotone,
-        }
-        write_summary_json(f"{args.out}.json", report)
-        print(f"wrote {csv_path}")
-        print(f"wrote {args.out}.json")
-    return 0
+    columns = ("eps", "M", "H")
+    rows = [dict(zip(columns, row)) for row in zip(eps_values, sizes, entropy_bits)]
+    _write(args.out, ".csv", write_trials_csv, rows, columns)
+    report = {
+        "class": family.spec_string(),
+        "model": scan.model,
+        "eps_values": list(eps_values),
+        "net_sizes": sizes,
+        "entropy_bits": entropy_bits,
+        "fit_params": scan.fit_params,
+        "r_squared": scan.r_squared,
+        "non_monotone": scan.non_monotone,
+    }
+    _write(args.out, ".json", write_summary_json, report)
 
-
-# ---------------------------------------------------------------------------
-# tailfit
-# ---------------------------------------------------------------------------
 
 def run_tailfit(config: TailfitConfig) -> dict[str, Any]:
     """Fit a tail-decay model, then validate the bound on fresh samples."""
@@ -277,46 +234,35 @@ def run_tailfit(config: TailfitConfig) -> dict[str, Any]:
     }
 
 
-def _cmd_tailfit(args: argparse.Namespace) -> int:
-    report = run_tailfit(_load(args, TailfitConfig))
+def _tailfit(config: TailfitConfig, args: argparse.Namespace) -> None:
+    report = run_tailfit(config)
     print(
         f"tailfit: class={report['class']} fitted_beta={report['fitted_beta']!r} "
         f"reference_beta={report['reference_beta']!r} "
         f"discrepancy={report['beta_discrepancy']!r}"
     )
     print(f"violations {report['violations']}/{report['checks']} checks")
-    if args.out is not None:
-        write_summary_json(args.out, report)
-        print(f"wrote {args.out}")
-    return 0
+    _write(args.out, "", write_summary_json, report)
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly and entry point
+# Command table, parser assembly and entry point
 # ---------------------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("config", help="flat key=value config file")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config's master seed"
-    )
-    parser.add_argument(
-        "--out", default=None, help="output path (or path prefix for CSV+JSON pairs)"
-    )
-    parser.add_argument(
-        "--log-level",
-        choices=_LOG_LEVELS,
-        default="WARNING",
-        help="show netsketch log lines at this level and above on stderr",
-    )
-    parser.add_argument(
-        "-v",
-        dest="log_level",
-        action="store_const",
-        const="INFO",
-        help="same as --log-level INFO",
-    )
+#: One row per subcommand: its words, help, config dataclass and handler.
+COMMANDS = (
+    (("net", "build"), "build a net from a class config", NetBuildConfig, _net_build),
+    (("jl", "check"), "empirical pairwise distortion check", JlCheckConfig, _jl_check),
+    (("experiment", "run"), "run a seeded experiment", ExperimentConfig, _experiment_run),
+    (("entropy", "scan"), "entropy growth across resolutions", EntropyScanConfig, _entropy_scan),
+    (("tailfit",), "fit and validate a tail-decay model", TailfitConfig, _tailfit),
+)
+_GROUP_HELP = {
+    "net": "covering-net construction",
+    "jl": "random-projection diagnostics",
+    "experiment": "reconstruction experiments",
+    "entropy": "covering-entropy diagnostics",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,45 +270,43 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="netsketch",
         description="Covering nets, random sketches, and reconstruction experiments.",
     )
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    net = commands.add_parser("net", help="covering-net construction")
-    net_sub = net.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    net_build = net_sub.add_parser("build", help="build a net from a class config")
-    _add_common(net_build)
-    net_build.set_defaults(handler=_cmd_net_build)
-
-    jl = commands.add_parser("jl", help="random-projection diagnostics")
-    jl_sub = jl.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    jl_check = jl_sub.add_parser("check", help="empirical pairwise distortion check")
-    _add_common(jl_check)
-    jl_check.set_defaults(handler=_cmd_jl_check)
-
-    experiment = commands.add_parser("experiment", help="reconstruction experiments")
-    experiment_sub = experiment.add_subparsers(
-        dest="subcommand", required=True, metavar="subcommand"
-    )
-    experiment_run = experiment_sub.add_parser("run", help="run a seeded experiment")
-    _add_common(experiment_run)
-    experiment_run.add_argument(
-        "--jobs", type=int, default=1, help="worker threads (results independent of it)"
-    )
-    experiment_run.set_defaults(handler=_cmd_experiment_run)
-
-    entropy = commands.add_parser("entropy", help="covering-entropy diagnostics")
-    entropy_sub = entropy.add_subparsers(
-        dest="subcommand", required=True, metavar="subcommand"
-    )
-    entropy_scan = entropy_sub.add_parser(
-        "scan", help="entropy growth across resolutions"
-    )
-    _add_common(entropy_scan)
-    entropy_scan.set_defaults(handler=_cmd_entropy_scan)
-
-    tailfit = commands.add_parser("tailfit", help="fit and validate a tail-decay model")
-    _add_common(tailfit)
-    tailfit.set_defaults(handler=_cmd_tailfit)
-
+    choices = {(): parser.add_subparsers(dest="command", required=True, metavar="command")}
+    for words, help_text, config_type, handler in COMMANDS:
+        group = words[:-1]
+        if group not in choices:
+            group_parser = choices[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            choices[group] = group_parser.add_subparsers(
+                dest="subcommand", required=True, metavar="subcommand"
+            )
+        command = choices[group].add_parser(words[-1], help=help_text)
+        command.add_argument("config", help="flat key=value config file")
+        command.add_argument(
+            "--seed", type=int, default=None, help="override the config's master seed"
+        )
+        command.add_argument(
+            "--out", default=None, help="output path (or path prefix for CSV+JSON pairs)"
+        )
+        command.add_argument(
+            "--log-level",
+            choices=_LOG_LEVELS,
+            default="WARNING",
+            help="show netsketch log lines at this level and above on stderr",
+        )
+        command.add_argument(
+            "-v",
+            dest="log_level",
+            action="store_const",
+            const="INFO",
+            help="same as --log-level INFO",
+        )
+        if config_type is ExperimentConfig:
+            command.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="worker threads (results independent of it)",
+            )
+        command.set_defaults(config_type=config_type, handler=handler)
     return parser
 
 
@@ -380,14 +324,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         logger.setLevel(args.log_level)
-        return int(args.handler(args))
+        text = _read_config(args.config)
+        if args.config_type is ExperimentConfig:
+            config = load_experiment_config(text, seed_override=args.seed)
+        else:
+            config = load_config(text, args.config_type, seed_override=args.seed)
+        args.handler(config, args)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NetSketchError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # fail closed: anything unexpected is internal
+    except Exception as exc:  # fail closed: anything else is internal
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -68,22 +68,19 @@ def parse_flat_config(text: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def _as_int(key: str) -> Callable[[str], int]:
-    def parse(value: str) -> int:
+# The words each value shape's messages use: one value, several, a list item.
+_NOUNS = {
+    int: ("an integer", "integers", "dimension"),
+    float: ("a number", "numbers", "value"),
+}
+
+
+def _as_number(key: str, kind: type) -> Callable[[str], Any]:
+    def parse(value: str) -> Any:
         try:
-            return int(value)
+            return kind(value)
         except ValueError:
-            raise UsageError(f"config key {key!r} needs an integer, got {value!r}")
-
-    return parse
-
-
-def _as_float(key: str) -> Callable[[str], float]:
-    def parse(value: str) -> float:
-        try:
-            return float(value)
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs a number, got {value!r}")
+            raise UsageError(f"config key {key!r} needs {_NOUNS[kind][0]}, got {value!r}")
 
     return parse
 
@@ -99,29 +96,16 @@ def _as_choice(key: str, choices: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
-def _as_dims(key: str) -> Callable[[str], tuple[int, ...]]:
-    def parse(value: str) -> tuple[int, ...]:
+def _as_list(key: str, kind: type) -> Callable[[str], tuple[Any, ...]]:
+    def parse(value: str) -> tuple[Any, ...]:
         try:
-            dims = tuple(int(part.strip()) for part in value.split(",") if part.strip())
+            parts = tuple(kind(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
-            raise UsageError(f"config key {key!r} needs integers, got {value!r}")
-        if not dims:
-            raise UsageError(f"config key {key!r} must list at least one dimension")
-        return dims
-
-    return parse
-
-
-def _as_float_list(key: str) -> Callable[[str], tuple[float, ...]]:
-    def parse(value: str) -> tuple[float, ...]:
-        try:
-            parts = tuple(
-                float(part.strip()) for part in value.split(",") if part.strip()
-            )
-        except ValueError:
-            raise UsageError(f"config key {key!r} needs numbers, got {value!r}")
+            raise UsageError(f"config key {key!r} needs {_NOUNS[kind][1]}, got {value!r}")
         if not parts:
-            raise UsageError(f"config key {key!r} must list at least one value")
+            raise UsageError(
+                f"config key {key!r} must list at least one {_NOUNS[kind][2]}"
+            )
         return parts
 
     return parse
@@ -153,14 +137,6 @@ _PARSERS_BY_KEY: dict[str, Callable[[str], Any]] = {
     "delta": _as_delta,
     "m_max": _as_budget,
 }
-_PARSERS_BY_TYPE: dict[Any, Callable[[str], Callable[[str], Any]]] = {
-    int: _as_int,
-    float: _as_float,
-    tuple[int, ...]: _as_dims,
-    tuple[float, ...]: _as_float_list,
-}
-# Fields filled by the loader itself, not read from a key of the same name.
-_CLASS_FIELDS = ("family", "class_name")
 
 
 def _schema(cls: type) -> dict[str, Callable[[str], Any]]:
@@ -168,17 +144,17 @@ def _schema(cls: type) -> dict[str, Callable[[str], Any]]:
     hints = typing.get_type_hints(cls)
     schema: dict[str, Callable[[str], Any]] = {}
     for f in dataclasses.fields(cls):
-        if f.name in _CLASS_FIELDS:
+        if f.name == "family":  # the class block, read by build_family
             continue
         kind = hints[f.name]
         if f.name in _PARSERS_BY_KEY:
             schema[f.name] = _PARSERS_BY_KEY[f.name]
         elif typing.get_origin(kind) is Literal:
             schema[f.name] = _as_choice(f.name, typing.get_args(kind))
-        elif kind in _PARSERS_BY_TYPE:
-            schema[f.name] = _PARSERS_BY_TYPE[kind](f.name)
+        elif typing.get_origin(kind) is tuple:
+            schema[f.name] = _as_list(f.name, typing.get_args(kind)[0])
         else:
-            schema[f.name] = str
+            schema[f.name] = _as_number(f.name, kind)
     return schema
 
 
@@ -217,8 +193,6 @@ def load_config(text: str, command: type, *, seed_override: int | None = None) -
     if "family" in fields:
         values["family"] = build_family(raw)
         allowed |= {"class", *_schema(CLASSES[raw["class"]])}
-        if "class_name" in fields:
-            values["class_name"] = raw["class"]
     unknown = sorted(key for key in raw if key not in allowed)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -247,7 +221,6 @@ class ExperimentConfig:
     """``experiment run``: a fully validated experiment description."""
 
     family: Any
-    class_name: str
     eps: float
     p: float
     trials: int
@@ -259,8 +232,6 @@ class ExperimentConfig:
     m_max: float = DEFAULT_NET_BUDGET
     tail_samples: int = 40
     tail_dims: tuple[int, ...] = (64, 128, 256, 512, 1024)
-    csv_out: str | None = None
-    json_out: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:

@@ -399,13 +399,15 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def write_trials_csv(path: str, rows: list[dict[str, Any]]) -> None:
-    """Write trial records with a fixed column order, one row per trial."""
+def write_trials_csv(
+    path: str, rows: list[dict[str, Any]], columns: tuple[str, ...] = CSV_COLUMNS
+) -> None:
+    """Write records with a fixed column order, one line per record."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row[column]) for column in CSV_COLUMNS])
+            writer.writerow([_csv_cell(row[column]) for column in columns])
 
 
 def write_summary_json(path: str, summary: dict[str, Any]) -> None:

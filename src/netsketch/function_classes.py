@@ -513,6 +513,11 @@ class PiecewiseAnalyticClass(FunctionClass):
     def net_plan(self, eps1: float) -> NetPlan:
         kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
         positions, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
+        if positions.size < kappa:
+            raise UsageError(
+                f"step-position grid at eps1 = {eps1!r} has {positions.size}"
+                f" points, fewer than max_jumps = {kappa}"
+            )
         level_step = eps1 / (2.0 * _SQRT_2PI)
         axes = [
             AxisLog(

@@ -59,8 +59,8 @@ logger = logging.getLogger(__name__)
 def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
     """Smallest ``d`` with ``C * R * d**-beta <= eps1`` under the fitted model.
 
-    Degenerate models — a non-finite or non-positive decay exponent — cannot
-    justify any finite truncation dimension and are rejected.
+    Degenerate models (a non-finite or non-positive decay exponent), and
+    dimensions beyond floating-point range, are rejected as usage errors.
     """
     if not eps1 > 0.0:
         raise UsageError(f"resolution must be positive, got {eps1!r}")
@@ -75,7 +75,13 @@ def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
         raise UsageError(f"tail model has negative mass bound {mass!r}")
     if mass <= eps1:
         return 1
-    return max(1, math.ceil((mass / eps1) ** (1.0 / beta)))
+    try:
+        return max(1, math.ceil((mass / eps1) ** (1.0 / beta)))
+    except OverflowError:
+        raise UsageError(
+            f"tail model with decay exponent {beta!r} needs a truncation dimension"
+            f" beyond floating-point range at resolution {eps1!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,9 @@ class PreparedSampler:
     ``decoder`` finds the nearest net center, to measurements or to truncated
     coefficients: the net's own decoder for factored nets, and for
     materialized nets one over the centers' first ``d`` coefficients.
-    ``clamped`` records that the Johnson-Lindenstrauss requirement
-    met or exceeded ``d``, so the operator is a full orthogonal map and the
-    sketch is exact on the truncated space.
+    ``clamped`` says that the Johnson-Lindenstrauss requirement met or
+    exceeded ``d``, so ``n = d``: the operator is a full orthogonal map and
+    the sketch is exact on the truncated space.
 
     The ``n x d`` operator is drawn from ``operator_seed`` on first use of
     ``operator``, so a sampler whose operator is replaced before any
@@ -98,14 +104,16 @@ class PreparedSampler:
     eps: float
     eps1: float
     p: float
-    tail_model: TailDecayModel
     d: int
     n: int
     operator_seed: int
     net: CoveringNet
     decoder: FactoredStepDecoder | MaterializedDecoder
-    clamped: bool
     ambient_dim: int
+
+    @property
+    def clamped(self) -> bool:
+        return self.n == self.d
 
     @property
     def operator(self) -> MeasurementOperator:
@@ -182,13 +190,11 @@ def preprocess(
         eps=eps,
         eps1=eps1,
         p=p,
-        tail_model=tail_model,
         d=d,
         n=n,
         operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
         decoder=decoder,
-        clamped=wanted >= d,
         ambient_dim=ambient_dim,
     )
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import split_net_text
 
-from netsketch.cli import main, run_jl_check
+from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
 from netsketch.function_classes import SmoothClass
@@ -313,6 +313,32 @@ def test_tailfit_reports_discrepancy(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Every subcommand
+# ---------------------------------------------------------------------------
+
+# Per row of the command table: a config and the suffixes of its --out files.
+COMMAND_CASES = {
+    ("net", "build"): (NET_BUILD, ("",)),
+    ("jl", "check"): (JL_CHECK, ("",)),
+    ("experiment", "run"): (SMOOTH_EXPERIMENT, (".csv", ".json")),
+    ("entropy", "scan"): (ENTROPY_SCAN, (".csv", ".json")),
+    ("tailfit",): (TAILFIT, ("",)),
+}
+
+
+@pytest.mark.parametrize("words", [row[0] for row in COMMANDS], ids=" ".join)
+def test_every_command_takes_the_common_flags(tmp_path, capsys, words):
+    text, suffixes = COMMAND_CASES[words]
+    cfg = _write(tmp_path, "command.cfg", text)
+    out = tmp_path / "out"
+    assert main([*words, cfg, "--seed", "4", "-v", "--out", str(out)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "command.cfg")
+    assert written == sorted(f"out{suffix}" for suffix in suffixes)
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("".join(f"wrote {out}{suffix}\n" for suffix in suffixes))
+
+
+# ---------------------------------------------------------------------------
 # Exit codes and error handling
 # ---------------------------------------------------------------------------
 
@@ -327,6 +353,29 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path, "exp.cfg", SMOOTH_EXPERIMENT + "typo_key = 1\n")
     assert main(["experiment", "run", cfg]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_output_path_config_key_is_unknown(tmp_path, capsys):
+    # --out PREFIX is the only way to name an experiment's output files.
+    cfg = _write(tmp_path, "exp.cfg", SMOOTH_EXPERIMENT + "csv_out = trials.csv\n")
+    assert main(["experiment", "run", cfg]) == 1
+    assert "unknown config keys: csv_out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        (["net", "build"], "eps1 = 10\n"),
+        (["entropy", "scan"], "eps_values = 40,20,10,5\nmodel = power\n"),
+    ],
+)
+def test_analytic_grid_too_coarse_for_its_jumps_exits_one(tmp_path, capsys, command, keys):
+    # At eps1 = 10 the periodic position grid has one point for three steps.
+    block = "class = analytic\nmax_jumps = 3\nstrip_width = 1\namplitude = 0.01\n"
+    cfg = _write(tmp_path, "analytic.cfg", block + keys)
+    assert main([*command, cfg]) == 1
+    assert "fewer than max_jumps = 3" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_one(capsys):

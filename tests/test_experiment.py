@@ -94,7 +94,7 @@ def test_build_family_rejects_unknown_or_incomplete():
 
 def test_load_experiment_config_defaults_and_coercions():
     cfg = load_experiment_config(SMOOTH_CONFIG)
-    assert cfg.class_name == "smooth"
+    assert cfg.family == SmoothClass(smoothness=3, amplitude=2.0)
     assert cfg.eps == 3.0
     assert cfg.delta == 0.0
     assert cfg.mode == "fixed_w"

@@ -84,6 +84,13 @@ def test_truncation_dimension_rejects_degenerate_models():
         truncation_dimension(good, 0.0)
 
 
+def test_truncation_dimension_beyond_float_range_is_a_usage_error():
+    # (10 / 1e-3) ** (1 / 0.01) = 1e400 overflows a float.
+    slow = TailDecayModel(constant=1.0, decay_exponent=0.01, norm_bound=10.0)
+    with pytest.raises(UsageError, match="beyond floating-point range"):
+        truncation_dimension(slow, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
