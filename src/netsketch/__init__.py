@@ -21,7 +21,6 @@ from .hilbert import (
     Signal,
     analyze_piecewise,
     exact_l2_distance,
-    inner,
     synthesize,
     tail_norm,
 )
@@ -45,9 +44,7 @@ from .jl import (
 )
 from .entropy import (
     EntropyScan,
-    exhaustive_min_cover,
     fit_growth,
-    greedy_cover,
     measurement_lower_bound,
     within_measurement_budget,
 )
@@ -92,12 +89,9 @@ __all__ = [
     "count_tail_violations",
     "distortion_ok",
     "exact_l2_distance",
-    "exhaustive_min_cover",
     "fit_class_tail_model",
     "fit_growth",
     "fit_tail_model",
-    "greedy_cover",
-    "inner",
     "load_experiment_config",
     "measure",
     "measurement_lower_bound",

@@ -83,8 +83,12 @@ def _read_config(path: str) -> str:
 def _write(out: str | None, suffix: str, writer, *content: Any) -> None:
     """Write ``out + suffix`` by ``writer`` and name it; nothing without ``--out``."""
     if out is not None:
-        writer(f"{out}{suffix}", *content)
-        print(f"wrote {out}{suffix}")
+        path = f"{out}{suffix}"
+        try:
+            writer(path, *content)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}") from exc
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------

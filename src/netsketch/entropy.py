@@ -3,13 +3,11 @@
 The Kolmogorov entropy of a class at resolution ``eps`` is ``log2`` of its
 minimal covering number.  Exact covering numbers are out of reach for
 function classes, so entropy values come from constructed nets (upper
-bounds); the greedy and exhaustive covers here exist to sanity-check small
-point clouds against each other and against those constructions.
+bounds).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +18,6 @@ from .errors import UsageError
 __all__ = [
     "RATE_CONSTANT",
     "EntropyScan",
-    "greedy_cover",
-    "exhaustive_min_cover",
     "fit_growth",
     "measurement_lower_bound",
     "within_measurement_budget",
@@ -29,85 +25,6 @@ __all__ = [
 
 #: Budget constant of the measurement-count rate (20 / (1 - p)) * entropy.
 RATE_CONSTANT = 20.0
-
-#: Exact set-cover enumeration is exponential; cap the instance size.
-EXHAUSTIVE_LIMIT = 15
-
-
-def _as_point_matrix(points) -> np.ndarray:
-    matrix = np.asarray(points, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[:, None]
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise UsageError("points must be a nonempty sequence of equal-length vectors")
-    return matrix
-
-
-# ---------------------------------------------------------------------------
-# Covers of point clouds
-# ---------------------------------------------------------------------------
-
-
-def _coverage_matrix(matrix: np.ndarray, eps: float) -> np.ndarray:
-    gaps = np.linalg.norm(matrix[:, None, :] - matrix[None, :, :], axis=2)
-    return gaps <= eps
-
-
-def _greedy_cover_indices(matrix: np.ndarray, eps: float) -> list[int]:
-    covered_by = _coverage_matrix(matrix, eps)
-    uncovered = np.ones(matrix.shape[0], dtype=bool)
-    chosen: list[int] = []
-    while uncovered.any():
-        gains = covered_by[:, uncovered].sum(axis=1)
-        pick = int(np.argmax(gains))  # ties break to the lowest index
-        chosen.append(pick)
-        uncovered &= ~covered_by[pick]
-    return chosen
-
-
-def greedy_cover(points, eps: float) -> int:
-    """Size of a greedy cover of ``points`` by ``eps``-balls at input points.
-
-    Maximum-coverage greedy: repeatedly center a ball at the point covering
-    the most still-uncovered points (ties to the lowest index) until all are
-    covered.  Whenever one point's ball covers everything the result is 1,
-    which keeps the count tight against the exact minimum on small clouds.
-    Always upper-bounds the minimal covering number.
-    """
-    matrix = _as_point_matrix(points)
-    if not eps > 0.0:
-        raise UsageError(f"cover radius must be positive, got {eps!r}")
-    return len(_greedy_cover_indices(matrix, eps))
-
-
-def exhaustive_min_cover(points, eps: float) -> int:
-    """Exact minimal number of ``eps``-balls centered at input points.
-
-    Set cover by subset enumeration in increasing size, so the instance is
-    capped at ``EXHAUSTIVE_LIMIT`` points.
-    """
-    matrix = _as_point_matrix(points)
-    count = matrix.shape[0]
-    if count > EXHAUSTIVE_LIMIT:
-        raise UsageError(
-            f"exact cover enumeration handles at most {EXHAUSTIVE_LIMIT} points,"
-            f" got {count}"
-        )
-    if not eps > 0.0:
-        raise UsageError(f"cover radius must be positive, got {eps!r}")
-    covered = _coverage_matrix(matrix, eps)
-    masks = [
-        sum(1 << j for j in range(count) if covered[i, j]) for i in range(count)
-    ]
-    everything = (1 << count) - 1
-    for size in range(1, count + 1):
-        for combo in itertools.combinations(range(count), size):
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if union == everything:
-                return size
-    raise UsageError("unreachable: every point covers itself")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

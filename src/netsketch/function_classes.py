@@ -89,8 +89,10 @@ def _monomial_norm(m: int) -> float:
 class FunctionClass:
     """The protocol every function class follows; subclasses are frozen dataclasses.
 
-    Members: ``sample(rng, ambient_dim)``, ``to_signal(member, ambient_dim)``,
+    Members: ``sample(rng, ambient_dim)``, ``coefficient_prefix(member, dim)``,
     ``contains(member, tolerance)``, ``distance(a, b)`` and ``spec_string()``.
+    ``coefficient_prefix`` is the one expansion hook: the member's first
+    ``dim`` basis coefficients.  ``to_signal`` wraps it as a ``Signal``.
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
     configurations times one point on each quantized axis, and
@@ -101,11 +103,11 @@ class FunctionClass:
     ``snap_breakpoints(plan, member)`` snaps a member's breakpoints onto a
     configuration; and ``coordinates(plan, member, breakpoints)`` gives the
     member's unsnapped value on each axis, given its snapped breakpoints.
-
-    The smooth and piecewise smooth classes also provide
-    ``coefficient_prefix(member, dim)``: the first ``dim`` coefficients, with
-    no check on the energy beyond them.
     """
+
+    def to_signal(self, member, ambient_dim: int) -> Signal:
+        """The member's first ``ambient_dim`` coefficients as a signal."""
+        return Signal(self.coefficient_prefix(member, ambient_dim))
 
     def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
         return None
@@ -176,7 +178,7 @@ class SmoothClass(FunctionClass):
             raise UsageError(
                 f"member carries energy beyond ambient dimension {ambient_dim}"
             )
-        return Signal(self.coefficient_prefix(member, ambient_dim))
+        return super().to_signal(member, ambient_dim)
 
     def contains(self, member: Signal, tolerance: float = _MEMBERSHIP_TOLERANCE) -> bool:
         weights = np.arange(1, member.ambient_dim + 1, dtype=np.float64) ** float(
@@ -283,9 +285,6 @@ class PiecewiseSmoothClass(FunctionClass):
             f"could not draw {self.max_jumps} breakpoints with gaps >= {self.min_gap}"
         )
 
-    def to_signal(self, member: PiecewiseDescription, ambient_dim: int) -> Signal:
-        return analyze_piecewise(member, ambient_dim)
-
     def coefficient_prefix(self, member: PiecewiseDescription, dim: int) -> np.ndarray:
         return analyze_piecewise(member, dim).coefficients
 
@@ -319,10 +318,6 @@ class PiecewiseSmoothClass(FunctionClass):
             positions = np.array([])
             gap = 1
             configs = 1
-        elif s == 1:
-            positions, _, _ = position_grid(eps1, s, self.level_bound, periodic=False)
-            gap = 1
-            configs = positions.size
         else:
             positions, effective, pitch = position_grid(
                 eps1, s, self.level_bound, periodic=False
@@ -476,10 +471,9 @@ class PiecewiseAnalyticClass(FunctionClass):
             return AnalyticStepMember(smooth=smooth, steps=steps)
         raise UsageError("could not draw distinct step positions")  # pragma: no cover
 
-    def to_signal(self, member: AnalyticStepMember, ambient_dim: int) -> Signal:
-        smooth = pad_or_truncate(member.smooth.coefficients, ambient_dim)
-        steps = analyze_piecewise(member.steps, ambient_dim)
-        return Signal(smooth + steps.coefficients)
+    def coefficient_prefix(self, member: AnalyticStepMember, dim: int) -> np.ndarray:
+        smooth = pad_or_truncate(member.smooth.coefficients, dim)
+        return smooth + analyze_piecewise(member.steps, dim).coefficients
 
     def contains(
         self,

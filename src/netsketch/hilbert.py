@@ -70,15 +70,6 @@ class Signal:
         return synthesize(self.coefficients, t)
 
 
-def inner(x: Signal, y: Signal) -> float:
-    """L2 inner product via Parseval: the coefficient dot product."""
-    if x.ambient_dim != y.ambient_dim:
-        raise UsageError(
-            f"inner product needs matching bases: {x.ambient_dim} vs {y.ambient_dim}"
-        )
-    return float(np.dot(x.coefficients, y.coefficients))
-
-
 def pad_or_truncate(values: np.ndarray, dim: int) -> np.ndarray:
     """The first ``dim`` entries of ``values``, zero-padded when it is shorter."""
     out = np.zeros(dim)

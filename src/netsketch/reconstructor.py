@@ -124,13 +124,11 @@ class PreparedSampler:
         return drawn
 
 
-def _materialized_decoder(
-    net: CoveringNet, d: int, ambient_dim: int
-) -> MaterializedDecoder:
+def _materialized_decoder(net: CoveringNet, d: int) -> MaterializedDecoder:
     """A decoder over the first ``d`` coefficients of every enumerated center."""
     rows = np.empty((net.size, d))
     for row, member in zip(rows, net.members):
-        row[:] = net.family.to_signal(member, ambient_dim).coefficients[:d]
+        row[:] = net.family.coefficient_prefix(member, d)
     return MaterializedDecoder(net.members, rows)
 
 
@@ -174,7 +172,7 @@ def preprocess(
         )
     decoder = net.decoder
     if decoder is None:
-        decoder = _materialized_decoder(net, d, ambient_dim)
+        decoder = _materialized_decoder(net, d)
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
     logger.info(

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from netsketch.cli import run_jl_check, run_tailfit
-from netsketch.entropy import (
-    exhaustive_min_cover,
-    fit_growth,
-    greedy_cover,
-    within_measurement_budget,
-)
+from netsketch.entropy import fit_growth, within_measurement_budget
 from netsketch.config import JlCheckConfig, TailfitConfig, load_experiment_config
 from netsketch.experiment import audit_trial, run_experiment
 from netsketch.function_classes import (
@@ -220,26 +215,7 @@ def test_noise_robustness_degradation(step_runs):
 
 
 # ---------------------------------------------------------------------------
-# 8. Cover-oracle sandwich
-# ---------------------------------------------------------------------------
-
-
-def test_cover_oracle_sandwich():
-    rng = np.random.default_rng(77)
-    nontrivial = 0
-    for _ in range(50):
-        count = int(rng.integers(2, 16))
-        points = rng.uniform(0.0, 4.0, size=(count, 2))
-        eps = float(rng.uniform(0.3, 1.5))
-        exact = exhaustive_min_cover(points, eps)
-        greedy = greedy_cover(points, eps)
-        assert exact <= greedy <= 2 * exact
-        nontrivial += exact > 1
-    assert nontrivial > 10  # the sweep is not all single-ball covers
-
-
-# ---------------------------------------------------------------------------
-# 9. Byte-identical outputs on repeated commands
+# 8. Byte-identical outputs on repeated commands
 # ---------------------------------------------------------------------------
 
 

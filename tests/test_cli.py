@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import split_net_text
 
+from netsketch import function_classes, reconstructor
 from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
@@ -180,6 +181,36 @@ def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
             assert first.read_bytes() == second.read_bytes()
 
 
+def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys):
+    # Set-up expands each center only to the d coefficients the decoder keeps.
+    dims: list[int] = []
+    inside = []
+    analyze, decoder = function_classes.analyze_piecewise, reconstructor._materialized_decoder
+
+    def recording_analyze(description, dim):
+        if inside:
+            dims.append(dim)
+        return analyze(description, dim)
+
+    def recording_decoder(*args):
+        inside.append(True)
+        try:
+            return decoder(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(function_classes, "analyze_piecewise", recording_analyze)
+    monkeypatch.setattr(reconstructor, "_materialized_decoder", recording_decoder)
+    cfg = _write(tmp_path, "exp.cfg", MATERIALIZED_EXPERIMENT.format(mode="fixed_w"))
+    out = tmp_path / "out"
+    assert main(["experiment", "run", cfg, "--out", str(out)]) == 0
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert summary["net_mode"] == "materialized"
+    assert summary["d"] < summary["ambient_dim"]
+    assert len(dims) == summary["net_size"]
+    assert set(dims) == {summary["d"]}
+
+
 def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
@@ -336,6 +367,11 @@ def test_every_command_takes_the_common_flags(tmp_path, capsys, words):
     assert written == sorted(f"out{suffix}" for suffix in suffixes)
     stdout = capsys.readouterr().out
     assert stdout.endswith("".join(f"wrote {out}{suffix}\n" for suffix in suffixes))
+    # An --out path in a missing directory is a usage error, not an internal one.
+    missing = tmp_path / "missing" / "out"
+    assert main([*words, cfg, "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {f'{missing}{suffixes[0]}'!r}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Point-cloud covers, growth-law fits, and measurement-budget checks."""
+"""Entropy of constructed nets, growth-law fits, and measurement-budget checks."""
 
 from __future__ import annotations
 
@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from netsketch.entropy import (
-    _greedy_cover_indices,
-    exhaustive_min_cover,
     fit_growth,
-    greedy_cover,
     measurement_lower_bound,
     within_measurement_budget,
 )
@@ -21,63 +18,20 @@ from netsketch.nets import build_net
 
 
 # ---------------------------------------------------------------------------
-# Covers
+# Covers: entropy values come from constructed nets, whose size is the
+# product of the configuration count and every axis count.
 # ---------------------------------------------------------------------------
 
 
-def test_greedy_cover_small_cases():
-    assert greedy_cover(np.zeros((1, 3)), 0.5) == 1
-    two = np.array([[0.0, 0.0], [3.0, 0.0]])
-    assert greedy_cover(two, 1.0) == 2
-    assert greedy_cover(two, 3.0) == 1
-    assert greedy_cover(np.zeros((6, 2)), 1e-9) == 1
-    with pytest.raises(UsageError):
-        greedy_cover(two, 0.0)
-    with pytest.raises(UsageError):
-        greedy_cover(np.zeros((0, 2)), 1.0)
-
-
-def test_greedy_cover_covers_every_point():
-    rng = np.random.default_rng(7)
-    points = rng.normal(size=(40, 3))
-    for eps in (0.5, 1.0, 2.0):
-        centers = _greedy_cover_indices(points, eps)
-        assert len(centers) == greedy_cover(points, eps)
-        nearest = np.min(
-            np.linalg.norm(points[:, None, :] - points[centers][None, :, :], axis=2),
-            axis=1,
-        )
-        assert nearest.max() <= eps
-
-
-def test_greedy_cover_monotone_in_radius():
-    rng = np.random.default_rng(11)
-    points = rng.normal(size=(60, 4))
-    radii = [4.0, 2.0, 1.0, 0.5, 0.25]
-    counts = [greedy_cover(points, eps) for eps in radii]
-    assert counts == sorted(counts)
-
-
-def test_exhaustive_min_cover_small_cases():
-    assert exhaustive_min_cover(np.zeros((5, 2)), 0.1) == 1
-    # Centers sit at input points: the middle ball reaches 2.5 but not 0.
-    assert exhaustive_min_cover(np.array([[0.0], [1.5], [2.5]]), 1.0) == 2
-    # Pairwise-isolated points each need their own ball.
-    assert exhaustive_min_cover(np.array([[0.0], [1.5], [3.0]]), 1.0) == 3
-    with pytest.raises(UsageError):
-        exhaustive_min_cover(np.zeros((16, 2)), 1.0)
-    with pytest.raises(UsageError):
-        exhaustive_min_cover(np.array([[0.0], [1.5]]), -1.0)
-
-
-def test_exhaustive_at_most_greedy_within_factor_two():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        points = rng.uniform(-1.0, 1.0, size=(10, 2))
-        eps = float(rng.uniform(0.3, 1.2))
-        exact = exhaustive_min_cover(points, eps)
-        greedy = greedy_cover(points, eps)
-        assert exact <= greedy <= 2 * exact
+def test_construction_entropy_matches_grid_logs():
+    family = PiecewiseSmoothClass(
+        degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
+    )
+    net = build_net(family, 0.5, mode="counted")
+    expected = math.log2(net.plan.config_count) + sum(
+        math.log2(axis.count) for axis in net.plan.axes
+    )
+    assert net.entropy_bits == expected
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +125,3 @@ def test_within_measurement_budget_threshold():
         within_measurement_budget(10, 1.0, 5.0)
     with pytest.raises(UsageError):
         within_measurement_budget(-1, 0.5, 5.0)
-
-
-def test_construction_entropy_matches_grid_logs():
-    family = PiecewiseSmoothClass(
-        degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-    )
-    net = build_net(family, 0.5, mode="counted")
-    expected = math.log2(net.plan.config_count) + sum(
-        math.log2(axis.count) for axis in net.plan.axes
-    )
-    assert net.entropy_bits == expected

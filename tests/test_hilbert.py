@@ -18,7 +18,6 @@ from netsketch.hilbert import (
     analyze_piecewise,
     dump_signal,
     exact_l2_distance,
-    inner,
     pad_or_truncate,
     synthesize,
     tail_norm,
@@ -151,24 +150,6 @@ def test_energy_split_is_exact():
     head = float(np.dot(coeffs[:64], coeffs[:64]))
     tail = float(np.dot(coeffs[64:], coeffs[64:]))
     assert abs(head + tail - total) <= 1e-12 * max(1.0, total)
-
-
-def test_inner_product_basics():
-    x = Signal(np.array([3.0, 4.0, 0.0]))
-    zero = Signal(np.zeros(3))
-    assert inner(x, x) == 25.0
-    assert inner(x, zero) == 0.0
-    with pytest.raises(UsageError):
-        inner(x, Signal(np.zeros(5)))
-
-
-def test_inner_matches_quadrature():
-    rng = np.random.default_rng(9)
-    x = Signal(rng.normal(size=33))
-    y = Signal(rng.normal(size=33))
-    grid = np.linspace(-math.pi, math.pi, 2**14 + 1)
-    integral = grid_l2_inner(x.evaluate(grid), y.evaluate(grid), grid)
-    np.testing.assert_allclose(inner(x, y), integral, rtol=1e-6, atol=1e-9)
 
 
 def test_project_prefix_and_tail_norm():
