@@ -156,7 +156,12 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
                 stop = min(n, start + _PRODUCT_ROWS)
                 np.matmul(inverse[start:stop, :stop], previous[:stop], out=frame[start:stop])
             gram = frame @ frame.T
-            error = float(np.max(np.abs(gram - np.eye(n))))
+            # max |gram - I| without n x n temporaries; the next pass factors
+            # ``gram``, so its diagonal is restored from a copy, bit for bit.
+            diagonal = gram.diagonal().copy()
+            gram.flat[:: n + 1] -= 1.0
+            error = max(float(gram.max()), -float(gram.min()))
+            gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
                 logger.debug(
                     "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d in %.3fs",

@@ -182,20 +182,66 @@ def _nearest_row(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
     return best_index, best
 
 
-def _add_real_series(spectrum: np.ndarray, values: np.ndarray, count: int) -> None:
-    """Add the series ``Re sum_f values_f exp(2 pi i f p / count)``, ``f = 0, 1, ...``.
+def _smooth_length(minimum: int) -> int:
+    """The smallest ``2^a 3^b 5^c`` at least ``minimum``: an FFT length without large primes."""
+    best = 1 << (minimum - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The smallest power of two times ``odd`` that reaches ``minimum``.
+            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
-    ``spectrum`` holds, along its last axis, the ``count`` bins of an inverse
-    DFT over ``count`` points.  A term splits into conjugate halves at bins
-    ``f`` and ``-f`` (mod ``count``), so the series has a real inverse DFT.
-    Frequencies a whole turn apart share bins, so each turn is added
-    separately.
+
+@dataclass(frozen=True)
+class _ChirpPlan:
+    """What the chirp-z evaluation of a length-``F`` series on ``P`` breakpoints keeps.
+
+    With ``chirp_m = exp(i pi m^2 / P)``, ``f p = (f^2 + p^2 - (p - f)^2) / 2``
+    turns the length-``P`` DFT into a linear convolution with the conjugate
+    chirp, run as a circular one of length ``M >= P + F - 1``:
+
+        sum_f a_f e^{i f b_p} = chirp_p sum_f (a_f e^{i f b_0} chirp_f) conj(chirp_{p-f})
+
+    (Rabiner, Schafer & Rader 1969; Bluestein 1970).  ``input_factor`` is
+    ``e^{i f b_0} chirp_f``, ``kernel_spectrum`` the length-``M`` FFT of the
+    conjugate chirp at lags ``-(F-1) .. P-1``, divided by ``M`` so the inverse
+    FFT needs no scaling, and ``output_chirp`` is ``chirp_p``.
     """
-    for start in range(0, values.shape[-1], count):
-        half = 0.5 * values[..., start : start + count]
-        bins = np.arange(half.shape[-1])
-        spectrum[..., bins] += half
-        spectrum[..., -bins % count] += np.conj(half, out=half)
+
+    input_factor: np.ndarray
+    kernel_spectrum: np.ndarray
+    output_chirp: np.ndarray
+
+
+def _chirp_plan(positions: np.ndarray, width: int) -> _ChirpPlan:
+    """The chirp-z plan for series of length ``width`` on the uniform grid ``positions``."""
+    started = time.perf_counter()
+    count = positions.size
+    length = _smooth_length(count + width - 1)
+    m = np.arange(max(count, width), dtype=np.int64)
+    # exp(i pi m^2 / P) has period 2 P in m^2: reduce the exponent exactly.
+    chirp = np.exp(1j * (math.pi / count) * ((m * m) % (2 * count)))
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:count] = chirp[:count]
+    kernel[length - width + 1 :] = chirp[width - 1 : 0 : -1]
+    plan = _ChirpPlan(
+        input_factor=np.exp(1j * np.arange(width) * positions[0]) * chirp[:width],
+        kernel_spectrum=np.fft.fft(np.conj(kernel, out=kernel)) / length,
+        output_chirp=chirp[:count].copy(),
+    )
+    arrays = (plan.input_factor, plan.kernel_spectrum, plan.output_chirp)
+    for array in arrays:
+        array.setflags(write=False)
+    logger.debug(
+        "chirp-z plan: P=%d F=%d M=%d bytes=%d built in %.3fs",
+        count, width, length, sum(array.nbytes for array in arrays),
+        time.perf_counter() - started,
+    )
+    return plan
 
 
 def _indicator_series(rows: np.ndarray, width: int) -> np.ndarray:
@@ -249,8 +295,8 @@ class FactoredStepDecoder:
 
     The breakpoints must be a uniform grid of pitch ``2 pi / P`` (as
     ``position_grid`` makes them): every term the sweep needs is then a
-    trigonometric polynomial in ``b``, and one inverse FFT of length ``P``
-    evaluates it on all ``P`` breakpoints at once.
+    trigonometric polynomial in ``b``, and one chirp-z transform evaluates it
+    on all ``P`` breakpoints at once.
     """
 
     positions: np.ndarray
@@ -270,6 +316,9 @@ class FactoredStepDecoder:
         self._terms = _OperatorSlot(self._operator_terms)
         self._norms_sq: dict[int, np.ndarray] = {}
         self._norms_lock = threading.Lock()
+        # Its own lock: ``_indicator_norms_sq`` transforms under ``_norms_lock``.
+        self._plans: dict[int, _ChirpPlan] = {}
+        self._plans_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -278,15 +327,24 @@ class FactoredStepDecoder:
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
 
-        With ``b_p = b_0 + 2 pi p / P``, frequency ``f`` is frequency
-        ``f mod P`` on the grid, so each series (along the last axis) is one
-        inverse DFT of length ``P``.
+        With ``b_p = b_0 + 2 pi p / P`` the sum is a length-``P`` DFT, which a
+        chirp-z transform evaluates with FFTs of a length ``M`` free of large
+        primes (see ``_ChirpPlan``), for series of any length ``F`` along the
+        last axis.  The plan for each ``F`` is built once, kept read-only, and
+        shared by every thread.
         """
-        count = self.positions.size
-        phases = np.exp(1j * np.arange(series.shape[-1]) * self.positions[0])
-        spectrum = np.zeros(series.shape[:-1] + (count,), dtype=np.complex128)
-        _add_real_series(spectrum, series * phases, count)
-        return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
+        width = series.shape[-1]
+        with self._plans_lock:
+            plan = self._plans.get(width)
+            if plan is None:
+                plan = self._plans[width] = _chirp_plan(self.positions, width)
+        length = plan.kernel_spectrum.size
+        spectrum = np.fft.fft(series * plan.input_factor, n=length, axis=-1)
+        spectrum *= plan.kernel_spectrum
+        convolved = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
+        values = convolved[..., : self.positions.size]
+        values *= plan.output_chirp
+        return np.ascontiguousarray(values.real)
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -51,6 +53,21 @@ m_max = 100
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
+"""
+
+# The bench's step class at eps 0.6 (d ~ 1,900, n = 710), with few trials.
+BENCH_STEP_EXPERIMENT = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 0.6
+p = 0.5
+trials = 4
+mode = fixed_x
+seed = 101
 """
 
 # The same class at a coarse resolution materializes its 1,125 centers;
@@ -179,6 +196,32 @@ def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
         for suffix in (".csv", ".json"):
             first, second = one.with_suffix(suffix), two.with_suffix(suffix)
             assert first.read_bytes() == second.read_bytes()
+
+
+def test_blas_thread_count_moves_no_summary_byte(tmp_path):
+    # Byte-identity is promised at a fixed BLAS thread count.  At d ~ 1,900
+    # a second thread may reorder the sums of the operator products, which
+    # can move the last bits of projected_distance in the CSV, but must not
+    # move the summary or the decoded members (their ambient errors).
+    cfg = _write(tmp_path, "exp.cfg", BENCH_STEP_EXPERIMENT)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "netsketch", "experiment", "run", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out.with_suffix(".csv"), newline="", encoding="utf-8") as stream:
+            errors = [row["ambient_error"] for row in csv.DictReader(stream)]
+        outputs[threads] = (out.with_suffix(".json").read_bytes(), errors)
+    summary = json.loads(outputs["1"][0])
+    assert summary["net_mode"] == "factored" and summary["d"] > 1_000
+    assert len(outputs["1"][1]) == 4
+    assert outputs["1"] == outputs["2"]
 
 
 def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from conftest import split_net_text
 from hypothesis import strategies as st
 
+from netsketch import nets
 from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
@@ -36,6 +37,7 @@ from netsketch.nets import (
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
+    position_grid,
     symmetric_grid,
 )
 
@@ -593,6 +595,151 @@ def test_decoder_input_validation():
         decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
     with pytest.raises(UsageError):
         MaterializedDecoder(materialized.members[1:], decoder.rows)
+
+
+# ---------------------------------------------------------------------------
+# Breakpoint transform
+# ---------------------------------------------------------------------------
+
+
+def length_p_on_breakpoints(positions, series):
+    """Reference: ``Re sum_f series_f exp(i f b)`` by one inverse DFT of length ``P``.
+
+    The factored decoder's transform before it used a chirp-z plan, kept here
+    as the oracle.  Frequency ``f`` is frequency ``f mod P`` on the grid, so
+    each whole turn of the series is folded into the ``P`` bins separately,
+    in conjugate halves at bins ``f`` and ``-f``.
+    """
+    count = positions.size
+    values = series * np.exp(1j * np.arange(series.shape[-1]) * positions[0])
+    spectrum = np.zeros(series.shape[:-1] + (count,), dtype=np.complex128)
+    for start in range(0, values.shape[-1], count):
+        half = 0.5 * values[..., start : start + count]
+        bins = np.arange(half.shape[-1])
+        spectrum[..., bins] += half
+        spectrum[..., -bins % count] += np.conj(half, out=half)
+    return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
+
+
+def grid_decoder(count, periodic):
+    """A factored decoder on ``position_grid``'s grid of exactly ``count`` breakpoints."""
+    # position_grid takes ceil(2 pi / pitch) points at the pitch (eps1/2)^2 / 4
+    # (one jump, unit scale), or (eps1/4)^2 / 4 for the periodic flavour.
+    pitch = TWO_PI / (count - 0.5)
+    eps1 = (4.0 if periodic else 2.0) * 2.0 * math.sqrt(pitch)
+    positions, _, _ = position_grid(eps1, 1, 1.0, periodic)
+    assert positions.size == count
+    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("count", [45, 70, 97, 10_054])
+def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
+    decoder = grid_decoder(count, periodic)
+    # Half-step start, or the -pi start of the periodic grid.
+    start = -math.pi + (0.0 if periodic else math.pi / count)
+    assert decoder.positions[0] == pytest.approx(start, abs=1e-15)
+    rng = np.random.default_rng(count)
+    for width in (1, 2, count // 2, count, 3 * count + 1):
+        for shape in ((width,), (3, width)):
+            series = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = decoder._on_breakpoints(series)
+            want = length_p_on_breakpoints(decoder.positions, series)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            scale = np.sum(np.abs(series), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # Real series too, as the indicator norms pass.
+    series = rng.normal(size=count + 3)
+    np.testing.assert_allclose(
+        decoder._on_breakpoints(series),
+        length_p_on_breakpoints(decoder.positions, series),
+        rtol=0.0,
+        atol=1e-12 * np.sum(np.abs(series)),
+    )
+
+
+def test_chirp_plans_are_built_once_per_length(monkeypatch):
+    widths = (21, 41)
+    series = {
+        width: np.random.default_rng(width).normal(size=(2, width)) + 0.5j
+        for width in widths
+    }
+
+    def fresh():
+        return build_net(step_class(), 1.5, mode="factored").decoder
+
+    expected = {width: fresh()._on_breakpoints(series[width]) for width in widths}
+    built = []
+    real_plan = nets._chirp_plan
+
+    def counting_plan(positions, width):
+        built.append(width)
+        return real_plan(positions, width)
+
+    monkeypatch.setattr(nets, "_chirp_plan", counting_plan)
+    # Threads sharing one decoder across both lengths, switching often.
+    shared = fresh()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            chosen = [widths[k % 2] for k in range(8)]
+            futures = [pool.submit(shared._on_breakpoints, series[w]) for w in chosen]
+            for width, future in zip(chosen, futures):
+                assert np.array_equal(future.result(timeout=60), expected[width])
+    finally:
+        sys.setswitchinterval(previous)
+    assert sorted(built) == list(widths)
+    assert sorted(shared._plans) == list(widths)
+    for width, plan in shared._plans.items():
+        for array in (plan.input_factor, plan.kernel_spectrum, plan.output_chirp):
+            assert not array.flags.writeable
+        shared._on_breakpoints(series[width])
+        assert shared._plans[width] is plan
+    assert sorted(built) == list(widths)
+
+
+def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
+    """At the bench size (P = 10,054 = 2 * 11 * 457) no FFT runs at a length
+    with a prime factor above 5, where numpy falls back to its own Bluestein
+    set-up on every call."""
+    lengths = []
+
+    def recording(name, function):
+        inverse_real = name in ("irfft", "hfft")
+
+        @functools.wraps(function)
+        def wrapper(a, n=None, axis=-1, *args, **kwargs):
+            if n is None:
+                n = np.shape(a)[axis]
+                n = 2 * (n - 1) if inverse_real else n
+            lengths.append((name, n))
+            return function(a, n, axis, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, None)  # any multi-axis call fails loudly
+
+    def rough_part(n):
+        """``n`` without its factors 2, 3 and 5."""
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n
+
+    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    assert decoder.positions.size == 10_054
+    d = 1_886  # the bench's fitted d and n at seed 1
+    operator = random_subspace(d, 710, seed=3)
+    target = step_member_coefficients(decoder.positions[1234], 0.5, -0.25, d)
+    decoder.prepare(operator)
+    decoder.decode_measurements(apply_operator(operator, target), operator)
+    decoder.decode_coefficients(target)
+    assert {name for name, _ in lengths} >= {"fft", "ifft", "rfft", "irfft"}
+    assert [(name, n) for name, n in lengths if rough_part(n) > 1] == []
 
 
 # ---------------------------------------------------------------------------
