@@ -45,6 +45,7 @@ _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
 _CHOLESKY_PASSES = 3
 _PRODUCT_ROWS = 64
+_GAUSSIAN_ROWS = 64
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +134,15 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     ``_RANK_TOLERANCE``, or a failed factorization (``kappa(G) >~ 1e9``),
     counts as rank deficient: the draw is repeated, and after three fresh
     redraws a failure is treated as an internal error.
+
+    One C-ordered ``n x d`` buffer holds ``G^T``, then each pass's output:
+    ``G`` is drawn in row blocks, the stream's order, into its columns, and
+    ``L^{-1}`` is applied in place from the bottom row block up, since a
+    block's rows of the product read only the rows above its end.  Each
+    ``n x n`` array is released once it has been used, so the peak is the
+    frame, three ``n x n`` arrays (the Gram matrix with the Cholesky call's
+    work copy and factor), one block of product rows and one of Gaussian
+    rows; the DEBUG line reports it as ``work_bytes``.
     """
     if n < 1 or d < 1:
         raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
@@ -141,20 +151,26 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     tolerance = (d + 2) * np.finfo(np.float64).eps
+    frame = np.empty((n, d))
     for redraws in range(1 + _QR_RETRIES):
-        gaussian = rng.standard_normal((d, n))
-        frame, gram = gaussian.T, gaussian.T @ gaussian
+        for start in range(0, d, _GAUSSIAN_ROWS):
+            stop = min(d, start + _GAUSSIAN_ROWS)
+            frame[:, start:stop] = rng.standard_normal((stop - start, n)).T
+        gram = frame @ frame.T
         for passes in range(1, 1 + _CHOLESKY_PASSES):
             try:
                 lower = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
                 break
+            del gram
             if np.min(np.diag(lower)) <= _RANK_TOLERANCE:
                 break
-            inverse, previous, frame = _lower_inverse(lower), frame, np.empty((n, d))
-            for start in range(0, n, _PRODUCT_ROWS):  # only the lower triangle
+            inverse = _lower_inverse(lower)
+            del lower
+            for start in reversed(range(0, n, _PRODUCT_ROWS)):  # bottom up, lower triangle only
                 stop = min(n, start + _PRODUCT_ROWS)
-                np.matmul(inverse[start:stop, :stop], previous[:stop], out=frame[start:stop])
+                frame[start:stop] = inverse[start:stop, :stop] @ frame[:stop]
+            del inverse
             gram = frame @ frame.T
             # max |gram - I| without n x n temporaries; the next pass factors
             # ``gram``, so its diagonal is restored from a copy, bit for bit.
@@ -163,9 +179,12 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
             error = max(float(gram.max()), -float(gram.min()))
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
+                blocks = min(n, _PRODUCT_ROWS) * d + min(d, _GAUSSIAN_ROWS) * n
                 logger.debug(
-                    "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d in %.3fs",
-                    d, n, passes, error, redraws, time.perf_counter() - started,
+                    "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d"
+                    " frame_bytes=%d work_bytes=%d in %.3fs",
+                    d, n, passes, error, redraws, frame.nbytes,
+                    frame.nbytes + 8 * (3 * n * n + blocks), time.perf_counter() - started,
                 )
                 frame.setflags(write=False)
                 return MeasurementOperator(frame=frame, seed=seed)

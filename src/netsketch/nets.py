@@ -30,6 +30,7 @@ import logging
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
@@ -139,26 +140,29 @@ class _OperatorSlot:
 
     One slot, shared by every thread that decodes: a run under a fixed
     operator builds once, and a new operator replaces the contents.  The slot
-    keeps a reference to its operator, so an identity check cannot match a
-    different operator allocated at a reused address.
+    holds its operator weakly, so a dead operator's frame is freed before the
+    next one is drawn; a dead reference returns ``None``, so the identity
+    check cannot match a different operator allocated at a reused address.
+    The reference has no callback, which could run during cyclic garbage
+    collection while the slot's lock is held.
     """
 
     def __init__(self, build) -> None:
         self._build = build
         self._lock = threading.Lock()
-        self._held: tuple[object, object] | None = None
+        self._held: tuple[weakref.ref, object] | None = None
 
     def get(self, operator):
         with self._lock:
             held = self._held
-            if held is not None and held[0] is operator:
+            if held is not None and held[0]() is operator:
                 return held[1]
             # Release the previous operator's contents before building anew.
             self._held = None
         del held
         built = self._build(operator)
         with self._lock:
-            self._held = (operator, built)
+            self._held = (weakref.ref(operator), built)
         return built
 
 
@@ -401,26 +405,30 @@ class FactoredStepDecoder:
         ``_TERMS_BLOCK_ROWS`` rows on ``N >= 4 K + 1`` uniform points (``N`` a
         power of two), the blocks' squares are summed into one length-``N``
         vector, and one real forward FFT of it gives its coefficients exactly.
+        Each block of rows is scaled as it is read, and ``v_full @ R`` is
+        ``scale * (v_full @ frame)``, so no frame-sized copy is made.
         Decoding keeps the last operator's terms in a slot, so they are built
         once per operator.
         """
         started = time.perf_counter()
-        rows = operator.scale * operator.frame
-        n, d = rows.shape
+        scale, frame = operator.scale, operator.frame
+        n, d = frame.shape
         degree = d // 2
         points = 1 << (4 * degree).bit_length()
         squares = np.zeros(points)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
-            series = _indicator_series(rows[start : start + _TERMS_BLOCK_ROWS], points // 2 + 1)
+            rows = scale * frame[start : start + _TERMS_BLOCK_ROWS]
+            series = _indicator_series(rows, points // 2 + 1)
             series[:, 1:] *= 0.5  # bin f of a real inverse DFT holds half of z_f, f > 0
             block = np.fft.irfft(series, n=points, axis=-1, norm="forward")
             squares += np.einsum("ij,ij->j", block, block)
         square_sum = np.fft.rfft(squares, norm="forward")
         square_sum = square_sum[: 2 * degree + 1]
         square_sum[1:] *= 2.0
-        v_full = _SQRT_2PI * rows[:, 0]
-        lead = float(np.dot(rows[:, 0], rows[:, 0]))
-        g0f = self._indicator_products(v_full @ rows)
+        first = scale * frame[:, 0]
+        v_full = _SQRT_2PI * first
+        lead = float(np.dot(first, first))
+        g0f = self._indicator_products(scale * (v_full @ frame))
         shift = self.positions + math.pi
         g00 = self._on_breakpoints(square_sum)
         g00 += shift * (2.0 * g0f - shift * lead) / TWO_PI

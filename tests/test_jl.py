@@ -6,10 +6,12 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from netsketch import jl
 from netsketch.errors import NetSketchError, UsageError
 from netsketch.hilbert import Signal
 from netsketch.jl import (
@@ -68,6 +70,96 @@ def test_orthonormal_rows():
         reference = householder_frame(np.random.default_rng(7).standard_normal((d, n)))
         np.testing.assert_allclose(op.frame, reference, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(op.scale**2 * op.n / op.d, 1.0, atol=1e-12)
+
+
+def reference_subspace(d, n, seed):
+    """Reference: the draw before it worked in one frame-sized buffer.
+
+    It draws the Gaussian ``G`` as one ``d x n`` array and writes each pass's
+    ``L^{-1} G^T`` into a fresh ``n x d`` array, so two frames and four
+    ``n x n`` arrays are alive at once; kept here as the oracle.
+    """
+    rng = np.random.default_rng(seed)
+    tolerance = (d + 2) * np.finfo(np.float64).eps
+    for _ in range(1 + jl._QR_RETRIES):
+        gaussian = rng.standard_normal((d, n))
+        frame, gram = gaussian.T, gaussian.T @ gaussian
+        for _ in range(jl._CHOLESKY_PASSES):
+            try:
+                lower = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                break
+            if np.min(np.diag(lower)) <= jl._RANK_TOLERANCE:
+                break
+            inverse, previous, frame = jl._lower_inverse(lower), frame, np.empty((n, d))
+            for start in range(0, n, jl._PRODUCT_ROWS):
+                stop = min(n, start + jl._PRODUCT_ROWS)
+                np.matmul(inverse[start:stop, :stop], previous[:stop], out=frame[start:stop])
+            gram = frame @ frame.T
+            diagonal = gram.diagonal().copy()
+            gram.flat[:: n + 1] -= 1.0
+            error = max(float(gram.max()), -float(gram.min()))
+            gram.flat[:: n + 1] = diagonal
+            if error <= tolerance:
+                return frame
+    raise NetSketchError("reference draw failed")
+
+
+def test_draw_matches_the_two_buffer_reference():
+    # Same Gaussian stream and the same row blocks: bit for bit, the bench
+    # shape (d = 1,886, n = 710) included.
+    for d, n in ((1886, 710), (512, 128), (512, 167), (301, 301), (65, 3), (1, 1)):
+        for seed in range(4):
+            frame = random_subspace(d, n, seed).frame
+            assert np.array_equal(frame, reference_subspace(d, n, seed)), (d, n, seed)
+    # At these shapes OpenBLAS takes another product kernel for the C-ordered
+    # operand than for the transposed Gaussian, which moves the last bits.
+    for d, n in ((32, 32), (300, 150), (130, 129), (129, 65)):
+        for seed in range(4):
+            frame = random_subspace(d, n, seed).frame
+            np.testing.assert_allclose(
+                frame, reference_subspace(d, n, seed), rtol=0.0, atol=1e-14
+            )
+            assert gram_error(frame) <= (d + 2) * np.finfo(np.float64).eps
+
+
+def traced_peak(draw):
+    """Peak bytes that numpy and Python allocate while ``draw()`` runs."""
+    tracemalloc.start()
+    try:
+        draw()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draw_peak_memory_is_one_frame_and_small_blocks(caplog):
+    """The draw's traced peak at d = 1,200, n = 300 stays under
+
+        8 (n d + 3 n^2 + 64 d + 64 n) bytes = 5.81 MB:
+
+    - ``n d``: the one frame buffer, holding ``G^T`` and then each pass's
+      ``L^{-1} G^T``, written in place;
+    - ``3 n^2``: the Gram matrix together with ``np.linalg.cholesky``'s work
+      copy and factor.  The Gram matrix is released before ``L`` is
+      inverted, and the recursive halving holds ``L``, ``L^{-1}`` and three
+      quarter-size blocks, ``2.75 n^2``; the product holds ``L^{-1}`` only;
+    - ``64 d``: one block of 64 product rows, formed before it is copied
+      into place;
+    - ``64 n``: one block of 64 Gaussian rows.
+
+    The two-buffer draw held ``G`` and the new frame together, with four
+    ``n x n`` arrays, ``8 (2 n d + 4 n^2)`` = 8.64 MB, and fails it.  The
+    DEBUG line reports the same bound as ``work_bytes``.
+    """
+    d, n = 1200, 300
+    bound = 8 * (n * d + 3 * n * n + 64 * d + 64 * n)
+    random_subspace(d, n, seed=0)  # any one-time set-up happens outside the trace
+    with caplog.at_level(logging.DEBUG, logger="netsketch.jl"):
+        assert traced_peak(lambda: random_subspace(d, n, seed=0)) <= bound
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "netsketch.jl"]
+    assert f" frame_bytes={8 * n * d} work_bytes={bound} " in line
+    assert traced_peak(lambda: reference_subspace(d, n, seed=0)) > bound
 
 
 def test_seed_determinism():
@@ -213,14 +305,27 @@ def conditioned_gaussian(d, n, kappa):
 
 
 class FixedRNG:
-    """Stands in for ``np.random.default_rng(seed)``: every draw is ``matrix``."""
+    """Stands in for ``np.random.default_rng(seed)``: every draw is ``matrix``.
+
+    A draw asks for consecutive row blocks of the Gaussian; a redraw starts
+    over at row 0, which it may do only once the draw before it has read
+    every row.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.row = 0
 
     def standard_normal(self, size):
-        assert size == self.matrix.shape
-        return self.matrix.copy()
+        rows, columns = size
+        assert columns == self.matrix.shape[1]
+        if self.row == self.matrix.shape[0]:
+            self.row = 0
+        stop = self.row + rows
+        assert stop <= self.matrix.shape[0]
+        block = self.matrix[self.row : stop].copy()
+        self.row = stop
+        return block
 
 
 def test_ill_conditioned_draw_needs_a_second_cholesky_pass(monkeypatch, caplog):

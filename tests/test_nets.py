@@ -5,12 +5,15 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import gc
 import io
 import logging
 import math
 import re
 import sys
+import tracemalloc
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -522,6 +525,58 @@ def test_operator_terms_follow_the_operator():
                     assert future.result(timeout=60) == expected[k % 2]
         finally:
             sys.setswitchinterval(previous)
+
+
+def test_decoders_hold_their_operator_weakly(monkeypatch):
+    # A decoder's slot must not keep a dead operator's frame alive into the
+    # next draw, and a new operator must not match the dead one's entry.
+    materialized = build_net(step_class(), 1.5, mode="materialized")
+    rows = brute_force_coefficients(materialized, 40)
+    builds = []
+    for decoder_class, name in (
+        (FactoredStepDecoder, "_operator_terms"),
+        (MaterializedDecoder, "_measured_rows"),
+    ):
+
+        def counted_build(self, operator, build=getattr(decoder_class, name)):
+            builds.append(operator.seed)
+            return build(self, operator)
+
+        monkeypatch.setattr(decoder_class, name, counted_build)
+    y = np.random.default_rng(43).normal(size=9)
+    for make_decoder in (
+        lambda: build_net(step_class(), 1.5, mode="factored").decoder,
+        lambda: MaterializedDecoder(materialized.members, rows),
+    ):
+        builds.clear()
+        decoder = make_decoder()
+        operator = random_subspace(40, 9, seed=1)
+        decoder.prepare(operator)
+        frame = weakref.ref(operator.frame)
+        del operator
+        gc.collect()
+        assert frame() is None
+        other = random_subspace(40, 9, seed=2)
+        result = decoder.decode_measurements(y, other)
+        assert builds == [1, 2]
+        expected = make_decoder().decode_measurements(y, other)
+        assert (result.index, result.distance) == (expected.index, expected.distance)
+
+
+def test_operator_terms_make_no_frame_sized_copy():
+    # At the bench shape (P = 10,054, d = 1,886, n = 710) the build holds
+    # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
+    # frame; the chirp-z plans it builds on a fresh decoder are counted too.
+    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    assert decoder.positions.size == 10054
+    operator = random_subspace(1886, 710, seed=1)
+    tracemalloc.start()
+    try:
+        decoder._operator_terms(operator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < operator.frame.nbytes / 2
 
 
 def test_indicator_norms_are_built_once_per_dimension():
