@@ -97,7 +97,7 @@ def _write(out: str | None, suffix: str, writer, *content: Any) -> None:
 # ---------------------------------------------------------------------------
 
 def _net_build(config: NetBuildConfig, args: argparse.Namespace) -> None:
-    net = build_net(config.family, config.eps1, mode=config.mode, m_max=config.m_max)
+    net = build_net(config.family, config.eps1, m_max=config.m_max)
     print(
         f"net: class={config.family.spec_string()} eps1={net.plan.eps1!r} mode={net.mode} "
         f"size={_exact_int_str(net.size)} entropy_bits={net.entropy_bits!r}"
@@ -175,11 +175,11 @@ def _experiment_run(config: ExperimentConfig, args: argparse.Namespace) -> None:
 
 def _entropy_scan(config: EntropyScanConfig, args: argparse.Namespace) -> None:
     family, eps_values = config.family, config.eps_values
-    nets = [build_net(family, eps, mode="counted") for eps in eps_values]
+    plans = [family.net_plan(eps) for eps in eps_values]
     # Exact covering numbers as decimal strings: they routinely outgrow both
     # the int-to-str digit cap and what a JSON number can round-trip.
-    sizes = [_exact_int_str(net.size) for net in nets]
-    entropy_bits = [net.entropy_bits for net in nets]
+    sizes = [_exact_int_str(plan.size) for plan in plans]
+    entropy_bits = [plan.entropy_bits for plan in plans]
     scan = fit_growth(eps_values, entropy_bits, config.model)
     params = " ".join(
         f"{name}={value!r}" for name, value in sorted(scan.fit_params.items())

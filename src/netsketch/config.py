@@ -251,11 +251,10 @@ def load_experiment_config(
 
 @dataclass(frozen=True)
 class NetBuildConfig:
-    """``net build``: a class block, the resolution, and the net mode."""
+    """``net build``: a class block, the resolution, and the budget."""
 
     family: Any
     eps1: float
-    mode: Literal["auto", "counted", "materialized", "factored"] = "auto"
     m_max: float = DEFAULT_NET_BUDGET
     ambient_dim: int = DEFAULT_AMBIENT_DIM  # used when dumping centers
 
@@ -279,6 +278,10 @@ class EntropyScanConfig:
     family: Any
     eps_values: tuple[float, ...]
     model: Literal["power", "logsquare"]
+
+    def __post_init__(self) -> None:
+        if not all(eps > 0.0 for eps in self.eps_values):
+            raise UsageError(f"eps_values must be positive, got {self.eps_values!r}")
 
 
 @dataclass(frozen=True)

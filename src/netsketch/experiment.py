@@ -331,7 +331,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     # The information-theoretic measurement bound is stated at the target
     # accuracy eps, not at the finer net resolution eps/6, so count a second
     # net at eps for it.  The formula needs 0 < delta < 1 to carry meaning.
-    entropy_bits_at_eps = build_net(config.family, config.eps, mode="counted").entropy_bits
+    entropy_bits_at_eps = build_net(config.family, config.eps).entropy_bits
     lower_bound = (
         measurement_lower_bound(entropy_bits_at_eps, delta)
         if 0.0 < delta < 1.0

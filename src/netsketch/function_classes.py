@@ -15,11 +15,12 @@ working dimensions downstream.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,10 +39,10 @@ from .hilbert import (
 from .nets import (
     AxisLog,
     FactoredStepDecoder,
+    MaterializedDecoder,
     NetPlan,
     gap_separated_count,
     grid_count,
-    iter_gap_tuples,
     position_grid,
     symmetric_grid,
 )
@@ -61,6 +62,8 @@ __all__ = [
 _MAX_SAMPLE_ATTEMPTS = 1000
 _MEMBERSHIP_TOLERANCE = 1e-9
 _SQRT_2PI = math.sqrt(TWO_PI)
+
+logger = logging.getLogger(__name__)
 
 
 def _fmt(value: float) -> str:
@@ -97,12 +100,14 @@ class FunctionClass:
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
     configurations times one point on each quantized axis, and
     ``factored_decoder(plan)`` returns an exact decoder that needs no
-    enumeration, or ``None``.  Enumeration and rounding walk that layout here,
-    for every class, through three hooks: ``member(breakpoints, values)``
-    builds the center at a configuration and one value per axis;
-    ``snap_breakpoints(plan, member)`` snaps a member's breakpoints onto a
-    configuration; and ``coordinates(plan, member, breakpoints)`` gives the
-    member's unsnapped value on each axis, given its snapped breakpoints.
+    enumeration, or ``None``.  Enumeration, decoder rows and rounding walk
+    that layout here, for every class, through three hooks:
+    ``member(breakpoints, values)`` builds the center at a configuration and
+    one value per axis, and its coefficients must be linear in ``values``,
+    with no offset; ``snap_breakpoints(plan, member)`` snaps a member's
+    breakpoints onto a configuration; and ``coordinates(plan, member,
+    breakpoints)`` gives the member's unsnapped value on each axis, given its
+    snapped breakpoints.
     """
 
     def to_signal(self, member, ambient_dim: int) -> Signal:
@@ -117,12 +122,36 @@ class FunctionClass:
 
     def enumerate_members(self, plan: NetPlan) -> Iterator:
         """Every center in index order: configurations, then axis points."""
-        positions = () if plan.positions is None else plan.positions
         grids = [axis.points() for axis in plan.axes]
-        for combo in iter_gap_tuples(len(positions), plan.jumps, plan.index_gap):
-            breakpoints = tuple(float(positions[i]) for i in combo)
+        for breakpoints in plan.configurations():
             for values in itertools.product(*grids):
                 yield self.member(breakpoints, values)
+
+    def materialized_decoder(self, plan: NetPlan, d: int) -> MaterializedDecoder:
+        """A decoder over every center's first ``d`` coefficients, building none.
+
+        At a fixed configuration a center's coefficients are linear in its
+        ``k`` axis values: they are the ``d x k`` map whose column ``j`` is
+        ``coefficient_prefix(member(breakpoints, e_j), d)`` times the values.
+        So each configuration's block of rows is the axis grid, in
+        ``itertools.product`` order, times the map's transpose: ``k``
+        expansions per configuration instead of one per center.
+        """
+        started = time.perf_counter()
+        configurations = tuple(plan.configurations())
+        grids = np.meshgrid(*map(AxisLog.points, plan.axes), indexing="ij", copy=False)
+        points = np.stack(grids, axis=-1).reshape(-1, len(plan.axes))
+        units = np.eye(len(plan.axes))
+        rows = np.empty((len(configurations), len(points), d))
+        for block, breakpoints in zip(rows, configurations):
+            columns = [self.coefficient_prefix(self.member(breakpoints, e), d) for e in units]
+            np.matmul(points, np.array(columns), out=block)
+        logger.debug(
+            "materialized decoder rows: M=%d d=%d configurations=%d axes=%d bytes=%d"
+            " built in %.3fs", plan.size, d, len(configurations), len(plan.axes),
+            rows.nbytes, time.perf_counter() - started,
+        )
+        return MaterializedDecoder(rows.reshape(-1, d), configurations, plan.axes, self.member)
 
     def round_member(self, plan: NetPlan, member):
         """The center that witnesses the covering of ``member``."""
@@ -315,20 +344,18 @@ class PiecewiseSmoothClass(FunctionClass):
     def net_plan(self, eps1: float) -> NetPlan:
         s = self.max_jumps
         if s == 0:
-            positions = np.array([])
-            gap = 1
-            configs = 1
+            count, gap, configs = 0, 1, 1
         else:
-            positions, effective, pitch = position_grid(
+            count, effective, pitch = position_grid(
                 eps1, s, self.level_bound, periodic=False
             )
             slack = self.min_gap - 2.0 * pitch
             gap = max(1, int(math.ceil(slack / effective))) if slack > 0.0 else 1
-            if positions.size - (s - 1) * (gap - 1) < s:
+            if count - (s - 1) * (gap - 1) < s:
                 raise UsageError(
                     "no breakpoint configuration satisfies the gap constraint"
                 )
-            configs = gap_separated_count(positions.size, s, gap)
+            configs = gap_separated_count(count, s, gap)
         bounds = self.coefficient_bounds()
         denom = math.sqrt(s + 1.0) * (self.degree + 1)
         steps = [eps1 / (denom * _monomial_norm(m)) for m in range(self.degree + 1)]
@@ -345,7 +372,7 @@ class PiecewiseSmoothClass(FunctionClass):
             eps1=eps1,
             axes=axes,
             config_count=int(configs),
-            positions=positions,
+            breakpoint_count=count,
             index_gap=gap,
             jumps=s,
         )
@@ -506,10 +533,10 @@ class PiecewiseAnalyticClass(FunctionClass):
 
     def net_plan(self, eps1: float) -> NetPlan:
         kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
-        positions, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
-        if positions.size < kappa:
+        count, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
+        if count < kappa:
             raise UsageError(
-                f"step-position grid at eps1 = {eps1!r} has {positions.size}"
+                f"step-position grid at eps1 = {eps1!r} has {count}"
                 f" points, fewer than max_jumps = {kappa}"
             )
         level_step = eps1 / (2.0 * _SQRT_2PI)
@@ -535,17 +562,17 @@ class PiecewiseAnalyticClass(FunctionClass):
         return NetPlan(
             eps1=eps1,
             axes=tuple(axes),
-            config_count=int(math.comb(positions.size, kappa)),
-            positions=positions,
+            config_count=int(math.comb(count, kappa)),
+            breakpoint_count=count,
+            periodic=True,
             jumps=kappa,
         )
 
     def member(self, breakpoints, values) -> AnalyticStepMember:
         kappa = self.max_jumps
-        return AnalyticStepMember(
-            smooth=Signal(np.array(values[kappa:])),
-            steps=_shared(_step_component, breakpoints, values[:kappa]),
-        )
+        levels = tuple((float(v),) for v in values[:kappa])
+        steps = PiecewiseDescription(breakpoints, levels, periodic=True)
+        return AnalyticStepMember(smooth=Signal(np.array(values[kappa:])), steps=steps)
 
     def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
         """Nearest free grid points on the circle, moving on past taken ones."""
@@ -578,24 +605,6 @@ class PiecewiseAnalyticClass(FunctionClass):
             member.smooth.coefficients, len(plan.axes) - self.max_jumps
         )
         return [*member.steps.evaluate(np.array(midpoints)), *coefficients]
-
-
-def _step_component(breakpoints, levels) -> PiecewiseDescription:
-    return PiecewiseDescription(
-        breakpoints=breakpoints,
-        piece_coefficients=tuple((float(v),) for v in levels),
-        periodic=True,
-    )
-
-
-@functools.lru_cache(maxsize=1)
-def _shared(make: Callable, *args):
-    """``make(*args)``, one object for consecutive calls with equal arguments.
-
-    Enumeration yields in a row the analytic members that share a step
-    component, so one cached entry makes it one object for all of them.
-    """
-    return make(*args)
 
 
 # ---------------------------------------------------------------------------

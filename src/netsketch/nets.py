@@ -1,18 +1,19 @@
 """Covering-net construction, counting, and exact nearest-member decoding.
 
 A covering net for a function class at resolution ``eps1`` is a finite set of
-members within ``eps1`` (in L2) of every member of the class.  Nets here come
-in three modes:
+members within ``eps1`` (in L2) of every member of the class.  A net is its
+layout, a ``NetPlan``, and the counts that follow from it; no member is built
+to count one, so counting works at any scale.  ``build_net`` labels a net by
+how it decodes:
 
-- ``counted``: only the construction log is kept — sizes and entropy are
-  available, members are never enumerated.  Works at any scale.
-- ``materialized``: all members are enumerated (guarded by ``m_max``), and
-  ``MaterializedDecoder`` finds the nearest one by scanning their first
-  ``d`` coefficients, or their images under a measurement operator.
-- ``factored``: for single-jump piecewise-constant classes the net is a
-  product of a breakpoint grid and two level grids, and ``FactoredStepDecoder``
-  finds the nearest member exactly by a branch-and-bound sweep with the inner
-  minimization solved in closed form.
+- ``materialized``: at most ``m_max`` centers.  ``MaterializedDecoder`` scans
+  every center's first ``d`` coefficients, or their images under a
+  measurement operator; the class builds those rows by one linear map per
+  configuration (``FunctionClass.materialized_decoder``).
+- ``factored``: over the budget, for single-jump piecewise-constant classes.
+  ``FactoredStepDecoder`` finds the nearest center exactly by a
+  branch-and-bound sweep with the inner minimization solved in closed form.
+- ``counted``: over the budget with no factored decoder: counts only.
 
 Both decoders answer ``decode_coefficients(target)`` and
 ``decode_measurements(y, operator)`` with a ``DecodeResult``; ties go to the
@@ -25,6 +26,7 @@ rounding error never exceeds half a step even at the boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -32,11 +34,11 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .errors import NetTooLargeError, UsageError
+from .errors import UsageError
 from .hilbert import PiecewiseDescription, dump_signal
 
 __all__ = [
@@ -643,23 +645,30 @@ class DecodeResult:
 
 @dataclass(eq=False)
 class MaterializedDecoder:
-    """Exact nearest-member search over an enumerated net.
+    """Exact nearest-member search over a net within the materialization budget.
 
-    ``rows`` holds each member's first ``d`` coefficients, one row per member
-    in index order, and is made read-only.  Measured decodes scan the rows'
-    images ``scale * rows R^T`` under the operator, one matrix product built
-    on the first decode under each operator.
+    ``rows`` holds each center's first ``d`` coefficients in index order
+    (configurations, then the axis grid in ``itertools.product`` order) and
+    is made read-only.  No center is kept: the decoded one is built by
+    ``member(breakpoints, values)`` from its configuration and axis point.
+    Measured decodes scan the rows' images ``scale * rows R^T`` under the
+    operator, one matrix product built on the first decode under each one.
     """
 
-    members: tuple
     rows: np.ndarray
+    configurations: tuple[tuple[float, ...], ...]
+    axes: tuple[AxisLog, ...]
+    member: Callable
 
     def __post_init__(self) -> None:
         self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        if self.rows.ndim != 2 or self.rows.shape[0] != len(self.members):
+        self._counts = tuple(axis.count for axis in self.axes)
+        self._grids = [axis.points() for axis in self.axes]
+        size = len(self.configurations) * math.prod(self._counts)
+        if self.rows.ndim != 2 or self.rows.shape[0] != size:
             raise UsageError(
                 f"expected one coefficient row per member, got shape {self.rows.shape}"
-                f" for {len(self.members)} members"
+                f" for {size} members"
             )
         self.rows.flags.writeable = False
         self._tables = _OperatorSlot(self._measured_rows)
@@ -684,7 +693,11 @@ class MaterializedDecoder:
 
     def _decoded(self, table: np.ndarray, target: np.ndarray) -> DecodeResult:
         index, distance = _nearest_row(table, target)
-        return DecodeResult(self.members[index], index, distance, self.rows[index])
+        configuration, point = divmod(index, len(self.rows) // len(self.configurations))
+        steps = np.unravel_index(point, self._counts)
+        values = tuple(grid[i] for grid, i in zip(self._grids, steps))
+        member = self.member(self.configurations[configuration], values)
+        return DecodeResult(member, index, distance, self.rows[index])
 
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
         """Nearest net member to a truncated coefficient vector."""
@@ -712,14 +725,13 @@ class MaterializedDecoder:
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A constructed net: its layout and counts always, members when materialized."""
+    """A net's layout and counts; ``decoder`` is set on ``factored`` nets only."""
 
     family: object
     mode: str
     size: int
     entropy_bits: float
     plan: NetPlan
-    members: tuple | None = field(default=None)
     decoder: FactoredStepDecoder | None = field(default=None)
 
 
@@ -733,35 +745,57 @@ class NetPlan:
     """A class's net at resolution ``eps1``, before any member exists.
 
     The net is every choice of one of ``config_count`` breakpoint
-    configurations (``jumps`` breakpoints drawn from the grid ``positions``,
-    consecutive indices at least ``index_gap`` apart) times one point on each
-    axis.
+    configurations (``jumps`` of the ``breakpoint_count`` grid points,
+    consecutive indices at least ``index_gap`` apart) times one point on
+    each axis.  The grid, ``positions``, is built on first use only.
     """
 
     eps1: float
     axes: tuple[AxisLog, ...]
     config_count: int
-    positions: np.ndarray | None = None
+    breakpoint_count: int = 0
+    periodic: bool = False
     index_gap: int = 1
     jumps: int = 0
 
+    @property
+    def size(self) -> int:
+        """The number of centers ``M``, exactly."""
+        return self.config_count * math.prod(axis.count for axis in self.axes)
+
+    @property
+    def entropy_bits(self) -> float:
+        """``log2 M``, summed per factor so it stays finite for any ``M``."""
+        return math.log2(self.config_count) + float(
+            sum(math.log2(axis.count) for axis in self.axes)
+        )
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """The grid at pitch ``2 pi / P``: from ``-pi``, or half a pitch in."""
+        count = self.breakpoint_count
+        effective = TWO_PI / max(count, 1)
+        return -math.pi + effective * (np.arange(count) + (0.0 if self.periodic else 0.5))
+
+    def configurations(self) -> Iterator[tuple[float, ...]]:
+        """Every configuration's breakpoints, in index order."""
+        positions = self.positions
+        for combo in iter_gap_tuples(positions.size, self.jumps, self.index_gap):
+            yield tuple(float(positions[i]) for i in combo)
+
 
 def position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
-    """Breakpoint grid: nominal pitch from the jump budget, rescaled to fit.
+    """Breakpoint count ``P``, actual pitch and nominal pitch.
 
     The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` (quarter budget
     for the periodic flavour) fixes the point count ``P``; the actual grid
-    uses ``2 pi / P`` so all points stay inside the domain.
+    (``NetPlan.positions``) uses ``2 pi / P`` so all points stay inside the
+    domain.
     """
     budget = eps1 / (4.0 if periodic else 2.0)
     pitch = budget**2 / (num_jumps * (2.0 * value_scale) ** 2)
     count = int(math.ceil(TWO_PI / pitch))
-    effective = TWO_PI / count
-    if periodic:
-        points = -math.pi + effective * np.arange(count)
-    else:
-        points = -math.pi + effective * (np.arange(count) + 0.5)
-    return points, effective, pitch
+    return count, TWO_PI / count, pitch
 
 
 def gap_separated_count(total: int, choose: int, gap: int) -> int:
@@ -770,9 +804,6 @@ def gap_separated_count(total: int, choose: int, gap: int) -> int:
 
 
 def iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ...]]:
-    if choose == 1:
-        yield from ((i,) for i in range(total))
-        return
     for combo in itertools.combinations(range(total), choose):
         if all(b - a >= gap for a, b in zip(combo, combo[1:])):
             yield combo
@@ -786,58 +817,21 @@ def iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ..
 def build_net(
     family,
     eps1: float,
-    mode: str = "auto",
     m_max: int | float = DEFAULT_NET_BUDGET,
 ) -> CoveringNet:
-    """Construct a covering net at resolution ``eps1`` in the requested mode.
+    """Lay out and count a covering net at resolution ``eps1``; build no member.
 
-    ``auto`` materializes when the size fits within ``m_max``, falls back to
-    the factored representation when one exists, and otherwise keeps counts
-    only.  Explicit ``materialized`` raises when the net exceeds ``m_max``.
+    The net is ``materialized`` when its size fits within ``m_max``, else
+    ``factored`` when the class has a factored decoder (built here), else
+    ``counted``.
     """
     if not eps1 > 0.0:
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
-    if mode not in ("auto", "counted", "materialized", "factored"):
-        raise UsageError(f"unknown net mode: {mode!r}")
     plan = family.net_plan(eps1)
-    size = plan.config_count
-    for axis in plan.axes:
-        size *= axis.count
-    entropy_bits = math.log2(plan.config_count) + float(
-        sum(math.log2(axis.count) for axis in plan.axes)
-    )
-    decoder = family.factored_decoder(plan)
-    if mode == "auto":
-        if size <= m_max:
-            mode = "materialized"
-        elif decoder is not None:
-            mode = "factored"
-        else:
-            mode = "counted"
-    members = None
-    if mode == "materialized":
-        if size > m_max:
-            raise NetTooLargeError(
-                f"net has {size} members, over the materialization budget {m_max}"
-            )
-        members = tuple(family.enumerate_members(plan))
-        if len(members) != size:
-            raise UsageError(
-                f"enumerated {len(members)} members but counted {size}"
-            )  # pragma: no cover - internal consistency
-    elif mode == "factored" and decoder is None:
-        raise UsageError(
-            "factored nets require a single-jump piecewise-constant class"
-        )
-    return CoveringNet(
-        family=family,
-        mode=mode,
-        size=size,
-        entropy_bits=entropy_bits,
-        plan=plan,
-        members=members,
-        decoder=decoder if mode == "factored" else None,
-    )
+    fits = plan.size <= m_max
+    decoder = None if fits else family.factored_decoder(plan)
+    mode = "materialized" if fits else "counted" if decoder is None else "factored"
+    return CoveringNet(family, mode, plan.size, plan.entropy_bits, plan, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +844,7 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
         raise UsageError(f"only materialized nets can be serialized, not {net.mode}")
     spec = net.family.spec_string()
     stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
-    for index, member in enumerate(net.members):
+    for index, member in enumerate(net.family.enumerate_members(net.plan)):
         if index:
             stream.write("---\n")
         dump_signal(stream, net.family.to_signal(member, ambient_dim))

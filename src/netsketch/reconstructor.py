@@ -124,14 +124,6 @@ class PreparedSampler:
         return drawn
 
 
-def _materialized_decoder(net: CoveringNet, d: int) -> MaterializedDecoder:
-    """A decoder over the first ``d`` coefficients of every enumerated center."""
-    rows = np.empty((net.size, d))
-    for row, member in zip(rows, net.members):
-        row[:] = net.family.coefficient_prefix(member, d)
-    return MaterializedDecoder(net.members, rows)
-
-
 def preprocess(
     family: Any,
     eps: float,
@@ -164,15 +156,13 @@ def preprocess(
             f"tail model needs truncation dimension {d}, beyond the ambient"
             f" dimension {ambient_dim}"
         )
-    net = build_net(family, eps1, mode="auto", m_max=m_max)
+    net = build_net(family, eps1, m_max=m_max)
     if net.mode == "counted":
         raise NetTooLargeError(
             f"net with {net.size} centers cannot be decoded: materialization"
             f" is capped at {m_max} and no factored decoder applies"
         )
-    decoder = net.decoder
-    if decoder is None:
-        decoder = _materialized_decoder(net, d)
+    decoder = net.decoder or family.materialized_decoder(net.plan, d)
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
     logger.info(

@@ -88,3 +88,28 @@ def split_net_text(text: str) -> tuple[str, list[list[str]]]:
     """A dumped net's header line and, per member, its signal's lines."""
     header, _, body = text.partition("\n")
     return header, [block.splitlines() for block in body.split("---\n")]
+
+
+def linear_expansion_bound(family, values) -> float:
+    """Largest rounding gap between two evaluations of one center's coefficients.
+
+    At a fixed configuration a center's coefficient ``i`` is ``sum_j v_j t_j``
+    over its ``k`` axis values ``v_j``: ``t_j`` is a unit coefficient, or up to
+    two phase-weighted integrals of a piece monomial over ``sqrt(pi)`` (the
+    closed forms of ``hilbert.analyze_piecewise``), which both evaluations
+    share bit for bit.  Expanding the center directly and multiplying its
+    configuration's linear map by ``v`` sum the same products in different
+    orders, each term through at most ``N = 2k + 8`` roundings, so each result
+    is within ``gamma_N = N u / (1 - N u)`` of the exact sum times the sum of
+    the term magnitudes ``|v_j| m_j`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), and the two differ by at most twice that.
+    With ``|cos|, |sin| <= 1`` and ``int |u|^m du = 2 h^(m+1) / (m+1)`` over a
+    piece of half-length ``h <= pi``, ``m_j <= 4 pi^(m+1) / sqrt(pi)`` for a
+    degree-``m`` monomial, and a unit coefficient has ``m_j = 1``.
+    """
+    count = 2 * len(values) + 8
+    unit = np.finfo(np.float64).eps / 2.0
+    gamma = count * unit / (1.0 - count * unit)
+    degree = getattr(family, "degree", 0)
+    magnitude = 4.0 * math.pi ** (degree + 1) / math.sqrt(math.pi)
+    return 2.0 * gamma * magnitude * float(np.sum(np.abs(values)))

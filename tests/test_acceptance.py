@@ -188,11 +188,11 @@ def test_entropy_growth_rates():
         # Large amplitude keeps the scan out of the pre-asymptotic regime,
         # where integer grid counts drag the fitted exponent above 1/k.
         family = SmoothClass(k, 100.0)
-        bits = [build_net(family, eps, mode="counted").entropy_bits for eps in SCAN_EPS]
+        bits = [build_net(family, eps).entropy_bits for eps in SCAN_EPS]
         scan = fit_growth(SCAN_EPS, bits, "power")
         assert 0.8 / k <= scan.fit_params["exponent"] <= 1.2 / k
     analytic = PiecewiseAnalyticClass(max_jumps=1, strip_width=1.0, amplitude=1.0)
-    bits = [build_net(analytic, eps, mode="counted").entropy_bits for eps in SCAN_EPS]
+    bits = [build_net(analytic, eps).entropy_bits for eps in SCAN_EPS]
     scan = fit_growth(SCAN_EPS, bits, "logsquare")
     assert scan.r_squared >= 0.95
     assert time.monotonic() - started < 120.0

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from netsketch import function_classes, reconstructor
 from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
-from netsketch.function_classes import SmoothClass
+from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
 from netsketch.jl import required_measurements
-from netsketch.nets import build_net
+from netsketch.nets import gap_separated_count
 
 SMOOTH_EXPERIMENT = """
 class = smooth
@@ -98,6 +100,15 @@ p = 0.5
 seeds = 20
 seed = 5
 jl_constant = 4.0
+"""
+
+STEP_CLASS = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
 """
 
 NET_BUILD = """
@@ -225,32 +236,40 @@ def test_blas_thread_count_moves_no_summary_byte(tmp_path):
 
 
 def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys):
-    # Set-up expands each center only to the d coefficients the decoder keeps.
+    # Set-up expands one center per axis and configuration, to the d
+    # coefficients the decoder keeps and no further.
     dims: list[int] = []
+    plans = []
     inside = []
-    analyze, decoder = function_classes.analyze_piecewise, reconstructor._materialized_decoder
+    analyze = function_classes.analyze_piecewise
+    build = function_classes.FunctionClass.materialized_decoder
 
     def recording_analyze(description, dim):
         if inside:
             dims.append(dim)
         return analyze(description, dim)
 
-    def recording_decoder(*args):
+    def recording_build(self, plan, d):
+        plans.append(plan)
         inside.append(True)
         try:
-            return decoder(*args)
+            return build(self, plan, d)
         finally:
             inside.pop()
 
     monkeypatch.setattr(function_classes, "analyze_piecewise", recording_analyze)
-    monkeypatch.setattr(reconstructor, "_materialized_decoder", recording_decoder)
+    monkeypatch.setattr(
+        function_classes.FunctionClass, "materialized_decoder", recording_build
+    )
     cfg = _write(tmp_path, "exp.cfg", MATERIALIZED_EXPERIMENT.format(mode="fixed_w"))
     out = tmp_path / "out"
     assert main(["experiment", "run", cfg, "--out", str(out)]) == 0
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert summary["net_mode"] == "materialized"
     assert summary["d"] < summary["ambient_dim"]
-    assert len(dims) == summary["net_size"]
+    [plan] = plans
+    assert plan.size == summary["net_size"]
+    assert len(dims) == plan.config_count * len(plan.axes) < summary["net_size"]
     assert set(dims) == {summary["d"]}
 
 
@@ -325,7 +344,7 @@ def test_net_build_writes_net_file(tmp_path, capsys):
     header, blocks = split_net_text((tmp_path / "net.txt").read_text(encoding="utf-8"))
     assert header == f"eps1=0.5 M=39 spec={family.spec_string()}"
     assert len(blocks) == 39
-    for lines, member in zip(blocks, build_net(family, 0.5).members):
+    for lines, member in zip(blocks, family.enumerate_members(family.net_plan(0.5))):
         assert lines[0] == "basis=trig ambient_dim=4096"
         np.testing.assert_array_equal(
             [float(line) for line in lines[1:]],
@@ -333,8 +352,14 @@ def test_net_build_writes_net_file(tmp_path, capsys):
         )
 
 
-def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
+def test_net_build_mode_key_is_unknown(tmp_path, capsys):
     cfg = _write(tmp_path, "net.cfg", NET_BUILD + "mode = counted\n")
+    assert main(["net", "build", cfg]) == 1
+    assert "unknown config keys: mode" in capsys.readouterr().err
+
+
+def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
+    cfg = _write(tmp_path, "net.cfg", NET_BUILD + "m_max = 10\n")
     assert main(["net", "build", cfg, "--out", str(tmp_path / "net.txt")]) == 1
     assert "materialized" in capsys.readouterr().err
 
@@ -356,6 +381,32 @@ def test_entropy_scan_writes_table_and_fit(tmp_path, capsys):
     report = json.loads((tmp_path / "scan.json").read_text(encoding="utf-8"))
     assert set(report["fit_params"]) == {"exponent", "amplitude"}
     assert report["r_squared"] > 0.9
+
+
+def test_entropy_scan_counts_without_a_breakpoint_grid(tmp_path):
+    # At eps 1e-4 the step class has P = 1.0e10 breakpoints: an 80 GB grid
+    # if counting built it.  The scan counts from the plans alone.
+    eps_values = (0.1, 0.01, 0.001, 0.0001)
+    text = STEP_CLASS + "eps_values = 0.1,0.01,0.001,0.0001\nmodel = power\n"
+    cfg = _write(tmp_path, "scan.cfg", text)
+    out = str(tmp_path / "scan")
+    tracemalloc.start()
+    try:
+        assert main(["entropy", "scan", cfg, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    report = json.loads((tmp_path / "scan.json").read_text(encoding="utf-8"))
+    family = PiecewiseSmoothClass(0, 1, 1.0, 0.5, 1.0)
+    expected = []
+    for eps in eps_values:
+        plan = family.net_plan(eps)
+        configs = gap_separated_count(plan.breakpoint_count, plan.jumps, plan.index_gap)
+        expected.append(str(configs * math.prod(axis.count for axis in plan.axes)))
+        assert "positions" not in plan.__dict__
+    assert report["net_sizes"] == expected
+    assert int(expected[-1]) > 10**10
 
 
 def test_entropy_scan_needs_enough_resolutions(tmp_path, capsys):

@@ -27,7 +27,7 @@ def test_construction_entropy_matches_grid_logs():
     family = PiecewiseSmoothClass(
         degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
-    net = build_net(family, 0.5, mode="counted")
+    net = build_net(family, 0.5)
     expected = math.log2(net.plan.config_count) + sum(
         math.log2(axis.count) for axis in net.plan.axes
     )
@@ -93,7 +93,7 @@ def test_fit_growth_on_constructed_nets_tracks_smooth_rate():
     family = SmoothClass(smoothness=2, amplitude=100.0)
     eps = np.array([0.4, 0.2, 0.1, 0.05])
     entropy = np.array(
-        [build_net(family, e, mode="counted", m_max=math.inf).entropy_bits for e in eps]
+        [build_net(family, e, m_max=math.inf).entropy_bits for e in eps]
     )
     scan = fit_growth(eps, entropy, "power")
     assert 0.4 <= scan.fit_params["exponent"] <= 0.6

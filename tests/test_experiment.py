@@ -310,7 +310,7 @@ def test_run_experiment_auto_delta_and_lower_bound():
     assert summary["delta"] == pytest.approx(expected_delta, rel=1e-12)
     assert summary["delta_policy"] == "auto"
     assert all(row["delta"] == summary["delta"] for row in result.rows)
-    eps_net = build_net(cfg.family, cfg.eps, mode="counted")
+    eps_net = build_net(cfg.family, cfg.eps)
     assert summary["entropy_bits_at_eps"] == eps_net.entropy_bits
     expected_bound = measurement_lower_bound(eps_net.entropy_bits, summary["delta"])
     assert summary["measurement_lower_bound"] == pytest.approx(expected_bound)

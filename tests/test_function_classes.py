@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import oracle_l2_distance
+from conftest import linear_expansion_bound, oracle_l2_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsketch.config import CLASSES
 from netsketch.errors import UsageError
 from netsketch.function_classes import (
     AnalyticStepMember,
@@ -283,3 +286,79 @@ def test_tail_norm_behaviour_of_smooth_samples():
     tails = [tail_norm(member, d) for d in (8, 32, 128, 512)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert tails[-1] < tails[0] * 1e-2
+
+
+# ---------------------------------------------------------------------------
+# Linearity of centers in their axis values
+# ---------------------------------------------------------------------------
+
+# Every registered class, at resolutions with a few hundred configurations at
+# most; the piecewise cases reach degree 3 and two jumps.
+LINEAR_CASES = {
+    "smooth": [(SmoothClass(3, 2.0), 0.5), (SmoothClass(1, 2.0), 0.2)],
+    "piecewise": [
+        (PiecewiseSmoothClass(0, 1, 1.0, 0.5, 1.0), 1.5),
+        (PiecewiseSmoothClass(1, 1, 1.0, 0.5, 1.0), 6.0),
+        (PiecewiseSmoothClass(3, 2, 1.0, 1.5, 1.0), 3.0),
+    ],
+    "analytic": [
+        (PiecewiseAnalyticClass(1, 2.0, 0.5), 2.0),
+        (PiecewiseAnalyticClass(2, 0.5, 1.0), 1.0),
+    ],
+}
+
+
+def linearity_gap(family, plan, config_index, values, dim):
+    """The largest gap between a center's expansion and its linear map's image,
+    and the rounding bound it must stay within."""
+    configurations = plan.configurations()
+    breakpoints = next(itertools.islice(configurations, config_index, None))
+    direct = family.coefficient_prefix(family.member(breakpoints, tuple(values)), dim)
+    # Column j of the configuration's map: the center at the j-th unit vector.
+    units = np.eye(len(values))
+    linear_map = np.column_stack(
+        [family.coefficient_prefix(family.member(breakpoints, unit), dim) for unit in units]
+    )
+    mapped = linear_map @ values
+    return float(np.max(np.abs(direct - mapped))), linear_expansion_bound(family, values)
+
+
+def test_linear_cases_cover_every_class():
+    assert set(LINEAR_CASES) == set(CLASSES)
+    for name, cases in LINEAR_CASES.items():
+        assert all(type(family) is CLASSES[name] for family, _ in cases)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([case for cases in LINEAR_CASES.values() for case in cases]),
+    config=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 7, 64]),
+)
+def test_center_coefficients_are_linear_in_axis_values(case, config, seed, dim):
+    family, eps1 = case
+    plan = family.net_plan(eps1)
+    # Random values over each axis's grid extent, not only grid points.
+    extents = np.array([axis.step * axis.count / 2.0 for axis in plan.axes])
+    values = extents * np.random.default_rng(seed).uniform(-1.0, 1.0, extents.size)
+    gap, bound = linearity_gap(family, plan, config % plan.config_count, values, dim)
+    assert gap <= bound
+
+
+@dataclass(frozen=True)
+class OffsetSmoothClass(SmoothClass):
+    """A smooth class whose centers carry a constant offset: affine, not linear."""
+
+    def member(self, breakpoints, values) -> Signal:
+        return Signal(np.array(values) + 0.01)
+
+
+def test_linearity_check_rejects_a_constant_offset():
+    family = OffsetSmoothClass(3, 2.0)
+    plan = family.net_plan(0.5)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        values = rng.uniform(-1.0, 1.0, len(plan.axes))
+        gap, bound = linearity_gap(family, plan, 0, values, 8)
+        assert gap > 1e6 * bound

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import gc
 import io
+import itertools
 import logging
 import math
 import re
@@ -18,12 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import linear_expansion_bound, split_net_text
 from hypothesis import given, settings
-from conftest import split_net_text
 from hypothesis import strategies as st
 
 from netsketch import nets
-from netsketch.errors import NetTooLargeError, UsageError
+from netsketch.errors import UsageError
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
@@ -35,6 +36,7 @@ from netsketch.nets import (
     AxisLog,
     FactoredStepDecoder,
     MaterializedDecoder,
+    NetPlan,
     build_net,
     dump_net,
     gap_separated_count,
@@ -51,6 +53,17 @@ def step_class(**overrides):
     params = dict(degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0)
     params.update(overrides)
     return PiecewiseSmoothClass(**params)
+
+
+def step_decoder(eps1):
+    """The step class's factored decoder at ``eps1``, whatever the net's size."""
+    family = step_class()
+    return family.factored_decoder(family.net_plan(eps1))
+
+
+def centers(net):
+    """Every center of a net, in index order."""
+    return list(net.family.enumerate_members(net.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +123,7 @@ def test_gap_separated_count_matches_enumeration():
 
 def test_single_jump_net_matches_hand_counts():
     family = step_class()
-    net = build_net(family, 0.5, mode="counted")
+    net = build_net(family, 0.5)
     assert net.plan.config_count == 403
     assert [axis.count for axis in net.plan.axes] == [15, 15]
     assert net.size == 403 * 15 * 15 == 90675
@@ -120,7 +133,7 @@ def test_single_jump_net_matches_hand_counts():
     spacing = np.diff(positions)
     np.testing.assert_allclose(spacing, TWO_PI / 403, rtol=1e-12)
 
-    finer = build_net(family, 0.1, mode="counted")
+    finer = build_net(family, 0.1)
     assert finer.plan.config_count == 10054
     assert [axis.count for axis in finer.plan.axes] == [71, 71]
     assert finer.size == 10054 * 71 * 71 == 50_682_214
@@ -131,8 +144,8 @@ def test_flat_class_net_is_a_single_member():
     net = build_net(family, 6.0)
     plan = net.plan
     assert net.mode == "materialized"
-    assert net.size == 1 and len(net.members) == 1
-    only = net.members[0]
+    assert net.size == 1 and len(centers(net)) == 1
+    only = centers(net)[0]
     assert len(only.breakpoints) == 0
     assert family.contains(only)
     rng = np.random.default_rng(11)
@@ -144,19 +157,19 @@ def test_flat_class_net_is_a_single_member():
 
 def test_two_jump_net_configurations():
     family = step_class(max_jumps=2, min_gap=1.5)
-    net = build_net(family, 3.0, mode="materialized")
+    net = build_net(family, 3.0)
     plan = net.plan
     positions = plan.positions
     effective = TWO_PI / positions.size
     assert positions.size == 23
     assert plan.config_count == math.comb(20, 2) == 190
-    assert net.size == 190 * 3**3 == 5130 == len(net.members)
+    assert net.size == 190 * 3**3 == 5130 == len(centers(net))
 
     # Center breakpoints may sit closer than the pristine minimum gap by the
     # snapping slack; membership of the centers holds under that slack.
     gap_tolerance = 1.0 - 4 * effective / 1.5 + 1e-9
     pairs = set()
-    for member in net.members:
+    for member in centers(net):
         b = tuple(float(v) for v in member.breakpoints)
         pairs.add(b)
         i0 = int(np.argmin(np.abs(positions - b[0])))
@@ -175,7 +188,7 @@ def test_two_jump_net_configurations():
 
 def test_rounding_bumps_colliding_breakpoints_forward():
     family = step_class(max_jumps=2, min_gap=1.5)
-    net = build_net(family, 3.0, mode="counted")
+    net = build_net(family, 3.0)
     plan = net.plan
     effective = TWO_PI / plan.positions.size
     # Breakpoints closer than the configuration gap still snap to a
@@ -196,7 +209,7 @@ def test_rounding_bumps_colliding_breakpoints_forward():
 
 def test_witness_within_resolution_single_jump():
     family = step_class()
-    net = build_net(family, 0.5, mode="counted")
+    net = build_net(family, 0.5)
     plan = net.plan
     rng = np.random.default_rng(101)
     for _ in range(40):
@@ -209,7 +222,7 @@ def test_witness_within_resolution_piecewise_linear():
     family = PiecewiseSmoothClass(
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
-    net = build_net(family, 0.75, mode="counted")
+    net = build_net(family, 0.75)
     plan = net.plan
     rng = np.random.default_rng(202)
     for _ in range(25):
@@ -220,7 +233,7 @@ def test_witness_within_resolution_piecewise_linear():
 
 def test_witness_within_resolution_smooth():
     family = SmoothClass(smoothness=2, amplitude=100.0)
-    net = build_net(family, 0.5, mode="counted")
+    net = build_net(family, 0.5)
     plan = net.plan
     rng = np.random.default_rng(303)
     for _ in range(40):
@@ -231,7 +244,7 @@ def test_witness_within_resolution_smooth():
 
 def test_witness_within_resolution_analytic():
     family = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
-    net = build_net(family, 1.0, mode="counted")
+    net = build_net(family, 1.0)
     plan = net.plan
     rng = np.random.default_rng(404)
     for _ in range(20):
@@ -261,30 +274,30 @@ def test_witness_is_a_center_bit_for_bit():
     )
     rng = np.random.default_rng(707)
     for family, eps1 in cases:
-        net = build_net(family, eps1, mode="materialized")
-        centers = {member_bytes(center): index for index, center in enumerate(net.members)}
-        assert len(centers) == net.size
+        net = build_net(family, eps1)
+        members = centers(net)
+        indices = {member_bytes(center): index for index, center in enumerate(members)}
+        assert len(indices) == net.size
         for _ in range(40):
             witness = family.round_member(net.plan, family.sample(rng, 128))
-            assert member_bytes(witness) in centers
+            assert member_bytes(witness) in indices
         for index in rng.choice(net.size, size=min(40, net.size), replace=False):
-            center = net.members[index]
-            fixed = member_bytes(family.round_member(net.plan, center))
-            assert centers[fixed] == index
+            fixed = member_bytes(family.round_member(net.plan, members[index]))
+            assert indices[fixed] == index
 
 
 def test_centers_are_members_with_grid_overshoot_tolerance():
     family = PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5)
-    net = build_net(family, 2.0, mode="materialized")
+    net = build_net(family, 2.0)
     assert net.size == 234
     # Grids may overshoot a bound by half a step, so membership of the
     # centers holds under the matching relative slack.
     slack = max(axis.step for axis in net.plan.axes) / (2.0 * 0.5)
-    assert all(family.contains(member, tolerance=slack) for member in net.members)
+    assert all(family.contains(member, tolerance=slack) for member in centers(net))
 
-    step_net = build_net(step_class(), 1.5, mode="materialized")
+    step_net = build_net(step_class(), 1.5)
     assert step_net.size == 1125
-    assert all(step_class().contains(member) for member in step_net.members)
+    assert all(step_class().contains(member) for member in centers(step_net))
 
 
 def test_net_size_monotone_in_resolution():
@@ -293,7 +306,7 @@ def test_net_size_monotone_in_resolution():
         SmoothClass(smoothness=2, amplitude=100.0),
         PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0),
     ):
-        sizes = [build_net(family, eps1, mode="counted").size for eps1 in (2.0, 1.0, 0.5, 0.25)]
+        sizes = [build_net(family, eps1).size for eps1 in (2.0, 1.0, 0.5, 0.25)]
         assert sizes == sorted(sizes)
 
 
@@ -304,7 +317,7 @@ def test_entropy_bits_match_sizes():
         (SmoothClass(smoothness=2, amplitude=100.0), 0.5),
         (PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0), 1.0),
     ):
-        net = build_net(family, eps1, mode="counted")
+        net = build_net(family, eps1)
         assert net.entropy_bits == pytest.approx(math.log2(net.size), rel=1e-12)
 
 
@@ -319,9 +332,12 @@ def test_auto_mode_selection_and_budget():
 
     factored = build_net(step_class(), 0.1)
     assert factored.mode == "factored"
-    assert factored.members is None
     assert factored.decoder is not None
     assert factored.decoder.size == factored.size
+    # The budget alone chooses: the same net over a small budget is factored.
+    assert build_net(step_class(), 1.5).mode == "materialized"
+    over = build_net(step_class(), 1.5, m_max=100)
+    assert over.mode == "factored" and over.decoder.size == over.size == 1125
 
     counted = build_net(
         PiecewiseSmoothClass(
@@ -331,14 +347,8 @@ def test_auto_mode_selection_and_budget():
         m_max=1000,
     )
     assert counted.mode == "counted"
-    assert counted.members is None and counted.decoder is None
+    assert counted.decoder is None
 
-    with pytest.raises(NetTooLargeError):
-        build_net(step_class(), 1.5, mode="materialized", m_max=100)
-    with pytest.raises(UsageError):
-        build_net(SmoothClass(smoothness=2, amplitude=1.0), 0.5, mode="factored")
-    with pytest.raises(UsageError):
-        build_net(step_class(), 0.5, mode="fancy")
     with pytest.raises(UsageError):
         build_net(step_class(), -0.5)
 
@@ -351,15 +361,15 @@ def test_auto_mode_selection_and_budget():
 def brute_force_coefficients(net, ambient_dim):
     family = net.family
     return np.array(
-        [family.to_signal(member, ambient_dim).coefficients for member in net.members]
+        [family.to_signal(member, ambient_dim).coefficients for member in centers(net)]
     )
 
 
 def test_factored_decoder_matches_brute_force_in_coefficient_space():
     family = step_class()
-    materialized = build_net(family, 1.5, mode="materialized")
-    factored = build_net(family, 1.5, mode="factored")
-    assert factored.decoder.size == materialized.size
+    materialized = build_net(family, 1.5)
+    decoder = step_decoder(1.5)
+    assert decoder.size == materialized.size
 
     table = brute_force_coefficients(materialized, 16)
     rng = np.random.default_rng(17)
@@ -367,10 +377,10 @@ def test_factored_decoder_matches_brute_force_in_coefficient_space():
         target = rng.normal(scale=0.8, size=16)
         distances = np.linalg.norm(table - target, axis=1)
         expected_index = int(np.argmin(distances))
-        result = factored.decoder.decode_coefficients(target)
+        result = decoder.decode_coefficients(target)
         assert result.index == expected_index
         assert result.distance == pytest.approx(float(distances[expected_index]), rel=1e-10)
-        expected = materialized.members[expected_index]
+        expected = centers(materialized)[expected_index]
         np.testing.assert_array_equal(result.member.breakpoints, expected.breakpoints)
         for got, want in zip(result.member.piece_coefficients, expected.piece_coefficients):
             np.testing.assert_array_equal(got, want)
@@ -378,8 +388,8 @@ def test_factored_decoder_matches_brute_force_in_coefficient_space():
 
 def test_factored_decoder_matches_brute_force_under_measurements():
     family = step_class()
-    materialized = build_net(family, 1.5, mode="materialized")
-    factored = build_net(family, 1.5, mode="factored")
+    materialized = build_net(family, 1.5)
+    decoder = step_decoder(1.5)
     operator = random_subspace(16, 7, seed=9)
     rows = operator.scale * operator.frame
     table = brute_force_coefficients(materialized, 16) @ rows.T
@@ -389,15 +399,15 @@ def test_factored_decoder_matches_brute_force_under_measurements():
         y = rng.normal(size=7)
         distances = np.linalg.norm(table - y, axis=1)
         expected_index = int(np.argmin(distances))
-        result = factored.decoder.decode_measurements(y, operator)
+        result = decoder.decode_measurements(y, operator)
         assert result.index == expected_index
         assert result.distance == pytest.approx(float(distances[expected_index]), rel=1e-10)
 
 
 def test_decoded_distance_is_exact_next_to_a_member():
     family = step_class()
-    materialized = build_net(family, 1.5, mode="materialized")
-    decoder = build_net(family, 1.5, mode="factored").decoder
+    materialized = build_net(family, 1.5)
+    decoder = step_decoder(1.5)
     operator = random_subspace(16, 7, seed=9)
     coefficients = brute_force_coefficients(materialized, 16)
     table = coefficients @ (operator.scale * operator.frame).T
@@ -433,7 +443,7 @@ def test_indicator_products_match_the_dense_closed_form():
     # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 70 (even); d = 300 puts
     # frequencies past P / 2, where they alias on the breakpoint grid.
     for eps1, count in ((1.5, 45), (1.2, 70)):
-        decoder = build_net(step_class(), eps1, mode="factored").decoder
+        decoder = step_decoder(eps1)
         assert decoder.positions.size == count
         for d in (1, 2, 3, 16, 17, 300, 301):
             w = dense_indicator_rows(decoder.positions, d)
@@ -457,7 +467,7 @@ def test_operator_terms_match_the_dense_closed_form():
     # 300 is past P / 2, so it folds onto the grid; n = d is the clamped case.
     # At d = 64, n = 32 and 64 fill whole blocks of the square-sum's rows.
     for eps1 in (1.5, 1.2):
-        decoder = build_net(step_class(), eps1, mode="factored").decoder
+        decoder = step_decoder(eps1)
         for d in (1, 2, 3, 16, 17, 64, 300, 301):
             w = dense_indicator_rows(decoder.positions, d)
             for n in sorted({1, max(1, d // 2), d}):
@@ -491,8 +501,7 @@ def test_decoder_rejects_positions_off_the_uniform_grid():
 
 
 def test_operator_terms_follow_the_operator():
-    materialized = build_net(step_class(), 1.5, mode="materialized")
-    rows = brute_force_coefficients(materialized, 40)
+    plan = step_class().net_plan(1.5)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
     ys = np.random.default_rng(37).normal(size=(6, 9))
 
@@ -502,8 +511,8 @@ def test_operator_terms_follow_the_operator():
 
     # Both decoders keep per-operator terms in one shared slot.
     for make_decoder in (
-        lambda: build_net(step_class(), 1.5, mode="factored").decoder,
-        lambda: MaterializedDecoder(materialized.members, rows),
+        lambda: step_decoder(1.5),
+        lambda: step_class().materialized_decoder(plan, 40),
     ):
         expected = [decode_all(make_decoder(), operator) for operator in operators]
         decoder = make_decoder()
@@ -530,8 +539,7 @@ def test_operator_terms_follow_the_operator():
 def test_decoders_hold_their_operator_weakly(monkeypatch):
     # A decoder's slot must not keep a dead operator's frame alive into the
     # next draw, and a new operator must not match the dead one's entry.
-    materialized = build_net(step_class(), 1.5, mode="materialized")
-    rows = brute_force_coefficients(materialized, 40)
+    plan = step_class().net_plan(1.5)
     builds = []
     for decoder_class, name in (
         (FactoredStepDecoder, "_operator_terms"),
@@ -545,8 +553,8 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
         monkeypatch.setattr(decoder_class, name, counted_build)
     y = np.random.default_rng(43).normal(size=9)
     for make_decoder in (
-        lambda: build_net(step_class(), 1.5, mode="factored").decoder,
-        lambda: MaterializedDecoder(materialized.members, rows),
+        lambda: step_decoder(1.5),
+        lambda: step_class().materialized_decoder(plan, 40),
     ):
         builds.clear()
         decoder = make_decoder()
@@ -567,7 +575,7 @@ def test_operator_terms_make_no_frame_sized_copy():
     # At the bench shape (P = 10,054, d = 1,886, n = 710) the build holds
     # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
     # frame; the chirp-z plans it builds on a fresh decoder are counted too.
-    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    decoder = step_decoder(0.1)
     assert decoder.positions.size == 10054
     operator = random_subspace(1886, 710, seed=1)
     tracemalloc.start()
@@ -589,7 +597,7 @@ def test_indicator_norms_are_built_once_per_dimension():
         return [(result.index, result.distance) for result in results]
 
     def fresh():
-        return build_net(step_class(), 1.5, mode="factored").decoder
+        return step_decoder(1.5)
 
     # A fresh decoder per dimension builds the norms on its first call.
     expected = {d: decode_all(fresh(), d) for d in targets}
@@ -616,26 +624,96 @@ def test_indicator_norms_are_built_once_per_dimension():
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
     family = step_class()
-    factored = build_net(family, 1.5, mode="factored")
+    decoder = step_decoder(1.5)
     operator = random_subspace(16, 16, seed=5)
     rng = np.random.default_rng(31)
     for _ in range(8):
         target = rng.normal(scale=0.7, size=16)
         y = apply_operator(operator, target)
-        direct = factored.decoder.decode_coefficients(target)
-        via_op = factored.decoder.decode_measurements(y, operator)
+        direct = decoder.decode_coefficients(target)
+        via_op = decoder.decode_measurements(y, operator)
         assert via_op.index == direct.index
         assert via_op.distance == pytest.approx(direct.distance, rel=1e-10)
 
 
+def reference_rows(family, plan, d):
+    """Every center's first ``d`` coefficients, by one expansion per center.
+
+    The materialized decoder's set-up before it used one linear map per
+    configuration, kept here as the oracle.
+    """
+    rows = np.empty((plan.size, d))
+    for row, member in zip(rows, family.enumerate_members(plan)):
+        row[:] = family.coefficient_prefix(member, d)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "family, eps1",
+    [
+        (SmoothClass(3, 2.0), 0.5),  # the smooth experiment's net
+        (step_class(), 1.5),  # the materialized step experiment's net
+        (step_class(max_jumps=2, min_gap=1.5), 3.0),
+        (step_class(degree=1), 6.0),
+        (PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5), 2.0),
+    ],
+)
+def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog):
+    plan = family.net_plan(eps1)
+    members = centers(build_net(family, eps1))
+    grid = np.array(list(itertools.product(*(axis.points() for axis in plan.axes))))
+    values = np.tile(grid, (plan.config_count, 1))
+    bounds = np.array([linear_expansion_bound(family, row) for row in values])
+    rng = np.random.default_rng(plan.size)
+    for d in (3, 16):
+        with caplog.at_level(logging.DEBUG, logger="netsketch.function_classes"):
+            decoder = family.materialized_decoder(plan, d)
+        assert re.fullmatch(
+            rf"materialized decoder rows: M={plan.size} d={d}"
+            rf" configurations={plan.config_count} axes={len(plan.axes)}"
+            rf" bytes={plan.size * d * 8} built in \d+\.\d{{3}}s",
+            caplog.messages[-1],
+        )
+        oracle = reference_rows(family, plan, d)
+        assert np.all(np.abs(decoder.rows - oracle) <= bounds[:, None])
+        for n in (2, d):
+            operator = random_subspace(d, n, seed=d + n)
+            decoder.prepare(operator)
+            table = oracle @ (operator.scale * operator.frame).T
+            for rows, used, decode in (
+                (oracle, decoder.rows, decoder.decode_coefficients),
+                (
+                    table,
+                    decoder._tables.get(operator),
+                    lambda y: decoder.decode_measurements(y, operator),
+                ),
+            ):
+                # Each distance the decoder compares moves by at most ``gap``.
+                gap = float(np.max(np.linalg.norm(used - rows, axis=1)))
+                for scale in (1e-3, 0.1, 1.0):
+                    for index in rng.choice(plan.size, size=4):
+                        target = rows[index] + scale * rng.normal(size=rows.shape[1])
+                        result = decode(target)
+                        distances = np.linalg.norm(rows - target, axis=1)
+                        best = int(np.argmin(distances))
+                        # The winner is the oracle's, or ties it up to twice
+                        # the rows' rounding gap.
+                        assert result.index == best or distances[result.index] <= (
+                            distances[best] * (1.0 + 1e-12) + 2.0 * gap
+                        )
+                        assert member_bytes(result.member) == member_bytes(
+                            members[result.index]
+                        )
+                        assert np.array_equal(
+                            result.coefficients, decoder.rows[result.index]
+                        )
+
+
 def test_decoder_input_validation():
-    materialized = build_net(step_class(), 1.5, mode="materialized")
     operator = random_subspace(16, 7, seed=9)
     for decoder in (
-        build_net(step_class(), 1.5, mode="factored").decoder,
-        MaterializedDecoder(
-            materialized.members, brute_force_coefficients(materialized, 16)
-        ),
+        step_decoder(1.5),
+        step_class().materialized_decoder(step_class().net_plan(1.5), 16),
     ):
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.zeros((2, 3)))
@@ -649,7 +727,7 @@ def test_decoder_input_validation():
     with pytest.raises(UsageError):
         decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
     with pytest.raises(UsageError):
-        MaterializedDecoder(materialized.members[1:], decoder.rows)
+        dataclasses.replace(decoder, rows=decoder.rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +760,9 @@ def grid_decoder(count, periodic):
     # (one jump, unit scale), or (eps1/4)^2 / 4 for the periodic flavour.
     pitch = TWO_PI / (count - 0.5)
     eps1 = (4.0 if periodic else 2.0) * 2.0 * math.sqrt(pitch)
-    positions, _, _ = position_grid(eps1, 1, 1.0, periodic)
-    assert positions.size == count
-    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5)
+    assert position_grid(eps1, 1, 1.0, periodic)[0] == count
+    plan = NetPlan(eps1, (), 1, breakpoint_count=count, periodic=periodic)
+    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -721,7 +799,7 @@ def test_chirp_plans_are_built_once_per_length(monkeypatch):
     }
 
     def fresh():
-        return build_net(step_class(), 1.5, mode="factored").decoder
+        return step_decoder(1.5)
 
     expected = {width: fresh()._on_breakpoints(series[width]) for width in widths}
     built = []
@@ -785,7 +863,7 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
                 n //= p
         return n
 
-    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    decoder = step_decoder(0.1)
     assert decoder.positions.size == 10_054
     d = 1_886  # the bench's fitted d and n at seed 1
     operator = random_subspace(d, 710, seed=3)
@@ -840,7 +918,7 @@ def full_sweep(self, q0, q_full, g00, g0f, gff):
 def bench_step_decoders():
     """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1), and
     a copy that sweeps every breakpoint."""
-    decoder = build_net(step_class(), 0.1, mode="factored").decoder
+    decoder = step_decoder(0.1)
     assert (decoder.positions.size, decoder.levels.size) == (10_054, 71)
     reference = copy.copy(decoder)
     reference._sweep = types.MethodType(full_sweep, reference)
@@ -927,7 +1005,7 @@ def test_pruning_sweeps_few_breakpoints(caplog):
 
 def test_net_serialization_roundtrip():
     family = step_class()
-    net = build_net(family, 1.5, mode="materialized")
+    net = build_net(family, 1.5)
     buffer = io.StringIO()
     dump_net(buffer, net, ambient_dim=32)
     text = buffer.getvalue()
@@ -939,7 +1017,7 @@ def test_net_serialization_roundtrip():
     header, blocks = split_net_text(text)
     assert header == f"eps1=1.5 M={net.size} spec={family.spec_string()}"
     assert text.count("---\n") == net.size - 1 == len(blocks) - 1
-    for lines, member in zip(blocks, net.members):
+    for lines, member in zip(blocks, centers(net)):
         assert lines[0] == "basis=trig ambient_dim=32"
         np.testing.assert_array_equal(
             [float(line) for line in lines[1:]],
@@ -948,7 +1026,7 @@ def test_net_serialization_roundtrip():
 
 
 def test_single_member_net_roundtrip_has_no_separator():
-    net = build_net(step_class(max_jumps=0), 6.0, mode="materialized")
+    net = build_net(step_class(max_jumps=0), 6.0)
     buffer = io.StringIO()
     dump_net(buffer, net, ambient_dim=8)
     text = buffer.getvalue()
@@ -958,12 +1036,12 @@ def test_single_member_net_roundtrip_has_no_separator():
     assert lines[0] == "basis=trig ambient_dim=8"
     np.testing.assert_array_equal(
         [float(line) for line in lines[1:]],
-        analyze_piecewise(net.members[0], 8).coefficients,
+        analyze_piecewise(centers(net)[0], 8).coefficients,
     )
 
 
 def test_net_serialization_rejects_malformed():
     with pytest.raises(UsageError):
-        dump_net(io.StringIO(), build_net(step_class(), 0.5, mode="counted"), 8)
+        dump_net(io.StringIO(), build_net(step_class(degree=1), 0.75, m_max=100), 8)
     with pytest.raises(UsageError):
-        dump_net(io.StringIO(), build_net(step_class(), 1.5, mode="factored"), 8)
+        dump_net(io.StringIO(), build_net(step_class(), 1.5, m_max=100), 8)

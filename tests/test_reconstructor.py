@@ -16,7 +16,7 @@ from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import Signal
 from netsketch.jl import apply_operator, required_measurements
-from netsketch.nets import MaterializedDecoder, build_net
+from netsketch.nets import build_net
 from netsketch.reconstructor import (
     measure,
     preprocess,
@@ -277,7 +277,7 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
 def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler, monkeypatch):
     rows = np.array(smooth_sampler.decoder.rows)
     rows[4] = rows[1]
-    decoder = MaterializedDecoder(smooth_sampler.net.members, rows)
+    decoder = replace(smooth_sampler.decoder, rows=rows)
     tied = replace(smooth_sampler, decoder=decoder)
     measured = np.array([apply_operator(tied.operator, row) for row in rows])
     probe = np.random.default_rng(53)
@@ -363,7 +363,8 @@ def test_reconstruct_factored_agrees_with_materialized():
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
     assert s.net.mode == "materialized" and s.net.size == 1125
     assert s.d == 300 and s.n == 282 and not s.clamped
-    factored_net = build_net(family, s.eps1, mode="factored")
+    factored_net = build_net(family, s.eps1, m_max=100)
+    assert factored_net.mode == "factored"
     factored = replace(s, net=factored_net, decoder=factored_net.decoder)
     probe = np.random.default_rng(43)
     for _ in range(10):
