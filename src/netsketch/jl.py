@@ -44,7 +44,7 @@ SEED_RANGE = 2**63 - 1
 _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
 _CHOLESKY_PASSES = 3
-_PRODUCT_ROWS = 64
+_BLOCK_ROWS = 64
 _GAUSSIAN_ROWS = 64
 
 logger = logging.getLogger(__name__)
@@ -105,17 +105,38 @@ class MeasurementOperator:
         return math.sqrt(self.d / self.n)
 
 
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive halving (``n^3 / 3`` flops)."""
-    n = lower.shape[0]
-    if n <= 32:
-        return np.tril(np.linalg.inv(lower))
-    h = n // 2
-    out = np.zeros_like(lower)
-    out[:h, :h] = _lower_inverse(lower[:h, :h])
-    out[h:, h:] = _lower_inverse(lower[h:, h:])
-    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
-    return out
+def _factor_in_place(gram: np.ndarray) -> bool:
+    """Overwrite the lower triangle of ``gram`` with its Cholesky factor ``L``.
+
+    Right-looking, in ``_BLOCK_ROWS`` blocks: ``np.linalg.cholesky`` factors
+    each diagonal block ``L_ss``; the panel below it becomes
+    ``A[e:, s:e] L_ss^{-T}``; and the trailing lower triangle loses the
+    panel's outer product one row block at a time.  Forward substitution
+    needs ``L_ss`` only through its inverse, so the diagonal block keeps
+    ``L_ss^{-1}`` in place of ``L_ss``.  Returns False, a rank deficient draw,
+    when a block fails to factor or has a diagonal at most ``_RANK_TOLERANCE``
+    (the diagonal blocks' diagonals are ``L``'s).
+    """
+    n = gram.shape[0]
+    upper = ~np.tri(min(n, _BLOCK_ROWS), dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(n, start + _BLOCK_ROWS)
+        block = gram[start:stop, start:stop]
+        try:
+            block[...] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+        if np.min(np.diag(block)) <= _RANK_TOLERANCE:
+            return False
+        block[...] = np.linalg.inv(block)
+        np.copyto(block, 0.0, where=upper[: stop - start, : stop - start])
+        panel = gram[stop:, start:stop]
+        panel[...] = panel @ block.T
+        # The lower triangle, and diagonal-block upper halves cholesky never reads.
+        for row in range(stop, n, _BLOCK_ROWS):
+            end = min(n, row + _BLOCK_ROWS)
+            gram[row:end, stop:end] -= panel[row - stop : end - stop] @ panel[: end - stop].T
+    return True
 
 
 def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
@@ -135,14 +156,28 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     counts as rank deficient: the draw is repeated, and after three fresh
     redraws a failure is treated as an internal error.
 
-    One C-ordered ``n x d`` buffer holds ``G^T``, then each pass's output:
-    ``G`` is drawn in row blocks, the stream's order, into its columns, and
-    ``L^{-1}`` is applied in place from the bottom row block up, since a
-    block's rows of the product read only the rows above its end.  Each
-    ``n x n`` array is released once it has been used, so the peak is the
-    frame, three ``n x n`` arrays (the Gram matrix with the Cholesky call's
-    work copy and factor), one block of product rows and one of Gaussian
-    rows; the DEBUG line reports it as ``work_bytes``.
+    Two buffers are allocated per call and reused by every pass and redraw:
+    a C-ordered ``n x d`` frame and an ``n x n`` Gram buffer.  ``G`` is drawn
+    in row blocks, the stream's order, into the frame's columns as ``G^T``.
+    The Gram matrix ``F F^T`` is formed into its buffer (syrk) and factored
+    there in place by ``_factor_in_place``.  ``L^{-1}`` is then applied to the
+    frame top-down by forward substitution: row block ``[s:e]`` loses
+    ``L[s:e, :s]`` times the rows above it, which already hold the pass's
+    output, and is multiplied by its diagonal block's inverse.  The
+    verification's ``F F^T`` goes into the same Gram buffer, where the next
+    pass factors it.  So at most these are alive at once, in float64 entries:
+
+    - ``n d``: the frame;
+    - ``n^2``: the Gram buffer, holding ``G^T G``, then ``L`` with its
+      diagonal blocks inverted, then ``F F^T``;
+    - ``64 (d + n)``: the temporaries of one step, none of them ``n x n``:
+      one 64-row block of ``G`` (``64 n``) while drawing; the ``64 x 64``
+      work arrays of a diagonal block's factor or inverse, the panel product
+      (at most ``n x 64``) or one trailing-update block (at most ``64 x n``)
+      while factoring; and one 64-row block of the substitution (``64 d``).
+
+    The DEBUG line reports ``8 (n d + n^2 + 64 (d + n))`` bytes as
+    ``work_bytes``.
     """
     if n < 1 or d < 1:
         raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
@@ -152,26 +187,22 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     rng = np.random.default_rng(seed)
     tolerance = (d + 2) * np.finfo(np.float64).eps
     frame = np.empty((n, d))
+    gram = np.empty((n, n))
     for redraws in range(1 + _QR_RETRIES):
         for start in range(0, d, _GAUSSIAN_ROWS):
             stop = min(d, start + _GAUSSIAN_ROWS)
             frame[:, start:stop] = rng.standard_normal((stop - start, n)).T
-        gram = frame @ frame.T
+        np.matmul(frame, frame.T, out=gram)
         for passes in range(1, 1 + _CHOLESKY_PASSES):
-            try:
-                lower = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
+            if not _factor_in_place(gram):
                 break
-            del gram
-            if np.min(np.diag(lower)) <= _RANK_TOLERANCE:
-                break
-            inverse = _lower_inverse(lower)
-            del lower
-            for start in reversed(range(0, n, _PRODUCT_ROWS)):  # bottom up, lower triangle only
-                stop = min(n, start + _PRODUCT_ROWS)
-                frame[start:stop] = inverse[start:stop, :stop] @ frame[:stop]
-            del inverse
-            gram = frame @ frame.T
+            for start in range(0, n, _BLOCK_ROWS):  # top down: L X = F
+                stop = min(n, start + _BLOCK_ROWS)
+                rows = frame[start:stop]
+                if start:
+                    rows -= gram[start:stop, :start] @ frame[:start]
+                rows[...] = gram[start:stop, start:stop] @ rows
+            np.matmul(frame, frame.T, out=gram)
             # max |gram - I| without n x n temporaries; the next pass factors
             # ``gram``, so its diagonal is restored from a copy, bit for bit.
             diagonal = gram.diagonal().copy()
@@ -179,12 +210,12 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
             error = max(float(gram.max()), -float(gram.min()))
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
-                blocks = min(n, _PRODUCT_ROWS) * d + min(d, _GAUSSIAN_ROWS) * n
+                work = n * n + _BLOCK_ROWS * (d + n)
                 logger.debug(
                     "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d"
                     " frame_bytes=%d work_bytes=%d in %.3fs",
                     d, n, passes, error, redraws, frame.nbytes,
-                    frame.nbytes + 8 * (3 * n * n + blocks), time.perf_counter() - started,
+                    frame.nbytes + 8 * work, time.perf_counter() - started,
                 )
                 frame.setflags(write=False)
                 return MeasurementOperator(frame=frame, seed=seed)

@@ -72,29 +72,57 @@ def test_orthonormal_rows():
         np.testing.assert_allclose(op.scale**2 * op.n / op.d, 1.0, atol=1e-12)
 
 
-def reference_subspace(d, n, seed):
-    """Reference: the draw before it worked in one frame-sized buffer.
+def blocked_cholesky(gram):
+    """``L`` and its diagonal blocks' inverses, by the draw's blocked Cholesky.
 
-    It draws the Gaussian ``G`` as one ``d x n`` array and writes each pass's
-    ``L^{-1} G^T`` into a fresh ``n x d`` array, so two frames and four
-    ``n x n`` arrays are alive at once; kept here as the oracle.
+    Each is an array of its own; None stands for a rank-deficient Gram
+    matrix.  The trailing update goes one row block at a time, as in the draw:
+    one product for the whole trailing part would move the last bits.
+    """
+    n, size = gram.shape[0], jl._BLOCK_ROWS
+    lower, inverses = np.tril(gram), []
+    for start in range(0, n, size):
+        stop = min(n, start + size)
+        try:
+            block = np.linalg.cholesky(lower[start:stop, start:stop])
+        except np.linalg.LinAlgError:
+            return None
+        if np.min(np.diag(block)) <= jl._RANK_TOLERANCE:
+            return None
+        inverses.append(np.tril(np.linalg.inv(block)))
+        lower[start:stop, start:stop] = block
+        panel = lower[stop:, start:stop] @ inverses[-1].T
+        lower[stop:, start:stop] = panel
+        for row in range(stop, n, size):
+            end = min(n, row + size)
+            lower[row:end, stop:end] -= panel[row - stop : end - stop] @ panel[: end - stop].T
+    return lower, inverses
+
+
+def reference_subspace(d, n, seed):
+    """Reference: the draw's arithmetic, in two frame buffers and fresh arrays.
+
+    It draws the Gaussian ``G`` as one ``d x n`` array, factors a copy of each
+    Gram matrix with ``blocked_cholesky``, and writes each pass's
+    ``L^{-1} F`` by forward substitution into a fresh ``n x d`` array, so two
+    frames and three ``n x n`` arrays are alive at once; kept here as the
+    oracle of the buffer reuse.
     """
     rng = np.random.default_rng(seed)
     tolerance = (d + 2) * np.finfo(np.float64).eps
+    size = jl._BLOCK_ROWS
     for _ in range(1 + jl._QR_RETRIES):
         gaussian = rng.standard_normal((d, n))
         frame, gram = gaussian.T, gaussian.T @ gaussian
         for _ in range(jl._CHOLESKY_PASSES):
-            try:
-                lower = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
+            factor = blocked_cholesky(gram)
+            if factor is None:
                 break
-            if np.min(np.diag(lower)) <= jl._RANK_TOLERANCE:
-                break
-            inverse, previous, frame = jl._lower_inverse(lower), frame, np.empty((n, d))
-            for start in range(0, n, jl._PRODUCT_ROWS):
-                stop = min(n, start + jl._PRODUCT_ROWS)
-                np.matmul(inverse[start:stop, :stop], previous[:stop], out=frame[start:stop])
+            (lower, inverses), previous, frame = factor, frame, np.empty((n, d))
+            for start in range(0, n, size):
+                stop = min(n, start + size)
+                rows = previous[start:stop] - lower[start:stop, :start] @ frame[:start]
+                np.matmul(inverses[start // size], rows, out=frame[start:stop])
             gram = frame @ frame.T
             diagonal = gram.diagonal().copy()
             gram.flat[:: n + 1] -= 1.0
@@ -105,22 +133,83 @@ def reference_subspace(d, n, seed):
     raise NetSketchError("reference draw failed")
 
 
+def lower_inverse(lower):
+    """Inverse of a lower-triangular matrix by recursive halving."""
+    n = lower.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(lower))
+    h = n // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = lower_inverse(lower[:h, :h])
+    out[h:, h:] = lower_inverse(lower[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
+    return out
+
+
+def unblocked_subspace(d, n, seed):
+    """Reference: the draw before its Cholesky factor was blocked.
+
+    One frame buffer as in the draw, but each pass takes the full
+    ``np.linalg.cholesky`` factor, inverts it by recursive halving and applies
+    the inverse bottom-up in 64-row blocks, so the Gram matrix, the Cholesky
+    call's work copy and its factor, and then ``L`` and ``L^{-1}``, are alive
+    beside the frame.
+    """
+    rng = np.random.default_rng(seed)
+    tolerance = (d + 2) * np.finfo(np.float64).eps
+    frame = np.empty((n, d))
+    for _ in range(1 + jl._QR_RETRIES):
+        for start in range(0, d, 64):
+            stop = min(d, start + 64)
+            frame[:, start:stop] = rng.standard_normal((stop - start, n)).T
+        gram = frame @ frame.T
+        for _ in range(jl._CHOLESKY_PASSES):
+            try:
+                lower = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                break
+            del gram
+            if np.min(np.diag(lower)) <= jl._RANK_TOLERANCE:
+                break
+            inverse = lower_inverse(lower)
+            del lower
+            for start in reversed(range(0, n, 64)):
+                stop = min(n, start + 64)
+                frame[start:stop] = inverse[start:stop, :stop] @ frame[:stop]
+            del inverse
+            gram = frame @ frame.T
+            diagonal = gram.diagonal().copy()
+            gram.flat[:: n + 1] -= 1.0
+            error = max(float(gram.max()), -float(gram.min()))
+            gram.flat[:: n + 1] = diagonal
+            if error <= tolerance:
+                return frame
+    raise NetSketchError("unblocked draw failed")
+
+
 def test_draw_matches_the_two_buffer_reference():
-    # Same Gaussian stream and the same row blocks: bit for bit, the bench
-    # shape (d = 1,886, n = 710) included.
-    for d, n in ((1886, 710), (512, 128), (512, 167), (301, 301), (65, 3), (1, 1)):
+    # Same Gaussian stream, the same blocks and the same products: bit for
+    # bit, the bench shape (d = 1,886, n = 710) included.
+    shapes = (
+        (1886, 710), (512, 128), (512, 167), (301, 301), (65, 3), (1, 1),
+        (32, 32), (300, 150), (130, 129), (129, 65),
+    )
+    for d, n in shapes:
         for seed in range(4):
             frame = random_subspace(d, n, seed).frame
             assert np.array_equal(frame, reference_subspace(d, n, seed)), (d, n, seed)
-    # At these shapes OpenBLAS takes another product kernel for the C-ordered
-    # operand than for the transposed Gaussian, which moves the last bits.
-    for d, n in ((32, 32), (300, 150), (130, 129), (129, 65)):
-        for seed in range(4):
-            frame = random_subspace(d, n, seed).frame
+
+
+def test_draw_matches_the_unblocked_factor():
+    # Blocking reorders the factor's sums, so only rounding moves.
+    for d, n in ((1886, 710), (512, 167), (301, 301), (300, 150), (130, 129), (65, 3)):
+        for seed in range(2):
             np.testing.assert_allclose(
-                frame, reference_subspace(d, n, seed), rtol=0.0, atol=1e-14
+                random_subspace(d, n, seed).frame,
+                unblocked_subspace(d, n, seed),
+                rtol=0.0,
+                atol=1e-14,
             )
-            assert gram_error(frame) <= (d + 2) * np.finfo(np.float64).eps
 
 
 def traced_peak(draw):
@@ -136,29 +225,30 @@ def traced_peak(draw):
 def test_draw_peak_memory_is_one_frame_and_small_blocks(caplog):
     """The draw's traced peak at d = 1,200, n = 300 stays under
 
-        8 (n d + 3 n^2 + 64 d + 64 n) bytes = 5.81 MB:
+        8 (n d + n^2 + 64 d + 64 n) bytes = 4.37 MB:
 
     - ``n d``: the one frame buffer, holding ``G^T`` and then each pass's
       ``L^{-1} G^T``, written in place;
-    - ``3 n^2``: the Gram matrix together with ``np.linalg.cholesky``'s work
-      copy and factor.  The Gram matrix is released before ``L`` is
-      inverted, and the recursive halving holds ``L``, ``L^{-1}`` and three
-      quarter-size blocks, ``2.75 n^2``; the product holds ``L^{-1}`` only;
-    - ``64 d``: one block of 64 product rows, formed before it is copied
-      into place;
-    - ``64 n``: one block of 64 Gaussian rows.
+    - ``n^2``: the one Gram buffer, holding ``G^T G``, then the blocked
+      factor, then the verification's ``F F^T``;
+    - ``64 d``: one block of 64 substitution rows, formed before it is
+      copied into place;
+    - ``64 n``: one block of 64 Gaussian rows, or the ``64 x 64`` factor and
+      inverse of one diagonal block with a panel product of ``n x 64``.
 
-    The two-buffer draw held ``G`` and the new frame together, with four
-    ``n x n`` arrays, ``8 (2 n d + 4 n^2)`` = 8.64 MB, and fails it.  The
+    The unblocked draw held the Gram matrix with ``np.linalg.cholesky``'s
+    work copy and factor, then ``L`` and ``L^{-1}``, ``8 (n d + 3 n^2 + 64 d +
+    64 n)`` = 5.81 MB, and fails it, as does the two-buffer reference.  The
     DEBUG line reports the same bound as ``work_bytes``.
     """
     d, n = 1200, 300
-    bound = 8 * (n * d + 3 * n * n + 64 * d + 64 * n)
+    bound = 8 * (n * d + n * n + 64 * d + 64 * n)
     random_subspace(d, n, seed=0)  # any one-time set-up happens outside the trace
     with caplog.at_level(logging.DEBUG, logger="netsketch.jl"):
         assert traced_peak(lambda: random_subspace(d, n, seed=0)) <= bound
     (line,) = [r.getMessage() for r in caplog.records if r.name == "netsketch.jl"]
     assert f" frame_bytes={8 * n * d} work_bytes={bound} " in line
+    assert traced_peak(lambda: unblocked_subspace(d, n, seed=0)) > bound
     assert traced_peak(lambda: reference_subspace(d, n, seed=0)) > bound
 
 
@@ -305,22 +395,29 @@ def conditioned_gaussian(d, n, kappa):
 
 
 class FixedRNG:
-    """Stands in for ``np.random.default_rng(seed)``: every draw is ``matrix``.
+    """Stands in for ``np.random.default_rng(seed)``: draw ``i`` is ``matrices[i]``.
 
-    A draw asks for consecutive row blocks of the Gaussian; a redraw starts
-    over at row 0, which it may do only once the draw before it has read
-    every row.
+    The last matrix serves every draw past the list.  A draw asks for
+    consecutive row blocks of the Gaussian; a redraw starts over at row 0 of
+    the next matrix, which it may do only once the draw before it has read
+    every row.  ``draws`` counts the draws begun.
     """
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+    def __init__(self, *matrices):
+        self.matrices = matrices
+        self.draws = 0
         self.row = 0
+
+    @property
+    def matrix(self):
+        return self.matrices[min(self.draws, len(self.matrices)) - 1]
 
     def standard_normal(self, size):
         rows, columns = size
-        assert columns == self.matrix.shape[1]
-        if self.row == self.matrix.shape[0]:
+        if self.draws == 0 or self.row == self.matrix.shape[0]:
+            self.draws += 1
             self.row = 0
+        assert columns == self.matrix.shape[1]
         stop = self.row + rows
         assert stop <= self.matrix.shape[0]
         block = self.matrix[self.row : stop].copy()
@@ -368,3 +465,56 @@ def test_rank_deficiency_error_path(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(np.zeros((4, 2))))
     with pytest.raises(NetSketchError):
         random_subspace(4, 2, seed=0)
+
+
+def with_column(gaussian, column, scale):
+    out = gaussian.copy()
+    out[:, column] *= scale
+    return out
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14])
+def test_rank_deficiency_in_a_later_block_redraws(monkeypatch, scale):
+    # Column 100 sits in the second diagonal block: the first factors, and the
+    # second fails to (scale 0) or has a diagonal under _RANK_TOLERANCE.
+    gaussian = with_column(np.random.default_rng(3).standard_normal((300, 150)), 100, scale)
+    fake = FixedRNG(gaussian)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: fake)
+    cholesky, blocks = np.linalg.cholesky, []
+
+    def counted(a):
+        blocks.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    with pytest.raises(NetSketchError, match="persisted over 4 attempts"):
+        random_subspace(300, 150, seed=0)
+    assert fake.draws == 1 + jl._QR_RETRIES
+    assert blocks == [64, 64] * (1 + jl._QR_RETRIES)
+
+
+def test_a_redraw_leaves_nothing_behind_in_the_buffers(monkeypatch, caplog):
+    # The first bad draw needs a second pass, which is made to fail after the
+    # first has overwritten the frame and the Gram buffer; the second fails
+    # in its third diagonal block, after the first two have been factored in
+    # place.  The good draw after them is the frame the good matrix gives alone.
+    good = np.random.default_rng(5).standard_normal((300, 150))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(good))
+    alone = random_subspace(300, 150, seed=0).frame
+    bad = (conditioned_gaussian(300, 150, 1e8), with_column(3.0 * good[::-1], 130, 0.0))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(*bad, good))
+    cholesky, calls = np.linalg.cholesky, []
+
+    def failing_in_the_second_pass(a):
+        calls.append(a.shape[0])
+        if len(calls) == 4:  # blocks of 64, 64 and 22 rows, then pass 2
+            raise np.linalg.LinAlgError("injected")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_in_the_second_pass)
+    with caplog.at_level(logging.DEBUG, logger="netsketch.jl"):
+        frame = random_subspace(300, 150, seed=0).frame
+    assert np.array_equal(frame, alone)
+    assert calls[:7] == [64, 64, 22, 64, 64, 64, 22]
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "netsketch.jl"]
+    assert "redraws=2" in line

@@ -494,6 +494,18 @@ def test_operator_terms_match_the_dense_closed_form():
                 )
 
 
+def test_square_sum_series_vanish_past_the_degree():
+    # _operator_terms halves bins 1..K of each padded series row only; that
+    # equals halving the whole row, bit for bit, because the bins past K
+    # hold exact zeros.
+    rng = np.random.default_rng(47)
+    for d in (1, 2, 3, 17, 64, 301, 1886):
+        degree = d // 2
+        width = (1 << (4 * degree).bit_length()) // 2 + 1
+        series = nets._indicator_series(rng.normal(size=(5, d)), width)
+        assert not np.any(series[:, degree + 1 :])
+
+
 def test_decoder_rejects_positions_off_the_uniform_grid():
     positions = np.linspace(-3.0, 3.0, 8)
     with pytest.raises(UsageError):
@@ -575,6 +587,9 @@ def test_operator_terms_make_no_frame_sized_copy():
     # At the bench shape (P = 10,054, d = 1,886, n = 710) the build holds
     # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
     # frame; the chirp-z plans it builds on a fresh decoder are counted too.
+    # One block's series and grid (1.05 MB each) are released before the
+    # next block's are built, so the peak stays under 3 MB (4.6 MB when two
+    # blocks' arrays were alive at once).
     decoder = step_decoder(0.1)
     assert decoder.positions.size == 10054
     operator = random_subspace(1886, 710, seed=1)
@@ -585,6 +600,7 @@ def test_operator_terms_make_no_frame_sized_copy():
     finally:
         tracemalloc.stop()
     assert peak < operator.frame.nbytes / 2
+    assert peak < 3_000_000
 
 
 def test_indicator_norms_are_built_once_per_dimension():
