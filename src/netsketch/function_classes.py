@@ -38,8 +38,8 @@ from .hilbert import (
 )
 from .nets import (
     AxisLog,
+    ConfigurationDecoder,
     FactoredStepDecoder,
-    MaterializedDecoder,
     NetPlan,
     gap_separated_count,
     grid_count,
@@ -127,31 +127,26 @@ class FunctionClass:
             for values in itertools.product(*grids):
                 yield self.member(breakpoints, values)
 
-    def materialized_decoder(self, plan: NetPlan, d: int) -> MaterializedDecoder:
+    def materialized_decoder(self, plan: NetPlan, d: int) -> ConfigurationDecoder:
         """A decoder over every center's first ``d`` coefficients, building none.
 
         At a fixed configuration a center's coefficients are linear in its
-        ``k`` axis values: they are the ``d x k`` map whose column ``j`` is
-        ``coefficient_prefix(member(breakpoints, e_j), d)`` times the values.
-        So each configuration's block of rows is the axis grid, in
-        ``itertools.product`` order, times the map's transpose: ``k``
-        expansions per configuration instead of one per center.
+        ``k`` axis values, so its ``d x k`` map has column ``j`` equal to
+        ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions.
         """
         started = time.perf_counter()
         configurations = tuple(plan.configurations())
-        grids = np.meshgrid(*map(AxisLog.points, plan.axes), indexing="ij", copy=False)
-        points = np.stack(grids, axis=-1).reshape(-1, len(plan.axes))
         units = np.eye(len(plan.axes))
-        rows = np.empty((len(configurations), len(points), d))
-        for block, breakpoints in zip(rows, configurations):
-            columns = [self.coefficient_prefix(self.member(breakpoints, e), d) for e in units]
-            np.matmul(points, np.array(columns), out=block)
+        maps = np.empty((len(configurations), d, len(plan.axes)))
+        for block, breakpoints in zip(maps, configurations):
+            for column, e in zip(block.T, units):
+                column[:] = self.coefficient_prefix(self.member(breakpoints, e), d)
         logger.debug(
-            "materialized decoder rows: M=%d d=%d configurations=%d axes=%d bytes=%d"
+            "configuration decoder maps: M=%d d=%d configurations=%d axes=%d bytes=%d"
             " built in %.3fs", plan.size, d, len(configurations), len(plan.axes),
-            rows.nbytes, time.perf_counter() - started,
+            maps.nbytes, time.perf_counter() - started,
         )
-        return MaterializedDecoder(rows.reshape(-1, d), configurations, plan.axes, self.member)
+        return ConfigurationDecoder(maps, configurations, plan.axes, self.member)
 
     def round_member(self, plan: NetPlan, member):
         """The center that witnesses the covering of ``member``."""

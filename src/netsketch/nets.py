@@ -6,18 +6,19 @@ layout, a ``NetPlan``, and the counts that follow from it; no member is built
 to count one, so counting works at any scale.  ``build_net`` labels a net by
 how it decodes:
 
-- ``materialized``: at most ``m_max`` centers.  ``MaterializedDecoder`` scans
-  every center's first ``d`` coefficients, or their images under a
-  measurement operator; the class builds those rows by one linear map per
+- ``materialized``: at most ``m_max`` centers, decoded by
+  ``ConfigurationDecoder`` from one ``d x k`` linear map per breakpoint
   configuration (``FunctionClass.materialized_decoder``).
-- ``factored``: over the budget, for single-jump piecewise-constant classes.
-  ``FactoredStepDecoder`` finds the nearest center exactly by a
-  branch-and-bound sweep with the inner minimization solved in closed form.
+- ``factored``: over the budget, for single-jump piecewise-constant classes;
+  ``FactoredStepDecoder`` gets every breakpoint's terms at once from closed
+  forms and FFTs.
 - ``counted``: over the budget with no factored decoder: counts only.
 
-Both decoders answer ``decode_coefficients(target)`` and
-``decode_measurements(y, operator)`` with a ``DecodeResult``; ties go to the
-lowest member index.
+Both decoders feed one exact closest-point search, ``_nearest_on_grid``, with
+each configuration's Gram matrix and the target's projections, and answer
+``decode_coefficients(target)`` and ``decode_measurements(y, operator)``;
+ties go to the lowest member index, except that the last axis takes the
+rounding of its continuous optimum, and a half-way value rounds up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
@@ -34,7 +35,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,9 +45,9 @@ from .hilbert import PiecewiseDescription, dump_signal
 __all__ = [
     "AxisLog",
     "CoveringNet",
+    "ConfigurationDecoder",
     "FactoredStepDecoder",
     "DecodeResult",
-    "MaterializedDecoder",
     "NetPlan",
     "build_net",
     "gap_separated_count",
@@ -64,9 +65,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 DEFAULT_NET_BUDGET = 10**6
 
-# Largest temporary a materialized nearest-member scan allocates at once; the
-# fastest of 128 KiB to 1 MiB in interleaved decodes at M = 12,798, d = 45.
-_SCAN_BLOCK_BYTES = 256 * 1024
 # Operator rows per block of the factored decoder's square-sum grid.
 _TERMS_BLOCK_ROWS = 32
 
@@ -122,22 +120,6 @@ class AxisLog:
         return max(-half, min(half, k)) * self.step
 
 
-@dataclass(frozen=True)
-class _OperatorTerms:
-    """Operator-only parts of a measured decode, shared by every trial.
-
-    With ``R`` the scaled operator rows and ``w(b)`` the pre-jump indicator
-    coefficients, ``g00(b) = |R w(b)|^2`` and ``g0f(b) = <R w(b), v_full>``
-    on the breakpoint grid, where ``v_full`` is the measured constant-one
-    function and ``gff = |v_full|^2``.
-    """
-
-    v_full: np.ndarray
-    g00: np.ndarray
-    g0f: np.ndarray
-    gff: float
-
-
 class _OperatorSlot:
     """What a decoder built for the last operator it decoded under.
 
@@ -169,24 +151,197 @@ class _OperatorSlot:
         return built
 
 
-def _nearest_row(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
-    """Index and distance of the row of ``table`` nearest to ``target``.
+# ---------------------------------------------------------------------------
+# Exact closest-point search over per-configuration axis grids
+# ---------------------------------------------------------------------------
 
-    Ties go to the lowest index.  Rows are scanned in blocks of at most
-    ``_SCAN_BLOCK_BYTES`` with the per-row arithmetic of
-    ``np.linalg.norm(table - target, axis=1)``, so the distances are the same
-    bits without a temporary as large as the table.
+# A configuration with a pivot at most this fraction of its Gram diagonal is
+# near singular: it is swept whole instead of bounded.
+_PIVOT_FLOOR = 1e-8
+
+
+def _gamma(m: int) -> float:
+    """Higham's ``gamma_m = m u / (1 - m u)``."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+class _Geometry(NamedTuple):
+    """Every configuration's Gram ``G`` (``gram[i][j]``) and its factor.
+
+    ``G = U diag(pivots) U^T`` (``U`` unit upper triangular, ``upper[i][j]``),
+    eliminated from the last axis back; ``widths``: ``w_i = sum_{m <= i}
+    |U_mi| L_m``, the most ``|(U^T x)_i|`` on the grid box (``L_m`` the
+    largest value on axis ``m``); ``valid``: every pivot exceeds
+    ``_PIVOT_FLOOR`` of its diagonal; ``slack``: the rounding slack's Gram part.
     """
-    step = max(1, _SCAN_BLOCK_BYTES // (8 * table.shape[1]))
-    best_index, best = 0, math.inf
-    for start in range(0, table.shape[0], step):
-        block = table[start : start + step] - target
-        np.square(block, out=block)
-        distances = np.sqrt(np.add.reduce(block, axis=1))
-        local = int(np.argmin(distances))
-        if distances[local] < best:
-            best_index, best = start + local, float(distances[local])
-    return best_index, best
+
+    gram: Sequence[Sequence[np.ndarray]]
+    pivots: list
+    upper: list
+    widths: list
+    valid: np.ndarray
+    slack: np.ndarray
+
+
+def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
+    """Factor every configuration's Gram, elementwise over configurations."""
+    k = len(grids)
+    tops = [float(grid[-1]) for grid in grids]
+    pivots: list = [None] * k
+    upper: list = [[None] * k for _ in range(k)]
+    with np.errstate(all="ignore"):
+        for j in reversed(range(k)):
+            pivots[j] = gram[j][j]  # the last axis's pivot is its diagonal, not a copy
+            for m in range(j + 1, k):
+                pivots[j] = pivots[j] - pivots[m] * upper[j][m] ** 2
+            for i in range(j):
+                entry = gram[i][j] - sum(upper[i][m] * pivots[m] * upper[j][m] for m in range(j + 1, k))
+                upper[i][j] = entry / pivots[j]
+        widths = [top + sum(np.abs(upper[m][i]) * tops[m] for m in range(i)) for i, top in enumerate(tops)]
+        factor = sum(p * w**2 for p, w in zip(pivots, widths))
+        slack = 2.0 * (_gamma(k * (k + 1) // 2 + max(k, 2)) + _gamma(k + 3)) * factor
+        valid = np.isfinite(slack)
+        for j in range(k):
+            valid &= (gram[j][j] > 0.0) & (pivots[j] > _PIVOT_FLOOR * gram[j][j])
+    return _Geometry(gram, pivots, upper, widths, valid, slack)
+
+
+def _leaf_objective(gram, projections, rows, values, step: float, count: int):
+    """The objective at each leaf, and the index its last axis rounds to.
+
+    Leaf ``l`` is configuration ``rows[l]`` with axis ``i`` at ``values[i][l]``
+    for every axis but the last, ``z``, whose value solves its quadratic and
+    is rounded onto the ``count``-point grid of pitch ``step``, a half-way
+    value up (the higher index).  In place, one rounding step per line, each
+    formula left to right:
+
+      c_z = (q_z - sum_{i<z} G_iz c_i) / G_zz,  k = clip(floor(c_z / step + 1/2))
+      objective = -2 sum_i c_i q_i + sum_i (G_ii c_i^2 + sum_{j>i} 2 c_i c_j G_ij)
+
+    ``|t - A c|^2 - |t|^2`` for ``G = A^T A``, ``q = A^T t``.  A zero last
+    column (``0 / 0``) ties every value there and takes the lowest.
+    """
+    last, half = len(values), (count - 1) // 2
+    index = projections[last][rows] - sum(gram[i][last][rows] * values[i] for i in range(last))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        index /= gram[last][last][rows]
+    index /= step
+    index += 0.5
+    np.floor(index, out=index)
+    np.fmin(np.fmax(index, -half, out=index), half, out=index)
+    chosen = [*values, index * step]
+    objective = projections[0][rows] * chosen[0]
+    for i in range(1, last + 1):
+        objective += chosen[i] * projections[i][rows]
+    objective *= -2.0
+    for i in range(last + 1):
+        objective += gram[i][i][rows] * chosen[i] ** 2
+        for j in range(i + 1, last + 1):
+            term = 2.0 * chosen[i] * chosen[j]
+            term *= gram[i][j][rows]
+            objective += term
+    return objective, index + half
+
+
+def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
+    """The nearest center's configuration and axis indices, exactly.
+
+    Configuration ``c`` has Gram ``G = A^T A`` and projections ``q = A^T t``;
+    a center ``x`` on the symmetric axis ``grids`` has objective ``f(x) =
+    -2 q.x + x^T G x = |t - A x|^2 - |t|^2``.  A leaf is a configuration and
+    a point of every grid but the last, whose axis ``_leaf_objective`` solves
+    in closed form, rounding a half-way value up.  The winner is the least
+    objective over all leaves, ties to the lowest leaf, and so to the lowest
+    member index but for that rounding: what sweeping the leaves all gives.
+
+    Bound (Fincke & Pohst 1985; Schnorr & Euchner 1994; Agrell et al. 2002).
+    With ``G = U D U^T``, ``h = U^-1 q``, ``a = h / D`` and ``y = U^T x``,
+    ``f(x) = beta + sum_i D_i (y_i - a_i)^2``, where ``beta = -sum_i h_i a_i``
+    is the continuous minimum and term ``i`` depends on ``x_0 .. x_i`` only.
+    So a leaf reaches the incumbent ``U`` only if, for every ``j``, ``x_j``
+    is within ``sqrt((U - beta) / D_j)`` of its centre ``a_j - sum_{m<j}
+    U_mj x_m``.  The configuration with the least ``beta`` is swept whole
+    for ``U``; then it and every other with ``lower = beta - slack <= U``
+    are expanded axis by axis, breadth first, one ``np.repeat`` per axis, by
+    each window, and the near-singular ones (``valid`` false) whole.  Leaves
+    stay in index order, so the argmin is the exhaustive one, bits and ties
+    included: a leaf left out is above ``U``.
+
+    Slack.  A sum whose terms each pass through at most ``m`` roundings is
+    off by at most ``gamma_m`` times their magnitudes' sum (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 3).  With ``L_i`` the largest
+    value on axis ``i`` and ``w_i = sum_{m<=i} |U_mi| L_m``: a computed
+    objective is within ``gamma_m (2 sum_i L_i |q_i| + sum_ij L_i L_j
+    |G_ij|)``, ``m = k(k+1)/2 + max(k, 2)``; the computed factor is exact for
+    ``G + dG``, ``|dG| <= gamma_{k+1} |U| D |U^T|`` (as LU, Thm 9.3, plus a
+    rounding for three-factor products), and ``h`` for ``q + dq``, ``|dq| <=
+    gamma_{k-1} |U| |h|`` (Thm 8.5), which move ``f`` on the grid box by at
+    most ``gamma_{k+1} (sum_i D_i w_i^2 + 2 sum_i |h_i| w_i)``; and ``beta``
+    is within ``gamma_{k+1} sum_i |h_i a_i|`` of the perturbed problem's.
+    Where every pivot is positive, ``|G| <= |U| D |U^T|`` and ``|q| <= |U|
+    |h|`` (to first order), so ``sum_ij L_i L_j |G_ij| <= sum_i D_i w_i^2``
+    and ``sum_i L_i |q_i| <= sum_i |h_i| w_i``, and ``h_i a_i >= 0`` sum to
+    ``|beta|``.  ``slack`` is twice the total, with ``gamma_{k+3}`` for
+    ``gamma_{k+1}``: ``2 (gamma_m + gamma_{k+3}) sum_i D_i w_i^2`` from the
+    Gram alone, and ``2 (2 (gamma_m + gamma_{k+3}) sum_i |h_i| w_i +
+    gamma_{k+3} |beta|)``; where every pivot exceeds ``_PIVOT_FLOOR`` of its
+    diagonal the factor 2 covers the higher orders.  ``U - lower`` is taken
+    plus ``gamma_{k+3} (|U| + |lower|)`` for its own rounding, a window's
+    half-width adds the computed centre's error ``gamma_{k+3} (|a_j| +
+    w_j)``, and a factor ``1 + 1e-6`` covers the rest.
+    """
+    k = len(grids)
+    gram, pivots, upper, widths = geometry.gram, geometry.pivots, geometry.upper, geometry.widths
+    gamma = _gamma(k + 3)
+    with np.errstate(all="ignore"):
+        solved = list(projections)
+        for i in reversed(range(k)):
+            for m in range(i + 1, k):
+                solved[i] = solved[i] - upper[i][m] * solved[m]
+        centres = [h / pivot for h, pivot in zip(solved, pivots)]
+        bound = -sum(h * a for h, a in zip(solved, centres))
+        slack = sum(np.abs(h) * w for h, w in zip(solved, widths))
+        slack *= 2.0 * (_gamma(k * (k + 1) // 2 + max(k, 2)) + gamma)
+        slack += gamma * np.abs(bound)
+        del solved
+        lower = bound - (geometry.slack + 2.0 * slack)
+        valid = geometry.valid & np.isfinite(lower)
+        seed = int(np.argmin(np.where(valid, bound, np.inf)))
+
+        def leaves(rows, room):
+            """Every leaf of ``rows`` in its windows; an infinite ``room`` sweeps whole."""
+            indices, frontier = [], []
+            for j, grid in enumerate(grids[:-1]):
+                frontier.append(rows.size)
+                centre = centres[j][rows] - sum(upper[m][j][rows] * grids[m][indices[m]] for m in range(j))
+                radius = np.sqrt(room / pivots[j][rows]) * (1.0 + 1e-6)
+                radius += gamma * (np.abs(centres[j][rows]) + np.broadcast_to(widths[j], lower.shape)[rows])
+                lo = np.searchsorted(grid, centre - radius)
+                hi = np.searchsorted(grid, centre + radius, side="right")
+                lo[room == np.inf], hi[room == np.inf] = 0, grid.size
+                counts = hi - lo
+                parents = np.repeat(np.arange(rows.size), counts)
+                columns = np.arange(parents.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+                rows, room = rows[parents], room[parents]
+                indices = [index[parents] for index in indices] + [columns]
+            values = [grid[index] for grid, index in zip(grids, indices)]
+            objective, last = _leaf_objective(gram, projections, rows, values, step, grids[-1].size)
+            return objective, rows, [*indices, last], frontier
+
+        incumbent = float(np.min(leaves(np.array([seed]), np.array([np.inf]))[0]))
+        keep = ~valid | (lower <= incumbent)
+        keep[seed] = True
+        rows = np.flatnonzero(keep)
+        room = incumbent - lower[rows] + gamma * (abs(incumbent) + np.abs(lower[rows]))
+        room[~valid[rows]] = np.inf
+        objective, leaf_rows, indices, frontier = leaves(rows, room)
+    best = int(np.argmin(objective))
+    logger.debug(
+        "grid search: %d configurations, %d kept after bounding (%d never pruned),"
+        " frontier %s, %d leaves", valid.size, rows.size,
+        np.count_nonzero(~geometry.valid), "/".join(map(str, frontier)), objective.size,
+    )
+    return int(leaf_rows[best]), tuple(int(index[best]) for index in indices)
 
 
 def _smooth_length(minimum: int) -> int:
@@ -251,31 +406,30 @@ def _chirp_plan(positions: np.ndarray, width: int) -> _ChirpPlan:
     return plan
 
 
-def _indicator_series(rows: np.ndarray, width: int) -> np.ndarray:
-    """Series ``z_0 .. z_{width-1}`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``.
+def _indicator_series(rows: np.ndarray, out: np.ndarray, half: float = 1.0) -> np.ndarray:
+    """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``, into ``out``.
 
-    Row ``p`` of the indicator matrix ``W`` holds the first ``d`` coefficients
-    ``w(b_p)`` of the pre-jump indicator of ``[-pi, b_p]``.  Closed forms: the
-    constant coefficient is ``(b+pi)/sqrt(2 pi)``, the cosine-``j`` one
-    ``sin(j b)/(j sqrt(pi))``, and the sine-``j`` one
-    ``((-1)^j - cos(j b))/(j sqrt(pi))``.  Apart from the ``(b+pi)`` term, a
-    row's inner product with ``w(b)`` is then ``Re sum_j z_j exp(i j b)``, a
-    trigonometric polynomial of degree ``d // 2``, with
-    ``z_j = -(s_j + i c_j) / (j sqrt(pi))`` for the row's cosine-``j`` and
-    sine-``j`` entries ``c_j``, ``s_j``, and the constant
-    ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``.  Entries past ``d // 2`` are 0.
+    ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi, b]``,
+    has constant ``(b+pi)/sqrt(2 pi)``, cosine-``j`` ``sin(j b)/(j sqrt(pi))``
+    and sine-``j`` ``((-1)^j - cos(j b))/(j sqrt(pi))``.  So past the
+    ``(b+pi)`` term a row's product with ``w(b)`` is ``Re sum_j z_j exp(i j
+    b)``, of degree ``K = d // 2``: ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``
+    and ``z_j = conj(c_j + i s_j) (-i) / (j sqrt(pi))`` for the row's
+    cosine-``j`` and sine-``j`` entries, read as complex pairs.  Bins ``1 ..
+    K`` are written times ``half``; bins past ``K`` are left as they are.
     """
+    rows = np.ascontiguousarray(rows)
     d = rows.shape[-1]
-    n_sin = (d - 1) // 2
-    js = np.arange(1, d // 2 + 1)
+    degree, pairs = d // 2, (d - 1) // 2
+    js = np.arange(1, degree + 1)
     weights = 1.0 / (js * math.sqrt(math.pi))
-    signs = np.where(js % 2 == 0, 1.0, -1.0)
-    sin_rows = rows[..., 2::2]
-    series = np.zeros(rows.shape[:-1] + (width,), dtype=np.complex128)
-    series[..., 0] = sin_rows @ (signs[:n_sin] * weights[:n_sin])
-    series[..., 1 : js.size + 1] = (-1j * weights) * rows[..., 1::2]
-    series[..., 1 : n_sin + 1] -= weights[:n_sin] * sin_rows
-    return series
+    factors = (-1j * half) * weights
+    out[..., 0] = rows[..., 2::2] @ (np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs])
+    pair_view = rows[..., 1 : 1 + 2 * pairs].view(np.complex128)
+    np.multiply(np.conj(pair_view), factors[:pairs], out=out[..., 1 : pairs + 1])
+    if d % 2 == 0:
+        out[..., degree] = factors[-1] * rows[..., d - 1]
+    return out
 
 
 def _indicator_coefficients(b: float, d: int) -> np.ndarray:
@@ -291,19 +445,80 @@ def _indicator_coefficients(b: float, d: int) -> np.ndarray:
     return w
 
 
+@dataclass(frozen=True)
+class DecodeResult:
+    """The nearest member, its index in net order, and its distance.
+
+    ``coefficients`` holds the member's first ``d`` coefficients, the space
+    the decode ran in.
+    """
+
+    member: object
+    index: int
+    distance: float
+    coefficients: np.ndarray = field(compare=False)
+
+
+class _GridDecoder:
+    """The decode entry points both decoders share.
+
+    Terms come from ``_terms``, a slot over ``_operator_terms``, or from
+    ``_coefficient_terms(d)``; ``_search(terms, target, pulled)`` finds the
+    winner (``pulled`` is the target in coefficient space), and
+    ``_center(winner, d)`` gives its member, index and coefficients.
+    """
+
+    d: int | None = None
+
+    def prepare(self, operator) -> None:
+        """Build the terms for ``operator`` now, as its first decode would."""
+        self._terms.get(operator)
+
+    def _decode(self, terms, target: np.ndarray, pulled: np.ndarray, measure) -> DecodeResult:
+        # The distance comes from the residual, not from the objective (the
+        # squared distance minus |target|^2), which cancels when it is small.
+        member, index, coefficients = self._center(self._search(terms, target, pulled), pulled.size)
+        distance = float(np.linalg.norm(target - measure(coefficients)))
+        return DecodeResult(member, index, distance, coefficients)
+
+    def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
+        """Nearest net member to a truncated coefficient vector (exactly)."""
+        target = np.asarray(target, dtype=np.float64)
+        if target.ndim != 1 or target.size < 1 or self.d not in (None, target.size):
+            raise UsageError(f"expected {self.d or 'some'} coefficients, got shape {target.shape}")
+        return self._decode(self._coefficient_terms(target.size), target, target, lambda x: x)
+
+    def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
+        """Nearest net member to measurements under ``operator`` (exactly)."""
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (operator.n,) or self.d not in (None, operator.d):
+            raise UsageError(f"expected {operator.n} measurements, got shape {y.shape} on d = {operator.d}")
+        pulled, measure = operator.scale * (y @ operator.frame), lambda x: operator.scale * (operator.frame @ x)
+        return self._decode(self._terms.get(operator), y, pulled, measure)
+
+
+class _StepTerms(NamedTuple):
+    """``v``, the constant-one function, and the Gram terms of ``w(b)`` and ``v``."""
+
+    v: np.ndarray
+    g00: np.ndarray
+    g0f: np.ndarray
+    gff: float
+
+
 @dataclass
-class FactoredStepDecoder:
+class FactoredStepDecoder(_GridDecoder):
     """Exact nearest-member search over a single-jump step-function net.
 
-    Net members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, with
-    ``b`` on a breakpoint grid and levels on a shared symmetric grid.  For a
-    fixed configuration the best ``c1`` solves a scalar quadratic, and a
-    per-breakpoint lower bound skips the breakpoints that cannot win.
-
-    The breakpoints must be a uniform grid of pitch ``2 pi / P`` (as
-    ``position_grid`` makes them): every term the sweep needs is then a
-    trigonometric polynomial in ``b``, and one chirp-z transform evaluates it
-    on all ``P`` breakpoints at once.
+    Members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, ``b`` on a
+    breakpoint grid and the levels on a shared symmetric grid.  A breakpoint
+    is a configuration of two axes, the pre-jump indicator ``w(b)`` and the
+    post-jump ``v - w(b)`` (``v`` the constant one): with ``g00 = |w|^2``,
+    ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is ``g01 = g0f - g00``
+    and ``g11 = gff - 2 g0f + g00``.  The breakpoints must be a uniform grid
+    of pitch ``2 pi / P`` (as ``position_grid`` makes them): every term is
+    then a trigonometric polynomial in ``b``, and one chirp-z transform
+    evaluates it on all ``P`` breakpoints at once.
     """
 
     positions: np.ndarray
@@ -317,19 +532,15 @@ class FactoredStepDecoder:
             raise UsageError("breakpoint positions must be a nonempty 1-d grid")
         pitch = TWO_PI / self.positions.size
         if not np.allclose(np.diff(self.positions), pitch, rtol=0.0, atol=1e-12):
-            raise UsageError(
-                "breakpoint positions must have the uniform pitch 2 pi / P"
-            )
+            raise UsageError("breakpoint positions must have the uniform pitch 2 pi / P")
+        self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
+        self._shift.setflags(write=False)
         self._terms = _OperatorSlot(self._operator_terms)
         self._norms_sq: dict[int, np.ndarray] = {}
         self._norms_lock = threading.Lock()
-        # Its own lock: ``_indicator_norms_sq`` transforms under ``_norms_lock``.
+        # Its own lock: ``_coefficient_terms`` transforms under the one above.
         self._plans: dict[int, _ChirpPlan] = {}
         self._plans_lock = threading.Lock()
-
-    @property
-    def size(self) -> int:
-        return self.positions.size * self.levels.size ** 2
 
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
@@ -355,15 +566,12 @@ class FactoredStepDecoder:
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
-        periodic = self._on_breakpoints(
-            _indicator_series(rows, rows.shape[-1] // 2 + 1)
-        )
-        return periodic + np.multiply.outer(
-            rows[..., 0] / _SQRT_2PI, self.positions + math.pi
-        )
+        series = np.zeros(rows.shape[:-1] + (rows.shape[-1] // 2 + 1,), dtype=np.complex128)
+        periodic = self._on_breakpoints(_indicator_series(rows, series))
+        return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
-    def _indicator_norms_sq(self, d: int) -> np.ndarray:
-        """``|w(b)|^2`` at every breakpoint, from the squared closed forms.
+    def _coefficient_terms(self, d: int) -> _StepTerms:
+        """The terms in coefficient space, ``|w(b)|^2`` from the squared closed forms.
 
         The ``cos(2 j b)`` terms cancel except the last cosine's, so
 
@@ -371,29 +579,27 @@ class FactoredStepDecoder:
                        + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
                        - [d even] cos(d b)/(2 pi (d/2)^2).
 
-        They depend on ``d`` and the grid only, so the norms for each ``d``
-        are built once, kept read-only, and shared by every thread.
+        ``<w(b), v> = b + pi`` and ``v = sqrt(2 pi) e_0``.  The norms depend on
+        ``d`` and the grid only: built once per ``d``, kept read-only, shared.
         """
         with self._norms_lock:
             norms = self._norms_sq.get(d)
-            if norms is not None:
-                return norms
-            n_sin = (d - 1) // 2
-            js = np.arange(1, d // 2 + 1)
-            weights_sq = 1.0 / (math.pi * js**2)
-            series = np.zeros(d + 1)
-            series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
-            alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
-            series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
-            if d % 2 == 0:
-                series[d] = -weights_sq[-1] / 2.0
-            shift_sq = (self.positions + math.pi) ** 2 / TWO_PI
-            norms = self._on_breakpoints(series) + shift_sq
-            norms.setflags(write=False)
-            self._norms_sq[d] = norms
-        return norms
+            if norms is None:
+                n_sin = (d - 1) // 2
+                js = np.arange(1, d // 2 + 1)
+                weights_sq = 1.0 / (math.pi * js**2)
+                series = np.zeros(d + 1)
+                series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
+                alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
+                series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
+                if d % 2 == 0:
+                    series[d] = -weights_sq[-1] / 2.0
+                norms = self._on_breakpoints(series) + self._shift**2 / TWO_PI
+                norms.setflags(write=False)
+                self._norms_sq[d] = norms
+        return _StepTerms(np.eye(1, d)[0] * _SQRT_2PI, norms, self._shift, TWO_PI)
 
-    def _operator_terms(self, operator) -> _OperatorTerms:
+    def _operator_terms(self, operator) -> _StepTerms:
         """The decode terms that depend on ``operator`` only.
 
         With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` (degree
@@ -403,31 +609,29 @@ class FactoredStepDecoder:
                          + sum_r t_r(b)^2,
 
         and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
-        ``g0f = W R^T v_full`` and the square-sum.  The square-sum has degree
-        ``2 K``: a real inverse FFT evaluates the ``t_r`` of a block of
-        ``_TERMS_BLOCK_ROWS`` rows on ``N >= 4 K + 1`` uniform points (``N`` a
-        power of two), the blocks' squares are summed into one length-``N``
-        vector, and one real forward FFT of it gives its coefficients exactly.
-        Each block of rows is scaled as it is read, and ``v_full @ R`` is
-        ``scale * (v_full @ frame)``, so no frame-sized copy is made.
-        Decoding keeps the last operator's terms in a slot, so they are built
-        once per operator.
+        ``g0f = W R^T v_full`` and the square-sum, of degree ``2 K``: a real
+        inverse FFT evaluates the ``t_r`` of ``_TERMS_BLOCK_ROWS`` rows at a
+        time on ``N >= 4 K + 1`` points (a power of two), from one reused
+        buffer of half-``z_f`` series, the squares are summed, and one real
+        FFT gives the coefficients exactly.  Rows are scaled as they are read
+        and ``v_full @ R`` is ``scale * (v_full @ frame)``: no frame-sized copy.
         """
         started = time.perf_counter()
         scale, frame = operator.scale, operator.frame
         n, d = frame.shape
         degree = d // 2
         points = 1 << (4 * degree).bit_length()
+        # (numpy's irfft is slower on a shorter, zero-padded input.)
+        series = np.zeros((min(n, _TERMS_BLOCK_ROWS), points // 2 + 1), dtype=np.complex128)
         squares = np.zeros(points)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
             rows = frame[start : start + _TERMS_BLOCK_ROWS]
-            series = _indicator_series(scale * rows, points // 2 + 1)
-            # Bin f of a real inverse DFT holds half of z_f, f > 0; bins past K
-            # are 0.  (numpy's irfft is slower on a shorter, zero-padded input.)
-            series[:, 1 : degree + 1] *= 0.5
-            block = np.fft.irfft(series, n=points, axis=-1, norm="forward")
-            squares += np.einsum("ij,ij->j", block, block)
-            del series, block  # before the next block's are built
+            block = _indicator_series(scale * rows, series[: rows.shape[0]], half=0.5)
+            values = np.fft.irfft(block, n=points, axis=-1, norm="forward")
+            squares += np.einsum("ij,ij->j", values, values)
+            del values  # before the next block's is built
+        block_bytes = series.nbytes
+        del series, block
         square_sum = np.fft.rfft(squares, norm="forward")
         square_sum = square_sum[: 2 * degree + 1]
         square_sum[1:] *= 2.0
@@ -435,296 +639,95 @@ class FactoredStepDecoder:
         v_full = _SQRT_2PI * first
         lead = float(np.dot(first, first))
         g0f = self._indicator_products(scale * (v_full @ frame))
-        shift = self.positions + math.pi
         g00 = self._on_breakpoints(square_sum)
-        g00 += shift * (2.0 * g0f - shift * lead) / TWO_PI
-        terms = _OperatorTerms(
-            v_full=v_full, g00=g00, g0f=g0f, gff=float(np.dot(v_full, v_full))
-        )
+        g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes"
-            " kept=%d bytes built in %.3fs",
-            self.positions.size,
-            d,
-            n,
-            points,
-            min(n, _TERMS_BLOCK_ROWS) * points * 8,
-            g00.nbytes + g0f.nbytes + v_full.nbytes,
-            time.perf_counter() - started,
+            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes kept=%d bytes"
+            " built in %.3fs", self.positions.size, d, n, points, block_bytes,
+            g00.nbytes + g0f.nbytes + v_full.nbytes, time.perf_counter() - started,
         )
-        return terms
+        return _StepTerms(v_full, g00, g0f, float(np.dot(v_full, v_full)))
 
-    def prepare(self, operator) -> None:
-        """Build the terms for ``operator`` now, as its first decode would."""
-        self._terms.get(operator)
+    def _search(self, terms: _StepTerms, target: np.ndarray, pulled: np.ndarray):
+        """The winner's breakpoint, ``c0`` and ``c1`` indices (the factor is formed per decode)."""
+        q0 = self._indicator_products(pulled)
+        q1 = float(np.dot(terms.v, target)) - q0
+        g00, g0f = terms.g00, terms.g0f
+        g01 = g0f - g00
+        grids = (self.levels, self.levels)
+        geometry = _grid_geometry([[g00, g01], [g01, terms.gff - 2.0 * g0f + g00]], grids)
+        p_idx, (c0_idx, c1_idx) = _nearest_on_grid(geometry, (q0, q1), grids, self.level_step)
+        return p_idx, c0_idx, c1_idx
 
-    def _objective_pairs(self, q0, q1, g00, g01, g11, c0) -> tuple[np.ndarray, np.ndarray]:
-        """The objective at each (breakpoint, ``c0``) pair, and its best ``c1`` index.
-
-        In place, one rounding step per line, each formula left to right:
-          c1_opt = (q1 - g01 c0) / g11,  k = clip(floor(c1_opt / step + 1/2))
-          objective = -2 (c0 q0 + c1 q1) + c0^2 g00 + 2 c0 c1 g01 + c1^2 g11
-        Every step is elementwise, so a pair's bits do not depend on the others.
-        """
-        half = (self.levels.size - 1) // 2
-        k = g01 * c0
-        np.subtract(q1, k, out=k)
-        k /= g11
-        k /= self.level_step
-        k += 0.5
-        np.floor(k, out=k)
-        np.clip(k, -half, half, out=k)
-        c1 = k * self.level_step
-        objective = q0 * c0
-        term = c1 * q1
-        objective += term
-        objective *= -2.0
-        objective += g00 * c0**2
-        np.multiply(2.0 * c0, c1, out=term)
-        term *= g01
-        objective += term
-        np.square(c1, out=c1)
-        c1 *= g11
-        objective += c1
-        return objective, k + half
-
-    def _sweep(
-        self,
-        q0: np.ndarray,
-        q_full: float,
-        g00: np.ndarray,
-        g0f: np.ndarray,
-        gff: float,
-    ) -> tuple[int, int, int]:
-        """Minimize ``|target - c0 w - c1 (v - w)|`` over the grid, exactly.
-
-        ``q0``/``q_full`` are inner products of the target with the indicator
-        rows and the constant-one function; ``g00``/``g0f``/``gff`` the
-        corresponding Gram entries, all in the working geometry.  Returns the
-        winner's breakpoint, ``c0`` and ``c1`` indices.
-
-        Branch and bound (Fincke & Pohst 1985; Agrell et al. 2002): where
-        ``G = [[g00, g01], [g01, g11]]`` is positive definite, the objective
-        at ``c0`` is at least ``beta + S (c0 - c0*)^2`` for every ``c1``, with
-        ``beta = -q^T G^-1 q``, ``S = D / g11``, ``D = det G`` and ``c0* =
-        (g11 q0 - g01 q1) / D``.  The best-bounded breakpoint is swept first;
-        with its best objective ``U`` and ``lower = beta - slack``, another
-        breakpoint sweeps only the levels within ``sqrt((U - lower) / S)`` of
-        ``c0*``, none if ``lower > U``.  A near-constant target ties at every
-        breakpoint, and still sweeps about one level at each.  The pairs are
-        swept in ascending order, so the winner, its objective bits and the
-        lowest-index tie-break are those of sweeping every pair.
-
-        ``slack`` bounds the rounding of both sides.  A sum whose terms each
-        pass through at most ``m`` roundings is off by at most ``gamma_m =
-        m u / (1 - m u)`` times their magnitudes' sum (Higham, *Accuracy and
-        Stability of Numerical Algorithms*, ch. 3).  Objective terms pass
-        through at most five, and ``|c0|, |c1| <= L``, the largest level: a
-        computed objective is within ``gamma_5 T``, ``T = 2 L (|q0| + |q1|)
-        + L^2 (g00 + 2 |g01| + |g11|)``.  ``beta``'s numerator is within
-        ``gamma_4 N~`` (``N~`` its terms' magnitudes) and ``D`` within
-        ``gamma_2 D~``, ``D~ = g00 g11 + g01^2``, so ``beta`` is within
-        ``gamma_4 (|beta| D~ + N~) / D`` to first order.  Breakpoints with
-        ``g00 <= 0`` or ``D <= 1e-8 g00 g11`` (``w(b) -> 0`` near ``b = -pi``)
-        sweep every level; elsewhere ``D~ / D < 2e8``, higher orders add under
-        ``1e-7`` of this, and ``slack = 2 gamma_5 (T + (|beta| D~ + N~) / D)``.
-        Likewise ``c0*`` is within ``gamma_3 (|g11 q0| + |g01 q1| + |c0*| D~)
-        / D`` and ``S`` within a factor ``1 + 1e-7``; the window's half-width
-        adds twice the first, and a factor ``1 + 1e-6`` covers the rest.
-        """
-        levels = self.levels
-        q1, g01, g11 = q_full - q0, g0f - g00, gff - 2.0 * g0f + g00
-        det = g00 * g11 - g01 * g01
-        bound = -(g11 * q0 * q0 - 2.0 * g01 * q0 * q1 + g00 * q1 * q1) / det
-        top = float(levels[-1])  # the grid is symmetric: L = levels[-1]
-        slack = (np.abs(q0) + np.abs(q1)) * 2.0 * top
-        slack += (g00 + 2.0 * np.abs(g01) + np.abs(g11)) * top**2
-        spread = g11 * q0 * q0 + np.abs(2.0 * g01 * q0 * q1) + g00 * q1 * q1
-        slack += (np.abs(bound) * (g00 * g11 + g01 * g01) + spread) / det
-        lower = bound - slack * (10.0 * _UNIT_ROUNDOFF / (1.0 - 5.0 * _UNIT_ROUNDOFF))
-        valid = (g00 > 0.0) & (det > 1e-8 * g00 * g11) & np.isfinite(lower)
-        seed = int(np.argmin(np.where(valid, bound, np.inf)))
-        inputs = (q0, q1, g00, g01, g11)
-        incumbent = np.min(self._objective_pairs(*(a[seed] for a in inputs), levels)[0])
-        # Levels [lo, hi) swept at each breakpoint: all of them at the seed and
-        # where G is near singular, else a window about c0*, empty if pruned.
-        lo, hi = np.zeros(q0.size, dtype=np.intp), np.full(q0.size, levels.size)
-        hi[valid] = 0
-        rows = np.flatnonzero(valid & (lower <= incumbent))
-        r0, r1, r00, r01, r11, rdet = (a[rows] for a in (*inputs, det))
-        centre = (r11 * r0 - r01 * r1) / rdet
-        shift = np.abs(r11 * r0) + np.abs(r01 * r1) + np.abs(centre) * (r00 * r11 + r01 * r01)
-        shift *= 6.0 * _UNIT_ROUNDOFF / (1.0 - 3.0 * _UNIT_ROUNDOFF) / rdet
-        radius = (np.sqrt((incumbent - lower[rows]) * r11 / rdet) + shift) * (1.0 + 1e-6)
-        lo[rows] = np.searchsorted(levels, centre - radius)
-        hi[rows] = np.searchsorted(levels, centre + radius, side="right")
-        lo[seed], hi[seed] = 0, levels.size
-        counts = hi - lo
-        pairs = np.repeat(np.arange(q0.size), counts)
-        columns = np.arange(pairs.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        objective, k = self._objective_pairs(*(a[pairs] for a in inputs), levels[columns])
-        best = int(np.argmin(objective))
-        logger.debug(
-            "factored decode: swept %d of %d breakpoints (%d of %d pairs, %d never pruned)",
-            np.count_nonzero(counts),
-            q0.size,
-            pairs.size,
-            counts.size * levels.size,
-            np.count_nonzero(~valid),
-        )
-        return int(pairs[best]), int(columns[best]), int(k[best])
-
-    def _decoded(
-        self, winner: tuple[int, int, int], d: int, measure, target: np.ndarray
-    ) -> "DecodeResult":
-        """The winner as a member, with its distance from the residual.
-
-        The distance is ``|target - measure(x)|`` for the winner's ``d``
-        coefficients ``x``, computed directly: the sweep's objective equals
-        the squared distance minus ``|target|^2``, and recovering a small
-        distance from it cancels.
-        """
+    def _center(self, winner: tuple[int, int, int], d: int):
         p_idx, c0_idx, c1_idx = winner
         c0, c1 = float(self.levels[c0_idx]), float(self.levels[c1_idx])
         b = float(self.positions[p_idx])
         coefficients = (c0 - c1) * _indicator_coefficients(b, d)
         coefficients[0] += c1 * _SQRT_2PI
-        member = PiecewiseDescription(
-            breakpoints=(b,),
-            piece_coefficients=((c0,), (c1,)),
-            periodic=False,
-        )
+        member = PiecewiseDescription((b,), ((c0,), (c1,)), periodic=False)
         index = (p_idx * self.levels.size + c0_idx) * self.levels.size + c1_idx
-        distance = float(np.linalg.norm(target - measure(coefficients)))
-        return DecodeResult(member, index, distance, coefficients)
-
-    def decode_coefficients(self, target: np.ndarray) -> "DecodeResult":
-        """Nearest net member to a truncated coefficient vector (exactly)."""
-        target = np.asarray(target, dtype=np.float64)
-        if target.ndim != 1 or target.size < 1:
-            raise UsageError("decode target must be a nonempty 1-d vector")
-        g0f = self.positions + math.pi  # <w(b), 1-function> is exact at any d
-        winner = self._sweep(
-            self._indicator_products(target),
-            _SQRT_2PI * float(target[0]),
-            self._indicator_norms_sq(target.size),
-            g0f,
-            TWO_PI,
-        )
-        return self._decoded(winner, target.size, lambda x: x, target)
-
-    def decode_measurements(self, y: np.ndarray, operator) -> "DecodeResult":
-        """Nearest net member to measurements under a general operator."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (operator.n,):
-            raise UsageError(
-                f"expected {operator.n} measurements, got shape {y.shape}"
-            )
-        terms = self._terms.get(operator)
-        winner = self._sweep(
-            self._indicator_products(operator.scale * (y @ operator.frame)),
-            float(np.dot(terms.v_full, y)),
-            terms.g00,
-            terms.g0f,
-            terms.gff,
-        )
-        return self._decoded(
-            winner, operator.d, lambda x: operator.scale * (operator.frame @ x), y
-        )
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """The nearest member, its index in net order, and its distance.
-
-    ``coefficients`` holds the member's first ``d`` coefficients, the space
-    the decode ran in.
-    """
-
-    member: object
-    index: int
-    distance: float
-    coefficients: np.ndarray = field(compare=False)
+        return member, index, coefficients
 
 
 @dataclass(eq=False)
-class MaterializedDecoder:
-    """Exact nearest-member search over a net within the materialization budget.
+class ConfigurationDecoder(_GridDecoder):
+    """Exact nearest-member search over a net given by one map per configuration.
 
-    ``rows`` holds each center's first ``d`` coefficients in index order
-    (configurations, then the axis grid in ``itertools.product`` order) and
-    is made read-only.  No center is kept: the decoded one is built by
-    ``member(breakpoints, values)`` from its configuration and axis point.
-    Measured decodes scan the rows' images ``scale * rows R^T`` under the
-    operator, one matrix product built on the first decode under each one.
+    ``maps[c]`` (read-only) takes configuration ``c``'s ``k`` axis values to
+    a center's first ``d`` coefficients; centers are indexed by
+    configuration, then the axis grid in ``itertools.product`` order.  The
+    Grams are the maps', or ``scale * frame @ maps``'s per operator, and the
+    projections are the pulled-back target times the maps.  The decoded
+    center is built by ``member(breakpoints, values)``.
     """
 
-    rows: np.ndarray
+    maps: np.ndarray
     configurations: tuple[tuple[float, ...], ...]
     axes: tuple[AxisLog, ...]
     member: Callable
 
     def __post_init__(self) -> None:
-        self.rows = np.ascontiguousarray(self.rows, dtype=np.float64)
+        self.maps = np.ascontiguousarray(self.maps, dtype=np.float64)
+        shape = (len(self.configurations), len(self.axes))
+        if self.maps.ndim != 3 or self.maps.shape[::2] != shape:
+            raise UsageError(f"expected {shape[0]} d x {shape[1]} maps, got {self.maps.shape}")
+        self.maps.flags.writeable = False
+        self.d = self.maps.shape[1]
         self._counts = tuple(axis.count for axis in self.axes)
         self._grids = [axis.points() for axis in self.axes]
-        size = len(self.configurations) * math.prod(self._counts)
-        if self.rows.ndim != 2 or self.rows.shape[0] != size:
-            raise UsageError(
-                f"expected one coefficient row per member, got shape {self.rows.shape}"
-                f" for {size} members"
-            )
-        self.rows.flags.writeable = False
-        self._tables = _OperatorSlot(self._measured_rows)
+        self._geometry = self._grid_geometry(self.maps)
+        self._terms = _OperatorSlot(self._operator_terms)
 
-    def _measured_rows(self, operator) -> np.ndarray:
-        started = time.perf_counter()
-        table = self.rows @ operator.frame.T
-        table *= operator.scale
-        logger.debug(
-            "materialized decoder table: M=%d d=%d n=%d bytes=%d built in %.3fs",
-            self.rows.shape[0],
-            operator.d,
-            operator.n,
-            table.nbytes,
-            time.perf_counter() - started,
-        )
-        return table
+    def _grid_geometry(self, maps: np.ndarray) -> _Geometry:
+        """The maps' Grams and their factor, kept read-only and shared."""
+        gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
+        geometry = _grid_geometry(gram, self._grids)
+        kept = (gram, *geometry.pivots, *itertools.chain(*geometry.upper), *geometry.widths, geometry.valid, geometry.slack)
+        for array in kept:
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        return geometry
 
-    def prepare(self, operator) -> None:
-        """Build the measured table for ``operator`` now, as its first decode would."""
-        self._tables.get(operator)
+    def _coefficient_terms(self, d: int) -> _Geometry:
+        return self._geometry
 
-    def _decoded(self, table: np.ndarray, target: np.ndarray) -> DecodeResult:
-        index, distance = _nearest_row(table, target)
-        configuration, point = divmod(index, len(self.rows) // len(self.configurations))
-        steps = np.unravel_index(point, self._counts)
+    def _operator_terms(self, operator) -> _Geometry:
+        maps = np.matmul(operator.frame, self.maps)
+        maps *= operator.scale
+        return self._grid_geometry(maps)
+
+    def _search(self, geometry: _Geometry, target: np.ndarray, pulled: np.ndarray):
+        projections = np.ascontiguousarray(np.matmul(pulled, self.maps).T)
+        return _nearest_on_grid(geometry, projections, self._grids, self.axes[-1].step)
+
+    def _center(self, winner: tuple[int, tuple[int, ...]], d: int):
+        configuration, steps = winner
         values = tuple(grid[i] for grid, i in zip(self._grids, steps))
+        index = configuration * math.prod(self._counts)
+        index += int(np.ravel_multi_index(steps, self._counts))
         member = self.member(self.configurations[configuration], values)
-        return DecodeResult(member, index, distance, self.rows[index])
-
-    def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
-        """Nearest net member to a truncated coefficient vector."""
-        target = np.asarray(target, dtype=np.float64)
-        if target.shape != self.rows.shape[1:]:
-            raise UsageError(
-                f"expected {self.rows.shape[1]} coefficients, got shape {target.shape}"
-            )
-        return self._decoded(self.rows, target)
-
-    def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
-        """Nearest net member to measurements under ``operator``."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (operator.n,):
-            raise UsageError(
-                f"expected {operator.n} measurements, got shape {y.shape}"
-            )
-        if operator.d != self.rows.shape[1]:
-            raise UsageError(
-                f"operator acts on {operator.d} coefficients, the net rows have"
-                f" {self.rows.shape[1]}"
-            )
-        return self._decoded(self._tables.get(operator), y)
+        return member, index, self.maps[configuration] @ np.array(values)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from .jl import (
 )
 from .nets import (
     DEFAULT_NET_BUDGET,
+    ConfigurationDecoder,
     CoveringNet,
     FactoredStepDecoder,
-    MaterializedDecoder,
     build_net,
 )
 
@@ -108,7 +108,7 @@ class PreparedSampler:
     n: int
     operator_seed: int
     net: CoveringNet
-    decoder: FactoredStepDecoder | MaterializedDecoder
+    decoder: FactoredStepDecoder | ConfigurationDecoder
     ambient_dim: int
 
     @property
@@ -241,7 +241,8 @@ def reconstruct(
 ) -> ReconstructionOutcome:
     """Decode measurements to the nearest projected net center.
 
-    Ties break toward the lowest center index.  ``within_ball`` compares the
+    Ties break toward the lowest center index, but for the last axis's
+    rounding (see ``nets._nearest_on_grid``).  ``within_ball`` compares the
     decoded distance against ``2 * eps1`` plus the worst-case noise shift
     ``sqrt(n) * delta * scale``.
     """

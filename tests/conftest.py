@@ -8,6 +8,7 @@ Neither shares code with the closed forms in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -113,3 +114,34 @@ def linear_expansion_bound(family, values) -> float:
     degree = getattr(family, "degree", 0)
     magnitude = 4.0 * math.pi ** (degree + 1) / math.sqrt(math.pi)
     return 2.0 * gamma * magnitude * float(np.sum(np.abs(values)))
+
+
+def decoder_rows(decoder) -> np.ndarray:
+    """Every center's first ``d`` coefficients in index order, from a decoder's maps.
+
+    The materialized decoder's rows before it searched the maps directly.
+    Each is its configuration's map times its axis point, in
+    ``itertools.product`` order, the product the decoder forms for a winner.
+    """
+    points = [np.array(p) for p in itertools.product(*(axis.points() for axis in decoder.axes))]
+    return np.array([block @ point for block in decoder.maps for point in points])
+
+
+def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
+    """Index and distance of the row of ``table`` nearest to ``target``.
+
+    The materialized decoder's scan before the closest-point search, kept as
+    the oracle for generic decodes.  Ties go to the lowest index; rows are
+    scanned in blocks of at most 256 KiB with the per-row arithmetic of
+    ``np.linalg.norm(table - target, axis=1)``.
+    """
+    step = max(1, 256 * 1024 // (8 * table.shape[1]))
+    best_index, best = 0, math.inf
+    for start in range(0, table.shape[0], step):
+        block = table[start : start + step] - target
+        np.square(block, out=block)
+        distances = np.sqrt(np.add.reduce(block, axis=1))
+        local = int(np.argmin(distances))
+        if distances[local] < best:
+            best_index, best = start + local, float(distances[local])
+    return best_index, best

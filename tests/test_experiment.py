@@ -264,7 +264,7 @@ def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
     monkeypatch.setattr(experiment, "_run_trial", counted_trial)
     for decoder, name in (
         (nets.FactoredStepDecoder, "_operator_terms"),
-        (nets.MaterializedDecoder, "_measured_rows"),
+        (nets.ConfigurationDecoder, "_operator_terms"),
     ):
 
         def counted_build(self, operator, build=getattr(decoder, name), name=name):
@@ -274,7 +274,7 @@ def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
         monkeypatch.setattr(decoder, name, counted_build)
     for text, name in (
         (FACTORED_FIXED_W_CONFIG, "_operator_terms"),
-        (SMOOTH_CONFIG, "_measured_rows"),
+        (SMOOTH_CONFIG, "_operator_terms"),
     ):
         builds.clear()
         started.clear()

@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import linear_expansion_bound, split_net_text
-from hypothesis import given, settings
+from conftest import decoder_rows, linear_expansion_bound, row_scan, split_net_text
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsketch import nets
@@ -34,8 +34,8 @@ from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
 from netsketch.nets import (
     AxisLog,
+    ConfigurationDecoder,
     FactoredStepDecoder,
-    MaterializedDecoder,
     NetPlan,
     build_net,
     dump_net,
@@ -59,6 +59,11 @@ def step_decoder(eps1):
     """The step class's factored decoder at ``eps1``, whatever the net's size."""
     family = step_class()
     return family.factored_decoder(family.net_plan(eps1))
+
+
+def factored_size(decoder):
+    """The members a factored step decoder searches: breakpoints times two levels."""
+    return decoder.positions.size * decoder.levels.size**2
 
 
 def centers(net):
@@ -333,11 +338,11 @@ def test_auto_mode_selection_and_budget():
     factored = build_net(step_class(), 0.1)
     assert factored.mode == "factored"
     assert factored.decoder is not None
-    assert factored.decoder.size == factored.size
+    assert factored_size(factored.decoder) == factored.size
     # The budget alone chooses: the same net over a small budget is factored.
     assert build_net(step_class(), 1.5).mode == "materialized"
     over = build_net(step_class(), 1.5, m_max=100)
-    assert over.mode == "factored" and over.decoder.size == over.size == 1125
+    assert over.mode == "factored" and factored_size(over.decoder) == over.size == 1125
 
     counted = build_net(
         PiecewiseSmoothClass(
@@ -369,7 +374,7 @@ def test_factored_decoder_matches_brute_force_in_coefficient_space():
     family = step_class()
     materialized = build_net(family, 1.5)
     decoder = step_decoder(1.5)
-    assert decoder.size == materialized.size
+    assert factored_size(decoder) == materialized.size
 
     table = brute_force_coefficients(materialized, 16)
     rng = np.random.default_rng(17)
@@ -454,7 +459,7 @@ def test_indicator_products_match_the_dense_closed_form():
                 assert products.shape == shape[:-1] + (count,)
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
-                decoder._indicator_norms_sq(d),
+                decoder._coefficient_terms(d).g00,
                 np.einsum("ij,ij->i", w, w),
                 rtol=0.0,
                 atol=1e-12,
@@ -495,14 +500,15 @@ def test_operator_terms_match_the_dense_closed_form():
 
 
 def test_square_sum_series_vanish_past_the_degree():
-    # _operator_terms halves bins 1..K of each padded series row only; that
-    # equals halving the whole row, bit for bit, because the bins past K
-    # hold exact zeros.
+    # _operator_terms reuses one zeroed buffer for every block of rows:
+    # _indicator_series writes bins 0..K only, so the bins past K stay 0.
     rng = np.random.default_rng(47)
     for d in (1, 2, 3, 17, 64, 301, 1886):
         degree = d // 2
         width = (1 << (4 * degree).bit_length()) // 2 + 1
-        series = nets._indicator_series(rng.normal(size=(5, d)), width)
+        series = nets._indicator_series(
+            rng.normal(size=(5, d)), np.zeros((5, width), dtype=np.complex128)
+        )
         assert not np.any(series[:, degree + 1 :])
 
 
@@ -555,7 +561,7 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
     builds = []
     for decoder_class, name in (
         (FactoredStepDecoder, "_operator_terms"),
-        (MaterializedDecoder, "_measured_rows"),
+        (ConfigurationDecoder, "_operator_terms"),
     ):
 
         def counted_build(self, operator, build=getattr(decoder_class, name)):
@@ -618,11 +624,11 @@ def test_indicator_norms_are_built_once_per_dimension():
     # A fresh decoder per dimension builds the norms on its first call.
     expected = {d: decode_all(fresh(), d) for d in targets}
     decoder = fresh()
-    norms = {d: decoder._indicator_norms_sq(d) for d in targets}
+    norms = {d: decoder._coefficient_terms(d).g00 for d in targets}
     for d, kept in norms.items():
-        assert decoder._indicator_norms_sq(d) is kept
+        assert decoder._coefficient_terms(d).g00 is kept
         assert not kept.flags.writeable
-        assert np.array_equal(kept, fresh()._indicator_norms_sq(d))
+        assert np.array_equal(kept, fresh()._coefficient_terms(d).g00)
     # Threads sharing one decoder across both dimensions, switching often.
     shared = fresh()
     previous = sys.getswitchinterval()
@@ -681,47 +687,49 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
     values = np.tile(grid, (plan.config_count, 1))
     bounds = np.array([linear_expansion_bound(family, row) for row in values])
     rng = np.random.default_rng(plan.size)
+    k = len(plan.axes)
     for d in (3, 16):
         with caplog.at_level(logging.DEBUG, logger="netsketch.function_classes"):
             decoder = family.materialized_decoder(plan, d)
         assert re.fullmatch(
-            rf"materialized decoder rows: M={plan.size} d={d}"
-            rf" configurations={plan.config_count} axes={len(plan.axes)}"
-            rf" bytes={plan.size * d * 8} built in \d+\.\d{{3}}s",
+            rf"configuration decoder maps: M={plan.size} d={d}"
+            rf" configurations={plan.config_count} axes={k}"
+            rf" bytes={plan.config_count * d * k * 8} built in \d+\.\d{{3}}s",
             caplog.messages[-1],
         )
+        assert decoder.maps.shape == (plan.config_count, d, k)
         oracle = reference_rows(family, plan, d)
-        assert np.all(np.abs(decoder.rows - oracle) <= bounds[:, None])
+        expanded = decoder_rows(decoder)
+        assert np.all(np.abs(expanded - oracle) <= bounds[:, None])
         for n in (2, d):
             operator = random_subspace(d, n, seed=d + n)
             decoder.prepare(operator)
-            table = oracle @ (operator.scale * operator.frame).T
+            measured = (operator.scale * operator.frame).T
             for rows, used, decode in (
-                (oracle, decoder.rows, decoder.decode_coefficients),
+                (oracle, expanded, decoder.decode_coefficients),
                 (
-                    table,
-                    decoder._tables.get(operator),
+                    oracle @ measured,
+                    expanded @ measured,
                     lambda y: decoder.decode_measurements(y, operator),
                 ),
             ):
-                # Each distance the decoder compares moves by at most ``gap``.
+                # Each distance the maps give moves by at most ``gap``.
                 gap = float(np.max(np.linalg.norm(used - rows, axis=1)))
                 for scale in (1e-3, 0.1, 1.0):
                     for index in rng.choice(plan.size, size=4):
                         target = rows[index] + scale * rng.normal(size=rows.shape[1])
                         result = decode(target)
-                        distances = np.linalg.norm(rows - target, axis=1)
-                        best = int(np.argmin(distances))
-                        # The winner is the oracle's, or ties it up to twice
-                        # the rows' rounding gap.
-                        assert result.index == best or distances[result.index] <= (
-                            distances[best] * (1.0 + 1e-12) + 2.0 * gap
-                        )
+                        best, distance = row_scan(rows, target)
+                        # The winner is the scan's, or ties it up to 1e-12
+                        # relative and twice the maps' rounding gap.
+                        assert result.index == best or np.linalg.norm(
+                            rows[result.index] - target
+                        ) <= distance * (1.0 + 1e-12) + 2.0 * gap
                         assert member_bytes(result.member) == member_bytes(
                             members[result.index]
                         )
                         assert np.array_equal(
-                            result.coefficients, decoder.rows[result.index]
+                            result.coefficients, expanded[result.index]
                         )
 
 
@@ -737,13 +745,13 @@ def test_decoder_input_validation():
             decoder.decode_coefficients(np.array([]))
         with pytest.raises(UsageError):
             decoder.decode_measurements(np.zeros(6), operator)
-    # The materialized rows fix d: other lengths and operators are refused.
+    # The maps fix d: other lengths and operators are refused.
     with pytest.raises(UsageError):
         decoder.decode_coefficients(np.zeros(15))
     with pytest.raises(UsageError):
         decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
     with pytest.raises(UsageError):
-        dataclasses.replace(decoder, rows=decoder.rows[1:])
+        dataclasses.replace(decoder, maps=decoder.maps[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -896,16 +904,19 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def full_sweep(self, q0, q_full, g00, g0f, gff):
+def full_sweep(self, terms, target, pulled):
     """Reference: every (breakpoint, ``c0``) pair, in the decoder's arithmetic.
 
     The factored decoder's sweep before it pruned breakpoints, kept here as
-    the oracle the pruned sweep must match bit for bit.
+    the oracle the pruned search must match bit for bit.  It stands in for
+    ``FactoredStepDecoder._search`` and reads the same inputs.
     """
     c0 = self.levels
-    q1 = q_full - q0
+    q0 = self._indicator_products(pulled)
+    q1 = float(np.dot(terms.v, target)) - q0
+    g00, g0f = terms.g00, terms.g0f
     g01 = g0f - g00
-    g11 = gff - 2.0 * g0f + g00
+    g11 = terms.gff - 2.0 * g0f + g00
     half = (self.levels.size - 1) // 2
     k = np.multiply.outer(g01, c0)
     np.subtract(q1[:, None], k, out=k)
@@ -937,7 +948,7 @@ def bench_step_decoders():
     decoder = step_decoder(0.1)
     assert (decoder.positions.size, decoder.levels.size) == (10_054, 71)
     reference = copy.copy(decoder)
-    reference._sweep = types.MethodType(full_sweep, reference)
+    reference._search = types.MethodType(full_sweep, reference)
     return decoder, reference
 
 
@@ -1003,8 +1014,8 @@ def test_pruning_sweeps_few_breakpoints(caplog):
             decoder.decode_coefficients(target)
             decoder.decode_measurements(apply_operator(operator, target), operator)
     line = re.compile(
-        r"factored decode: swept (\d+) of 10054 breakpoints"
-        r" \((\d+) of 713834 pairs, \d+ never pruned\)"
+        r"grid search: 10054 configurations, (\d+) kept after bounding"
+        r" \(\d+ never pruned\), frontier \1, (\d+) leaves"
     )
     matches = [match for match in map(line.fullmatch, caplog.messages) if match]
     swept = np.array([(int(match.group(1)), int(match.group(2))) for match in matches])
@@ -1012,6 +1023,130 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_054
     assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_054
     assert np.all(swept[:, 1] <= 2 * 10_054)
+
+
+# ---------------------------------------------------------------------------
+# The closest-point engine against exhaustive enumeration
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_on_grid(gram, projections, grids, step):
+    """Reference: every leaf of every configuration, in the engine's arithmetic.
+
+    Each configuration's leaves are every point of the grids but the last, in
+    ``itertools.product`` order, with the last axis from the same closed form
+    (``nets._leaf_objective``); the argmin's first occurrence is the lowest
+    member index.
+    """
+    counts = [grid.size for grid in grids[:-1]]
+    prefix = [p.ravel() for p in np.meshgrid(*grids[:-1], indexing="ij")]
+    size, configs = math.prod(counts), projections[0].size
+    rows = np.repeat(np.arange(configs), size)
+    values = [np.tile(p, configs) for p in prefix]
+    objective, last = nets._leaf_objective(
+        gram, projections, rows, values, step, grids[-1].size
+    )
+    best = int(np.argmin(objective))
+    steps = np.unravel_index(best % size, counts) if counts else ()
+    return int(rows[best]), (*map(int, steps), int(last[best]))
+
+
+def exact_nearest(gram, projections, grids):
+    """Reference for exact data: every member, the last axis's values included.
+
+    With integer data every objective is exact.  The winner is the lowest
+    member index at the minimum, except that the last axis is rounded: of two
+    tied values in one leaf (a half-way optimum, ``G_zz > 0``) it takes the
+    upper.
+    """
+    counts = [grid.size for grid in grids]
+    points = np.stack([p.ravel() for p in np.meshgrid(*grids, indexing="ij")])
+    objective = -2.0 * (projections.T @ points)
+    objective += np.einsum("is,ijc,js->cs", points, np.asarray(gram), points)
+    objective = objective.ravel()
+    tied = np.flatnonzero(objective == objective.min())
+    best = int(tied[0])
+    config, last = divmod(best, math.prod(counts))
+    if gram[-1][-1][config] > 0.0 and last % counts[-1] + 1 < counts[-1] and best + 1 in tied:
+        best += 1
+    config, flat = divmod(best, math.prod(counts))
+    return config, tuple(map(int, np.unravel_index(flat, counts)))
+
+
+def grid_problem(maps, grids, target, step, exact=False):
+    """The engine's inputs for centers ``maps[c] @ x``, ``x`` on ``grids``."""
+    gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
+    projections = np.ascontiguousarray(np.matmul(target, maps).T)
+    return gram, projections, grids, step, exact
+
+
+def mirrored_problem(seed):
+    """Configuration 1 repeats configuration 0's map with its columns reversed.
+
+    On equal grids, with a member as the target, both configurations reach
+    the minimum up to rounding, so which wins rests on the last bits: without
+    the rounding slack a bound or a window misses the winner here.
+    """
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    maps = rng.normal(size=(2, 6, k))
+    maps[1] = maps[0, :, ::-1]
+    grids = [nets._centered_grid(9, 0.25)] * k
+    member = np.array([grid[rng.integers(9)] for grid in grids])
+    return grid_problem(maps, grids, maps[seed % 2] @ member, 0.25)
+
+
+@st.composite
+def grid_problems(draw):
+    """Grams and projections of up to 12 configurations of 1 to 4 axes.
+
+    ``A_c`` has 1 to 6 rows, so fewer than ``k`` makes ``G_c`` singular;
+    its last column may nearly repeat its first, and a configuration may
+    repeat another's map with its columns reversed.  Integer data at pitch 1
+    is exact throughout, so a target half a step off a member on the last
+    axis is exactly half-way.  Otherwise targets are members plus noise.
+    """
+    k = draw(st.integers(1, 4))
+    configs = draw(st.integers(1, 12))
+    counts = [draw(st.sampled_from([1, 3, 5, 7, 9])) for _ in range(k)]
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (configs, draw(st.integers(1, 6)), k)
+    if exact:
+        steps = [1.0] * k
+        maps = rng.integers(-3, 4, size=shape).astype(np.float64)
+    else:
+        steps = [draw(st.floats(0.05, 2.0)) for _ in range(k)]
+        maps = rng.normal(size=shape)
+    if k > 1 and draw(st.booleans()):
+        maps[..., -1] = maps[..., 0] + (0.0 if exact else 1e-9) * rng.normal(size=shape[:2])
+    if configs > 1 and draw(st.booleans()):
+        maps[-1] = maps[0, :, ::-1]
+        steps = [steps[0]] * k
+    grids = [nets._centered_grid(count, step) for count, step in zip(counts, steps)]
+    home = int(rng.integers(configs))
+    member = np.array([grid[rng.integers(grid.size)] for grid in grids])
+    kind = draw(st.sampled_from(["member", "half-way", "noise"]))
+    if kind == "half-way":
+        member[-1] += 0.5 * steps[-1]
+    target = maps[home] @ member
+    if kind == "noise":
+        target += draw(st.sampled_from([1e-12, 1e-4])) * rng.normal(size=target.size)
+    return grid_problem(maps, grids, target, steps[-1], exact and kind != "noise")
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=grid_problems())
+@example(problem=mirrored_problem(0))
+@example(problem=mirrored_problem(1))
+@example(problem=mirrored_problem(2))
+def test_nearest_on_grid_equals_exhaustive_enumeration(problem):
+    gram, projections, grids, step, exact = problem
+    geometry = nets._grid_geometry(gram, grids)
+    found = nets._nearest_on_grid(geometry, projections, grids, step)
+    assert found == exhaustive_on_grid(gram, projections, grids, step)
+    if exact:
+        assert found == exact_nearest(gram, projections, grids)
 
 
 # ---------------------------------------------------------------------------

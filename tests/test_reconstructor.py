@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import decoder_rows, row_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +106,7 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     # ceil(4 / (1 - 0.5) * ln 40) = 30 rows wanted, below d = 36
     assert s.n == 30
     assert not s.clamped
-    assert s.decoder.rows.shape == (39, 36)
+    assert s.decoder.maps.shape == (1, 36, len(s.net.plan.axes))
     assert s.operator.frame.shape == (30, 36)
 
 
@@ -182,14 +183,14 @@ def test_preprocess_is_deterministic_given_stream():
     second = preprocess(family, 3.0, 0.5, model, np.random.default_rng(42))
     assert first.operator.seed == second.operator.seed
     assert np.array_equal(first.operator.frame, second.operator.frame)
-    assert np.array_equal(first.decoder.rows, second.decoder.rows)
+    assert np.array_equal(first.decoder.maps, second.decoder.maps)
     other = preprocess(family, 3.0, 0.5, model, np.random.default_rng(43))
     assert other.operator.seed != first.operator.seed
 
 
 def test_decoder_rows_are_read_only(smooth_sampler):
     with pytest.raises(ValueError):
-        smooth_sampler.decoder.rows[0, 0] = 1.0
+        smooth_sampler.decoder.maps[0, 0, 0] = 1.0
 
 
 def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
@@ -200,7 +201,8 @@ def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
     assert not np.array_equal(redrawn.operator.frame, smooth_sampler.operator.frame)
     assert redrawn.decoder is smooth_sampler.decoder
     # centers still decode to themselves under the fresh frame
-    out = reconstruct(redrawn, apply_operator(redrawn.operator, redrawn.decoder.rows[7]))
+    center = decoder_rows(redrawn.decoder)[7]
+    out = reconstruct(redrawn, apply_operator(redrawn.operator, center))
     assert out.index == 7
     assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
     # redraws are reproducible from the stream
@@ -267,41 +269,43 @@ def test_measure_validates_noise_arguments(smooth_sampler):
 
 
 def test_reconstruct_exact_center_measurement(smooth_sampler):
-    y = apply_operator(smooth_sampler.operator, smooth_sampler.decoder.rows[5])
+    y = apply_operator(smooth_sampler.operator, decoder_rows(smooth_sampler.decoder)[5])
     out = reconstruct(smooth_sampler, y)
     assert out.index == 5
     assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
     assert out.within_ball
 
 
-def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler, monkeypatch):
-    rows = np.array(smooth_sampler.decoder.rows)
-    rows[4] = rows[1]
-    decoder = replace(smooth_sampler.decoder, rows=rows)
-    tied = replace(smooth_sampler, decoder=decoder)
+def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
+    # A second configuration repeating the first's map ties every center with
+    # the one a net's length lower.
+    decoder = smooth_sampler.decoder
+    tied_decoder = nets.ConfigurationDecoder(
+        np.concatenate([decoder.maps, decoder.maps]),
+        decoder.configurations * 2,
+        decoder.axes,
+        decoder.member,
+    )
+    tied = replace(smooth_sampler, decoder=tied_decoder)
+    rows = decoder_rows(tied_decoder)
     measured = np.array([apply_operator(tied.operator, row) for row in rows])
+    size = smooth_sampler.net.size
+    assert reconstruct(tied, measured[size + 1]).index == 1
+    assert tied_decoder.decode_coefficients(rows[size + 1]).index == 1
+    # Both spaces against the row scan, near members and far from them.
     probe = np.random.default_rng(53)
-    # One block holds the whole table; then blocks of four rows put the tied
-    # rows in different blocks.
-    for block_bytes in (nets._SCAN_BLOCK_BYTES, 4 * 8 * tied.n):
-        monkeypatch.setattr(nets, "_SCAN_BLOCK_BYTES", block_bytes)
-        assert reconstruct(tied, measured[1]).index == 1
-        assert decoder.decode_coefficients(rows[1]).index == 1
-        # Both spaces against brute force, near members and far from them.
-        for scale in (1e-3, 0.3, 3.0):
-            y = measured[probe.integers(len(rows))] + scale * probe.normal(size=tied.n)
-            distances = np.linalg.norm(measured - y, axis=1)
-            out = reconstruct(tied, y)
-            assert out.index == int(np.argmin(distances))
-            assert out.projected_distance == pytest.approx(
-                distances[out.index], rel=1e-12
-            )
-            target = rows[probe.integers(len(rows))] + scale * probe.normal(size=tied.d)
-            distances = np.linalg.norm(rows - target, axis=1)
-            result = decoder.decode_coefficients(target)
-            assert result.index == int(np.argmin(distances))
-            assert result.distance == pytest.approx(distances[result.index], rel=1e-12)
-            np.testing.assert_array_equal(result.coefficients, rows[result.index])
+    for scale in (1e-3, 0.3, 3.0):
+        y = measured[probe.integers(len(rows))] + scale * probe.normal(size=tied.n)
+        best, distance = row_scan(measured, y)
+        out = reconstruct(tied, y)
+        assert out.index == best < size
+        assert out.projected_distance == pytest.approx(distance, rel=1e-12)
+        target = rows[probe.integers(len(rows))] + scale * probe.normal(size=tied.d)
+        best, distance = row_scan(rows, target)
+        result = tied_decoder.decode_coefficients(target)
+        assert result.index == best < size
+        assert result.distance == pytest.approx(distance, rel=1e-12)
+        np.testing.assert_array_equal(result.coefficients, rows[result.index])
 
 
 def test_reconstruct_validates_inputs(smooth_sampler):
@@ -312,7 +316,8 @@ def test_reconstruct_validates_inputs(smooth_sampler):
 
 
 def test_reconstruct_far_measurement_leaves_ball(smooth_sampler):
-    y = apply_operator(smooth_sampler.operator, smooth_sampler.decoder.rows[0]) + 10.0
+    center = decoder_rows(smooth_sampler.decoder)[0]
+    y = apply_operator(smooth_sampler.operator, center) + 10.0
     out = reconstruct(smooth_sampler, y)
     assert not out.within_ball
     assert out.projected_distance > 2.0 * smooth_sampler.eps1
