@@ -14,11 +14,11 @@ how it decodes:
   forms and FFTs.
 - ``counted``: over the budget with no factored decoder: counts only.
 
-Both decoders feed one exact closest-point search, ``_nearest_on_grid``, with
-each configuration's Gram matrix and the target's projections, and answer
-``decode_coefficients(target)`` and ``decode_measurements(y, operator)``;
-ties go to the lowest member index, except that the last axis takes the
-rounding of its continuous optimum, and a half-way value rounds up.
+A decoder's terms are its search geometry, each configuration's factored
+Gram, built once per operator and per ``d``; a decode forms the target's
+projections for one exact closest-point search, ``_nearest_on_grid``.  Ties
+go to the lowest member index, except that the last axis takes the rounding
+of its continuous optimum, and a half-way value rounds up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
@@ -184,7 +184,7 @@ class _Geometry(NamedTuple):
 
 
 def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
-    """Factor every configuration's Gram, elementwise over configurations."""
+    """Factor every configuration's Gram, elementwise; each array kept, ``gram``'s too, is read-only."""
     k = len(grids)
     tops = [float(grid[-1]) for grid in grids]
     pivots: list = [None] * k
@@ -203,6 +203,13 @@ def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
         valid = np.isfinite(slack)
         for j in range(k):
             valid &= (gram[j][j] > 0.0) & (pivots[j] > _PIVOT_FLOOR * gram[j][j])
+    grams = [gram] if isinstance(gram, np.ndarray) else itertools.chain(*gram)
+    kept = {id(a): a for a in (*grams, *pivots, *itertools.chain(*upper), *widths, valid, slack)}
+    arrays = [array for array in kept.values() if isinstance(array, np.ndarray)]
+    for array in arrays:
+        array.setflags(write=False)
+    kept_bytes = sum(array.nbytes for array in arrays)
+    logger.debug("search geometry: %d configurations, %d axes, %d bytes kept", valid.size, k, kept_bytes)
     return _Geometry(gram, pivots, upper, widths, valid, slack)
 
 
@@ -459,13 +466,20 @@ class DecodeResult:
     coefficients: np.ndarray = field(compare=False)
 
 
+class _Terms(NamedTuple):
+    """A decoder's terms: its search ``geometry`` and, for the step decoder, ``v``."""
+
+    geometry: _Geometry
+    v: np.ndarray | None = None
+
+
 class _GridDecoder:
     """The decode entry points both decoders share.
 
-    Terms come from ``_terms``, a slot over ``_operator_terms``, or from
-    ``_coefficient_terms(d)``; ``_search(terms, target, pulled)`` finds the
-    winner (``pulled`` is the target in coefficient space), and
-    ``_center(winner, d)`` gives its member, index and coefficients.
+    Terms, from ``_terms`` (a slot over ``_operator_terms``) or
+    ``_coefficient_terms(d)``, are the search geometry; a decode forms only
+    ``_projections(terms, target, pulled)`` (``pulled`` is the target in
+    coefficient space); ``_center(configuration, values, d)`` builds the winner.
     """
 
     d: int | None = None
@@ -474,10 +488,18 @@ class _GridDecoder:
         """Build the terms for ``operator`` now, as its first decode would."""
         self._terms.get(operator)
 
+    def _search(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
+        projections = self._projections(terms, target, pulled)
+        return _nearest_on_grid(terms.geometry, projections, self._grids, self._step)
+
     def _decode(self, terms, target: np.ndarray, pulled: np.ndarray, measure) -> DecodeResult:
+        configuration, steps = self._search(terms, target, pulled)
+        counts = [grid.size for grid in self._grids]
+        index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
+        values = tuple(grid[i] for grid, i in zip(self._grids, steps))
+        member, coefficients = self._center(configuration, values, pulled.size)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |target|^2), which cancels when it is small.
-        member, index, coefficients = self._center(self._search(terms, target, pulled), pulled.size)
         distance = float(np.linalg.norm(target - measure(coefficients)))
         return DecodeResult(member, index, distance, coefficients)
 
@@ -495,15 +517,6 @@ class _GridDecoder:
             raise UsageError(f"expected {operator.n} measurements, got shape {y.shape} on d = {operator.d}")
         pulled, measure = operator.scale * (y @ operator.frame), lambda x: operator.scale * (operator.frame @ x)
         return self._decode(self._terms.get(operator), y, pulled, measure)
-
-
-class _StepTerms(NamedTuple):
-    """``v``, the constant-one function, and the Gram terms of ``w(b)`` and ``v``."""
-
-    v: np.ndarray
-    g00: np.ndarray
-    g0f: np.ndarray
-    gff: float
 
 
 @dataclass
@@ -535,12 +548,14 @@ class FactoredStepDecoder(_GridDecoder):
             raise UsageError("breakpoint positions must have the uniform pitch 2 pi / P")
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
+        self._grids, self._step = (self.levels, self.levels), self.level_step
         self._terms = _OperatorSlot(self._operator_terms)
-        self._norms_sq: dict[int, np.ndarray] = {}
-        self._norms_lock = threading.Lock()
+        self._dimension_terms: dict[int, _Terms] = {}
+        self._dimension_lock = threading.Lock()
         # Its own lock: ``_coefficient_terms`` transforms under the one above.
         self._plans: dict[int, _ChirpPlan] = {}
         self._plans_lock = threading.Lock()
+        self._fft_buffers = threading.local()
 
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
@@ -549,20 +564,27 @@ class FactoredStepDecoder(_GridDecoder):
         chirp-z transform evaluates with FFTs of a length ``M`` free of large
         primes (see ``_ChirpPlan``), for series of any length ``F`` along the
         last axis.  The plan for each ``F`` is built once, kept read-only, and
-        shared by every thread.
+        shared by every thread.  Each thread pads, transforms and inverts in
+        one buffer of its own, kept between calls and grown as needed.
         """
         width = series.shape[-1]
         with self._plans_lock:
             plan = self._plans.get(width)
             if plan is None:
                 plan = self._plans[width] = _chirp_plan(self.positions, width)
-        length = plan.kernel_spectrum.size
-        spectrum = np.fft.fft(series * plan.input_factor, n=length, axis=-1)
+        shape = series.shape[:-1] + plan.kernel_spectrum.shape
+        size = math.prod(shape)
+        buffer = getattr(self._fft_buffers, "buffer", None)
+        if buffer is None or buffer.size < size:
+            buffer = self._fft_buffers.buffer = np.empty(size, dtype=np.complex128)
+        spectrum = buffer[:size].reshape(shape)
+        np.multiply(series, plan.input_factor, out=spectrum[..., :width])
+        spectrum[..., width:] = 0.0
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
         spectrum *= plan.kernel_spectrum
-        convolved = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
-        values = convolved[..., : self.positions.size]
+        values = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)[..., : self.positions.size]
         values *= plan.output_chirp
-        return np.ascontiguousarray(values.real)
+        return values.real.copy()  # never a view of the buffer
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
@@ -570,7 +592,13 @@ class FactoredStepDecoder(_GridDecoder):
         periodic = self._on_breakpoints(_indicator_series(rows, series))
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
-    def _coefficient_terms(self, d: int) -> _StepTerms:
+    def _step_terms(self, v: np.ndarray, g00: np.ndarray, g0f: np.ndarray, gff: float) -> _Terms:
+        """``v`` and the geometry of the Gram ``[[g00, g01], [g01, g11]]``, read-only."""
+        g01 = g0f - g00
+        v.setflags(write=False)
+        return _Terms(_grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], self._grids), v)
+
+    def _coefficient_terms(self, d: int) -> _Terms:
         """The terms in coefficient space, ``|w(b)|^2`` from the squared closed forms.
 
         The ``cos(2 j b)`` terms cancel except the last cosine's, so
@@ -579,12 +607,12 @@ class FactoredStepDecoder(_GridDecoder):
                        + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
                        - [d even] cos(d b)/(2 pi (d/2)^2).
 
-        ``<w(b), v> = b + pi`` and ``v = sqrt(2 pi) e_0``.  The norms depend on
+        ``<w(b), v> = b + pi`` and ``v = sqrt(2 pi) e_0``.  The terms depend on
         ``d`` and the grid only: built once per ``d``, kept read-only, shared.
         """
-        with self._norms_lock:
-            norms = self._norms_sq.get(d)
-            if norms is None:
+        with self._dimension_lock:
+            terms = self._dimension_terms.get(d)
+            if terms is None:
                 n_sin = (d - 1) // 2
                 js = np.arange(1, d // 2 + 1)
                 weights_sq = 1.0 / (math.pi * js**2)
@@ -595,11 +623,11 @@ class FactoredStepDecoder(_GridDecoder):
                 if d % 2 == 0:
                     series[d] = -weights_sq[-1] / 2.0
                 norms = self._on_breakpoints(series) + self._shift**2 / TWO_PI
-                norms.setflags(write=False)
-                self._norms_sq[d] = norms
-        return _StepTerms(np.eye(1, d)[0] * _SQRT_2PI, norms, self._shift, TWO_PI)
+                v = np.eye(1, d)[0] * _SQRT_2PI
+                terms = self._dimension_terms[d] = self._step_terms(v, norms, self._shift, TWO_PI)
+        return terms
 
-    def _operator_terms(self, operator) -> _StepTerms:
+    def _operator_terms(self, operator) -> _Terms:
         """The decode terms that depend on ``operator`` only.
 
         With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` (degree
@@ -642,32 +670,21 @@ class FactoredStepDecoder(_GridDecoder):
         g00 = self._on_breakpoints(square_sum)
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes kept=%d bytes"
-            " built in %.3fs", self.positions.size, d, n, points, block_bytes,
-            g00.nbytes + g0f.nbytes + v_full.nbytes, time.perf_counter() - started,
+            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes built in %.3fs",
+            self.positions.size, d, n, points, block_bytes, time.perf_counter() - started,
         )
-        return _StepTerms(v_full, g00, g0f, float(np.dot(v_full, v_full)))
+        return self._step_terms(v_full, g00, g0f, float(np.dot(v_full, v_full)))
 
-    def _search(self, terms: _StepTerms, target: np.ndarray, pulled: np.ndarray):
-        """The winner's breakpoint, ``c0`` and ``c1`` indices (the factor is formed per decode)."""
+    def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         q0 = self._indicator_products(pulled)
-        q1 = float(np.dot(terms.v, target)) - q0
-        g00, g0f = terms.g00, terms.g0f
-        g01 = g0f - g00
-        grids = (self.levels, self.levels)
-        geometry = _grid_geometry([[g00, g01], [g01, terms.gff - 2.0 * g0f + g00]], grids)
-        p_idx, (c0_idx, c1_idx) = _nearest_on_grid(geometry, (q0, q1), grids, self.level_step)
-        return p_idx, c0_idx, c1_idx
+        return q0, float(np.dot(terms.v, target)) - q0
 
-    def _center(self, winner: tuple[int, int, int], d: int):
-        p_idx, c0_idx, c1_idx = winner
-        c0, c1 = float(self.levels[c0_idx]), float(self.levels[c1_idx])
-        b = float(self.positions[p_idx])
+    def _center(self, configuration: int, values: tuple, d: int):
+        c0, c1 = map(float, values)
+        b = float(self.positions[configuration])
         coefficients = (c0 - c1) * _indicator_coefficients(b, d)
         coefficients[0] += c1 * _SQRT_2PI
-        member = PiecewiseDescription((b,), ((c0,), (c1,)), periodic=False)
-        index = (p_idx * self.levels.size + c0_idx) * self.levels.size + c1_idx
-        return member, index, coefficients
+        return PiecewiseDescription((b,), ((c0,), (c1,)), periodic=False), coefficients
 
 
 @dataclass(eq=False)
@@ -694,40 +711,29 @@ class ConfigurationDecoder(_GridDecoder):
             raise UsageError(f"expected {shape[0]} d x {shape[1]} maps, got {self.maps.shape}")
         self.maps.flags.writeable = False
         self.d = self.maps.shape[1]
-        self._counts = tuple(axis.count for axis in self.axes)
-        self._grids = [axis.points() for axis in self.axes]
-        self._geometry = self._grid_geometry(self.maps)
+        self._grids, self._step = [axis.points() for axis in self.axes], self.axes[-1].step
+        self._map_terms = self._gram_terms(self.maps)
         self._terms = _OperatorSlot(self._operator_terms)
 
-    def _grid_geometry(self, maps: np.ndarray) -> _Geometry:
+    def _gram_terms(self, maps: np.ndarray) -> _Terms:
         """The maps' Grams and their factor, kept read-only and shared."""
         gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
-        geometry = _grid_geometry(gram, self._grids)
-        kept = (gram, *geometry.pivots, *itertools.chain(*geometry.upper), *geometry.widths, geometry.valid, geometry.slack)
-        for array in kept:
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
-        return geometry
+        return _Terms(_grid_geometry(gram, self._grids))
 
-    def _coefficient_terms(self, d: int) -> _Geometry:
-        return self._geometry
+    def _coefficient_terms(self, d: int) -> _Terms:
+        return self._map_terms
 
-    def _operator_terms(self, operator) -> _Geometry:
+    def _operator_terms(self, operator) -> _Terms:
         maps = np.matmul(operator.frame, self.maps)
         maps *= operator.scale
-        return self._grid_geometry(maps)
+        return self._gram_terms(maps)
 
-    def _search(self, geometry: _Geometry, target: np.ndarray, pulled: np.ndarray):
-        projections = np.ascontiguousarray(np.matmul(pulled, self.maps).T)
-        return _nearest_on_grid(geometry, projections, self._grids, self.axes[-1].step)
+    def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
+        return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
 
-    def _center(self, winner: tuple[int, tuple[int, ...]], d: int):
-        configuration, steps = winner
-        values = tuple(grid[i] for grid, i in zip(self._grids, steps))
-        index = configuration * math.prod(self._counts)
-        index += int(np.ravel_multi_index(steps, self._counts))
+    def _center(self, configuration: int, values: tuple, d: int):
         member = self.member(self.configurations[configuration], values)
-        return member, index, self.maps[configuration] @ np.array(values)
+        return member, self.maps[configuration] @ np.array(values)
 
 
 @dataclass(frozen=True)

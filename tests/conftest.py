@@ -8,11 +8,14 @@ Neither shares code with the closed forms in the package.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
 import numpy as np
 from scipy import integrate
+
+from netsketch import nets
 
 
 def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
@@ -145,3 +148,47 @@ def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
         if distances[local] < best:
             best_index, best = start + local, float(distances[local])
     return best_index, best
+
+
+def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
+    """A step decoder's search from its raw Gram terms, factored on every decode.
+
+    The factored step decoder's search before it kept each operator's and
+    each ``d``'s factor, kept as the oracle.  ``raw`` is ``(v, g00, g0f,
+    gff)``: the constant one's image, ``|w(b)|^2``, ``<w(b), v>`` and
+    ``|v|^2``.  Every call assembles ``g01 = g0f - g00`` and ``g11 = gff -
+    2 g0f + g00``, factors the ``P`` 2x2 Grams and searches them.
+    """
+    v, g00, g0f, gff = raw
+    q0 = decoder._indicator_products(pulled)
+    q1 = float(np.dot(v, target)) - q0
+    g01 = g0f - g00
+    grids = (decoder.levels, decoder.levels)
+    geometry = nets._grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], grids)
+    return nets._nearest_on_grid(geometry, (q0, q1), grids, decoder.level_step)
+
+
+def per_decode_copy(decoder):
+    """A copy of a factored step decoder that keeps raw terms and runs ``factor_per_decode``.
+
+    Its raw terms are read from ``decoder``'s: ``g00`` is the kept Gram's
+    corner, and ``g0f`` and ``gff`` are recomputed as the decoder computed
+    them before it kept the factor (``b + pi`` and ``2 pi`` in coefficient
+    space; ``W R^T v`` and ``|v|^2`` under an operator ``R``).
+    """
+    reference = copy.copy(decoder)
+
+    def coefficient_terms(d):
+        terms = decoder._coefficient_terms(d)
+        return terms.v, terms.geometry.gram[0][0], decoder._shift, 2.0 * math.pi
+
+    def operator_terms(operator):
+        terms = decoder._terms.get(operator)
+        v = terms.v
+        g0f = decoder._indicator_products(operator.scale * (v @ operator.frame))
+        return v, terms.geometry.gram[0][0], g0f, float(np.dot(v, v))
+
+    reference._coefficient_terms = coefficient_terms
+    reference._terms = nets._OperatorSlot(operator_terms)
+    reference._search = lambda raw, target, pulled: factor_per_decode(decoder, raw, target, pulled)
+    return reference

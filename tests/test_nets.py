@@ -19,7 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import decoder_rows, linear_expansion_bound, row_scan, split_net_text
+from conftest import (
+    decoder_rows,
+    linear_expansion_bound,
+    per_decode_copy,
+    row_scan,
+    split_net_text,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -459,7 +465,7 @@ def test_indicator_products_match_the_dense_closed_form():
                 assert products.shape == shape[:-1] + (count,)
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
-                decoder._coefficient_terms(d).g00,
+                decoder._coefficient_terms(d).geometry.gram[0][0],
                 np.einsum("ij,ij->i", w, w),
                 rtol=0.0,
                 atol=1e-12,
@@ -479,17 +485,18 @@ def test_operator_terms_match_the_dense_closed_form():
                 operator = random_subspace(d, n, seed=1000 * d + n)
                 rows = operator.scale * operator.frame
                 projected = w @ rows.T
-                v_full = math.sqrt(TWO_PI) * rows[:, 0]
-                terms = decoder._operator_terms(operator)
-                np.testing.assert_allclose(
-                    terms.g00,
-                    np.einsum("ij,ij->i", projected, projected),
-                    rtol=0.0,
-                    atol=1e-12,
-                )
-                np.testing.assert_allclose(
-                    terms.g0f, projected @ v_full, rtol=0.0, atol=1e-12
-                )
+                # The two axes under R: R w(b) and R (v - w(b)).
+                after = math.sqrt(TWO_PI) * rows[:, 0] - projected
+                gram = decoder._operator_terms(operator).geometry.gram
+                for (i, j), (a, b) in {
+                    (0, 0): (projected, projected),
+                    (0, 1): (projected, after),
+                    (1, 0): (after, projected),
+                    (1, 1): (after, after),
+                }.items():
+                    np.testing.assert_allclose(
+                        gram[i][j], np.einsum("ij,ij->i", a, b), rtol=0.0, atol=1e-12
+                    )
                 y = rng.normal(size=n)
                 np.testing.assert_allclose(
                     decoder._indicator_products(y @ rows),
@@ -621,14 +628,15 @@ def test_indicator_norms_are_built_once_per_dimension():
     def fresh():
         return step_decoder(1.5)
 
-    # A fresh decoder per dimension builds the norms on its first call.
+    # A fresh decoder per dimension builds the terms on its first call.
     expected = {d: decode_all(fresh(), d) for d in targets}
     decoder = fresh()
-    norms = {d: decoder._coefficient_terms(d).g00 for d in targets}
-    for d, kept in norms.items():
-        assert decoder._coefficient_terms(d).g00 is kept
-        assert not kept.flags.writeable
-        assert np.array_equal(kept, fresh()._coefficient_terms(d).g00)
+    kept = {d: decoder._coefficient_terms(d) for d in targets}
+    for d, terms in kept.items():
+        assert decoder._coefficient_terms(d) is terms
+        norms = terms.geometry.gram[0][0]
+        assert not norms.flags.writeable
+        assert np.array_equal(norms, fresh()._coefficient_terms(d).geometry.gram[0][0])
     # Threads sharing one decoder across both dimensions, switching often.
     shared = fresh()
     previous = sys.getswitchinterval()
@@ -641,7 +649,53 @@ def test_indicator_norms_are_built_once_per_dimension():
                 assert future.result(timeout=60) == expected[d]
     finally:
         sys.setswitchinterval(previous)
-    assert sorted(shared._norms_sq) == [40, 41]
+
+
+def geometry_arrays(geometry):
+    """Every array a search geometry holds, found by walking its fields."""
+    if isinstance(geometry, np.ndarray):
+        return [geometry]
+    if isinstance(geometry, (list, tuple)):
+        return [array for part in geometry for array in geometry_arrays(part)]
+    return []
+
+
+def test_each_geometry_is_factored_once(monkeypatch):
+    factored = []
+    real = nets._grid_geometry
+
+    def counting(gram, grids):
+        factored.append(len(grids))
+        return real(gram, grids)
+
+    monkeypatch.setattr(nets, "_grid_geometry", counting)
+    rng = np.random.default_rng(53)
+    operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
+    step = step_decoder(1.5)
+    for _ in range(10):
+        step.decode_measurements(rng.normal(size=9), operators[0])
+        step.decode_coefficients(rng.normal(scale=0.7, size=40))
+    assert len(factored) == 1 + 1  # one operator, one d
+    step.decode_measurements(rng.normal(size=9), operators[1])
+    assert len(factored) == 3
+    kept = [step._coefficient_terms(40), step._terms.get(operators[1])]
+
+    plan = step_class().net_plan(1.5)
+    factored.clear()
+    materialized = step_class().materialized_decoder(plan, 40)
+    assert len(factored) == 1  # the maps' own Grams
+    for count, operator in enumerate(operators, start=2):
+        for _ in range(3):
+            materialized.decode_measurements(rng.normal(size=9), operator)
+        materialized.decode_coefficients(rng.normal(scale=0.7, size=40))
+        assert len(factored) == count
+    kept += [materialized._coefficient_terms(40), materialized._terms.get(operators[1])]
+
+    for terms in kept:
+        arrays = geometry_arrays(terms.geometry)
+        assert len(arrays) >= 5
+        assert not any(array.flags.writeable for array in arrays)
+    assert not any(terms.v.flags.writeable for terms in kept[:2])
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
@@ -856,6 +910,62 @@ def test_chirp_plans_are_built_once_per_length(monkeypatch):
     assert sorted(built) == list(widths)
 
 
+def fresh_buffers_on_breakpoints(decoder, series):
+    """Reference: ``_on_breakpoints`` with new buffers on every call.
+
+    The transform before it reused one buffer per thread, kept as the
+    oracle: the zero-padded input and the forward FFT are allocated by
+    ``np.fft.fft``, and the inverse FFT writes over the spectrum.
+    """
+    decoder._on_breakpoints(series)  # builds the plan
+    plan = decoder._plans[series.shape[-1]]
+    spectrum = np.fft.fft(series * plan.input_factor, n=plan.kernel_spectrum.size, axis=-1)
+    spectrum *= plan.kernel_spectrum
+    convolved = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
+    values = convolved[..., : decoder.positions.size]
+    values *= plan.output_chirp
+    return np.ascontiguousarray(values.real)
+
+
+def test_reused_fft_buffer_gives_the_fresh_buffers_bits():
+    # Widths of three FFT lengths, taken longest first so that later calls
+    # find a longer buffer holding an earlier call's data.
+    decoder = step_decoder(0.1)
+    rng = np.random.default_rng(59)
+    cases = []
+    for width in (1_887, 944, 1, 944, 1_887):
+        for shape in ((width,), (3, width)):
+            cases.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        cases.append(rng.normal(size=width))  # real series, as the norms pass
+    reference = step_decoder(0.1)
+    expected = [fresh_buffers_on_breakpoints(reference, series).tobytes() for series in cases]
+    results = [decoder._on_breakpoints(series) for series in cases]
+    # No result is a view of the buffer a later call wrote over.
+    assert [result.tobytes() for result in results] == expected
+    assert all(result.flags.owndata and result.flags.c_contiguous for result in results)
+
+    # Four threads sharing one decoder, each with its own buffer.
+    def run_all(order):
+        return [decoder._on_breakpoints(cases[k]).tobytes() == expected[k] for k in order]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            orders = [np.random.default_rng(k).permutation(len(cases)) for k in range(4)]
+            futures = [pool.submit(run_all, order) for order in orders]
+            assert all(all(future.result(timeout=120)) for future in futures)
+    finally:
+        sys.setswitchinterval(previous)
+
+    # One breakpoint: a length-1 real part is contiguous, and must still be a copy.
+    single = FactoredStepDecoder(np.array([0.0]), symmetric_grid(1.0, 0.5), 0.5)
+    first = single._on_breakpoints(np.array([1.0, 2.0]))
+    kept = first.copy()
+    single._on_breakpoints(np.array([5.0, -3.0]))
+    assert first.tobytes() == kept.tobytes()
+
+
 def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
     """At the bench size (P = 10,054 = 2 * 11 * 457) no FFT runs at a length
     with a prime factor above 5, where numpy falls back to its own Bluestein
@@ -909,14 +1019,12 @@ def full_sweep(self, terms, target, pulled):
 
     The factored decoder's sweep before it pruned breakpoints, kept here as
     the oracle the pruned search must match bit for bit.  It stands in for
-    ``FactoredStepDecoder._search`` and reads the same inputs.
+    the decoder's ``_search`` and reads the same inputs, the kept 2x2 Grams.
     """
     c0 = self.levels
     q0 = self._indicator_products(pulled)
     q1 = float(np.dot(terms.v, target)) - q0
-    g00, g0f = terms.g00, terms.g0f
-    g01 = g0f - g00
-    g11 = terms.gff - 2.0 * g0f + g00
+    (g00, g01), (_, g11) = terms.geometry.gram
     half = (self.levels.size - 1) // 2
     k = np.multiply.outer(g01, c0)
     np.subtract(q1[:, None], k, out=k)
@@ -938,7 +1046,7 @@ def full_sweep(self, terms, target, pulled):
     c1 *= g11[:, None]
     objective += c1
     p_idx, c0_idx = divmod(int(np.argmin(objective)), c0.size)
-    return p_idx, c0_idx, int(k[p_idx, c0_idx]) + half
+    return p_idx, (c0_idx, int(k[p_idx, c0_idx]) + half)
 
 
 @functools.lru_cache(maxsize=1)
@@ -993,6 +1101,45 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
         # On a member the winner's objective meets its bound up to rounding.
         member = decode(reference, want.coefficients)
         assert_same_decode(decode(decoder, want.coefficients), member)
+
+
+def test_kept_factor_decodes_as_the_per_decode_factor():
+    # The kept geometry must give the bits of assembling and factoring the
+    # 2x2 Grams on every decode, in both spaces, ties included.
+    decoder, _ = bench_step_decoders()
+    assert decoder.positions.size >= 1_000
+    reference = per_decode_copy(decoder)
+    d, n = 300, 150
+    operator = random_subspace(d, n, seed=61)
+    rng = np.random.default_rng(61)
+    targets = [rng.normal(scale=0.5, size=d) for _ in range(4)]
+    # Constant members tie at every breakpoint.
+    targets += [step_member_coefficients(0.0, level, level, d) for level in decoder.levels[::17]]
+
+    def decodes(dec, target, operator):
+        results = [
+            dec.decode_coefficients(target),
+            dec.decode_measurements(apply_operator(operator, target), operator),
+        ]
+        return [(result.index, result.distance.hex()) for result in results]
+
+    for target in targets:
+        assert decodes(decoder, target, operator) == decodes(reference, target, operator)
+
+    # Four threads sharing one fresh decoder across d 40 and 41, both spaces.
+    shared = step_decoder(0.1)
+    operators = {d: random_subspace(d, 20, seed=d) for d in (40, 41)}
+    cases = [(d, rng.normal(scale=0.7, size=d)) for d in (40, 41) for _ in range(4)]
+    expected = [decodes(reference, target, operators[d]) for d, target in cases]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(decodes, shared, target, operators[d]) for d, target in cases * 2]
+            for want, future in zip(expected * 2, futures):
+                assert future.result(timeout=120) == want
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_pruning_sweeps_few_breakpoints(caplog):
