@@ -71,14 +71,21 @@ def parse_flat_config(text: str) -> dict[str, str]:
 # The words each value shape's messages use: one value, several, a list item.
 _NOUNS = {
     int: ("an integer", "integers", "dimension"),
-    float: ("a number", "numbers", "value"),
+    float: ("a finite number", "finite numbers", "value"),
 }
+
+
+def _finite(kind: type, text: str) -> Any:
+    """``kind(text)``; ``nan`` and infinities raise ``ValueError`` too."""
+    if not math.isfinite(value := kind(text)):
+        raise ValueError(text)
+    return value
 
 
 def _as_number(key: str, kind: type) -> Callable[[str], Any]:
     def parse(value: str) -> Any:
         try:
-            return kind(value)
+            return _finite(kind, value)
         except ValueError:
             raise UsageError(f"config key {key!r} needs {_NOUNS[kind][0]}, got {value!r}")
 
@@ -99,7 +106,7 @@ def _as_choice(key: str, choices: tuple[str, ...]) -> Callable[[str], str]:
 def _as_list(key: str, kind: type) -> Callable[[str], tuple[Any, ...]]:
     def parse(value: str) -> tuple[Any, ...]:
         try:
-            parts = tuple(kind(part.strip()) for part in value.split(",") if part.strip())
+            parts = tuple(_finite(kind, part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
             raise UsageError(f"config key {key!r} needs {_NOUNS[kind][1]}, got {value!r}")
         if not parts:
@@ -115,9 +122,9 @@ def _as_delta(value: str) -> float | None:
     if value == "auto":
         return None
     try:
-        delta = float(value)
+        delta = _finite(float, value)
     except ValueError:
-        raise UsageError(f"config key 'delta' needs a number or 'auto', got {value!r}")
+        raise UsageError(f"config key 'delta' needs a finite number or 'auto', got {value!r}")
     if delta < 0.0:
         raise UsageError(f"config key 'delta' must be non-negative, got {value!r}")
     return delta

@@ -39,12 +39,10 @@ from .hilbert import (
 from .nets import (
     AxisLog,
     ConfigurationDecoder,
-    FactoredStepDecoder,
     NetPlan,
     gap_separated_count,
     grid_count,
     position_grid,
-    symmetric_grid,
 )
 
 __all__ = [
@@ -98,10 +96,10 @@ class FunctionClass:
     ``dim`` basis coefficients.  ``to_signal`` wraps it as a ``Signal``.
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
-    configurations times one point on each quantized axis, and
-    ``factored_decoder(plan)`` returns an exact decoder that needs no
-    enumeration, or ``None``.  Enumeration, decoder rows and rounding walk
-    that layout here, for every class, through three hooks:
+    configurations times one point on each quantized axis, and marks it
+    ``factored`` when ``nets.FactoredStepDecoder`` can search it without
+    enumeration.  Enumeration, the materialized decoder's maps and rounding
+    walk that layout here, for every class, through three hooks:
     ``member(breakpoints, values)`` builds the center at a configuration and
     one value per axis, and its coefficients must be linear in ``values``,
     with no offset; ``snap_breakpoints(plan, member)`` snaps a member's
@@ -113,9 +111,6 @@ class FunctionClass:
     def to_signal(self, member, ambient_dim: int) -> Signal:
         """The member's first ``ambient_dim`` coefficients as a signal."""
         return Signal(self.coefficient_prefix(member, ambient_dim))
-
-    def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
-        return None
 
     def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
         return ()
@@ -370,6 +365,7 @@ class PiecewiseSmoothClass(FunctionClass):
             breakpoint_count=count,
             index_gap=gap,
             jumps=s,
+            factored=self.degree == 0 and s == 1,
         )
 
     def member(self, breakpoints, values) -> PiecewiseDescription:
@@ -412,17 +408,6 @@ class PiecewiseSmoothClass(FunctionClass):
             local = polynomial(np.polynomial.Polynomial([midpoint, 1.0]))
             values.extend(pad_or_truncate(local.coef, self.degree + 1))
         return values
-
-    def factored_decoder(self, plan: NetPlan) -> FactoredStepDecoder | None:
-        """The exact sweep decoder, for single-jump piecewise-constant classes."""
-        if self.degree != 0 or self.max_jumps != 1:
-            return None
-        level_step = plan.axes[0].step
-        return FactoredStepDecoder(
-            positions=plan.positions,
-            levels=symmetric_grid(self.level_bound, level_step),
-            level_step=level_step,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,20 @@ A covering net for a function class at resolution ``eps1`` is a finite set of
 members within ``eps1`` (in L2) of every member of the class.  A net is its
 layout, a ``NetPlan``, and the counts that follow from it; no member is built
 to count one, so counting works at any scale.  ``build_net`` labels a net by
-how it decodes:
+how it decodes and, given the truncation dimension ``d``, builds its decoder:
 
 - ``materialized``: at most ``m_max`` centers, decoded by
   ``ConfigurationDecoder`` from one ``d x k`` linear map per breakpoint
   configuration (``FunctionClass.materialized_decoder``).
-- ``factored``: over the budget, for single-jump piecewise-constant classes;
-  ``FactoredStepDecoder`` gets every breakpoint's terms at once from closed
-  forms and FFTs.
+- ``factored``: over the budget, for plans marked ``factored`` (single-jump
+  piecewise-constant classes); ``FactoredStepDecoder`` gets every
+  breakpoint's terms at once from closed forms and FFTs.
 - ``counted``: over the budget with no factored decoder: counts only.
 
-A decoder's terms are its search geometry, each configuration's factored
-Gram, built once per operator and per ``d``; a decode forms the target's
-projections for one exact closest-point search, ``_nearest_on_grid``.  Ties
+A decoder serves one ``d``.  Its terms are its search geometry, each
+configuration's factored Gram, built at construction and once per operator;
+a decode forms the target's projections for one exact closest-point search,
+``_nearest_on_grid``.  Ties
 go to the lowest member index, except that the last axis takes the rounding
 of its continuous optimum, and a half-way value rounds up.
 
@@ -54,7 +55,6 @@ __all__ = [
     "iter_gap_tuples",
     "position_grid",
     "grid_count",
-    "symmetric_grid",
     "dump_net",
     "write_net",
 ]
@@ -87,10 +87,6 @@ def grid_count(bound: float, step: float) -> int:
 
 def _centered_grid(count: int, step: float) -> np.ndarray:
     return (np.arange(count) - (count - 1) / 2.0) * step
-
-
-def symmetric_grid(bound: float, step: float) -> np.ndarray:
-    return _centered_grid(grid_count(bound, step), step)
 
 
 # ---------------------------------------------------------------------------
@@ -474,19 +470,22 @@ class _Terms(NamedTuple):
 
 
 class _GridDecoder:
-    """The decode entry points both decoders share.
+    """The decode entry points both decoders share, for targets of length ``d``.
 
     Terms, from ``_terms`` (a slot over ``_operator_terms``) or
-    ``_coefficient_terms(d)``, are the search geometry; a decode forms only
-    ``_projections(terms, target, pulled)`` (``pulled`` is the target in
-    coefficient space); ``_center(configuration, values, d)`` builds the winner.
+    ``_coefficient_terms`` (built at construction), are the search geometry;
+    a decode forms only ``_projections(terms, target, pulled)`` (``pulled``
+    is the target in coefficient space); ``_center(configuration, values)``
+    builds the winner.
     """
 
-    d: int | None = None
+    d: int
 
-    def prepare(self, operator) -> None:
-        """Build the terms for ``operator`` now, as its first decode would."""
-        self._terms.get(operator)
+    def prepare(self, operator) -> _Terms:
+        """The terms for ``operator``, built now if no decode under it has built them."""
+        if operator.d != self.d:
+            raise UsageError(f"decoder serves d = {self.d}, not an operator on d = {operator.d}")
+        return self._terms.get(operator)
 
     def _search(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         projections = self._projections(terms, target, pulled)
@@ -497,7 +496,7 @@ class _GridDecoder:
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
         values = tuple(grid[i] for grid, i in zip(self._grids, steps))
-        member, coefficients = self._center(configuration, values, pulled.size)
+        member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |target|^2), which cancels when it is small.
         distance = float(np.linalg.norm(target - measure(coefficients)))
@@ -506,17 +505,18 @@ class _GridDecoder:
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
         """Nearest net member to a truncated coefficient vector (exactly)."""
         target = np.asarray(target, dtype=np.float64)
-        if target.ndim != 1 or target.size < 1 or self.d not in (None, target.size):
-            raise UsageError(f"expected {self.d or 'some'} coefficients, got shape {target.shape}")
-        return self._decode(self._coefficient_terms(target.size), target, target, lambda x: x)
+        if target.shape != (self.d,):
+            raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
+        return self._decode(self._coefficient_terms, target, target, lambda x: x)
 
     def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
         """Nearest net member to measurements under ``operator`` (exactly)."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (operator.n,) or self.d not in (None, operator.d):
-            raise UsageError(f"expected {operator.n} measurements, got shape {y.shape} on d = {operator.d}")
+        if y.shape != (operator.n,):
+            raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
+        terms = self.prepare(operator)
         pulled, measure = operator.scale * (y @ operator.frame), lambda x: operator.scale * (operator.frame @ x)
-        return self._decode(self._terms.get(operator), y, pulled, measure)
+        return self._decode(terms, y, pulled, measure)
 
 
 @dataclass
@@ -532,11 +532,15 @@ class FactoredStepDecoder(_GridDecoder):
     of pitch ``2 pi / P`` (as ``position_grid`` makes them): every term is
     then a trigonometric polynomial in ``b``, and one chirp-z transform
     evaluates it on all ``P`` breakpoints at once.
+
+    The decoder serves targets of length ``d``: it builds its chirp-z plans
+    and coefficient-space terms at construction, read-only and shared.
     """
 
     positions: np.ndarray
     levels: np.ndarray
     level_step: float
+    d: int
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -549,29 +553,25 @@ class FactoredStepDecoder(_GridDecoder):
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
         self._grids, self._step = (self.levels, self.levels), self.level_step
-        self._terms = _OperatorSlot(self._operator_terms)
-        self._dimension_terms: dict[int, _Terms] = {}
-        self._dimension_lock = threading.Lock()
-        # Its own lock: ``_coefficient_terms`` transforms under the one above.
-        self._plans: dict[int, _ChirpPlan] = {}
-        self._plans_lock = threading.Lock()
         self._fft_buffers = threading.local()
+        # Series of degree K = d // 2 (indicator products), 2 K (square-sums)
+        # and d (indicator norms): two plans, or three for an odd d.
+        degree = self.d // 2
+        widths = sorted({degree + 1, 2 * degree + 1, self.d + 1})
+        self._plans = {width: _chirp_plan(self.positions, width) for width in widths}
+        self._coefficient_terms = self._norm_terms()
+        self._terms = _OperatorSlot(self._operator_terms)
 
-    def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
+    def _on_breakpoints(self, series: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
 
         With ``b_p = b_0 + 2 pi p / P`` the sum is a length-``P`` DFT, which a
         chirp-z transform evaluates with FFTs of a length ``M`` free of large
-        primes (see ``_ChirpPlan``), for series of any length ``F`` along the
-        last axis.  The plan for each ``F`` is built once, kept read-only, and
-        shared by every thread.  Each thread pads, transforms and inverts in
-        one buffer of its own, kept between calls and grown as needed.
+        primes (see ``_ChirpPlan``), given ``plan`` for the length ``F`` of
+        the last axis.  Each thread pads, transforms and inverts in one
+        buffer of its own, kept between calls and grown as needed.
         """
         width = series.shape[-1]
-        with self._plans_lock:
-            plan = self._plans.get(width)
-            if plan is None:
-                plan = self._plans[width] = _chirp_plan(self.positions, width)
         shape = series.shape[:-1] + plan.kernel_spectrum.shape
         size = math.prod(shape)
         buffer = getattr(self._fft_buffers, "buffer", None)
@@ -588,8 +588,9 @@ class FactoredStepDecoder(_GridDecoder):
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
-        series = np.zeros(rows.shape[:-1] + (rows.shape[-1] // 2 + 1,), dtype=np.complex128)
-        periodic = self._on_breakpoints(_indicator_series(rows, series))
+        width = rows.shape[-1] // 2 + 1
+        series = np.zeros(rows.shape[:-1] + (width,), dtype=np.complex128)
+        periodic = self._on_breakpoints(_indicator_series(rows, series), self._plans[width])
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
     def _step_terms(self, v: np.ndarray, g00: np.ndarray, g0f: np.ndarray, gff: float) -> _Terms:
@@ -598,7 +599,7 @@ class FactoredStepDecoder(_GridDecoder):
         v.setflags(write=False)
         return _Terms(_grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], self._grids), v)
 
-    def _coefficient_terms(self, d: int) -> _Terms:
+    def _norm_terms(self) -> _Terms:
         """The terms in coefficient space, ``|w(b)|^2`` from the squared closed forms.
 
         The ``cos(2 j b)`` terms cancel except the last cosine's, so
@@ -608,24 +609,21 @@ class FactoredStepDecoder(_GridDecoder):
                        - [d even] cos(d b)/(2 pi (d/2)^2).
 
         ``<w(b), v> = b + pi`` and ``v = sqrt(2 pi) e_0``.  The terms depend on
-        ``d`` and the grid only: built once per ``d``, kept read-only, shared.
+        ``d`` and the grid only.
         """
-        with self._dimension_lock:
-            terms = self._dimension_terms.get(d)
-            if terms is None:
-                n_sin = (d - 1) // 2
-                js = np.arange(1, d // 2 + 1)
-                weights_sq = 1.0 / (math.pi * js**2)
-                series = np.zeros(d + 1)
-                series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
-                alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
-                series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
-                if d % 2 == 0:
-                    series[d] = -weights_sq[-1] / 2.0
-                norms = self._on_breakpoints(series) + self._shift**2 / TWO_PI
-                v = np.eye(1, d)[0] * _SQRT_2PI
-                terms = self._dimension_terms[d] = self._step_terms(v, norms, self._shift, TWO_PI)
-        return terms
+        d = self.d
+        n_sin = (d - 1) // 2
+        js = np.arange(1, d // 2 + 1)
+        weights_sq = 1.0 / (math.pi * js**2)
+        series = np.zeros(d + 1)
+        series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
+        alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
+        series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
+        if d % 2 == 0:
+            series[d] = -weights_sq[-1] / 2.0
+        norms = self._on_breakpoints(series, self._plans[d + 1]) + self._shift**2 / TWO_PI
+        v = np.eye(1, d)[0] * _SQRT_2PI
+        return self._step_terms(v, norms, self._shift, TWO_PI)
 
     def _operator_terms(self, operator) -> _Terms:
         """The decode terms that depend on ``operator`` only.
@@ -667,7 +665,7 @@ class FactoredStepDecoder(_GridDecoder):
         v_full = _SQRT_2PI * first
         lead = float(np.dot(first, first))
         g0f = self._indicator_products(scale * (v_full @ frame))
-        g00 = self._on_breakpoints(square_sum)
+        g00 = self._on_breakpoints(square_sum, self._plans[square_sum.size])
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
             "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes built in %.3fs",
@@ -679,10 +677,10 @@ class FactoredStepDecoder(_GridDecoder):
         q0 = self._indicator_products(pulled)
         return q0, float(np.dot(terms.v, target)) - q0
 
-    def _center(self, configuration: int, values: tuple, d: int):
+    def _center(self, configuration: int, values: tuple):
         c0, c1 = map(float, values)
         b = float(self.positions[configuration])
-        coefficients = (c0 - c1) * _indicator_coefficients(b, d)
+        coefficients = (c0 - c1) * _indicator_coefficients(b, self.d)
         coefficients[0] += c1 * _SQRT_2PI
         return PiecewiseDescription((b,), ((c0,), (c1,)), periodic=False), coefficients
 
@@ -712,16 +710,13 @@ class ConfigurationDecoder(_GridDecoder):
         self.maps.flags.writeable = False
         self.d = self.maps.shape[1]
         self._grids, self._step = [axis.points() for axis in self.axes], self.axes[-1].step
-        self._map_terms = self._gram_terms(self.maps)
+        self._coefficient_terms = self._gram_terms(self.maps)
         self._terms = _OperatorSlot(self._operator_terms)
 
     def _gram_terms(self, maps: np.ndarray) -> _Terms:
         """The maps' Grams and their factor, kept read-only and shared."""
         gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
         return _Terms(_grid_geometry(gram, self._grids))
-
-    def _coefficient_terms(self, d: int) -> _Terms:
-        return self._map_terms
 
     def _operator_terms(self, operator) -> _Terms:
         maps = np.matmul(operator.frame, self.maps)
@@ -731,21 +726,21 @@ class ConfigurationDecoder(_GridDecoder):
     def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
 
-    def _center(self, configuration: int, values: tuple, d: int):
+    def _center(self, configuration: int, values: tuple):
         member = self.member(self.configurations[configuration], values)
         return member, self.maps[configuration] @ np.array(values)
 
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A net's layout and counts; ``decoder`` is set on ``factored`` nets only."""
+    """A net's layout and counts; ``decoder``, when built for a ``d``, decodes it."""
 
     family: object
     mode: str
     size: int
     entropy_bits: float
     plan: NetPlan
-    decoder: FactoredStepDecoder | None = field(default=None)
+    decoder: FactoredStepDecoder | ConfigurationDecoder | None = field(default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +756,8 @@ class NetPlan:
     configurations (``jumps`` of the ``breakpoint_count`` grid points,
     consecutive indices at least ``index_gap`` apart) times one point on
     each axis.  The grid, ``positions``, is built on first use only.
+    ``factored``: one jump and two axes on one level grid, which
+    ``FactoredStepDecoder`` searches without enumerating the net.
     """
 
     eps1: float
@@ -770,6 +767,7 @@ class NetPlan:
     periodic: bool = False
     index_gap: int = 1
     jumps: int = 0
+    factored: bool = False
 
     @property
     def size(self) -> int:
@@ -831,19 +829,24 @@ def build_net(
     family,
     eps1: float,
     m_max: int | float = DEFAULT_NET_BUDGET,
+    d: int | None = None,
 ) -> CoveringNet:
     """Lay out and count a covering net at resolution ``eps1``; build no member.
 
     The net is ``materialized`` when its size fits within ``m_max``, else
-    ``factored`` when the class has a factored decoder (built here), else
-    ``counted``.
+    ``factored`` when its plan is, else ``counted``.  Given ``d``, a
+    materialized or factored net carries its decoder for targets of length
+    ``d``; without it, nothing past the counts is built.
     """
     if not eps1 > 0.0:
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
     plan = family.net_plan(eps1)
-    fits = plan.size <= m_max
-    decoder = None if fits else family.factored_decoder(plan)
-    mode = "materialized" if fits else "counted" if decoder is None else "factored"
+    mode = "materialized" if plan.size <= m_max else "factored" if plan.factored else "counted"
+    decoder = None
+    if d is not None and mode == "materialized":
+        decoder = family.materialized_decoder(plan, d)
+    elif d is not None and mode == "factored":
+        decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d)
     return CoveringNet(family, mode, plan.size, plan.entropy_bits, plan, decoder)
 
 

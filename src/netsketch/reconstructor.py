@@ -89,8 +89,7 @@ class PreparedSampler:
     """Everything fixed before measuring: dimensions, net, and operator.
 
     ``decoder`` finds the nearest net center, to measurements or to truncated
-    coefficients: the net's own decoder for factored nets, and for
-    materialized nets one over the centers' first ``d`` coefficients.
+    coefficients: the net's decoder, built with the net for this ``d``.
     ``clamped`` says that the Johnson-Lindenstrauss requirement met or
     exceeded ``d``, so ``n = d``: the operator is a full orthogonal map and
     the sketch is exact on the truncated space.
@@ -108,8 +107,11 @@ class PreparedSampler:
     n: int
     operator_seed: int
     net: CoveringNet
-    decoder: FactoredStepDecoder | ConfigurationDecoder
     ambient_dim: int
+
+    @property
+    def decoder(self) -> FactoredStepDecoder | ConfigurationDecoder:
+        return self.net.decoder
 
     @property
     def clamped(self) -> bool:
@@ -156,13 +158,12 @@ def preprocess(
             f"tail model needs truncation dimension {d}, beyond the ambient"
             f" dimension {ambient_dim}"
         )
-    net = build_net(family, eps1, m_max=m_max)
+    net = build_net(family, eps1, m_max=m_max, d=d)
     if net.mode == "counted":
         raise NetTooLargeError(
             f"net with {net.size} centers cannot be decoded: materialization"
             f" is capped at {m_max} and no factored decoder applies"
         )
-    decoder = net.decoder or family.materialized_decoder(net.plan, d)
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
     logger.info(
@@ -182,7 +183,6 @@ def preprocess(
         n=n,
         operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
-        decoder=decoder,
         ambient_dim=ambient_dim,
     )
 

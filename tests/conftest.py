@@ -153,8 +153,8 @@ def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
 def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
     """A step decoder's search from its raw Gram terms, factored on every decode.
 
-    The factored step decoder's search before it kept each operator's and
-    each ``d``'s factor, kept as the oracle.  ``raw`` is ``(v, g00, g0f,
+    The factored step decoder's search before it kept each operator's
+    factor and its coefficient-space one, kept as the oracle.  ``raw`` is ``(v, g00, g0f,
     gff)``: the constant one's image, ``|w(b)|^2``, ``<w(b), v>`` and
     ``|v|^2``.  Every call assembles ``g01 = g0f - g00`` and ``g11 = gff -
     2 g0f + g00``, factors the ``P`` 2x2 Grams and searches them.
@@ -177,10 +177,8 @@ def per_decode_copy(decoder):
     space; ``W R^T v`` and ``|v|^2`` under an operator ``R``).
     """
     reference = copy.copy(decoder)
-
-    def coefficient_terms(d):
-        terms = decoder._coefficient_terms(d)
-        return terms.v, terms.geometry.gram[0][0], decoder._shift, 2.0 * math.pi
+    terms = decoder._coefficient_terms
+    reference._coefficient_terms = (terms.v, terms.geometry.gram[0][0], decoder._shift, 2.0 * math.pi)
 
     def operator_terms(operator):
         terms = decoder._terms.get(operator)
@@ -188,7 +186,6 @@ def per_decode_copy(decoder):
         g0f = decoder._indicator_products(operator.scale * (v @ operator.frame))
         return v, terms.geometry.gram[0][0], g0f, float(np.dot(v, v))
 
-    reference._coefficient_terms = coefficient_terms
     reference._terms = nets._OperatorSlot(operator_terms)
     reference._search = lambda raw, target, pulled: factor_per_decode(decoder, raw, target, pulled)
     return reference

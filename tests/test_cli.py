@@ -493,6 +493,34 @@ def test_output_path_config_key_is_unknown(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+STEP_NET = STEP_CLASS + "eps1 = 1.5\n"
+
+NON_FINITE_CASES = [
+    (["experiment", "run"], SMOOTH_EXPERIMENT, "delta", "nan"),
+    (["experiment", "run"], SMOOTH_EXPERIMENT, "delta", "inf"),
+    (["experiment", "run"], SMOOTH_EXPERIMENT, "jl_constant", "inf"),
+    (["jl", "check"], JL_CHECK, "jl_constant", "inf"),
+    (["net", "build"], STEP_NET, "min_gap", "inf"),
+    (["net", "build"], STEP_NET, "level_bound", "inf"),
+    (["net", "build"], STEP_NET, "eps1", "inf"),
+    (["entropy", "scan"], ENTROPY_SCAN, "eps_values", "0.4,nan,0.1,0.05"),
+    (["tailfit"], TAILFIT, "deriv_bound", "-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, key, value",
+    NON_FINITE_CASES,
+    ids=[f"{command[0]}-{key}-{value}" for command, _, key, value in NON_FINITE_CASES],
+)
+def test_non_finite_config_numbers_exit_one(tmp_path, capsys, command, text, key, value):
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    cfg = _write(tmp_path, "command.cfg", "\n".join([*lines, f"{key} = {value}", ""]))
+    assert main([*command, cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} needs ") and "finite" in err
+
+
 @pytest.mark.parametrize(
     "command, keys",
     [

@@ -49,10 +49,14 @@ from netsketch.nets import (
     grid_count,
     iter_gap_tuples,
     position_grid,
-    symmetric_grid,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def symmetric_grid(bound, step):
+    """The grid an axis covering ``[-bound, bound]`` at ``step`` lays out."""
+    return AxisLog("grid", grid_count(bound, step), step).points()
 
 
 def step_class(**overrides):
@@ -61,10 +65,9 @@ def step_class(**overrides):
     return PiecewiseSmoothClass(**params)
 
 
-def step_decoder(eps1):
-    """The step class's factored decoder at ``eps1``, whatever the net's size."""
-    family = step_class()
-    return family.factored_decoder(family.net_plan(eps1))
+def step_decoder(eps1, d):
+    """The step class's factored decoder at ``eps1`` and ``d``, whatever the net's size."""
+    return build_net(step_class(), eps1, m_max=0, d=d).decoder
 
 
 def factored_size(decoder):
@@ -339,15 +342,17 @@ def test_entropy_bits_match_sizes():
 
 def test_auto_mode_selection_and_budget():
     flat = build_net(step_class(max_jumps=0), 6.0)
-    assert flat.mode == "materialized"
+    assert flat.mode == "materialized" and flat.decoder is None
+    assert isinstance(build_net(step_class(max_jumps=0), 6.0, d=8).decoder, ConfigurationDecoder)
 
-    factored = build_net(step_class(), 0.1)
-    assert factored.mode == "factored"
-    assert factored.decoder is not None
+    # Without a d the net is counted only; with one it carries its decoder.
+    assert build_net(step_class(), 0.1).decoder is None
+    factored = build_net(step_class(), 0.1, d=16)
+    assert factored.mode == "factored" and factored.decoder.d == 16
     assert factored_size(factored.decoder) == factored.size
     # The budget alone chooses: the same net over a small budget is factored.
     assert build_net(step_class(), 1.5).mode == "materialized"
-    over = build_net(step_class(), 1.5, m_max=100)
+    over = build_net(step_class(), 1.5, m_max=100, d=16)
     assert over.mode == "factored" and factored_size(over.decoder) == over.size == 1125
 
     counted = build_net(
@@ -356,6 +361,7 @@ def test_auto_mode_selection_and_budget():
         ),
         0.75,
         m_max=1000,
+        d=16,
     )
     assert counted.mode == "counted"
     assert counted.decoder is None
@@ -379,7 +385,7 @@ def brute_force_coefficients(net, ambient_dim):
 def test_factored_decoder_matches_brute_force_in_coefficient_space():
     family = step_class()
     materialized = build_net(family, 1.5)
-    decoder = step_decoder(1.5)
+    decoder = step_decoder(1.5, 16)
     assert factored_size(decoder) == materialized.size
 
     table = brute_force_coefficients(materialized, 16)
@@ -400,7 +406,7 @@ def test_factored_decoder_matches_brute_force_in_coefficient_space():
 def test_factored_decoder_matches_brute_force_under_measurements():
     family = step_class()
     materialized = build_net(family, 1.5)
-    decoder = step_decoder(1.5)
+    decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 7, seed=9)
     rows = operator.scale * operator.frame
     table = brute_force_coefficients(materialized, 16) @ rows.T
@@ -418,7 +424,7 @@ def test_factored_decoder_matches_brute_force_under_measurements():
 def test_decoded_distance_is_exact_next_to_a_member():
     family = step_class()
     materialized = build_net(family, 1.5)
-    decoder = step_decoder(1.5)
+    decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 7, seed=9)
     coefficients = brute_force_coefficients(materialized, 16)
     table = coefficients @ (operator.scale * operator.frame).T
@@ -454,9 +460,9 @@ def test_indicator_products_match_the_dense_closed_form():
     # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 70 (even); d = 300 puts
     # frequencies past P / 2, where they alias on the breakpoint grid.
     for eps1, count in ((1.5, 45), (1.2, 70)):
-        decoder = step_decoder(eps1)
-        assert decoder.positions.size == count
         for d in (1, 2, 3, 16, 17, 300, 301):
+            decoder = step_decoder(eps1, d)
+            assert decoder.positions.size == count
             w = dense_indicator_rows(decoder.positions, d)
             # One vector, or a block of rows along the leading axis.
             for shape in ((d,), (4, d)):
@@ -465,7 +471,7 @@ def test_indicator_products_match_the_dense_closed_form():
                 assert products.shape == shape[:-1] + (count,)
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
-                decoder._coefficient_terms(d).geometry.gram[0][0],
+                decoder._coefficient_terms.geometry.gram[0][0],
                 np.einsum("ij,ij->i", w, w),
                 rtol=0.0,
                 atol=1e-12,
@@ -478,8 +484,8 @@ def test_operator_terms_match_the_dense_closed_form():
     # 300 is past P / 2, so it folds onto the grid; n = d is the clamped case.
     # At d = 64, n = 32 and 64 fill whole blocks of the square-sum's rows.
     for eps1 in (1.5, 1.2):
-        decoder = step_decoder(eps1)
         for d in (1, 2, 3, 16, 17, 64, 300, 301):
+            decoder = step_decoder(eps1, d)
             w = dense_indicator_rows(decoder.positions, d)
             for n in sorted({1, max(1, d // 2), d}):
                 operator = random_subspace(d, n, seed=1000 * d + n)
@@ -522,7 +528,7 @@ def test_square_sum_series_vanish_past_the_degree():
 def test_decoder_rejects_positions_off_the_uniform_grid():
     positions = np.linspace(-3.0, 3.0, 8)
     with pytest.raises(UsageError):
-        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5)
+        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, 8)
 
 
 def test_operator_terms_follow_the_operator():
@@ -536,7 +542,7 @@ def test_operator_terms_follow_the_operator():
 
     # Both decoders keep per-operator terms in one shared slot.
     for make_decoder in (
-        lambda: step_decoder(1.5),
+        lambda: step_decoder(1.5, 40),
         lambda: step_class().materialized_decoder(plan, 40),
     ):
         expected = [decode_all(make_decoder(), operator) for operator in operators]
@@ -578,7 +584,7 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
         monkeypatch.setattr(decoder_class, name, counted_build)
     y = np.random.default_rng(43).normal(size=9)
     for make_decoder in (
-        lambda: step_decoder(1.5),
+        lambda: step_decoder(1.5, 40),
         lambda: step_class().materialized_decoder(plan, 40),
     ):
         builds.clear()
@@ -599,11 +605,10 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
 def test_operator_terms_make_no_frame_sized_copy():
     # At the bench shape (P = 10,054, d = 1,886, n = 710) the build holds
     # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
-    # frame; the chirp-z plans it builds on a fresh decoder are counted too.
-    # One block's series and grid (1.05 MB each) are released before the
-    # next block's are built, so the peak stays under 3 MB (4.6 MB when two
-    # blocks' arrays were alive at once).
-    decoder = step_decoder(0.1)
+    # frame.  One block's series and grid (1.05 MB each) are released before
+    # the next block's are built, so the peak stays under 3 MB (4.6 MB when
+    # two blocks' arrays were alive at once).
+    decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 10054
     operator = random_subspace(1886, 710, seed=1)
     tracemalloc.start()
@@ -617,38 +622,33 @@ def test_operator_terms_make_no_frame_sized_copy():
 
 
 def test_indicator_norms_are_built_once_per_dimension():
-    targets = {
-        d: np.random.default_rng(d).normal(scale=0.7, size=(6, d)) for d in (40, 41)
-    }
-
-    def decode_all(decoder, d):
-        results = [decoder.decode_coefficients(target) for target in targets[d]]
+    # A decoder serves one d: it builds its coefficient-space terms at
+    # construction, keeps them read-only, and refuses every other length.
+    def decode_all(decoder, targets):
+        results = [decoder.decode_coefficients(target) for target in targets]
         return [(result.index, result.distance) for result in results]
 
-    def fresh():
-        return step_decoder(1.5)
-
-    # A fresh decoder per dimension builds the terms on its first call.
-    expected = {d: decode_all(fresh(), d) for d in targets}
-    decoder = fresh()
-    kept = {d: decoder._coefficient_terms(d) for d in targets}
-    for d, terms in kept.items():
-        assert decoder._coefficient_terms(d) is terms
+    for d in (40, 41):
+        targets = np.random.default_rng(d).normal(scale=0.7, size=(6, d))
+        expected = decode_all(step_decoder(1.5, d), targets)
+        decoder = step_decoder(1.5, d)
+        terms = decoder._coefficient_terms
         norms = terms.geometry.gram[0][0]
         assert not norms.flags.writeable
-        assert np.array_equal(norms, fresh()._coefficient_terms(d).geometry.gram[0][0])
-    # Threads sharing one decoder across both dimensions, switching often.
-    shared = fresh()
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            dims = [40 + k % 2 for k in range(8)]
-            futures = [pool.submit(decode_all, shared, d) for d in dims]
-            for d, future in zip(dims, futures):
-                assert future.result(timeout=60) == expected[d]
-    finally:
-        sys.setswitchinterval(previous)
+        assert np.array_equal(norms, step_decoder(1.5, d)._coefficient_terms.geometry.gram[0][0])
+        # Threads sharing the decoder, switching often.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(decode_all, decoder, targets) for _ in range(8)]
+                for future in futures:
+                    assert future.result(timeout=60) == expected
+        finally:
+            sys.setswitchinterval(previous)
+        assert decoder._coefficient_terms is terms
+        with pytest.raises(UsageError):
+            decoder.decode_coefficients(np.zeros(81 - d))
 
 
 def geometry_arrays(geometry):
@@ -671,14 +671,15 @@ def test_each_geometry_is_factored_once(monkeypatch):
     monkeypatch.setattr(nets, "_grid_geometry", counting)
     rng = np.random.default_rng(53)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
-    step = step_decoder(1.5)
+    step = step_decoder(1.5, 40)
+    assert len(factored) == 1  # coefficient space, at construction
     for _ in range(10):
         step.decode_measurements(rng.normal(size=9), operators[0])
         step.decode_coefficients(rng.normal(scale=0.7, size=40))
-    assert len(factored) == 1 + 1  # one operator, one d
+    assert len(factored) == 1 + 1  # and one operator
     step.decode_measurements(rng.normal(size=9), operators[1])
     assert len(factored) == 3
-    kept = [step._coefficient_terms(40), step._terms.get(operators[1])]
+    kept = [step._coefficient_terms, step._terms.get(operators[1])]
 
     plan = step_class().net_plan(1.5)
     factored.clear()
@@ -689,7 +690,7 @@ def test_each_geometry_is_factored_once(monkeypatch):
             materialized.decode_measurements(rng.normal(size=9), operator)
         materialized.decode_coefficients(rng.normal(scale=0.7, size=40))
         assert len(factored) == count
-    kept += [materialized._coefficient_terms(40), materialized._terms.get(operators[1])]
+    kept += [materialized._coefficient_terms, materialized._terms.get(operators[1])]
 
     for terms in kept:
         arrays = geometry_arrays(terms.geometry)
@@ -699,8 +700,7 @@ def test_each_geometry_is_factored_once(monkeypatch):
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
-    family = step_class()
-    decoder = step_decoder(1.5)
+    decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 16, seed=5)
     rng = np.random.default_rng(31)
     for _ in range(8):
@@ -789,8 +789,9 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
 
 def test_decoder_input_validation():
     operator = random_subspace(16, 7, seed=9)
+    other = random_subspace(17, 7, seed=9)
     for decoder in (
-        step_decoder(1.5),
+        step_decoder(1.5, 16),
         step_class().materialized_decoder(step_class().net_plan(1.5), 16),
     ):
         with pytest.raises(UsageError):
@@ -799,11 +800,15 @@ def test_decoder_input_validation():
             decoder.decode_coefficients(np.array([]))
         with pytest.raises(UsageError):
             decoder.decode_measurements(np.zeros(6), operator)
-    # The maps fix d: other lengths and operators are refused.
-    with pytest.raises(UsageError):
-        decoder.decode_coefficients(np.zeros(15))
-    with pytest.raises(UsageError):
-        decoder.decode_measurements(np.zeros(7), random_subspace(17, 7, seed=9))
+        # A decoder serves one d: other lengths and operators are refused,
+        # before any terms are built for them.
+        with pytest.raises(UsageError):
+            decoder.decode_coefficients(np.zeros(15))
+        with pytest.raises(UsageError):
+            decoder.decode_measurements(np.zeros(7), other)
+        with pytest.raises(UsageError):
+            decoder.prepare(other)
+        assert decoder._terms._held is None
     with pytest.raises(UsageError):
         dataclasses.replace(decoder, maps=decoder.maps[1:])
 
@@ -840,7 +845,7 @@ def grid_decoder(count, periodic):
     eps1 = (4.0 if periodic else 2.0) * 2.0 * math.sqrt(pitch)
     assert position_grid(eps1, 1, 1.0, periodic)[0] == count
     plan = NetPlan(eps1, (), 1, breakpoint_count=count, periodic=periodic)
-    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5)
+    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5, 1)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -854,7 +859,7 @@ def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
     for width in (1, 2, count // 2, count, 3 * count + 1):
         for shape in ((width,), (3, width)):
             series = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            got = decoder._on_breakpoints(series)
+            got = decoder._on_breakpoints(series, nets._chirp_plan(decoder.positions, width))
             want = length_p_on_breakpoints(decoder.positions, series)
             assert got.shape == want.shape and got.flags.c_contiguous
             scale = np.sum(np.abs(series), axis=-1, keepdims=True)
@@ -862,7 +867,7 @@ def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
     # Real series too, as the indicator norms pass.
     series = rng.normal(size=count + 3)
     np.testing.assert_allclose(
-        decoder._on_breakpoints(series),
+        decoder._on_breakpoints(series, nets._chirp_plan(decoder.positions, count + 3)),
         length_p_on_breakpoints(decoder.positions, series),
         rtol=0.0,
         atol=1e-12 * np.sum(np.abs(series)),
@@ -870,16 +875,9 @@ def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
 
 
 def test_chirp_plans_are_built_once_per_length(monkeypatch):
-    widths = (21, 41)
-    series = {
-        width: np.random.default_rng(width).normal(size=(2, width)) + 0.5j
-        for width in widths
-    }
-
-    def fresh():
-        return step_decoder(1.5)
-
-    expected = {width: fresh()._on_breakpoints(series[width]) for width in widths}
+    # A decoder builds one plan per series length it transforms, K + 1,
+    # 2 K + 1 and d + 1 for K = d // 2, at construction; decodes in threads
+    # sharing it build none.
     built = []
     real_plan = nets._chirp_plan
 
@@ -887,42 +885,49 @@ def test_chirp_plans_are_built_once_per_length(monkeypatch):
         built.append(width)
         return real_plan(positions, width)
 
+    def decodes(decoder, targets, operator):
+        results = [decoder.decode_coefficients(target) for target in targets]
+        results += [
+            decoder.decode_measurements(apply_operator(operator, target), operator)
+            for target in targets
+        ]
+        return [(result.index, result.distance) for result in results]
+
     monkeypatch.setattr(nets, "_chirp_plan", counting_plan)
-    # Threads sharing one decoder across both lengths, switching often.
-    shared = fresh()
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            chosen = [widths[k % 2] for k in range(8)]
-            futures = [pool.submit(shared._on_breakpoints, series[w]) for w in chosen]
-            for width, future in zip(chosen, futures):
-                assert np.array_equal(future.result(timeout=60), expected[width])
-    finally:
-        sys.setswitchinterval(previous)
-    assert sorted(built) == list(widths)
-    assert sorted(shared._plans) == list(widths)
-    for width, plan in shared._plans.items():
-        for array in (plan.input_factor, plan.kernel_spectrum, plan.output_chirp):
-            assert not array.flags.writeable
-        shared._on_breakpoints(series[width])
-        assert shared._plans[width] is plan
-    assert sorted(built) == list(widths)
+    for d, widths in ((40, [21, 41]), (41, [21, 41, 42])):
+        operator = random_subspace(d, 9, seed=d)
+        targets = np.random.default_rng(d).normal(scale=0.7, size=(3, d))
+        expected = decodes(step_decoder(1.5, d), targets, operator)
+        built.clear()
+        shared = step_decoder(1.5, d)
+        assert sorted(built) == sorted(shared._plans) == widths
+        for width, plan in shared._plans.items():
+            assert plan.input_factor.size == width
+            for array in (plan.input_factor, plan.kernel_spectrum, plan.output_chirp):
+                assert not array.flags.writeable
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(decodes, shared, targets, operator) for _ in range(8)]
+                for future in futures:
+                    assert future.result(timeout=60) == expected
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(built) == widths
 
 
-def fresh_buffers_on_breakpoints(decoder, series):
+def fresh_buffers_on_breakpoints(plan, series):
     """Reference: ``_on_breakpoints`` with new buffers on every call.
 
     The transform before it reused one buffer per thread, kept as the
     oracle: the zero-padded input and the forward FFT are allocated by
     ``np.fft.fft``, and the inverse FFT writes over the spectrum.
     """
-    decoder._on_breakpoints(series)  # builds the plan
-    plan = decoder._plans[series.shape[-1]]
     spectrum = np.fft.fft(series * plan.input_factor, n=plan.kernel_spectrum.size, axis=-1)
     spectrum *= plan.kernel_spectrum
     convolved = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
-    values = convolved[..., : decoder.positions.size]
+    values = convolved[..., : plan.output_chirp.size]
     values *= plan.output_chirp
     return np.ascontiguousarray(values.real)
 
@@ -930,23 +935,24 @@ def fresh_buffers_on_breakpoints(decoder, series):
 def test_reused_fft_buffer_gives_the_fresh_buffers_bits():
     # Widths of three FFT lengths, taken longest first so that later calls
     # find a longer buffer holding an earlier call's data.
-    decoder = step_decoder(0.1)
+    decoder = step_decoder(0.1, 1886)
+    assert sorted(decoder._plans) == [944, 1_887]
+    plans = {**decoder._plans, 1: nets._chirp_plan(decoder.positions, 1)}
     rng = np.random.default_rng(59)
     cases = []
     for width in (1_887, 944, 1, 944, 1_887):
         for shape in ((width,), (3, width)):
-            cases.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        cases.append(rng.normal(size=width))  # real series, as the norms pass
-    reference = step_decoder(0.1)
-    expected = [fresh_buffers_on_breakpoints(reference, series).tobytes() for series in cases]
-    results = [decoder._on_breakpoints(series) for series in cases]
+            cases.append((rng.normal(size=shape) + 1j * rng.normal(size=shape), plans[width]))
+        cases.append((rng.normal(size=width), plans[width]))  # real series, as the norms pass
+    expected = [fresh_buffers_on_breakpoints(plan, series).tobytes() for series, plan in cases]
+    results = [decoder._on_breakpoints(*case) for case in cases]
     # No result is a view of the buffer a later call wrote over.
     assert [result.tobytes() for result in results] == expected
     assert all(result.flags.owndata and result.flags.c_contiguous for result in results)
 
     # Four threads sharing one decoder, each with its own buffer.
     def run_all(order):
-        return [decoder._on_breakpoints(cases[k]).tobytes() == expected[k] for k in order]
+        return [decoder._on_breakpoints(*cases[k]).tobytes() == expected[k] for k in order]
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -959,10 +965,10 @@ def test_reused_fft_buffer_gives_the_fresh_buffers_bits():
         sys.setswitchinterval(previous)
 
     # One breakpoint: a length-1 real part is contiguous, and must still be a copy.
-    single = FactoredStepDecoder(np.array([0.0]), symmetric_grid(1.0, 0.5), 0.5)
-    first = single._on_breakpoints(np.array([1.0, 2.0]))
+    single = FactoredStepDecoder(np.array([0.0]), symmetric_grid(1.0, 0.5), 0.5, 2)
+    first = single._on_breakpoints(np.array([1.0, 2.0]), single._plans[2])
     kept = first.copy()
-    single._on_breakpoints(np.array([5.0, -3.0]))
+    single._on_breakpoints(np.array([5.0, -3.0]), single._plans[2])
     assert first.tobytes() == kept.tobytes()
 
 
@@ -997,9 +1003,9 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
                 n //= p
         return n
 
-    decoder = step_decoder(0.1)
-    assert decoder.positions.size == 10_054
     d = 1_886  # the bench's fitted d and n at seed 1
+    decoder = step_decoder(0.1, d)
+    assert decoder.positions.size == 10_054
     operator = random_subspace(d, 710, seed=3)
     target = step_member_coefficients(decoder.positions[1234], 0.5, -0.25, d)
     decoder.prepare(operator)
@@ -1049,11 +1055,11 @@ def full_sweep(self, terms, target, pulled):
     return p_idx, (c0_idx, int(k[p_idx, c0_idx]) + half)
 
 
-@functools.lru_cache(maxsize=1)
-def bench_step_decoders():
-    """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1), and
-    a copy that sweeps every breakpoint."""
-    decoder = step_decoder(0.1)
+@functools.lru_cache(maxsize=2)
+def bench_step_decoders(d):
+    """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1) and
+    ``d``, and a copy that sweeps every breakpoint."""
+    decoder = step_decoder(0.1, d)
     assert (decoder.positions.size, decoder.levels.size) == (10_054, 71)
     reference = copy.copy(decoder)
     reference._search = types.MethodType(full_sweep, reference)
@@ -1081,8 +1087,8 @@ def assert_same_decode(got, want):
     data_seed=st.integers(0, 2**31 - 1),
 )
 def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_seed):
-    decoder, reference = bench_step_decoders()
     d, n = 300, 150
+    decoder, reference = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=operator_seed)
     rng = np.random.default_rng(data_seed)
     if kind == "constant":
@@ -1106,10 +1112,10 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
 def test_kept_factor_decodes_as_the_per_decode_factor():
     # The kept geometry must give the bits of assembling and factoring the
     # 2x2 Grams on every decode, in both spaces, ties included.
-    decoder, _ = bench_step_decoders()
+    d, n = 300, 150
+    decoder, _ = bench_step_decoders(d)
     assert decoder.positions.size >= 1_000
     reference = per_decode_copy(decoder)
-    d, n = 300, 150
     operator = random_subspace(d, n, seed=61)
     rng = np.random.default_rng(61)
     targets = [rng.normal(scale=0.5, size=d) for _ in range(4)]
@@ -1126,25 +1132,27 @@ def test_kept_factor_decodes_as_the_per_decode_factor():
     for target in targets:
         assert decodes(decoder, target, operator) == decodes(reference, target, operator)
 
-    # Four threads sharing one fresh decoder across d 40 and 41, both spaces.
-    shared = step_decoder(0.1)
-    operators = {d: random_subspace(d, 20, seed=d) for d in (40, 41)}
-    cases = [(d, rng.normal(scale=0.7, size=d)) for d in (40, 41) for _ in range(4)]
-    expected = [decodes(reference, target, operators[d]) for d, target in cases]
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(decodes, shared, target, operators[d]) for d, target in cases * 2]
-            for want, future in zip(expected * 2, futures):
-                assert future.result(timeout=120) == want
-    finally:
-        sys.setswitchinterval(previous)
+    # Four threads sharing one fresh decoder at each of d 40 and 41, both spaces.
+    for d in (40, 41):
+        shared = step_decoder(0.1, d)
+        reference = per_decode_copy(step_decoder(0.1, d))
+        operator = random_subspace(d, 20, seed=d)
+        cases = [rng.normal(scale=0.7, size=d) for _ in range(4)]
+        expected = [decodes(reference, target, operator) for target in cases]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(decodes, shared, target, operator) for target in cases * 2]
+                for want, future in zip(expected * 2, futures):
+                    assert future.result(timeout=120) == want
+        finally:
+            sys.setswitchinterval(previous)
 
 
 def test_pruning_sweeps_few_breakpoints(caplog):
-    decoder, _ = bench_step_decoders()
     d, n = 1_886, 710  # the bench's fitted d and n at seed 1
+    decoder, _ = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=11)
     rng = np.random.default_rng(101)
     targets = []

@@ -87,6 +87,26 @@ jl_constant = 4.0
 tail_dims = 32,64,128,256
 """
 
+# A step class over m_max = 100: a factored net, whose decoder the bench sizes.
+FACTORED_EXPERIMENT = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 3.0
+p = 0.5
+trials = 2
+mode = fixed_w
+seed = 5
+jl_constant = 0.5
+m_max = 100
+ambient_dim = 512
+tail_samples = 10
+tail_dims = 32,64,128
+"""
+
 
 @pytest.mark.parametrize(
     "command, config, spans",
@@ -101,6 +121,15 @@ tail_dims = 32,64,128,256
             },
         ),
         (
+            ["experiment", "run"],
+            FACTORED_EXPERIMENT,
+            {
+                ("reconstructor.preprocess", "experiment.setup"): 1,
+                ("nets.decode_measurements", "reconstructor.reconstruct"): 2,
+                ("nets.decode_coefficients", "experiment.trial"): 2,
+            },
+        ),
+        (
             ["jl", "check"],
             "d = 32\nm = 4\nseeds = 3\nseed = 1\njl_constant = 4.0\n",
             {
@@ -111,7 +140,7 @@ tail_dims = 32,64,128,256
             },
         ),
     ],
-    ids=["experiment_run", "jl_check"],
+    ids=["experiment_run", "factored_experiment_run", "jl_check"],
 )
 def test_traced_command_opens_every_cli_layer(tmp_path, command, config, spans):
     # The bench wraps these names where cli calls them; a front end that

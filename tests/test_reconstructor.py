@@ -286,7 +286,7 @@ def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
         decoder.axes,
         decoder.member,
     )
-    tied = replace(smooth_sampler, decoder=tied_decoder)
+    tied = replace(smooth_sampler, net=replace(smooth_sampler.net, decoder=tied_decoder))
     rows = decoder_rows(tied_decoder)
     measured = np.array([apply_operator(tied.operator, row) for row in rows])
     size = smooth_sampler.net.size
@@ -368,9 +368,9 @@ def test_reconstruct_factored_agrees_with_materialized():
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
     assert s.net.mode == "materialized" and s.net.size == 1125
     assert s.d == 300 and s.n == 282 and not s.clamped
-    factored_net = build_net(family, s.eps1, m_max=100)
+    factored_net = build_net(family, s.eps1, m_max=100, d=s.d)
     assert factored_net.mode == "factored"
-    factored = replace(s, net=factored_net, decoder=factored_net.decoder)
+    factored = replace(s, net=factored_net)
     probe = np.random.default_rng(43)
     for _ in range(10):
         x = family.to_signal(family.sample(probe, 512), 512)
