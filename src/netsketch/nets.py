@@ -4,15 +4,15 @@ A covering net for a function class at resolution ``eps1`` is a finite set of
 members within ``eps1`` (in L2) of every member of the class.  A net is its
 layout, a ``NetPlan``, and the counts that follow from it; no member is built
 to count one, so counting works at any scale.  ``build_net`` labels a net by
-how it decodes and, given the truncation dimension ``d``, builds its decoder:
+the decoder its plan calls for and, given the truncation dimension ``d``,
+builds it:
 
-- ``materialized``: at most ``m_max`` centers, decoded by
-  ``ConfigurationDecoder`` from one ``d x k`` linear map per breakpoint
-  configuration (``FunctionClass.materialized_decoder``).
-- ``factored``: over the budget, for plans marked ``factored`` (single-jump
-  piecewise-constant classes); ``FactoredStepDecoder`` gets every
-  breakpoint's terms at once from closed forms and FFTs.
-- ``counted``: over the budget with no factored decoder: counts only.
+- ``factored``: plans marked ``factored`` (single-jump piecewise-constant
+  classes), at any size: ``FactoredStepDecoder`` gets every breakpoint's
+  terms at once from closed forms and FFTs.
+- ``configurations``: every other plan, by ``ConfigurationDecoder`` from one
+  ``d x k`` linear map per breakpoint configuration, built for at most
+  ``m_max`` centers (``FunctionClass.materialized_decoder``).
 
 A decoder serves one ``d``.  Its terms are its search geometry, each
 configuration's factored Gram, built at construction and once per operator;
@@ -40,7 +40,7 @@ from typing import IO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NetTooLargeError, UsageError
 from .hilbert import PiecewiseDescription, dump_signal
 
 __all__ = [
@@ -263,8 +263,9 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     is the continuous minimum and term ``i`` depends on ``x_0 .. x_i`` only.
     So a leaf reaches the incumbent ``U`` only if, for every ``j``, ``x_j``
     is within ``sqrt((U - beta) / D_j)`` of its centre ``a_j - sum_{m<j}
-    U_mj x_m``.  The configuration with the least ``beta`` is swept whole
-    for ``U``; then it and every other with ``lower = beta - slack <= U``
+    U_mj x_m``.  One leaf of the configuration with the least ``beta`` gives
+    ``U``: each centre in turn rounded onto its grid, the last axis solved;
+    then that configuration and every other with ``lower = beta - slack <= U``
     are expanded axis by axis, breadth first, one ``np.repeat`` per axis, by
     each window, and the near-singular ones (``valid`` false) whole.  Leaves
     stay in index order, so the argmin is the exhaustive one, bits and ties
@@ -331,7 +332,11 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
             objective, last = _leaf_objective(gram, projections, rows, values, step, grids[-1].size)
             return objective, rows, [*indices, last], frontier
 
-        incumbent = float(np.min(leaves(np.array([seed]), np.array([np.inf]))[0]))
+        seeded = []
+        for j, grid in enumerate(grids[:-1]):
+            centre = centres[j][seed] - sum(upper[m][j][seed] * seeded[m] for m in range(j))
+            seeded.append(grid[np.argmin(np.abs(grid - centre))])
+        incumbent = float(_leaf_objective(gram, projections, [seed], seeded, step, grids[-1].size)[0][0])
         keep = ~valid | (lower <= incumbent)
         keep[seed] = True
         rows = np.flatnonzero(keep)
@@ -554,10 +559,10 @@ class FactoredStepDecoder(_GridDecoder):
         self._shift.setflags(write=False)
         self._grids, self._step = (self.levels, self.levels), self.level_step
         self._fft_buffers = threading.local()
-        # Series of degree K = d // 2 (indicator products), 2 K (square-sums)
-        # and d (indicator norms): two plans, or three for an odd d.
+        # Series of degree K = d // 2 (indicator products) and at most 2 K
+        # (square-sums and indicator norms): two plans at every d.
         degree = self.d // 2
-        widths = sorted({degree + 1, 2 * degree + 1, self.d + 1})
+        widths = {degree + 1, 2 * degree + 1}
         self._plans = {width: _chirp_plan(self.positions, width) for width in widths}
         self._coefficient_terms = self._norm_terms()
         self._terms = _OperatorSlot(self._operator_terms)
@@ -615,13 +620,13 @@ class FactoredStepDecoder(_GridDecoder):
         n_sin = (d - 1) // 2
         js = np.arange(1, d // 2 + 1)
         weights_sq = 1.0 / (math.pi * js**2)
-        series = np.zeros(d + 1)
+        series = np.zeros(2 * js.size + 1)
         series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
         alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
         series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
         if d % 2 == 0:
             series[d] = -weights_sq[-1] / 2.0
-        norms = self._on_breakpoints(series, self._plans[d + 1]) + self._shift**2 / TWO_PI
+        norms = self._on_breakpoints(series, self._plans[series.size]) + self._shift**2 / TWO_PI
         v = np.eye(1, d)[0] * _SQRT_2PI
         return self._step_terms(v, norms, self._shift, TWO_PI)
 
@@ -733,7 +738,7 @@ class ConfigurationDecoder(_GridDecoder):
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A net's layout and counts; ``decoder``, when built for a ``d``, decodes it."""
+    """A net's layout and counts; ``decoder``, when built for a ``d``, decodes it; ``mode`` names it."""
 
     family: object
     mode: str
@@ -741,6 +746,7 @@ class CoveringNet:
     entropy_bits: float
     plan: NetPlan
     decoder: FactoredStepDecoder | ConfigurationDecoder | None = field(default=None)
+    m_max: int | float = DEFAULT_NET_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +763,7 @@ class NetPlan:
     consecutive indices at least ``index_gap`` apart) times one point on
     each axis.  The grid, ``positions``, is built on first use only.
     ``factored``: one jump and two axes on one level grid, which
-    ``FactoredStepDecoder`` searches without enumerating the net.
+    ``FactoredStepDecoder`` searches at any size without enumerating the net.
     """
 
     eps1: float
@@ -833,31 +839,33 @@ def build_net(
 ) -> CoveringNet:
     """Lay out and count a covering net at resolution ``eps1``; build no member.
 
-    The net is ``materialized`` when its size fits within ``m_max``, else
-    ``factored`` when its plan is, else ``counted``.  Given ``d``, a
-    materialized or factored net carries its decoder for targets of length
-    ``d``; without it, nothing past the counts is built.
+    The plan alone picks the decoder, ``factored`` or ``configurations``.
+    Given ``d``, the net carries it for targets of length ``d``, but maps for
+    more than ``m_max`` centers are refused; without ``d``, nothing past the
+    counts is built.
     """
     if not eps1 > 0.0:
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
     plan = family.net_plan(eps1)
-    mode = "materialized" if plan.size <= m_max else "factored" if plan.factored else "counted"
+    mode = "factored" if plan.factored else "configurations"
     decoder = None
-    if d is not None and mode == "materialized":
-        decoder = family.materialized_decoder(plan, d)
-    elif d is not None and mode == "factored":
+    if d is not None and plan.factored:
         decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d)
-    return CoveringNet(family, mode, plan.size, plan.entropy_bits, plan, decoder)
+    elif d is not None:
+        if plan.size > m_max:
+            raise NetTooLargeError(f"net with {plan.size} centers is over m_max = {m_max}: no maps are built")
+        decoder = family.materialized_decoder(plan, d)
+    return CoveringNet(family, mode, plan.size, plan.entropy_bits, plan, decoder, m_max)
 
 
 # ---------------------------------------------------------------------------
-# Serialization (materialized nets only)
+# Serialization (nets of at most m_max centers)
 # ---------------------------------------------------------------------------
 
 
 def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
-    if net.mode != "materialized":
-        raise UsageError(f"only materialized nets can be serialized, not {net.mode}")
+    if net.size > net.m_max:
+        raise NetTooLargeError(f"net with {net.size} centers is over m_max = {net.m_max}: not written")
     spec = net.family.spec_string()
     stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
     for index, member in enumerate(net.family.enumerate_members(net.plan)):

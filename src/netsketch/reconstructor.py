@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import AmbientTooSmallError, NetTooLargeError, UsageError
+from .errors import AmbientTooSmallError, UsageError
 from .function_classes import TailDecayModel
 from .hilbert import DEFAULT_AMBIENT_DIM, Signal
 from .jl import (
@@ -159,21 +159,10 @@ def preprocess(
             f" dimension {ambient_dim}"
         )
     net = build_net(family, eps1, m_max=m_max, d=d)
-    if net.mode == "counted":
-        raise NetTooLargeError(
-            f"net with {net.size} centers cannot be decoded: materialization"
-            f" is capped at {m_max} and no factored decoder applies"
-        )
     wanted = required_measurements(p, net.size + 1, jl_constant)
     n = min(wanted, d)
     logger.info(
-        "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s",
-        eps,
-        d,
-        n,
-        wanted,
-        net.size,
-        net.mode,
+        "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s", eps, d, n, wanted, net.size, net.mode
     )
     return PreparedSampler(
         eps=eps,

@@ -35,8 +35,8 @@ jl_constant = 4.0
 tail_dims = 32,64,128,256
 """
 
-# A step class over m_max = 100 forces the factored decoder; jl_constant 0.5
-# keeps n below d, and the auto noise level makes every trial noisy.
+# A step class decodes factored; jl_constant 0.5 keeps n below d, and the
+# auto noise level makes every trial noisy.
 FACTORED_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -51,7 +51,6 @@ mode = {mode}
 seed = 5
 delta = auto
 jl_constant = 0.5
-m_max = 100
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
@@ -72,16 +71,16 @@ mode = fixed_x
 seed = 101
 """
 
-# The same class at a coarse resolution materializes its 1,125 centers;
-# jl_constant 0.1 keeps n below d.
+# The degree-1, one-jump class decodes by its 26 configurations' maps
+# (355,914 centers); jl_constant 0.1 keeps n below d.
 MATERIALIZED_EXPERIMENT = """
 class = piecewise
-degree = 0
+degree = 1
 max_jumps = 1
 deriv_bound = 1.0
 min_gap = 0.5
 level_bound = 1.0
-eps = 9.0
+eps = 12.0
 p = 0.5
 trials = 12
 mode = {mode}
@@ -196,7 +195,7 @@ def test_factored_experiment_run_is_jobs_invariant(tmp_path, capsys):
     for name, config, net_mode in (
         ("fixed_w", FACTORED_EXPERIMENT.format(mode="fixed_w"), "factored"),
         ("fixed_x", FACTORED_EXPERIMENT.format(mode="fixed_x"), "factored"),
-        ("materialized", MATERIALIZED_EXPERIMENT.format(mode="fixed_x"), "materialized"),
+        ("materialized", MATERIALIZED_EXPERIMENT.format(mode="fixed_x"), "configurations"),
     ):
         cfg = _write(tmp_path, f"{name}.cfg", config)
         one, two = tmp_path / f"{name}_1", tmp_path / f"{name}_2"
@@ -265,7 +264,7 @@ def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     assert main(["experiment", "run", cfg, "--out", str(out)]) == 0
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
-    assert summary["net_mode"] == "materialized"
+    assert summary["net_mode"] == "configurations"
     assert summary["d"] < summary["ambient_dim"]
     [plan] = plans
     assert plan.size == summary["net_size"]
@@ -359,9 +358,36 @@ def test_net_build_mode_key_is_unknown(tmp_path, capsys):
 
 
 def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
-    cfg = _write(tmp_path, "net.cfg", NET_BUILD + "m_max = 10\n")
-    assert main(["net", "build", cfg, "--out", str(tmp_path / "net.txt")]) == 1
-    assert "materialized" in capsys.readouterr().err
+    # A net over m_max is counted only, whichever decoder its plan calls for;
+    # a step net within it is dumped, and is factored.
+    step = STEP_CLASS + "eps1 = 1.5\nambient_dim = 8\n"
+    out = tmp_path / "net.txt"
+    assert main(["net", "build", _write(tmp_path, "step.cfg", step), "--out", str(out)]) == 0
+    assert "mode=factored size=1125 " in capsys.readouterr().out
+    header, blocks = split_net_text(out.read_text(encoding="utf-8"))
+    assert header.startswith("eps1=1.5 M=1125 ") and len(blocks) == 1125
+    for text, mode in ((NET_BUILD, "configurations"), (step, "factored")):
+        cfg = _write(tmp_path, "over.cfg", text + "m_max = 10\n")
+        assert main(["net", "build", cfg]) == 0
+        assert f"mode={mode} " in capsys.readouterr().out
+        assert main(["net", "build", cfg, "--out", str(tmp_path / "over.txt")]) == 1
+        assert "over m_max = 10: not written" in capsys.readouterr().err
+
+
+def test_experiment_over_m_max_exits_before_building_maps(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        function_classes.FunctionClass, "materialized_decoder", lambda *args: built.append(args)
+    )
+    text = TAILFIT.replace("validation_samples = 20\n", "") + (
+        "eps = 4.5\np = 0.5\ntrials = 2\nmode = fixed_w\nm_max = 1000\n"
+        "ambient_dim = 512\ntail_samples = 10\ntail_dims = 32,64,128\n"
+    )
+    cfg = _write(tmp_path, "exp.cfg", text)
+    assert main(["experiment", "run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "over m_max = 1000: no maps are built" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

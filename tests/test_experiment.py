@@ -175,7 +175,7 @@ def test_run_experiment_smooth_baseline(smooth_result):
     assert summary["success_rate"] == 1.0
     assert summary["success_count"] == 6
     assert summary["net_size"] == 39
-    assert summary["net_mode"] == "materialized"
+    assert summary["net_mode"] == "configurations"
     assert summary["clamped"] and summary["n"] == summary["d"]
     assert summary["theorem_bound_check"]
     assert summary["implication_premise_trials"] == 6
@@ -228,7 +228,7 @@ def test_operator_draws_per_run(monkeypatch, jobs):
     assert min(draws) >= 1
 
 
-# A step class over m_max = 100 forces the factored decoder.
+# A step class: its net decodes factored, whatever its size.
 FACTORED_FIXED_W_CONFIG = """
 class = piecewise
 degree = 0
@@ -242,7 +242,6 @@ trials = 4
 mode = fixed_w
 seed = 5
 jl_constant = 0.5
-m_max = 100
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128

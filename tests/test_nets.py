@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsketch import nets
-from netsketch.errors import UsageError
+from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
@@ -66,8 +66,8 @@ def step_class(**overrides):
 
 
 def step_decoder(eps1, d):
-    """The step class's factored decoder at ``eps1`` and ``d``, whatever the net's size."""
-    return build_net(step_class(), eps1, m_max=0, d=d).decoder
+    """The step class's factored decoder at ``eps1`` and ``d``."""
+    return build_net(step_class(), eps1, d=d).decoder
 
 
 def factored_size(decoder):
@@ -157,7 +157,7 @@ def test_flat_class_net_is_a_single_member():
     family = step_class(max_jumps=0)
     net = build_net(family, 6.0)
     plan = net.plan
-    assert net.mode == "materialized"
+    assert net.mode == "configurations"
     assert net.size == 1 and len(centers(net)) == 1
     only = centers(net)[0]
     assert len(only.breakpoints) == 0
@@ -340,9 +340,9 @@ def test_entropy_bits_match_sizes():
 # ---------------------------------------------------------------------------
 
 
-def test_auto_mode_selection_and_budget():
+def test_auto_mode_selection_and_budget(monkeypatch):
     flat = build_net(step_class(max_jumps=0), 6.0)
-    assert flat.mode == "materialized" and flat.decoder is None
+    assert flat.mode == "configurations" and flat.decoder is None
     assert isinstance(build_net(step_class(max_jumps=0), 6.0, d=8).decoder, ConfigurationDecoder)
 
     # Without a d the net is counted only; with one it carries its decoder.
@@ -350,21 +350,22 @@ def test_auto_mode_selection_and_budget():
     factored = build_net(step_class(), 0.1, d=16)
     assert factored.mode == "factored" and factored.decoder.d == 16
     assert factored_size(factored.decoder) == factored.size
-    # The budget alone chooses: the same net over a small budget is factored.
-    assert build_net(step_class(), 1.5).mode == "materialized"
-    over = build_net(step_class(), 1.5, m_max=100, d=16)
-    assert over.mode == "factored" and factored_size(over.decoder) == over.size == 1125
+    # The plan alone chooses: a step net is factored under any budget.
+    for m_max in (0, 100, 10**6, math.inf):
+        small = build_net(step_class(), 1.5, m_max=m_max, d=16)
+        assert small.mode == "factored" and factored_size(small.decoder) == small.size == 1125
+        assert isinstance(small.decoder, FactoredStepDecoder)
 
-    counted = build_net(
-        PiecewiseSmoothClass(
-            degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
-        ),
-        0.75,
-        m_max=1000,
-        d=16,
+    # Maps for a net over the budget are refused before any is built; its
+    # counts are not.
+    family = PiecewiseSmoothClass(
+        degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
-    assert counted.mode == "counted"
-    assert counted.decoder is None
+    over = build_net(family, 0.75, m_max=1000)
+    assert over.mode == "configurations" and over.decoder is None and over.size > 1000
+    monkeypatch.setattr(PiecewiseSmoothClass, "materialized_decoder", None)
+    with pytest.raises(NetTooLargeError):
+        build_net(family, 0.75, m_max=1000, d=16)
 
     with pytest.raises(UsageError):
         build_net(step_class(), -0.5)
@@ -787,6 +788,45 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
                         )
 
 
+@pytest.mark.parametrize("eps1", [0.8, 0.3])
+def test_factored_decoder_matches_the_configuration_decoder(eps1):
+    # Step nets within the default m_max decode factored; the configuration
+    # decoder over the same plan is the oracle.  Winners may differ only in a
+    # tie: a constant is the same function at every breakpoint, and at d <= 2
+    # many members share their coefficients up to rounding, where the tiny
+    # residuals are exact only relative to the target.
+    family = step_class()
+    plan = family.net_plan(eps1)
+    assert plan.factored and plan.size <= nets.DEFAULT_NET_BUDGET
+    levels = plan.axes[0].points()
+    rng = np.random.default_rng(int(10 * eps1))
+    for d in (1, 2, 3, 4, 7, 43):
+        net = build_net(family, eps1, d=d)
+        assert net.mode == "factored" and isinstance(net.decoder, FactoredStepDecoder)
+        oracle = family.materialized_decoder(plan, d)
+        operator = random_subspace(d, max(1, d // 2), seed=d)
+        targets = [
+            step_member_coefficients(rng.choice(plan.positions), *rng.choice(levels, 2), d)
+            + scale * rng.normal(size=d)
+            for scale in (1e-3, 0.03, 0.3)
+            for _ in range(10)
+        ]
+        for target in targets:
+            for decode in (
+                lambda decoder: decoder.decode_coefficients(target),
+                lambda decoder: decoder.decode_measurements(apply_operator(operator, target), operator),
+            ):
+                got, want = decode(net.decoder), decode(oracle)
+                if got.index == want.index:
+                    assert got.member == want.member
+                elif d > 2:
+                    for member in (got.member, want.member):
+                        assert member.piece_coefficients[0] == member.piece_coefficients[1]
+                    assert got.distance == pytest.approx(want.distance, rel=1e-12, abs=0.0)
+                else:
+                    assert abs(got.distance - want.distance) <= 1e-12 * np.linalg.norm(target)
+
+
 def test_decoder_input_validation():
     operator = random_subspace(16, 7, seed=9)
     other = random_subspace(17, 7, seed=9)
@@ -875,9 +915,9 @@ def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
 
 
 def test_chirp_plans_are_built_once_per_length(monkeypatch):
-    # A decoder builds one plan per series length it transforms, K + 1,
-    # 2 K + 1 and d + 1 for K = d // 2, at construction; decodes in threads
-    # sharing it build none.
+    # A decoder builds one plan per series length it transforms, K + 1 and
+    # 2 K + 1 for K = d // 2, at construction; decodes in threads sharing it
+    # build none.  The indicator norms share the square-sums' plan at every d.
     built = []
     real_plan = nets._chirp_plan
 
@@ -894,7 +934,7 @@ def test_chirp_plans_are_built_once_per_length(monkeypatch):
         return [(result.index, result.distance) for result in results]
 
     monkeypatch.setattr(nets, "_chirp_plan", counting_plan)
-    for d, widths in ((40, [21, 41]), (41, [21, 41, 42])):
+    for d, widths in ((40, [21, 41]), (41, [21, 41])):
         operator = random_subspace(d, 9, seed=d)
         targets = np.random.default_rng(d).normal(scale=0.7, size=(3, d))
         expected = decodes(step_decoder(1.5, d), targets, operator)
@@ -1178,6 +1218,26 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_054
     assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_054
     assert np.all(swept[:, 1] <= 2 * 10_054)
+
+
+def test_one_configuration_decode_seeds_with_one_leaf():
+    # The smooth class at eps1 0.1 has 1.18e7 centers in one configuration,
+    # 3.9e6 leaves; a decode near the class seeds its bound with one leaf,
+    # where sweeping the configuration traced 715 MB.
+    family = SmoothClass(2, 2.0)
+    decoder = build_net(family, 0.1, m_max=math.inf, d=64).decoder
+    assert decoder.maps.shape == (1, 64, 7) and math.prod(grid.size for grid in decoder._grids) == 11_830_455
+    rng = np.random.default_rng(67)
+    for _ in range(3):
+        target = family.coefficient_prefix(family.sample(rng, 256), 64)
+        tracemalloc.start()
+        try:
+            result = decoder.decode_coefficients(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert result.distance <= 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ jl_constant = 4.0
 tail_dims = 32,64,128,256
 """
 
-# A step class over m_max = 100: a factored net, whose decoder the bench sizes.
+# A step class: a factored net, whose decoder the bench sizes.
 FACTORED_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -101,7 +101,6 @@ trials = 2
 mode = fixed_w
 seed = 5
 jl_constant = 0.5
-m_max = 100
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128

@@ -17,7 +17,6 @@ from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import Signal
 from netsketch.jl import apply_operator, required_measurements
-from netsketch.nets import build_net
 from netsketch.reconstructor import (
     measure,
     preprocess,
@@ -47,7 +46,7 @@ def factored_step_sampler():
     """Factored step net of 1,125 centers: d=300, n=282, ambient 512."""
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
-    return preprocess(step_class(), 9.0, 0.5, model, rng, ambient_dim=512, m_max=1000)
+    return preprocess(step_class(), 9.0, 0.5, model, rng, ambient_dim=512)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     assert s.eps1 == pytest.approx(0.5)
     assert s.d == 36
     assert s.net.size == 39
-    assert s.net.mode == "materialized"
+    assert s.net.mode == "configurations"
     # ceil(4 / (1 - 0.5) * ln 40) = 30 rows wanted, below d = 36
     assert s.n == 30
     assert not s.clamped
@@ -366,17 +365,17 @@ def test_reconstruct_factored_agrees_with_materialized():
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
-    assert s.net.mode == "materialized" and s.net.size == 1125
+    assert s.net.mode == "factored" and s.net.size == 1125
     assert s.d == 300 and s.n == 282 and not s.clamped
-    factored_net = build_net(family, s.eps1, m_max=100, d=s.d)
-    assert factored_net.mode == "factored"
-    factored = replace(s, net=factored_net)
+    # The configuration decoder over the same plan is the oracle.
+    maps = family.materialized_decoder(s.net.plan, s.d)
+    materialized = replace(s, net=replace(s.net, mode="configurations", decoder=maps))
     probe = np.random.default_rng(43)
     for _ in range(10):
         x = family.to_signal(family.sample(probe, 512), 512)
         y = measure(s, x) + probe.normal(0.0, 0.05, size=s.n)
-        direct = reconstruct(s, y)
-        via_decoder = reconstruct(factored, y)
+        direct = reconstruct(materialized, y)
+        via_decoder = reconstruct(s, y)
         assert via_decoder.projected_distance == pytest.approx(
             direct.projected_distance, rel=1e-9
         )
