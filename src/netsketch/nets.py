@@ -23,7 +23,9 @@ of its continuous optimum, and a half-way value rounds up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
-rounding error never exceeds half a step even at the boundary.
+rounding error never exceeds half a step even at the boundary.  Breakpoint
+grids are uniform with ``2^a 3^b 5^c`` points (``position_grid``), so the
+step decoder's length-``P`` FFTs have no large prime factor.
 """
 
 from __future__ import annotations
@@ -352,68 +354,6 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     return int(leaf_rows[best]), tuple(int(index[best]) for index in indices)
 
 
-def _smooth_length(minimum: int) -> int:
-    """The smallest ``2^a 3^b 5^c`` at least ``minimum``: an FFT length without large primes."""
-    best = 1 << (minimum - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            # The smallest power of two times ``odd`` that reaches ``minimum``.
-            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
-@dataclass(frozen=True)
-class _ChirpPlan:
-    """What the chirp-z evaluation of a length-``F`` series on ``P`` breakpoints keeps.
-
-    With ``chirp_m = exp(i pi m^2 / P)``, ``f p = (f^2 + p^2 - (p - f)^2) / 2``
-    turns the length-``P`` DFT into a linear convolution with the conjugate
-    chirp, run as a circular one of length ``M >= P + F - 1``:
-
-        sum_f a_f e^{i f b_p} = chirp_p sum_f (a_f e^{i f b_0} chirp_f) conj(chirp_{p-f})
-
-    (Rabiner, Schafer & Rader 1969; Bluestein 1970).  ``input_factor`` is
-    ``e^{i f b_0} chirp_f``, ``kernel_spectrum`` the length-``M`` FFT of the
-    conjugate chirp at lags ``-(F-1) .. P-1``, divided by ``M`` so the inverse
-    FFT needs no scaling, and ``output_chirp`` is ``chirp_p``.
-    """
-
-    input_factor: np.ndarray
-    kernel_spectrum: np.ndarray
-    output_chirp: np.ndarray
-
-
-def _chirp_plan(positions: np.ndarray, width: int) -> _ChirpPlan:
-    """The chirp-z plan for series of length ``width`` on the uniform grid ``positions``."""
-    started = time.perf_counter()
-    count = positions.size
-    length = _smooth_length(count + width - 1)
-    m = np.arange(max(count, width), dtype=np.int64)
-    # exp(i pi m^2 / P) has period 2 P in m^2: reduce the exponent exactly.
-    chirp = np.exp(1j * (math.pi / count) * ((m * m) % (2 * count)))
-    kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:count] = chirp[:count]
-    kernel[length - width + 1 :] = chirp[width - 1 : 0 : -1]
-    plan = _ChirpPlan(
-        input_factor=np.exp(1j * np.arange(width) * positions[0]) * chirp[:width],
-        kernel_spectrum=np.fft.fft(np.conj(kernel, out=kernel)) / length,
-        output_chirp=chirp[:count].copy(),
-    )
-    arrays = (plan.input_factor, plan.kernel_spectrum, plan.output_chirp)
-    for array in arrays:
-        array.setflags(write=False)
-    logger.debug(
-        "chirp-z plan: P=%d F=%d M=%d bytes=%d built in %.3fs",
-        count, width, length, sum(array.nbytes for array in arrays),
-        time.perf_counter() - started,
-    )
-    return plan
-
-
 def _indicator_series(rows: np.ndarray, out: np.ndarray, half: float = 1.0) -> np.ndarray:
     """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``, into ``out``.
 
@@ -535,11 +475,11 @@ class FactoredStepDecoder(_GridDecoder):
     ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is ``g01 = g0f - g00``
     and ``g11 = gff - 2 g0f + g00``.  The breakpoints must be a uniform grid
     of pitch ``2 pi / P`` (as ``position_grid`` makes them): every term is
-    then a trigonometric polynomial in ``b``, and one chirp-z transform
-    evaluates it on all ``P`` breakpoints at once.
+    then a trigonometric polynomial in ``b``, and one length-``P`` inverse
+    FFT evaluates it on all ``P`` breakpoints at once.
 
-    The decoder serves targets of length ``d``: it builds its chirp-z plans
-    and coefficient-space terms at construction, read-only and shared.
+    The decoder serves targets of length ``d``: it builds its phases and
+    coefficient-space terms at construction, read-only and shared.
     """
 
     positions: np.ndarray
@@ -558,44 +498,34 @@ class FactoredStepDecoder(_GridDecoder):
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
         self._grids, self._step = (self.levels, self.levels), self.level_step
-        self._fft_buffers = threading.local()
-        # Series of degree K = d // 2 (indicator products) and at most 2 K
-        # (square-sums and indicator norms): two plans at every d.
-        degree = self.d // 2
-        widths = {degree + 1, 2 * degree + 1}
-        self._plans = {width: _chirp_plan(self.positions, width) for width in widths}
+        # exp(i f b_0) for every frequency a series reaches, 2 K for K = d // 2.
+        self._phases = np.exp(1j * np.arange(2 * (self.d // 2) + 1) * self.positions[0])
+        self._phases.setflags(write=False)
         self._coefficient_terms = self._norm_terms()
         self._terms = _OperatorSlot(self._operator_terms)
 
-    def _on_breakpoints(self, series: np.ndarray, plan: _ChirpPlan) -> np.ndarray:
+    def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
 
-        With ``b_p = b_0 + 2 pi p / P`` the sum is a length-``P`` DFT, which a
-        chirp-z transform evaluates with FFTs of a length ``M`` free of large
-        primes (see ``_ChirpPlan``), given ``plan`` for the length ``F`` of
-        the last axis.  Each thread pads, transforms and inverts in one
-        buffer of its own, kept between calls and grown as needed.
+        With ``b_p = b_0 + 2 pi p / P`` the sum is the length-``P`` inverse
+        DFT of ``series_f exp(i f b_0)`` at bin ``f mod P``: a series longer
+        than ``P`` is folded a whole turn at a time.  ``position_grid`` makes
+        ``P`` free of large primes; any other ``P`` is as exact, only slower.
         """
-        width = series.shape[-1]
-        shape = series.shape[:-1] + plan.kernel_spectrum.shape
-        size = math.prod(shape)
-        buffer = getattr(self._fft_buffers, "buffer", None)
-        if buffer is None or buffer.size < size:
-            buffer = self._fft_buffers.buffer = np.empty(size, dtype=np.complex128)
-        spectrum = buffer[:size].reshape(shape)
-        np.multiply(series, plan.input_factor, out=spectrum[..., :width])
-        spectrum[..., width:] = 0.0
-        np.fft.fft(spectrum, axis=-1, out=spectrum)
-        spectrum *= plan.kernel_spectrum
-        values = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)[..., : self.positions.size]
-        values *= plan.output_chirp
-        return values.real.copy()  # never a view of the buffer
+        count, width = self.positions.size, series.shape[-1]
+        spectrum = series * self._phases[:width]
+        if width > count:
+            turns = np.zeros(series.shape[:-1] + (-(-width // count) * count,), dtype=np.complex128)
+            turns[..., :width] = spectrum
+            spectrum = turns.reshape(series.shape[:-1] + (-1, count)).sum(axis=-2)
+        values = np.fft.ifft(spectrum, n=count, axis=-1, norm="forward")
+        return np.ascontiguousarray(values.real)
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
         width = rows.shape[-1] // 2 + 1
         series = np.zeros(rows.shape[:-1] + (width,), dtype=np.complex128)
-        periodic = self._on_breakpoints(_indicator_series(rows, series), self._plans[width])
+        periodic = self._on_breakpoints(_indicator_series(rows, series))
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
     def _step_terms(self, v: np.ndarray, g00: np.ndarray, g0f: np.ndarray, gff: float) -> _Terms:
@@ -626,7 +556,7 @@ class FactoredStepDecoder(_GridDecoder):
         series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
         if d % 2 == 0:
             series[d] = -weights_sq[-1] / 2.0
-        norms = self._on_breakpoints(series, self._plans[series.size]) + self._shift**2 / TWO_PI
+        norms = self._on_breakpoints(series) + self._shift**2 / TWO_PI
         v = np.eye(1, d)[0] * _SQRT_2PI
         return self._step_terms(v, norms, self._shift, TWO_PI)
 
@@ -670,7 +600,7 @@ class FactoredStepDecoder(_GridDecoder):
         v_full = _SQRT_2PI * first
         lead = float(np.dot(first, first))
         g0f = self._indicator_products(scale * (v_full @ frame))
-        g00 = self._on_breakpoints(square_sum, self._plans[square_sum.size])
+        g00 = self._on_breakpoints(square_sum)
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
             "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes built in %.3fs",
@@ -801,17 +731,34 @@ class NetPlan:
             yield tuple(float(positions[i]) for i in combo)
 
 
+def _smooth_length(minimum: int) -> int:
+    """The smallest ``2^a 3^b 5^c`` at least ``minimum``: ``position_grid``'s ``P``, an FFT length without large primes."""
+    best = 1 << (minimum - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # The smallest power of two times ``odd`` that reaches ``minimum``.
+            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
     """Breakpoint count ``P``, actual pitch and nominal pitch.
 
     The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` (quarter budget
-    for the periodic flavour) fixes the point count ``P``; the actual grid
-    (``NetPlan.positions``) uses ``2 pi / P`` so all points stay inside the
-    domain.
+    for the periodic flavour) needs ``ceil(2 pi / pitch)`` points; ``P`` is
+    the smallest ``2^a 3^b 5^c`` at least that, so the step decoder's
+    length-``P`` FFT has no large prime factor.  Any finer pitch covers too,
+    and the actual grid (``NetPlan.positions``) uses ``2 pi / P``, all points
+    inside the domain.  The rounding adds at most ``log2(15/13) < 0.21`` bits
+    per jump to ``entropy_bits`` (``P`` 13 to 15 is the worst ratio).
     """
     budget = eps1 / (4.0 if periodic else 2.0)
     pitch = budget**2 / (num_jumps * (2.0 * value_scale) ** 2)
-    count = int(math.ceil(TWO_PI / pitch))
+    count = _smooth_length(int(math.ceil(TWO_PI / pitch)))
     return count, TWO_PI / count, pitch
 
 
@@ -863,9 +810,13 @@ def build_net(
 # ---------------------------------------------------------------------------
 
 
-def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
+def _refuse_over_m_max(net: CoveringNet) -> None:
     if net.size > net.m_max:
         raise NetTooLargeError(f"net with {net.size} centers is over m_max = {net.m_max}: not written")
+
+
+def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
+    _refuse_over_m_max(net)
     spec = net.family.spec_string()
     stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
     for index, member in enumerate(net.family.enumerate_members(net.plan)):
@@ -875,5 +826,6 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
 
 
 def write_net(path, net: CoveringNet, ambient_dim: int) -> None:
+    _refuse_over_m_max(net)  # before opening, so a refused net leaves the file as it was
     with open(path, "w", encoding="utf-8") as stream:
         dump_net(stream, net, ambient_dim)

@@ -370,8 +370,15 @@ def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
         cfg = _write(tmp_path, "over.cfg", text + "m_max = 10\n")
         assert main(["net", "build", cfg]) == 0
         assert f"mode={mode} " in capsys.readouterr().out
-        assert main(["net", "build", cfg, "--out", str(tmp_path / "over.txt")]) == 1
+        over = tmp_path / "over.txt"
+        over.unlink(missing_ok=True)
+        assert main(["net", "build", cfg, "--out", str(over)]) == 1
         assert "over m_max = 10: not written" in capsys.readouterr().err
+        assert not over.exists()  # a refused net creates no file
+        over.write_bytes(b"an earlier net\n")
+        assert main(["net", "build", cfg, "--out", str(over)]) == 1
+        assert "over m_max = 10: not written" in capsys.readouterr().err
+        assert over.read_bytes() == b"an earlier net\n"  # nor truncates one
 
 
 def test_experiment_over_m_max_exits_before_building_maps(tmp_path, capsys, monkeypatch):

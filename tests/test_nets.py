@@ -26,7 +26,7 @@ from conftest import (
     row_scan,
     split_net_text,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netsketch import nets
@@ -138,19 +138,19 @@ def test_gap_separated_count_matches_enumeration():
 def test_single_jump_net_matches_hand_counts():
     family = step_class()
     net = build_net(family, 0.5)
-    assert net.plan.config_count == 403
+    assert net.plan.config_count == 405
     assert [axis.count for axis in net.plan.axes] == [15, 15]
-    assert net.size == 403 * 15 * 15 == 90675
+    assert net.size == 405 * 15 * 15 == 91125
     positions = net.plan.positions
-    assert positions.size == 403
+    assert positions.size == 405
     assert np.all(positions > -math.pi) and np.all(positions < math.pi)
     spacing = np.diff(positions)
-    np.testing.assert_allclose(spacing, TWO_PI / 403, rtol=1e-12)
+    np.testing.assert_allclose(spacing, TWO_PI / 405, rtol=1e-12)
 
     finer = build_net(family, 0.1)
-    assert finer.plan.config_count == 10054
+    assert finer.plan.config_count == 10125
     assert [axis.count for axis in finer.plan.axes] == [71, 71]
-    assert finer.size == 10054 * 71 * 71 == 50_682_214
+    assert finer.size == 10125 * 71 * 71 == 51_040_125
 
 
 def test_flat_class_net_is_a_single_member():
@@ -175,9 +175,9 @@ def test_two_jump_net_configurations():
     plan = net.plan
     positions = plan.positions
     effective = TWO_PI / positions.size
-    assert positions.size == 23
-    assert plan.config_count == math.comb(20, 2) == 190
-    assert net.size == 190 * 3**3 == 5130 == len(centers(net))
+    assert positions.size == 24
+    assert plan.config_count == math.comb(21, 2) == 210
+    assert net.size == 210 * 3**3 == 5670 == len(centers(net))
 
     # Center breakpoints may sit closer than the pristine minimum gap by the
     # snapping slack; membership of the centers holds under that slack.
@@ -303,7 +303,7 @@ def test_witness_is_a_center_bit_for_bit():
 def test_centers_are_members_with_grid_overshoot_tolerance():
     family = PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5)
     net = build_net(family, 2.0)
-    assert net.size == 234
+    assert net.size == 243
     # Grids may overshoot a bound by half a step, so membership of the
     # centers holds under the matching relative slack.
     slack = max(axis.step for axis in net.plan.axes) / (2.0 * 0.5)
@@ -458,9 +458,9 @@ def dense_indicator_rows(positions, d):
 
 def test_indicator_products_match_the_dense_closed_form():
     rng = np.random.default_rng(29)
-    # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 70 (even); d = 300 puts
+    # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 72 (even); d = 300 puts
     # frequencies past P / 2, where they alias on the breakpoint grid.
-    for eps1, count in ((1.5, 45), (1.2, 70)):
+    for eps1, count in ((1.5, 45), (1.2, 72)):
         for d in (1, 2, 3, 16, 17, 300, 301):
             decoder = step_decoder(eps1, d)
             assert decoder.positions.size == count
@@ -604,13 +604,13 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
 
 
 def test_operator_terms_make_no_frame_sized_copy():
-    # At the bench shape (P = 10,054, d = 1,886, n = 710) the build holds
+    # At the bench shape (P = 10,125, d = 1,886, n = 710) the build holds
     # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
     # frame.  One block's series and grid (1.05 MB each) are released before
     # the next block's are built, so the peak stays under 3 MB (4.6 MB when
     # two blocks' arrays were alive at once).
     decoder = step_decoder(0.1, 1886)
-    assert decoder.positions.size == 10054
+    assert decoder.positions.size == 10125
     operator = random_subspace(1886, 710, seed=1)
     tracemalloc.start()
     try:
@@ -635,7 +635,7 @@ def test_indicator_norms_are_built_once_per_dimension():
         decoder = step_decoder(1.5, d)
         terms = decoder._coefficient_terms
         norms = terms.geometry.gram[0][0]
-        assert not norms.flags.writeable
+        assert not norms.flags.writeable and not decoder._phases.flags.writeable
         assert np.array_equal(norms, step_decoder(1.5, d)._coefficient_terms.geometry.gram[0][0])
         # Threads sharing the decoder, switching often.
         previous = sys.getswitchinterval()
@@ -861,10 +861,9 @@ def test_decoder_input_validation():
 def length_p_on_breakpoints(positions, series):
     """Reference: ``Re sum_f series_f exp(i f b)`` by one inverse DFT of length ``P``.
 
-    The factored decoder's transform before it used a chirp-z plan, kept here
-    as the oracle.  Frequency ``f`` is frequency ``f mod P`` on the grid, so
-    each whole turn of the series is folded into the ``P`` bins separately,
-    in conjugate halves at bins ``f`` and ``-f``.
+    Frequency ``f`` is frequency ``f mod P`` on the grid, so each whole turn
+    of the series is folded into the ``P`` bins separately, in conjugate
+    halves at bins ``f`` and ``-f``, and the transform is real.
     """
     count = positions.size
     values = series * np.exp(1j * np.arange(series.shape[-1]) * positions[0])
@@ -877,143 +876,63 @@ def length_p_on_breakpoints(positions, series):
     return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
 
 
-def grid_decoder(count, periodic):
-    """A factored decoder on ``position_grid``'s grid of exactly ``count`` breakpoints."""
-    # position_grid takes ceil(2 pi / pitch) points at the pitch (eps1/2)^2 / 4
-    # (one jump, unit scale), or (eps1/4)^2 / 4 for the periodic flavour.
-    pitch = TWO_PI / (count - 0.5)
-    eps1 = (4.0 if periodic else 2.0) * 2.0 * math.sqrt(pitch)
-    assert position_grid(eps1, 1, 1.0, periodic)[0] == count
-    plan = NetPlan(eps1, (), 1, breakpoint_count=count, periodic=periodic)
-    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5, 1)
+def grid_decoder(count, periodic, d):
+    """A factored decoder at ``d`` on a grid of exactly ``count`` breakpoints."""
+    plan = NetPlan(1.0, (), 1, breakpoint_count=count, periodic=periodic)
+    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5, d)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("count", [45, 70, 97, 10_054])
+@pytest.mark.parametrize("count", [45, 70, 97, 10_054, 10_125])
 def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
-    decoder = grid_decoder(count, periodic)
+    # _on_breakpoints on smooth (45, 10,125) and rough (70, 97, 10,054)
+    # grids alike, at a d whose series reach 3 P + 1 frequencies, so the
+    # longest series fold three whole turns.
+    decoder = grid_decoder(count, periodic, 2 * (3 * count + 1))
     # Half-step start, or the -pi start of the periodic grid.
     start = -math.pi + (0.0 if periodic else math.pi / count)
     assert decoder.positions[0] == pytest.approx(start, abs=1e-15)
     rng = np.random.default_rng(count)
     for width in (1, 2, count // 2, count, 3 * count + 1):
-        for shape in ((width,), (3, width)):
-            series = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            got = decoder._on_breakpoints(series, nets._chirp_plan(decoder.positions, width))
+        for series in (
+            rng.normal(size=width) + 1j * rng.normal(size=width),
+            rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)),
+            rng.normal(size=width),  # real, as the indicator norms pass
+        ):
+            got = decoder._on_breakpoints(series)
             want = length_p_on_breakpoints(decoder.positions, series)
             assert got.shape == want.shape and got.flags.c_contiguous
             scale = np.sum(np.abs(series), axis=-1, keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    # Real series too, as the indicator norms pass.
-    series = rng.normal(size=count + 3)
-    np.testing.assert_allclose(
-        decoder._on_breakpoints(series, nets._chirp_plan(decoder.positions, count + 3)),
-        length_p_on_breakpoints(decoder.positions, series),
-        rtol=0.0,
-        atol=1e-12 * np.sum(np.abs(series)),
-    )
 
 
-def test_chirp_plans_are_built_once_per_length(monkeypatch):
-    # A decoder builds one plan per series length it transforms, K + 1 and
-    # 2 K + 1 for K = d // 2, at construction; decodes in threads sharing it
-    # build none.  The indicator norms share the square-sums' plan at every d.
-    built = []
-    real_plan = nets._chirp_plan
-
-    def counting_plan(positions, width):
-        built.append(width)
-        return real_plan(positions, width)
-
-    def decodes(decoder, targets, operator):
-        results = [decoder.decode_coefficients(target) for target in targets]
-        results += [
-            decoder.decode_measurements(apply_operator(operator, target), operator)
-            for target in targets
-        ]
-        return [(result.index, result.distance) for result in results]
-
-    monkeypatch.setattr(nets, "_chirp_plan", counting_plan)
-    for d, widths in ((40, [21, 41]), (41, [21, 41])):
-        operator = random_subspace(d, 9, seed=d)
-        targets = np.random.default_rng(d).normal(scale=0.7, size=(3, d))
-        expected = decodes(step_decoder(1.5, d), targets, operator)
-        built.clear()
-        shared = step_decoder(1.5, d)
-        assert sorted(built) == sorted(shared._plans) == widths
-        for width, plan in shared._plans.items():
-            assert plan.input_factor.size == width
-            for array in (plan.input_factor, plan.kernel_spectrum, plan.output_chirp):
-                assert not array.flags.writeable
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(decodes, shared, targets, operator) for _ in range(8)]
-                for future in futures:
-                    assert future.result(timeout=60) == expected
-        finally:
-            sys.setswitchinterval(previous)
-        assert sorted(built) == widths
+@settings(max_examples=200, deadline=None)
+@given(
+    eps1=st.floats(0.05, 10.0),
+    jumps=st.integers(1, 4),
+    scale=st.floats(0.05, 2.0),
+    periodic=st.booleans(),
+)
+@example(eps1=0.1, jumps=1, scale=1.0, periodic=False)  # the bench grid, 10,054 -> 10,125
+def test_position_grid_takes_the_next_smooth_count(eps1, jumps, scale, periodic):
+    count, effective, pitch = position_grid(eps1, jumps, scale, periodic)
+    needed = math.ceil(TWO_PI / pitch)
+    assume(needed <= 10**6)  # a bound on the sweep below, not on position_grid
+    assert rough_part(count) == 1 and count >= needed
+    assert all(rough_part(n) > 1 for n in range(needed, count))
+    assert effective == TWO_PI / count <= pitch * (1.0 + 1e-12)
 
 
-def fresh_buffers_on_breakpoints(plan, series):
-    """Reference: ``_on_breakpoints`` with new buffers on every call.
-
-    The transform before it reused one buffer per thread, kept as the
-    oracle: the zero-padded input and the forward FFT are allocated by
-    ``np.fft.fft``, and the inverse FFT writes over the spectrum.
-    """
-    spectrum = np.fft.fft(series * plan.input_factor, n=plan.kernel_spectrum.size, axis=-1)
-    spectrum *= plan.kernel_spectrum
-    convolved = np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum)
-    values = convolved[..., : plan.output_chirp.size]
-    values *= plan.output_chirp
-    return np.ascontiguousarray(values.real)
-
-
-def test_reused_fft_buffer_gives_the_fresh_buffers_bits():
-    # Widths of three FFT lengths, taken longest first so that later calls
-    # find a longer buffer holding an earlier call's data.
-    decoder = step_decoder(0.1, 1886)
-    assert sorted(decoder._plans) == [944, 1_887]
-    plans = {**decoder._plans, 1: nets._chirp_plan(decoder.positions, 1)}
-    rng = np.random.default_rng(59)
-    cases = []
-    for width in (1_887, 944, 1, 944, 1_887):
-        for shape in ((width,), (3, width)):
-            cases.append((rng.normal(size=shape) + 1j * rng.normal(size=shape), plans[width]))
-        cases.append((rng.normal(size=width), plans[width]))  # real series, as the norms pass
-    expected = [fresh_buffers_on_breakpoints(plan, series).tobytes() for series, plan in cases]
-    results = [decoder._on_breakpoints(*case) for case in cases]
-    # No result is a view of the buffer a later call wrote over.
-    assert [result.tobytes() for result in results] == expected
-    assert all(result.flags.owndata and result.flags.c_contiguous for result in results)
-
-    # Four threads sharing one decoder, each with its own buffer.
-    def run_all(order):
-        return [decoder._on_breakpoints(*cases[k]).tobytes() == expected[k] for k in order]
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            orders = [np.random.default_rng(k).permutation(len(cases)) for k in range(4)]
-            futures = [pool.submit(run_all, order) for order in orders]
-            assert all(all(future.result(timeout=120)) for future in futures)
-    finally:
-        sys.setswitchinterval(previous)
-
-    # One breakpoint: a length-1 real part is contiguous, and must still be a copy.
-    single = FactoredStepDecoder(np.array([0.0]), symmetric_grid(1.0, 0.5), 0.5, 2)
-    first = single._on_breakpoints(np.array([1.0, 2.0]), single._plans[2])
-    kept = first.copy()
-    single._on_breakpoints(np.array([5.0, -3.0]), single._plans[2])
-    assert first.tobytes() == kept.tobytes()
+def rough_part(n):
+    """``n`` without its factors 2, 3 and 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
-    """At the bench size (P = 10,054 = 2 * 11 * 457) no FFT runs at a length
+    """At the bench size (P = 10,125 = 3^4 * 5^3) no FFT runs at a length
     with a prime factor above 5, where numpy falls back to its own Bluestein
     set-up on every call."""
     lengths = []
@@ -1036,22 +955,15 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
     for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, None)  # any multi-axis call fails loudly
 
-    def rough_part(n):
-        """``n`` without its factors 2, 3 and 5."""
-        for p in (2, 3, 5):
-            while n % p == 0:
-                n //= p
-        return n
-
     d = 1_886  # the bench's fitted d and n at seed 1
     decoder = step_decoder(0.1, d)
-    assert decoder.positions.size == 10_054
+    assert decoder.positions.size == 10_125
     operator = random_subspace(d, 710, seed=3)
     target = step_member_coefficients(decoder.positions[1234], 0.5, -0.25, d)
     decoder.prepare(operator)
     decoder.decode_measurements(apply_operator(operator, target), operator)
     decoder.decode_coefficients(target)
-    assert {name for name, _ in lengths} >= {"fft", "ifft", "rfft", "irfft"}
+    assert {name for name, _ in lengths} >= {"ifft", "rfft", "irfft"}
     assert [(name, n) for name, n in lengths if rough_part(n) > 1] == []
 
 
@@ -1100,7 +1012,7 @@ def bench_step_decoders(d):
     """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1) and
     ``d``, and a copy that sweeps every breakpoint."""
     decoder = step_decoder(0.1, d)
-    assert (decoder.positions.size, decoder.levels.size) == (10_054, 71)
+    assert (decoder.positions.size, decoder.levels.size) == (10_125, 71)
     reference = copy.copy(decoder)
     reference._search = types.MethodType(full_sweep, reference)
     return decoder, reference
@@ -1209,15 +1121,15 @@ def test_pruning_sweeps_few_breakpoints(caplog):
             decoder.decode_coefficients(target)
             decoder.decode_measurements(apply_operator(operator, target), operator)
     line = re.compile(
-        r"grid search: 10054 configurations, (\d+) kept after bounding"
+        r"grid search: 10125 configurations, (\d+) kept after bounding"
         r" \(\d+ never pruned\), frontier \1, (\d+) leaves"
     )
     matches = [match for match in map(line.fullmatch, caplog.messages) if match]
     swept = np.array([(int(match.group(1)), int(match.group(2))) for match in matches])
     assert swept.shape == (44, 2)
-    assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_054
-    assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_054
-    assert np.all(swept[:, 1] <= 2 * 10_054)
+    assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_125
+    assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_125
+    assert np.all(swept[:, 1] <= 2 * 10_125)
 
 
 def test_one_configuration_decode_seeds_with_one_leaf():

@@ -135,7 +135,7 @@ def test_preprocess_clamp_example_numbers():
     s = preprocess(step_class(), 0.6, 0.5, model, rng)
     assert s.d == 100
     assert s.net.mode == "factored"
-    assert s.net.size == 50_682_214
+    assert s.net.size == 51_040_125
     assert s.decoder is s.net.decoder
     assert s.n == 100
     assert s.clamped
