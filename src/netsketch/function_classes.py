@@ -217,9 +217,7 @@ class SmoothClass(FunctionClass):
         step = eps1 / math.sqrt(truncation)
         envelope = self.coefficient_envelope(truncation)
         axes = tuple(
-            AxisLog(
-                label=f"coefficient[{i}]", count=grid_count(envelope[i], step), step=step
-            )
+            AxisLog(count=grid_count(envelope[i], step), step=step)
             for i in range(truncation)
         )
         return NetPlan(eps1=eps1, axes=axes, config_count=1)
@@ -298,7 +296,6 @@ class PiecewiseSmoothClass(FunctionClass):
             return PiecewiseDescription(
                 breakpoints=tuple(float(b) for b in breakpoints),
                 piece_coefficients=pieces,
-                periodic=False,
             )
         raise UsageError(
             f"could not draw {self.max_jumps} breakpoints with gaps >= {self.min_gap}"
@@ -312,8 +309,6 @@ class PiecewiseSmoothClass(FunctionClass):
         member: PiecewiseDescription,
         tolerance: float = _MEMBERSHIP_TOLERANCE,
     ) -> bool:
-        if member.periodic:
-            return False
         if len(member.breakpoints) > self.max_jumps:
             return False
         gaps = np.diff(member.breakpoints)
@@ -336,9 +331,7 @@ class PiecewiseSmoothClass(FunctionClass):
         if s == 0:
             count, gap, configs = 0, 1, 1
         else:
-            count, effective, pitch = position_grid(
-                eps1, s, self.level_bound, periodic=False
-            )
+            count, effective, pitch = position_grid(eps1, s, self.level_bound)
             slack = self.min_gap - 2.0 * pitch
             gap = max(1, int(math.ceil(slack / effective))) if slack > 0.0 else 1
             if count - (s - 1) * (gap - 1) < s:
@@ -350,11 +343,7 @@ class PiecewiseSmoothClass(FunctionClass):
         denom = math.sqrt(s + 1.0) * (self.degree + 1)
         steps = [eps1 / (denom * _monomial_norm(m)) for m in range(self.degree + 1)]
         axes = tuple(
-            AxisLog(
-                label=f"piece[{piece}].coeff[{m}]",
-                count=grid_count(bounds[m], steps[m]),
-                step=steps[m],
-            )
+            AxisLog(count=grid_count(bounds[m], steps[m]), step=steps[m])
             for piece in range(s + 1)
             for m in range(self.degree + 1)
         )
@@ -374,9 +363,7 @@ class PiecewiseSmoothClass(FunctionClass):
             tuple(values[p * per_piece : (p + 1) * per_piece])
             for p in range(self.max_jumps + 1)
         )
-        return PiecewiseDescription(
-            breakpoints=breakpoints, piece_coefficients=pieces, periodic=False
-        )
+        return PiecewiseDescription(breakpoints=breakpoints, piece_coefficients=pieces)
 
     def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
         if self.max_jumps == 0:
@@ -415,6 +402,29 @@ class PiecewiseSmoothClass(FunctionClass):
 # ---------------------------------------------------------------------------
 
 
+def _circle_steps(positions, levels) -> PiecewiseDescription:
+    """The step function that takes ``levels[i]`` from ``positions[i]`` on.
+
+    ``positions`` increase in [-pi, pi).  The last level wraps onto
+    [-pi, positions[0]), so a position at -pi is no interior breakpoint.
+    """
+    positions = tuple(float(p) for p in positions)
+    levels = tuple((float(v),) for v in levels)
+    if positions[0] == -math.pi:
+        return PiecewiseDescription(positions[1:], levels)
+    return PiecewiseDescription(positions, (levels[-1], *levels))
+
+
+def _circle_jumps(steps: PiecewiseDescription) -> tuple[float, ...]:
+    """A step description's jump positions on the circle, increasing in [-pi, pi).
+
+    -pi when its end levels differ, then its interior breakpoints.
+    """
+    pieces = steps.piece_coefficients
+    wrap = (-math.pi,) if pieces[0][0] != pieces[-1][0] else ()
+    return wrap + tuple(float(b) for b in steps.breakpoints)
+
+
 @dataclass(frozen=True)
 class AnalyticStepMember:
     """Analytic coefficients plus a piecewise-constant step component."""
@@ -423,8 +433,6 @@ class AnalyticStepMember:
     steps: PiecewiseDescription
 
     def __post_init__(self) -> None:
-        if not self.steps.periodic:
-            raise UsageError("step component must use the periodic flavour")
         for coeffs in self.steps.piece_coefficients:
             if len(coeffs) != 1:
                 raise UsageError("step component pieces must be constants")
@@ -436,7 +444,7 @@ class PiecewiseAnalyticClass(FunctionClass):
 
     The analytic part satisfies ``|c_i| <= K exp(-eta j)`` where ``j`` is the
     frequency of basis index ``i``; the step part has at most ``max_jumps``
-    jumps on the circle with levels in ``[-K, K]``.
+    jumps on the circle, a jump at +/-pi included, with levels in ``[-K, K]``.
     """
 
     max_jumps: int
@@ -470,12 +478,7 @@ class PiecewiseAnalyticClass(FunctionClass):
             if positions.size > 1 and np.min(np.diff(positions)) == 0.0:
                 continue  # pragma: no cover - probability zero
             levels = rng.uniform(-self.amplitude, self.amplitude, self.max_jumps)
-            steps = PiecewiseDescription(
-                breakpoints=tuple(float(p) for p in positions),
-                piece_coefficients=tuple((float(v),) for v in levels),
-                periodic=True,
-            )
-            return AnalyticStepMember(smooth=smooth, steps=steps)
+            return AnalyticStepMember(smooth=smooth, steps=_circle_steps(positions, levels))
         raise UsageError("could not draw distinct step positions")  # pragma: no cover
 
     def coefficient_prefix(self, member: AnalyticStepMember, dim: int) -> np.ndarray:
@@ -490,7 +493,7 @@ class PiecewiseAnalyticClass(FunctionClass):
         envelope = self.coefficient_envelope(member.smooth.ambient_dim)
         if np.any(np.abs(member.smooth.coefficients) > envelope * (1.0 + tolerance) + 1e-300):
             return False
-        if len(member.steps.breakpoints) > self.max_jumps:
+        if len(_circle_jumps(member.steps)) > self.max_jumps:
             return False
         level_cap = self.amplitude * (1.0 + tolerance)
         return all(
@@ -513,30 +516,23 @@ class PiecewiseAnalyticClass(FunctionClass):
 
     def net_plan(self, eps1: float) -> NetPlan:
         kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
-        count, _, _ = position_grid(eps1, kappa, big_k, periodic=True)
+        # Step positions, step levels, coefficient rounding and the coefficient
+        # tail each get a quarter of eps1; position_grid spends half of its eps1.
+        count, _, _ = position_grid(eps1 / 2.0, kappa, big_k)
         if count < kappa:
             raise UsageError(
                 f"step-position grid at eps1 = {eps1!r} has {count}"
                 f" points, fewer than max_jumps = {kappa}"
             )
         level_step = eps1 / (2.0 * _SQRT_2PI)
-        axes = [
-            AxisLog(
-                label=f"level[{p}]", count=grid_count(big_k, level_step), step=level_step
-            )
-            for p in range(kappa)
-        ]
+        axes = [AxisLog(count=grid_count(big_k, level_step), step=level_step)] * kappa
         ratio = 4.0 * big_k / ((1.0 - math.exp(-eta)) * eps1)
         freq_cut = max(1, int(math.ceil(math.log(max(ratio, 1.0 + 1e-12)) / eta)))
         n_coeffs = 2 * freq_cut + 1
         coeff_step = eps1 / (2.0 * math.sqrt(n_coeffs))
         envelope = self.coefficient_envelope(n_coeffs)
         axes.extend(
-            AxisLog(
-                label=f"coefficient[{i}]",
-                count=grid_count(envelope[i], coeff_step),
-                step=coeff_step,
-            )
+            AxisLog(count=grid_count(envelope[i], coeff_step), step=coeff_step)
             for i in range(n_coeffs)
         )
         return NetPlan(
@@ -544,14 +540,12 @@ class PiecewiseAnalyticClass(FunctionClass):
             axes=tuple(axes),
             config_count=int(math.comb(count, kappa)),
             breakpoint_count=count,
-            periodic=True,
             jumps=kappa,
         )
 
     def member(self, breakpoints, values) -> AnalyticStepMember:
         kappa = self.max_jumps
-        levels = tuple((float(v),) for v in values[:kappa])
-        steps = PiecewiseDescription(breakpoints, levels, periodic=True)
+        steps = _circle_steps(breakpoints, values[:kappa])
         return AnalyticStepMember(smooth=Signal(np.array(values[kappa:])), steps=steps)
 
     def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
@@ -561,8 +555,8 @@ class PiecewiseAnalyticClass(FunctionClass):
         effective = TWO_PI / count
         taken: set[int] = set()
         indices: list[int] = []
-        for b in np.asarray(member.steps.breakpoints, dtype=np.float64):
-            idx = int(math.floor((b + math.pi) / effective + 0.5)) % count
+        for b in _circle_jumps(member.steps):
+            idx = int(math.floor((b + math.pi) / effective)) % count
             while idx in taken:
                 idx = (idx + 1) % count
             taken.add(idx)
@@ -579,12 +573,12 @@ class PiecewiseAnalyticClass(FunctionClass):
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
         """The step levels at the snapped arcs' midpoints, then the coefficients."""
-        arcs = [*breakpoints, breakpoints[0] + TWO_PI]
-        midpoints = [0.5 * (left + right) for left, right in zip(arcs[:-1], arcs[1:])]
+        arcs = np.array([*breakpoints, breakpoints[0] + TWO_PI])
+        midpoints = np.mod(0.5 * (arcs[:-1] + arcs[1:]) + math.pi, TWO_PI) - math.pi
         coefficients = pad_or_truncate(
             member.smooth.coefficients, len(plan.axes) - self.max_jumps
         )
-        return [*member.steps.evaluate(np.array(midpoints)), *coefficients]
+        return [*member.steps.evaluate(midpoints), *coefficients]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,11 @@ Basis convention (orthonormal in L2[-pi, pi]):
 
 so an ambient dimension ``d`` holds frequencies up to ``d // 2``.
 
-Piecewise polynomials come in two flavours.  The interval model treats
-[-pi, pi] as a plain interval: ``k`` interior breakpoints split it into
-``k + 1`` pieces.  The periodic model treats the domain as a circle:
-``k`` breakpoints induce ``k`` arcs, the last one wrapping through the
-glue point at +/-pi.  Each piece carries monomial coefficients in the
-local coordinate ``u = t - midpoint`` of its (unwrapped) interval, which
-keeps coefficient magnitudes comparable across pieces.
+Piecewise polynomials live on [-pi, pi] as a plain interval: ``k`` interior
+breakpoints split it into ``k + 1`` pieces.  A function on the circle is one
+whose first and last pieces continue each other through +/-pi.  Each piece
+carries monomial coefficients in the local coordinate ``u = t - midpoint`` of
+its interval, which keeps coefficient magnitudes comparable across pieces.
 
 Analysis against the basis is closed form: integrals of ``u**m * cos(j*u)``
 and ``u**m * sin(j*u)`` obey a two-term recursion in ``m``, evaluated here
@@ -114,18 +112,16 @@ def synthesize(coefficients, t):
 
 @dataclass(frozen=True)
 class PiecewiseDescription:
-    """A piecewise polynomial on [-pi, pi], interval or periodic flavour.
+    """A piecewise polynomial on [-pi, pi].
 
-    ``breakpoints`` are the jump locations (sorted, strictly increasing).
-    ``piece_coefficients`` hold one monomial-coefficient array per piece in
-    increasing degree, expressed in the local coordinate around the piece
-    midpoint.  The interval flavour has ``len(breakpoints) + 1`` pieces, the
-    periodic flavour has ``len(breakpoints)`` arcs.
+    ``breakpoints`` are the interior jump locations in (-pi, pi), strictly
+    increasing.  ``piece_coefficients`` hold one monomial-coefficient array
+    per piece, ``len(breakpoints) + 1`` of them, in increasing degree,
+    expressed in the local coordinate around the piece midpoint.
     """
 
     breakpoints: np.ndarray
     piece_coefficients: tuple[np.ndarray, ...] = field()
-    periodic: bool = False
 
     def __post_init__(self) -> None:
         points = np.ascontiguousarray(self.breakpoints, dtype=float)
@@ -133,16 +129,9 @@ class PiecewiseDescription:
             raise UsageError("breakpoints must form a 1-d array")
         if points.size and not np.all(np.diff(points) > 0):
             raise UsageError("breakpoints must be strictly increasing")
-        if self.periodic:
-            if points.size < 1:
-                raise UsageError("a periodic description needs at least one breakpoint")
-            if points.size and (points[0] < -math.pi or points[-1] >= math.pi):
-                raise UsageError("periodic breakpoints must lie in [-pi, pi)")
-            expected_pieces = points.size
-        else:
-            if points.size and (points[0] <= -math.pi or points[-1] >= math.pi):
-                raise UsageError("interior breakpoints must lie in (-pi, pi)")
-            expected_pieces = points.size + 1
+        if points.size and (points[0] <= -math.pi or points[-1] >= math.pi):
+            raise UsageError("interior breakpoints must lie in (-pi, pi)")
+        expected_pieces = points.size + 1
         pieces = tuple(
             np.ascontiguousarray(c, dtype=float) for c in self.piece_coefficients
         )
@@ -159,32 +148,15 @@ class PiecewiseDescription:
         object.__setattr__(self, "piece_coefficients", pieces)
 
     def piece_intervals(self) -> list[tuple[float, float]]:
-        """Piece intervals in unwrapped coordinates (arcs may extend past pi)."""
-        if self.periodic:
-            edges = np.concatenate([self.breakpoints, [self.breakpoints[0] + TWO_PI]])
-        else:
-            edges = np.concatenate([[-math.pi], self.breakpoints, [math.pi]])
+        """Each piece's ``(start, end)``, from ``-pi`` to ``pi``."""
+        edges = np.concatenate([[-math.pi], self.breakpoints, [math.pi]])
         return [(float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1)]
 
-    def num_pieces(self) -> int:
-        return len(self.piece_coefficients)
-
     def evaluate(self, t):
-        """Evaluate at points ``t``; periodic descriptions wrap modulo 2*pi."""
+        """Evaluate at points ``t``, clipped to [-pi, pi]."""
         points = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(points).astype(float).ravel()
-        if self.periodic:
-            origin = float(self.breakpoints[0])
-            flat = origin + np.mod(flat - origin, TWO_PI)
-            edges = np.concatenate([self.breakpoints, [origin + TWO_PI]])
-            idx = np.clip(
-                np.searchsorted(edges, flat, side="right") - 1,
-                0,
-                self.num_pieces() - 1,
-            )
-        else:
-            flat = np.clip(flat, -math.pi, math.pi)
-            idx = np.searchsorted(self.breakpoints, flat, side="right")
+        flat = np.clip(np.atleast_1d(points).astype(float).ravel(), -math.pi, math.pi)
+        idx = np.searchsorted(self.breakpoints, flat, side="right")
         intervals = self.piece_intervals()
         out = np.empty_like(flat)
         for piece, (start, end) in enumerate(intervals):
@@ -271,29 +243,11 @@ def _piece_polynomial_at(
     description: PiecewiseDescription, t: float
 ) -> np.polynomial.Polynomial:
     """The description's polynomial around ``t``, in global coordinates."""
-    if description.periodic:
-        origin = float(description.breakpoints[0])
-        unwrapped = origin + math.fmod(t - origin, TWO_PI)
-        if unwrapped < origin:
-            unwrapped += TWO_PI
-        edges = np.concatenate(
-            [description.breakpoints, [origin + TWO_PI]]
-        )
-        piece = int(
-            np.clip(
-                np.searchsorted(edges, unwrapped, side="right") - 1,
-                0,
-                description.num_pieces() - 1,
-            )
-        )
-        shift = unwrapped - t
-    else:
-        piece = int(np.searchsorted(description.breakpoints, t, side="right"))
-        shift = 0.0
+    piece = int(np.searchsorted(description.breakpoints, t, side="right"))
     start, end = description.piece_intervals()[piece]
     midpoint = 0.5 * (start + end)
     local = np.polynomial.Polynomial(description.piece_coefficients[piece])
-    return local(np.polynomial.Polynomial([shift - midpoint, 1.0]))
+    return local(np.polynomial.Polynomial([-midpoint, 1.0]))
 
 
 def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float:
@@ -302,15 +256,7 @@ def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float
     Merges the two breakpoint sets and integrates the squared difference
     polynomial on each resulting subinterval in closed form.
     """
-    cuts = {-math.pi, math.pi}
-    for desc in (a, b):
-        for point in np.asarray(desc.breakpoints, float):
-            wrapped = float(point)
-            if wrapped >= math.pi:
-                wrapped -= TWO_PI
-            if -math.pi < wrapped < math.pi:
-                cuts.add(wrapped)
-    edges = sorted(cuts)
+    edges = sorted({-math.pi, math.pi, *map(float, a.breakpoints), *map(float, b.breakpoints)})
     total = 0.0
     for start, end in zip(edges[:-1], edges[1:]):
         if end - start < 1e-15:

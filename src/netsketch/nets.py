@@ -98,12 +98,11 @@ def _centered_grid(count: int, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AxisLog:
-    """One quantized coordinate of the construction: label, size, spacing.
+    """One quantized coordinate of the construction: size and spacing.
 
     The axis's grid is symmetric about zero: ``count`` points ``step`` apart.
     """
 
-    label: str
     count: int
     step: float
 
@@ -617,7 +616,7 @@ class FactoredStepDecoder(_GridDecoder):
         b = float(self.positions[configuration])
         coefficients = (c0 - c1) * _indicator_coefficients(b, self.d)
         coefficients[0] += c1 * _SQRT_2PI
-        return PiecewiseDescription((b,), ((c0,), (c1,)), periodic=False), coefficients
+        return PiecewiseDescription((b,), ((c0,), (c1,))), coefficients
 
 
 @dataclass(eq=False)
@@ -700,7 +699,6 @@ class NetPlan:
     axes: tuple[AxisLog, ...]
     config_count: int
     breakpoint_count: int = 0
-    periodic: bool = False
     index_gap: int = 1
     jumps: int = 0
     factored: bool = False
@@ -719,10 +717,10 @@ class NetPlan:
 
     @functools.cached_property
     def positions(self) -> np.ndarray:
-        """The grid at pitch ``2 pi / P``: from ``-pi``, or half a pitch in."""
+        """The grid at pitch ``2 pi / P``, from half a pitch in: every point inside (-pi, pi)."""
         count = self.breakpoint_count
         effective = TWO_PI / max(count, 1)
-        return -math.pi + effective * (np.arange(count) + (0.0 if self.periodic else 0.5))
+        return -math.pi + effective * (np.arange(count) + 0.5)
 
     def configurations(self) -> Iterator[tuple[float, ...]]:
         """Every configuration's breakpoints, in index order."""
@@ -745,18 +743,18 @@ def _smooth_length(minimum: int) -> int:
     return best
 
 
-def position_grid(eps1: float, num_jumps: int, value_scale: float, periodic: bool):
+def position_grid(eps1: float, num_jumps: int, value_scale: float):
     """Breakpoint count ``P``, actual pitch and nominal pitch.
 
-    The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` (quarter budget
-    for the periodic flavour) needs ``ceil(2 pi / pitch)`` points; ``P`` is
-    the smallest ``2^a 3^b 5^c`` at least that, so the step decoder's
-    length-``P`` FFT has no large prime factor.  Any finer pitch covers too,
-    and the actual grid (``NetPlan.positions``) uses ``2 pi / P``, all points
-    inside the domain.  The rounding adds at most ``log2(15/13) < 0.21`` bits
-    per jump to ``entropy_bits`` (``P`` 13 to 15 is the worst ratio).
+    The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` needs
+    ``ceil(2 pi / pitch)`` points; ``P`` is the smallest ``2^a 3^b 5^c`` at
+    least that, so the step decoder's length-``P`` FFT has no large prime
+    factor.  Any finer pitch covers too, and the actual grid
+    (``NetPlan.positions``) uses ``2 pi / P``.  The rounding adds at most
+    ``log2(15/13) < 0.21`` bits per jump to ``entropy_bits`` (``P`` 13 to 15
+    is the worst ratio).
     """
-    budget = eps1 / (4.0 if periodic else 2.0)
+    budget = eps1 / 2.0
     pitch = budget**2 / (num_jumps * (2.0 * value_scale) ** 2)
     count = _smooth_length(int(math.ceil(TWO_PI / pitch)))
     return count, TWO_PI / count, pitch
@@ -810,13 +808,15 @@ def build_net(
 # ---------------------------------------------------------------------------
 
 
-def _refuse_over_m_max(net: CoveringNet) -> None:
+def _refuse_to_write(net: CoveringNet, ambient_dim: int) -> None:
     if net.size > net.m_max:
         raise NetTooLargeError(f"net with {net.size} centers is over m_max = {net.m_max}: not written")
+    if ambient_dim < 1:
+        raise UsageError(f"ambient_dim must be positive, got {ambient_dim!r}: not written")
 
 
 def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
-    _refuse_over_m_max(net)
+    _refuse_to_write(net, ambient_dim)
     spec = net.family.spec_string()
     stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
     for index, member in enumerate(net.family.enumerate_members(net.plan)):
@@ -826,6 +826,6 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
 
 
 def write_net(path, net: CoveringNet, ambient_dim: int) -> None:
-    _refuse_over_m_max(net)  # before opening, so a refused net leaves the file as it was
+    _refuse_to_write(net, ambient_dim)  # before opening, so a refused net leaves the file as it was
     with open(path, "w", encoding="utf-8") as stream:
         dump_net(stream, net, ambient_dim)

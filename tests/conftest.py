@@ -54,7 +54,7 @@ def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
 
 def _point_values(member):
     """A smooth, piecewise or analytic member's point evaluator and its jumps."""
-    if hasattr(member, "steps"):  # analytic: smooth part plus periodic steps
+    if hasattr(member, "steps"):  # analytic: smooth part plus steps on the circle
         return (
             lambda t: member.smooth.evaluate(t) + member.steps.evaluate(t),
             member.steps.breakpoints,

@@ -381,6 +381,21 @@ def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
         assert over.read_bytes() == b"an earlier net\n"  # nor truncates one
 
 
+@pytest.mark.parametrize("ambient_dim", [0, -3])
+def test_net_build_refuses_a_nonpositive_ambient_dim_before_writing(tmp_path, capsys, ambient_dim):
+    for text in (NET_BUILD, STEP_CLASS + "eps1 = 1.5\n"):
+        cfg = _write(tmp_path, "net.cfg", text + f"ambient_dim = {ambient_dim}\n")
+        out = tmp_path / "net.txt"
+        out.unlink(missing_ok=True)
+        assert main(["net", "build", cfg, "--out", str(out)]) == 1
+        assert f"ambient_dim must be positive, got {ambient_dim}" in capsys.readouterr().err
+        assert not out.exists()  # a refused net creates no file
+        out.write_bytes(b"an earlier net\n")
+        assert main(["net", "build", cfg, "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert out.read_bytes() == b"an earlier net\n"  # nor truncates one
+
+
 def test_experiment_over_m_max_exits_before_building_maps(tmp_path, capsys, monkeypatch):
     built = []
     monkeypatch.setattr(
@@ -562,7 +577,7 @@ def test_non_finite_config_numbers_exit_one(tmp_path, capsys, command, text, key
     ],
 )
 def test_analytic_grid_too_coarse_for_its_jumps_exits_one(tmp_path, capsys, command, keys):
-    # At eps1 = 10 the periodic position grid has one point for three steps.
+    # At eps1 = 10 the analytic class's position grid has one point for three steps.
     block = "class = analytic\nmax_jumps = 3\nstrip_width = 1\namplitude = 0.01\n"
     cfg = _write(tmp_path, "analytic.cfg", block + keys)
     assert main([*command, cfg]) == 1

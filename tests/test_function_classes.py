@@ -187,19 +187,14 @@ def test_piecewise_membership_rejections():
         degree=0, max_jumps=1, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
     too_high = PiecewiseDescription(
-        breakpoints=(0.0,), piece_coefficients=((2.0,), (0.0,)), periodic=False
+        breakpoints=(0.0,), piece_coefficients=((2.0,), (0.0,))
     )
     assert not cls.contains(too_high)
     too_many = PiecewiseDescription(
         breakpoints=(-1.0, 1.0),
         piece_coefficients=((0.0,), (0.5,), (0.0,)),
-        periodic=False,
     )
     assert not cls.contains(too_many)
-    wrong_flavour = PiecewiseDescription(
-        breakpoints=(0.0,), piece_coefficients=((0.5,),), periodic=True
-    )
-    assert not cls.contains(wrong_flavour)
 
 
 def test_piecewise_gap_infeasibility():
@@ -229,6 +224,19 @@ def test_analytic_samples_are_members():
         envelope = cls.coefficient_envelope(128)
         assert np.all(np.abs(member.smooth.coefficients) <= envelope)
         assert len(member.steps.breakpoints) == 2
+
+
+def test_analytic_contains_counts_the_jump_at_pi():
+    cls = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
+
+    def member(*levels):
+        steps = PiecewiseDescription((-1.0, 1.0), tuple((v,) for v in levels))
+        return AnalyticStepMember(Signal(np.zeros(8)), steps)
+
+    # Two interior breakpoints are max_jumps jumps while the end levels meet
+    # at +/-pi; unequal end levels jump there a third time.
+    assert cls.contains(member(0.5, -0.5, 0.5))
+    assert not cls.contains(member(0.5, -0.5, 0.25))
 
 
 def _quadrature_cases():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_l2_inner, oracle_trig_coefficients
 from netsketch.errors import UsageError
+from netsketch.function_classes import _circle_steps
 from netsketch.hilbert import (
     PiecewiseDescription,
     Signal,
@@ -93,27 +94,28 @@ def test_step_envelope_slope_is_minus_one():
 # ---------------------------------------------------------------------------
 
 
-def random_description(rng: np.random.Generator, periodic: bool) -> PiecewiseDescription:
+def random_description(rng: np.random.Generator, circle: bool = False) -> PiecewiseDescription:
+    """Random polynomial pieces of degree up to 4, or steps on the circle.
+
+    The circle's steps start inside (-pi, pi), so the last level wraps
+    through +/-pi onto the first piece.
+    """
     num_jumps = int(rng.integers(1, 4))
-    if periodic:
-        points = np.sort(rng.uniform(-math.pi, math.pi, size=num_jumps))
-        num_pieces = num_jumps
-    else:
-        points = np.sort(rng.uniform(-2.5, 2.5, size=num_jumps))
-        num_pieces = num_jumps + 1
+    if circle:
+        positions = np.sort(rng.uniform(-math.pi, math.pi, size=num_jumps))
+        return _circle_steps(positions, rng.uniform(-1.0, 1.0, size=num_jumps))
+    points = np.sort(rng.uniform(-2.5, 2.5, size=num_jumps))
     pieces = tuple(
-        rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6))) for _ in range(num_pieces)
+        rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6))) for _ in range(num_jumps + 1)
     )
-    return PiecewiseDescription(
-        breakpoints=points, piece_coefficients=pieces, periodic=periodic
-    )
+    return PiecewiseDescription(breakpoints=points, piece_coefficients=pieces)
 
 
-@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("circle", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_analyze_matches_quadrature_oracle(periodic, seed):
+def test_analyze_matches_quadrature_oracle(circle, seed):
     rng = np.random.default_rng(seed)
-    desc = random_description(rng, periodic)
+    desc = random_description(rng, circle)
     computed = analyze_piecewise(desc, ambient_dim=128).coefficients
     expected = oracle_trig_coefficients(desc, ambient_dim=128)
     np.testing.assert_allclose(computed, expected, atol=1e-8)
@@ -144,7 +146,7 @@ def test_basis_orthonormality_via_quadrature():
 
 
 def test_energy_split_is_exact():
-    desc = random_description(np.random.default_rng(11), periodic=False)
+    desc = random_description(np.random.default_rng(11))
     coeffs = analyze_piecewise(desc, ambient_dim=512).coefficients
     total = float(np.dot(coeffs, coeffs))
     head = float(np.dot(coeffs[:64], coeffs[:64]))
@@ -195,7 +197,7 @@ def test_orthogonal_decomposition_identity():
 def test_tail_norm_decreasing_in_dimension():
     rng = np.random.default_rng(17)
     for seed in range(50):
-        desc = random_description(np.random.default_rng(seed), periodic=False)
+        desc = random_description(np.random.default_rng(seed))
         x = analyze_piecewise(desc, ambient_dim=256)
         tails = [tail_norm(x, d) for d in (8, 16, 32, 64, 128, 256)]
         assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
@@ -209,16 +211,10 @@ def test_tail_norm_decreasing_in_dimension():
 
 def test_exact_l2_distance_matches_quadrature():
     rng = np.random.default_rng(23)
-    for periodic in (False, True):
-        a = random_description(rng, periodic)
-        b = random_description(rng, periodic)
-        cuts = {-math.pi, math.pi}
-        for desc in (a, b):
-            for point in desc.breakpoints:
-                wrapped = float(point) - (2 * math.pi if point >= math.pi else 0.0)
-                if -math.pi < wrapped < math.pi:
-                    cuts.add(wrapped)
-        edges = sorted(cuts)
+    for circle in (False, True):
+        a = random_description(rng, circle)
+        b = random_description(rng, circle)
+        edges = sorted({-math.pi, math.pi, *a.breakpoints, *b.breakpoints})
         total = 0.0
         for start, end in zip(edges[:-1], edges[1:]):
             grid = np.linspace(start, end, 4097)
@@ -239,19 +235,18 @@ def test_exact_l2_distance_mixed_models():
         breakpoints=np.array([0.5]),
         piece_coefficients=(np.array([1.0]), np.array([2.0])),
     )
-    arc = PiecewiseDescription(
-        breakpoints=np.array([0.5, 2.5]),
-        piece_coefficients=(np.array([2.0]), np.array([1.0])),
-        periodic=True,
-    )
-    # Same function expressed in the two flavours: 1 before 0.5/after 2.5... the
-    # periodic one is 2 on [0.5, 2.5) and 1 elsewhere; build the matching
-    # interval version and compare.
+    # Steps at 0.5 and 2.5 with levels 2 and 1: the level 1 wraps through
+    # +/-pi, so they are 1, 2, 1 on the interval, bit for bit.
+    arc = _circle_steps((0.5, 2.5), (2.0, 1.0))
     same = PiecewiseDescription(
         breakpoints=np.array([0.5, 2.5]),
         piece_coefficients=(np.array([1.0]), np.array([2.0]), np.array([1.0])),
     )
-    assert exact_l2_distance(same, arc) <= 1e-12
+    assert arc.breakpoints.tobytes() == same.breakpoints.tobytes()
+    assert [c.tobytes() for c in arc.piece_coefficients] == [
+        c.tobytes() for c in same.piece_coefficients
+    ]
+    assert exact_l2_distance(same, arc) == 0.0
     assert exact_l2_distance(interval, arc) > 0.5
 
 
@@ -274,16 +269,31 @@ def test_piecewise_evaluate_interval_model():
     np.testing.assert_allclose(desc.evaluate(t), expected, rtol=1e-14)
 
 
+def arc_lookup(positions, levels, t):
+    """The level of the arc from ``positions[i]`` to the next position round
+    the circle that holds each ``t``."""
+    starts = np.asarray(positions, dtype=float)
+    lengths = np.mod(np.roll(starts, -1) - starts, 2 * math.pi)
+    lengths[lengths == 0.0] = 2 * math.pi  # one position: one arc, the whole circle
+    inside = np.mod(t[:, None] - starts[None, :], 2 * math.pi) < lengths
+    assert np.all(inside.sum(axis=1) == 1)
+    return np.asarray(levels)[np.argmax(inside, axis=1)]
+
+
 def test_piecewise_evaluate_periodic_wraps():
-    # Two arcs: [0, 2) -> 5, [2, 0 + 2*pi) -> -1; evaluation wraps mod 2*pi.
-    desc = PiecewiseDescription(
-        breakpoints=np.array([0.0, 2.0]),
-        piece_coefficients=(np.array([5.0]), np.array([-1.0])),
-        periodic=True,
-    )
-    t = np.array([0.5, 2.5, -3.0, 0.5 - 2 * math.pi])
-    expected = np.array([5.0, -1.0, -1.0, 5.0])
-    np.testing.assert_allclose(desc.evaluate(t), expected, rtol=1e-14)
+    # Steps on the circle, with the first at -pi in every other case, read
+    # at random points, at -pi and at every position.
+    rng = np.random.default_rng(29)
+    for case in range(16):
+        count = int(rng.integers(1, 5))
+        positions = np.sort(rng.uniform(-math.pi, math.pi, size=count))
+        if case % 2:
+            positions[0] = -math.pi
+        levels = rng.uniform(-1.0, 1.0, size=count)
+        t = np.concatenate([rng.uniform(-math.pi, math.pi, size=200), [-math.pi], positions])
+        steps = _circle_steps(positions, levels)
+        assert len(steps.breakpoints) == count - case % 2
+        np.testing.assert_array_equal(steps.evaluate(t), arc_lookup(positions, levels, t))
 
 
 def test_piecewise_validation_rejects_bad_input():

@@ -32,9 +32,11 @@ from hypothesis import strategies as st
 from netsketch import nets
 from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
+    AnalyticStepMember,
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
+    _circle_steps,
 )
 from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
 from netsketch.jl import apply_operator, random_subspace
@@ -42,7 +44,6 @@ from netsketch.nets import (
     AxisLog,
     ConfigurationDecoder,
     FactoredStepDecoder,
-    NetPlan,
     build_net,
     dump_net,
     gap_separated_count,
@@ -56,7 +57,7 @@ TWO_PI = 2.0 * math.pi
 
 def symmetric_grid(bound, step):
     """The grid an axis covering ``[-bound, bound]`` at ``step`` lays out."""
-    return AxisLog("grid", grid_count(bound, step), step).points()
+    return AxisLog(grid_count(bound, step), step).points()
 
 
 def step_class(**overrides):
@@ -97,7 +98,7 @@ def test_grid_count_and_symmetric_grid_basics():
 
 
 def test_snap_picks_nearest_and_clamps():
-    axis = AxisLog(label="x", count=grid_count(1.0, 1.0), step=1.0)
+    axis = AxisLog(count=grid_count(1.0, 1.0), step=1.0)
     points = axis.points()
     np.testing.assert_array_equal(points, [-1.0, 0.0, 1.0])
     assert axis.snap(0.49) == points[1] == 0.0
@@ -116,7 +117,7 @@ def test_snap_picks_nearest_and_clamps():
 )
 def test_snap_error_bounded_by_half_step(bound, ratio, offset):
     step = bound * ratio
-    axis = AxisLog(label="x", count=grid_count(bound, step), step=step)
+    axis = AxisLog(count=grid_count(bound, step), step=step)
     value = bound * offset
     snapped = axis.snap(value)
     assert np.any(axis.points() == snapped)
@@ -144,6 +145,7 @@ def test_single_jump_net_matches_hand_counts():
     positions = net.plan.positions
     assert positions.size == 405
     assert np.all(positions > -math.pi) and np.all(positions < math.pi)
+    assert positions[0] == pytest.approx(-math.pi + math.pi / 405, abs=1e-15)  # half a pitch in
     spacing = np.diff(positions)
     np.testing.assert_allclose(spacing, TWO_PI / 405, rtol=1e-12)
 
@@ -210,7 +212,6 @@ def test_rounding_bumps_colliding_breakpoints_forward():
     member = PiecewiseDescription(
         breakpoints=(0.0, 0.8),
         piece_coefficients=((0.5,), (-0.5,), (0.0,)),
-        periodic=False,
     )
     witness = family.round_member(plan, member)
     assert witness.breakpoints[1] - witness.breakpoints[0] >= 4 * effective - 1e-12
@@ -263,6 +264,23 @@ def test_witness_within_resolution_analytic():
     rng = np.random.default_rng(404)
     for _ in range(20):
         member = family.sample(rng, 512)
+        witness = family.round_member(plan, member)
+        assert family.distance(member, witness) <= 1.0
+
+
+@pytest.mark.parametrize("jumps", [1, 2])
+def test_witness_within_resolution_with_a_step_at_pi(jumps):
+    # The first step starts at -pi, so the last level wraps onto nothing: with
+    # one step the member is a constant, with two its only jump off the
+    # interior breakpoints is the one at +/-pi.
+    family = PiecewiseAnalyticClass(max_jumps=jumps, strip_width=0.5, amplitude=1.0)
+    plan = build_net(family, 1.0).plan
+    rng = np.random.default_rng(505)
+    for _ in range(20):
+        smooth = family.sample(rng, 512).smooth
+        positions = (-math.pi, *np.sort(rng.uniform(-math.pi, math.pi, jumps - 1)))
+        member = AnalyticStepMember(smooth, _circle_steps(positions, rng.uniform(-1.0, 1.0, jumps)))
+        assert len(member.steps.breakpoints) == jumps - 1 and family.contains(member)
         witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 1.0
 
@@ -876,22 +894,20 @@ def length_p_on_breakpoints(positions, series):
     return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
 
 
-def grid_decoder(count, periodic, d):
-    """A factored decoder at ``d`` on a grid of exactly ``count`` breakpoints."""
-    plan = NetPlan(1.0, (), 1, breakpoint_count=count, periodic=periodic)
-    return FactoredStepDecoder(plan.positions, symmetric_grid(1.0, 0.5), 0.5, d)
+def grid_decoder(count, start, d):
+    """A factored decoder at ``d`` on ``count`` breakpoints from ``start``, 2 pi / count apart."""
+    positions = start + (TWO_PI / count) * np.arange(count)
+    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, d)
 
 
-@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
 @pytest.mark.parametrize("count", [45, 70, 97, 10_054, 10_125])
-def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
+def test_on_breakpoints_matches_the_length_p_oracle(count, offset):
     # _on_breakpoints on smooth (45, 10,125) and rough (70, 97, 10,054)
     # grids alike, at a d whose series reach 3 P + 1 frequencies, so the
-    # longest series fold three whole turns.
-    decoder = grid_decoder(count, periodic, 2 * (3 * count + 1))
-    # Half-step start, or the -pi start of the periodic grid.
-    start = -math.pi + (0.0 if periodic else math.pi / count)
-    assert decoder.positions[0] == pytest.approx(start, abs=1e-15)
+    # longest series fold three whole turns.  The grid starts at -pi, or
+    # half a pitch in as a net's does.
+    decoder = grid_decoder(count, -math.pi + offset * TWO_PI / count, 2 * (3 * count + 1))
     rng = np.random.default_rng(count)
     for width in (1, 2, count // 2, count, 3 * count + 1):
         for series in (
@@ -911,11 +927,10 @@ def test_chirp_z_transform_matches_the_length_p_oracle(count, periodic):
     eps1=st.floats(0.05, 10.0),
     jumps=st.integers(1, 4),
     scale=st.floats(0.05, 2.0),
-    periodic=st.booleans(),
 )
-@example(eps1=0.1, jumps=1, scale=1.0, periodic=False)  # the bench grid, 10,054 -> 10,125
-def test_position_grid_takes_the_next_smooth_count(eps1, jumps, scale, periodic):
-    count, effective, pitch = position_grid(eps1, jumps, scale, periodic)
+@example(eps1=0.1, jumps=1, scale=1.0)  # the bench grid, 10,054 -> 10,125
+def test_position_grid_takes_the_next_smooth_count(eps1, jumps, scale):
+    count, effective, pitch = position_grid(eps1, jumps, scale)
     needed = math.ceil(TWO_PI / pitch)
     assume(needed <= 10**6)  # a bound on the sweep below, not on position_grid
     assert rough_part(count) == 1 and count >= needed
