@@ -43,7 +43,7 @@ from typing import IO, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NetTooLargeError, UsageError
-from .hilbert import PiecewiseDescription, dump_signal
+from .hilbert import PiecewiseDescription, analyze_piecewise, dump_signal
 
 __all__ = [
     "AxisLog",
@@ -379,19 +379,6 @@ def _indicator_series(rows: np.ndarray, out: np.ndarray, half: float = 1.0) -> n
     return out
 
 
-def _indicator_coefficients(b: float, d: int) -> np.ndarray:
-    """``w(b)``: the first ``d`` coefficients of the indicator of ``[-pi, b]``."""
-    js = np.arange(1, d // 2 + 1)
-    weights = 1.0 / (js * math.sqrt(math.pi))
-    signs = np.where(js % 2 == 0, 1.0, -1.0)
-    n_sin = (d - 1) // 2
-    w = np.empty(d)
-    w[0] = (b + math.pi) / _SQRT_2PI
-    w[1::2] = np.sin(js * b) * weights
-    w[2::2] = (signs[:n_sin] - np.cos(js[:n_sin] * b)) * weights[:n_sin]
-    return w
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     """The nearest member, its index in net order, and its distance.
@@ -613,10 +600,8 @@ class FactoredStepDecoder(_GridDecoder):
 
     def _center(self, configuration: int, values: tuple):
         c0, c1 = map(float, values)
-        b = float(self.positions[configuration])
-        coefficients = (c0 - c1) * _indicator_coefficients(b, self.d)
-        coefficients[0] += c1 * _SQRT_2PI
-        return PiecewiseDescription((b,), ((c0,), (c1,))), coefficients
+        member = PiecewiseDescription((float(self.positions[configuration]),), ((c0,), (c1,)))
+        return member, analyze_piecewise(member, self.d).coefficients
 
 
 @dataclass(eq=False)

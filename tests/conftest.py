@@ -3,7 +3,10 @@
 One oracle computes basis coefficients of a piecewise polynomial with
 ``scipy.integrate.quad`` using its oscillatory-weight rules; another computes
 L2 distances between class members by composite Simpson over point values.
-Neither shares code with the closed forms in the package.
+Neither shares code with the closed forms in the package.  A third computes
+the coefficients in closed form by a recursion in the monomial degree, piece
+by piece, which shares only the constant coefficient's expression with the
+package's jump relations.
 """
 
 from __future__ import annotations
@@ -52,6 +55,59 @@ def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
     return coeffs
 
 
+def _monomial_trig_integrals(alpha: float, beta: float, js: np.ndarray, degree: int):
+    """Definite integrals of u**m cos(j u) and u**m sin(j u) over [alpha, beta].
+
+    Two arrays of shape (degree + 1, len(js)), from the recursion obtained by
+    integrating by parts once per degree.
+    """
+    sin_b, cos_b = np.sin(js * beta), np.cos(js * beta)
+    sin_a, cos_a = np.sin(js * alpha), np.cos(js * alpha)
+    cos_ints = [(sin_b - sin_a) / js]
+    sin_ints = [(cos_a - cos_b) / js]
+    pow_a, pow_b = 1.0, 1.0
+    for m in range(1, degree + 1):
+        pow_a *= alpha
+        pow_b *= beta
+        cos_ints.append((pow_b * sin_b - pow_a * sin_a) / js - (m / js) * sin_ints[m - 1])
+        sin_ints.append((pow_a * cos_a - pow_b * cos_b) / js + (m / js) * cos_ints[m - 1])
+    return np.stack(cos_ints), np.stack(sin_ints)
+
+
+def recursion_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
+    """Trig-basis coefficients of ``description`` by the degree recursion.
+
+    Each piece is integrated in its own local coordinate, monomial by
+    monomial, and its phase is rotated to the piece's midpoint.  The constant
+    coefficient is the one ``hilbert.analyze_piecewise`` computes, bit for bit.
+    """
+    jmax = ambient_dim // 2
+    js = np.arange(1, jmax + 1, dtype=float)
+    total_const = 0.0
+    total_cos = np.zeros(jmax)
+    total_sin = np.zeros(jmax)
+    for (start, end), coeffs in zip(
+        description.piece_intervals(), description.piece_coefficients
+    ):
+        midpoint = 0.5 * (start + end)
+        alpha, beta = start - midpoint, end - midpoint
+        powers = np.arange(1, coeffs.size + 1, dtype=float)
+        total_const += float(np.dot(coeffs, (beta**powers - alpha**powers) / powers))
+        if jmax == 0:
+            continue
+        cos_ints, sin_ints = _monomial_trig_integrals(alpha, beta, js, coeffs.size - 1)
+        local_cos = coeffs @ cos_ints
+        local_sin = coeffs @ sin_ints
+        phase_cos, phase_sin = np.cos(js * midpoint), np.sin(js * midpoint)
+        total_cos += phase_cos * local_cos - phase_sin * local_sin
+        total_sin += phase_sin * local_cos + phase_cos * local_sin
+    coeffs_out = np.zeros(ambient_dim)
+    coeffs_out[0] = total_const / math.sqrt(2.0 * math.pi)
+    coeffs_out[1::2] = total_cos[: ambient_dim // 2] / math.sqrt(math.pi)
+    coeffs_out[2::2] = total_sin[: (ambient_dim - 1) // 2] / math.sqrt(math.pi)
+    return coeffs_out
+
+
 def _point_values(member):
     """A smooth, piecewise or analytic member's point evaluator and its jumps."""
     if hasattr(member, "steps"):  # analytic: smooth part plus steps on the circle
@@ -98,24 +154,31 @@ def linear_expansion_bound(family, values) -> float:
     """Largest rounding gap between two evaluations of one center's coefficients.
 
     At a fixed configuration a center's coefficient ``i`` is ``sum_j v_j t_j``
-    over its ``k`` axis values ``v_j``: ``t_j`` is a unit coefficient, or up to
-    two phase-weighted integrals of a piece monomial over ``sqrt(pi)`` (the
-    closed forms of ``hilbert.analyze_piecewise``), which both evaluations
-    share bit for bit.  Expanding the center directly and multiplying its
+    over its ``k`` axis values ``v_j``: ``t_j`` is a unit coefficient, or a
+    piece monomial's share of the closed forms of ``hilbert.analyze_piecewise``,
+    whose constants (interval powers, phases, ``1/j``) both evaluations share
+    bit for bit.  Expanding the center directly and multiplying its
     configuration's linear map by ``v`` sum the same products in different
-    orders, each term through at most ``N = 2k + 8`` roundings, so each result
-    is within ``gamma_N = N u / (1 - N u)`` of the exact sum times the sum of
-    the term magnitudes ``|v_j| m_j`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3), and the two differ by at most twice that.
-    With ``|cos|, |sin| <= 1`` and ``int |u|^m du = 2 h^(m+1) / (m+1)`` over a
-    piece of half-length ``h <= pi``, ``m_j <= 4 pi^(m+1) / sqrt(pi)`` for a
-    degree-``m`` monomial, and a unit coefficient has ``m_j = 1``.
+    orders.  For piece degree ``m`` each term goes through at most ``N = 2k +
+    5m + 8`` roundings: the derivative factors and Horner's rule in the local
+    coordinate, the drop, Horner's rule in ``1/(ij)``, the phase, the sum over
+    jumps, the scaling and the map's dot product.  So each result is within
+    ``gamma_N = N u / (1 - N u)`` of the exact sum times the sum of the term
+    magnitudes ``|v_j| m_j`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3), and the two differ by at most twice that.  A
+    degree-``m`` monomial enters the constant by its integral over a piece of
+    half-length ``h <= pi``, at most ``2 h^(m+1) / ((m+1) sqrt(2 pi))``, and
+    frequency ``j >= 1`` by its derivatives at the piece's two ends, at most
+    ``2 m! sum_{r<=m} pi^r / r! / sqrt(pi)``; a unit coefficient has ``m_j = 1``.
     """
-    count = 2 * len(values) + 8
+    degree = getattr(family, "degree", 0)
+    count = 2 * len(values) + 5 * degree + 8
     unit = np.finfo(np.float64).eps / 2.0
     gamma = count * unit / (1.0 - count * unit)
-    degree = getattr(family, "degree", 0)
-    magnitude = 4.0 * math.pi ** (degree + 1) / math.sqrt(math.pi)
+    constant = 2.0 * math.pi ** (degree + 1) / ((degree + 1) * math.sqrt(2.0 * math.pi))
+    drops = sum(math.pi**r / math.factorial(r) for r in range(degree + 1))
+    trig = 2.0 * math.factorial(degree) * drops / math.sqrt(math.pi)
+    magnitude = max(constant, trig)
     return 2.0 * gamma * magnitude * float(np.sum(np.abs(values)))
 
 
