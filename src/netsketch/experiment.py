@@ -279,6 +279,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         raise UsageError(f"jobs must be >= 1, got {jobs!r}")
     started = time.monotonic()
     family = config.family
+    # The measurement lower bound is stated at eps, not at the net's eps/6, so
+    # it counts a second net at eps; lay it out before any trial runs.
+    try:
+        entropy_bits_at_eps = build_net(family, config.eps).entropy_bits
+    except UsageError as error:
+        raise UsageError(f"the net at eps = {config.eps!r}: {error}") from error
     tail_model = fit_class_tail_model(
         family,
         config.tail_samples,
@@ -328,10 +334,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     errors = [row["ambient_error"] for row in rows]
     interval = wilson_interval(successes, config.trials)
     entropy_bits = sampler.net.entropy_bits
-    # The information-theoretic measurement bound is stated at the target
-    # accuracy eps, not at the finer net resolution eps/6, so count a second
-    # net at eps for it.  The formula needs 0 < delta < 1 to carry meaning.
-    entropy_bits_at_eps = build_net(config.family, config.eps).entropy_bits
+    # The formula needs 0 < delta < 1 to carry meaning.
     lower_bound = (
         measurement_lower_bound(entropy_bits_at_eps, delta)
         if 0.0 < delta < 1.0

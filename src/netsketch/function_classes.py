@@ -30,7 +30,7 @@ from .hilbert import (
     TWO_PI,
     PiecewiseDescription,
     Signal,
-    _piece_polynomial_at,
+    _taylor,
     analyze_piecewise,
     exact_l2_distance,
     pad_or_truncate,
@@ -337,6 +337,7 @@ class PiecewiseSmoothClass(FunctionClass):
             if count - (s - 1) * (gap - 1) < s:
                 raise UsageError(
                     "no breakpoint configuration satisfies the gap constraint"
+                    f" at eps1 = {eps1!r}"
                 )
             configs = gap_separated_count(count, s, gap)
         bounds = self.coefficient_bounds()
@@ -388,13 +389,8 @@ class PiecewiseSmoothClass(FunctionClass):
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
         """Each piece's local coefficients about its midpoint, piece by piece."""
         edges = [-math.pi, *breakpoints, math.pi]
-        values: list[float] = []
-        for left, right in zip(edges[:-1], edges[1:]):
-            midpoint = 0.5 * (left + right)
-            polynomial = _piece_polynomial_at(member, midpoint)
-            local = polynomial(np.polynomial.Polynomial([midpoint, 1.0]))
-            values.extend(pad_or_truncate(local.coef, self.degree + 1))
-        return values
+        midpoints = [0.5 * (left + right) for left, right in zip(edges[:-1], edges[1:])]
+        return [value for t in midpoints for value in _taylor(member, t, self.degree + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ Analysis against the basis is closed form, by the jump relations: a piecewise
 polynomial's Fourier coefficients are fixed by the jumps of its derivatives
 at the breakpoints and at +/-pi (Eckhoff, *Math. Comp.* 64, 1995), so each
 frequency ``j`` costs a few operations per jump, vectorized over ``j``.
+
+Distances, re-centring and point values use Horner's rule alone: about ``t``,
+a piece has Taylor coefficients ``q_r = p^(r)(t) / r!``, and its squared integral
+over ``[t - h, t + h]`` is ``sum q_i q_j 2 h^(i+j+1) / (i+j+1)`` over even ``i + j``.
 """
 
 from __future__ import annotations
@@ -158,22 +162,17 @@ class PiecewiseDescription:
         points = np.asarray(t, dtype=float)
         flat = np.clip(np.atleast_1d(points).astype(float).ravel(), -math.pi, math.pi)
         idx = np.searchsorted(self.breakpoints, flat, side="right")
-        intervals = self.piece_intervals()
         out = np.empty_like(flat)
-        for piece, (start, end) in enumerate(intervals):
+        for piece, (start, end) in enumerate(self.piece_intervals()):
             mask = idx == piece
-            if not np.any(mask):
-                continue
-            local = flat[mask] - 0.5 * (start + end)
-            out[mask] = np.polynomial.polynomial.polyval(
-                local, self.piece_coefficients[piece]
-            )
+            coeffs = self.piece_coefficients[piece].tolist()
+            out[mask] = _derivatives(coeffs, flat[mask] - 0.5 * (start + end), 1)[0]
         if points.ndim == 0:
             return float(out[0])
         return out.reshape(points.shape)
 
 
-def _derivatives(coeffs: list[float], u: float, count: int) -> list[float]:
+def _derivatives(coeffs: list[float], u: float | np.ndarray, count: int) -> list:
     """``p(u), p'(u), ..., p^(count - 1)(u)`` for monomial coefficients ``coeffs``, by Horner."""
     values = []
     for _ in range(count):
@@ -240,32 +239,33 @@ def analyze_piecewise(description: PiecewiseDescription, ambient_dim: int) -> Si
     return Signal(coeffs_out)
 
 
-def _piece_polynomial_at(
-    description: PiecewiseDescription, t: float
-) -> np.polynomial.Polynomial:
-    """The description's polynomial around ``t``, in global coordinates."""
+def _taylor(description: PiecewiseDescription, t: float, count: int) -> list[float]:
+    """``p^(r)(t) / r!`` for ``r < count``, with ``p`` the piece at ``t``."""
+    edges = [-math.pi, *description.breakpoints.tolist(), math.pi]
     piece = int(np.searchsorted(description.breakpoints, t, side="right"))
-    start, end = description.piece_intervals()[piece]
-    midpoint = 0.5 * (start + end)
-    local = np.polynomial.Polynomial(description.piece_coefficients[piece])
-    return local(np.polynomial.Polynomial([-midpoint, 1.0]))
+    coeffs = description.piece_coefficients[piece].tolist()
+    values = _derivatives(coeffs, t - 0.5 * (edges[piece] + edges[piece + 1]), count)
+    return [value / math.factorial(r) for r, value in enumerate(values)]
 
 
 def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float:
     """Exact L2[-pi, pi] distance between two piecewise polynomials.
 
-    Merges the two breakpoint sets and integrates the squared difference
-    polynomial on each resulting subinterval in closed form.
+    On each interval between merged breakpoints, of half-width ``h``, the
+    difference has Taylor coefficients ``q`` about the midpoint, and its squared
+    integral is ``sum q_i q_j 2 h^(i+j+1) / (i+j+1)`` over even ``i + j``.  The
+    sign of ``q`` drops out, so swapping ``a`` and ``b`` changes no bit.
     """
-    edges = sorted({-math.pi, math.pi, *map(float, a.breakpoints), *map(float, b.breakpoints)})
+    count = max(len(c) for c in (*a.piece_coefficients, *b.piece_coefficients))
+    edges = sorted({-math.pi, math.pi, *a.breakpoints.tolist(), *b.breakpoints.tolist()})
     total = 0.0
     for start, end in zip(edges[:-1], edges[1:]):
-        if end - start < 1e-15:
-            continue
-        midpoint = 0.5 * (start + end)
-        diff = _piece_polynomial_at(a, midpoint) - _piece_polynomial_at(b, midpoint)
-        antiderivative = (diff * diff).integ()
-        total += float(antiderivative(end) - antiderivative(start))
+        midpoint, half = 0.5 * (start + end), 0.5 * (end - start)
+        pairs = zip(_taylor(a, midpoint, count), _taylor(b, midpoint, count))
+        q = [x - y for x, y in pairs]
+        for i, qi in enumerate(q):
+            for j in range(i % 2, count, 2):
+                total += qi * q[j] * 2.0 * half ** (i + j + 1) / (i + j + 1)
     return math.sqrt(max(total, 0.0))
 
 

@@ -2,11 +2,12 @@
 
 One oracle computes basis coefficients of a piecewise polynomial with
 ``scipy.integrate.quad`` using its oscillatory-weight rules; another computes
-L2 distances between class members by composite Simpson over point values.
-Neither shares code with the closed forms in the package.  A third computes
-the coefficients in closed form by a recursion in the monomial degree, piece
-by piece, which shares only the constant coefficient's expression with the
-package's jump relations.
+L2 distances between class members by composite Simpson over point values;
+a third computes squared L2 distances of piecewise polynomials exactly, in
+``fractions.Fraction`` arithmetic.  None of them shares code with the closed
+forms in the package.  A fourth computes the coefficients in closed form by a
+recursion in the monomial degree, piece by piece, which shares only the
+constant coefficient's expression with the package's jump relations.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -137,6 +139,51 @@ def oracle_l2_distance(a, b, points_per_piece: int) -> float:
         delta = eval_a(points) - eval_b(points)
         total += float(integrate.simpson(delta * delta, x=grid))
     return math.sqrt(total)
+
+
+def _fraction_pieces(description):
+    """Each piece's ``(start, end, midpoint, coefficients)`` as exact rationals.
+
+    The midpoint is the float the description defines its local coordinate
+    by, so every quantity is a float and hence rational.
+    """
+    pieces = []
+    for (start, end), coeffs in zip(
+        description.piece_intervals(), description.piece_coefficients
+    ):
+        midpoint = 0.5 * (start + end)
+        pieces.append(
+            (Fraction(start), Fraction(end), Fraction(midpoint), [Fraction(c) for c in coeffs])
+        )
+    return pieces
+
+
+def fraction_l2_distance_squared(a, b) -> Fraction:
+    """Squared L2[-pi, pi] distance of two piecewise polynomials, exactly.
+
+    On each interval between merged breakpoints, both pieces are re-expanded
+    in ``t - start`` by the binomial theorem, and the squared difference is
+    integrated term by term; ``-pi`` and ``pi`` are the floats ``-math.pi``
+    and ``math.pi``.
+    """
+    pieces_a, pieces_b = _fraction_pieces(a), _fraction_pieces(b)
+    cuts = sorted({*(p[0] for p in pieces_a + pieces_b), Fraction(math.pi)})
+    total = Fraction(0)
+    for start, end in zip(cuts[:-1], cuts[1:]):
+        here = [
+            next(p for p in pieces if p[0] <= start < p[1]) for pieces in (pieces_a, pieces_b)
+        ]
+        diff = [Fraction(0)] * max(len(coeffs) for *_, coeffs in here)
+        for (_, _, midpoint, coeffs), sign in zip(here, (1, -1)):
+            shift = start - midpoint
+            for m, c in enumerate(coeffs):
+                for k in range(m + 1):
+                    diff[k] += sign * c * math.comb(m, k) * shift ** (m - k)
+        width = end - start
+        for i, di in enumerate(diff):
+            for j, dj in enumerate(diff):
+                total += di * dj * width ** (i + j + 1) / (i + j + 1)
+    return total
 
 
 def grid_l2_inner(values_a: np.ndarray, values_b: np.ndarray, grid: np.ndarray) -> float:

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_l2_inner, oracle_trig_coefficients, recursion_trig_coefficients
+from conftest import (
+    fraction_l2_distance_squared,
+    grid_l2_inner,
+    oracle_trig_coefficients,
+    recursion_trig_coefficients,
+)
 from netsketch.errors import UsageError
 from netsketch.function_classes import _circle_steps
 from netsketch.hilbert import (
@@ -170,15 +175,28 @@ def test_a_shorter_expansion_is_a_prefix_bit_for_bit(degree):
 
 
 def test_expansion_leaves_numpy_polynomial_unimported():
-    # Importing numpy.polynomial costs about 0.6 MB and 3 ms; an expansion needs none of it.
+    # Importing numpy.polynomial costs about 0.6 MB and 3 ms; an expansion
+    # needs none of it, nor does any class's distance, rounding or evaluation.
     probe = (
         "import sys\n"
         "import numpy as np\n"
+        "from netsketch.config import CLASSES\n"
         "from netsketch.function_classes import PiecewiseSmoothClass\n"
         "rng = np.random.default_rng(1)\n"
         "for degree in (0, 2):\n"
         "    family = PiecewiseSmoothClass(degree, 1, 1.0, 0.5, 1.0)\n"
         "    family.to_signal(family.sample(rng, 4096), 4096)\n"
+        "cases = [\n"
+        "    (CLASSES['smooth'](3, 2.0), 0.5),\n"
+        "    (CLASSES['piecewise'](3, 2, 1.0, 1.5, 1.0), 3.0),\n"
+        "    (CLASSES['analytic'](2, 0.5, 1.0), 1.0),\n"
+        "]\n"
+        "assert {type(family) for family, _ in cases} == set(CLASSES.values())\n"
+        "for family, eps1 in cases:\n"
+        "    a, b = family.sample(rng, 64), family.sample(rng, 64)\n"
+        "    family.distance(a, b)\n"
+        "    family.round_member(family.net_plan(eps1), a)\n"
+        "    getattr(a, 'steps', a).evaluate(np.linspace(-4.0, 4.0, 9))\n"
         "print(*sys.modules)\n"
     )
     proc = subprocess.run(
@@ -293,10 +311,10 @@ def test_exact_l2_distance_matches_quadrature():
             diff = a.evaluate(nudged) - b.evaluate(nudged)
             total += grid_l2_inner(diff, diff, grid)
         expected = math.sqrt(total)
-        np.testing.assert_allclose(
-            exact_l2_distance(a, b), expected, rtol=1e-9, atol=1e-10
-        )
-        assert exact_l2_distance(a, a) <= 1e-12
+        distance = exact_l2_distance(a, b)
+        np.testing.assert_allclose(distance, expected, rtol=1e-9, atol=1e-10)
+        assert exact_l2_distance(b, a).hex() == distance.hex()
+        assert exact_l2_distance(a, a) == 0.0
 
 
 def test_exact_l2_distance_mixed_models():
@@ -317,6 +335,30 @@ def test_exact_l2_distance_mixed_models():
     ]
     assert exact_l2_distance(same, arc) == 0.0
     assert exact_l2_distance(interval, arc) > 0.5
+
+
+@st.composite
+def circle_step_descriptions(draw):
+    """One to four steps on the circle, at times with a position at -pi."""
+    positions = draw(
+        st.sets(st.just(-math.pi) | st.floats(-3.14, 3.14), min_size=1, max_size=4)
+    )
+    levels = [draw(st.floats(-1.0, 1.0)) for _ in positions]
+    return _circle_steps(sorted(positions), levels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=piecewise_descriptions() | circle_step_descriptions(),
+    b=piecewise_descriptions() | circle_step_descriptions(),
+)
+def test_exact_l2_distance_matches_the_fraction_oracle(a, b):
+    # Every breakpoint, midpoint, coefficient and +/-pi is a float, hence a
+    # rational, so the oracle is exact.
+    distance = exact_l2_distance(a, b)
+    expected = math.sqrt(fraction_l2_distance_squared(a, b))
+    assert abs(distance - expected) <= 1e-14 * max(1.0, expected)
+    assert exact_l2_distance(b, a).hex() == distance.hex()
 
 
 # ---------------------------------------------------------------------------
