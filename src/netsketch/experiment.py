@@ -32,6 +32,7 @@ from .nets import build_net
 from .reconstructor import (
     PreparedSampler,
     ReconstructionOutcome,
+    add_noise,
     measure,
     preprocess,
     reconstruct,
@@ -102,13 +103,19 @@ class ExperimentResult:
 
 
 def _distortion_ratio(
-    operator, difference: np.ndarray
+    operator, difference: np.ndarray, projected: float | None = None
 ) -> float:
-    """Projected-over-true distance ratio for one coefficient difference."""
+    """Projected-over-true distance ratio for one coefficient difference.
+
+    ``projected`` is the length of the difference's sketch when the caller
+    already has it; without it the operator is applied to the difference.
+    """
     true = float(np.linalg.norm(difference))
     if true == 0.0:
         return 1.0
-    return float(np.linalg.norm(apply_operator(operator, difference))) / true
+    if projected is None:
+        projected = float(np.linalg.norm(apply_operator(operator, difference)))
+    return projected / true
 
 
 @dataclass(frozen=True)
@@ -122,14 +129,17 @@ class TrialAudit:
     ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``.  The chain's
     premise needs the upper distortion band on the pair (x, nearest center),
     the lower band on the pair (x, decoded center), exact measurements, and
-    both tails within ``eps1``.  A counterexample is a trial whose premise
-    holds but whose guarantee fails.
+    both tails within ``eps1``; ``upper_ratio`` and ``lower_ratio`` are the
+    two pairs' projected-over-true distance ratios.  A counterexample is a
+    trial whose premise holds but whose guarantee fails.
     """
 
     truncation_tail: float
     projected_offset: float
     center_tail: float
     ambient_error: float
+    upper_ratio: float
+    lower_ratio: float
     guarantee_met: bool
     distortion_ok: bool
     premise: bool
@@ -139,26 +149,46 @@ class TrialAudit:
 def audit_trial(
     sampler: PreparedSampler,
     x: Signal,
+    sketch: np.ndarray,
     outcome: ReconstructionOutcome,
     delta: float,
     trial: int,
 ) -> TrialAudit:
     """Audit one reconstruction of ``x``; the only comparison with ground truth.
 
-    Raises ``UsageError`` when ``x`` has fewer than ``d`` coefficients, and
-    ``NetSketchError`` when a clamped operator distorts a pair.
+    ``sketch`` is ``measure(sampler, x)``, the noise-free sketch ``R x_d``.
+    With the decoded center's ``R c``, which the decode kept, it gives the
+    lower pair's projected length ``|R x_d - R c|`` with no product with the
+    frame.  The upper pair reuses that ratio when the nearest center is the
+    decoded one, and applies the operator to its difference otherwise.  A
+    clamped sampler applies the operator to both differences: its isometry
+    check allows ``1e-10``, which the difference of two sketches would spend
+    on cancellation.
+
+    Raises ``UsageError`` when ``x`` has fewer than ``d`` coefficients or
+    ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
+    clamped operator distorts a pair.
     """
     d = sampler.d
     if x.ambient_dim < d:
         raise UsageError(
             f"ground truth has {x.ambient_dim} coefficients, fewer than d = {d}"
         )
+    if np.shape(sketch) != (sampler.n,):
+        raise UsageError(
+            f"expected a sketch of {sampler.n} measurements, got shape {np.shape(sketch)}"
+        )
     center = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
     x_truncated = x.coefficients[:d]
     offset = x_truncated - center.coefficients[:d]
-    nearest = sampler.decoder.decode_coefficients(x_truncated).coefficients
-    upper_ratio = _distortion_ratio(sampler.operator, x_truncated - nearest)
-    lower_ratio = _distortion_ratio(sampler.operator, offset)
+    nearest = sampler.decoder.decode_coefficients(x_truncated)
+    operator = sampler.operator
+    kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.center_sketch))
+    lower_ratio = _distortion_ratio(operator, offset, kept)
+    if kept is not None and nearest.index == outcome.index:
+        upper_ratio = lower_ratio
+    else:
+        upper_ratio = _distortion_ratio(operator, x_truncated - nearest.coefficients)
     lower, upper = DISTORTION_BAND
     distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
@@ -191,6 +221,8 @@ def audit_trial(
         projected_offset=float(np.linalg.norm(offset)),
         center_tail=center_tail,
         ambient_error=ambient_error,
+        upper_ratio=upper_ratio,
+        lower_ratio=lower_ratio,
         guarantee_met=guarantee_met,
         distortion_ok=distortion_ok,
         premise=premise,
@@ -222,9 +254,11 @@ def _run_trial(
     noise_rng = (
         _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_NOISE) if delta > 0.0 else None
     )
-    y = measure(trial_sampler, x, delta=delta, rng=noise_rng)
-    outcome = reconstruct(trial_sampler, y, delta=delta)
-    audit = audit_trial(trial_sampler, x, outcome, delta, trial)
+    sketch = measure(trial_sampler, x)
+    outcome = reconstruct(
+        trial_sampler, add_noise(trial_sampler, sketch, delta, noise_rng), delta=delta
+    )
+    audit = audit_trial(trial_sampler, x, sketch, outcome, delta, trial)
     if audit.counterexample:
         raise NetSketchError(
             f"trial {trial}: reconstruction guarantee failed although distortion,"

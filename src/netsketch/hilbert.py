@@ -20,8 +20,9 @@ at the breakpoints and at +/-pi (Eckhoff, *Math. Comp.* 64, 1995), so each
 frequency ``j`` costs a few operations per jump, vectorized over ``j``.
 
 Distances, re-centring and point values use Horner's rule alone: about ``t``,
-a piece has Taylor coefficients ``q_r = p^(r)(t) / r!``, and its squared integral
-over ``[t - h, t + h]`` is ``sum q_i q_j 2 h^(i+j+1) / (i+j+1)`` over even ``i + j``.
+a piece has Taylor coefficients ``q_r = p^(r)(t) / r!`` (by repeated synthetic
+division), and its squared integral over ``[t - h, t + h]`` is
+``sum q_i q_j 2 h^(i+j+1) / (i+j+1)`` over even ``i + j``.
 """
 
 from __future__ import annotations
@@ -240,12 +241,21 @@ def analyze_piecewise(description: PiecewiseDescription, ambient_dim: int) -> Si
 
 
 def _taylor(description: PiecewiseDescription, t: float, count: int) -> list[float]:
-    """``p^(r)(t) / r!`` for ``r < count``, with ``p`` the piece at ``t``."""
+    """``p^(r)(t) / r!`` for ``r < count``, with ``p`` the piece at ``t``.
+
+    Repeated synthetic division by ``u - s``, for ``t`` at local coordinate
+    ``s``, leaves them as remainders; at the piece's midpoint, ``s = 0``,
+    they are its own coefficients, bit for bit.
+    """
     edges = [-math.pi, *description.breakpoints.tolist(), math.pi]
     piece = int(np.searchsorted(description.breakpoints, t, side="right"))
-    coeffs = description.piece_coefficients[piece].tolist()
-    values = _derivatives(coeffs, t - 0.5 * (edges[piece] + edges[piece + 1]), count)
-    return [value / math.factorial(r) for r, value in enumerate(values)]
+    q = description.piece_coefficients[piece].tolist()
+    q += [0.0] * (count - len(q))
+    s = t - 0.5 * (edges[piece] + edges[piece + 1])
+    for low in range(len(q) - 1):
+        for i in range(len(q) - 2, low - 1, -1):
+            q[i] += s * q[i + 1]
+    return q[:count]
 
 
 def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float:

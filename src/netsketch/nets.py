@@ -384,13 +384,17 @@ class DecodeResult:
     """The nearest member, its index in net order, and its distance.
 
     ``coefficients`` holds the member's first ``d`` coefficients, the space
-    the decode ran in.
+    the decode ran in.  ``measured`` is the member as the distance compared it
+    with the target: its sketch ``R c`` after a measurement-space decode, the
+    product the residual formed, and ``coefficients`` itself after a
+    coefficient-space one.
     """
 
     member: object
     index: int
     distance: float
     coefficients: np.ndarray = field(compare=False)
+    measured: np.ndarray = field(compare=False)
 
 
 class _Terms(NamedTuple):
@@ -430,8 +434,9 @@ class _GridDecoder:
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |target|^2), which cancels when it is small.
-        distance = float(np.linalg.norm(target - measure(coefficients)))
-        return DecodeResult(member, index, distance, coefficients)
+        measured = measure(coefficients)
+        distance = float(np.linalg.norm(target - measured))
+        return DecodeResult(member, index, distance, coefficients, measured)
 
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
         """Nearest net member to a truncated coefficient vector (exactly)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -41,6 +41,7 @@ from .nets import (
 __all__ = [
     "PreparedSampler",
     "ReconstructionOutcome",
+    "add_noise",
     "measure",
     "preprocess",
     "reconstruct",
@@ -200,29 +201,46 @@ def measure(
 ) -> np.ndarray:
     """Sketch ``x`` through the sampler's operator, optionally with noise.
 
+    The noise is ``add_noise``'s, added to the one product with the frame.
+    """
+    return add_noise(sampler, apply_operator(sampler.operator, x), delta, rng)
+
+
+def add_noise(
+    sampler: PreparedSampler,
+    y: np.ndarray,
+    delta: float,
+    rng: np.random.Generator | None,
+) -> np.ndarray:
+    """Measurements ``y`` with bounded noise added, or ``y`` itself at ``delta`` 0.
+
     Noise is uniform per coordinate over ``[-delta * scale, delta * scale]``,
     where ``scale`` is the operator's rescaling factor, so ``delta`` is
     calibrated in unscaled projection coordinates.
     """
     if delta < 0.0:
         raise UsageError(f"noise level must be non-negative, got {delta!r}")
-    y = apply_operator(sampler.operator, x)
-    if delta > 0.0:
-        if rng is None:
-            raise UsageError("noisy measurement needs a random stream")
-        bound = delta * sampler.operator.scale
-        y = y + rng.uniform(-bound, bound, size=y.shape)
-    return y
+    if not delta > 0.0:
+        return y
+    if rng is None:
+        raise UsageError("noisy measurement needs a random stream")
+    bound = delta * sampler.operator.scale
+    return y + rng.uniform(-bound, bound, size=y.shape)
 
 
 @dataclass(frozen=True)
 class ReconstructionOutcome:
-    """The decoded center, its index, and its distance to the measurements."""
+    """The decoded center, its index, and its distance to the measurements.
+
+    ``center_sketch`` is the center's sketch ``R c``, the product the decode
+    formed for its residual.
+    """
 
     index: int
     center: Any
     projected_distance: float
     within_ball: bool
+    center_sketch: np.ndarray = field(compare=False, repr=False)
 
 
 def reconstruct(
@@ -244,4 +262,5 @@ def reconstruct(
         center=decoded.member,
         projected_distance=decoded.distance,
         within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
+        center_sketch=decoded.measured,
     )

@@ -13,16 +13,17 @@ import pytest
 from netsketch.cli import run_jl_check, run_tailfit
 from netsketch.entropy import fit_growth, within_measurement_budget
 from netsketch.config import JlCheckConfig, TailfitConfig, load_experiment_config
-from netsketch.experiment import audit_trial, run_experiment
+from netsketch import experiment
+from netsketch.experiment import _distortion_ratio, audit_trial, run_experiment
 from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
     TailDecayModel,
 )
-from netsketch.jl import required_measurements
+from netsketch.jl import DISTORTION_BAND, apply_operator, required_measurements
 from netsketch.nets import build_net
-from netsketch.reconstructor import measure, preprocess, reconstruct
+from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
 
 # Piecewise-constant reconstruction target: one jump, unit levels, eps = 0.6.
 STEP_CONFIG = """
@@ -77,8 +78,9 @@ def unclamped_trials():
     for trial in range(trials):
         member = family.sample(np.random.default_rng([404, 5, trial]), ambient)
         x = family.to_signal(member, ambient)
-        outcome = reconstruct(sampler, measure(sampler, x))
-        audit = audit_trial(sampler, x, outcome, delta=0.0, trial=trial)
+        sketch = measure(sampler, x)
+        outcome = reconstruct(sampler, sketch)
+        audit = audit_trial(sampler, x, sketch, outcome, delta=0.0, trial=trial)
         successes += audit.guarantee_met
         premises += audit.premise
         counterexamples += audit.counterexample
@@ -142,6 +144,74 @@ def test_no_implication_counterexamples_across_suite(step_runs, unclamped_trials
     assert total_trials >= 500
     assert premise_trials >= 300  # the implication is not vacuous
     assert counterexamples == 0
+
+
+def check_against_direct_products(sampler, x, sketch, outcome, delta, audit):
+    """One audit's ratios and verdicts against direct products with the frame.
+
+    Kept-sketch ratios agree to 1e-12 relative; a clamped audit forms the
+    direct products itself, so its ratios agree bit for bit.
+    """
+    d, operator = sampler.d, sampler.operator
+    assert np.array_equal(sketch, apply_operator(operator, x))
+    x_d = x.coefficients[:d]
+    center = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
+    nearest = sampler.decoder.decode_coefficients(x_d).coefficients
+    upper = _distortion_ratio(operator, x_d - nearest)
+    lower = _distortion_ratio(operator, x_d - center.coefficients[:d])
+    if sampler.clamped:
+        assert (audit.upper_ratio, audit.lower_ratio) == (upper, lower)
+    else:
+        assert audit.upper_ratio == pytest.approx(upper, rel=1e-12, abs=0.0)
+        assert audit.lower_ratio == pytest.approx(lower, rel=1e-12, abs=0.0)
+    band_low, band_high = DISTORTION_BAND
+    distortion_ok = upper <= band_high and lower >= band_low
+    premise = (
+        distortion_ok
+        and delta == 0.0
+        and audit.truncation_tail <= sampler.eps1
+        and audit.center_tail <= sampler.eps1
+    )
+    assert audit.distortion_ok == distortion_ok
+    assert audit.premise == premise
+    assert audit.counterexample == (premise and not audit.guarantee_met)
+
+
+@pytest.mark.parametrize("delta", ["0.0", "auto"])
+@pytest.mark.parametrize("mode, trials", [("fixed_w", 100), ("fixed_x", 10)])
+def test_step_audits_match_direct_products(monkeypatch, mode, trials, delta):
+    audit = experiment.audit_trial
+    checked = []
+
+    def checked_audit(sampler, x, sketch, outcome, noise, trial):
+        result = audit(sampler, x, sketch, outcome, noise, trial)
+        check_against_direct_products(sampler, x, sketch, outcome, noise, result)
+        checked.append(trial)
+        return result
+
+    monkeypatch.setattr(experiment, "audit_trial", checked_audit)
+    text = STEP_CONFIG.format(mode=mode, delta=delta)
+    run_experiment(load_experiment_config(text.replace("trials = 100", f"trials = {trials}")))
+    assert checked == list(range(trials))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+@pytest.mark.parametrize("jl_constant", [4.0, 400.0])
+def test_smooth_audits_match_direct_products(jl_constant, delta):
+    # The sampler of unclamped_trials, and the same class clamped at n = d.
+    family = SmoothClass(3, 2.0)
+    model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
+    sampler = preprocess(
+        family, 3.0, 0.5, model, np.random.default_rng(404), jl_constant=jl_constant
+    )
+    assert sampler.clamped == (jl_constant == 400.0)
+    for trial in range(20):
+        rng = np.random.default_rng([404, 6, trial])
+        x = family.to_signal(family.sample(rng, sampler.ambient_dim), sampler.ambient_dim)
+        sketch = measure(sampler, x)
+        outcome = reconstruct(sampler, add_noise(sampler, sketch, delta, rng), delta)
+        audit = audit_trial(sampler, x, sketch, outcome, delta, trial)
+        check_against_direct_products(sampler, x, sketch, outcome, delta, audit)
 
 
 # ---------------------------------------------------------------------------

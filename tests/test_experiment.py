@@ -283,6 +283,66 @@ def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
         assert builds == [(name, 0)]
 
 
+def frame_products_per_trial(monkeypatch, text):
+    """Run ``text`` and count each trial's matrix products with the frame.
+
+    Returns one ``(products, nearest_is_decoded)`` pair per trial, the second
+    from the audit's coefficient-space decode, which forms no product.
+    """
+    products = []
+
+    class CountedFrame(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(None)
+            plain = [a.view(np.ndarray) if isinstance(a, CountedFrame) else a for a in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    draw = reconstructor.random_subspace
+
+    def counted_draw(*args, **kwargs):
+        operator = draw(*args, **kwargs)
+        object.__setattr__(operator, "frame", operator.frame.view(CountedFrame))
+        return operator
+
+    trial, audit = experiment._run_trial, experiment.audit_trial
+    counts, same = [], []
+
+    def counted_trial(*args, **kwargs):
+        before = len(products)
+        result = trial(*args, **kwargs)
+        counts.append(len(products) - before)
+        return result
+
+    def recorded_audit(sampler, x, sketch, outcome, *args):
+        nearest = sampler.decoder.decode_coefficients(x.coefficients[: sampler.d])
+        same.append(nearest.index == outcome.index)
+        return audit(sampler, x, sketch, outcome, *args)
+
+    monkeypatch.setattr(reconstructor, "random_subspace", counted_draw)
+    monkeypatch.setattr(experiment, "_run_trial", counted_trial)
+    monkeypatch.setattr(experiment, "audit_trial", recorded_audit)
+    run_experiment(load_experiment_config(text))
+    return list(zip(counts, same))
+
+
+@pytest.mark.parametrize("delta", ["0.0", "0.05"])
+def test_a_trial_reads_the_frame_three_times(monkeypatch, delta):
+    # measure forms R x_d, the decode R^T y and, for its residual, R c; the
+    # audit reuses R x_d and R c, and forms R(x_d - nearest) only when the
+    # nearest center is not the decoded one.  Noise is added to R x_d.
+    text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 12") + f"delta = {delta}\n"
+    trials = frame_products_per_trial(monkeypatch, text)
+    assert [products for products, _ in trials] == [3 if same else 4 for _, same in trials]
+    assert {same for _, same in trials} == {True, False}
+
+
+def test_a_clamped_trial_keeps_its_direct_products(monkeypatch):
+    # n = d: the audit applies the operator to both pairs' differences.
+    trials = frame_products_per_trial(monkeypatch, SMOOTH_CONFIG)
+    assert [products for products, _ in trials] == [5] * 6
+
+
 def test_run_experiment_seed_changes_trials(smooth_result):
     other = run_experiment(
         load_experiment_config(SMOOTH_CONFIG.replace("seed = 17", "seed = 18"))

@@ -354,6 +354,20 @@ def test_center_coefficients_are_linear_in_axis_values(case, config, seed, dim):
     assert gap <= bound
 
 
+@pytest.mark.parametrize("family, eps1", LINEAR_CASES["piecewise"])
+def test_piecewise_coordinates_of_a_center_are_its_axis_values(family, eps1):
+    plan = family.net_plan(eps1)
+    grids = [axis.points() for axis in plan.axes]
+    configurations = list(plan.configurations())
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        breakpoints = configurations[rng.integers(len(configurations))]
+        values = [float(grid[rng.integers(grid.size)]) for grid in grids]
+        center = family.member(breakpoints, values)
+        coordinates = family.coordinates(plan, center, breakpoints)
+        assert [value.hex() for value in coordinates] == [value.hex() for value in values]
+
+
 @dataclass(frozen=True)
 class OffsetSmoothClass(SmoothClass):
     """A smooth class whose centers carry a constant offset: affine, not linear."""

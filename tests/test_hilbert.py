@@ -24,6 +24,7 @@ from netsketch.hilbert import (
     MAX_PIECE_DEGREE,
     PiecewiseDescription,
     Signal,
+    _taylor,
     analyze_piecewise,
     dump_signal,
     exact_l2_distance,
@@ -359,6 +360,27 @@ def test_exact_l2_distance_matches_the_fraction_oracle(a, b):
     expected = math.sqrt(fraction_l2_distance_squared(a, b))
     assert abs(distance - expected) <= 1e-14 * max(1.0, expected)
     assert exact_l2_distance(b, a).hex() == distance.hex()
+
+
+def test_taylor_about_a_piece_midpoint_is_its_coefficients_bit_for_bit():
+    # 2,000 descriptions of three degree-8 pieces with 1/m! bounds: 6,000
+    # pieces, of which dividing derivatives by r! got 5,303 an ulp off.
+    rng = np.random.default_rng(0)
+    bounds = 1.0 / np.array([math.factorial(m) for m in range(MAX_PIECE_DEGREE + 1)])
+    for _ in range(2000):
+        description = PiecewiseDescription(
+            breakpoints=np.sort(rng.uniform(-2.5, 2.5, size=2)),
+            piece_coefficients=tuple(
+                rng.uniform(-bounds, bounds) for _ in range(3)
+            ),
+        )
+        for (start, end), coeffs in zip(
+            description.piece_intervals(), description.piece_coefficients
+        ):
+            taylor = _taylor(description, 0.5 * (start + end), coeffs.size)
+            assert [value.hex() for value in taylor] == [
+                value.hex() for value in coeffs.tolist()
+            ]
 
 
 # ---------------------------------------------------------------------------

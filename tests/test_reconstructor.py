@@ -327,8 +327,9 @@ def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
     rng = np.random.default_rng(23)
     for _ in range(20):
         x = family.sample(rng, smooth_sampler.ambient_dim)
-        out = reconstruct(smooth_sampler, measure(smooth_sampler, x))
-        audit = audit_trial(smooth_sampler, x, out, delta=0.0, trial=0)
+        sketch = measure(smooth_sampler, x)
+        out = reconstruct(smooth_sampler, sketch)
+        audit = audit_trial(smooth_sampler, x, sketch, out, delta=0.0, trial=0)
         assert out.within_ball
         assert audit.ambient_error <= smooth_sampler.eps
         assert audit.guarantee_met
@@ -352,8 +353,9 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
 def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
     family = SmoothClass(3, 2.0)
     x = family.sample(np.random.default_rng(37), smooth_sampler.ambient_dim)
-    out = reconstruct(smooth_sampler, measure(smooth_sampler, x))
-    audit = audit_trial(smooth_sampler, x, out, delta=0.0, trial=0)
+    sketch = measure(smooth_sampler, x)
+    out = reconstruct(smooth_sampler, sketch)
+    audit = audit_trial(smooth_sampler, x, sketch, out, delta=0.0, trial=0)
     center = family.to_signal(out.center, smooth_sampler.ambient_dim)
     expected = np.linalg.norm(x.coefficients - center.coefficients)
     assert audit.ambient_error == pytest.approx(expected, rel=1e-12)
@@ -412,8 +414,9 @@ def test_audit_decomposes_ambient_error(
     rng = np.random.default_rng(seed)
     sampler = with_new_operator(base, rng)
     x = family.to_signal(family.sample(rng, sampler.ambient_dim), sampler.ambient_dim)
-    out = reconstruct(sampler, measure(sampler, x))
-    audit = audit_trial(sampler, x, out, delta=0.0, trial=0)
+    sketch = measure(sampler, x)
+    out = reconstruct(sampler, sketch)
+    audit = audit_trial(sampler, x, sketch, out, delta=0.0, trial=0)
 
     d, eps1 = sampler.d, sampler.eps1
     center = family.to_signal(out.center, sampler.ambient_dim).coefficients
@@ -441,6 +444,17 @@ def test_audit_trial_refuses_short_ground_truth(smooth_sampler):
     short = Signal(np.array([0.3, -0.2]))
     padded = np.zeros(smooth_sampler.d)
     padded[:2] = short.coefficients
-    out = reconstruct(smooth_sampler, measure(smooth_sampler, Signal(padded)))
+    sketch = measure(smooth_sampler, Signal(padded))
+    out = reconstruct(smooth_sampler, sketch)
     with pytest.raises(UsageError, match="fewer than d"):
-        audit_trial(smooth_sampler, short, out, delta=0.0, trial=0)
+        audit_trial(smooth_sampler, short, sketch, out, delta=0.0, trial=0)
+
+
+def test_audit_trial_refuses_a_sketch_of_another_length(smooth_sampler):
+    family = SmoothClass(3, 2.0)
+    x = family.sample(np.random.default_rng(47), smooth_sampler.ambient_dim)
+    sketch = measure(smooth_sampler, x)
+    out = reconstruct(smooth_sampler, sketch)
+    for wrong in (sketch[:-1], np.append(sketch, 0.0), sketch[None, :]):
+        with pytest.raises(UsageError, match="sketch of"):
+            audit_trial(smooth_sampler, x, wrong, out, delta=0.0, trial=0)
