@@ -327,35 +327,78 @@ class PiecewiseSmoothClass(FunctionClass):
         return exact_l2_distance(a, b)
 
     def net_plan(self, eps1: float) -> NetPlan:
-        s = self.max_jumps
-        if s == 0:
-            count, gap, configs = 0, 1, 1
-        else:
-            count, effective, pitch = position_grid(eps1, s, self.level_bound)
-            slack = self.min_gap - 2.0 * pitch
-            gap = max(1, int(math.ceil(slack / effective))) if slack > 0.0 else 1
-            if count - (s - 1) * (gap - 1) < s:
-                raise UsageError(
-                    "no breakpoint configuration satisfies the gap constraint"
-                    f" at eps1 = {eps1!r}"
-                )
-            configs = gap_separated_count(count, s, gap)
+        """The net at ``eps1``, laid out from the exact error of ``round_member``.
+
+        ``round_member`` snaps a member's ``s`` breakpoints onto the ``P``-point
+        grid, then rounds piece ``j``'s polynomial, re-expanded about snapped
+        piece ``j``'s midpoint, coefficient by coefficient: degree ``m`` at
+        ``step_m``.  Let ``B_m`` be the degree-``m`` bound and ``delta = pi /
+        P`` half a cell.  For a member with all ``s`` breakpoints:
+
+        - Positions.  Each breakpoint moves at most ``delta``, and the gap rule
+          never bumps one.  With ``s > 1`` the nominal pitch is at most
+          ``min_gap / 4`` and at least ``2 delta``, so ``index_gap <= ceil(z) -
+          2`` for ``z = min_gap / (2 delta)``, while breakpoints ``min_gap``
+          apart fall ``floor(z) >= ceil(z) - 1`` or more cells apart: a cell to
+          spare for the rounding of ``(b + pi) / (2 delta)``.  The same bound
+          leaves ``P - (s - 1)(index_gap - 1) > 2 (s - 1) >= s``, so every
+          layout has a configuration.
+        - Moved regions.  The member and its witness take different pieces
+          only between a breakpoint and its snap, at most ``delta`` long.  There
+          the member is at most ``sum_m B_m pi^m`` in size, as every point is
+          within ``pi`` of its piece's midpoint; so is the witness's polynomial
+          before rounding, as grid points lie in ``[-pi + delta, pi - delta]``;
+          and its rounding is at most ``sum_m (step_m / 2) pi^m``.  So they
+          differ by at most ``h = sum_m (2 B_m + step_m / 2) pi^m``.
+        - Levels.  Elsewhere they differ by the rounding alone, ``sum_m e_jm (u
+          - t_j)^m`` on snapped piece ``j`` with ``|e_jm| <= step_m / 2``.  Its
+          norm over all pieces is at most ``e_l = sum_m (step_m / 2) |u^m|``,
+          the norm on ``[-pi, pi]``: the pieces' half-widths ``h_j`` sum to
+          ``pi``, so ``sum_j h_j^(2m+1) <= pi^(2m+1)``.  No rounding clamps: a
+          midpoint moves at most ``delta``, so a re-expanded coefficient is at
+          most ``R_m = sum_{k>=m} B_k C(k, m) delta^(k-m)``, and axis ``m``
+          covers ``[-R_m, R_m]`` (``R_0 = B_0`` at degree 0).
+        - Split.  The regions are disjoint, so ``|x - w|^2 <= e_l^2 + s delta
+          h^2``.  ``step_m = sqrt(2) eps1 / ((degree + 1) |u^m|)`` makes ``e_l^2
+          = eps1^2 / 2``, and the pitch ``eps1^2 / (s h^2)`` keeps ``s delta
+          h^2 <= eps1^2 / 2`` (``position_grid``).
+
+        A member with fewer breakpoints is snapped with extra ones after its
+        last; at degree 0 that splits a constant and the bound holds, but at
+        higher degree a split piece's coefficients can pass ``R_m``.
+        """
+        s, degree = self.max_jumps, self.degree
         bounds = self.coefficient_bounds()
-        denom = math.sqrt(s + 1.0) * (self.degree + 1)
-        steps = [eps1 / (denom * _monomial_norm(m)) for m in range(self.degree + 1)]
+        steps = [
+            math.sqrt(2.0) * eps1 / ((degree + 1) * _monomial_norm(m)) for m in range(degree + 1)
+        ]
+        count, gap, configs, shift = 0, 1, 1, 0.0
+        if s:
+            height = sum((2.0 * bounds[m] + steps[m] / 2.0) * math.pi**m for m in range(degree + 1))
+            pitch = eps1**2 / (s * height**2)
+            if s > 1:
+                pitch = min(pitch, self.min_gap / 4.0)
+            count, effective = position_grid(pitch)
+            gap = max(1, math.ceil((self.min_gap - 2.0 * pitch) / effective))
+            configs = gap_separated_count(count, s, gap)
+            shift = effective / 2.0
+        reach = [
+            sum(bounds[k] * math.comb(k, m) * shift ** (k - m) for k in range(m, degree + 1))
+            for m in range(degree + 1)
+        ]
         axes = tuple(
-            AxisLog(count=grid_count(bounds[m], steps[m]), step=steps[m])
+            AxisLog(count=grid_count(reach[m], steps[m]), step=steps[m])
             for piece in range(s + 1)
-            for m in range(self.degree + 1)
+            for m in range(degree + 1)
         )
         return NetPlan(
             eps1=eps1,
             axes=axes,
-            config_count=int(configs),
+            config_count=configs,
             breakpoint_count=count,
             index_gap=gap,
             jumps=s,
-            factored=self.degree == 0 and s == 1,
+            factored=degree == 0 and s == 1,
         )
 
     def member(self, breakpoints, values) -> PiecewiseDescription:
@@ -387,10 +430,18 @@ class PiecewiseSmoothClass(FunctionClass):
         return tuple(float(positions[i]) for i in indices)
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
-        """Each piece's local coefficients about its midpoint, piece by piece."""
+        """Piece ``j``'s polynomial about snapped piece ``j``'s midpoint, piece by piece.
+
+        Snapped pieces past the member's last are its last piece's.
+        """
         edges = [-math.pi, *breakpoints, math.pi]
         midpoints = [0.5 * (left + right) for left, right in zip(edges[:-1], edges[1:])]
-        return [value for t in midpoints for value in _taylor(member, t, self.degree + 1)]
+        last = len(member.breakpoints)
+        return [
+            value
+            for j, t in enumerate(midpoints)
+            for value in _taylor(member, t, self.degree + 1, piece=min(j, last))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +564,10 @@ class PiecewiseAnalyticClass(FunctionClass):
     def net_plan(self, eps1: float) -> NetPlan:
         kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
         # Step positions, step levels, coefficient rounding and the coefficient
-        # tail each get a quarter of eps1; position_grid spends half of its eps1.
-        count, _, _ = position_grid(eps1 / 2.0, kappa, big_k)
+        # tail each get a quarter of eps1.  The snap steps past grid points
+        # already taken, so a position may move more than half a cell: the
+        # pitch budgets a whole cell per step, (eps1/4)^2 / (kappa (2K)^2).
+        count, _ = position_grid((eps1 / 4.0) ** 2 / (kappa * (2.0 * big_k) ** 2))
         if count < kappa:
             raise UsageError(
                 f"step-position grid at eps1 = {eps1!r} has {count}"

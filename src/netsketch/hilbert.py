@@ -240,15 +240,18 @@ def analyze_piecewise(description: PiecewiseDescription, ambient_dim: int) -> Si
     return Signal(coeffs_out)
 
 
-def _taylor(description: PiecewiseDescription, t: float, count: int) -> list[float]:
-    """``p^(r)(t) / r!`` for ``r < count``, with ``p`` the piece at ``t``.
+def _taylor(
+    description: PiecewiseDescription, t: float, count: int, piece: int | None = None
+) -> list[float]:
+    """``p^(r)(t) / r!`` for ``r < count``, with ``p`` the piece at ``t``, or ``piece``'s polynomial.
 
     Repeated synthetic division by ``u - s``, for ``t`` at local coordinate
     ``s``, leaves them as remainders; at the piece's midpoint, ``s = 0``,
     they are its own coefficients, bit for bit.
     """
     edges = [-math.pi, *description.breakpoints.tolist(), math.pi]
-    piece = int(np.searchsorted(description.breakpoints, t, side="right"))
+    if piece is None:
+        piece = int(np.searchsorted(description.breakpoints, t, side="right"))
     q = description.piece_coefficients[piece].tolist()
     q += [0.0] * (count - len(q))
     s = t - 0.5 * (edges[piece] + edges[piece + 1])

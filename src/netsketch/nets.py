@@ -25,7 +25,13 @@ Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
 rounding error never exceeds half a step even at the boundary.  Breakpoint
 grids are uniform with ``2^a 3^b 5^c`` points (``position_grid``), so the
-step decoder's length-``P`` FFTs have no large prime factor.
+step decoder's length-``P`` FFTs have no large prime factor; a breakpoint
+snapped onto one moves at most half a cell.  A piecewise net's error is then
+exact in two disjoint parts: on the moved regions, of measure at most half a
+cell per breakpoint, the member and its rounding differ by at most a bounded
+height ``h``; everywhere else they differ by the coefficient rounding alone.
+Squared errors of disjoint regions add, so the net splits ``eps1^2`` between
+the two (``PiecewiseSmoothClass.net_plan``).
 """
 
 from __future__ import annotations
@@ -733,21 +739,24 @@ def _smooth_length(minimum: int) -> int:
     return best
 
 
-def position_grid(eps1: float, num_jumps: int, value_scale: float):
-    """Breakpoint count ``P``, actual pitch and nominal pitch.
+def position_grid(pitch: float) -> tuple[int, float]:
+    """Breakpoint count ``P`` and actual pitch ``2 pi / P``, no coarser than ``pitch``.
 
-    The nominal pitch ``(eps1/2)^2 / (jumps * (2*scale)^2)`` needs
-    ``ceil(2 pi / pitch)`` points; ``P`` is the smallest ``2^a 3^b 5^c`` at
-    least that, so the step decoder's length-``P`` FFT has no large prime
-    factor.  Any finer pitch covers too, and the actual grid
-    (``NetPlan.positions``) uses ``2 pi / P``.  The rounding adds at most
-    ``log2(15/13) < 0.21`` bits per jump to ``entropy_bits`` (``P`` 13 to 15
-    is the worst ratio).
+    ``P`` is the smallest ``2^a 3^b 5^c`` at least ``ceil(2 pi / pitch)``, so
+    the step decoder's length-``P`` FFT has no large prime factor; the
+    rounding adds at most ``log2(15/13) < 0.21`` bits per jump to
+    ``entropy_bits`` (``P`` 13 to 15 is the worst ratio).
+
+    Error model.  The grid (``NetPlan.positions``) puts a point at the centre
+    of each of ``P`` cells, so a breakpoint snapped to its cell's point moves
+    at most half the actual pitch.  Two members that differ only there
+    differ on a region of that measure per breakpoint, by at most ``h``, the
+    largest difference of the two pieces that meet there.  Such regions are
+    disjoint, so ``s`` breakpoints add at most ``s (pi / P) h^2`` to the
+    squared distance: ``pitch = 2 e^2 / (s h^2)`` keeps that within ``e^2``.
     """
-    budget = eps1 / 2.0
-    pitch = budget**2 / (num_jumps * (2.0 * value_scale) ** 2)
     count = _smooth_length(int(math.ceil(TWO_PI / pitch)))
-    return count, TWO_PI / count, pitch
+    return count, TWO_PI / count
 
 
 def gap_separated_count(total: int, choose: int, gap: int) -> int:

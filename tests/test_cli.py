@@ -56,7 +56,7 @@ tail_samples = 10
 tail_dims = 32,64,128
 """
 
-# The bench's step class at eps 0.6 (d ~ 1,900, n = 710), with few trials.
+# The bench's step class at eps 0.6 (d ~ 1,900, n = 604), with few trials.
 BENCH_STEP_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -71,8 +71,8 @@ mode = fixed_x
 seed = 101
 """
 
-# The degree-1, one-jump class decodes by its 26 configurations' maps
-# (355,914 centers); jl_constant 0.1 keeps n below d.
+# The degree-1, one-jump class decodes by its 135 configurations' maps
+# (165,375 centers); jl_constant 0.1 keeps n below d.
 MATERIALIZED_EXPERIMENT = """
 class = piecewise
 degree = 1
@@ -363,9 +363,9 @@ def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
     step = STEP_CLASS + "eps1 = 1.5\nambient_dim = 8\n"
     out = tmp_path / "net.txt"
     assert main(["net", "build", _write(tmp_path, "step.cfg", step), "--out", str(out)]) == 0
-    assert "mode=factored size=1125 " in capsys.readouterr().out
+    assert "mode=factored size=162 " in capsys.readouterr().out
     header, blocks = split_net_text(out.read_text(encoding="utf-8"))
-    assert header.startswith("eps1=1.5 M=1125 ") and len(blocks) == 1125
+    assert header.startswith("eps1=1.5 M=162 ") and len(blocks) == 162
     for text, mode in ((NET_BUILD, "configurations"), (step, "factored")):
         cfg = _write(tmp_path, "over.cfg", text + "m_max = 10\n")
         assert main(["net", "build", cfg]) == 0
@@ -432,7 +432,7 @@ def test_entropy_scan_writes_table_and_fit(tmp_path, capsys):
 
 
 def test_entropy_scan_counts_without_a_breakpoint_grid(tmp_path):
-    # At eps 1e-4 the step class has P = 1.0e10 breakpoints: an 80 GB grid
+    # At eps 1e-4 the step class has P = 2.5e9 breakpoints: a 20 GB grid
     # if counting built it.  The scan counts from the plans alone.
     eps_values = (0.1, 0.01, 0.001, 0.0001)
     text = STEP_CLASS + "eps_values = 0.1,0.01,0.001,0.0001\nmodel = power\n"

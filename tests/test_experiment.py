@@ -406,16 +406,13 @@ def test_run_experiment_propagates_preprocess_errors():
         run_experiment(load_experiment_config(SMOOTH_CONFIG), jobs=0)
 
 
-# Both nets at eps / 6 lay out; the nets at eps itself do not.
+# The net at eps / 6 lays out; the net at eps itself does not.  A piecewise
+# net always lays out: its pitch stays under min_gap / 2, which leaves every
+# grid a configuration (PiecewiseSmoothClass.net_plan).
 COARSE_REFUSALS = {
     "analytic": (
         "class = analytic\nmax_jumps = 3\nstrip_width = 1.0\namplitude = 1.0\neps = 60\n",
         "step-position grid at eps1 = 60.0 has 1 points",
-    ),
-    "piecewise": (
-        "class = piecewise\ndegree = 0\nmax_jumps = 3\nderiv_bound = 1.0\n"
-        "min_gap = 1.5\nlevel_bound = 1.0\neps = 20\n",
-        "gap constraint at eps1 = 20.0",
     ),
 }
 

@@ -137,22 +137,28 @@ def test_gap_separated_count_matches_enumeration():
 
 
 def test_single_jump_net_matches_hand_counts():
+    # Level step sqrt(2) eps1 / sqrt(2 pi) = eps1 / sqrt(pi), so 2 floor(sqrt(pi)
+    # / eps1 + 1/2) + 1 levels; jump height h = 2 + step / 2, and P the next
+    # 2^a 3^b 5^c from ceil(2 pi h^2 / eps1^2).  At eps1 0.5: step 0.2821,
+    # 9 levels, h 2.1410, ceil(115.2) = 116 -> 120.
     family = step_class()
     net = build_net(family, 0.5)
-    assert net.plan.config_count == 405
-    assert [axis.count for axis in net.plan.axes] == [15, 15]
-    assert net.size == 405 * 15 * 15 == 91125
+    assert net.plan.config_count == 120
+    assert [axis.count for axis in net.plan.axes] == [9, 9]
+    assert net.size == 120 * 9 * 9 == 9720
     positions = net.plan.positions
-    assert positions.size == 405
+    assert positions.size == 120
     assert np.all(positions > -math.pi) and np.all(positions < math.pi)
-    assert positions[0] == pytest.approx(-math.pi + math.pi / 405, abs=1e-15)  # half a pitch in
+    assert positions[0] == pytest.approx(-math.pi + math.pi / 120, abs=1e-15)  # half a pitch in
     spacing = np.diff(positions)
-    np.testing.assert_allclose(spacing, TWO_PI / 405, rtol=1e-12)
+    np.testing.assert_allclose(spacing, TWO_PI / 120, rtol=1e-12)
 
+    # The bench's net: step 0.05642, 37 levels, h 2.0282, ceil(2584.6) = 2585
+    # -> 2592 = 2^5 3^4.
     finer = build_net(family, 0.1)
-    assert finer.plan.config_count == 10125
-    assert [axis.count for axis in finer.plan.axes] == [71, 71]
-    assert finer.size == 10125 * 71 * 71 == 51_040_125
+    assert finer.plan.config_count == 2592
+    assert [axis.count for axis in finer.plan.axes] == [37, 37]
+    assert finer.size == 2592 * 37 * 37 == 3_548_448
 
 
 def test_flat_class_net_is_a_single_member():
@@ -172,25 +178,29 @@ def test_flat_class_net_is_a_single_member():
 
 
 def test_two_jump_net_configurations():
+    # The error pitch 9 / (2 * 2.846^2) = 0.555 is over min_gap / 4, so the
+    # pitch is 0.375: ceil(2 pi / 0.375) = 17 -> 18 points, index gap
+    # ceil((1.5 - 0.75) / (2 pi / 18)) = 3, C(18 - 2, 2) = 120 configurations.
     family = step_class(max_jumps=2, min_gap=1.5)
     net = build_net(family, 3.0)
     plan = net.plan
     positions = plan.positions
     effective = TWO_PI / positions.size
-    assert positions.size == 24
-    assert plan.config_count == math.comb(21, 2) == 210
-    assert net.size == 210 * 3**3 == 5670 == len(centers(net))
+    assert positions.size == 18 and plan.index_gap == 3
+    assert plan.config_count == math.comb(16, 2) == 120
+    assert net.size == 120 * 3**3 == 3240 == len(centers(net))
 
     # Center breakpoints may sit closer than the pristine minimum gap by the
-    # snapping slack; membership of the centers holds under that slack.
-    gap_tolerance = 1.0 - 4 * effective / 1.5 + 1e-9
+    # snapping slack, and levels (step 3 / sqrt(pi) = 1.69) past the level
+    # bound by half a step; membership of the centers holds under that slack.
+    gap_tolerance = max(1.0 - 3 * effective / 1.5, plan.axes[0].step / 2.0) + 1e-9
     pairs = set()
     for member in centers(net):
         b = tuple(float(v) for v in member.breakpoints)
         pairs.add(b)
         i0 = int(np.argmin(np.abs(positions - b[0])))
         i1 = int(np.argmin(np.abs(positions - b[1])))
-        assert i1 - i0 >= 4  # configuration gap in grid indices
+        assert i1 - i0 >= 3  # configuration gap in grid indices
         assert family.contains(member, tolerance=gap_tolerance)
     assert len(pairs) == plan.config_count
 
@@ -199,7 +209,7 @@ def test_two_jump_net_configurations():
         member = family.sample(rng, 256)
         witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 3.0
-        assert witness.breakpoints[1] - witness.breakpoints[0] >= 4 * effective - 1e-12
+        assert witness.breakpoints[1] - witness.breakpoints[0] >= 3 * effective - 1e-12
 
 
 def test_rounding_bumps_colliding_breakpoints_forward():
@@ -207,14 +217,15 @@ def test_rounding_bumps_colliding_breakpoints_forward():
     net = build_net(family, 3.0)
     plan = net.plan
     effective = TWO_PI / plan.positions.size
+    assert plan.index_gap == 3
     # Breakpoints closer than the configuration gap still snap to a
-    # configuration of the net: the second index is pushed forward.
+    # configuration of the net: the second index, 11, is pushed to 9 + 3.
     member = PiecewiseDescription(
         breakpoints=(0.0, 0.8),
         piece_coefficients=((0.5,), (-0.5,), (0.0,)),
     )
     witness = family.round_member(plan, member)
-    assert witness.breakpoints[1] - witness.breakpoints[0] >= 4 * effective - 1e-12
+    np.testing.assert_array_equal(witness.breakpoints, plan.positions[[9, 12]])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +255,44 @@ def test_witness_within_resolution_piecewise_linear():
         member = family.sample(rng, 512)
         witness = family.round_member(plan, member)
         assert family.distance(member, witness) <= 0.75
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    degree=st.integers(0, 3),
+    jumps=st.integers(1, 2),
+    eps1=st.floats(0.1, 6.0),
+    data=st.data(),
+)
+def test_witness_within_resolution_for_adversarial_members(degree, jumps, eps1, data):
+    # The worst members the error model allows: each breakpoint within 1e-9
+    # of a cell edge moves almost half a cell; each level sits at a half-step,
+    # where it rounds by half a step, or at the level bound; each slope is as
+    # large as the class allows.
+    family = PiecewiseSmoothClass(
+        degree=degree, max_jumps=jumps, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
+    )
+    plan = build_net(family, eps1).plan
+    count, step = plan.breakpoint_count, plan.axes[0].step
+    effective = TWO_PI / count
+    draw = data.draw
+    apart = math.ceil((family.min_gap + 2e-9) / effective)  # cells between edges min_gap apart
+    edges = [draw(st.integers(1, count - 1 - (jumps - 1) * apart))]
+    if jumps == 2:
+        edges.append(draw(st.integers(edges[0] + apart, count - 1)))
+    breakpoints = tuple(
+        -math.pi + edge * effective + draw(st.sampled_from([-1e-9, 1e-9])) for edge in edges
+    )
+    halves = [(j + 0.5) * step for j in range(-int(1.0 / step + 0.5), int(1.0 / step + 0.5))]
+    levels = st.sampled_from([-1.0, 1.0] + [h for h in halves if abs(h) <= 1.0])
+    bounds = family.coefficient_bounds()
+    pieces = tuple(
+        (draw(levels), *(draw(st.sampled_from([-1.0, 1.0])) * bounds[m] for m in range(1, degree + 1)))
+        for _ in range(jumps + 1)
+    )
+    member = PiecewiseDescription(breakpoints, pieces)
+    assert family.contains(member)
+    assert family.distance(member, family.round_member(plan, member)) <= eps1
 
 
 def test_witness_within_resolution_smooth():
@@ -328,7 +377,7 @@ def test_centers_are_members_with_grid_overshoot_tolerance():
     assert all(family.contains(member, tolerance=slack) for member in centers(net))
 
     step_net = build_net(step_class(), 1.5)
-    assert step_net.size == 1125
+    assert step_net.size == 162
     assert all(step_class().contains(member) for member in centers(step_net))
 
 
@@ -371,7 +420,7 @@ def test_auto_mode_selection_and_budget(monkeypatch):
     # The plan alone chooses: a step net is factored under any budget.
     for m_max in (0, 100, 10**6, math.inf):
         small = build_net(step_class(), 1.5, m_max=m_max, d=16)
-        assert small.mode == "factored" and factored_size(small.decoder) == small.size == 1125
+        assert small.mode == "factored" and factored_size(small.decoder) == small.size == 162
         assert isinstance(small.decoder, FactoredStepDecoder)
 
     # Maps for a net over the budget are refused before any is built; its
@@ -476,9 +525,9 @@ def dense_indicator_rows(positions, d):
 
 def test_indicator_products_match_the_dense_closed_form():
     rng = np.random.default_rng(29)
-    # eps1 1.5 gives P = 45 (odd), 1.2 gives P = 72 (even); d = 300 puts
+    # eps1 1.6 gives P = 15 (odd), 1.2 gives P = 24 (even); d = 300 puts
     # frequencies past P / 2, where they alias on the breakpoint grid.
-    for eps1, count in ((1.5, 45), (1.2, 72)):
+    for eps1, count in ((1.6, 15), (1.2, 24)):
         for d in (1, 2, 3, 16, 17, 300, 301):
             decoder = step_decoder(eps1, d)
             assert decoder.positions.size == count
@@ -622,14 +671,14 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
 
 
 def test_operator_terms_make_no_frame_sized_copy():
-    # At the bench shape (P = 10,125, d = 1,886, n = 710) the build holds
-    # blocks of 32 rows and their grids, not a scaled copy of the 10.7 MB
+    # At the bench shape (P = 2,592, d = 1,886, n = 604) the build holds
+    # blocks of 32 rows and their grids, not a scaled copy of the 9.1 MB
     # frame.  One block's series and grid (1.05 MB each) are released before
     # the next block's are built, so the peak stays under 3 MB (4.6 MB when
     # two blocks' arrays were alive at once).
     decoder = step_decoder(0.1, 1886)
-    assert decoder.positions.size == 10125
-    operator = random_subspace(1886, 710, seed=1)
+    assert decoder.positions.size == 2592
+    operator = random_subspace(1886, 604, seed=1)
     tracemalloc.start()
     try:
         decoder._operator_terms(operator)
@@ -840,7 +889,16 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
                 elif d > 2:
                     for member in (got.member, want.member):
                         assert member.piece_coefficients[0] == member.piece_coefficients[1]
-                    assert got.distance == pytest.approx(want.distance, rel=1e-12, abs=0.0)
+                    # One constant, so the two sketches agree up to their
+                    # expansion's and product's rounding, gamma_{d+4} of their
+                    # size.  The computed distances are the residual norms to
+                    # gamma_{d+2}, relative: they differ by at most that gap
+                    # plus their own rounding, however small the residual.
+                    gap = float(np.linalg.norm(got.measured - want.measured))
+                    sizes = np.linalg.norm(got.measured) + np.linalg.norm(want.measured)
+                    assert gap <= nets._gamma(d + 4) * sizes
+                    slack = nets._gamma(d + 2) * (got.distance + want.distance + gap)
+                    assert abs(got.distance - want.distance) <= gap + slack
                 else:
                     assert abs(got.distance - want.distance) <= 1e-12 * np.linalg.norm(target)
 
@@ -923,14 +981,10 @@ def test_on_breakpoints_matches_the_length_p_oracle(count, offset):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    eps1=st.floats(0.05, 10.0),
-    jumps=st.integers(1, 4),
-    scale=st.floats(0.05, 2.0),
-)
-@example(eps1=0.1, jumps=1, scale=1.0)  # the bench grid, 10,054 -> 10,125
-def test_position_grid_takes_the_next_smooth_count(eps1, jumps, scale):
-    count, effective, pitch = position_grid(eps1, jumps, scale)
+@given(pitch=st.floats(1e-5, 10.0))
+@example(pitch=0.1**2 / (2.0 + 0.05 / math.sqrt(math.pi)) ** 2)  # the bench grid, 2,585 -> 2,592
+def test_position_grid_takes_the_next_smooth_count(pitch):
+    count, effective = position_grid(pitch)
     needed = math.ceil(TWO_PI / pitch)
     assume(needed <= 10**6)  # a bound on the sweep below, not on position_grid
     assert rough_part(count) == 1 and count >= needed
@@ -947,7 +1001,7 @@ def rough_part(n):
 
 
 def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
-    """At the bench size (P = 10,125 = 3^4 * 5^3) no FFT runs at a length
+    """At the bench size (P = 2,592 = 2^5 * 3^4) no FFT runs at a length
     with a prime factor above 5, where numpy falls back to its own Bluestein
     set-up on every call."""
     lengths = []
@@ -972,8 +1026,8 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
 
     d = 1_886  # the bench's fitted d and n at seed 1
     decoder = step_decoder(0.1, d)
-    assert decoder.positions.size == 10_125
-    operator = random_subspace(d, 710, seed=3)
+    assert decoder.positions.size == 2_592
+    operator = random_subspace(d, 604, seed=3)
     target = step_member_coefficients(decoder.positions[1234], 0.5, -0.25, d)
     decoder.prepare(operator)
     decoder.decode_measurements(apply_operator(operator, target), operator)
@@ -1027,7 +1081,7 @@ def bench_step_decoders(d):
     """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1) and
     ``d``, and a copy that sweeps every breakpoint."""
     decoder = step_decoder(0.1, d)
-    assert (decoder.positions.size, decoder.levels.size) == (10_125, 71)
+    assert (decoder.positions.size, decoder.levels.size) == (2_592, 37)
     reference = copy.copy(decoder)
     reference._search = types.MethodType(full_sweep, reference)
     return decoder, reference
@@ -1118,7 +1172,7 @@ def test_kept_factor_decodes_as_the_per_decode_factor():
 
 
 def test_pruning_sweeps_few_breakpoints(caplog):
-    d, n = 1_886, 710  # the bench's fitted d and n at seed 1
+    d, n = 1_886, 604  # the bench's fitted d and n at seed 1
     decoder, _ = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=11)
     rng = np.random.default_rng(101)
@@ -1136,15 +1190,15 @@ def test_pruning_sweeps_few_breakpoints(caplog):
             decoder.decode_coefficients(target)
             decoder.decode_measurements(apply_operator(operator, target), operator)
     line = re.compile(
-        r"grid search: 10125 configurations, (\d+) kept after bounding"
+        r"grid search: 2592 configurations, (\d+) kept after bounding"
         r" \(\d+ never pruned\), frontier \1, (\d+) leaves"
     )
     matches = [match for match in map(line.fullmatch, caplog.messages) if match]
     swept = np.array([(int(match.group(1)), int(match.group(2))) for match in matches])
     assert swept.shape == (44, 2)
-    assert np.median(swept[0:40:2, 0]) <= 0.01 * 10_125
-    assert np.median(swept[1:40:2, 0]) <= 0.01 * 10_125
-    assert np.all(swept[:, 1] <= 2 * 10_125)
+    assert np.median(swept[0:40:2, 0]) <= 0.01 * 2_592
+    assert np.median(swept[1:40:2, 0]) <= 0.01 * 2_592
+    assert np.all(swept[:, 1] <= 2 * 2_592)
 
 
 def test_one_configuration_decode_seeds_with_one_leaf():

@@ -135,7 +135,9 @@ def test_preprocess_clamp_example_numbers():
     s = preprocess(step_class(), 0.6, 0.5, model, rng)
     assert s.d == 100
     assert s.net.mode == "factored"
-    assert s.net.size == 51_040_125
+    # P 2,592 and 37 levels (test_nets): M = 3,548,448 would want
+    # ceil(40 ln 3,548,449) = ceil(603.3) = 604 rows, over d.
+    assert s.net.size == 3_548_448
     assert s.decoder is s.net.decoder
     assert s.n == 100
     assert s.clamped
@@ -367,8 +369,9 @@ def test_reconstruct_factored_agrees_with_materialized():
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
-    assert s.net.mode == "factored" and s.net.size == 1125
-    assert s.d == 300 and s.n == 282 and not s.clamped
+    # eps1 1.5: P 18 and 3 levels, M = 162 and n = ceil(40 ln 163) = 204.
+    assert s.net.mode == "factored" and s.net.size == 162
+    assert s.d == 300 and s.n == 204 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
     maps = family.materialized_decoder(s.net.plan, s.d)
     materialized = replace(s, net=replace(s.net, mode="configurations", decoder=maps))
