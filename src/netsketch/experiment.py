@@ -26,7 +26,8 @@ from .config import ExperimentConfig, build_family  # noqa: F401
 from .errors import NetSketchError, UsageError
 from .entropy import measurement_lower_bound, within_measurement_budget
 from .function_classes import fit_class_tail_model
-from .hilbert import Signal, pad_or_truncate, tail_norm
+# tail_norm is imported for callers that wrap it here (perfbench/child.py).
+from .hilbert import tail_norm  # noqa: F401
 from .jl import DISTORTION_BAND, apply_operator
 from .nets import build_net
 from .reconstructor import (
@@ -120,18 +121,19 @@ def _distortion_ratio(
 
 @dataclass(frozen=True)
 class TrialAudit:
-    """One reconstruction checked against its ground truth.
+    """One reconstruction checked against its ground truth, in L2[-pi, pi].
 
     The accuracy chain bounds ``ambient_error`` by ``truncation_tail`` (the
     signal's energy beyond dimension ``d``) plus ``projected_offset`` (its
     distance to the decoded center in the first ``d`` coefficients) plus
     ``center_tail`` (the center's energy beyond ``d``), with budgets
-    ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``.  The chain's
-    premise needs the upper distortion band on the pair (x, nearest center),
-    the lower band on the pair (x, decoded center), exact measurements, and
-    both tails within ``eps1``; ``upper_ratio`` and ``lower_ratio`` are the
-    two pairs' projected-over-true distance ratios.  A counterexample is a
-    trial whose premise holds but whose guarantee fails.
+    ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``; all four are
+    exact, in closed form.  The chain's premise needs the upper distortion
+    band on the pair (x, nearest center), the lower band on the pair (x,
+    decoded center), exact measurements, and both tails within ``eps1``;
+    ``upper_ratio`` and ``lower_ratio`` are the two pairs' projected-over-true
+    distance ratios.  A counterexample is a trial whose premise holds but
+    whose guarantee fails.
     """
 
     truncation_tail: float
@@ -148,47 +150,41 @@ class TrialAudit:
 
 def audit_trial(
     sampler: PreparedSampler,
-    x: Signal,
+    member: Any,
+    x_d: np.ndarray,
     sketch: np.ndarray,
     outcome: ReconstructionOutcome,
     delta: float,
     trial: int,
 ) -> TrialAudit:
-    """Audit one reconstruction of ``x``; the only comparison with ground truth.
+    """Audit one reconstruction of ``member``; the only comparison with ground truth.
 
-    ``sketch`` is ``measure(sampler, x)``, the noise-free sketch ``R x_d``.
-    With the decoded center's ``R c``, which the decode kept, it gives the
-    lower pair's projected length ``|R x_d - R c|`` with no product with the
-    frame.  The upper pair reuses that ratio when the nearest center is the
-    decoded one, and applies the operator to its difference otherwise.  A
-    clamped sampler applies the operator to both differences: its isometry
-    check allows ``1e-10``, which the difference of two sketches would spend
-    on cancellation.
+    ``x_d`` is the member's first ``d`` coefficients, ``sketch`` its noise-free
+    ``R x_d``; the center's ``c_d`` and ``R c`` are the decode's own.  The two
+    sketches give the lower pair's projected length ``|R x_d - R c|`` with no
+    product with the frame.  The upper pair reuses that ratio when the nearest
+    center is the decoded one, and applies the operator to its difference
+    otherwise.  A clamped sampler applies the operator to both differences:
+    its isometry check allows ``1e-10``, which the difference of two sketches
+    would spend on cancellation.
 
-    Raises ``UsageError`` when ``x`` has fewer than ``d`` coefficients or
+    Raises ``UsageError`` when ``x_d`` is not ``d`` coefficients or
     ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
     clamped operator distorts a pair.
     """
-    d = sampler.d
-    if x.ambient_dim < d:
-        raise UsageError(
-            f"ground truth has {x.ambient_dim} coefficients, fewer than d = {d}"
-        )
     if np.shape(sketch) != (sampler.n,):
         raise UsageError(
             f"expected a sketch of {sampler.n} measurements, got shape {np.shape(sketch)}"
         )
-    center = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
-    x_truncated = x.coefficients[:d]
-    offset = x_truncated - center.coefficients[:d]
-    nearest = sampler.decoder.decode_coefficients(x_truncated)
-    operator = sampler.operator
+    nearest = sampler.decoder.decode_coefficients(x_d)
+    offset = x_d - outcome.center_coefficients
+    family, operator = sampler.net.family, sampler.operator
     kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.center_sketch))
     lower_ratio = _distortion_ratio(operator, offset, kept)
     if kept is not None and nearest.index == outcome.index:
         upper_ratio = lower_ratio
     else:
-        upper_ratio = _distortion_ratio(operator, x_truncated - nearest.coefficients)
+        upper_ratio = _distortion_ratio(operator, x_d - nearest.coefficients)
     lower, upper = DISTORTION_BAND
     distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
@@ -199,16 +195,9 @@ def audit_trial(
                 raise NetSketchError(
                     f"clamped operator distorted a pair by {ratio!r} in trial {trial}"
                 )
-    truncation_tail = tail_norm(x, d)
-    center_tail = tail_norm(center, d)
-    # Zero-pad the shorter signal: coefficients it lacks are zero.
-    dim = max(x.ambient_dim, center.ambient_dim)
-    ambient_error = float(
-        np.linalg.norm(
-            pad_or_truncate(x.coefficients, dim)
-            - pad_or_truncate(center.coefficients, dim)
-        )
-    )
+    truncation_tail = family.tail(member, x_d)
+    center_tail = family.tail(outcome.center, outcome.center_coefficients)
+    ambient_error = family.distance(member, outcome.center)
     guarantee_met = ambient_error <= sampler.eps
     premise = (
         distortion_ok
@@ -233,32 +222,32 @@ def audit_trial(
 def _run_trial(
     config: ExperimentConfig,
     sampler: PreparedSampler,
-    fixed_signal: Signal | None,
+    fixed: tuple[Any, np.ndarray] | None,
     delta: float,
     trial: int,
 ) -> tuple[dict[str, Any], TrialAudit]:
-    """One trial's CSV row and its audit."""
+    """One trial's CSV row and its audit; ``fixed`` is a ``fixed_x`` run's member and its ``x_d``."""
     family = config.family
     if config.mode == "fixed_x":
         trial_sampler = with_new_operator(
             sampler, _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_OPERATOR)
         )
-        x = fixed_signal
+        member, x_d = fixed
     else:
         trial_sampler = sampler
         member = family.sample(
             _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_MEMBER),
             config.ambient_dim,
         )
-        x = family.to_signal(member, config.ambient_dim)
+        x_d = family.coefficient_prefix(member, sampler.d)
     noise_rng = (
         _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_NOISE) if delta > 0.0 else None
     )
-    sketch = measure(trial_sampler, x)
+    sketch = measure(trial_sampler, x_d)
     outcome = reconstruct(
         trial_sampler, add_noise(trial_sampler, sketch, delta, noise_rng), delta=delta
     )
-    audit = audit_trial(trial_sampler, x, sketch, outcome, delta, trial)
+    audit = audit_trial(trial_sampler, member, x_d, sketch, outcome, delta, trial)
     if audit.counterexample:
         raise NetSketchError(
             f"trial {trial}: reconstruction guarantee failed although distortion,"
@@ -341,19 +330,19 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         if config.delta is None
         else config.delta
     )
-    fixed_signal = None
+    fixed = None
     if config.mode == "fixed_x":
         member = family.sample(
             _stream(config.seed, _DOMAIN_FIXED_MEMBER), config.ambient_dim
         )
-        fixed_signal = family.to_signal(member, config.ambient_dim)
+        fixed = (member, family.coefficient_prefix(member, sampler.d))
     else:
         # Every trial measures through this operator: draw it and build the
         # decoder's terms for it in set-up, before worker threads share them.
         sampler.decoder.prepare(sampler.operator)
 
     def worker(trial: int) -> tuple[dict[str, Any], TrialAudit]:
-        return _run_trial(config, sampler, fixed_signal, delta, trial)
+        return _run_trial(config, sampler, fixed, delta, trial)
 
     if jobs == 1:
         results = [worker(trial) for trial in range(config.trials)]

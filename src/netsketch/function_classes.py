@@ -91,9 +91,11 @@ class FunctionClass:
     """The protocol every function class follows; subclasses are frozen dataclasses.
 
     Members: ``sample(rng, ambient_dim)``, ``coefficient_prefix(member, dim)``,
-    ``contains(member, tolerance)``, ``distance(a, b)`` and ``spec_string()``.
-    ``coefficient_prefix`` is the one expansion hook: the member's first
-    ``dim`` basis coefficients.  ``to_signal`` wraps it as a ``Signal``.
+    ``contains(member, tolerance)``, ``distance(a, b)`` (exact in L2[-pi, pi])
+    and ``spec_string()``, and the attribute ``zero``, the zero function as a
+    member, from which ``norm`` and ``tail`` follow.  ``coefficient_prefix`` is
+    the one expansion hook: the member's first ``dim`` basis coefficients.
+    ``to_signal`` wraps it as a ``Signal``.
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
     configurations times one point on each quantized axis, and marks it
@@ -111,6 +113,14 @@ class FunctionClass:
     def to_signal(self, member, ambient_dim: int) -> Signal:
         """The member's first ``ambient_dim`` coefficients as a signal."""
         return Signal(self.coefficient_prefix(member, ambient_dim))
+
+    def norm(self, member) -> float:
+        """The member's exact L2 norm: its distance to ``zero``."""
+        return self.distance(member, self.zero)
+
+    def tail(self, member, prefix: np.ndarray) -> float:
+        """Exact ``|x - prefix|`` as ``sqrt(|x|^2 - |prefix|^2)``, to ``1e-16 |x|^2 / tail^2`` relative."""
+        return math.sqrt(max(self.norm(member) ** 2 - float(prefix @ prefix), 0.0))
 
     def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
         return ()
@@ -170,6 +180,7 @@ class SmoothClass(FunctionClass):
 
     smoothness: int
     amplitude: float
+    zero = Signal(np.zeros(1))
 
     def __post_init__(self) -> None:
         if self.smoothness < 1:
@@ -249,6 +260,7 @@ class PiecewiseSmoothClass(FunctionClass):
     deriv_bound: float
     min_gap: float
     level_bound: float
+    zero = PiecewiseDescription((), ((0.0,),))
 
     def __post_init__(self) -> None:
         if not 0 <= self.degree <= MAX_PIECE_DEGREE:
@@ -497,6 +509,7 @@ class PiecewiseAnalyticClass(FunctionClass):
     max_jumps: int
     strip_width: float
     amplitude: float
+    zero = AnalyticStepMember(Signal(np.zeros(1)), PiecewiseSmoothClass.zero)
 
     def __post_init__(self) -> None:
         if self.max_jumps < 1:
@@ -520,13 +533,9 @@ class PiecewiseAnalyticClass(FunctionClass):
     def sample(self, rng: np.random.Generator, ambient_dim: int) -> AnalyticStepMember:
         envelope = self.coefficient_envelope(ambient_dim)
         smooth = Signal(envelope * rng.uniform(-1.0, 1.0, ambient_dim))
-        for _ in range(_MAX_SAMPLE_ATTEMPTS):
-            positions = np.sort(rng.uniform(-math.pi, math.pi, self.max_jumps))
-            if positions.size > 1 and np.min(np.diff(positions)) == 0.0:
-                continue  # pragma: no cover - probability zero
-            levels = rng.uniform(-self.amplitude, self.amplitude, self.max_jumps)
-            return AnalyticStepMember(smooth=smooth, steps=_circle_steps(positions, levels))
-        raise UsageError("could not draw distinct step positions")  # pragma: no cover
+        positions = np.sort(rng.uniform(-math.pi, math.pi, self.max_jumps))
+        levels = rng.uniform(-self.amplitude, self.amplitude, self.max_jumps)
+        return AnalyticStepMember(smooth=smooth, steps=_circle_steps(positions, levels))
 
     def coefficient_prefix(self, member: AnalyticStepMember, dim: int) -> np.ndarray:
         smooth = pad_or_truncate(member.smooth.coefficients, dim)

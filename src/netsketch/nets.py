@@ -765,9 +765,9 @@ def gap_separated_count(total: int, choose: int, gap: int) -> int:
 
 
 def iter_gap_tuples(total: int, choose: int, gap: int) -> Iterator[tuple[int, ...]]:
-    for combo in itertools.combinations(range(total), choose):
-        if all(b - a >= gap for a, b in zip(combo, combo[1:])):
-            yield combo
+    """Those tuples, in order: entry ``i`` of a shorter range's combination moves up ``i * (gap - 1)``."""
+    for combo in itertools.combinations(range(total - (choose - 1) * (gap - 1)), choose):
+        yield tuple(index + i * (gap - 1) for i, index in enumerate(combo))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,6 @@ class PreparedSampler:
     n: int
     operator_seed: int
     net: CoveringNet
-    ambient_dim: int
 
     @property
     def decoder(self) -> FactoredStepDecoder | ConfigurationDecoder:
@@ -173,7 +172,6 @@ def preprocess(
         n=n,
         operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
-        ambient_dim=ambient_dim,
     )
 
 
@@ -195,11 +193,11 @@ def with_new_operator(
 
 def measure(
     sampler: PreparedSampler,
-    x: Signal,
+    x: Signal | np.ndarray,
     delta: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Sketch ``x`` through the sampler's operator, optionally with noise.
+    """Sketch ``x``'s first ``d`` coefficients through the sampler's operator.
 
     The noise is ``add_noise``'s, added to the one product with the frame.
     """
@@ -232,14 +230,16 @@ def add_noise(
 class ReconstructionOutcome:
     """The decoded center, its index, and its distance to the measurements.
 
-    ``center_sketch`` is the center's sketch ``R c``, the product the decode
-    formed for its residual.
+    ``center_coefficients`` is the center's first ``d`` coefficients and
+    ``center_sketch`` its sketch ``R c``, the product the decode formed for
+    its residual.
     """
 
     index: int
     center: Any
     projected_distance: float
     within_ball: bool
+    center_coefficients: np.ndarray = field(compare=False, repr=False)
     center_sketch: np.ndarray = field(compare=False, repr=False)
 
 
@@ -262,5 +262,6 @@ def reconstruct(
         center=decoded.member,
         projected_distance=decoded.distance,
         within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
+        center_coefficients=decoded.coefficients,
         center_sketch=decoded.measured,
     )

@@ -21,6 +21,7 @@ from netsketch.function_classes import (
     SmoothClass,
     TailDecayModel,
 )
+from netsketch.hilbert import DEFAULT_AMBIENT_DIM
 from netsketch.jl import DISTORTION_BAND, apply_operator, required_measurements
 from netsketch.nets import build_net
 from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
@@ -72,15 +73,15 @@ def unclamped_trials():
     )
     assert not sampler.clamped and sampler.n < sampler.d
 
-    ambient = sampler.ambient_dim
     trials = 100
     premises = counterexamples = successes = 0
     for trial in range(trials):
-        member = family.sample(np.random.default_rng([404, 5, trial]), ambient)
-        x = family.to_signal(member, ambient)
-        sketch = measure(sampler, x)
+        member = family.sample(np.random.default_rng([404, 5, trial]), DEFAULT_AMBIENT_DIM)
+        x_d = family.coefficient_prefix(member, sampler.d)
+        sketch = measure(sampler, x_d)
         outcome = reconstruct(sampler, sketch)
-        audit = audit_trial(sampler, x, sketch, outcome, delta=0.0, trial=trial)
+        audit = audit_trial(sampler, member, x_d, sketch, outcome, delta=0.0, trial=trial)
+        assert audit.ambient_error == family.distance(member, outcome.center)
         successes += audit.guarantee_met
         premises += audit.premise
         counterexamples += audit.counterexample
@@ -146,19 +147,21 @@ def test_no_implication_counterexamples_across_suite(step_runs, unclamped_trials
     assert counterexamples == 0
 
 
-def check_against_direct_products(sampler, x, sketch, outcome, delta, audit):
+def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, audit):
     """One audit's ratios and verdicts against direct products with the frame.
 
     Kept-sketch ratios agree to 1e-12 relative; a clamped audit forms the
-    direct products itself, so its ratios agree bit for bit.
+    direct products itself, so its ratios agree bit for bit.  The error is
+    the class's own distance, bit for bit.
     """
-    d, operator = sampler.d, sampler.operator
-    assert np.array_equal(sketch, apply_operator(operator, x))
-    x_d = x.coefficients[:d]
-    center = sampler.net.family.to_signal(outcome.center, sampler.ambient_dim)
+    d, operator, family = sampler.d, sampler.operator, sampler.net.family
+    assert np.array_equal(x_d, family.coefficient_prefix(member, d))
+    assert np.array_equal(sketch, apply_operator(operator, x_d))
+    assert audit.ambient_error == family.distance(member, outcome.center)
+    center = family.coefficient_prefix(outcome.center, d)
     nearest = sampler.decoder.decode_coefficients(x_d).coefficients
     upper = _distortion_ratio(operator, x_d - nearest)
-    lower = _distortion_ratio(operator, x_d - center.coefficients[:d])
+    lower = _distortion_ratio(operator, x_d - center)
     if sampler.clamped:
         assert (audit.upper_ratio, audit.lower_ratio) == (upper, lower)
     else:
@@ -183,9 +186,9 @@ def test_step_audits_match_direct_products(monkeypatch, mode, trials, delta):
     audit = experiment.audit_trial
     checked = []
 
-    def checked_audit(sampler, x, sketch, outcome, noise, trial):
-        result = audit(sampler, x, sketch, outcome, noise, trial)
-        check_against_direct_products(sampler, x, sketch, outcome, noise, result)
+    def checked_audit(sampler, member, x_d, sketch, outcome, noise, trial):
+        result = audit(sampler, member, x_d, sketch, outcome, noise, trial)
+        check_against_direct_products(sampler, member, x_d, sketch, outcome, noise, result)
         checked.append(trial)
         return result
 
@@ -207,11 +210,12 @@ def test_smooth_audits_match_direct_products(jl_constant, delta):
     assert sampler.clamped == (jl_constant == 400.0)
     for trial in range(20):
         rng = np.random.default_rng([404, 6, trial])
-        x = family.to_signal(family.sample(rng, sampler.ambient_dim), sampler.ambient_dim)
-        sketch = measure(sampler, x)
+        member = family.sample(rng, DEFAULT_AMBIENT_DIM)
+        x_d = family.coefficient_prefix(member, sampler.d)
+        sketch = measure(sampler, x_d)
         outcome = reconstruct(sampler, add_noise(sampler, sketch, delta, rng), delta)
-        audit = audit_trial(sampler, x, sketch, outcome, delta, trial)
-        check_against_direct_products(sampler, x, sketch, outcome, delta, audit)
+        audit = audit_trial(sampler, member, x_d, sketch, outcome, delta, trial)
+        check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, audit)
 
 
 # ---------------------------------------------------------------------------

@@ -314,10 +314,10 @@ def frame_products_per_trial(monkeypatch, text):
         counts.append(len(products) - before)
         return result
 
-    def recorded_audit(sampler, x, sketch, outcome, *args):
-        nearest = sampler.decoder.decode_coefficients(x.coefficients[: sampler.d])
+    def recorded_audit(sampler, member, x_d, sketch, outcome, *args):
+        nearest = sampler.decoder.decode_coefficients(x_d)
         same.append(nearest.index == outcome.index)
-        return audit(sampler, x, sketch, outcome, *args)
+        return audit(sampler, member, x_d, sketch, outcome, *args)
 
     monkeypatch.setattr(reconstructor, "random_subspace", counted_draw)
     monkeypatch.setattr(experiment, "_run_trial", counted_trial)

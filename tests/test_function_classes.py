@@ -261,6 +261,70 @@ def test_analytic_distance_matches_quadrature():
         assert cls.distance(a, a) == 0.0, name
 
 
+def test_norms_match_quadrature():
+    zero_steps = PiecewiseDescription((), ((0.0,),))
+    zeros = {
+        "smooth": Signal(np.zeros(1)),
+        "piecewise": zero_steps,
+        "analytic": AnalyticStepMember(Signal(np.zeros(1)), zero_steps),
+    }
+    for name, cls in _quadrature_cases().items():
+        member = cls.sample(np.random.default_rng(4), 64)
+        numeric = oracle_l2_distance(member, zeros[name], points_per_piece=2**14 + 1)
+        np.testing.assert_allclose(cls.norm(member), numeric, rtol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# Exact tails
+# ---------------------------------------------------------------------------
+
+TAIL_CLASSES = st.one_of(
+    st.builds(
+        PiecewiseSmoothClass,
+        degree=st.integers(0, 2),
+        max_jumps=st.integers(0, 2),
+        deriv_bound=st.just(1.0),
+        min_gap=st.just(0.5),
+        level_bound=st.just(1.0),
+    ),
+    st.just(PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)),
+    st.just(SmoothClass(smoothness=1, amplitude=2.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=TAIL_CLASSES,
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 17, 64, 1886]),
+)
+def test_exact_tails_bound_the_expanded_ones(family, seed, d):
+    member = family.sample(np.random.default_rng(seed), 4096)
+    exact = family.tail(member, family.coefficient_prefix(member, d))
+    assert exact >= tail_norm(family.to_signal(member, 4096), d) - 1e-12
+    if isinstance(family, PiecewiseSmoothClass) and family.degree == 0:
+        # A jump J at t puts |J e^{ijt}| / j into |int f e^{ijt} dt|, so
+        # frequency j carries at most V^2 / (pi j^2), with V the total
+        # variation on the circle; frequencies past K = 2^15, which 2^16 + 1
+        # coefficients complete, carry less than V^2 / (pi K) together.
+        levels = [coeffs[0] for coeffs in member.piece_coefficients]
+        variation = sum(abs(b - a) for a, b in zip(levels, [*levels[1:], levels[0]]))
+        long = family.coefficient_prefix(member, 2**16 + 1)
+        beyond = exact**2 - float(np.sum(long[d:] ** 2))
+        assert -1e-12 <= beyond <= variation**2 / (math.pi * 2**15) + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 17, 64]))
+def test_exact_smooth_tail_is_the_coefficient_tail(seed, d):
+    # The exact tail cancels |x|^2 - |x_d|^2; at these d the coefficient
+    # tail is large enough next to |x| for 1e-12 relative.
+    family = SmoothClass(smoothness=1, amplitude=2.0)
+    member = family.sample(np.random.default_rng(seed), 4096)
+    exact = family.tail(member, family.coefficient_prefix(member, d))
+    assert exact == pytest.approx(tail_norm(member, d), rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Canonical class labels
 # ---------------------------------------------------------------------------

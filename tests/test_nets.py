@@ -125,9 +125,15 @@ def test_snap_error_bounded_by_half_step(bound, ratio, offset):
 
 
 def test_gap_separated_count_matches_enumeration():
-    for total, choose, gap in [(20, 2, 3), (12, 3, 2), (9, 4, 1), (7, 2, 5)]:
-        brute = sum(1 for _ in iter_gap_tuples(total, choose, gap))
-        assert gap_separated_count(total, choose, gap) == brute
+    cases = [(20, 2, 3), (12, 3, 2), (9, 4, 1), (7, 2, 5), (10, 3, 4), (8, 1, 3), (5, 0, 2), (4, 3, 3)]
+    for total, choose, gap in cases:
+        filtered = [
+            combo
+            for combo in itertools.combinations(range(total), choose)
+            if all(b - a >= gap for a, b in zip(combo, combo[1:]))
+        ]
+        assert list(iter_gap_tuples(total, choose, gap)) == filtered
+        assert gap_separated_count(total, choose, gap) == len(filtered)
     assert gap_separated_count(20, 2, 3) == math.comb(18, 2)
 
 

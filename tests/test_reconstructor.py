@@ -15,7 +15,7 @@ from netsketch import nets, reconstructor
 from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
-from netsketch.hilbert import Signal
+from netsketch.hilbert import DEFAULT_AMBIENT_DIM, tail_norm
 from netsketch.jl import apply_operator, required_measurements
 from netsketch.reconstructor import (
     measure,
@@ -328,10 +328,11 @@ def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
     family = SmoothClass(3, 2.0)
     rng = np.random.default_rng(23)
     for _ in range(20):
-        x = family.sample(rng, smooth_sampler.ambient_dim)
-        sketch = measure(smooth_sampler, x)
+        x = family.sample(rng, DEFAULT_AMBIENT_DIM)
+        x_d = family.coefficient_prefix(x, smooth_sampler.d)
+        sketch = measure(smooth_sampler, x_d)
         out = reconstruct(smooth_sampler, sketch)
-        audit = audit_trial(smooth_sampler, x, sketch, out, delta=0.0, trial=0)
+        audit = audit_trial(smooth_sampler, x, x_d, sketch, out, delta=0.0, trial=0)
         assert out.within_ball
         assert audit.ambient_error <= smooth_sampler.eps
         assert audit.guarantee_met
@@ -343,7 +344,7 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
     delta = 0.1
     slack = math.sqrt(smooth_sampler.n) * delta * smooth_sampler.operator.scale
     for _ in range(10):
-        x = family.sample(rng, smooth_sampler.ambient_dim)
+        x = family.sample(rng, DEFAULT_AMBIENT_DIM)
         y = measure(smooth_sampler, x, delta=delta, rng=rng)
         out = reconstruct(smooth_sampler, y, delta=delta)
         assert out.within_ball == (
@@ -354,12 +355,14 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
 
 def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
     family = SmoothClass(3, 2.0)
-    x = family.sample(np.random.default_rng(37), smooth_sampler.ambient_dim)
-    sketch = measure(smooth_sampler, x)
+    x = family.sample(np.random.default_rng(37), DEFAULT_AMBIENT_DIM)
+    x_d = family.coefficient_prefix(x, smooth_sampler.d)
+    sketch = measure(smooth_sampler, x_d)
     out = reconstruct(smooth_sampler, sketch)
-    audit = audit_trial(smooth_sampler, x, sketch, out, delta=0.0, trial=0)
-    center = family.to_signal(out.center, smooth_sampler.ambient_dim)
+    audit = audit_trial(smooth_sampler, x, x_d, sketch, out, delta=0.0, trial=0)
+    center = family.to_signal(out.center, DEFAULT_AMBIENT_DIM)
     expected = np.linalg.norm(x.coefficients - center.coefficients)
+    assert audit.ambient_error == family.distance(x, out.center)
     assert audit.ambient_error == pytest.approx(expected, rel=1e-12)
     assert audit.guarantee_met == (audit.ambient_error <= smooth_sampler.eps)
 
@@ -407,29 +410,35 @@ def test_audit_decomposes_ambient_error(
 ):
     """The audit's three terms against its ambient error, on fresh operators.
 
-    The first ``d`` coefficients are orthogonal to the rest, so the squared
-    ambient error splits exactly into the squared projected offset and the
-    squared distance between the two tails; the triangle inequality then
+    The error and the tails are exact.  The first ``d`` coefficients are
+    orthogonal to the rest, so the squared error is the squared projected
+    offset plus the squared distance between the two tails: on ``ambient``
+    coefficients exactly for a smooth member, which has no more, and at
+    least that for a step member, which has more.  The triangle inequality
     bounds the error by the three terms, and their budgets add up to eps.
     """
     base = factored_step_sampler if factored else smooth_sampler
     family = base.net.family
     rng = np.random.default_rng(seed)
     sampler = with_new_operator(base, rng)
-    x = family.to_signal(family.sample(rng, sampler.ambient_dim), sampler.ambient_dim)
-    sketch = measure(sampler, x)
+    ambient = 512 if factored else DEFAULT_AMBIENT_DIM
+    member = family.sample(rng, ambient)
+    x_d = family.coefficient_prefix(member, sampler.d)
+    sketch = measure(sampler, x_d)
     out = reconstruct(sampler, sketch)
-    audit = audit_trial(sampler, x, sketch, out, delta=0.0, trial=0)
+    audit = audit_trial(sampler, member, x_d, sketch, out, delta=0.0, trial=0)
 
     d, eps1 = sampler.d, sampler.eps1
-    center = family.to_signal(out.center, sampler.ambient_dim).coefficients
-    tail_gap = np.linalg.norm(x.coefficients[d:] - center[d:])
-    assert audit.ambient_error**2 == pytest.approx(
-        audit.projected_offset**2 + tail_gap**2, rel=1e-12
-    )
-    assert audit.ambient_error == pytest.approx(
-        np.linalg.norm(x.coefficients - center), rel=1e-12
-    )
+    x = family.to_signal(member, ambient)
+    center = family.to_signal(out.center, ambient)
+    assert audit.ambient_error == family.distance(member, out.center)
+    assert audit.truncation_tail >= tail_norm(x, d) - 1e-12
+    assert audit.center_tail >= tail_norm(center, d) - 1e-12
+    split = audit.projected_offset**2 + np.sum((x.coefficients[d:] - center.coefficients[d:]) ** 2)
+    if factored:
+        assert audit.ambient_error**2 >= split * (1.0 - 1e-12)
+    else:
+        assert audit.ambient_error**2 == pytest.approx(split, rel=1e-12)
     total = audit.truncation_tail + audit.projected_offset + audit.center_tail
     assert audit.ambient_error <= total + 1e-12
     assert eps1 + 4.0 * eps1 + eps1 == pytest.approx(sampler.eps, rel=1e-12)
@@ -443,21 +452,14 @@ def test_audit_decomposes_ambient_error(
     assert audit.counterexample == (audit.premise and not audit.guarantee_met)
 
 
-def test_audit_trial_refuses_short_ground_truth(smooth_sampler):
-    short = Signal(np.array([0.3, -0.2]))
-    padded = np.zeros(smooth_sampler.d)
-    padded[:2] = short.coefficients
-    sketch = measure(smooth_sampler, Signal(padded))
-    out = reconstruct(smooth_sampler, sketch)
-    with pytest.raises(UsageError, match="fewer than d"):
-        audit_trial(smooth_sampler, short, sketch, out, delta=0.0, trial=0)
-
-
 def test_audit_trial_refuses_a_sketch_of_another_length(smooth_sampler):
     family = SmoothClass(3, 2.0)
-    x = family.sample(np.random.default_rng(47), smooth_sampler.ambient_dim)
-    sketch = measure(smooth_sampler, x)
+    x = family.sample(np.random.default_rng(47), DEFAULT_AMBIENT_DIM)
+    x_d = family.coefficient_prefix(x, smooth_sampler.d)
+    sketch = measure(smooth_sampler, x_d)
     out = reconstruct(smooth_sampler, sketch)
     for wrong in (sketch[:-1], np.append(sketch, 0.0), sketch[None, :]):
         with pytest.raises(UsageError, match="sketch of"):
-            audit_trial(smooth_sampler, x, wrong, out, delta=0.0, trial=0)
+            audit_trial(smooth_sampler, x, x_d, wrong, out, delta=0.0, trial=0)
+    with pytest.raises(UsageError, match=f"expected {smooth_sampler.d} coefficients"):
+        audit_trial(smooth_sampler, x, x.coefficients, sketch, out, delta=0.0, trial=0)
