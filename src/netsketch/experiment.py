@@ -128,18 +128,24 @@ class TrialAudit:
     distance to the decoded center in the first ``d`` coefficients) plus
     ``center_tail`` (the center's energy beyond ``d``), with budgets
     ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``; all four are
-    exact, in closed form.  The chain's premise needs the upper distortion
-    band on the pair (x, nearest center), the lower band on the pair (x,
-    decoded center), exact measurements, and both tails within ``eps1``;
-    ``upper_ratio`` and ``lower_ratio`` are the two pairs' projected-over-true
-    distance ratios.  A counterexample is a trial whose premise holds but
-    whose guarantee fails.
+    exact, in closed form.  The middle budget needs a net center w within
+    ``eps1`` of x: the decode minimizes the sketch residual over the whole
+    net, so ``|R(x_d - c_d)| <= |R(x_d - w_d)|``, and the distortion bands
+    turn that into ``|x_d - c_d| <= 4 |x_d - w_d|``.  The audit takes for w
+    the class's rounding of x, the witness of the covering, at distance
+    ``witness_error``.  The chain's premise needs the upper distortion band
+    on the pair (x, w), the lower band on the pair (x, decoded center),
+    exact measurements, and both tails within ``eps1``; ``upper_ratio`` and
+    ``lower_ratio`` are the two pairs' projected-over-true distance ratios.
+    A counterexample is a trial whose premise holds but whose guarantee
+    fails.
     """
 
     truncation_tail: float
     projected_offset: float
     center_tail: float
     ambient_error: float
+    witness_error: float
     upper_ratio: float
     lower_ratio: float
     guarantee_met: bool
@@ -162,29 +168,46 @@ def audit_trial(
     ``x_d`` is the member's first ``d`` coefficients, ``sketch`` its noise-free
     ``R x_d``; the center's ``c_d`` and ``R c`` are the decode's own.  The two
     sketches give the lower pair's projected length ``|R x_d - R c|`` with no
-    product with the frame.  The upper pair reuses that ratio when the nearest
-    center is the decoded one, and applies the operator to its difference
-    otherwise.  A clamped sampler applies the operator to both differences:
-    its isometry check allows ``1e-10``, which the difference of two sketches
-    would spend on cancellation.
+    product with the frame.  The witness w is ``family.round_member``'s; when
+    its breakpoints and axis values are the decoded center's, the upper pair
+    is the lower one and ``witness_error`` is ``ambient_error``.  Otherwise
+    the audit expands w to ``d``, applies the operator to ``x_d - w_d`` and
+    measures ``witness_error`` by the class's distance.  A clamped sampler
+    applies the operator to the lower pair's difference too: its isometry
+    check allows ``1e-10``, which the difference of two sketches would spend
+    on cancellation.
 
     Raises ``UsageError`` when ``x_d`` is not ``d`` coefficients or
     ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
-    clamped operator distorts a pair.
+    clamped operator distorts a pair or the witness is more than ``eps1``
+    from x, a net that does not cover its class.
     """
+    if np.shape(x_d) != (sampler.d,):
+        raise UsageError(
+            f"expected {sampler.d} coefficients, got shape {np.shape(x_d)}"
+        )
     if np.shape(sketch) != (sampler.n,):
         raise UsageError(
             f"expected a sketch of {sampler.n} measurements, got shape {np.shape(sketch)}"
         )
-    nearest = sampler.decoder.decode_coefficients(x_d)
     offset = x_d - outcome.center_coefficients
     family, operator = sampler.net.family, sampler.operator
     kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.center_sketch))
     lower_ratio = _distortion_ratio(operator, offset, kept)
-    if kept is not None and nearest.index == outcome.index:
-        upper_ratio = lower_ratio
+    ambient_error = family.distance(member, outcome.center)
+    coordinates = family.round_coordinates(sampler.net.plan, member)
+    if coordinates == outcome.center_coordinates:
+        upper_ratio, witness_error = lower_ratio, ambient_error
     else:
-        upper_ratio = _distortion_ratio(operator, x_d - nearest.coefficients)
+        witness = family.member(*coordinates)
+        witness_d = family.coefficient_prefix(witness, sampler.d)
+        upper_ratio = _distortion_ratio(operator, x_d - witness_d)
+        witness_error = family.distance(member, witness)
+    if witness_error > sampler.eps1:
+        raise NetSketchError(
+            f"trial {trial}: the net's witness is {witness_error!r} from the member,"
+            f" over eps1 = {sampler.eps1!r}: the net does not cover its class"
+        )
     lower, upper = DISTORTION_BAND
     distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
@@ -197,7 +220,6 @@ def audit_trial(
                 )
     truncation_tail = family.tail(member, x_d)
     center_tail = family.tail(outcome.center, outcome.center_coefficients)
-    ambient_error = family.distance(member, outcome.center)
     guarantee_met = ambient_error <= sampler.eps
     premise = (
         distortion_ok
@@ -210,6 +232,7 @@ def audit_trial(
         projected_offset=float(np.linalg.norm(offset)),
         center_tail=center_tail,
         ambient_error=ambient_error,
+        witness_error=witness_error,
         upper_ratio=upper_ratio,
         lower_ratio=lower_ratio,
         guarantee_met=guarantee_met,

@@ -153,15 +153,23 @@ class FunctionClass:
         )
         return ConfigurationDecoder(maps, configurations, plan.axes, self.member)
 
-    def round_member(self, plan: NetPlan, member):
-        """The center that witnesses the covering of ``member``."""
+    def round_coordinates(self, plan: NetPlan, member) -> tuple[tuple, tuple]:
+        """``(breakpoints, values)`` of the center that witnesses the covering of ``member``.
+
+        They compare equal to a decode's ``coordinates`` exactly when the
+        decoded center is this one.
+        """
         breakpoints = self.snap_breakpoints(plan, member)
         coordinates = self.coordinates(plan, member, breakpoints)
         values = tuple(
             axis.snap(float(value))
             for axis, value in zip(plan.axes, coordinates, strict=True)
         )
-        return self.member(breakpoints, values)
+        return breakpoints, values
+
+    def round_member(self, plan: NetPlan, member):
+        """The center that witnesses the covering of ``member``."""
+        return self.member(*self.round_coordinates(plan, member))
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,8 @@ class DecodeResult:
     the decode ran in.  ``measured`` is the member as the distance compared it
     with the target: its sketch ``R c`` after a measurement-space decode, the
     product the residual formed, and ``coefficients`` itself after a
-    coefficient-space one.
+    coefficient-space one.  ``coordinates`` is ``(breakpoints, values)``, what
+    the class's ``member`` built the member from.
     """
 
     member: object
@@ -401,6 +402,7 @@ class DecodeResult:
     distance: float
     coefficients: np.ndarray = field(compare=False)
     measured: np.ndarray = field(compare=False)
+    coordinates: tuple = field(compare=False)
 
 
 class _Terms(NamedTuple):
@@ -417,7 +419,8 @@ class _GridDecoder:
     ``_coefficient_terms`` (built at construction), are the search geometry;
     a decode forms only ``_projections(terms, target, pulled)`` (``pulled``
     is the target in coefficient space); ``_center(configuration, values)``
-    builds the winner.
+    builds the winner and ``_breakpoints(configuration)`` names its
+    configuration.
     """
 
     d: int
@@ -436,16 +439,22 @@ class _GridDecoder:
         configuration, steps = self._search(terms, target, pulled)
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
-        values = tuple(grid[i] for grid, i in zip(self._grids, steps))
+        values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |target|^2), which cancels when it is small.
         measured = measure(coefficients)
         distance = float(np.linalg.norm(target - measured))
-        return DecodeResult(member, index, distance, coefficients, measured)
+        coordinates = (self._breakpoints(configuration), values)
+        return DecodeResult(member, index, distance, coefficients, measured, coordinates)
 
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
-        """Nearest net member to a truncated coefficient vector (exactly)."""
+        """Nearest net member to a truncated coefficient vector (exactly).
+
+        Nothing in the package calls it: the trial audit takes the class's
+        rounding witness instead.  It stays as the exact oracle the tests check
+        the measurement decode against, and as a layer the bench traces.
+        """
         target = np.asarray(target, dtype=np.float64)
         if target.shape != (self.d,):
             raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
@@ -609,9 +618,11 @@ class FactoredStepDecoder(_GridDecoder):
         q0 = self._indicator_products(pulled)
         return q0, float(np.dot(terms.v, target)) - q0
 
+    def _breakpoints(self, configuration: int) -> tuple[float, ...]:
+        return (float(self.positions[configuration]),)
+
     def _center(self, configuration: int, values: tuple):
-        c0, c1 = map(float, values)
-        member = PiecewiseDescription((float(self.positions[configuration]),), ((c0,), (c1,)))
+        member = PiecewiseDescription(self._breakpoints(configuration), tuple((value,) for value in values))
         return member, analyze_piecewise(member, self.d).coefficients
 
 
@@ -655,6 +666,9 @@ class ConfigurationDecoder(_GridDecoder):
 
     def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
+
+    def _breakpoints(self, configuration: int) -> tuple[float, ...]:
+        return self.configurations[configuration]
 
     def _center(self, configuration: int, values: tuple):
         member = self.member(self.configurations[configuration], values)

@@ -230,9 +230,10 @@ def add_noise(
 class ReconstructionOutcome:
     """The decoded center, its index, and its distance to the measurements.
 
-    ``center_coefficients`` is the center's first ``d`` coefficients and
+    ``center_coefficients`` is the center's first ``d`` coefficients,
     ``center_sketch`` its sketch ``R c``, the product the decode formed for
-    its residual.
+    its residual, and ``center_coordinates`` the breakpoints and axis values
+    it was built from.
     """
 
     index: int
@@ -241,6 +242,7 @@ class ReconstructionOutcome:
     within_ball: bool
     center_coefficients: np.ndarray = field(compare=False, repr=False)
     center_sketch: np.ndarray = field(compare=False, repr=False)
+    center_coordinates: tuple = field(compare=False, repr=False)
 
 
 def reconstruct(
@@ -264,4 +266,5 @@ def reconstruct(
         within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
         center_coefficients=decoded.coefficients,
         center_sketch=decoded.measured,
+        center_coordinates=decoded.coordinates,
     )

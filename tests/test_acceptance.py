@@ -151,16 +151,18 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     """One audit's ratios and verdicts against direct products with the frame.
 
     Kept-sketch ratios agree to 1e-12 relative; a clamped audit forms the
-    direct products itself, so its ratios agree bit for bit.  The error is
-    the class's own distance, bit for bit.
+    direct products itself, so its ratios agree bit for bit.  The errors are
+    the class's own distances, bit for bit; the upper pair is x and the
+    class's rounding witness.
     """
     d, operator, family = sampler.d, sampler.operator, sampler.net.family
     assert np.array_equal(x_d, family.coefficient_prefix(member, d))
     assert np.array_equal(sketch, apply_operator(operator, x_d))
     assert audit.ambient_error == family.distance(member, outcome.center)
     center = family.coefficient_prefix(outcome.center, d)
-    nearest = sampler.decoder.decode_coefficients(x_d).coefficients
-    upper = _distortion_ratio(operator, x_d - nearest)
+    witness = family.round_member(sampler.net.plan, member)
+    assert audit.witness_error == family.distance(member, witness) <= sampler.eps1
+    upper = _distortion_ratio(operator, x_d - family.coefficient_prefix(witness, d))
     lower = _distortion_ratio(operator, x_d - center)
     if sampler.clamped:
         assert (audit.upper_ratio, audit.lower_ratio) == (upper, lower)

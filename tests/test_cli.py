@@ -605,6 +605,26 @@ def test_internal_error_exits_two(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_a_net_that_does_not_cover_exits_two(tmp_path, capsys, monkeypatch):
+    # A mutant rounding whose witness sits at the far end of every level axis:
+    # the audit finds it more than eps1 from the member, a defect in the net.
+    rounding = function_classes.FunctionClass.round_coordinates
+
+    def far_coordinates(self, plan, member):
+        breakpoints, values = rounding(self, plan, member)
+        far = tuple(
+            axis.snap(-math.copysign(axis.count * axis.step, value))
+            for axis, value in zip(plan.axes, values)
+        )
+        return breakpoints, far
+
+    monkeypatch.setattr(function_classes.FunctionClass, "round_coordinates", far_coordinates)
+    cfg = _write(tmp_path, "step.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
+    assert main(["experiment", "run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "does not cover its class" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_unexpected_exception_exits_two(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "jl.cfg", JL_CHECK)
 

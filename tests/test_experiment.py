@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsketch import experiment, nets, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
@@ -23,6 +25,7 @@ from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
+    TailDecayModel,
 )
 from netsketch.nets import build_net
 
@@ -286,8 +289,8 @@ def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
 def frame_products_per_trial(monkeypatch, text):
     """Run ``text`` and count each trial's matrix products with the frame.
 
-    Returns one ``(products, nearest_is_decoded)`` pair per trial, the second
-    from the audit's coefficient-space decode, which forms no product.
+    Returns one ``(products, witness_is_decoded)`` pair per trial: whether
+    the class's rounding witness is the decoded center, which forms no product.
     """
     products = []
 
@@ -315,8 +318,9 @@ def frame_products_per_trial(monkeypatch, text):
         return result
 
     def recorded_audit(sampler, member, x_d, sketch, outcome, *args):
-        nearest = sampler.decoder.decode_coefficients(x_d)
-        same.append(nearest.index == outcome.index)
+        family = sampler.net.family
+        witness = family.round_coordinates(sampler.net.plan, member)
+        same.append(witness == outcome.center_coordinates)
         return audit(sampler, member, x_d, sketch, outcome, *args)
 
     monkeypatch.setattr(reconstructor, "random_subspace", counted_draw)
@@ -329,8 +333,8 @@ def frame_products_per_trial(monkeypatch, text):
 @pytest.mark.parametrize("delta", ["0.0", "0.05"])
 def test_a_trial_reads_the_frame_three_times(monkeypatch, delta):
     # measure forms R x_d, the decode R^T y and, for its residual, R c; the
-    # audit reuses R x_d and R c, and forms R(x_d - nearest) only when the
-    # nearest center is not the decoded one.  Noise is added to R x_d.
+    # audit reuses R x_d and R c, and forms R(x_d - w_d) only when the
+    # witness w is not the decoded center.  Noise is added to R x_d.
     text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 12") + f"delta = {delta}\n"
     trials = frame_products_per_trial(monkeypatch, text)
     assert [products for products, _ in trials] == [3 if same else 4 for _, same in trials]
@@ -338,9 +342,81 @@ def test_a_trial_reads_the_frame_three_times(monkeypatch, delta):
 
 
 def test_a_clamped_trial_keeps_its_direct_products(monkeypatch):
-    # n = d: the audit applies the operator to both pairs' differences.
+    # n = d: the audit applies the operator to the lower pair's difference,
+    # and to the upper pair's when the witness is not the decoded center.
     trials = frame_products_per_trial(monkeypatch, SMOOTH_CONFIG)
-    assert [products for products, _ in trials] == [5] * 6
+    assert [products for products, _ in trials] == [4 if same else 5 for _, same in trials]
+
+
+def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkeypatch):
+    # Trial 5 of the factored run: the rounding witness w is neither the
+    # nearest center c* in coefficient space nor the decoded center c, and
+    # the decode's minimality with the bands on (x, w) and (x, c) still bounds
+    # |x_d - c_d| by 4 |x_d - w_d|.
+    audits = {}
+    audit = experiment.audit_trial
+
+    def recorded_audit(sampler, member, x_d, sketch, outcome, delta, trial):
+        result = audit(sampler, member, x_d, sketch, outcome, delta, trial)
+        audits[trial] = (sampler, member, x_d, outcome, result)
+        return result
+
+    monkeypatch.setattr(experiment, "audit_trial", recorded_audit)
+    run_experiment(load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 6")))
+    sampler, member, x_d, outcome, result = audits[5]
+    family, plan = sampler.net.family, sampler.net.plan
+    coordinates = family.round_coordinates(plan, member)
+    nearest = sampler.decoder.decode_coefficients(x_d)
+    assert coordinates != nearest.coordinates
+    assert coordinates != outcome.center_coordinates
+    assert nearest.index != outcome.index
+    witness = family.member(*coordinates)
+    witness_d = family.coefficient_prefix(witness, sampler.d)
+    assert result.witness_error == family.distance(member, witness) <= sampler.eps1
+    assert result.upper_ratio == experiment._distortion_ratio(sampler.operator, x_d - witness_d)
+    assert result.premise and result.guarantee_met and not result.counterexample
+    offset = np.linalg.norm(x_d - outcome.center_coefficients)
+    assert offset <= 4.0 * np.linalg.norm(x_d - witness_d)
+
+
+_WITNESS_TAILS = TailDecayModel(constant=30.0, decay_exponent=1.0, norm_bound=1.0)
+_WITNESS_CLASSES = {
+    # name: (class, eps); each net decodes with n < d
+    "step": (PiecewiseSmoothClass(0, 1, 1.0, 0.5, 1.0), 3.0),
+    "degree_1": (PiecewiseSmoothClass(1, 1, 1.0, 0.5, 1.0), 12.0),
+    "analytic": (PiecewiseAnalyticClass(max_jumps=1, strip_width=1.0, amplitude=1.0), 9.0),
+    "smooth": (SmoothClass(3, 2.0), 3.0),
+}
+
+
+@pytest.fixture(scope="module")
+def witness_samplers():
+    return {
+        name: reconstructor.preprocess(
+            family, eps, 0.5, _WITNESS_TAILS, np.random.default_rng(3),
+            ambient_dim=512, jl_constant=0.5,
+        )
+        for name, (family, eps) in _WITNESS_CLASSES.items()
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_WITNESS_CLASSES)), seed=st.integers(0, 2**32 - 1))
+def test_the_witness_covers_every_sampled_member(witness_samplers, name, seed):
+    sampler = witness_samplers[name]
+    family = sampler.net.family
+    member = family.sample(np.random.default_rng(seed), 512)
+    x_d = family.coefficient_prefix(member, sampler.d)
+    sketch = reconstructor.measure(sampler, x_d)
+    outcome = reconstructor.reconstruct(sampler, sketch)
+    audit = experiment.audit_trial(sampler, member, x_d, sketch, outcome, 0.0, seed)
+    assert audit.witness_error <= sampler.eps1
+    coordinates = family.round_coordinates(sampler.net.plan, member)
+    if coordinates == outcome.center_coordinates:
+        assert audit.witness_error == audit.ambient_error
+        assert audit.upper_ratio == audit.lower_ratio
+    else:
+        assert audit.witness_error == family.distance(member, family.member(*coordinates))
 
 
 def test_run_experiment_seed_changes_trials(smooth_result):
