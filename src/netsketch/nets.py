@@ -73,7 +73,7 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 DEFAULT_NET_BUDGET = 10**6
 
-# Operator rows per block of the factored decoder's square-sum grid.
+# Operator rows per block of the factored decoder's operator terms.
 _TERMS_BLOCK_ROWS = 32
 
 logger = logging.getLogger(__name__)
@@ -359,8 +359,8 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     return int(leaf_rows[best]), tuple(int(index[best]) for index in indices)
 
 
-def _indicator_series(rows: np.ndarray, out: np.ndarray, half: float = 1.0) -> np.ndarray:
-    """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``, into ``out``.
+def _indicator_series(rows: np.ndarray) -> np.ndarray:
+    """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``.
 
     ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi, b]``,
     has constant ``(b+pi)/sqrt(2 pi)``, cosine-``j`` ``sin(j b)/(j sqrt(pi))``
@@ -368,15 +368,15 @@ def _indicator_series(rows: np.ndarray, out: np.ndarray, half: float = 1.0) -> n
     ``(b+pi)`` term a row's product with ``w(b)`` is ``Re sum_j z_j exp(i j
     b)``, of degree ``K = d // 2``: ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``
     and ``z_j = conj(c_j + i s_j) (-i) / (j sqrt(pi))`` for the row's
-    cosine-``j`` and sine-``j`` entries, read as complex pairs.  Bins ``1 ..
-    K`` are written times ``half``; bins past ``K`` are left as they are.
+    cosine-``j`` and sine-``j`` entries, read as complex pairs.
     """
     rows = np.ascontiguousarray(rows)
     d = rows.shape[-1]
     degree, pairs = d // 2, (d - 1) // 2
     js = np.arange(1, degree + 1)
     weights = 1.0 / (js * math.sqrt(math.pi))
-    factors = (-1j * half) * weights
+    factors = -1j * weights
+    out = np.empty(rows.shape[:-1] + (degree + 1,), dtype=np.complex128)
     out[..., 0] = rows[..., 2::2] @ (np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs])
     pair_view = rows[..., 1 : 1 + 2 * pairs].view(np.complex128)
     np.multiply(np.conj(pair_view), factors[:pairs], out=out[..., 1 : pairs + 1])
@@ -481,8 +481,8 @@ class FactoredStepDecoder(_GridDecoder):
     ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is ``g01 = g0f - g00``
     and ``g11 = gff - 2 g0f + g00``.  The breakpoints must be a uniform grid
     of pitch ``2 pi / P`` (as ``position_grid`` makes them): every term is
-    then a trigonometric polynomial in ``b``, and one length-``P`` inverse
-    FFT evaluates it on all ``P`` breakpoints at once.
+    then a trigonometric polynomial in ``b``, and one real inverse FFT of
+    length ``P`` evaluates it on all ``P`` breakpoints at once.
 
     The decoder serves targets of length ``d``: it builds its phases and
     coefficient-space terms at construction, read-only and shared.
@@ -504,8 +504,8 @@ class FactoredStepDecoder(_GridDecoder):
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
         self._grids, self._step = (self.levels, self.levels), self.level_step
-        # exp(i f b_0) for every frequency a series reaches, 2 K for K = d // 2.
-        self._phases = np.exp(1j * np.arange(2 * (self.d // 2) + 1) * self.positions[0])
+        # exp(i f b_0) / 2 for every frequency a series reaches, 2 K for K = d // 2.
+        self._phases = 0.5 * np.exp(1j * np.arange(2 * (self.d // 2) + 1) * self.positions[0])
         self._phases.setflags(write=False)
         self._coefficient_terms = self._norm_terms()
         self._terms = _OperatorSlot(self._operator_terms)
@@ -513,25 +513,30 @@ class FactoredStepDecoder(_GridDecoder):
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
 
-        With ``b_p = b_0 + 2 pi p / P`` the sum is the length-``P`` inverse
-        DFT of ``series_f exp(i f b_0)`` at bin ``f mod P``: a series longer
-        than ``P`` is folded a whole turn at a time.  ``position_grid`` makes
-        ``P`` free of large primes; any other ``P`` is as exact, only slower.
+        With ``b_p = b_0 + 2 pi p / P`` and ``u_f = series_f exp(i f b_0)``
+        folded a whole turn at a time, ``U_k = sum_{f = k mod P} u_f``, the
+        sum is the length-``P`` inverse DFT of the Hermitian ``H_k = (U_k +
+        conj(U_{P-k})) / 2``: one real inverse FFT of its half ``k = 0 ..
+        P // 2``, written a slice at a time from each turn's head ``f <= P //
+        2`` and its reversed tail.  ``position_grid`` makes ``P`` free of
+        large primes; any other ``P`` is as exact, only slower.
         """
         count, width = self.positions.size, series.shape[-1]
-        spectrum = series * self._phases[:width]
-        if width > count:
-            turns = np.zeros(series.shape[:-1] + (-(-width // count) * count,), dtype=np.complex128)
-            turns[..., :width] = spectrum
-            spectrum = turns.reshape(series.shape[:-1] + (-1, count)).sum(axis=-2)
-        values = np.fft.ifft(spectrum, n=count, axis=-1, norm="forward")
-        return np.ascontiguousarray(values.real)
+        bins = count // 2 + 1
+        spectrum = np.zeros(series.shape[:-1] + (bins,), dtype=np.complex128)
+        phases = self._phases[:width]
+        for start in range(0, width, count):
+            head, tail = slice(start, start + bins), slice(start + count - count // 2, start + count)
+            values = series[..., head] * phases[head]
+            spectrum[..., : values.shape[-1]] += values
+            values = series[..., tail] * phases[tail]
+            spectrum[..., bins - values.shape[-1] :] += np.conj(values[..., ::-1])
+        spectrum[..., 0] += np.conj(spectrum[..., 0])  # no tail reaches bin 0
+        return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward")
 
     def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
-        width = rows.shape[-1] // 2 + 1
-        series = np.zeros(rows.shape[:-1] + (width,), dtype=np.complex128)
-        periodic = self._on_breakpoints(_indicator_series(rows, series))
+        periodic = self._on_breakpoints(_indicator_series(rows))
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
     def _step_terms(self, v: np.ndarray, g00: np.ndarray, g0f: np.ndarray, gff: float) -> _Terms:
@@ -569,48 +574,34 @@ class FactoredStepDecoder(_GridDecoder):
     def _operator_terms(self, operator) -> _Terms:
         """The decode terms that depend on ``operator`` only.
 
-        With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` (degree
-        ``K = d // 2``) and ``beta = R[:, 0] / sqrt(2 pi)``,
+        With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` and ``beta =
+        R[:, 0] / sqrt(2 pi)``,
 
             |R w(b)|^2 = (b+pi)^2 |beta|^2 + 2 (b+pi) t[R^T beta](b)
                          + sum_r t_r(b)^2,
 
         and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
-        ``g0f = W R^T v_full`` and the square-sum, of degree ``2 K``: a real
-        inverse FFT evaluates the ``t_r`` of ``_TERMS_BLOCK_ROWS`` rows at a
-        time on ``N >= 4 K + 1`` points (a power of two), from one reused
-        buffer of half-``z_f`` series, the squares are summed, and one real
-        FFT gives the coefficients exactly.  Rows are scaled as they are read
-        and ``v_full @ R`` is ``scale * (v_full @ frame)``: no frame-sized copy.
+        ``g0f = W R^T v_full`` and the square-sum: ``_on_breakpoints``
+        evaluates the ``t_r`` of ``_TERMS_BLOCK_ROWS`` rows at a time on the
+        ``P`` breakpoints, and their squares are summed there.  Rows are scaled as they are read and ``v_full @ R``
+        is ``scale * (v_full @ frame)``: no frame-sized copy.
         """
         started = time.perf_counter()
         scale, frame = operator.scale, operator.frame
         n, d = frame.shape
-        degree = d // 2
-        points = 1 << (4 * degree).bit_length()
-        # (numpy's irfft is slower on a shorter, zero-padded input.)
-        series = np.zeros((min(n, _TERMS_BLOCK_ROWS), points // 2 + 1), dtype=np.complex128)
-        squares = np.zeros(points)
+        g00 = np.zeros(self.positions.size)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
-            rows = frame[start : start + _TERMS_BLOCK_ROWS]
-            block = _indicator_series(scale * rows, series[: rows.shape[0]], half=0.5)
-            values = np.fft.irfft(block, n=points, axis=-1, norm="forward")
-            squares += np.einsum("ij,ij->j", values, values)
+            values = self._on_breakpoints(_indicator_series(scale * frame[start : start + _TERMS_BLOCK_ROWS]))
+            g00 += np.einsum("ij,ij->j", values, values)
             del values  # before the next block's is built
-        block_bytes = series.nbytes
-        del series, block
-        square_sum = np.fft.rfft(squares, norm="forward")
-        square_sum = square_sum[: 2 * degree + 1]
-        square_sum[1:] *= 2.0
         first = scale * frame[:, 0]
         v_full = _SQRT_2PI * first
         lead = float(np.dot(first, first))
         g0f = self._indicator_products(scale * (v_full @ frame))
-        g00 = self._on_breakpoints(square_sum)
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d N=%d block=%d bytes built in %.3fs",
-            self.positions.size, d, n, points, block_bytes, time.perf_counter() - started,
+            "factored decoder terms: P=%d d=%d n=%d block=%d rows built in %.3fs",
+            self.positions.size, d, n, _TERMS_BLOCK_ROWS, time.perf_counter() - started,
         )
         return self._step_terms(v_full, g00, g0f, float(np.dot(v_full, v_full)))
 

@@ -586,19 +586,6 @@ def test_operator_terms_match_the_dense_closed_form():
                 )
 
 
-def test_square_sum_series_vanish_past_the_degree():
-    # _operator_terms reuses one zeroed buffer for every block of rows:
-    # _indicator_series writes bins 0..K only, so the bins past K stay 0.
-    rng = np.random.default_rng(47)
-    for d in (1, 2, 3, 17, 64, 301, 1886):
-        degree = d // 2
-        width = (1 << (4 * degree).bit_length()) // 2 + 1
-        series = nets._indicator_series(
-            rng.normal(size=(5, d)), np.zeros((5, width), dtype=np.complex128)
-        )
-        assert not np.any(series[:, degree + 1 :])
-
-
 def test_decoder_rejects_positions_off_the_uniform_grid():
     positions = np.linspace(-3.0, 3.0, 8)
     with pytest.raises(UsageError):
@@ -678,10 +665,10 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
 
 def test_operator_terms_make_no_frame_sized_copy():
     # At the bench shape (P = 2,592, d = 1,886, n = 604) the build holds
-    # blocks of 32 rows and their grids, not a scaled copy of the 9.1 MB
-    # frame.  One block's series and grid (1.05 MB each) are released before
-    # the next block's are built, so the peak stays under 3 MB (4.6 MB when
-    # two blocks' arrays were alive at once).
+    # blocks of 32 rows, not a scaled copy of the 9.1 MB frame.  A block's
+    # scaled rows and series (0.48 MB each), half spectrum and values on the
+    # breakpoints (0.66 MB each) are released before the next block's are
+    # built, so the peak stays under 3 MB.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592
     operator = random_subspace(1886, 604, seed=1)
@@ -965,15 +952,18 @@ def grid_decoder(count, start, d):
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5])
-@pytest.mark.parametrize("count", [45, 70, 97, 10_054, 10_125])
+@pytest.mark.parametrize("count", [1, 2, 45, 70, 97, 10_054, 10_125])
 def test_on_breakpoints_matches_the_length_p_oracle(count, offset):
-    # _on_breakpoints on smooth (45, 10,125) and rough (70, 97, 10,054)
-    # grids alike, at a d whose series reach 3 P + 1 frequencies, so the
-    # longest series fold three whole turns.  The grid starts at -pi, or
-    # half a pitch in as a net's does.
+    # _on_breakpoints on smooth (1, 2, 45, 10,125) and rough (70, 97,
+    # 10,054) grids alike, at a d whose series reach 3 P + 1 frequencies, so
+    # the longest series fold three whole turns.  Widths P // 2 + 1 and
+    # P // 2 + 2 reach the first bins folded onto P - f (the Nyquist bin of
+    # an even P), and 2 P - 1 ends one bin short of a second whole turn.  The
+    # grid starts at -pi, or half a pitch in as a net's does.
     decoder = grid_decoder(count, -math.pi + offset * TWO_PI / count, 2 * (3 * count + 1))
     rng = np.random.default_rng(count)
-    for width in (1, 2, count // 2, count, 3 * count + 1):
+    widths = (1, 2, count // 2, count // 2 + 1, count // 2 + 2, count, 2 * count - 1, 3 * count + 1)
+    for width in widths:
         for series in (
             rng.normal(size=width) + 1j * rng.normal(size=width),
             rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)),
@@ -1007,9 +997,10 @@ def rough_part(n):
 
 
 def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
-    """At the bench size (P = 2,592 = 2^5 * 3^4) no FFT runs at a length
-    with a prime factor above 5, where numpy falls back to its own Bluestein
-    set-up on every call."""
+    """At the bench size (P = 2,592 = 2^5 * 3^4) every transform is a real
+    inverse FFT on the breakpoints: no other kind, and no length with a
+    prime factor above 5, where numpy falls back to its own Bluestein set-up
+    on every call."""
     lengths = []
 
     def recording(name, function):
@@ -1038,8 +1029,7 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
     decoder.prepare(operator)
     decoder.decode_measurements(apply_operator(operator, target), operator)
     decoder.decode_coefficients(target)
-    assert {name for name, _ in lengths} >= {"ifft", "rfft", "irfft"}
-    assert [(name, n) for name, n in lengths if rough_part(n) > 1] == []
+    assert lengths and set(lengths) == {("irfft", 2_592)}
 
 
 # ---------------------------------------------------------------------------
