@@ -33,7 +33,7 @@ from .function_classes import (
     fit_class_tail_model,
     fit_tail_model,
 )
-from .nets import DEFAULT_NET_BUDGET, CoveringNet, build_net
+from .nets import DEFAULT_NET_BUDGET, CoveringNet, DecodeResult, build_net
 from .jl import (
     DEFAULT_JL_CONSTANT,
     MeasurementOperator,
@@ -50,7 +50,6 @@ from .entropy import (
 )
 from .reconstructor import (
     PreparedSampler,
-    ReconstructionOutcome,
     measure,
     preprocess,
     reconstruct,
@@ -68,6 +67,7 @@ __all__ = [
     "DEFAULT_AMBIENT_DIM",
     "DEFAULT_JL_CONSTANT",
     "DEFAULT_NET_BUDGET",
+    "DecodeResult",
     "EntropyScan",
     "ExperimentConfig",
     "ExperimentResult",
@@ -78,7 +78,6 @@ __all__ = [
     "PiecewiseDescription",
     "PiecewiseSmoothClass",
     "PreparedSampler",
-    "ReconstructionOutcome",
     "Signal",
     "SmoothClass",
     "TailDecayModel",

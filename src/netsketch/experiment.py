@@ -29,12 +29,12 @@ from .function_classes import fit_class_tail_model
 # tail_norm is imported for callers that wrap it here (perfbench/child.py).
 from .hilbert import tail_norm  # noqa: F401
 from .jl import DISTORTION_BAND, apply_operator
-from .nets import build_net
+from .nets import DecodeResult, build_net
 from .reconstructor import (
     PreparedSampler,
-    ReconstructionOutcome,
     add_noise,
     measure,
+    noise_shift,
     preprocess,
     reconstruct,
     with_new_operator,
@@ -159,18 +159,19 @@ def audit_trial(
     member: Any,
     x_d: np.ndarray,
     sketch: np.ndarray,
-    outcome: ReconstructionOutcome,
+    outcome: DecodeResult,
     delta: float,
     trial: int,
 ) -> TrialAudit:
     """Audit one reconstruction of ``member``; the only comparison with ground truth.
 
     ``x_d`` is the member's first ``d`` coefficients, ``sketch`` its noise-free
-    ``R x_d``; the center's ``c_d`` and ``R c`` are the decode's own.  The two
+    ``R x_d``, and ``outcome`` the decode's ``DecodeResult``: the center's
+    ``c_d`` is its ``coefficients`` and ``R c`` its ``measured``.  The two
     sketches give the lower pair's projected length ``|R x_d - R c|`` with no
     product with the frame.  The witness w is ``family.round_member``'s; when
-    its breakpoints and axis values are the decoded center's, the upper pair
-    is the lower one and ``witness_error`` is ``ambient_error``.  Otherwise
+    its breakpoints and axis values are the decode's ``coordinates``, the
+    upper pair is the lower one and ``witness_error`` is ``ambient_error``.  Otherwise
     the audit expands w to ``d``, applies the operator to ``x_d - w_d`` and
     measures ``witness_error`` by the class's distance.  A clamped sampler
     applies the operator to the lower pair's difference too: its isometry
@@ -190,13 +191,13 @@ def audit_trial(
         raise UsageError(
             f"expected a sketch of {sampler.n} measurements, got shape {np.shape(sketch)}"
         )
-    offset = x_d - outcome.center_coefficients
+    offset = x_d - outcome.coefficients
     family, operator = sampler.net.family, sampler.operator
-    kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.center_sketch))
+    kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.measured))
     lower_ratio = _distortion_ratio(operator, offset, kept)
-    ambient_error = family.distance(member, outcome.center)
+    ambient_error = family.distance(member, outcome.member)
     coordinates = family.round_coordinates(sampler.net.plan, member)
-    if coordinates == outcome.center_coordinates:
+    if coordinates == outcome.coordinates:
         upper_ratio, witness_error = lower_ratio, ambient_error
     else:
         witness = family.member(*coordinates)
@@ -219,7 +220,7 @@ def audit_trial(
                     f"clamped operator distorted a pair by {ratio!r} in trial {trial}"
                 )
     truncation_tail = family.tail(member, x_d)
-    center_tail = family.tail(outcome.center, outcome.center_coefficients)
+    center_tail = family.tail(outcome.member, outcome.coefficients)
     guarantee_met = ambient_error <= sampler.eps
     premise = (
         distortion_ok
@@ -267,9 +268,7 @@ def _run_trial(
         _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_NOISE) if delta > 0.0 else None
     )
     sketch = measure(trial_sampler, x_d)
-    outcome = reconstruct(
-        trial_sampler, add_noise(trial_sampler, sketch, delta, noise_rng), delta=delta
-    )
+    outcome = reconstruct(trial_sampler, add_noise(trial_sampler, sketch, delta, noise_rng))
     audit = audit_trial(trial_sampler, member, x_d, sketch, outcome, delta, trial)
     if audit.counterexample:
         raise NetSketchError(
@@ -277,6 +276,7 @@ def _run_trial(
             " exactness, and tail bounds were all verified"
         )
 
+    ball = 2.0 * trial_sampler.eps1 + noise_shift(trial_sampler, delta)
     row = {
         "seed": config.seed,
         "class": family.spec_string(),
@@ -287,8 +287,8 @@ def _run_trial(
         "M": trial_sampler.net.size,
         "clamped": trial_sampler.clamped,
         "delta": delta,
-        "projected_distance": outcome.projected_distance,
-        "within_ball": outcome.within_ball,
+        "projected_distance": outcome.distance,
+        "within_ball": outcome.distance <= ball,
         "ambient_error": audit.ambient_error,
         "guarantee_met": audit.guarantee_met,
         "distortion_ok": audit.distortion_ok,

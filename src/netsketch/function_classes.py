@@ -211,6 +211,10 @@ class SmoothClass(FunctionClass):
     def coefficient_prefix(self, member: Signal, dim: int) -> np.ndarray:
         return pad_or_truncate(member.coefficients, dim)
 
+    def tail(self, member: Signal, prefix: np.ndarray) -> float:
+        """The norm of the member's coefficients past the prefix: exact, with no cancellation."""
+        return float(np.linalg.norm(member.coefficients[prefix.size:]))
+
     def to_signal(self, member: Signal, ambient_dim: int) -> Signal:
         if member.ambient_dim > ambient_dim and tail_norm(member, ambient_dim) > 0.0:
             raise UsageError(

@@ -668,15 +668,24 @@ class ConfigurationDecoder(_GridDecoder):
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """A net's layout and counts; ``decoder``, when built for a ``d``, decodes it; ``mode`` names it."""
+    """A net's layout; its counts and ``mode`` are the plan's, and ``decoder``, when built for a ``d``, decodes it."""
 
     family: object
-    mode: str
-    size: int
-    entropy_bits: float
     plan: NetPlan
     decoder: FactoredStepDecoder | ConfigurationDecoder | None = field(default=None)
     m_max: int | float = DEFAULT_NET_BUDGET
+
+    @property
+    def mode(self) -> str:
+        return "factored" if self.plan.factored else "configurations"
+
+    @property
+    def size(self) -> int:
+        return self.plan.size
+
+    @property
+    def entropy_bits(self) -> float:
+        return self.plan.entropy_bits
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +805,6 @@ def build_net(
     if not eps1 > 0.0:
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
     plan = family.net_plan(eps1)
-    mode = "factored" if plan.factored else "configurations"
     decoder = None
     if d is not None and plan.factored:
         decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d)
@@ -804,7 +812,7 @@ def build_net(
         if plan.size > m_max:
             raise NetTooLargeError(f"net with {plan.size} centers is over m_max = {m_max}: no maps are built")
         decoder = family.materialized_decoder(plan, d)
-    return CoveringNet(family, mode, plan.size, plan.entropy_bits, plan, decoder, m_max)
+    return CoveringNet(family, plan, decoder, m_max)
 
 
 # ---------------------------------------------------------------------------

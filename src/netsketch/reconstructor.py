@@ -5,16 +5,16 @@ produces a ``PreparedSampler``: a truncation dimension ``d`` that absorbs the
 coefficient tails, a covering net at resolution ``eps1 = eps / 6``, and a
 random ``n``-dimensional measurement operator sized for the net by the
 Johnson-Lindenstrauss requirement.  ``measure`` sketches a signal through the
-operator (optionally with bounded noise), and ``reconstruct`` decodes the
-sketch to the nearest projected net center.  Comparing a reconstruction with
-its ground truth is ``experiment.audit_trial``'s job.
+operator, ``add_noise`` perturbs the sketch within a bound, and
+``reconstruct`` decodes it to the nearest projected net center.  Comparing a
+reconstruction with its ground truth is ``experiment.audit_trial``'s job.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -34,15 +34,16 @@ from .nets import (
     DEFAULT_NET_BUDGET,
     ConfigurationDecoder,
     CoveringNet,
+    DecodeResult,
     FactoredStepDecoder,
     build_net,
 )
 
 __all__ = [
     "PreparedSampler",
-    "ReconstructionOutcome",
     "add_noise",
     "measure",
+    "noise_shift",
     "preprocess",
     "reconstruct",
     "truncation_dimension",
@@ -99,6 +100,9 @@ class PreparedSampler:
     ``operator``, so a sampler whose operator is replaced before any
     measurement (every trial of a ``fixed_x`` run) never pays for the draw.
     The draw takes no lock: draw it before threads share the sampler.
+    (Before Python 3.12, ``functools.cached_property`` holds one lock for
+    every sampler while it draws, which would serialize the draws of a
+    ``fixed_x`` run's worker threads.)
     """
 
     eps: float
@@ -191,17 +195,9 @@ def with_new_operator(
 # ---------------------------------------------------------------------------
 
 
-def measure(
-    sampler: PreparedSampler,
-    x: Signal | np.ndarray,
-    delta: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Sketch ``x``'s first ``d`` coefficients through the sampler's operator.
-
-    The noise is ``add_noise``'s, added to the one product with the frame.
-    """
-    return add_noise(sampler, apply_operator(sampler.operator, x), delta, rng)
+def measure(sampler: PreparedSampler, x: Signal | np.ndarray) -> np.ndarray:
+    """Sketch ``x``'s first ``d`` coefficients through the sampler's operator."""
+    return apply_operator(sampler.operator, x)
 
 
 def add_noise(
@@ -226,45 +222,18 @@ def add_noise(
     return y + rng.uniform(-bound, bound, size=y.shape)
 
 
-@dataclass(frozen=True)
-class ReconstructionOutcome:
-    """The decoded center, its index, and its distance to the measurements.
-
-    ``center_coefficients`` is the center's first ``d`` coefficients,
-    ``center_sketch`` its sketch ``R c``, the product the decode formed for
-    its residual, and ``center_coordinates`` the breakpoints and axis values
-    it was built from.
-    """
-
-    index: int
-    center: Any
-    projected_distance: float
-    within_ball: bool
-    center_coefficients: np.ndarray = field(compare=False, repr=False)
-    center_sketch: np.ndarray = field(compare=False, repr=False)
-    center_coordinates: tuple = field(compare=False, repr=False)
-
-
-def reconstruct(
-    sampler: PreparedSampler, y: np.ndarray, delta: float = 0.0
-) -> ReconstructionOutcome:
-    """Decode measurements to the nearest projected net center.
-
-    Ties break toward the lowest center index, but for the last axis's
-    rounding (see ``nets._nearest_on_grid``).  ``within_ball`` compares the
-    decoded distance against ``2 * eps1`` plus the worst-case noise shift
-    ``sqrt(n) * delta * scale``.
-    """
+def noise_shift(sampler: PreparedSampler, delta: float) -> float:
+    """The most ``add_noise`` at ``delta`` can move a sketch: ``sqrt(n) * delta * scale``."""
     if delta < 0.0:
         raise UsageError(f"noise level must be non-negative, got {delta!r}")
-    decoded = sampler.decoder.decode_measurements(y, sampler.operator)
-    noise_shift = math.sqrt(sampler.operator.n) * delta * sampler.operator.scale
-    return ReconstructionOutcome(
-        index=decoded.index,
-        center=decoded.member,
-        projected_distance=decoded.distance,
-        within_ball=decoded.distance <= 2.0 * sampler.eps1 + noise_shift,
-        center_coefficients=decoded.coefficients,
-        center_sketch=decoded.measured,
-        center_coordinates=decoded.coordinates,
-    )
+    return math.sqrt(sampler.n) * delta * sampler.operator.scale
+
+
+def reconstruct(sampler: PreparedSampler, y: np.ndarray) -> DecodeResult:
+    """Decode measurements to the nearest projected net center: the decoder's answer.
+
+    Ties break toward the lowest center index, but for the last axis's
+    rounding (see ``nets._nearest_on_grid``).  The result's ``coefficients``
+    and ``measured`` are the center's ``c_d`` and its sketch ``R c``.
+    """
+    return sampler.decoder.decode_measurements(y, sampler.operator)

@@ -81,7 +81,7 @@ def unclamped_trials():
         sketch = measure(sampler, x_d)
         outcome = reconstruct(sampler, sketch)
         audit = audit_trial(sampler, member, x_d, sketch, outcome, delta=0.0, trial=trial)
-        assert audit.ambient_error == family.distance(member, outcome.center)
+        assert audit.ambient_error == family.distance(member, outcome.member)
         successes += audit.guarantee_met
         premises += audit.premise
         counterexamples += audit.counterexample
@@ -158,8 +158,8 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     d, operator, family = sampler.d, sampler.operator, sampler.net.family
     assert np.array_equal(x_d, family.coefficient_prefix(member, d))
     assert np.array_equal(sketch, apply_operator(operator, x_d))
-    assert audit.ambient_error == family.distance(member, outcome.center)
-    center = family.coefficient_prefix(outcome.center, d)
+    assert audit.ambient_error == family.distance(member, outcome.member)
+    center = family.coefficient_prefix(outcome.member, d)
     witness = family.round_member(sampler.net.plan, member)
     assert audit.witness_error == family.distance(member, witness) <= sampler.eps1
     upper = _distortion_ratio(operator, x_d - family.coefficient_prefix(witness, d))
@@ -215,7 +215,7 @@ def test_smooth_audits_match_direct_products(jl_constant, delta):
         member = family.sample(rng, DEFAULT_AMBIENT_DIM)
         x_d = family.coefficient_prefix(member, sampler.d)
         sketch = measure(sampler, x_d)
-        outcome = reconstruct(sampler, add_noise(sampler, sketch, delta, rng), delta)
+        outcome = reconstruct(sampler, add_noise(sampler, sketch, delta, rng))
         audit = audit_trial(sampler, member, x_d, sketch, outcome, delta, trial)
         check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, audit)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -320,7 +321,7 @@ def frame_products_per_trial(monkeypatch, text):
     def recorded_audit(sampler, member, x_d, sketch, outcome, *args):
         family = sampler.net.family
         witness = family.round_coordinates(sampler.net.plan, member)
-        same.append(witness == outcome.center_coordinates)
+        same.append(witness == outcome.coordinates)
         return audit(sampler, member, x_d, sketch, outcome, *args)
 
     monkeypatch.setattr(reconstructor, "random_subspace", counted_draw)
@@ -368,14 +369,14 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
     coordinates = family.round_coordinates(plan, member)
     nearest = sampler.decoder.decode_coefficients(x_d)
     assert coordinates != nearest.coordinates
-    assert coordinates != outcome.center_coordinates
+    assert coordinates != outcome.coordinates
     assert nearest.index != outcome.index
     witness = family.member(*coordinates)
     witness_d = family.coefficient_prefix(witness, sampler.d)
     assert result.witness_error == family.distance(member, witness) <= sampler.eps1
     assert result.upper_ratio == experiment._distortion_ratio(sampler.operator, x_d - witness_d)
     assert result.premise and result.guarantee_met and not result.counterexample
-    offset = np.linalg.norm(x_d - outcome.center_coefficients)
+    offset = np.linalg.norm(x_d - outcome.coefficients)
     assert offset <= 4.0 * np.linalg.norm(x_d - witness_d)
 
 
@@ -412,7 +413,7 @@ def test_the_witness_covers_every_sampled_member(witness_samplers, name, seed):
     audit = experiment.audit_trial(sampler, member, x_d, sketch, outcome, 0.0, seed)
     assert audit.witness_error <= sampler.eps1
     coordinates = family.round_coordinates(sampler.net.plan, member)
-    if coordinates == outcome.center_coordinates:
+    if coordinates == outcome.coordinates:
         assert audit.witness_error == audit.ambient_error
         assert audit.upper_ratio == audit.lower_ratio
     else:
@@ -513,6 +514,21 @@ def test_a_refused_layout_at_eps_runs_no_trial(monkeypatch, name):
         run_experiment(config)
     assert reason in str(refusal.value)
     assert started == []
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_within_ball_holds_up_to_twice_eps1_plus_the_noise_shift(monkeypatch, above):
+    # Every decode lands exactly on the ball's edge, or one float above it.
+    decode = experiment.reconstruct
+
+    def on_the_edge(sampler, y):
+        edge = 2.0 * sampler.eps1 + reconstructor.noise_shift(sampler, 0.05)
+        distance = math.nextafter(edge, math.inf) if above else edge
+        return dataclasses.replace(decode(sampler, y), distance=distance)
+
+    monkeypatch.setattr(experiment, "reconstruct", on_the_edge)
+    rows = run_experiment(load_experiment_config(SMOOTH_CONFIG + "delta = 0.05\n")).rows
+    assert [row["within_ball"] for row in rows] == [not above] * len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDe
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM, tail_norm
 from netsketch.jl import apply_operator, required_measurements
 from netsketch.reconstructor import (
+    add_noise,
     measure,
+    noise_shift,
     preprocess,
     reconstruct,
     truncation_dimension,
@@ -205,7 +207,7 @@ def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
     center = decoder_rows(redrawn.decoder)[7]
     out = reconstruct(redrawn, apply_operator(redrawn.operator, center))
     assert out.index == 7
-    assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
+    assert out.distance == pytest.approx(0.0, abs=1e-12)
     # redraws are reproducible from the stream
     again = with_new_operator(smooth_sampler, np.random.default_rng(8))
     assert np.array_equal(again.operator.frame, redrawn.operator.frame)
@@ -250,7 +252,7 @@ def test_measure_noise_is_bounded_per_coordinate(smooth_sampler):
     delta = 0.25
     bound = delta * smooth_sampler.operator.scale
     for seed in range(5):
-        noisy = measure(smooth_sampler, x, delta=delta, rng=np.random.default_rng(seed))
+        noisy = add_noise(smooth_sampler, clean, delta, np.random.default_rng(seed))
         shift = np.abs(noisy - clean)
         assert shift.max() <= bound
         assert shift.max() > 0.0
@@ -258,10 +260,12 @@ def test_measure_noise_is_bounded_per_coordinate(smooth_sampler):
 
 def test_measure_validates_noise_arguments(smooth_sampler):
     x = SmoothClass(3, 2.0).sample(np.random.default_rng(2), 4096)
+    y = measure(smooth_sampler, x)
     with pytest.raises(UsageError):
-        measure(smooth_sampler, x, delta=-0.1)
+        add_noise(smooth_sampler, y, -0.1, np.random.default_rng(2))
     with pytest.raises(UsageError):
-        measure(smooth_sampler, x, delta=0.1)
+        add_noise(smooth_sampler, y, 0.1, None)
+    assert add_noise(smooth_sampler, y, 0.0, None) is y
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +277,37 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
     y = apply_operator(smooth_sampler.operator, decoder_rows(smooth_sampler.decoder)[5])
     out = reconstruct(smooth_sampler, y)
     assert out.index == 5
-    assert out.projected_distance == pytest.approx(0.0, abs=1e-12)
-    assert out.within_ball
+    assert out.distance == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_array_equal(out.coefficients, decoder_rows(smooth_sampler.decoder)[5])
+
+
+@pytest.mark.parametrize("maps", [False, True])
+def test_reconstruct_returns_the_decoders_result(factored_step_sampler, maps):
+    sampler, family = factored_step_sampler, factored_step_sampler.net.family
+    if maps:
+        decoder = family.materialized_decoder(sampler.net.plan, sampler.d)
+        sampler = replace(sampler, net=replace(sampler.net, decoder=decoder))
+    assert isinstance(sampler.decoder, nets.ConfigurationDecoder) == maps
+    member = family.sample(np.random.default_rng(59), 512)
+    y = measure(sampler, family.coefficient_prefix(member, sampler.d))
+    out = reconstruct(sampler, y)
+    decoded = sampler.decoder.decode_measurements(y, sampler.operator)
+    assert isinstance(out, nets.DecodeResult)
+    assert out == decoded
+    np.testing.assert_array_equal(out.coefficients, decoded.coefficients)
+    np.testing.assert_array_equal(out.measured, decoded.measured)
+    assert out.coordinates == decoded.coordinates
+
+
+def test_noise_shift_is_the_largest_noise_length(smooth_sampler):
+    operator = smooth_sampler.operator
+    assert noise_shift(smooth_sampler, 0.0) == 0.0
+    assert noise_shift(smooth_sampler, 0.1) == math.sqrt(operator.n) * 0.1 * operator.scale
+    with pytest.raises(UsageError, match="non-negative"):
+        noise_shift(smooth_sampler, -0.1)
+    y = np.zeros(smooth_sampler.n)
+    noisy = add_noise(smooth_sampler, y, 0.1, np.random.default_rng(61))
+    assert 0.0 < np.linalg.norm(noisy - y) <= noise_shift(smooth_sampler, 0.1)
 
 
 def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
@@ -300,7 +333,7 @@ def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
         best, distance = row_scan(measured, y)
         out = reconstruct(tied, y)
         assert out.index == best < size
-        assert out.projected_distance == pytest.approx(distance, rel=1e-12)
+        assert out.distance == pytest.approx(distance, rel=1e-12)
         target = rows[probe.integers(len(rows))] + scale * probe.normal(size=tied.d)
         best, distance = row_scan(rows, target)
         result = tied_decoder.decode_coefficients(target)
@@ -312,16 +345,13 @@ def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
 def test_reconstruct_validates_inputs(smooth_sampler):
     with pytest.raises(UsageError):
         reconstruct(smooth_sampler, np.zeros(smooth_sampler.n + 1))
-    with pytest.raises(UsageError):
-        reconstruct(smooth_sampler, np.zeros(smooth_sampler.n), delta=-1.0)
 
 
 def test_reconstruct_far_measurement_leaves_ball(smooth_sampler):
     center = decoder_rows(smooth_sampler.decoder)[0]
     y = apply_operator(smooth_sampler.operator, center) + 10.0
     out = reconstruct(smooth_sampler, y)
-    assert not out.within_ball
-    assert out.projected_distance > 2.0 * smooth_sampler.eps1
+    assert out.distance > 2.0 * smooth_sampler.eps1
 
 
 def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
@@ -333,7 +363,7 @@ def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
         sketch = measure(smooth_sampler, x_d)
         out = reconstruct(smooth_sampler, sketch)
         audit = audit_trial(smooth_sampler, x, x_d, sketch, out, delta=0.0, trial=0)
-        assert out.within_ball
+        assert out.distance <= 2.0 * smooth_sampler.eps1
         assert audit.ambient_error <= smooth_sampler.eps
         assert audit.guarantee_met
 
@@ -342,15 +372,12 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
     family = SmoothClass(3, 2.0)
     rng = np.random.default_rng(31)
     delta = 0.1
-    slack = math.sqrt(smooth_sampler.n) * delta * smooth_sampler.operator.scale
+    slack = noise_shift(smooth_sampler, delta)
     for _ in range(10):
         x = family.sample(rng, DEFAULT_AMBIENT_DIM)
-        y = measure(smooth_sampler, x, delta=delta, rng=rng)
-        out = reconstruct(smooth_sampler, y, delta=delta)
-        assert out.within_ball == (
-            out.projected_distance <= 2.0 * smooth_sampler.eps1 + slack
-        )
-        assert out.within_ball
+        y = add_noise(smooth_sampler, measure(smooth_sampler, x), delta, rng)
+        out = reconstruct(smooth_sampler, y)
+        assert out.distance <= 2.0 * smooth_sampler.eps1 + slack
 
 
 def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
@@ -360,9 +387,9 @@ def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
     sketch = measure(smooth_sampler, x_d)
     out = reconstruct(smooth_sampler, sketch)
     audit = audit_trial(smooth_sampler, x, x_d, sketch, out, delta=0.0, trial=0)
-    center = family.to_signal(out.center, DEFAULT_AMBIENT_DIM)
+    center = family.to_signal(out.member, DEFAULT_AMBIENT_DIM)
     expected = np.linalg.norm(x.coefficients - center.coefficients)
-    assert audit.ambient_error == family.distance(x, out.center)
+    assert audit.ambient_error == family.distance(x, out.member)
     assert audit.ambient_error == pytest.approx(expected, rel=1e-12)
     assert audit.guarantee_met == (audit.ambient_error <= smooth_sampler.eps)
 
@@ -377,24 +404,24 @@ def test_reconstruct_factored_agrees_with_materialized():
     assert s.d == 300 and s.n == 204 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
     maps = family.materialized_decoder(s.net.plan, s.d)
-    materialized = replace(s, net=replace(s.net, mode="configurations", decoder=maps))
+    materialized = replace(s, net=replace(s.net, decoder=maps))
     probe = np.random.default_rng(43)
     for _ in range(10):
         x = family.to_signal(family.sample(probe, 512), 512)
         y = measure(s, x) + probe.normal(0.0, 0.05, size=s.n)
         direct = reconstruct(materialized, y)
         via_decoder = reconstruct(s, y)
-        assert via_decoder.projected_distance == pytest.approx(
-            direct.projected_distance, rel=1e-9
+        assert via_decoder.distance == pytest.approx(
+            direct.distance, rel=1e-9
         )
         if via_decoder.index == direct.index:
-            assert via_decoder.center == direct.center
+            assert via_decoder.member == direct.member
         else:
             # flat functions appear once per breakpoint position, so exact
             # duplicate centers can tie; both answers must then be the same
             # function
-            decoded = family.to_signal(via_decoder.center, 512)
-            chosen = family.to_signal(direct.center, 512)
+            decoded = family.to_signal(via_decoder.member, 512)
+            chosen = family.to_signal(direct.member, 512)
             assert np.allclose(decoded.coefficients, chosen.coefficients, atol=1e-9)
 
 
@@ -430,8 +457,8 @@ def test_audit_decomposes_ambient_error(
 
     d, eps1 = sampler.d, sampler.eps1
     x = family.to_signal(member, ambient)
-    center = family.to_signal(out.center, ambient)
-    assert audit.ambient_error == family.distance(member, out.center)
+    center = family.to_signal(out.member, ambient)
+    assert audit.ambient_error == family.distance(member, out.member)
     assert audit.truncation_tail >= tail_norm(x, d) - 1e-12
     assert audit.center_tail >= tail_norm(center, d) - 1e-12
     split = audit.projected_offset**2 + np.sum((x.coefficients[d:] - center.coefficients[d:]) ** 2)
