@@ -14,17 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .jl import DEFAULT_JL_CONSTANT
 
 __all__ = [
-    "RATE_CONSTANT",
     "EntropyScan",
     "fit_growth",
     "measurement_lower_bound",
     "within_measurement_budget",
 ]
-
-#: Budget constant of the measurement-count rate (20 / (1 - p)) * entropy.
-RATE_CONSTANT = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,5 +147,5 @@ def within_measurement_budget(
         raise UsageError(f"probability must lie in (0, 1), got {p!r}")
     if n_used < 0:
         raise UsageError(f"measurement count must be nonnegative, got {n_used!r}")
-    rate = RATE_CONSTANT / (1.0 - p)
+    rate = DEFAULT_JL_CONSTANT / (1.0 - p)
     return n_used <= rate * entropy_bits + rate + 1.0

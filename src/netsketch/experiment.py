@@ -169,9 +169,10 @@ def audit_trial(
     ``R x_d``, and ``outcome`` the decode's ``DecodeResult``: the center's
     ``c_d`` is its ``coefficients`` and ``R c`` its ``measured``.  The two
     sketches give the lower pair's projected length ``|R x_d - R c|`` with no
-    product with the frame.  The witness w is ``family.round_member``'s; when
-    its breakpoints and axis values are the decode's ``coordinates``, the
-    upper pair is the lower one and ``witness_error`` is ``ambient_error``.  Otherwise
+    product with the frame.  The witness w is the center that
+    ``family.round_coordinates`` names; when its breakpoints and axis values
+    are the decode's ``coordinates``, the upper pair is the lower one and
+    ``witness_error`` is ``ambient_error``.  Otherwise
     the audit expands w to ``d``, applies the operator to ``x_d - w_d`` and
     measures ``witness_error`` by the class's distance.  A clamped sampler
     applies the operator to the lower pair's difference too: its isometry

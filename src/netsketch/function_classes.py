@@ -40,7 +40,6 @@ from .nets import (
     AxisLog,
     ConfigurationDecoder,
     NetPlan,
-    gap_separated_count,
     grid_count,
     position_grid,
 )
@@ -167,10 +166,6 @@ class FunctionClass:
         )
         return breakpoints, values
 
-    def round_member(self, plan: NetPlan, member):
-        """The center that witnesses the covering of ``member``."""
-        return self.member(*self.round_coordinates(plan, member))
-
 
 # ---------------------------------------------------------------------------
 # Smooth (Sobolev ellipsoid) class
@@ -243,7 +238,7 @@ class SmoothClass(FunctionClass):
             AxisLog(count=grid_count(envelope[i], step), step=step)
             for i in range(truncation)
         )
-        return NetPlan(eps1=eps1, axes=axes, config_count=1)
+        return NetPlan(eps1=eps1, axes=axes)
 
     def member(self, breakpoints, values) -> Signal:
         return Signal(np.array(values))
@@ -351,9 +346,9 @@ class PiecewiseSmoothClass(FunctionClass):
         return exact_l2_distance(a, b)
 
     def net_plan(self, eps1: float) -> NetPlan:
-        """The net at ``eps1``, laid out from the exact error of ``round_member``.
+        """The net at ``eps1``, laid out from the exact error of its witness.
 
-        ``round_member`` snaps a member's ``s`` breakpoints onto the ``P``-point
+        ``round_coordinates`` snaps a member's ``s`` breakpoints onto the ``P``-point
         grid, then rounds piece ``j``'s polynomial, re-expanded about snapped
         piece ``j``'s midpoint, coefficient by coefficient: degree ``m`` at
         ``step_m``.  Let ``B_m`` be the degree-``m`` bound and ``delta = pi /
@@ -396,7 +391,7 @@ class PiecewiseSmoothClass(FunctionClass):
         steps = [
             math.sqrt(2.0) * eps1 / ((degree + 1) * _monomial_norm(m)) for m in range(degree + 1)
         ]
-        count, gap, configs, shift = 0, 1, 1, 0.0
+        count, gap, shift = 0, 1, 0.0
         if s:
             height = sum((2.0 * bounds[m] + steps[m] / 2.0) * math.pi**m for m in range(degree + 1))
             pitch = eps1**2 / (s * height**2)
@@ -404,7 +399,6 @@ class PiecewiseSmoothClass(FunctionClass):
                 pitch = min(pitch, self.min_gap / 4.0)
             count, effective = position_grid(pitch)
             gap = max(1, math.ceil((self.min_gap - 2.0 * pitch) / effective))
-            configs = gap_separated_count(count, s, gap)
             shift = effective / 2.0
         reach = [
             sum(bounds[k] * math.comb(k, m) * shift ** (k - m) for k in range(m, degree + 1))
@@ -418,7 +412,6 @@ class PiecewiseSmoothClass(FunctionClass):
         return NetPlan(
             eps1=eps1,
             axes=axes,
-            config_count=configs,
             breakpoint_count=count,
             index_gap=gap,
             jumps=s,
@@ -608,7 +601,6 @@ class PiecewiseAnalyticClass(FunctionClass):
         return NetPlan(
             eps1=eps1,
             axes=tuple(axes),
-            config_count=int(math.comb(count, kappa)),
             breakpoint_count=count,
             jumps=kappa,
         )

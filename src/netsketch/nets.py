@@ -15,9 +15,9 @@ builds it:
   ``m_max`` centers (``FunctionClass.materialized_decoder``).
 
 A decoder serves one ``d``.  Its terms are its search geometry, each
-configuration's factored Gram, built at construction and once per operator;
-a decode forms the target's projections for one exact closest-point search,
-``_nearest_on_grid``.  Ties
+configuration's factored Gram under an operator, built on the first decode
+under it; a decode forms the target's projections for one exact
+closest-point search, ``_nearest_on_grid``.  Ties
 go to the lowest member index, except that the last axis takes the rounding
 of its continuous optimum, and a half-way value rounds up.
 
@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import NetTooLargeError, UsageError
 from .hilbert import PiecewiseDescription, analyze_piecewise, dump_signal
+from .jl import MeasurementOperator
 
 __all__ = [
     "AxisLog",
@@ -389,12 +390,11 @@ def _indicator_series(rows: np.ndarray) -> np.ndarray:
 class DecodeResult:
     """The nearest member, its index in net order, and its distance.
 
-    ``coefficients`` holds the member's first ``d`` coefficients, the space
-    the decode ran in.  ``measured`` is the member as the distance compared it
-    with the target: its sketch ``R c`` after a measurement-space decode, the
-    product the residual formed, and ``coefficients`` itself after a
-    coefficient-space one.  ``coordinates`` is ``(breakpoints, values)``, what
-    the class's ``member`` built the member from.
+    ``coefficients`` holds the member's first ``d`` coefficients.
+    ``measured`` is the member as the distance compared it with the target:
+    its sketch ``R c``, the product the residual formed (``coefficients``
+    itself when ``R`` is the identity).  ``coordinates`` is ``(breakpoints,
+    values)``, what the class's ``member`` built the member from.
     """
 
     member: object
@@ -415,11 +415,10 @@ class _Terms(NamedTuple):
 class _GridDecoder:
     """The decode entry points both decoders share, for targets of length ``d``.
 
-    Terms, from ``_terms`` (a slot over ``_operator_terms``) or
-    ``_coefficient_terms`` (built at construction), are the search geometry;
-    a decode forms only ``_projections(terms, target, pulled)`` (``pulled``
-    is the target in coefficient space); ``_center(configuration, values)``
-    builds the winner and ``_breakpoints(configuration)`` names its
+    Terms, from ``_terms`` (a slot over ``_operator_terms``), are the search
+    geometry; a decode forms only ``_projections(terms, target, pulled)``
+    (``pulled`` is the target in coefficient space); ``_center(configuration,
+    values)`` builds the winner and ``_breakpoints(configuration)`` names its
     configuration.
     """
 
@@ -435,39 +434,36 @@ class _GridDecoder:
         projections = self._projections(terms, target, pulled)
         return _nearest_on_grid(terms.geometry, projections, self._grids, self._step)
 
-    def _decode(self, terms, target: np.ndarray, pulled: np.ndarray, measure) -> DecodeResult:
-        configuration, steps = self._search(terms, target, pulled)
-        counts = [grid.size for grid in self._grids]
-        index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
-        values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
-        member, coefficients = self._center(configuration, values)
-        # The distance comes from the residual, not from the objective (the
-        # squared distance minus |target|^2), which cancels when it is small.
-        measured = measure(coefficients)
-        distance = float(np.linalg.norm(target - measured))
-        coordinates = (self._breakpoints(configuration), values)
-        return DecodeResult(member, index, distance, coefficients, measured, coordinates)
-
-    def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
-        """Nearest net member to a truncated coefficient vector (exactly).
-
-        Nothing in the package calls it: the trial audit takes the class's
-        rounding witness instead.  It stays as the exact oracle the tests check
-        the measurement decode against, and as a layer the bench traces.
-        """
-        target = np.asarray(target, dtype=np.float64)
-        if target.shape != (self.d,):
-            raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
-        return self._decode(self._coefficient_terms, target, target, lambda x: x)
-
     def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
         """Nearest net member to measurements under ``operator`` (exactly)."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (operator.n,):
             raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
         terms = self.prepare(operator)
-        pulled, measure = operator.scale * (y @ operator.frame), lambda x: operator.scale * (operator.frame @ x)
-        return self._decode(terms, y, pulled, measure)
+        configuration, steps = self._search(terms, y, operator.scale * (y @ operator.frame))
+        counts = [grid.size for grid in self._grids]
+        index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
+        values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
+        member, coefficients = self._center(configuration, values)
+        # The distance comes from the residual, not from the objective (the
+        # squared distance minus |y|^2), which cancels when it is small.
+        measured = operator.scale * (operator.frame @ coefficients)
+        distance = float(np.linalg.norm(y - measured))
+        coordinates = (self._breakpoints(configuration), values)
+        return DecodeResult(member, index, distance, coefficients, measured, coordinates)
+
+    def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
+        """Nearest net member to ``d`` coefficients: the measurement decode under the identity.
+
+        Only the tests and the bench name it.  Each call builds the identity's
+        terms, a ``C d k`` map product on a net of ``C`` configurations and
+        ``k`` axes.  ROADMAP item 21 deletes it once the bench stops patching
+        it.
+        """
+        target = np.asarray(target, dtype=np.float64)
+        if target.shape != (self.d,):
+            raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
+        return self.decode_measurements(target, MeasurementOperator(np.eye(self.d), seed=0))
 
 
 @dataclass
@@ -484,8 +480,8 @@ class FactoredStepDecoder(_GridDecoder):
     then a trigonometric polynomial in ``b``, and one real inverse FFT of
     length ``P`` evaluates it on all ``P`` breakpoints at once.
 
-    The decoder serves targets of length ``d``: it builds its phases and
-    coefficient-space terms at construction, read-only and shared.
+    The decoder serves targets of length ``d``: it builds only its phases
+    at construction, read-only and shared, and its terms per operator.
     """
 
     positions: np.ndarray
@@ -504,10 +500,9 @@ class FactoredStepDecoder(_GridDecoder):
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
         self._grids, self._step = (self.levels, self.levels), self.level_step
-        # exp(i f b_0) / 2 for every frequency a series reaches, 2 K for K = d // 2.
-        self._phases = 0.5 * np.exp(1j * np.arange(2 * (self.d // 2) + 1) * self.positions[0])
+        # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
+        self._phases = 0.5 * np.exp(1j * np.arange(self.d // 2 + 1) * self.positions[0])
         self._phases.setflags(write=False)
-        self._coefficient_terms = self._norm_terms()
         self._terms = _OperatorSlot(self._operator_terms)
 
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
@@ -538,38 +533,6 @@ class FactoredStepDecoder(_GridDecoder):
         """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
         periodic = self._on_breakpoints(_indicator_series(rows))
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
-
-    def _step_terms(self, v: np.ndarray, g00: np.ndarray, g0f: np.ndarray, gff: float) -> _Terms:
-        """``v`` and the geometry of the Gram ``[[g00, g01], [g01, g11]]``, read-only."""
-        g01 = g0f - g00
-        v.setflags(write=False)
-        return _Terms(_grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], self._grids), v)
-
-    def _norm_terms(self) -> _Terms:
-        """The terms in coefficient space, ``|w(b)|^2`` from the squared closed forms.
-
-        The ``cos(2 j b)`` terms cancel except the last cosine's, so
-
-            |w(b)|^2 = (b+pi)^2/(2 pi) + sum_{j<=d//2} 1/(2 pi j^2)
-                       + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
-                       - [d even] cos(d b)/(2 pi (d/2)^2).
-
-        ``<w(b), v> = b + pi`` and ``v = sqrt(2 pi) e_0``.  The terms depend on
-        ``d`` and the grid only.
-        """
-        d = self.d
-        n_sin = (d - 1) // 2
-        js = np.arange(1, d // 2 + 1)
-        weights_sq = 1.0 / (math.pi * js**2)
-        series = np.zeros(2 * js.size + 1)
-        series[0] = np.sum(weights_sq) / 2.0 + 1.5 * np.sum(weights_sq[:n_sin])
-        alternating = np.where(js[:n_sin] % 2 == 0, -2.0, 2.0)
-        series[1 : n_sin + 1] = alternating * weights_sq[:n_sin]
-        if d % 2 == 0:
-            series[d] = -weights_sq[-1] / 2.0
-        norms = self._on_breakpoints(series) + self._shift**2 / TWO_PI
-        v = np.eye(1, d)[0] * _SQRT_2PI
-        return self._step_terms(v, norms, self._shift, TWO_PI)
 
     def _operator_terms(self, operator) -> _Terms:
         """The decode terms that depend on ``operator`` only.
@@ -603,7 +566,10 @@ class FactoredStepDecoder(_GridDecoder):
             "factored decoder terms: P=%d d=%d n=%d block=%d rows built in %.3fs",
             self.positions.size, d, n, _TERMS_BLOCK_ROWS, time.perf_counter() - started,
         )
-        return self._step_terms(v_full, g00, g0f, float(np.dot(v_full, v_full)))
+        v_full.setflags(write=False)
+        g01 = g0f - g00
+        gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]
+        return _Terms(_grid_geometry(gram, self._grids), v_full)
 
     def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         q0 = self._indicator_products(pulled)
@@ -624,8 +590,8 @@ class ConfigurationDecoder(_GridDecoder):
     ``maps[c]`` (read-only) takes configuration ``c``'s ``k`` axis values to
     a center's first ``d`` coefficients; centers are indexed by
     configuration, then the axis grid in ``itertools.product`` order.  The
-    Grams are the maps', or ``scale * frame @ maps``'s per operator, and the
-    projections are the pulled-back target times the maps.  The decoded
+    Grams are ``scale * frame @ maps``'s, per operator, and the projections
+    are the pulled-back target times the maps.  The decoded
     center is built by ``member(breakpoints, values)``.
     """
 
@@ -642,18 +608,14 @@ class ConfigurationDecoder(_GridDecoder):
         self.maps.flags.writeable = False
         self.d = self.maps.shape[1]
         self._grids, self._step = [axis.points() for axis in self.axes], self.axes[-1].step
-        self._coefficient_terms = self._gram_terms(self.maps)
         self._terms = _OperatorSlot(self._operator_terms)
 
-    def _gram_terms(self, maps: np.ndarray) -> _Terms:
-        """The maps' Grams and their factor, kept read-only and shared."""
-        gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
-        return _Terms(_grid_geometry(gram, self._grids))
-
     def _operator_terms(self, operator) -> _Terms:
+        """The projected maps' Grams and their factor, kept read-only and shared."""
         maps = np.matmul(operator.frame, self.maps)
         maps *= operator.scale
-        return self._gram_terms(maps)
+        gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
+        return _Terms(_grid_geometry(gram, self._grids))
 
     def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
         return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
@@ -707,11 +669,15 @@ class NetPlan:
 
     eps1: float
     axes: tuple[AxisLog, ...]
-    config_count: int
     breakpoint_count: int = 0
     index_gap: int = 1
     jumps: int = 0
     factored: bool = False
+
+    @property
+    def config_count(self) -> int:
+        """The number of breakpoint configurations."""
+        return gap_separated_count(self.breakpoint_count, self.jumps, self.index_gap)
 
     @property
     def size(self) -> int:

@@ -90,8 +90,9 @@ def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
 class PreparedSampler:
     """Everything fixed before measuring: dimensions, net, and operator.
 
-    ``decoder`` finds the nearest net center, to measurements or to truncated
-    coefficients: the net's decoder, built with the net for this ``d``.
+    ``decoder`` is the net's decoder, built with the net for this ``d``: it
+    finds the nearest net center to measurements under an operator, and
+    builds its terms on the first decode under each.
     ``clamped`` says that the Johnson-Lindenstrauss requirement met or
     exceeded ``d``, so ``n = d``: the operator is a full orthogonal map and
     the sketch is exact on the truncated space.

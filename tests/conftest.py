@@ -264,9 +264,8 @@ def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
     """A step decoder's search from its raw Gram terms, factored on every decode.
 
     The factored step decoder's search before it kept each operator's
-    factor and its coefficient-space one, kept as the oracle.  ``raw`` is ``(v, g00, g0f,
-    gff)``: the constant one's image, ``|w(b)|^2``, ``<w(b), v>`` and
-    ``|v|^2``.  Every call assembles ``g01 = g0f - g00`` and ``g11 = gff -
+    factor, kept as the oracle.  ``raw`` is ``(v, g00, g0f, gff)``: the
+    constant one's image, ``|w(b)|^2``, ``<w(b), v>`` and ``|v|^2``.  Every call assembles ``g01 = g0f - g00`` and ``g11 = gff -
     2 g0f + g00``, factors the ``P`` 2x2 Grams and searches them.
     """
     v, g00, g0f, gff = raw
@@ -281,14 +280,12 @@ def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
 def per_decode_copy(decoder):
     """A copy of a factored step decoder that keeps raw terms and runs ``factor_per_decode``.
 
-    Its raw terms are read from ``decoder``'s: ``g00`` is the kept Gram's
-    corner, and ``g0f`` and ``gff`` are recomputed as the decoder computed
-    them before it kept the factor (``b + pi`` and ``2 pi`` in coefficient
-    space; ``W R^T v`` and ``|v|^2`` under an operator ``R``).
+    Its raw terms are read from ``decoder``'s ``_terms`` alone: ``g00`` is
+    the kept Gram's corner, and ``g0f`` and ``gff`` are recomputed as the
+    decoder computed them before it kept the factor (``W R^T v`` and
+    ``|v|^2`` under an operator ``R``, the identity included).
     """
     reference = copy.copy(decoder)
-    terms = decoder._coefficient_terms
-    reference._coefficient_terms = (terms.v, terms.geometry.gram[0][0], decoder._shift, 2.0 * math.pi)
 
     def operator_terms(operator):
         terms = decoder._terms.get(operator)

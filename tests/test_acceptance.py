@@ -160,7 +160,7 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     assert np.array_equal(sketch, apply_operator(operator, x_d))
     assert audit.ambient_error == family.distance(member, outcome.member)
     center = family.coefficient_prefix(outcome.member, d)
-    witness = family.round_member(sampler.net.plan, member)
+    witness = family.member(*family.round_coordinates(sampler.net.plan, member))
     assert audit.witness_error == family.distance(member, witness) <= sampler.eps1
     upper = _distortion_ratio(operator, x_d - family.coefficient_prefix(witness, d))
     lower = _distortion_ratio(operator, x_d - center)

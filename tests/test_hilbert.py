@@ -196,7 +196,7 @@ def test_expansion_leaves_numpy_polynomial_unimported():
         "for family, eps1 in cases:\n"
         "    a, b = family.sample(rng, 64), family.sample(rng, 64)\n"
         "    family.distance(a, b)\n"
-        "    family.round_member(family.net_plan(eps1), a)\n"
+        "    family.member(*family.round_coordinates(family.net_plan(eps1), a))\n"
         "    getattr(a, 'steps', a).evaluate(np.linspace(-4.0, 4.0, 9))\n"
         "print(*sys.modules)\n"
     )

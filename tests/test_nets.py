@@ -39,7 +39,7 @@ from netsketch.function_classes import (
     _circle_steps,
 )
 from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
-from netsketch.jl import apply_operator, random_subspace
+from netsketch.jl import MeasurementOperator, apply_operator, random_subspace
 from netsketch.nets import (
     AxisLog,
     ConfigurationDecoder,
@@ -179,7 +179,7 @@ def test_flat_class_net_is_a_single_member():
     rng = np.random.default_rng(11)
     for _ in range(10):
         member = family.sample(rng, 64)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 6.0
 
 
@@ -213,7 +213,7 @@ def test_two_jump_net_configurations():
     rng = np.random.default_rng(21)
     for _ in range(15):
         member = family.sample(rng, 256)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 3.0
         assert witness.breakpoints[1] - witness.breakpoints[0] >= 3 * effective - 1e-12
 
@@ -230,7 +230,7 @@ def test_rounding_bumps_colliding_breakpoints_forward():
         breakpoints=(0.0, 0.8),
         piece_coefficients=((0.5,), (-0.5,), (0.0,)),
     )
-    witness = family.round_member(plan, member)
+    witness = family.member(*family.round_coordinates(plan, member))
     np.testing.assert_array_equal(witness.breakpoints, plan.positions[[9, 12]])
 
 
@@ -246,7 +246,7 @@ def test_witness_within_resolution_single_jump():
     rng = np.random.default_rng(101)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 0.5
 
 
@@ -259,7 +259,7 @@ def test_witness_within_resolution_piecewise_linear():
     rng = np.random.default_rng(202)
     for _ in range(25):
         member = family.sample(rng, 512)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 0.75
 
 
@@ -298,7 +298,7 @@ def test_witness_within_resolution_for_adversarial_members(degree, jumps, eps1, 
     )
     member = PiecewiseDescription(breakpoints, pieces)
     assert family.contains(member)
-    assert family.distance(member, family.round_member(plan, member)) <= eps1
+    assert family.distance(member, family.member(*family.round_coordinates(plan, member))) <= eps1
 
 
 def test_witness_within_resolution_smooth():
@@ -308,7 +308,7 @@ def test_witness_within_resolution_smooth():
     rng = np.random.default_rng(303)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 0.5
 
 
@@ -319,7 +319,7 @@ def test_witness_within_resolution_analytic():
     rng = np.random.default_rng(404)
     for _ in range(20):
         member = family.sample(rng, 512)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 1.0
 
 
@@ -336,7 +336,7 @@ def test_witness_within_resolution_with_a_step_at_pi(jumps):
         positions = (-math.pi, *np.sort(rng.uniform(-math.pi, math.pi, jumps - 1)))
         member = AnalyticStepMember(smooth, _circle_steps(positions, rng.uniform(-1.0, 1.0, jumps)))
         assert len(member.steps.breakpoints) == jumps - 1 and family.contains(member)
-        witness = family.round_member(plan, member)
+        witness = family.member(*family.round_coordinates(plan, member))
         assert family.distance(member, witness) <= 1.0
 
 
@@ -366,10 +366,10 @@ def test_witness_is_a_center_bit_for_bit():
         indices = {member_bytes(center): index for index, center in enumerate(members)}
         assert len(indices) == net.size
         for _ in range(40):
-            witness = family.round_member(net.plan, family.sample(rng, 128))
+            witness = family.member(*family.round_coordinates(net.plan, family.sample(rng, 128)))
             assert member_bytes(witness) in indices
         for index in rng.choice(net.size, size=min(40, net.size), replace=False):
-            fixed = member_bytes(family.round_member(net.plan, members[index]))
+            fixed = member_bytes(family.member(*family.round_coordinates(net.plan, members[index])))
             assert indices[fixed] == index
 
 
@@ -529,6 +529,26 @@ def dense_indicator_rows(positions, d):
     return w
 
 
+def indicator_norms(positions, d):
+    """``|w(b)|^2`` from the squared closed forms, as a cosine series in ``b``.
+
+    The ``cos(2 j b)`` terms cancel except the last cosine's, so
+
+        |w(b)|^2 = (b+pi)^2/(2 pi) + sum_{j<=d//2} 1/(2 pi j^2)
+                   + sum_{j<=(d-1)//2} (3 - 4 (-1)^j cos(j b))/(2 pi j^2)
+                   - [d even] cos(d b)/(2 pi (d/2)^2).
+    """
+    b = np.asarray(positions)
+    js = np.arange(1, d // 2 + 1)
+    pairs = js[: (d - 1) // 2]
+    norms = (b + math.pi) ** 2 / TWO_PI + np.sum(1.0 / (TWO_PI * js**2))
+    norms += np.sum(3.0 / (TWO_PI * pairs**2))
+    norms -= np.cos(np.multiply.outer(b, pairs)) @ (4.0 * (-1.0) ** pairs / (TWO_PI * pairs**2))
+    if d % 2 == 0:
+        norms -= np.cos(d * b) / (TWO_PI * (d // 2) ** 2)
+    return norms
+
+
 def test_indicator_products_match_the_dense_closed_form():
     rng = np.random.default_rng(29)
     # eps1 1.6 gives P = 15 (odd), 1.2 gives P = 24 (even); d = 300 puts
@@ -544,12 +564,13 @@ def test_indicator_products_match_the_dense_closed_form():
                 products = decoder._indicator_products(block)
                 assert products.shape == shape[:-1] + (count,)
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(
-                decoder._coefficient_terms.geometry.gram[0][0],
-                np.einsum("ij,ij->i", w, w),
-                rtol=0.0,
-                atol=1e-12,
-            )
+            # |w(b)|^2 in coefficient space: the terms under the identity,
+            # against the dense rows and the squared closed forms.
+            identity = MeasurementOperator(np.eye(d), seed=0)
+            norms = decoder._operator_terms(identity).geometry.gram[0][0]
+            dense = np.einsum("ij,ij->i", w, w)
+            np.testing.assert_allclose(norms, dense, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(norms, indicator_norms(decoder.positions, d), rtol=0.0, atol=1e-12)
 
 
 def test_operator_terms_match_the_dense_closed_form():
@@ -682,9 +703,10 @@ def test_operator_terms_make_no_frame_sized_copy():
     assert peak < 3_000_000
 
 
-def test_indicator_norms_are_built_once_per_dimension():
-    # A decoder serves one d: it builds its coefficient-space terms at
-    # construction, keeps them read-only, and refuses every other length.
+def test_phases_are_built_once_per_dimension():
+    # A decoder serves one d: it builds its phases at construction, keeps
+    # them read-only, and refuses every other length.  Each coefficient
+    # decode builds the identity's terms anew.
     def decode_all(decoder, targets):
         results = [decoder.decode_coefficients(target) for target in targets]
         return [(result.index, result.distance) for result in results]
@@ -693,10 +715,9 @@ def test_indicator_norms_are_built_once_per_dimension():
         targets = np.random.default_rng(d).normal(scale=0.7, size=(6, d))
         expected = decode_all(step_decoder(1.5, d), targets)
         decoder = step_decoder(1.5, d)
-        terms = decoder._coefficient_terms
-        norms = terms.geometry.gram[0][0]
-        assert not norms.flags.writeable and not decoder._phases.flags.writeable
-        assert np.array_equal(norms, step_decoder(1.5, d)._coefficient_terms.geometry.gram[0][0])
+        phases = decoder._phases
+        assert phases.shape == (d // 2 + 1,) and not phases.flags.writeable
+        assert np.array_equal(phases, step_decoder(1.5, d)._phases)
         # Threads sharing the decoder, switching often.
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -707,7 +728,7 @@ def test_indicator_norms_are_built_once_per_dimension():
                     assert future.result(timeout=60) == expected
         finally:
             sys.setswitchinterval(previous)
-        assert decoder._coefficient_terms is terms
+        assert decoder._phases is phases
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.zeros(81 - d))
 
@@ -732,32 +753,28 @@ def test_each_geometry_is_factored_once(monkeypatch):
     monkeypatch.setattr(nets, "_grid_geometry", counting)
     rng = np.random.default_rng(53)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
-    step = step_decoder(1.5, 40)
-    assert len(factored) == 1  # coefficient space, at construction
-    for _ in range(10):
-        step.decode_measurements(rng.normal(size=9), operators[0])
-        step.decode_coefficients(rng.normal(scale=0.7, size=40))
-    assert len(factored) == 1 + 1  # and one operator
-    step.decode_measurements(rng.normal(size=9), operators[1])
-    assert len(factored) == 3
-    kept = [step._coefficient_terms, step._terms.get(operators[1])]
-
     plan = step_class().net_plan(1.5)
-    factored.clear()
-    materialized = step_class().materialized_decoder(plan, 40)
-    assert len(factored) == 1  # the maps' own Grams
-    for count, operator in enumerate(operators, start=2):
-        for _ in range(3):
-            materialized.decode_measurements(rng.normal(size=9), operator)
-        materialized.decode_coefficients(rng.normal(scale=0.7, size=40))
-        assert len(factored) == count
-    kept += [materialized._coefficient_terms, materialized._terms.get(operators[1])]
+    kept = []
+    # Neither decoder builds terms at construction; each factors once per
+    # operator, and a coefficient decode once per call, for the identity.
+    for decoder in (step_decoder(1.5, 40), step_class().materialized_decoder(plan, 40)):
+        assert factored == [] and decoder._terms._held is None
+        for count, operator in enumerate(operators, start=1):
+            for _ in range(3):
+                decoder.decode_measurements(rng.normal(size=9), operator)
+            assert len(factored) == count
+        kept.append(decoder._terms.get(operators[1]))
+        assert len(factored) == 2
+        for count in (3, 4):
+            decoder.decode_coefficients(rng.normal(scale=0.7, size=40))
+            assert len(factored) == count
+        factored.clear()
 
     for terms in kept:
         arrays = geometry_arrays(terms.geometry)
         assert len(arrays) >= 5
         assert not any(array.flags.writeable for array in arrays)
-    assert not any(terms.v.flags.writeable for terms in kept[:2])
+    assert not kept[0].v.flags.writeable
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
