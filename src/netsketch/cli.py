@@ -41,6 +41,7 @@ from .jl import (
     DISTORTION_BAND,
     SEED_RANGE,
     distortion_ok,
+    failure_bound,
     random_subspace,
     required_measurements,
 )
@@ -107,7 +108,10 @@ def _net_build(config: NetBuildConfig, args: argparse.Namespace) -> None:
 
 def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
     """Draw ``seeds`` random subspaces and count how often all pairwise
-    ratios land in ``DISTORTION_BAND`` for ``m`` random unit vectors."""
+    ratios land in ``DISTORTION_BAND`` for ``m`` random unit vectors.
+
+    The report's ``certified_failure_bound`` is ``jl.failure_bound`` with
+    both bands on every one of the ``m (m - 1) / 2`` pairs."""
     d, m, p, draws = config.d, config.m, config.p, config.seeds
     seed, jl_constant = config.seed, config.jl_constant
     if d < 1:
@@ -122,6 +126,7 @@ def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
             f"measurement count {n} exceeds the ambient dimension {d}; "
             "raise d or lower the point count"
         )
+    pairs = m * (m - 1) // 2
     successes = 0
     for draw in range(draws):
         point_rng = np.random.default_rng([seed, 1, draw])
@@ -141,6 +146,7 @@ def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
         "seed": seed,
         "successes": successes,
         "success_fraction": successes / draws,
+        "certified_failure_bound": failure_bound(n, d, pairs, pairs),
         "lower": DISTORTION_BAND[0],
         "upper": DISTORTION_BAND[1],
     }

@@ -17,7 +17,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,9 @@ __all__ = [
     "CSV_COLUMNS",
     "ExperimentResult",
     "TrialAudit",
+    "Witness",
     "audit_trial",
+    "covering_witness",
     "run_experiment",
     "wilson_interval",
     "write_summary_json",
@@ -119,6 +121,29 @@ def _distortion_ratio(
     return projected / true
 
 
+class Witness(NamedTuple):
+    """The net center that covers a member: its ``round_coordinates``, first ``d`` coefficients and distance."""
+
+    coordinates: tuple
+    coefficients: np.ndarray
+    error: float
+
+
+def covering_witness(
+    sampler: PreparedSampler, member: Any, coordinates: tuple | None = None
+) -> Witness:
+    """``member``'s witness in ``sampler``'s net, rounded unless ``coordinates`` are given."""
+    family = sampler.net.family
+    if coordinates is None:
+        coordinates = family.round_coordinates(sampler.net.plan, member)
+    witness = family.member(*coordinates)
+    return Witness(
+        coordinates,
+        family.coefficient_prefix(witness, sampler.d),
+        family.distance(member, witness),
+    )
+
+
 @dataclass(frozen=True)
 class TrialAudit:
     """One reconstruction checked against its ground truth, in L2[-pi, pi].
@@ -162,6 +187,7 @@ def audit_trial(
     outcome: DecodeResult,
     delta: float,
     trial: int,
+    witness: Witness | None = None,
 ) -> TrialAudit:
     """Audit one reconstruction of ``member``; the only comparison with ground truth.
 
@@ -169,15 +195,15 @@ def audit_trial(
     ``R x_d``, and ``outcome`` the decode's ``DecodeResult``: the center's
     ``c_d`` is its ``coefficients`` and ``R c`` its ``measured``.  The two
     sketches give the lower pair's projected length ``|R x_d - R c|`` with no
-    product with the frame.  The witness w is the center that
-    ``family.round_coordinates`` names; when its breakpoints and axis values
+    product with the frame.  The witness w is ``witness`` when given (a
+    ``fixed_x`` run builds its one member's once), else the center that
+    ``family.round_coordinates`` names.  When w's breakpoints and axis values
     are the decode's ``coordinates``, the upper pair is the lower one and
-    ``witness_error`` is ``ambient_error``.  Otherwise
-    the audit expands w to ``d``, applies the operator to ``x_d - w_d`` and
-    measures ``witness_error`` by the class's distance.  A clamped sampler
-    applies the operator to the lower pair's difference too: its isometry
-    check allows ``1e-10``, which the difference of two sketches would spend
-    on cancellation.
+    ``witness_error`` is ``ambient_error``.  Otherwise the audit applies the
+    operator to ``x_d - w_d`` and takes ``witness_error`` from
+    ``covering_witness``.  A clamped sampler applies the operator to the
+    lower pair's difference too: its isometry check allows ``1e-10``, which
+    the difference of two sketches would spend on cancellation.
 
     Raises ``UsageError`` when ``x_d`` is not ``d`` coefficients or
     ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
@@ -197,14 +223,16 @@ def audit_trial(
     kept = None if sampler.clamped else float(np.linalg.norm(sketch - outcome.measured))
     lower_ratio = _distortion_ratio(operator, offset, kept)
     ambient_error = family.distance(member, outcome.member)
-    coordinates = family.round_coordinates(sampler.net.plan, member)
+    coordinates = (
+        family.round_coordinates(sampler.net.plan, member) if witness is None else witness.coordinates
+    )
     if coordinates == outcome.coordinates:
         upper_ratio, witness_error = lower_ratio, ambient_error
     else:
-        witness = family.member(*coordinates)
-        witness_d = family.coefficient_prefix(witness, sampler.d)
-        upper_ratio = _distortion_ratio(operator, x_d - witness_d)
-        witness_error = family.distance(member, witness)
+        if witness is None:
+            witness = covering_witness(sampler, member, coordinates)
+        upper_ratio = _distortion_ratio(operator, x_d - witness.coefficients)
+        witness_error = witness.error
     if witness_error > sampler.eps1:
         raise NetSketchError(
             f"trial {trial}: the net's witness is {witness_error!r} from the member,"
@@ -247,19 +275,19 @@ def audit_trial(
 def _run_trial(
     config: ExperimentConfig,
     sampler: PreparedSampler,
-    fixed: tuple[Any, np.ndarray] | None,
+    fixed: tuple[Any, np.ndarray, Witness] | None,
     delta: float,
     trial: int,
 ) -> tuple[dict[str, Any], TrialAudit]:
-    """One trial's CSV row and its audit; ``fixed`` is a ``fixed_x`` run's member and its ``x_d``."""
+    """One trial's CSV row and its audit; ``fixed`` is a ``fixed_x`` run's member, its ``x_d`` and witness."""
     family = config.family
     if config.mode == "fixed_x":
         trial_sampler = with_new_operator(
             sampler, _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_OPERATOR)
         )
-        member, x_d = fixed
+        member, x_d, witness = fixed
     else:
-        trial_sampler = sampler
+        trial_sampler, witness = sampler, None
         member = family.sample(
             _stream(config.seed, _DOMAIN_TRIAL, trial, _LANE_MEMBER),
             config.ambient_dim,
@@ -270,7 +298,7 @@ def _run_trial(
     )
     sketch = measure(trial_sampler, x_d)
     outcome = reconstruct(trial_sampler, add_noise(trial_sampler, sketch, delta, noise_rng))
-    audit = audit_trial(trial_sampler, member, x_d, sketch, outcome, delta, trial)
+    audit = audit_trial(trial_sampler, member, x_d, sketch, outcome, delta, trial, witness)
     if audit.counterexample:
         raise NetSketchError(
             f"trial {trial}: reconstruction guarantee failed although distortion,"
@@ -359,7 +387,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         member = family.sample(
             _stream(config.seed, _DOMAIN_FIXED_MEMBER), config.ambient_dim
         )
-        fixed = (member, family.coefficient_prefix(member, sampler.d))
+        fixed = (
+            member,
+            family.coefficient_prefix(member, sampler.d),
+            covering_witness(sampler, member),
+        )
     else:
         # Every trial measures through this operator: draw it and build the
         # decoder's terms for it in set-up, before worker threads share them.
@@ -405,6 +437,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "entropy_bits": entropy_bits,
         "entropy_bits_at_eps": entropy_bits_at_eps,
         "clamped": sampler.clamped,
+        "certified_failure_bound": sampler.certified_failure_bound,
         "tail_model": {
             "constant": tail_model.constant,
             "decay_exponent": tail_model.decay_exponent,

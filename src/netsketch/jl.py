@@ -5,9 +5,10 @@ A measurement operator carries an orthonormal family of ``n`` rows living in a
 first ``d`` coefficients, projects onto the row span, and rescales by
 ``sqrt(d / n)`` so that squared norms are preserved in expectation over a
 uniformly random subspace.  The measurement count needed for a target success
-probability over a finite point set follows the usual Johnson-Lindenstrauss
-accounting: ``n = ceil(c / (1 - p) * ln m)``.  An operator's rows are the
-orthonormalized columns of a Gaussian ``d x n`` draw, by verified Cholesky QR.
+probability over a finite point set is the Johnson-Lindenstrauss union bound,
+``n = ceil(c * ln(m / (1 - p)))``, and ``failure_bound`` certifies it by
+Dasgupta and Gupta's tail.  An operator's rows are the orthonormalized
+columns of a Gaussian ``d x n`` draw, by verified Cholesky QR.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "MeasurementOperator",
     "DISTORTION_BAND",
     "DistortionReport",
+    "failure_bound",
     "required_measurements",
     "random_subspace",
     "apply_operator",
@@ -36,6 +38,11 @@ DEFAULT_JL_CONSTANT = 20.0
 
 #: A pair's measured-over-true distance ratio passes inside ``[1/2, 2]``.
 DISTORTION_BAND = (0.5, 2.0)
+
+#: Dasgupta-Gupta exponential rates, per measurement, of a pair falling
+#: below and rising above ``DISTORTION_BAND`` (``required_measurements``).
+KAPPA_LOWER = (math.log(4.0) - 0.75) / 2.0
+KAPPA_UPPER = (3.0 - math.log(4.0)) / 2.0
 
 #: Operator seeds are drawn from a caller's stream as ints below this bound,
 #: so ``(d, n, seed)`` alone reproduces an operator.
@@ -53,8 +60,23 @@ logger = logging.getLogger(__name__)
 def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONSTANT) -> int:
     """Measurements needed to preserve pairwise distances among ``m`` points.
 
-    Returns ``ceil(jl_constant / (1 - p) * ln(m))``, clamped to at least one
+    Returns ``ceil(jl_constant * ln(m / (1 - p)))``, clamped to at least one
     measurement, where ``p`` is the target success probability.
+
+    The form is the union bound.  For a fixed unit ``u`` and a uniformly
+    random ``n``-subspace with orthonormal frame ``Q``, ``L = |Q^T u|^2``
+    satisfies ``P(L <= beta n / d) <= exp((n / 2) (1 - beta + ln beta))`` for
+    ``beta < 1``, and the same bound on ``P(L >= beta n / d)`` for ``beta >
+    1`` (Dasgupta and Gupta, *Random Struct. Alg.* 22(1), 2003, Lemma 2.2).
+    A pair's rescaled distance ratio is ``sqrt(d L / n)``, so leaving the band
+    ``[1/2, 2]`` is ``beta = 1/4`` below and ``beta = 4`` above, at the rates
+    ``KAPPA_LOWER = (ln 4 - 3/4) / 2`` and ``KAPPA_UPPER = (3 - ln 4) / 2``
+    per measurement.  With ``m - 1`` pairs on the lower band and one on the
+    upper, as the reconstruction chain needs for ``m - 1`` centers, the
+    failure probability is at most ``m exp(-KAPPA_LOWER n)``, and that is at
+    most ``1 - p`` once ``n >= ln(m / (1 - p)) / KAPPA_LOWER``: every
+    ``jl_constant >= 1 / KAPPA_LOWER ~ 3.143`` is certified, and
+    ``failure_bound`` reports the bound a given ``n`` reaches.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
@@ -62,7 +84,36 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
         raise UsageError(f"need at least two points, got m={m!r}")
     if jl_constant <= 0.0:
         raise UsageError(f"jl_constant must be positive, got {jl_constant!r}")
-    return max(1, math.ceil(jl_constant / (1.0 - p) * math.log(m)))
+    return max(1, math.ceil(jl_constant * math.log(m / (1.0 - p))))
+
+
+def failure_bound(n: int, d: int, lower_pairs: int, upper_pairs: int) -> float:
+    """Union bound on the chance that some pair leaves ``DISTORTION_BAND``.
+
+    ``lower_pairs`` pairs must stay above the band's lower end and
+    ``upper_pairs`` below its upper end, under a uniformly random
+    ``n``-subspace of ``R^d``.  Returns ``lower_pairs exp(-KAPPA_LOWER n) +
+    upper_pairs exp(-KAPPA_UPPER n)``, Dasgupta and Gupta's tails (see
+    ``required_measurements``), each formed from its logarithm, so that pair
+    counts beyond float range stay exact, and the sum capped at 1.  It is
+    exactly 0.0 when ``n >= d``: a full orthogonal operator distorts nothing.
+    """
+    if n < 1 or d < 1:
+        raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
+    if lower_pairs < 0 or upper_pairs < 0:
+        raise UsageError(
+            f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
+        )
+    if n >= d:
+        return 0.0
+    total = 0.0
+    for pairs, rate in ((lower_pairs, KAPPA_LOWER), (upper_pairs, KAPPA_UPPER)):
+        if pairs:
+            exponent = math.log(pairs) - rate * n
+            if exponent >= 0.0:
+                return 1.0
+            total += math.exp(exponent)
+    return min(1.0, total)
 
 
 @dataclass(frozen=True)

@@ -463,7 +463,9 @@ class _GridDecoder:
         target = np.asarray(target, dtype=np.float64)
         if target.shape != (self.d,):
             raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
-        return self.decode_measurements(target, MeasurementOperator(np.eye(self.d), seed=0))
+        identity = np.eye(self.d)
+        identity.setflags(write=False)  # so the operator keeps it uncopied
+        return self.decode_measurements(target, MeasurementOperator(identity, seed=0))
 
 
 @dataclass
@@ -524,8 +526,9 @@ class FactoredStepDecoder(_GridDecoder):
             head, tail = slice(start, start + bins), slice(start + count - count // 2, start + count)
             values = series[..., head] * phases[head]
             spectrum[..., : values.shape[-1]] += values
-            values = series[..., tail] * phases[tail]
-            spectrum[..., bins - values.shape[-1] :] += np.conj(values[..., ::-1])
+            if tail.start < width:  # else the series ends before this turn's tail
+                values = series[..., tail] * phases[tail]
+                spectrum[..., bins - values.shape[-1] :] += np.conj(values[..., ::-1])
         spectrum[..., 0] += np.conj(spectrum[..., 0])  # no tail reaches bin 0
         return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward")
 

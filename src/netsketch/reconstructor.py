@@ -4,7 +4,7 @@
 produces a ``PreparedSampler``: a truncation dimension ``d`` that absorbs the
 coefficient tails, a covering net at resolution ``eps1 = eps / 6``, and a
 random ``n``-dimensional measurement operator sized for the net by the
-Johnson-Lindenstrauss requirement.  ``measure`` sketches a signal through the
+Johnson-Lindenstrauss union bound.  ``measure`` sketches a signal through the
 operator, ``add_noise`` perturbs the sketch within a bound, and
 ``reconstruct`` decodes it to the nearest projected net center.  Comparing a
 reconstruction with its ground truth is ``experiment.audit_trial``'s job.
@@ -27,6 +27,7 @@ from .jl import (
     SEED_RANGE,
     MeasurementOperator,
     apply_operator,
+    failure_bound,
     random_subspace,
     required_measurements,
 )
@@ -123,6 +124,17 @@ class PreparedSampler:
         return self.n == self.d
 
     @property
+    def certified_failure_bound(self) -> float:
+        """Bound on the chance that the operator breaks a trial's accuracy chain.
+
+        The chain needs the lower distortion band on the pair (x, c) for
+        whichever center c is decoded, ``M`` pairs in all, and the upper band
+        on the one pair (x, w) with the covering witness w:
+        ``jl.failure_bound(n, d, M, 1)``.
+        """
+        return failure_bound(self.n, self.d, self.net.size, 1)
+
+    @property
     def operator(self) -> MeasurementOperator:
         drawn = self.__dict__.get("_operator")
         if drawn is None:
@@ -147,8 +159,12 @@ def preprocess(
     The accuracy target ``eps`` is split into three budgeted terms, leaving
     ``eps1 = eps / 6`` for the net resolution and for the truncation tails.
     The operator gets ``required_measurements(p, M + 1)`` rows for a net of
-    ``M`` centers, clamped at ``d`` — a full orthogonal operator is already
-    exact on the truncated space, so further rows cannot help.
+    ``M`` centers, ``ceil(c ln((M + 1) / (1 - p)))`` by the union bound over
+    the signal's pairs with the centers, clamped at ``d`` — a full orthogonal
+    operator is already exact on the truncated space, so further rows cannot
+    help.  The INFO line reports the sampler's ``certified_failure_bound``,
+    at most ``1 - p`` for every ``jl_constant >= 1 / jl.KAPPA_LOWER``; a
+    smaller constant is not refused, and its bound may exceed ``1 - p``.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise UsageError(f"accuracy target must be positive, got {eps!r}")
@@ -165,19 +181,20 @@ def preprocess(
         )
     net = build_net(family, eps1, m_max=m_max, d=d)
     wanted = required_measurements(p, net.size + 1, jl_constant)
-    n = min(wanted, d)
-    logger.info(
-        "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s", eps, d, n, wanted, net.size, net.mode
-    )
-    return PreparedSampler(
+    sampler = PreparedSampler(
         eps=eps,
         eps1=eps1,
         p=p,
         d=d,
-        n=n,
+        n=min(wanted, d),
         operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
     )
+    logger.info(
+        "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s failure_bound=%.3g",
+        eps, d, sampler.n, wanted, net.size, net.mode, sampler.certified_failure_bound,
+    )
+    return sampler
 
 
 def with_new_operator(

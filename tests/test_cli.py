@@ -19,7 +19,7 @@ from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
-from netsketch.jl import required_measurements
+from netsketch.jl import failure_bound, required_measurements
 from netsketch.nets import gap_separated_count
 
 SMOOTH_EXPERIMENT = """
@@ -56,7 +56,7 @@ tail_samples = 10
 tail_dims = 32,64,128
 """
 
-# The bench's step class at eps 0.6 (d ~ 1,900, n = 604), with few trials.
+# The bench's step class at eps 0.6 (d ~ 1,900, n = 316), with few trials.
 BENCH_STEP_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -281,6 +281,8 @@ def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     assert main(["experiment", "run", cfg, "-v", "--out", str(loud)]) == 0
     loud_streams = capsys.readouterr()
     assert "netsketch.reconstructor: prepared sampler:" in loud_streams.err
+    summary = json.loads(loud.with_suffix(".json").read_text(encoding="utf-8"))
+    assert f"failure_bound={summary['certified_failure_bound']:.3g}" in loud_streams.err
     assert "factored decoder terms" not in loud_streams.err
     assert loud_streams.out == quiet_streams.out.replace(str(quiet), str(loud))
     for suffix in (".csv", ".json"):
@@ -308,6 +310,8 @@ def test_jl_check_reports_fraction(tmp_path, capsys):
     assert report["draws"] == 20
     assert 0.0 <= report["success_fraction"] <= 1.0
     assert report["successes"] == round(report["success_fraction"] * 20)
+    # Both bands on every one of the 8 * 7 / 2 pairs.
+    assert report["certified_failure_bound"] == failure_bound(report["n"], 64, 28, 28)
 
 
 def test_jl_check_seed_flag_substitutes_for_config_key(tmp_path, capsys):

@@ -15,6 +15,7 @@ from netsketch import experiment, nets, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
 from netsketch.entropy import measurement_lower_bound
 from netsketch.errors import AmbientTooSmallError, UsageError
+from netsketch.jl import failure_bound
 from netsketch.experiment import (
     CSV_COLUMNS,
     run_experiment,
@@ -287,6 +288,45 @@ def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
         assert builds == [(name, 0)]
 
 
+def test_summary_reports_the_certified_failure_bound(smooth_result):
+    # A clamped operator is exact.  Unclamped, the bound is the chain's: the
+    # lower band on each of M pairs, the upper band on one; at jl_constant
+    # 0.5, below 1 / KAPPA_LOWER, it is reported, not refused.
+    assert smooth_result.summary["clamped"]
+    assert smooth_result.summary["certified_failure_bound"] == 0.0
+    config = load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 2"))
+    summary = run_experiment(config).summary
+    assert not summary["clamped"]
+    bound = failure_bound(summary["n"], summary["d"], summary["net_size"], 1)
+    assert summary["certified_failure_bound"] == bound > 1.0 - config.p
+
+
+def test_fixed_x_builds_its_witness_once_in_set_up(monkeypatch):
+    # One member for every trial, so one rounding and one expansion of its
+    # witness; each trial's audit still matches one that finds w afresh.
+    rounds = []
+    round_coordinates = PiecewiseSmoothClass.round_coordinates
+    audit = experiment.audit_trial
+
+    def counted_round(self, plan, member):
+        rounds.append(None)
+        return round_coordinates(self, plan, member)
+
+    def compared_audit(sampler, member, x_d, sketch, outcome, delta, trial, witness):
+        result = audit(sampler, member, x_d, sketch, outcome, delta, trial, witness)
+        assert witness is not None and witness.coefficients.shape == (sampler.d,)
+        count = len(rounds)
+        assert result == audit(sampler, member, x_d, sketch, outcome, delta, trial)
+        del rounds[count:]
+        return result
+
+    monkeypatch.setattr(PiecewiseSmoothClass, "round_coordinates", counted_round)
+    monkeypatch.setattr(experiment, "audit_trial", compared_audit)
+    text = FACTORED_FIXED_W_CONFIG.replace("fixed_w", "fixed_x").replace("trials = 4", "trials = 6")
+    run_experiment(load_experiment_config(text))
+    assert len(rounds) == 1
+
+
 def frame_products_per_trial(monkeypatch, text):
     """Run ``text`` and count each trial's matrix products with the frame.
 
@@ -357,8 +397,8 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
     audits = {}
     audit = experiment.audit_trial
 
-    def recorded_audit(sampler, member, x_d, sketch, outcome, delta, trial):
-        result = audit(sampler, member, x_d, sketch, outcome, delta, trial)
+    def recorded_audit(sampler, member, x_d, sketch, outcome, delta, trial, witness):
+        result = audit(sampler, member, x_d, sketch, outcome, delta, trial, witness)
         audits[trial] = (sampler, member, x_d, outcome, result)
         return result
 

@@ -10,14 +10,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsketch import jl
 from netsketch.errors import NetSketchError, UsageError
 from netsketch.hilbert import Signal
 from netsketch.jl import (
+    KAPPA_LOWER,
+    KAPPA_UPPER,
     MeasurementOperator,
     apply_operator,
     distortion_ok,
+    failure_bound,
     random_subspace,
     required_measurements,
 )
@@ -28,10 +33,74 @@ from netsketch.jl import (
 
 
 def test_required_measurements_frozen_values():
-    assert required_measurements(0.5, 8) == 84  # ceil(40 * ln 8) = ceil(83.177...)
-    assert required_measurements(0.9, 3) == 220  # ceil(200 * ln 3) = ceil(219.72...)
-    assert required_measurements(0.5, 101) == 185  # ceil(40 * ln 101)
-    assert required_measurements(0.5, 64) == 167  # ceil(40 * ln 64)
+    # ceil(20 * ln(m / (1 - p))), the default constant 20.
+    assert required_measurements(0.5, 8) == 56  # ceil(20 * ln 16) = ceil(55.45...)
+    assert required_measurements(0.9, 3) == 69  # ceil(20 * ln 30) = ceil(68.02...)
+    assert required_measurements(0.5, 101) == 107  # ceil(20 * ln 202) = ceil(106.17...)
+    assert required_measurements(0.5, 64) == 98  # ceil(20 * ln 128) = ceil(97.04...)
+
+
+def test_required_measurements_at_the_bench_net():
+    # M = 3,548,448 centers: ceil(20 ln(3,548,449 / 0.5)) = ceil(315.50) and
+    # ceil(20 ln(3,548,449 / 0.1)) = ceil(347.69).
+    assert required_measurements(0.5, 3_548_449) == 316
+    assert required_measurements(0.9, 3_548_449) == 348
+
+
+def test_failure_bound_rates_and_edges():
+    assert KAPPA_LOWER == pytest.approx(0.3181471805599453, rel=1e-15)
+    assert KAPPA_UPPER == pytest.approx(0.8068528194400547, rel=1e-15)
+    # The bench: n 316, d 1,886, M lower pairs and one upper pair.
+    expected = 3_548_448 * math.exp(-KAPPA_LOWER * 316) + math.exp(-KAPPA_UPPER * 316)
+    assert failure_bound(316, 1886, 3_548_448, 1) == pytest.approx(expected, rel=1e-12)
+    assert failure_bound(316, 1886, 3_548_448, 1) < 1e-30
+    # A clamped operator is exact, and a bound never exceeds 1.
+    assert failure_bound(1886, 1886, 10**12, 10**12) == 0.0
+    assert failure_bound(2, 1886, 10**12, 0) == 1.0
+    assert failure_bound(5, 1886, 0, 0) == 0.0
+    # Pair counts far beyond float range stay finite in log space.
+    assert 0.0 < failure_bound(3000, 4000, 10**400, 1) < 1e-14  # e^(921 - 954)
+    for args in ((0, 8, 1, 1), (3, 0, 1, 1), (3, 8, -1, 1), (3, 8, 1, -1)):
+        with pytest.raises(UsageError):
+            failure_bound(*args)
+
+
+@pytest.mark.parametrize("d", [8, 20, 64, 300, 1886])
+def test_failure_bound_dominates_the_exact_beta_tails(d):
+    # |Q^T u|^2 ~ Beta(n/2, (d - n)/2) for a uniformly random n-subspace, so
+    # the ratio sqrt(d L / n) falls below 1/2 with probability
+    # I(n / (4d); n/2, (d - n)/2) and rises above 2 with 1 - I(4n / d; ...).
+    from scipy.special import betainc
+
+    n = np.arange(1, d)
+    a, b = n / 2.0, (d - n) / 2.0
+    below = betainc(a, b, n / (4.0 * d))
+    above = 1.0 - betainc(a, b, np.minimum(1.0, 4.0 * n / d))
+    for k, low, high in zip(n.tolist(), below, above):
+        assert failure_bound(k, d, 1, 0) >= low
+        assert failure_bound(k, d, 0, 1) >= high
+
+
+def test_random_subspace_projections_follow_the_beta_law():
+    # The certificate's premise: the squared length of a fixed unit vector's
+    # projection onto a uniformly random n-subspace is Beta(n/2, (d - n)/2).
+    from scipy.stats import beta, kstest
+
+    d, n = 12, 4
+    u = np.ones(d) / math.sqrt(d)
+    lengths = [float(np.sum((random_subspace(d, n, seed=s).frame @ u) ** 2)) for s in range(2500)]
+    assert kstest(lengths, beta(n / 2.0, (d - n) / 2.0).cdf).pvalue > 1e-3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jl_constant=st.floats(1.0 / KAPPA_LOWER, 100.0),
+    centers=st.integers(1, 10**12),
+    p=st.floats(1e-6, 1.0 - 1e-6),
+)
+def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, centers, p):
+    n = required_measurements(p, centers + 1, jl_constant)
+    assert failure_bound(n, 10**9, centers, 1) <= 1.0 - p
 
 
 def test_required_measurements_rejects_bad_input():
@@ -189,7 +258,7 @@ def unblocked_subspace(d, n, seed):
 
 def test_draw_matches_the_two_buffer_reference():
     # Same Gaussian stream, the same blocks and the same products: bit for
-    # bit, the bench shape (d = 1,886, n = 604) included.
+    # bit, the bench's d with a tall n (d = 1,886, n = 604) included.
     shapes = (
         (1886, 604), (512, 128), (512, 167), (301, 301), (65, 3), (1, 1),
         (32, 32), (300, 150), (130, 129), (129, 65),

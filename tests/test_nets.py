@@ -685,11 +685,11 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
 
 
 def test_operator_terms_make_no_frame_sized_copy():
-    # At the bench shape (P = 2,592, d = 1,886, n = 604) the build holds
-    # blocks of 32 rows, not a scaled copy of the 9.1 MB frame.  A block's
-    # scaled rows and series (0.48 MB each), half spectrum and values on the
-    # breakpoints (0.66 MB each) are released before the next block's are
-    # built, so the peak stays under 3 MB.
+    # At the bench's P and d with a tall n (P = 2,592, d = 1,886, n = 604)
+    # the build holds blocks of 32 rows, not a scaled copy of the 9.1 MB
+    # frame.  A block's scaled rows and series (0.48 MB each), half spectrum
+    # and values on the breakpoints (0.66 MB each) are released before the
+    # next block's are built, so the peak stays under 3 MB.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592
     operator = random_subspace(1886, 604, seed=1)
@@ -701,6 +701,33 @@ def test_operator_terms_make_no_frame_sized_copy():
         tracemalloc.stop()
     assert peak < operator.frame.nbytes / 2
     assert peak < 3_000_000
+
+
+def test_coefficient_decode_keeps_its_identity_uncopied(monkeypatch):
+    # The identity goes to the operator read-only, which keeps it as it is:
+    # building the operator allocates no second d x d array.
+    d = 64
+    grown = []
+    build = nets.MeasurementOperator
+
+    def measured_build(frame, seed):
+        before = tracemalloc.get_traced_memory()[0]
+        operator = build(frame, seed=seed)
+        grown.append(tracemalloc.get_traced_memory()[0] - before)
+        assert operator.frame is frame
+        return operator
+
+    decoder = step_decoder(1.5, d)
+    target = np.random.default_rng(64).normal(scale=0.7, size=d)
+    expected = decoder.decode_measurements(target, build(np.eye(d), seed=0))
+    monkeypatch.setattr(nets, "MeasurementOperator", measured_build)
+    tracemalloc.start()
+    try:
+        result = decoder.decode_coefficients(target)
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 1 and grown[0] < 8 * d * d / 4
+    assert (result.index, result.distance) == (expected.index, expected.distance)
 
 
 def test_phases_are_built_once_per_dimension():
@@ -1038,7 +1065,7 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
     for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, None)  # any multi-axis call fails loudly
 
-    d = 1_886  # the bench's fitted d and n at seed 1
+    d = 1_886  # the bench's fitted d at seed 1
     decoder = step_decoder(0.1, d)
     assert decoder.positions.size == 2_592
     operator = random_subspace(d, 604, seed=3)
@@ -1185,7 +1212,7 @@ def test_kept_factor_decodes_as_the_per_decode_factor():
 
 
 def test_pruning_sweeps_few_breakpoints(caplog):
-    d, n = 1_886, 604  # the bench's fitted d and n at seed 1
+    d, n = 1_886, 604  # the bench's fitted d at seed 1, and a tall n
     decoder, _ = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=11)
     rng = np.random.default_rng(101)

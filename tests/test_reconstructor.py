@@ -104,11 +104,11 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     assert s.d == 36
     assert s.net.size == 39
     assert s.net.mode == "configurations"
-    # ceil(4 / (1 - 0.5) * ln 40) = 30 rows wanted, below d = 36
-    assert s.n == 30
+    # ceil(4 * ln(40 / (1 - 0.5))) = ceil(17.53) = 18 rows wanted, below d = 36
+    assert s.n == 18
     assert not s.clamped
     assert s.decoder.maps.shape == (1, 36, len(s.net.plan.axes))
-    assert s.operator.frame.shape == (30, 36)
+    assert s.operator.frame.shape == (18, 36)
 
 
 def test_preprocess_clamps_operator_at_truncation_dimension():
@@ -129,16 +129,16 @@ def test_preprocess_clamps_operator_at_truncation_dimension():
 
 
 def test_preprocess_clamp_example_numbers():
-    # 100 centers at p = 1/2 want ceil(40 ln 101) = 185 rows; a tail model
+    # 100 centers at p = 1/2 want ceil(20 ln 202) = 107 rows; a tail model
     # stopping at d = 100 caps the operator there.
-    assert required_measurements(0.5, 101) == 185
+    assert required_measurements(0.5, 101) == 107
     model = TailDecayModel(constant=1.0, decay_exponent=0.5, norm_bound=1.0)
     rng = np.random.default_rng(29)
     s = preprocess(step_class(), 0.6, 0.5, model, rng)
     assert s.d == 100
     assert s.net.mode == "factored"
     # P 2,592 and 37 levels (test_nets): M = 3,548,448 would want
-    # ceil(40 ln 3,548,449) = ceil(603.3) = 604 rows, over d.
+    # ceil(20 ln 7,096,898) = ceil(315.5) = 316 rows, over d.
     assert s.net.size == 3_548_448
     assert s.decoder is s.net.decoder
     assert s.n == 100
@@ -399,9 +399,9 @@ def test_reconstruct_factored_agrees_with_materialized():
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
-    # eps1 1.5: P 18 and 3 levels, M = 162 and n = ceil(40 ln 163) = 204.
+    # eps1 1.5: P 18 and 3 levels, M = 162 and n = ceil(20 ln 326) = 116.
     assert s.net.mode == "factored" and s.net.size == 162
-    assert s.d == 300 and s.n == 204 and not s.clamped
+    assert s.d == 300 and s.n == 116 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
     maps = family.materialized_decoder(s.net.plan, s.d)
     materialized = replace(s, net=replace(s.net, decoder=maps))
