@@ -136,16 +136,17 @@ def measurement_lower_bound(entropy_bits: float, delta: float) -> float:
 
 
 def within_measurement_budget(
-    n_used: int, p: float, entropy_bits: float
+    n_used: int, p: float, entropy_bits: float, jl_constant: float = DEFAULT_JL_CONSTANT
 ) -> bool:
-    """Check ``n_used`` against the rate ``(20/(1-p)) * H + 20/(1-p) + 1``.
+    """Check ``n_used`` against the rate ``(c/(1-p)) * H + c/(1-p) + 1``, ``c = jl_constant``.
 
-    The slack terms absorb counting one extra center and the gap between
-    ``ln`` and ``log2`` in the entropy argument.
+    For every ``c > 0`` the rate bounds ``ceil(c ln((M+1)/(1-p)))`` at ``H =
+    log2 M``: with ``a = 1/(1-p)``, ``ln(M+1) <= ln 2 (H+1)`` and ``ln a <=
+    a - 1`` leave that count ``c ((a - ln 2) H + 1 - ln 2) > 0`` below it.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"probability must lie in (0, 1), got {p!r}")
     if n_used < 0:
         raise UsageError(f"measurement count must be nonnegative, got {n_used!r}")
-    rate = DEFAULT_JL_CONSTANT / (1.0 - p)
+    rate = jl_constant / (1.0 - p)
     return n_used <= rate * entropy_bits + rate + 1.0

@@ -451,7 +451,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "within_ball_failures": sum(1 for row in rows if not row["within_ball"]),
         "distortion_failures": sum(1 for row in rows if not row["distortion_ok"]),
         "theorem_bound_check": within_measurement_budget(
-            sampler.n, config.p, entropy_bits
+            sampler.n, config.p, entropy_bits, config.jl_constant
         ),
         "measurement_lower_bound": lower_bound,
         "n_meets_lower_bound": sampler.n >= lower_bound,

@@ -150,7 +150,7 @@ class FunctionClass:
             " built in %.3fs", plan.size, d, len(configurations), len(plan.axes),
             maps.nbytes, time.perf_counter() - started,
         )
-        return ConfigurationDecoder(maps, configurations, plan.axes, self.member)
+        return ConfigurationDecoder(maps, configurations, plan.axes, self)
 
     def round_coordinates(self, plan: NetPlan, member) -> tuple[tuple, tuple]:
         """``(breakpoints, values)`` of the center that witnesses the covering of ``member``.

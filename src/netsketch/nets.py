@@ -9,17 +9,17 @@ builds it:
 
 - ``factored``: plans marked ``factored`` (single-jump piecewise-constant
   classes), at any size: ``FactoredStepDecoder`` gets every breakpoint's
-  terms at once from closed forms and FFTs.
+  Gram at once from closed forms and FFTs.
 - ``configurations``: every other plan, by ``ConfigurationDecoder`` from one
   ``d x k`` linear map per breakpoint configuration, built for at most
   ``m_max`` centers (``FunctionClass.materialized_decoder``).
 
-A decoder serves one ``d``.  Its terms are its search geometry, each
-configuration's factored Gram under an operator, built on the first decode
-under it; a decode forms the target's projections for one exact
-closest-point search, ``_nearest_on_grid``.  Ties
-go to the lowest member index, except that the last axis takes the rounding
-of its continuous optimum, and a half-way value rounds up.
+A decoder serves one ``d`` and holds the class it covers.  Per operator it
+keeps only its search geometry, each configuration's factored Gram, built on
+the first decode under it; a decode projects the pulled-back target ``R^T y``
+for one exact closest-point search, ``_nearest_on_grid``, and the class's
+``member`` builds the winner.  Ties go to the lowest member index, except
+that the last axis takes the rounding of its continuous optimum, half-way up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
@@ -44,12 +44,12 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NetTooLargeError, UsageError
-from .hilbert import PiecewiseDescription, analyze_piecewise, dump_signal
+from .hilbert import dump_signal
 from .jl import MeasurementOperator
 
 __all__ = [
@@ -170,7 +170,7 @@ def _gamma(m: int) -> float:
 
 
 class _Geometry(NamedTuple):
-    """Every configuration's Gram ``G`` (``gram[i][j]``) and its factor.
+    """Every configuration's Gram ``G``, a ``(k, k, C)`` array (``gram[i][j]``), and its factor.
 
     ``G = U diag(pivots) U^T`` (``U`` unit upper triangular, ``upper[i][j]``),
     eliminated from the last axis back; ``widths``: ``w_i = sum_{m <= i}
@@ -179,7 +179,7 @@ class _Geometry(NamedTuple):
     ``_PIVOT_FLOOR`` of its diagonal; ``slack``: the rounding slack's Gram part.
     """
 
-    gram: Sequence[Sequence[np.ndarray]]
+    gram: np.ndarray
     pivots: list
     upper: list
     widths: list
@@ -189,6 +189,7 @@ class _Geometry(NamedTuple):
 
 def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
     """Factor every configuration's Gram, elementwise; each array kept, ``gram``'s too, is read-only."""
+    gram = np.asarray(gram)
     k = len(grids)
     tops = [float(grid[-1]) for grid in grids]
     pivots: list = [None] * k
@@ -207,12 +208,11 @@ def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
         valid = np.isfinite(slack)
         for j in range(k):
             valid &= (gram[j][j] > 0.0) & (pivots[j] > _PIVOT_FLOOR * gram[j][j])
-    grams = [gram] if isinstance(gram, np.ndarray) else itertools.chain(*gram)
-    kept = {id(a): a for a in (*grams, *pivots, *itertools.chain(*upper), *widths, valid, slack)}
+    kept = {id(a): a for a in (gram, *pivots, *itertools.chain(*upper), *widths, valid, slack)}
     arrays = [array for array in kept.values() if isinstance(array, np.ndarray)]
     for array in arrays:
         array.setflags(write=False)
-    kept_bytes = sum(array.nbytes for array in arrays)
+    kept_bytes = sum(array.nbytes for array in arrays if array.base is None)  # a view of ``gram`` adds none
     logger.debug("search geometry: %d configurations, %d axes, %d bytes kept", valid.size, k, kept_bytes)
     return _Geometry(gram, pivots, upper, widths, valid, slack)
 
@@ -405,42 +405,34 @@ class DecodeResult:
     coordinates: tuple = field(compare=False)
 
 
-class _Terms(NamedTuple):
-    """A decoder's terms: its search ``geometry`` and, for the step decoder, ``v``."""
-
-    geometry: _Geometry
-    v: np.ndarray | None = None
-
-
 class _GridDecoder:
     """The decode entry points both decoders share, for targets of length ``d``.
 
-    Terms, from ``_terms`` (a slot over ``_operator_terms``), are the search
-    geometry; a decode forms only ``_projections(terms, target, pulled)``
-    (``pulled`` is the target in coefficient space); ``_center(configuration,
-    values)`` builds the winner and ``_breakpoints(configuration)`` names its
-    configuration.
+    Per operator a decoder keeps only its search geometry (``_terms``, a slot
+    over ``_operator_terms``); a decode forms only ``_projections(pulled)``,
+    from the target pulled back to coefficient space.  ``_center(configuration,
+    values)`` builds the winner by ``family.member`` and ``_breakpoints``
+    names its configuration.
     """
 
     d: int
 
-    def prepare(self, operator) -> _Terms:
-        """The terms for ``operator``, built now if no decode under it has built them."""
+    def prepare(self, operator) -> _Geometry:
+        """The geometry for ``operator``, built now if no decode under it has built it."""
         if operator.d != self.d:
             raise UsageError(f"decoder serves d = {self.d}, not an operator on d = {operator.d}")
         return self._terms.get(operator)
 
-    def _search(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
-        projections = self._projections(terms, target, pulled)
-        return _nearest_on_grid(terms.geometry, projections, self._grids, self._step)
+    def _search(self, geometry: _Geometry, pulled: np.ndarray):
+        return _nearest_on_grid(geometry, self._projections(pulled), self._grids, self._step)
 
     def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
         """Nearest net member to measurements under ``operator`` (exactly)."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (operator.n,):
             raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
-        terms = self.prepare(operator)
-        configuration, steps = self._search(terms, y, operator.scale * (y @ operator.frame))
+        geometry = self.prepare(operator)
+        configuration, steps = self._search(geometry, operator.scale * (y @ operator.frame))
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
@@ -456,7 +448,7 @@ class _GridDecoder:
         """Nearest net member to ``d`` coefficients: the measurement decode under the identity.
 
         Only the tests and the bench name it.  Each call builds the identity's
-        terms, a ``C d k`` map product on a net of ``C`` configurations and
+        geometry, a ``C d k`` map product on a net of ``C`` configurations and
         ``k`` axes.  ROADMAP item 21 deletes it once the bench stops patching
         it.
         """
@@ -482,14 +474,17 @@ class FactoredStepDecoder(_GridDecoder):
     then a trigonometric polynomial in ``b``, and one real inverse FFT of
     length ``P`` evaluates it on all ``P`` breakpoints at once.
 
-    The decoder serves targets of length ``d``: it builds only its phases
-    at construction, read-only and shared, and its terms per operator.
+    The decoder serves targets of length ``d`` for ``family``, whose
+    ``member`` and ``coefficient_prefix`` build and expand the decoded
+    center.  It builds only its phases at construction, read-only and shared,
+    and its geometry per operator.
     """
 
     positions: np.ndarray
     levels: np.ndarray
     level_step: float
     d: int
+    family: object
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -537,8 +532,8 @@ class FactoredStepDecoder(_GridDecoder):
         periodic = self._on_breakpoints(_indicator_series(rows))
         return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
 
-    def _operator_terms(self, operator) -> _Terms:
-        """The decode terms that depend on ``operator`` only.
+    def _operator_terms(self, operator) -> _Geometry:
+        """The search geometry under ``operator``.
 
         With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` and ``beta =
         R[:, 0] / sqrt(2 pi)``,
@@ -569,21 +564,20 @@ class FactoredStepDecoder(_GridDecoder):
             "factored decoder terms: P=%d d=%d n=%d block=%d rows built in %.3fs",
             self.positions.size, d, n, _TERMS_BLOCK_ROWS, time.perf_counter() - started,
         )
-        v_full.setflags(write=False)
         g01 = g0f - g00
         gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]
-        return _Terms(_grid_geometry(gram, self._grids), v_full)
+        return _grid_geometry(gram, self._grids)
 
-    def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
+    def _projections(self, pulled: np.ndarray):
         q0 = self._indicator_products(pulled)
-        return q0, float(np.dot(terms.v, target)) - q0
+        return q0, _SQRT_2PI * pulled[0] - q0  # <R v, y> = <v, R^T y> for the constant one v = sqrt(2 pi) e_0
 
     def _breakpoints(self, configuration: int) -> tuple[float, ...]:
         return (float(self.positions[configuration]),)
 
     def _center(self, configuration: int, values: tuple):
-        member = PiecewiseDescription(self._breakpoints(configuration), tuple((value,) for value in values))
-        return member, analyze_piecewise(member, self.d).coefficients
+        member = self.family.member(self._breakpoints(configuration), values)
+        return member, self.family.coefficient_prefix(member, self.d)
 
 
 @dataclass(eq=False)
@@ -594,14 +588,14 @@ class ConfigurationDecoder(_GridDecoder):
     a center's first ``d`` coefficients; centers are indexed by
     configuration, then the axis grid in ``itertools.product`` order.  The
     Grams are ``scale * frame @ maps``'s, per operator, and the projections
-    are the pulled-back target times the maps.  The decoded
-    center is built by ``member(breakpoints, values)``.
+    are the pulled-back target times the maps.  The decoded center is built
+    by ``family.member(breakpoints, values)``, its coefficients by its map.
     """
 
     maps: np.ndarray
     configurations: tuple[tuple[float, ...], ...]
     axes: tuple[AxisLog, ...]
-    member: Callable
+    family: object
 
     def __post_init__(self) -> None:
         self.maps = np.ascontiguousarray(self.maps, dtype=np.float64)
@@ -613,21 +607,21 @@ class ConfigurationDecoder(_GridDecoder):
         self._grids, self._step = [axis.points() for axis in self.axes], self.axes[-1].step
         self._terms = _OperatorSlot(self._operator_terms)
 
-    def _operator_terms(self, operator) -> _Terms:
+    def _operator_terms(self, operator) -> _Geometry:
         """The projected maps' Grams and their factor, kept read-only and shared."""
         maps = np.matmul(operator.frame, self.maps)
         maps *= operator.scale
         gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
-        return _Terms(_grid_geometry(gram, self._grids))
+        return _grid_geometry(gram, self._grids)
 
-    def _projections(self, terms: _Terms, target: np.ndarray, pulled: np.ndarray):
+    def _projections(self, pulled: np.ndarray):
         return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
 
     def _breakpoints(self, configuration: int) -> tuple[float, ...]:
         return self.configurations[configuration]
 
     def _center(self, configuration: int, values: tuple):
-        member = self.member(self.configurations[configuration], values)
+        member = self.family.member(self.configurations[configuration], values)
         return member, self.maps[configuration] @ np.array(values)
 
 
@@ -776,7 +770,7 @@ def build_net(
     plan = family.net_plan(eps1)
     decoder = None
     if d is not None and plan.factored:
-        decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d)
+        decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d, family)
     elif d is not None:
         if plan.size > m_max:
             raise NetTooLargeError(f"net with {plan.size} centers is over m_max = {m_max}: no maps are built")

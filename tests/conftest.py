@@ -260,17 +260,20 @@ def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
     return best_index, best
 
 
-def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
+def factor_per_decode(decoder, raw, pulled: np.ndarray):
     """A step decoder's search from its raw Gram terms, factored on every decode.
 
     The factored step decoder's search before it kept each operator's
-    factor, kept as the oracle.  ``raw`` is ``(v, g00, g0f, gff)``: the
-    constant one's image, ``|w(b)|^2``, ``<w(b), v>`` and ``|v|^2``.  Every call assembles ``g01 = g0f - g00`` and ``g11 = gff -
-    2 g0f + g00``, factors the ``P`` 2x2 Grams and searches them.
+    factor, kept as the oracle.  ``raw`` is ``(g00, g0f, gff)``: ``|w(b)|^2``,
+    ``<w(b), v>`` and ``|v|^2`` for the constant one's image ``v``.  Every
+    call assembles ``g01 = g0f - g00`` and ``g11 = gff - 2 g0f + g00``,
+    factors the ``P`` 2x2 Grams and searches them.  ``q1 = <v, y> - q0`` is
+    ``sqrt(2 pi) pulled[0] - q0``: the constant one's coefficients are
+    ``sqrt(2 pi) e_0``, and ``pulled`` is ``R^T y``.
     """
-    v, g00, g0f, gff = raw
+    g00, g0f, gff = raw
     q0 = decoder._indicator_products(pulled)
-    q1 = float(np.dot(v, target)) - q0
+    q1 = math.sqrt(2.0 * math.pi) * pulled[0] - q0
     g01 = g0f - g00
     grids = (decoder.levels, decoder.levels)
     geometry = nets._grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], grids)
@@ -280,19 +283,20 @@ def factor_per_decode(decoder, raw, target: np.ndarray, pulled: np.ndarray):
 def per_decode_copy(decoder):
     """A copy of a factored step decoder that keeps raw terms and runs ``factor_per_decode``.
 
-    Its raw terms are read from ``decoder``'s ``_terms`` alone: ``g00`` is
-    the kept Gram's corner, and ``g0f`` and ``gff`` are recomputed as the
-    decoder computed them before it kept the factor (``W R^T v`` and
-    ``|v|^2`` under an operator ``R``, the identity included).
+    Its raw terms are read from ``decoder``'s ``_terms`` and the operator
+    alone: ``g00`` is the kept Gram's corner, and ``g0f`` and ``gff`` are
+    recomputed as the decoder computed them before it kept the factor (``W
+    R^T v`` and ``|v|^2`` for ``v = sqrt(2 pi) R[:, 0]``, the constant one's
+    image under an operator ``R``, the identity included).
     """
     reference = copy.copy(decoder)
 
     def operator_terms(operator):
-        terms = decoder._terms.get(operator)
-        v = terms.v
+        geometry = decoder._terms.get(operator)
+        v = math.sqrt(2.0 * math.pi) * (operator.scale * operator.frame[:, 0])
         g0f = decoder._indicator_products(operator.scale * (v @ operator.frame))
-        return v, terms.geometry.gram[0][0], g0f, float(np.dot(v, v))
+        return geometry.gram[0][0], g0f, float(np.dot(v, v))
 
     reference._terms = nets._OperatorSlot(operator_terms)
-    reference._search = lambda raw, target, pulled: factor_per_decode(decoder, raw, target, pulled)
+    reference._search = lambda raw, pulled: factor_per_decode(decoder, raw, pulled)
     return reference

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsketch.entropy import (
     fit_growth,
@@ -14,6 +16,7 @@ from netsketch.entropy import (
 )
 from netsketch.errors import UsageError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
+from netsketch.jl import required_measurements
 from netsketch.nets import build_net
 
 
@@ -121,7 +124,22 @@ def test_within_measurement_budget_threshold():
     assert within_measurement_budget(441, 0.5, 10.0)
     assert not within_measurement_budget(442, 0.5, 10.0)
     assert within_measurement_budget(0, 0.9, 0.0)
+    # At p 0.5 and H 10 the rate is 2 c (H + 1) + 1: 441 at the default c = 20, 1,321 at 60.
+    assert within_measurement_budget(1321, 0.5, 10.0, 60.0)
+    assert not within_measurement_budget(1322, 0.5, 10.0, 60.0)
     with pytest.raises(UsageError):
         within_measurement_budget(10, 1.0, 5.0)
     with pytest.raises(UsageError):
         within_measurement_budget(-1, 0.5, 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    jl_constant=st.floats(1e-3, 1e3),
+    p=st.floats(1e-6, 1.0 - 1e-6),
+    size=st.integers(1, 10**30),
+)
+def test_within_measurement_budget_holds_the_union_bound_count(jl_constant, p, size):
+    # The rate at c bounds ceil(c ln((M + 1) / (1 - p))) for every c > 0.
+    n = required_measurements(p, size + 1, jl_constant)
+    assert within_measurement_budget(n, p, math.log2(size), jl_constant)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from netsketch import experiment, nets, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
-from netsketch.entropy import measurement_lower_bound
+from netsketch.entropy import measurement_lower_bound, within_measurement_budget
 from netsketch.errors import AmbientTooSmallError, UsageError
 from netsketch.jl import failure_bound
 from netsketch.experiment import (
@@ -251,6 +251,20 @@ ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
 """
+
+
+def test_theorem_bound_check_uses_the_configured_constant():
+    # At eps 1.0 (M = 507,840) and c = 60, n = ceil(60 ln((M + 1) / 0.5))
+    # = 830 stays below d = 1,242: over c = 20's rate 40 log2(M) + 41 ~ 799,
+    # within c = 60's ~ 2,395.
+    text = FACTORED_FIXED_W_CONFIG.split("eps = ")[0] + (
+        "eps = 1.0\np = 0.5\ntrials = 1\nmode = fixed_w\nseed = 17\njl_constant = 60\n"
+        "tail_dims = 32,64,128,256\n"
+    )
+    summary = run_experiment(load_experiment_config(text)).summary
+    assert (summary["net_size"], summary["n"], summary["d"]) == (507_840, 830, 1_242)
+    assert not within_measurement_budget(830, 0.5, summary["entropy_bits"])
+    assert summary["theorem_bound_check"] is True
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

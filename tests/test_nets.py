@@ -29,7 +29,7 @@ from conftest import (
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from netsketch import nets
+from netsketch import function_classes, nets
 from netsketch.errors import NetTooLargeError, UsageError
 from netsketch.function_classes import (
     AnalyticStepMember,
@@ -567,7 +567,7 @@ def test_indicator_products_match_the_dense_closed_form():
             # |w(b)|^2 in coefficient space: the terms under the identity,
             # against the dense rows and the squared closed forms.
             identity = MeasurementOperator(np.eye(d), seed=0)
-            norms = decoder._operator_terms(identity).geometry.gram[0][0]
+            norms = decoder._operator_terms(identity).gram[0][0]
             dense = np.einsum("ij,ij->i", w, w)
             np.testing.assert_allclose(norms, dense, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(norms, indicator_norms(decoder.positions, d), rtol=0.0, atol=1e-12)
@@ -588,7 +588,7 @@ def test_operator_terms_match_the_dense_closed_form():
                 projected = w @ rows.T
                 # The two axes under R: R w(b) and R (v - w(b)).
                 after = math.sqrt(TWO_PI) * rows[:, 0] - projected
-                gram = decoder._operator_terms(operator).geometry.gram
+                gram = decoder._operator_terms(operator).gram
                 for (i, j), (a, b) in {
                     (0, 0): (projected, projected),
                     (0, 1): (projected, after),
@@ -599,18 +599,17 @@ def test_operator_terms_match_the_dense_closed_form():
                         gram[i][j], np.einsum("ij,ij->i", a, b), rtol=0.0, atol=1e-12
                     )
                 y = rng.normal(size=n)
-                np.testing.assert_allclose(
-                    decoder._indicator_products(y @ rows),
-                    projected @ y,
-                    rtol=0.0,
-                    atol=1e-12,
-                )
+                # The projections from R^T y alone: q0 = w(b).R^T y and
+                # q1 = (v - w(b)).R^T y, v the constant one.
+                q0, q1 = decoder._projections(y @ rows)
+                np.testing.assert_allclose(q0, projected @ y, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(q1, after @ y, rtol=0.0, atol=1e-12)
 
 
 def test_decoder_rejects_positions_off_the_uniform_grid():
     positions = np.linspace(-3.0, 3.0, 8)
     with pytest.raises(UsageError):
-        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, 8)
+        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, 8, step_class())
 
 
 def test_operator_terms_follow_the_operator():
@@ -797,11 +796,39 @@ def test_each_geometry_is_factored_once(monkeypatch):
             assert len(factored) == count
         factored.clear()
 
-    for terms in kept:
-        arrays = geometry_arrays(terms.geometry)
+    for geometry in kept:
+        arrays = geometry_arrays(geometry)
         assert len(arrays) >= 5
         assert not any(array.flags.writeable for array in arrays)
-    assert not kept[0].v.flags.writeable
+
+
+def test_a_step_decode_builds_its_center_through_the_class(monkeypatch):
+    # The decoded center is the class's member, expanded by the class's
+    # coefficient_prefix: one analyze_piecewise call per decode, and none
+    # for the operator's geometry.
+    calls = []
+    real = function_classes.analyze_piecewise
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    family, d = step_class(), 40
+    decoder = build_net(family, 1.5, d=d).decoder
+    assert decoder.family is family
+    operator = random_subspace(d, 9, seed=3)
+    decoder.prepare(operator)
+    monkeypatch.setattr(function_classes, "analyze_piecewise", counting)
+    rng = np.random.default_rng(59)
+    for decode in (
+        lambda: decoder.decode_measurements(rng.normal(size=9), operator),
+        lambda: decoder.decode_coefficients(rng.normal(scale=0.5, size=d)),
+    ):
+        calls.clear()
+        result = decode()
+        assert len(calls) == 1
+        assert result.member == family.member(*result.coordinates)
+        assert result.coefficients.tobytes() == real(result.member, d).coefficients.tobytes()
 
 
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
@@ -992,7 +1019,7 @@ def length_p_on_breakpoints(positions, series):
 def grid_decoder(count, start, d):
     """A factored decoder at ``d`` on ``count`` breakpoints from ``start``, 2 pi / count apart."""
     positions = start + (TWO_PI / count) * np.arange(count)
-    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, d)
+    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, d, step_class())
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5])
@@ -1081,17 +1108,19 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def full_sweep(self, terms, target, pulled):
+def full_sweep(self, geometry, pulled):
     """Reference: every (breakpoint, ``c0``) pair, in the decoder's arithmetic.
 
     The factored decoder's sweep before it pruned breakpoints, kept here as
     the oracle the pruned search must match bit for bit.  It stands in for
-    the decoder's ``_search`` and reads the same inputs, the kept 2x2 Grams.
+    the decoder's ``_search`` and reads the same inputs, the kept 2x2 Grams
+    and ``pulled = R^T y``; ``q1 = <v, y> - q0`` for the constant one's image
+    ``v = sqrt(2 pi) R[:, 0]`` is ``sqrt(2 pi) pulled[0] - q0``.
     """
     c0 = self.levels
     q0 = self._indicator_products(pulled)
-    q1 = float(np.dot(terms.v, target)) - q0
-    (g00, g01), (_, g11) = terms.geometry.gram
+    q1 = math.sqrt(TWO_PI) * pulled[0] - q0
+    (g00, g01), (_, g11) = geometry.gram
     half = (self.levels.size - 1) // 2
     k = np.multiply.outer(g01, c0)
     np.subtract(q1[:, None], k, out=k)

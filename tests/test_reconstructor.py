@@ -318,7 +318,7 @@ def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
         np.concatenate([decoder.maps, decoder.maps]),
         decoder.configurations * 2,
         decoder.axes,
-        decoder.member,
+        decoder.family,
     )
     tied = replace(smooth_sampler, net=replace(smooth_sampler.net, decoder=tied_decoder))
     rows = decoder_rows(tied_decoder)
