@@ -28,7 +28,7 @@ from .entropy import measurement_lower_bound, within_measurement_budget
 from .function_classes import fit_class_tail_model
 # tail_norm is imported for callers that wrap it here (perfbench/child.py).
 from .hilbert import tail_norm  # noqa: F401
-from .jl import DISTORTION_BAND, apply_operator
+from .jl import apply_operator
 from .nets import DecodeResult, build_net
 from .reconstructor import (
     PreparedSampler,
@@ -85,6 +85,8 @@ CSV_COLUMNS = (
     "ambient_error",
     "guarantee_met",
     "distortion_ok",
+    "premise",
+    "witness_error",
 )
 
 
@@ -151,16 +153,17 @@ class TrialAudit:
     The accuracy chain bounds ``ambient_error`` by ``truncation_tail`` (the
     signal's energy beyond dimension ``d``) plus ``projected_offset`` (its
     distance to the decoded center in the first ``d`` coefficients) plus
-    ``center_tail`` (the center's energy beyond ``d``), with budgets
-    ``eps1``, ``4 * eps1`` and ``eps1`` that add up to ``eps``; all four are
-    exact, in closed form.  The middle budget needs a net center w within
-    ``eps1`` of x: the decode minimizes the sketch residual over the whole
-    net, so ``|R(x_d - c_d)| <= |R(x_d - w_d)|``, and the distortion bands
-    turn that into ``|x_d - c_d| <= 4 |x_d - w_d|``.  The audit takes for w
-    the class's rounding of x, the witness of the covering, at distance
-    ``witness_error``.  The chain's premise needs the upper distortion band
-    on the pair (x, w), the lower band on the pair (x, decoded center),
-    exact measurements, and both tails within ``eps1``; ``upper_ratio`` and
+    ``center_tail`` (the center's energy beyond ``d``), with the sampler's
+    ``AccuracyBudget``: ``t``, ``(a_hi / a_lo) r`` and ``t``, which add up to
+    ``eps``; all four are exact, in closed form.  The middle budget needs a
+    net center w within the net resolution ``r`` of x: the decode minimizes
+    the sketch residual over the whole net, so ``|R(x_d - c_d)| <= |R(x_d -
+    w_d)|``, and the band ``(a_lo, a_hi)`` turns that into ``|x_d - c_d| <=
+    (a_hi / a_lo) |x_d - w_d|``.  The audit takes for w the class's rounding
+    of x, the witness of the covering, at distance ``witness_error``.  The
+    chain's premise needs ``upper_ratio <= a_hi`` on the pair (x, w),
+    ``lower_ratio >= a_lo`` on the pair (x, decoded center), exact
+    measurements, and both tails within ``t``; ``upper_ratio`` and
     ``lower_ratio`` are the two pairs' projected-over-true distance ratios.
     A counterexample is a trial whose premise holds but whose guarantee
     fails.
@@ -207,8 +210,8 @@ def audit_trial(
 
     Raises ``UsageError`` when ``x_d`` is not ``d`` coefficients or
     ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
-    clamped operator distorts a pair or the witness is more than ``eps1``
-    from x, a net that does not cover its class.
+    clamped operator distorts a pair or the witness is more than the
+    budget's resolution ``r`` from x, a net that does not cover its class.
     """
     if np.shape(x_d) != (sampler.d,):
         raise UsageError(
@@ -233,12 +236,13 @@ def audit_trial(
             witness = covering_witness(sampler, member, coordinates)
         upper_ratio = _distortion_ratio(operator, x_d - witness.coefficients)
         witness_error = witness.error
-    if witness_error > sampler.eps1:
+    budget = sampler.budget
+    if witness_error > budget.resolution:
         raise NetSketchError(
             f"trial {trial}: the net's witness is {witness_error!r} from the member,"
-            f" over eps1 = {sampler.eps1!r}: the net does not cover its class"
+            f" over r = {budget.resolution!r}: the net does not cover its class"
         )
-    lower, upper = DISTORTION_BAND
+    lower, upper = budget.band
     distortion_ok = upper_ratio <= upper and lower_ratio >= lower
     if sampler.clamped:
         # n = d makes the operator a full orthogonal map; any visible
@@ -254,8 +258,8 @@ def audit_trial(
     premise = (
         distortion_ok
         and delta == 0.0
-        and truncation_tail <= sampler.eps1
-        and center_tail <= sampler.eps1
+        and truncation_tail <= budget.tail
+        and center_tail <= budget.tail
     )
     return TrialAudit(
         truncation_tail=truncation_tail,
@@ -305,7 +309,8 @@ def _run_trial(
             " exactness, and tail bounds were all verified"
         )
 
-    ball = 2.0 * trial_sampler.eps1 + noise_shift(trial_sampler, delta)
+    budget = trial_sampler.budget
+    ball = budget.band[1] * budget.resolution + noise_shift(trial_sampler, delta)
     row = {
         "seed": config.seed,
         "class": family.spec_string(),
@@ -321,6 +326,8 @@ def _run_trial(
         "ambient_error": audit.ambient_error,
         "guarantee_met": audit.guarantee_met,
         "distortion_ok": audit.distortion_ok,
+        "premise": audit.premise,
+        "witness_error": audit.witness_error,
     }
     return row, audit
 
@@ -354,8 +361,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         raise UsageError(f"jobs must be >= 1, got {jobs!r}")
     started = time.monotonic()
     family = config.family
-    # The measurement lower bound is stated at eps, not at the net's eps/6, so
-    # it counts a second net at eps; lay it out before any trial runs.
+    # The measurement lower bound is stated at eps, not at the net's
+    # resolution r, so it counts a second net at eps; lay it out before any
+    # trial runs.
     try:
         entropy_bits_at_eps = build_net(family, config.eps).entropy_bits
     except UsageError as error:
@@ -438,6 +446,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "entropy_bits_at_eps": entropy_bits_at_eps,
         "clamped": sampler.clamped,
         "certified_failure_bound": sampler.certified_failure_bound,
+        "resolution": sampler.budget.resolution,
+        "band": list(sampler.budget.band),
         "tail_model": {
             "constant": tail_model.constant,
             "decay_exponent": tail_model.decay_exponent,

@@ -7,8 +7,11 @@ first ``d`` coefficients, projects onto the row span, and rescales by
 uniformly random subspace.  The measurement count needed for a target success
 probability over a finite point set is the Johnson-Lindenstrauss union bound,
 ``n = ceil(c * ln(m / (1 - p)))``, and ``failure_bound`` certifies it by
-Dasgupta and Gupta's tail.  An operator's rows are the orthonormalized
-columns of a Gaussian ``d x n`` draw, by verified Cholesky QR.
+Dasgupta and Gupta's tail, pricing each end of a distortion band at its own
+rate ``kappa``; ``certified_measurements`` raises the count, if need be, to
+one that tail certifies for the reconstruction chain.  An operator's rows are
+the orthonormalized columns of a Gaussian ``d x n`` draw, by verified
+Cholesky QR.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ __all__ = [
     "MeasurementOperator",
     "DISTORTION_BAND",
     "DistortionReport",
+    "certified_measurements",
     "failure_bound",
+    "kappa",
     "required_measurements",
     "random_subspace",
     "apply_operator",
@@ -37,12 +42,29 @@ __all__ = [
 DEFAULT_JL_CONSTANT = 20.0
 
 #: A pair's measured-over-true distance ratio passes inside ``[1/2, 2]``.
+#: ``distortion_ok`` checks every pair against it; ``failure_bound`` takes it
+#: as the default band.
 DISTORTION_BAND = (0.5, 2.0)
 
-#: Dasgupta-Gupta exponential rates, per measurement, of a pair falling
-#: below and rising above ``DISTORTION_BAND`` (``required_measurements``).
-KAPPA_LOWER = (math.log(4.0) - 0.75) / 2.0
-KAPPA_UPPER = (3.0 - math.log(4.0)) / 2.0
+
+def kappa(ratio: float) -> float:
+    """Dasgupta-Gupta rate, per measurement, of a pair's ratio passing ``ratio``.
+
+    ``(a^2 - 1 - ln a^2) / 2`` at ``a = ratio``: the chance that a fixed
+    pair's measured-over-true distance ratio falls below ``a < 1``, or rises
+    above ``a > 1``, under a uniformly random ``n``-subspace is at most
+    ``exp(-kappa(a) n)`` (see ``required_measurements``).
+    """
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise UsageError(f"distortion ratio must be positive and finite, got {ratio!r}")
+    beta = ratio * ratio
+    return (beta - 1.0 - math.log(beta)) / 2.0
+
+
+#: The rates at ``DISTORTION_BAND``'s ends: ``(ln 4 - 3/4) / 2`` below and
+#: ``(3 - ln 4) / 2`` above.
+KAPPA_LOWER = kappa(DISTORTION_BAND[0])
+KAPPA_UPPER = kappa(DISTORTION_BAND[1])
 
 #: Operator seeds are drawn from a caller's stream as ints below this bound,
 #: so ``(d, n, seed)`` alone reproduces an operator.
@@ -68,15 +90,16 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
     satisfies ``P(L <= beta n / d) <= exp((n / 2) (1 - beta + ln beta))`` for
     ``beta < 1``, and the same bound on ``P(L >= beta n / d)`` for ``beta >
     1`` (Dasgupta and Gupta, *Random Struct. Alg.* 22(1), 2003, Lemma 2.2).
-    A pair's rescaled distance ratio is ``sqrt(d L / n)``, so leaving the band
-    ``[1/2, 2]`` is ``beta = 1/4`` below and ``beta = 4`` above, at the rates
-    ``KAPPA_LOWER = (ln 4 - 3/4) / 2`` and ``KAPPA_UPPER = (3 - ln 4) / 2``
-    per measurement.  With ``m - 1`` pairs on the lower band and one on the
-    upper, as the reconstruction chain needs for ``m - 1`` centers, the
-    failure probability is at most ``m exp(-KAPPA_LOWER n)``, and that is at
-    most ``1 - p`` once ``n >= ln(m / (1 - p)) / KAPPA_LOWER``: every
-    ``jl_constant >= 1 / KAPPA_LOWER ~ 3.143`` is certified, and
-    ``failure_bound`` reports the bound a given ``n`` reaches.
+    A pair's rescaled distance ratio is ``sqrt(d L / n)``, so passing a band
+    end ``a`` is ``beta = a^2``, at the rate ``kappa(a) = (a^2 - 1 - ln a^2)
+    / 2`` per measurement: ``KAPPA_LOWER = kappa(1/2)`` and ``KAPPA_UPPER =
+    kappa(2)`` for ``DISTORTION_BAND``.  With ``m`` pairs on the lower end,
+    ``m exp(-KAPPA_LOWER n) <= 1 - p`` once ``n >= ln(m / (1 - p)) /
+    KAPPA_LOWER``, so every ``jl_constant >= 1 / KAPPA_LOWER ~ 3.143``
+    certifies the lower end alone.  A band whose upper end is priced at a
+    slower rate, as the reconstruction chain's, can need more:
+    ``certified_measurements`` raises the count to what its
+    ``failure_bound`` certifies.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
@@ -87,13 +110,19 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
     return max(1, math.ceil(jl_constant * math.log(m / (1.0 - p))))
 
 
-def failure_bound(n: int, d: int, lower_pairs: int, upper_pairs: int) -> float:
-    """Union bound on the chance that some pair leaves ``DISTORTION_BAND``.
+def failure_bound(
+    n: int,
+    d: int,
+    lower_pairs: int,
+    upper_pairs: int,
+    band: tuple[float, float] = DISTORTION_BAND,
+) -> float:
+    """Union bound on the chance that some pair leaves its end of ``band``.
 
-    ``lower_pairs`` pairs must stay above the band's lower end and
-    ``upper_pairs`` below its upper end, under a uniformly random
-    ``n``-subspace of ``R^d``.  Returns ``lower_pairs exp(-KAPPA_LOWER n) +
-    upper_pairs exp(-KAPPA_UPPER n)``, Dasgupta and Gupta's tails (see
+    ``lower_pairs`` pairs must stay above the band's lower end ``a_lo`` and
+    ``upper_pairs`` below its upper end ``a_hi``, under a uniformly random
+    ``n``-subspace of ``R^d``.  Returns ``lower_pairs exp(-kappa(a_lo) n) +
+    upper_pairs exp(-kappa(a_hi) n)``, Dasgupta and Gupta's tails (see
     ``required_measurements``), each formed from its logarithm, so that pair
     counts beyond float range stay exact, and the sum capped at 1.  It is
     exactly 0.0 when ``n >= d``: a full orthogonal operator distorts nothing.
@@ -104,16 +133,54 @@ def failure_bound(n: int, d: int, lower_pairs: int, upper_pairs: int) -> float:
         raise UsageError(
             f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
         )
+    lower, upper = band
+    if not 0.0 < lower < 1.0 < upper:
+        raise UsageError(f"a distortion band must straddle 1, got {band!r}")
     if n >= d:
         return 0.0
     total = 0.0
-    for pairs, rate in ((lower_pairs, KAPPA_LOWER), (upper_pairs, KAPPA_UPPER)):
+    for pairs, rate in ((lower_pairs, kappa(lower)), (upper_pairs, kappa(upper))):
         if pairs:
             exponent = math.log(pairs) - rate * n
             if exponent >= 0.0:
                 return 1.0
             total += math.exp(exponent)
     return min(1.0, total)
+
+
+def certified_measurements(
+    p: float,
+    d: int,
+    centers: int,
+    band: tuple[float, float] = DISTORTION_BAND,
+    jl_constant: float = DEFAULT_JL_CONSTANT,
+) -> int:
+    """Measurements for the reconstruction chain over a net of ``centers`` centers.
+
+    The chain needs ``band``'s lower end on the ``centers`` pairs of the
+    signal with a center and its upper end on the one pair with the covering
+    witness.  ``required_measurements(p, centers + 1, jl_constant)`` pays for
+    that one pair at the lower rate, which covers it only while
+    ``kappa(a_hi) >= kappa(a_lo)``: at ``DISTORTION_BAND`` every
+    ``jl_constant >= 1 / KAPPA_LOWER`` is certified, but an upper end near 1
+    is priced far more slowly.  So for such a constant the count is raised,
+    if need be, to the smallest ``n <= d`` whose ``failure_bound(n, d,
+    centers, 1, band)`` is at most ``1 - p``; that bound falls as ``n`` grows
+    and is 0 at ``n = d``, so a bisection over ``[1, d]`` finds it.  A
+    smaller constant asks for an uncertified count and gets the union-bound
+    count alone.  The result is not clamped at ``d``.
+    """
+    wanted = required_measurements(p, centers + 1, jl_constant)
+    if jl_constant < 1.0 / KAPPA_LOWER:
+        return wanted
+    low, high = 1, d
+    while low < high:
+        middle = (low + high) // 2
+        if failure_bound(middle, d, centers, 1, band) <= 1.0 - p:
+            high = middle
+        else:
+            low = middle + 1
+    return max(wanted, low)
 
 
 @dataclass(frozen=True)

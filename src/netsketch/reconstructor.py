@@ -1,13 +1,15 @@
 """Reconstruction pipeline: truncate, sketch, and decode against a covering net.
 
 ``preprocess`` combines a function class with a fitted tail-decay model and
-produces a ``PreparedSampler``: a truncation dimension ``d`` that absorbs the
-coefficient tails, a covering net at resolution ``eps1 = eps / 6``, and a
-random ``n``-dimensional measurement operator sized for the net by the
-Johnson-Lindenstrauss union bound.  ``measure`` sketches a signal through the
-operator, ``add_noise`` perturbs the sketch within a bound, and
-``reconstruct`` decodes it to the nearest projected net center.  Comparing a
-reconstruction with its ground truth is ``experiment.audit_trial``'s job.
+produces a ``PreparedSampler``: an ``AccuracyBudget`` that splits the accuracy
+target ``eps`` into two tail budgets ``t = eps / 6`` and the net resolution
+``r``, a truncation dimension ``d`` that keeps the coefficient tails within
+``t``, a covering net at resolution ``r``, and a random ``n``-dimensional
+measurement operator sized for the net by the Johnson-Lindenstrauss union
+bound.  ``measure`` sketches a signal through the operator, ``add_noise``
+perturbs the sketch within a bound, and ``reconstruct`` decodes it to the
+nearest projected net center.  Comparing a reconstruction with its ground
+truth is ``experiment.audit_trial``'s job.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from .function_classes import TailDecayModel
 from .hilbert import DEFAULT_AMBIENT_DIM, Signal
 from .jl import (
     DEFAULT_JL_CONSTANT,
+    DISTORTION_BAND,
     SEED_RANGE,
     MeasurementOperator,
     apply_operator,
+    certified_measurements,
     failure_bound,
     random_subspace,
-    required_measurements,
 )
 from .nets import (
     DEFAULT_NET_BUDGET,
@@ -41,6 +44,8 @@ from .nets import (
 )
 
 __all__ = [
+    "AccuracyBudget",
+    "CHAIN_BAND",
     "PreparedSampler",
     "add_noise",
     "measure",
@@ -53,20 +58,29 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: The accuracy chain's distortion band ``(a_lo, a_hi)``.  The lower end
+#: guards the pair (x, c) for every center c the decode may return, ``M``
+#: pairs, and keeps ``jl.DISTORTION_BAND``'s 1/2.  The upper end guards only
+#: the pair (x, w) with the covering witness w, paid for once in the union
+#: bound, so it sits near 1: at ``a_hi = 1.15`` its rate ``jl.kappa(1.15)``
+#: is 0.0215 per measurement, and the net gets the resolution that the
+#: narrower end frees (``AccuracyBudget``).
+CHAIN_BAND = (DISTORTION_BAND[0], 1.15)
+
 
 # ---------------------------------------------------------------------------
 # Preprocessing
 # ---------------------------------------------------------------------------
 
 
-def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
-    """Smallest ``d`` with ``C * R * d**-beta <= eps1`` under the fitted model.
+def truncation_dimension(tail_model: TailDecayModel, tail: float) -> int:
+    """Smallest ``d`` with ``C * R * d**-beta <= tail`` under the fitted model.
 
     Degenerate models (a non-finite or non-positive decay exponent), and
     dimensions beyond floating-point range, are rejected as usage errors.
     """
-    if not eps1 > 0.0:
-        raise UsageError(f"resolution must be positive, got {eps1!r}")
+    if not tail > 0.0:
+        raise UsageError(f"tail budget must be positive, got {tail!r}")
     beta = tail_model.decay_exponent
     if not math.isfinite(beta) or beta <= 0.0:
         raise UsageError(
@@ -76,21 +90,49 @@ def truncation_dimension(tail_model: TailDecayModel, eps1: float) -> int:
     mass = tail_model.constant * tail_model.norm_bound
     if mass < 0.0:
         raise UsageError(f"tail model has negative mass bound {mass!r}")
-    if mass <= eps1:
+    if mass <= tail:
         return 1
     try:
-        return max(1, math.ceil((mass / eps1) ** (1.0 / beta)))
+        return max(1, math.ceil((mass / tail) ** (1.0 / beta)))
     except OverflowError:
         raise UsageError(
             f"tail model with decay exponent {beta!r} needs a truncation dimension"
-            f" beyond floating-point range at resolution {eps1!r}"
+            f" beyond floating-point range at tail budget {tail!r}"
         ) from None
 
 
 @dataclass(frozen=True)
-class PreparedSampler:
-    """Everything fixed before measuring: dimensions, net, and operator.
+class AccuracyBudget:
+    """How the accuracy target ``eps`` is spent along the reconstruction chain.
 
+    The chain bounds the error by the signal's tail beyond ``d``, the offset
+    to the decoded center in the first ``d`` coefficients, and the center's
+    tail.  Each tail gets ``tail = eps / 6``.  The decode minimizes the sketch
+    residual over the net, so a witness w within ``resolution`` of x and the
+    band ``(a_lo, a_hi)`` on the pairs (x, w) and (x, c) give an offset of at
+    most ``(a_hi / a_lo) resolution``.  ``resolution = a_lo (eps - 2 tail) /
+    a_hi`` makes the chain ``tail + (a_hi / a_lo) resolution + tail = eps``.
+    """
+
+    eps: float
+    tail: float
+    resolution: float
+    band: tuple[float, float]
+
+    @classmethod
+    def split(cls, eps: float) -> AccuracyBudget:
+        """The budget at ``CHAIN_BAND``."""
+        tail = eps / 6.0
+        lower, upper = CHAIN_BAND
+        return cls(eps=eps, tail=tail, resolution=lower * (eps - 2.0 * tail) / upper, band=CHAIN_BAND)
+
+
+@dataclass(frozen=True)
+class PreparedSampler:
+    """Everything fixed before measuring: budget, dimensions, net, and operator.
+
+    ``budget`` is how the accuracy target ``eps`` is spent: ``d`` keeps the
+    tails within ``budget.tail`` and the net covers at ``budget.resolution``.
     ``decoder`` is the net's decoder, built with the net for this ``d``: it
     finds the nearest net center to measurements under an operator, and
     builds its terms on the first decode under each.
@@ -107,13 +149,16 @@ class PreparedSampler:
     ``fixed_x`` run's worker threads.)
     """
 
-    eps: float
-    eps1: float
+    budget: AccuracyBudget
     p: float
     d: int
     n: int
     operator_seed: int
     net: CoveringNet
+
+    @property
+    def eps(self) -> float:
+        return self.budget.eps
 
     @property
     def decoder(self) -> FactoredStepDecoder | ConfigurationDecoder:
@@ -127,12 +172,12 @@ class PreparedSampler:
     def certified_failure_bound(self) -> float:
         """Bound on the chance that the operator breaks a trial's accuracy chain.
 
-        The chain needs the lower distortion band on the pair (x, c) for
-        whichever center c is decoded, ``M`` pairs in all, and the upper band
-        on the one pair (x, w) with the covering witness w:
-        ``jl.failure_bound(n, d, M, 1)``.
+        The chain needs the budget band's lower end on the pair (x, c) for
+        whichever center c is decoded, ``M`` pairs in all, and its upper end
+        on the one pair (x, w) with the covering witness w, each priced at its
+        own rate: ``jl.failure_bound(n, d, M, 1, budget.band)``.
         """
-        return failure_bound(self.n, self.d, self.net.size, 1)
+        return failure_bound(self.n, self.d, self.net.size, 1, self.budget.band)
 
     @property
     def operator(self) -> MeasurementOperator:
@@ -156,15 +201,18 @@ def preprocess(
 ) -> PreparedSampler:
     """Prepare the decoding side: truncation dimension, net, and operator.
 
-    The accuracy target ``eps`` is split into three budgeted terms, leaving
-    ``eps1 = eps / 6`` for the net resolution and for the truncation tails.
-    The operator gets ``required_measurements(p, M + 1)`` rows for a net of
-    ``M`` centers, ``ceil(c ln((M + 1) / (1 - p)))`` by the union bound over
-    the signal's pairs with the centers, clamped at ``d`` — a full orthogonal
+    The accuracy target ``eps`` is split by ``AccuracyBudget.split``: ``d``
+    keeps the truncation tails within ``budget.tail`` and the net is laid out
+    at ``budget.resolution``.  The operator gets ``certified_measurements(p,
+    d, M, budget.band, jl_constant)`` rows for a net of ``M`` centers: ``ceil(c
+    ln((M + 1) / (1 - p)))`` by the union bound over the signal's pairs with
+    the centers, raised for ``c >= 1 / jl.KAPPA_LOWER`` until the band's
+    slow upper end is paid for too, and clamped at ``d`` — a full orthogonal
     operator is already exact on the truncated space, so further rows cannot
-    help.  The INFO line reports the sampler's ``certified_failure_bound``,
-    at most ``1 - p`` for every ``jl_constant >= 1 / jl.KAPPA_LOWER``; a
-    smaller constant is not refused, and its bound may exceed ``1 - p``.
+    help.  The INFO line reports the budget and the sampler's
+    ``certified_failure_bound``, at most ``1 - p`` for every ``c >= 1 /
+    jl.KAPPA_LOWER``; a smaller constant is not refused, and its bound may
+    exceed ``1 - p``.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise UsageError(f"accuracy target must be positive, got {eps!r}")
@@ -172,18 +220,17 @@ def preprocess(
         raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
     if ambient_dim < 1:
         raise UsageError(f"ambient dimension must be positive, got {ambient_dim!r}")
-    eps1 = eps / 6.0
-    d = truncation_dimension(tail_model, eps1)
+    budget = AccuracyBudget.split(eps)
+    d = truncation_dimension(tail_model, budget.tail)
     if d > ambient_dim:
         raise AmbientTooSmallError(
             f"tail model needs truncation dimension {d}, beyond the ambient"
             f" dimension {ambient_dim}"
         )
-    net = build_net(family, eps1, m_max=m_max, d=d)
-    wanted = required_measurements(p, net.size + 1, jl_constant)
+    net = build_net(family, budget.resolution, m_max=m_max, d=d)
+    wanted = certified_measurements(p, d, net.size, budget.band, jl_constant)
     sampler = PreparedSampler(
-        eps=eps,
-        eps1=eps1,
+        budget=budget,
         p=p,
         d=d,
         n=min(wanted, d),
@@ -191,8 +238,10 @@ def preprocess(
         net=net,
     )
     logger.info(
-        "prepared sampler: eps=%g d=%d n=%d (wanted %d) M=%d mode=%s failure_bound=%.3g",
-        eps, d, sampler.n, wanted, net.size, net.mode, sampler.certified_failure_bound,
+        "prepared sampler: eps=%g tail=%g r=%g band=[%g, %g] d=%d n=%d (wanted %d) M=%d"
+        " mode=%s failure_bound=%.3g",
+        eps, budget.tail, budget.resolution, *budget.band, d, sampler.n, wanted,
+        net.size, net.mode, sampler.certified_failure_bound,
     )
     return sampler
 

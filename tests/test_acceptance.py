@@ -22,7 +22,7 @@ from netsketch.function_classes import (
     TailDecayModel,
 )
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM
-from netsketch.jl import DISTORTION_BAND, apply_operator, required_measurements
+from netsketch.jl import apply_operator, failure_bound, required_measurements
 from netsketch.nets import build_net
 from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
 
@@ -162,7 +162,8 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     assert audit.ambient_error == family.distance(member, outcome.member)
     center = family.coefficient_prefix(outcome.member, d)
     witness = family.member(*family.round_coordinates(sampler.net.plan, member))
-    assert audit.witness_error == family.distance(member, witness) <= sampler.eps1
+    budget = sampler.budget
+    assert audit.witness_error == family.distance(member, witness) <= budget.resolution
     upper = _distortion_ratio(operator, x_d - family.coefficient_prefix(witness, d))
     lower = _distortion_ratio(operator, x_d - center)
     if sampler.clamped:
@@ -170,13 +171,13 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     else:
         assert audit.upper_ratio == pytest.approx(upper, rel=1e-12, abs=0.0)
         assert audit.lower_ratio == pytest.approx(lower, rel=1e-12, abs=0.0)
-    band_low, band_high = DISTORTION_BAND
+    band_low, band_high = budget.band
     distortion_ok = upper <= band_high and lower >= band_low
     premise = (
         distortion_ok
         and delta == 0.0
-        and audit.truncation_tail <= sampler.eps1
-        and audit.center_tail <= sampler.eps1
+        and audit.truncation_tail <= budget.tail
+        and audit.center_tail <= budget.tail
     )
     assert audit.distortion_ok == distortion_ok
     assert audit.premise == premise
@@ -224,6 +225,59 @@ def test_smooth_audits_match_direct_products(jl_constant, delta):
 # ---------------------------------------------------------------------------
 # 4. Measurement-count bookkeeping
 # ---------------------------------------------------------------------------
+
+
+# perfbench/run.py's step workloads at bench seeds 1 and 7919: the class,
+# eps 0.6 and the master seeds its fitted-d search picks.
+BENCH_STEP_CONFIG = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 0.6
+p = 0.5
+trials = 2
+mode = {mode}
+seed = {seed}
+delta = 0.0
+ambient_dim = 4096
+m_max = 1000000
+"""
+
+
+@pytest.mark.parametrize("mode", ["fixed_w", "fixed_x"])
+@pytest.mark.parametrize("seed, d", [(436732992, 1886), (2045698760, 1938)])
+def test_the_bench_step_config_is_certified(seed, d, mode):
+    # r = 0.4 / 2.3 = 0.1739: P 900 and 21 levels, M = 396,900 and n =
+    # ceil(20 ln 793,802) = 272, with a bound of 0.0029 against 1/2.
+    summary = run_experiment(
+        load_experiment_config(BENCH_STEP_CONFIG.format(mode=mode, seed=seed))
+    ).summary
+    assert (summary["net_size"], summary["n"], summary["d"]) == (396_900, 272, d)
+    assert summary["certified_failure_bound"] == pytest.approx(0.002895, rel=1e-3)
+    assert summary["success_rate"] == 1.0
+    assert summary["implication_counterexamples"] == 0
+
+
+def test_every_acceptance_config_is_certified(step_runs, unclamped_trials):
+    # Each band end priced at its own rate, M pairs below and one above.
+    for result, _ in step_runs.values():
+        summary = result.summary
+        bound = failure_bound(
+            summary["n"], summary["d"], summary["net_size"], 1, tuple(summary["band"])
+        )
+        assert summary["certified_failure_bound"] == bound <= 1.0 - summary["p"]
+    sampler = unclamped_trials["sampler"]
+    assert sampler.certified_failure_bound <= 1.0 - sampler.p
+    for jl_constant in (4.0, 400.0):
+        family = SmoothClass(3, 2.0)
+        model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
+        sampler = preprocess(
+            family, 3.0, 0.5, model, np.random.default_rng(404), jl_constant=jl_constant
+        )
+        assert sampler.certified_failure_bound <= 1.0 - sampler.p
 
 
 def test_measurement_bounds_hold_everywhere(step_runs, unclamped_trials):

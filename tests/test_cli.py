@@ -295,6 +295,16 @@ def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     assert "invalid choice: 'LOUD'" in capsys.readouterr().err
 
 
+def test_info_line_reports_the_accuracy_budget(tmp_path, capsys):
+    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
+    out = tmp_path / "out"
+    assert main(["experiment", "run", cfg, "-v", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    tail = summary["eps"] / 6.0
+    assert f"tail={tail:g} r={summary['resolution']:g} band=[0.5, 1.15]" in err
+
+
 # ---------------------------------------------------------------------------
 # jl check
 # ---------------------------------------------------------------------------

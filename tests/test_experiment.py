@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -179,7 +180,8 @@ def test_run_experiment_smooth_baseline(smooth_result):
     assert summary["trials"] == 6
     assert summary["success_rate"] == 1.0
     assert summary["success_count"] == 6
-    assert summary["net_size"] == 39
+    # r = (3 - 2 * 0.5) / (2 * 1.15) = 0.8696 lays the net out at 7 centers.
+    assert summary["net_size"] == 7
     assert summary["net_mode"] == "configurations"
     assert summary["clamped"] and summary["n"] == summary["d"]
     assert summary["theorem_bound_check"]
@@ -254,16 +256,16 @@ tail_dims = 32,64,128
 
 
 def test_theorem_bound_check_uses_the_configured_constant():
-    # At eps 1.0 (M = 507,840) and c = 60, n = ceil(60 ln((M + 1) / 0.5))
-    # = 830 stays below d = 1,242: over c = 20's rate 40 log2(M) + 41 ~ 799,
-    # within c = 60's ~ 2,395.
+    # At eps 1.0 (r = 0.2899, M = 60,840) and c = 60, n = ceil(60 ln((M + 1)
+    # / 0.5)) = ceil(702.5) = 703 stays below d = 1,242: over c = 20's rate
+    # 40 log2(M) + 41 ~ 677, within c = 60's ~ 2,028.
     text = FACTORED_FIXED_W_CONFIG.split("eps = ")[0] + (
         "eps = 1.0\np = 0.5\ntrials = 1\nmode = fixed_w\nseed = 17\njl_constant = 60\n"
         "tail_dims = 32,64,128,256\n"
     )
     summary = run_experiment(load_experiment_config(text)).summary
-    assert (summary["net_size"], summary["n"], summary["d"]) == (507_840, 830, 1_242)
-    assert not within_measurement_budget(830, 0.5, summary["entropy_bits"])
+    assert (summary["net_size"], summary["n"], summary["d"]) == (60_840, 703, 1_242)
+    assert not within_measurement_budget(703, 0.5, summary["entropy_bits"])
     assert summary["theorem_bound_check"] is True
 
 
@@ -404,10 +406,11 @@ def test_a_clamped_trial_keeps_its_direct_products(monkeypatch):
 
 
 def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkeypatch):
-    # Trial 5 of the factored run: the rounding witness w is neither the
-    # nearest center c* in coefficient space nor the decoded center c, and
-    # the decode's minimality with the bands on (x, w) and (x, c) still bounds
-    # |x_d - c_d| by 4 |x_d - w_d|.
+    # Trial 4 of the factored run: the rounding witness w is neither the
+    # nearest center c* in coefficient space nor the decoded center c, the
+    # premise holds (lower ratio 0.669, upper 0.884), and the decode's
+    # minimality with the band's ends on (x, w) and (x, c) still bounds
+    # |x_d - c_d| by (a_hi / a_lo) |x_d - w_d|.
     audits = {}
     audit = experiment.audit_trial
 
@@ -418,7 +421,7 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
 
     monkeypatch.setattr(experiment, "audit_trial", recorded_audit)
     run_experiment(load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 6")))
-    sampler, member, x_d, outcome, result = audits[5]
+    sampler, member, x_d, outcome, result = audits[4]
     family, plan = sampler.net.family, sampler.net.plan
     coordinates = family.round_coordinates(plan, member)
     nearest = sampler.decoder.decode_coefficients(x_d)
@@ -427,11 +430,12 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
     assert nearest.index != outcome.index
     witness = family.member(*coordinates)
     witness_d = family.coefficient_prefix(witness, sampler.d)
-    assert result.witness_error == family.distance(member, witness) <= sampler.eps1
+    assert result.witness_error == family.distance(member, witness) <= sampler.budget.resolution
     assert result.upper_ratio == experiment._distortion_ratio(sampler.operator, x_d - witness_d)
     assert result.premise and result.guarantee_met and not result.counterexample
     offset = np.linalg.norm(x_d - outcome.coefficients)
-    assert offset <= 4.0 * np.linalg.norm(x_d - witness_d)
+    lower, upper = sampler.budget.band
+    assert offset <= upper / lower * np.linalg.norm(x_d - witness_d)
 
 
 _WITNESS_TAILS = TailDecayModel(constant=30.0, decay_exponent=1.0, norm_bound=1.0)
@@ -465,13 +469,53 @@ def test_the_witness_covers_every_sampled_member(witness_samplers, name, seed):
     sketch = reconstructor.measure(sampler, x_d)
     outcome = reconstructor.reconstruct(sampler, sketch)
     audit = experiment.audit_trial(sampler, member, x_d, sketch, outcome, 0.0, seed)
-    assert audit.witness_error <= sampler.eps1
+    assert audit.witness_error <= sampler.budget.resolution
     coordinates = family.round_coordinates(sampler.net.plan, member)
     if coordinates == outcome.coordinates:
         assert audit.witness_error == audit.ambient_error
         assert audit.upper_ratio == audit.lower_ratio
     else:
         assert audit.witness_error == family.distance(member, family.member(*coordinates))
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_witness_sampler(name, scale):
+    family, eps = _WITNESS_CLASSES[name]
+    return reconstructor.preprocess(
+        family, eps * scale, 0.5, _WITNESS_TAILS, np.random.default_rng(3),
+        ambient_dim=512, jl_constant=0.5,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_WITNESS_CLASSES)),
+    scale=st.sampled_from([1.0, 1.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_witness_lies_within_the_budget_resolution(name, scale, seed):
+    # The net is laid out at the budget's r, coarser than the tail budget
+    # eps / 6, and still covers: the witness of every sampled member is
+    # within r, the premise the chain's middle term rests on.
+    sampler = _scaled_witness_sampler(name, scale)
+    budget = sampler.budget
+    assert sampler.net.plan.eps1 == budget.resolution > budget.tail
+    member = sampler.net.family.sample(np.random.default_rng(seed), 512)
+    assert experiment.covering_witness(sampler, member).error <= budget.resolution
+
+
+def test_summary_and_rows_report_the_budget(tmp_path, smooth_result):
+    # eps 3: r = (3 - 2 * 0.5) / (2 * 1.15); the chain's band is (1/2, 1.15).
+    summary, rows = smooth_result.summary, smooth_result.rows
+    assert summary["resolution"] == pytest.approx(2.0 / 2.3, rel=1e-15)
+    assert summary["band"] == [0.5, 1.15]
+    assert sum(row["premise"] for row in rows) == summary["implication_premise_trials"]
+    assert all(0.0 <= row["witness_error"] <= summary["resolution"] for row in rows)
+    path = tmp_path / "trials.csv"
+    write_trials_csv(str(path), rows)
+    header, first = path.read_text().splitlines()[:2]
+    assert header.endswith(",premise,witness_error")
+    assert first.endswith(f",{rows[0]['premise']},{rows[0]['witness_error']!r}")
 
 
 def test_run_experiment_seed_changes_trials(smooth_result):
@@ -576,7 +620,8 @@ def test_within_ball_holds_up_to_twice_eps1_plus_the_noise_shift(monkeypatch, ab
     decode = experiment.reconstruct
 
     def on_the_edge(sampler, y):
-        edge = 2.0 * sampler.eps1 + reconstructor.noise_shift(sampler, 0.05)
+        budget = sampler.budget
+        edge = budget.band[1] * budget.resolution + reconstructor.noise_shift(sampler, 0.05)
         distance = math.nextafter(edge, math.inf) if above else edge
         return dataclasses.replace(decode(sampler, y), distance=distance)
 

@@ -17,15 +17,21 @@ from netsketch import jl
 from netsketch.errors import NetSketchError, UsageError
 from netsketch.hilbert import Signal
 from netsketch.jl import (
+    DISTORTION_BAND,
     KAPPA_LOWER,
     KAPPA_UPPER,
     MeasurementOperator,
     apply_operator,
+    certified_measurements,
     distortion_ok,
     failure_bound,
+    kappa,
     random_subspace,
     required_measurements,
 )
+
+# The reconstruction chain's band: 1/2 below, 1.15 above (reconstructor.CHAIN_BAND).
+CHAIN = (0.5, 1.15)
 
 # ---------------------------------------------------------------------------
 # Measurement-count formula (frozen arithmetic)
@@ -97,10 +103,85 @@ def test_random_subspace_projections_follow_the_beta_law():
     jl_constant=st.floats(1.0 / KAPPA_LOWER, 100.0),
     centers=st.integers(1, 10**12),
     p=st.floats(1e-6, 1.0 - 1e-6),
+    upper=st.one_of(st.just(1.15), st.floats(1.01, 2.0)),
 )
-def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, centers, p):
+def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, centers, p, upper):
+    # At the symmetric band the union-bound count alone is certified; with
+    # an upper end nearer 1 it is raised until the band's bound is met.
     n = required_measurements(p, centers + 1, jl_constant)
     assert failure_bound(n, 10**9, centers, 1) <= 1.0 - p
+    assert certified_measurements(p, 10**9, centers, DISTORTION_BAND, jl_constant) == n
+    band = (0.5, upper)
+    raised = certified_measurements(p, 10**9, centers, band, jl_constant)
+    assert raised >= n
+    assert failure_bound(raised, 10**9, centers, 1, band) <= 1.0 - p
+    if raised > n:
+        assert failure_bound(raised - 1, 10**9, centers, 1, band) > 1.0 - p
+
+
+def test_kappa_gives_the_symmetric_band_rates_bit_for_bit():
+    assert kappa(0.5) == KAPPA_LOWER == (math.log(4.0) - 0.75) / 2.0
+    assert kappa(2.0) == KAPPA_UPPER == (3.0 - math.log(4.0)) / 2.0
+    assert kappa(1.0) == 0.0
+    # (1.15^2 - 1 - ln 1.15^2) / 2: the chain's upper end, 15 times slower.
+    assert kappa(1.15) == pytest.approx(0.021488057624841267, rel=1e-14)
+    for ratio in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(UsageError):
+            kappa(ratio)
+
+
+def _symmetric_failure_bound(n, d, lower_pairs, upper_pairs):
+    """The bound at [1/2, 2] with its rates written out, as before bands were passed."""
+    if n >= d:
+        return 0.0
+    total = 0.0
+    for pairs, rate in (
+        (lower_pairs, (math.log(4.0) - 0.75) / 2.0),
+        (upper_pairs, (3.0 - math.log(4.0)) / 2.0),
+    ):
+        if pairs:
+            exponent = math.log(pairs) - rate * n
+            if exponent >= 0.0:
+                return 1.0
+            total += math.exp(exponent)
+    return min(1.0, total)
+
+
+def test_failure_bound_at_the_default_band_is_the_symmetric_bound():
+    for n in (1, 2, 5, 43, 98, 272, 316, 1000):
+        for d in (8, 300, 1886):
+            for lower in (0, 1, 7, 28, 396_900, 3_548_448, 10**12):
+                for upper in (0, 1, 28):
+                    expected = _symmetric_failure_bound(n, d, lower, upper)
+                    assert failure_bound(n, d, lower, upper) == expected
+                    assert failure_bound(n, d, lower, upper, DISTORTION_BAND) == expected
+    for band in ((0.5, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, math.nan)):
+        with pytest.raises(UsageError):
+            failure_bound(5, 10, 1, 1, band)
+
+
+def test_certified_measurements_pays_for_the_slow_upper_end():
+    # One center at c 20: ceil(20 ln 4) = 28 rows leave e^(-0.0215 * 28) =
+    # 0.5477 on the witness pair, 0.548 > 1/2 in all; 33 is the first to
+    # reach 0.492.
+    assert required_measurements(0.5, 2) == 28
+    assert failure_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.548, abs=1e-3)
+    assert certified_measurements(0.5, 1886, 1, CHAIN) == 33
+    assert failure_bound(33, 1886, 1, 1, CHAIN) <= 0.5 < failure_bound(32, 1886, 1, 1, CHAIN)
+    # The bench net, M 396,900: the rule's 272 rows already certify it
+    # (0.0029); at c = 1 / KAPPA_LOWER the rule's 43 rows reach only 0.85,
+    # and 47 rows are the first within 1/2.
+    assert certified_measurements(0.5, 1886, 396_900, CHAIN) == 272
+    assert failure_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(0.002895, rel=1e-3)
+    slowest = 1.0 / KAPPA_LOWER
+    assert required_measurements(0.5, 396_901, slowest) == 43
+    assert failure_bound(43, 1886, 396_900, 1, CHAIN) == pytest.approx(0.85, abs=0.01)
+    assert certified_measurements(0.5, 1886, 396_900, CHAIN, slowest) == 47
+    # The raise stops at d, where the bound is 0, and skips smaller constants.
+    assert certified_measurements(0.5, 20, 396_900, CHAIN, slowest) == 43
+    assert certified_measurements(0.5, 20, 1, CHAIN) == 28
+    assert certified_measurements(0.5, 30, 1, CHAIN) == 30
+    assert certified_measurements(0.5, 1886, 1, CHAIN, 0.5) == required_measurements(0.5, 2, 0.5)
 
 
 def test_required_measurements_rejects_bad_input():

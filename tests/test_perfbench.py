@@ -126,9 +126,10 @@ tail_dims = 32,64,128
                 ("reconstructor.preprocess", "experiment.setup"): 1,
                 ("nets.decode_measurements", "reconstructor.reconstruct"): 2,
                 ("nets.decode_coefficients", "experiment.trial"): 0,
-                # One d-prefix of x per trial, one of the witness in the trial
-                # whose witness is not the decoded center, none of the center.
-                ("hilbert.analyze_piecewise", "experiment.trial"): 3,
+                # One d-prefix of x per trial, one of the witness in each trial
+                # whose witness is not the decoded center (both, on the net at
+                # r = 2.61), none of the center.
+                ("hilbert.analyze_piecewise", "experiment.trial"): 4,
             },
         ),
         (

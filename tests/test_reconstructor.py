@@ -36,7 +36,7 @@ def step_class() -> PiecewiseSmoothClass:
 
 @pytest.fixture(scope="module")
 def smooth_sampler():
-    """Small materialized setting: 39 centers, d=36, n=30, not clamped."""
+    """Small materialized setting: 7 centers, d=36, n=33, not clamped."""
     family = SmoothClass(3, 2.0)
     model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
     rng = np.random.default_rng(11)
@@ -45,7 +45,7 @@ def smooth_sampler():
 
 @pytest.fixture(scope="module")
 def factored_step_sampler():
-    """Factored step net of 1,125 centers: d=300, n=282, ambient 512."""
+    """Factored step net of 72 centers: d=300, n=100, ambient 512."""
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     return preprocess(step_class(), 9.0, 0.5, model, rng, ambient_dim=512)
@@ -100,15 +100,22 @@ def test_truncation_dimension_beyond_float_range_is_a_usage_error():
 
 def test_preprocess_dimensions_smooth(smooth_sampler):
     s = smooth_sampler
-    assert s.eps1 == pytest.approx(0.5)
+    # eps 3: tails t = 3 / 6 and r = (3 - 2 t) / (2 * 1.15) = 0.8696.
+    assert s.budget.tail == pytest.approx(0.5)
+    assert s.budget.resolution == pytest.approx(2.0 / 2.3)
+    assert s.budget.band == (0.5, 1.15)
+    assert s.net.plan.eps1 == s.budget.resolution
     assert s.d == 36
-    assert s.net.size == 39
+    assert s.net.size == 7
     assert s.net.mode == "configurations"
-    # ceil(4 * ln(40 / (1 - 0.5))) = ceil(17.53) = 18 rows wanted, below d = 36
-    assert s.n == 18
+    # ceil(4 * ln(8 / (1 - 0.5))) = ceil(11.09) = 12 rows by the rule, whose
+    # bound 7 e^(-KAPPA_LOWER 12) + e^(-kappa(1.15) 12) = 0.927 exceeds 1/2.
+    # The certified floor is 33 (0.492; 32 gives 0.503), below d = 36.
+    assert s.n == 33
+    assert s.certified_failure_bound <= 0.5
     assert not s.clamped
     assert s.decoder.maps.shape == (1, 36, len(s.net.plan.axes))
-    assert s.operator.frame.shape == (18, 36)
+    assert s.operator.frame.shape == (33, 36)
 
 
 def test_preprocess_clamps_operator_at_truncation_dimension():
@@ -137,9 +144,9 @@ def test_preprocess_clamp_example_numbers():
     s = preprocess(step_class(), 0.6, 0.5, model, rng)
     assert s.d == 100
     assert s.net.mode == "factored"
-    # P 2,592 and 37 levels (test_nets): M = 3,548,448 would want
-    # ceil(20 ln 7,096,898) = ceil(315.5) = 316 rows, over d.
-    assert s.net.size == 3_548_448
+    # r 0.1739: P 900 and 21 levels, M = 900 * 21^2 = 396,900 would want
+    # ceil(20 ln 793,802) = ceil(271.7) = 272 rows, over d.
+    assert s.net.size == 396_900
     assert s.decoder is s.net.decoder
     assert s.n == 100
     assert s.clamped
@@ -204,9 +211,9 @@ def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
     assert not np.array_equal(redrawn.operator.frame, smooth_sampler.operator.frame)
     assert redrawn.decoder is smooth_sampler.decoder
     # centers still decode to themselves under the fresh frame
-    center = decoder_rows(redrawn.decoder)[7]
+    center = decoder_rows(redrawn.decoder)[6]
     out = reconstruct(redrawn, apply_operator(redrawn.operator, center))
-    assert out.index == 7
+    assert out.index == 6
     assert out.distance == pytest.approx(0.0, abs=1e-12)
     # redraws are reproducible from the stream
     again = with_new_operator(smooth_sampler, np.random.default_rng(8))
@@ -347,11 +354,16 @@ def test_reconstruct_validates_inputs(smooth_sampler):
         reconstruct(smooth_sampler, np.zeros(smooth_sampler.n + 1))
 
 
+def _ball(sampler):
+    """A noiseless decode's reach when the witness pair keeps the band: ``a_hi r``."""
+    return sampler.budget.band[1] * sampler.budget.resolution
+
+
 def test_reconstruct_far_measurement_leaves_ball(smooth_sampler):
     center = decoder_rows(smooth_sampler.decoder)[0]
     y = apply_operator(smooth_sampler.operator, center) + 10.0
     out = reconstruct(smooth_sampler, y)
-    assert out.distance > 2.0 * smooth_sampler.eps1
+    assert out.distance > _ball(smooth_sampler)
 
 
 def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
@@ -363,7 +375,7 @@ def test_reconstruct_noiseless_members_stay_in_ball(smooth_sampler):
         sketch = measure(smooth_sampler, x_d)
         out = reconstruct(smooth_sampler, sketch)
         audit = audit_trial(smooth_sampler, x, x_d, sketch, out, delta=0.0, trial=0)
-        assert out.distance <= 2.0 * smooth_sampler.eps1
+        assert out.distance <= _ball(smooth_sampler)
         assert audit.ambient_error <= smooth_sampler.eps
         assert audit.guarantee_met
 
@@ -377,7 +389,7 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
         x = family.sample(rng, DEFAULT_AMBIENT_DIM)
         y = add_noise(smooth_sampler, measure(smooth_sampler, x), delta, rng)
         out = reconstruct(smooth_sampler, y)
-        assert out.distance <= 2.0 * smooth_sampler.eps1 + slack
+        assert out.distance <= _ball(smooth_sampler) + slack
 
 
 def test_reconstruct_ambient_error_matches_padded_distance(smooth_sampler):
@@ -399,9 +411,10 @@ def test_reconstruct_factored_agrees_with_materialized():
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
-    # eps1 1.5: P 18 and 3 levels, M = 162 and n = ceil(20 ln 326) = 116.
-    assert s.net.mode == "factored" and s.net.size == 162
-    assert s.d == 300 and s.n == 116 and not s.clamped
+    # r = (9 - 3) / 2.3 = 2.61: P 8 and 3 levels, M = 8 * 3^2 = 72 and
+    # n = ceil(20 ln 146) = ceil(99.67) = 100.
+    assert s.net.mode == "factored" and s.net.size == 72
+    assert s.d == 300 and s.n == 100 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
     maps = family.materialized_decoder(s.net.plan, s.d)
     materialized = replace(s, net=replace(s.net, decoder=maps))
@@ -455,7 +468,8 @@ def test_audit_decomposes_ambient_error(
     out = reconstruct(sampler, sketch)
     audit = audit_trial(sampler, member, x_d, sketch, out, delta=0.0, trial=0)
 
-    d, eps1 = sampler.d, sampler.eps1
+    d, budget = sampler.d, sampler.budget
+    lower, upper = budget.band
     x = family.to_signal(member, ambient)
     center = family.to_signal(out.member, ambient)
     assert audit.ambient_error == family.distance(member, out.member)
@@ -468,11 +482,12 @@ def test_audit_decomposes_ambient_error(
         assert audit.ambient_error**2 == pytest.approx(split, rel=1e-12)
     total = audit.truncation_tail + audit.projected_offset + audit.center_tail
     assert audit.ambient_error <= total + 1e-12
-    assert eps1 + 4.0 * eps1 + eps1 == pytest.approx(sampler.eps, rel=1e-12)
+    offset_budget = upper / lower * budget.resolution
+    assert budget.tail + offset_budget + budget.tail == pytest.approx(sampler.eps, rel=1e-12)
     if (
-        audit.truncation_tail <= eps1
-        and audit.projected_offset <= 4.0 * eps1
-        and audit.center_tail <= eps1
+        audit.truncation_tail <= budget.tail
+        and audit.projected_offset <= offset_budget
+        and audit.center_tail <= budget.tail
     ):
         assert audit.guarantee_met
     assert audit.guarantee_met == (audit.ambient_error <= sampler.eps)
