@@ -140,9 +140,13 @@ def within_measurement_budget(
 ) -> bool:
     """Check ``n_used`` against the rate ``(c/(1-p)) * H + c/(1-p) + 1``, ``c = jl_constant``.
 
-    For every ``c > 0`` the rate bounds ``ceil(c ln((M+1)/(1-p)))`` at ``H =
-    log2 M``: with ``a = 1/(1-p)``, ``ln(M+1) <= ln 2 (H+1)`` and ``ln a <=
-    a - 1`` leave that count ``c ((a - ln 2) H + 1 - ln 2) > 0`` below it.
+    For every ``c > 0`` the rate bounds the union-bound count
+    ``ceil(c ln((M+1)/(1-p)))`` at ``H = log2 M``: with ``a = 1/(1-p)``,
+    ``ln(M+1) <= ln 2 (H+1)`` and ``ln a <= a - 1`` leave that count ``c ((a
+    - ln 2) H + 1 - ln 2) > 0`` below it.  It does not bound the count
+    ``jl.certified_measurements`` raises for ``c >= 1 / KAPPA_LOWER``: at
+    ``c = 4`` and ``p = 1/2`` a 7-center net gets ``n = 33`` (its union-bound
+    count is 12), over ``8 log2 7 + 9 = 31.5``, and the check is False.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"probability must lie in (0, 1), got {p!r}")

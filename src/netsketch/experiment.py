@@ -29,7 +29,7 @@ from .function_classes import fit_class_tail_model
 # tail_norm is imported for callers that wrap it here (perfbench/child.py).
 from .hilbert import tail_norm  # noqa: F401
 from .jl import apply_operator
-from .nets import DecodeResult, build_net
+from .nets import DecodeResult, build_net, round_coordinates
 from .reconstructor import (
     PreparedSampler,
     add_noise,
@@ -137,7 +137,7 @@ def covering_witness(
     """``member``'s witness in ``sampler``'s net, rounded unless ``coordinates`` are given."""
     family = sampler.net.family
     if coordinates is None:
-        coordinates = family.round_coordinates(sampler.net.plan, member)
+        coordinates = round_coordinates(family, sampler.net.plan, member)
     witness = family.member(*coordinates)
     return Witness(
         coordinates,
@@ -200,7 +200,7 @@ def audit_trial(
     sketches give the lower pair's projected length ``|R x_d - R c|`` with no
     product with the frame.  The witness w is ``witness`` when given (a
     ``fixed_x`` run builds its one member's once), else the center that
-    ``family.round_coordinates`` names.  When w's breakpoints and axis values
+    ``nets.round_coordinates`` names.  When w's breakpoints and axis values
     are the decode's ``coordinates``, the upper pair is the lower one and
     ``witness_error`` is ``ambient_error``.  Otherwise the audit applies the
     operator to ``x_d - w_d`` and takes ``witness_error`` from
@@ -227,7 +227,7 @@ def audit_trial(
     lower_ratio = _distortion_ratio(operator, offset, kept)
     ambient_error = family.distance(member, outcome.member)
     coordinates = (
-        family.round_coordinates(sampler.net.plan, member) if witness is None else witness.coordinates
+        round_coordinates(family, sampler.net.plan, member) if witness is None else witness.coordinates
     )
     if coordinates == outcome.coordinates:
         upper_ratio, witness_error = lower_ratio, ambient_error

@@ -5,8 +5,9 @@ through a structured member representation (coefficient vectors or
 piecewise descriptions).  A class object knows how to sample a member, turn a
 member into ambient coefficients, test membership, and compute distances
 between members in closed form.  It also carries everything class-specific
-about its covering net (see ``FunctionClass``); ``nets`` supplies the grids
-and builds the net without knowing which class it covers.
+about its covering net, as hooks (see ``FunctionClass``); ``nets`` supplies
+the grids, builds, numbers and walks the net without knowing which class it
+covers.
 
 The tail-decay model summarizes how fast coefficient tails shrink with the
 truncation dimension; it is fitted empirically from samples and used to pick
@@ -15,12 +16,9 @@ working dimensions downstream.
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,13 +34,7 @@ from .hilbert import (
     pad_or_truncate,
     tail_norm,
 )
-from .nets import (
-    AxisLog,
-    ConfigurationDecoder,
-    NetPlan,
-    grid_count,
-    position_grid,
-)
+from .nets import AxisLog, NetPlan, grid_count, position_grid
 
 __all__ = [
     "FunctionClass",
@@ -59,8 +51,6 @@ __all__ = [
 _MAX_SAMPLE_ATTEMPTS = 1000
 _MEMBERSHIP_TOLERANCE = 1e-9
 _SQRT_2PI = math.sqrt(TWO_PI)
-
-logger = logging.getLogger(__name__)
 
 
 def _fmt(value: float) -> str:
@@ -98,15 +88,15 @@ class FunctionClass:
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
     configurations times one point on each quantized axis, and marks it
-    ``factored`` when ``nets.FactoredStepDecoder`` can search it without
-    enumeration.  Enumeration, the materialized decoder's maps and rounding
-    walk that layout here, for every class, through three hooks:
+    ``factored`` when its step decoder can search it without enumeration.
+    ``nets`` walks that layout for every class, to enumerate the net, decode
+    onto it and round a member onto it, through three hooks:
     ``member(breakpoints, values)`` builds the center at a configuration and
     one value per axis, and its coefficients must be linear in ``values``,
-    with no offset; ``snap_breakpoints(plan, member)`` snaps a member's
-    breakpoints onto a configuration; and ``coordinates(plan, member,
-    breakpoints)`` gives the member's unsnapped value on each axis, given its
-    snapped breakpoints.
+    with no offset; ``snap_breakpoints(plan, member)`` gives the grid indices
+    of a configuration for a member's breakpoints, from the grid cells
+    ``plan.cell`` names; and ``coordinates(plan, member, breakpoints)`` gives
+    the member's unsnapped value on each axis, given its snapped breakpoints.
     """
 
     def to_signal(self, member, ambient_dim: int) -> Signal:
@@ -121,50 +111,8 @@ class FunctionClass:
         """Exact ``|x - prefix|`` as ``sqrt(|x|^2 - |prefix|^2)``, to ``1e-16 |x|^2 / tail^2`` relative."""
         return math.sqrt(max(self.norm(member) ** 2 - float(prefix @ prefix), 0.0))
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
         return ()
-
-    def enumerate_members(self, plan: NetPlan) -> Iterator:
-        """Every center in index order: configurations, then axis points."""
-        grids = [axis.points() for axis in plan.axes]
-        for breakpoints in plan.configurations():
-            for values in itertools.product(*grids):
-                yield self.member(breakpoints, values)
-
-    def materialized_decoder(self, plan: NetPlan, d: int) -> ConfigurationDecoder:
-        """A decoder over every center's first ``d`` coefficients, building none.
-
-        At a fixed configuration a center's coefficients are linear in its
-        ``k`` axis values, so its ``d x k`` map has column ``j`` equal to
-        ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions.
-        """
-        started = time.perf_counter()
-        configurations = tuple(plan.configurations())
-        units = np.eye(len(plan.axes))
-        maps = np.empty((len(configurations), d, len(plan.axes)))
-        for block, breakpoints in zip(maps, configurations):
-            for column, e in zip(block.T, units):
-                column[:] = self.coefficient_prefix(self.member(breakpoints, e), d)
-        logger.debug(
-            "configuration decoder maps: M=%d d=%d configurations=%d axes=%d bytes=%d"
-            " built in %.3fs", plan.size, d, len(configurations), len(plan.axes),
-            maps.nbytes, time.perf_counter() - started,
-        )
-        return ConfigurationDecoder(maps, configurations, plan.axes, self)
-
-    def round_coordinates(self, plan: NetPlan, member) -> tuple[tuple, tuple]:
-        """``(breakpoints, values)`` of the center that witnesses the covering of ``member``.
-
-        They compare equal to a decode's ``coordinates`` exactly when the
-        decoded center is this one.
-        """
-        breakpoints = self.snap_breakpoints(plan, member)
-        coordinates = self.coordinates(plan, member, breakpoints)
-        values = tuple(
-            axis.snap(float(value))
-            for axis, value in zip(plan.axes, coordinates, strict=True)
-        )
-        return breakpoints, values
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +296,7 @@ class PiecewiseSmoothClass(FunctionClass):
     def net_plan(self, eps1: float) -> NetPlan:
         """The net at ``eps1``, laid out from the exact error of its witness.
 
-        ``round_coordinates`` snaps a member's ``s`` breakpoints onto the ``P``-point
+        ``nets.round_coordinates`` snaps a member's ``s`` breakpoints onto the ``P``-point
         grid, then rounds piece ``j``'s polynomial, re-expanded about snapped
         piece ``j``'s midpoint, coefficient by coefficient: degree ``m`` at
         ``step_m``.  Let ``B_m`` be the degree-``m`` bound and ``delta = pi /
@@ -426,25 +374,23 @@ class PiecewiseSmoothClass(FunctionClass):
         )
         return PiecewiseDescription(breakpoints=breakpoints, piece_coefficients=pieces)
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
         if self.max_jumps == 0:
             return ()
-        positions = plan.positions
-        effective = TWO_PI / positions.size
-        indices: list[int] = []
-        for b in np.sort(np.asarray(member.breakpoints, dtype=np.float64)):
-            idx = int(math.floor((b + math.pi) / effective))
-            idx = max(0, min(positions.size - 1, idx))
-            indices.append(idx)
+        count = plan.breakpoint_count
+        indices = [
+            max(0, min(count - 1, plan.cell(b)))
+            for b in np.sort(np.asarray(member.breakpoints, dtype=np.float64))
+        ]
         # Enforce distinctness and the configuration gap, bumping forward.
         for t in range(1, len(indices)):
             indices[t] = max(indices[t], indices[t - 1] + plan.index_gap)
         while len(indices) < self.max_jumps:
             candidate = (indices[-1] + plan.index_gap) if indices else 0
             indices.append(candidate)
-        if indices and indices[-1] >= positions.size:
+        if indices and indices[-1] >= count:
             raise UsageError("member breakpoints cannot be snapped into the net grid")
-        return tuple(float(positions[i]) for i in indices)
+        return tuple(indices)
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
         """Piece ``j``'s polynomial about snapped piece ``j``'s midpoint, piece by piece.
@@ -610,15 +556,13 @@ class PiecewiseAnalyticClass(FunctionClass):
         steps = _circle_steps(breakpoints, values[:kappa])
         return AnalyticStepMember(smooth=Signal(np.array(values[kappa:])), steps=steps)
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[float, ...]:
+    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
         """Nearest free grid points on the circle, moving on past taken ones."""
-        positions = plan.positions
-        count = positions.size
-        effective = TWO_PI / count
+        count = plan.breakpoint_count
         taken: set[int] = set()
         indices: list[int] = []
         for b in _circle_jumps(member.steps):
-            idx = int(math.floor((b + math.pi) / effective)) % count
+            idx = plan.cell(b) % count
             while idx in taken:
                 idx = (idx + 1) % count
             taken.add(idx)
@@ -631,7 +575,7 @@ class PiecewiseAnalyticClass(FunctionClass):
                 raise UsageError("step positions cannot be snapped into the net grid")
             taken.add(idx)
             indices.append(idx)
-        return tuple(float(positions[i]) for i in sorted(indices))
+        return tuple(sorted(indices))
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
         """The step levels at the snapped arcs' midpoints, then the coefficients."""

@@ -3,16 +3,21 @@
 A covering net for a function class at resolution ``eps1`` is a finite set of
 members within ``eps1`` (in L2) of every member of the class.  A net is its
 layout, a ``NetPlan``, and the counts that follow from it; no member is built
-to count one, so counting works at any scale.  ``build_net`` labels a net by
-the decoder its plan calls for and, given the truncation dimension ``d``,
-builds it:
+to count one, so counting works at any scale.  This module alone reads the
+plan: center ``k`` is the same member in every walk of the net, whether
+``enumerate_members`` lists it, a decoder returns its index, or
+``round_coordinates`` rounds a member onto it.  A class supplies only hooks:
+``net_plan``, ``member``, ``snap_breakpoints`` and ``coordinates`` (see
+``function_classes.FunctionClass``).  ``build_net`` labels a net by the
+decoder its plan calls for and, given the truncation dimension ``d``, builds
+that decoder from the plan:
 
 - ``factored``: plans marked ``factored`` (single-jump piecewise-constant
   classes), at any size: ``FactoredStepDecoder`` gets every breakpoint's
   Gram at once from closed forms and FFTs.
 - ``configurations``: every other plan, by ``ConfigurationDecoder`` from one
   ``d x k`` linear map per breakpoint configuration, built for at most
-  ``m_max`` centers (``FunctionClass.materialized_decoder``).
+  ``m_max`` centers.
 
 A decoder serves one ``d`` and holds the class it covers.  Per operator it
 keeps only its search geometry, each configuration's factored Gram, built on
@@ -60,6 +65,8 @@ __all__ = [
     "DecodeResult",
     "NetPlan",
     "build_net",
+    "enumerate_members",
+    "round_coordinates",
     "gap_separated_count",
     "iter_gap_tuples",
     "position_grid",
@@ -408,14 +415,23 @@ class DecodeResult:
 class _GridDecoder:
     """The decode entry points both decoders share, for targets of length ``d``.
 
-    Per operator a decoder keeps only its search geometry (``_terms``, a slot
-    over ``_operator_terms``); a decode forms only ``_projections(pulled)``,
-    from the target pulled back to coefficient space.  ``_center(configuration,
-    values)`` builds the winner by ``family.member`` and ``_breakpoints``
-    names its configuration.
+    A decoder is built from its net's ``plan`` and searches that net alone:
+    ``configurations`` (each one's breakpoints) and the axis grids are the
+    plan's, so center ``k`` is configuration ``k // A`` at the ``k % A``-th
+    axis point in ``itertools.product`` order, ``A`` the product of the axis
+    counts: ``enumerate_members``'s order.  Per operator a decoder keeps only its search geometry
+    (``_terms``, a slot over ``_operator_terms``); a decode forms only
+    ``_projections(pulled)``, from the target pulled back to coefficient
+    space, and ``_center(configuration, values)`` builds the winner by
+    ``family.member``.
     """
 
-    d: int
+    def __init__(self, plan: NetPlan, d: int, family) -> None:
+        self.plan, self.d, self.family = plan, d, family
+        self.configurations = tuple(plan.configurations())
+        self._grids = [axis.points() for axis in plan.axes]
+        self._step = plan.axes[-1].step
+        self._terms = _OperatorSlot(self._operator_terms)
 
     def prepare(self, operator) -> _Geometry:
         """The geometry for ``operator``, built now if no decode under it has built it."""
@@ -441,7 +457,7 @@ class _GridDecoder:
         # squared distance minus |y|^2), which cancels when it is small.
         measured = operator.scale * (operator.frame @ coefficients)
         distance = float(np.linalg.norm(y - measured))
-        coordinates = (self._breakpoints(configuration), values)
+        coordinates = (self.configurations[configuration], values)
         return DecodeResult(member, index, distance, coefficients, measured, coordinates)
 
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
@@ -460,19 +476,18 @@ class _GridDecoder:
         return self.decode_measurements(target, MeasurementOperator(identity, seed=0))
 
 
-@dataclass
 class FactoredStepDecoder(_GridDecoder):
-    """Exact nearest-member search over a single-jump step-function net.
+    """Exact nearest-member search over a ``factored`` plan's single-jump step-function net.
 
-    Members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, ``b`` on a
-    breakpoint grid and the levels on a shared symmetric grid.  A breakpoint
-    is a configuration of two axes, the pre-jump indicator ``w(b)`` and the
-    post-jump ``v - w(b)`` (``v`` the constant one): with ``g00 = |w|^2``,
-    ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is ``g01 = g0f - g00``
-    and ``g11 = gff - 2 g0f + g00``.  The breakpoints must be a uniform grid
-    of pitch ``2 pi / P`` (as ``position_grid`` makes them): every term is
-    then a trigonometric polynomial in ``b``, and one real inverse FFT of
-    length ``P`` evaluates it on all ``P`` breakpoints at once.
+    Members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, ``b`` on
+    the plan's breakpoint grid and the levels on its shared level grid.  A
+    breakpoint is a configuration of two axes, the pre-jump indicator
+    ``w(b)`` and the post-jump ``v - w(b)`` (``v`` the constant one): with
+    ``g00 = |w|^2``, ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is
+    ``g01 = g0f - g00`` and ``g11 = gff - 2 g0f + g00``.  The plan's
+    ``positions`` are uniform at pitch ``2 pi / P``: every term is then a
+    trigonometric polynomial in ``b``, and one real inverse FFT of length
+    ``P`` evaluates it on all ``P`` breakpoints at once.
 
     The decoder serves targets of length ``d`` for ``family``, whose
     ``member`` and ``coefficient_prefix`` build and expand the decoded
@@ -480,27 +495,16 @@ class FactoredStepDecoder(_GridDecoder):
     and its geometry per operator.
     """
 
-    positions: np.ndarray
-    levels: np.ndarray
-    level_step: float
-    d: int
-    family: object
-
-    def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.levels = np.asarray(self.levels, dtype=np.float64)
-        if self.positions.ndim != 1 or self.positions.size < 1:
-            raise UsageError("breakpoint positions must be a nonempty 1-d grid")
-        pitch = TWO_PI / self.positions.size
-        if not np.allclose(np.diff(self.positions), pitch, rtol=0.0, atol=1e-12):
-            raise UsageError("breakpoint positions must have the uniform pitch 2 pi / P")
+    def __init__(self, plan: NetPlan, d: int, family) -> None:
+        if not plan.factored:
+            raise UsageError("a factored step decoder needs a factored plan: one jump, one level grid")
+        super().__init__(plan, d, family)
+        self.positions = plan.positions
         self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         self._shift.setflags(write=False)
-        self._grids, self._step = (self.levels, self.levels), self.level_step
         # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
         self._phases = 0.5 * np.exp(1j * np.arange(self.d // 2 + 1) * self.positions[0])
         self._phases.setflags(write=False)
-        self._terms = _OperatorSlot(self._operator_terms)
 
     def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
@@ -572,40 +576,38 @@ class FactoredStepDecoder(_GridDecoder):
         q0 = self._indicator_products(pulled)
         return q0, _SQRT_2PI * pulled[0] - q0  # <R v, y> = <v, R^T y> for the constant one v = sqrt(2 pi) e_0
 
-    def _breakpoints(self, configuration: int) -> tuple[float, ...]:
-        return (float(self.positions[configuration]),)
-
     def _center(self, configuration: int, values: tuple):
-        member = self.family.member(self._breakpoints(configuration), values)
+        member = self.family.member(self.configurations[configuration], values)
         return member, self.family.coefficient_prefix(member, self.d)
 
 
-@dataclass(eq=False)
 class ConfigurationDecoder(_GridDecoder):
-    """Exact nearest-member search over a net given by one map per configuration.
+    """Exact nearest-member search over any plan's net, by one map per configuration.
 
     ``maps[c]`` (read-only) takes configuration ``c``'s ``k`` axis values to
-    a center's first ``d`` coefficients; centers are indexed by
-    configuration, then the axis grid in ``itertools.product`` order.  The
-    Grams are ``scale * frame @ maps``'s, per operator, and the projections
-    are the pulled-back target times the maps.  The decoded center is built
-    by ``family.member(breakpoints, values)``, its coefficients by its map.
+    a center's first ``d`` coefficients.  At a fixed configuration a center's
+    coefficients are linear in its axis values, so column ``j`` of the map is
+    ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions per
+    configuration, built at construction, and no center's.  The Grams are
+    ``scale * frame @ maps``'s, per operator, and the projections are the
+    pulled-back target times the maps.  The decoded center is built by
+    ``family.member(breakpoints, values)``, its coefficients by its map.
     """
 
-    maps: np.ndarray
-    configurations: tuple[tuple[float, ...], ...]
-    axes: tuple[AxisLog, ...]
-    family: object
-
-    def __post_init__(self) -> None:
-        self.maps = np.ascontiguousarray(self.maps, dtype=np.float64)
-        shape = (len(self.configurations), len(self.axes))
-        if self.maps.ndim != 3 or self.maps.shape[::2] != shape:
-            raise UsageError(f"expected {shape[0]} d x {shape[1]} maps, got {self.maps.shape}")
+    def __init__(self, plan: NetPlan, d: int, family) -> None:
+        super().__init__(plan, d, family)
+        started = time.perf_counter()
+        units = np.eye(len(plan.axes))
+        self.maps = np.empty((len(self.configurations), d, len(plan.axes)))
+        for block, breakpoints in zip(self.maps, self.configurations):
+            for column, e in zip(block.T, units):
+                column[:] = family.coefficient_prefix(family.member(breakpoints, e), d)
         self.maps.flags.writeable = False
-        self.d = self.maps.shape[1]
-        self._grids, self._step = [axis.points() for axis in self.axes], self.axes[-1].step
-        self._terms = _OperatorSlot(self._operator_terms)
+        logger.debug(
+            "configuration decoder maps: M=%d d=%d configurations=%d axes=%d bytes=%d"
+            " built in %.3fs", plan.size, d, len(self.configurations), len(plan.axes),
+            self.maps.nbytes, time.perf_counter() - started,
+        )
 
     def _operator_terms(self, operator) -> _Geometry:
         """The projected maps' Grams and their factor, kept read-only and shared."""
@@ -616,9 +618,6 @@ class ConfigurationDecoder(_GridDecoder):
 
     def _projections(self, pulled: np.ndarray):
         return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
-
-    def _breakpoints(self, configuration: int) -> tuple[float, ...]:
-        return self.configurations[configuration]
 
     def _center(self, configuration: int, values: tuple):
         member = self.family.member(self.configurations[configuration], values)
@@ -701,6 +700,32 @@ class NetPlan:
         for combo in iter_gap_tuples(positions.size, self.jumps, self.index_gap):
             yield tuple(float(positions[i]) for i in combo)
 
+    def cell(self, b: float) -> int:
+        """The unclamped index ``p`` of the cell ``[-pi + p 2 pi / P, -pi + (p + 1) 2 pi / P)`` holding ``b``."""
+        return int(math.floor((b + math.pi) / (TWO_PI / self.breakpoint_count)))
+
+
+def enumerate_members(family, plan: NetPlan) -> Iterator:
+    """Every center of ``plan``'s net in the decoders' index order: configurations, then axis points."""
+    grids = [axis.points() for axis in plan.axes]
+    for breakpoints in plan.configurations():
+        for values in itertools.product(*grids):
+            yield family.member(breakpoints, values)
+
+
+def round_coordinates(family, plan: NetPlan, member) -> tuple[tuple, tuple]:
+    """``(breakpoints, values)`` of the center of ``plan``'s net that witnesses the covering of ``member``.
+
+    ``family.snap_breakpoints`` picks the member's grid points by index, and
+    ``family.coordinates`` gives its unsnapped value on each axis, which is
+    snapped onto that axis.  The result compares equal to a decode's
+    ``coordinates`` exactly when the decoded center is this one.
+    """
+    breakpoints = tuple(float(plan.positions[i]) for i in family.snap_breakpoints(plan, member))
+    coordinates = family.coordinates(plan, member, breakpoints)
+    values = tuple(axis.snap(float(value)) for axis, value in zip(plan.axes, coordinates, strict=True))
+    return breakpoints, values
+
 
 def _smooth_length(minimum: int) -> int:
     """The smallest ``2^a 3^b 5^c`` at least ``minimum``: ``position_grid``'s ``P``, an FFT length without large primes."""
@@ -769,12 +794,10 @@ def build_net(
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
     plan = family.net_plan(eps1)
     decoder = None
-    if d is not None and plan.factored:
-        decoder = FactoredStepDecoder(plan.positions, plan.axes[0].points(), plan.axes[0].step, d, family)
-    elif d is not None:
-        if plan.size > m_max:
+    if d is not None:
+        if not plan.factored and plan.size > m_max:
             raise NetTooLargeError(f"net with {plan.size} centers is over m_max = {m_max}: no maps are built")
-        decoder = family.materialized_decoder(plan, d)
+        decoder = (FactoredStepDecoder if plan.factored else ConfigurationDecoder)(plan, d, family)
     return CoveringNet(family, plan, decoder, m_max)
 
 
@@ -794,7 +817,7 @@ def dump_net(stream: IO[str], net: CoveringNet, ambient_dim: int) -> None:
     _refuse_to_write(net, ambient_dim)
     spec = net.family.spec_string()
     stream.write(f"eps1={net.plan.eps1:.17g} M={net.size} spec={spec}\n")
-    for index, member in enumerate(net.family.enumerate_members(net.plan)):
+    for index, member in enumerate(enumerate_members(net.family, net.plan)):
         if index:
             stream.write("---\n")
         dump_signal(stream, net.family.to_signal(member, ambient_dim))

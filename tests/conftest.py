@@ -236,7 +236,7 @@ def decoder_rows(decoder) -> np.ndarray:
     Each is its configuration's map times its axis point, in
     ``itertools.product`` order, the product the decoder forms for a winner.
     """
-    points = [np.array(p) for p in itertools.product(*(axis.points() for axis in decoder.axes))]
+    points = [np.array(p) for p in itertools.product(*(axis.points() for axis in decoder.plan.axes))]
     return np.array([block @ point for block in decoder.maps for point in points])
 
 
@@ -275,9 +275,9 @@ def factor_per_decode(decoder, raw, pulled: np.ndarray):
     q0 = decoder._indicator_products(pulled)
     q1 = math.sqrt(2.0 * math.pi) * pulled[0] - q0
     g01 = g0f - g00
-    grids = (decoder.levels, decoder.levels)
+    grids = (decoder.plan.axes[0].points(), decoder.plan.axes[0].points())
     geometry = nets._grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], grids)
-    return nets._nearest_on_grid(geometry, (q0, q1), grids, decoder.level_step)
+    return nets._nearest_on_grid(geometry, (q0, q1), grids, decoder.plan.axes[0].step)
 
 
 def per_decode_copy(decoder):

@@ -23,7 +23,7 @@ from netsketch.function_classes import (
 )
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM
 from netsketch.jl import apply_operator, failure_bound, required_measurements
-from netsketch.nets import build_net
+from netsketch.nets import build_net, round_coordinates
 from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
 
 # Piecewise-constant reconstruction target: one jump, unit levels, eps = 0.6.
@@ -161,7 +161,7 @@ def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, 
     assert np.array_equal(sketch, apply_operator(operator, x_d))
     assert audit.ambient_error == family.distance(member, outcome.member)
     center = family.coefficient_prefix(outcome.member, d)
-    witness = family.member(*family.round_coordinates(sampler.net.plan, member))
+    witness = family.member(*round_coordinates(family, sampler.net.plan, member))
     budget = sampler.budget
     assert audit.witness_error == family.distance(member, witness) <= budget.resolution
     upper = _distortion_ratio(operator, x_d - family.coefficient_prefix(witness, d))

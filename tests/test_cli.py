@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from conftest import split_net_text
 
-from netsketch import function_classes, reconstructor
+from netsketch import experiment, function_classes, nets, reconstructor
 from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
 from netsketch.jl import failure_bound, required_measurements
-from netsketch.nets import gap_separated_count
+from netsketch.nets import enumerate_members, gap_separated_count
 
 SMOOTH_EXPERIMENT = """
 class = smooth
@@ -241,25 +241,23 @@ def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys
     plans = []
     inside = []
     analyze = function_classes.analyze_piecewise
-    build = function_classes.FunctionClass.materialized_decoder
+    build = nets.ConfigurationDecoder.__init__
 
     def recording_analyze(description, dim):
         if inside:
             dims.append(dim)
         return analyze(description, dim)
 
-    def recording_build(self, plan, d):
+    def recording_build(self, plan, d, family):
         plans.append(plan)
         inside.append(True)
         try:
-            return build(self, plan, d)
+            return build(self, plan, d, family)
         finally:
             inside.pop()
 
     monkeypatch.setattr(function_classes, "analyze_piecewise", recording_analyze)
-    monkeypatch.setattr(
-        function_classes.FunctionClass, "materialized_decoder", recording_build
-    )
+    monkeypatch.setattr(nets.ConfigurationDecoder, "__init__", recording_build)
     cfg = _write(tmp_path, "exp.cfg", MATERIALIZED_EXPERIMENT.format(mode="fixed_w"))
     out = tmp_path / "out"
     assert main(["experiment", "run", cfg, "--out", str(out)]) == 0
@@ -357,7 +355,7 @@ def test_net_build_writes_net_file(tmp_path, capsys):
     header, blocks = split_net_text((tmp_path / "net.txt").read_text(encoding="utf-8"))
     assert header == f"eps1=0.5 M=39 spec={family.spec_string()}"
     assert len(blocks) == 39
-    for lines, member in zip(blocks, family.enumerate_members(family.net_plan(0.5))):
+    for lines, member in zip(blocks, enumerate_members(family, family.net_plan(0.5))):
         assert lines[0] == "basis=trig ambient_dim=4096"
         np.testing.assert_array_equal(
             [float(line) for line in lines[1:]],
@@ -412,9 +410,7 @@ def test_net_build_refuses_a_nonpositive_ambient_dim_before_writing(tmp_path, ca
 
 def test_experiment_over_m_max_exits_before_building_maps(tmp_path, capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(
-        function_classes.FunctionClass, "materialized_decoder", lambda *args: built.append(args)
-    )
+    monkeypatch.setattr(nets, "ConfigurationDecoder", lambda *args: built.append(args))
     text = TAILFIT.replace("validation_samples = 20\n", "") + (
         "eps = 4.5\np = 0.5\ntrials = 2\nmode = fixed_w\nm_max = 1000\n"
         "ambient_dim = 512\ntail_samples = 10\ntail_dims = 32,64,128\n"
@@ -622,17 +618,17 @@ def test_internal_error_exits_two(tmp_path, capsys, monkeypatch):
 def test_a_net_that_does_not_cover_exits_two(tmp_path, capsys, monkeypatch):
     # A mutant rounding whose witness sits at the far end of every level axis:
     # the audit finds it more than eps1 from the member, a defect in the net.
-    rounding = function_classes.FunctionClass.round_coordinates
+    rounding = experiment.round_coordinates
 
-    def far_coordinates(self, plan, member):
-        breakpoints, values = rounding(self, plan, member)
+    def far_coordinates(family, plan, member):
+        breakpoints, values = rounding(family, plan, member)
         far = tuple(
             axis.snap(-math.copysign(axis.count * axis.step, value))
             for axis, value in zip(plan.axes, values)
         )
         return breakpoints, far
 
-    monkeypatch.setattr(function_classes.FunctionClass, "round_coordinates", far_coordinates)
+    monkeypatch.setattr(experiment, "round_coordinates", far_coordinates)
     cfg = _write(tmp_path, "step.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
     assert main(["experiment", "run", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "does not cover its class" in capsys.readouterr().err

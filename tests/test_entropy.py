@@ -16,7 +16,8 @@ from netsketch.entropy import (
 )
 from netsketch.errors import UsageError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
-from netsketch.jl import required_measurements
+from netsketch.jl import certified_measurements, required_measurements
+from netsketch.reconstructor import CHAIN_BAND
 from netsketch.nets import build_net
 
 
@@ -143,3 +144,14 @@ def test_within_measurement_budget_holds_the_union_bound_count(jl_constant, p, s
     # The rate at c bounds ceil(c ln((M + 1) / (1 - p))) for every c > 0.
     n = required_measurements(p, size + 1, jl_constant)
     assert within_measurement_budget(n, p, math.log2(size), jl_constant)
+
+
+@pytest.mark.parametrize("d", [40, 100, 1_000])
+def test_within_measurement_budget_misses_the_certified_floor(d):
+    # For c >= 1 / KAPPA_LOWER the certified count can pass the rate: at c 4
+    # a 7-center net needs n 33 for the chain's band, not the union-bound
+    # count 12, and 33 > 8 log2 7 + 9 = 31.46.
+    assert required_measurements(0.5, 8, 4.0) == 12
+    n = certified_measurements(0.5, d, 7, CHAIN_BAND, 4.0)
+    assert n == 33
+    assert not within_measurement_budget(n, 0.5, math.log2(7), 4.0)

@@ -30,7 +30,7 @@ from netsketch.function_classes import (
     SmoothClass,
     TailDecayModel,
 )
-from netsketch.nets import build_net
+from netsketch.nets import build_net, round_coordinates
 
 SMOOTH_CONFIG = """
 # exact-measurement smoke experiment
@@ -321,12 +321,12 @@ def test_fixed_x_builds_its_witness_once_in_set_up(monkeypatch):
     # One member for every trial, so one rounding and one expansion of its
     # witness; each trial's audit still matches one that finds w afresh.
     rounds = []
-    round_coordinates = PiecewiseSmoothClass.round_coordinates
+    rounding = experiment.round_coordinates
     audit = experiment.audit_trial
 
-    def counted_round(self, plan, member):
+    def counted_round(family, plan, member):
         rounds.append(None)
-        return round_coordinates(self, plan, member)
+        return rounding(family, plan, member)
 
     def compared_audit(sampler, member, x_d, sketch, outcome, delta, trial, witness):
         result = audit(sampler, member, x_d, sketch, outcome, delta, trial, witness)
@@ -336,7 +336,7 @@ def test_fixed_x_builds_its_witness_once_in_set_up(monkeypatch):
         del rounds[count:]
         return result
 
-    monkeypatch.setattr(PiecewiseSmoothClass, "round_coordinates", counted_round)
+    monkeypatch.setattr(experiment, "round_coordinates", counted_round)
     monkeypatch.setattr(experiment, "audit_trial", compared_audit)
     text = FACTORED_FIXED_W_CONFIG.replace("fixed_w", "fixed_x").replace("trials = 4", "trials = 6")
     run_experiment(load_experiment_config(text))
@@ -376,7 +376,7 @@ def frame_products_per_trial(monkeypatch, text):
 
     def recorded_audit(sampler, member, x_d, sketch, outcome, *args):
         family = sampler.net.family
-        witness = family.round_coordinates(sampler.net.plan, member)
+        witness = round_coordinates(family, sampler.net.plan, member)
         same.append(witness == outcome.coordinates)
         return audit(sampler, member, x_d, sketch, outcome, *args)
 
@@ -423,7 +423,7 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
     run_experiment(load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 6")))
     sampler, member, x_d, outcome, result = audits[4]
     family, plan = sampler.net.family, sampler.net.plan
-    coordinates = family.round_coordinates(plan, member)
+    coordinates = round_coordinates(family, plan, member)
     nearest = sampler.decoder.decode_coefficients(x_d)
     assert coordinates != nearest.coordinates
     assert coordinates != outcome.coordinates
@@ -470,7 +470,7 @@ def test_the_witness_covers_every_sampled_member(witness_samplers, name, seed):
     outcome = reconstructor.reconstruct(sampler, sketch)
     audit = experiment.audit_trial(sampler, member, x_d, sketch, outcome, 0.0, seed)
     assert audit.witness_error <= sampler.budget.resolution
-    coordinates = family.round_coordinates(sampler.net.plan, member)
+    coordinates = round_coordinates(family, sampler.net.plan, member)
     if coordinates == outcome.coordinates:
         assert audit.witness_error == audit.ambient_error
         assert audit.upper_ratio == audit.lower_ratio

@@ -183,6 +183,7 @@ def test_expansion_leaves_numpy_polynomial_unimported():
         "import numpy as np\n"
         "from netsketch.config import CLASSES\n"
         "from netsketch.function_classes import PiecewiseSmoothClass\n"
+        "from netsketch.nets import round_coordinates\n"
         "rng = np.random.default_rng(1)\n"
         "for degree in (0, 2):\n"
         "    family = PiecewiseSmoothClass(degree, 1, 1.0, 0.5, 1.0)\n"
@@ -196,7 +197,7 @@ def test_expansion_leaves_numpy_polynomial_unimported():
         "for family, eps1 in cases:\n"
         "    a, b = family.sample(rng, 64), family.sample(rng, 64)\n"
         "    family.distance(a, b)\n"
-        "    family.member(*family.round_coordinates(family.net_plan(eps1), a))\n"
+        "    family.member(*round_coordinates(family, family.net_plan(eps1), a))\n"
         "    getattr(a, 'steps', a).evaluate(np.linspace(-4.0, 4.0, 9))\n"
         "print(*sys.modules)\n"
     )

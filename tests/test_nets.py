@@ -44,12 +44,15 @@ from netsketch.nets import (
     AxisLog,
     ConfigurationDecoder,
     FactoredStepDecoder,
+    NetPlan,
     build_net,
     dump_net,
+    enumerate_members,
     gap_separated_count,
     grid_count,
     iter_gap_tuples,
     position_grid,
+    round_coordinates,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -73,12 +76,12 @@ def step_decoder(eps1, d):
 
 def factored_size(decoder):
     """The members a factored step decoder searches: breakpoints times two levels."""
-    return decoder.positions.size * decoder.levels.size**2
+    return decoder.positions.size * decoder.plan.axes[0].points().size**2
 
 
 def centers(net):
     """Every center of a net, in index order."""
-    return list(net.family.enumerate_members(net.plan))
+    return list(enumerate_members(net.family, net.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,7 @@ def test_flat_class_net_is_a_single_member():
     rng = np.random.default_rng(11)
     for _ in range(10):
         member = family.sample(rng, 64)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 6.0
 
 
@@ -213,7 +216,7 @@ def test_two_jump_net_configurations():
     rng = np.random.default_rng(21)
     for _ in range(15):
         member = family.sample(rng, 256)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 3.0
         assert witness.breakpoints[1] - witness.breakpoints[0] >= 3 * effective - 1e-12
 
@@ -230,7 +233,7 @@ def test_rounding_bumps_colliding_breakpoints_forward():
         breakpoints=(0.0, 0.8),
         piece_coefficients=((0.5,), (-0.5,), (0.0,)),
     )
-    witness = family.member(*family.round_coordinates(plan, member))
+    witness = family.member(*round_coordinates(family, plan, member))
     np.testing.assert_array_equal(witness.breakpoints, plan.positions[[9, 12]])
 
 
@@ -246,7 +249,7 @@ def test_witness_within_resolution_single_jump():
     rng = np.random.default_rng(101)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 0.5
 
 
@@ -259,7 +262,7 @@ def test_witness_within_resolution_piecewise_linear():
     rng = np.random.default_rng(202)
     for _ in range(25):
         member = family.sample(rng, 512)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 0.75
 
 
@@ -298,7 +301,7 @@ def test_witness_within_resolution_for_adversarial_members(degree, jumps, eps1, 
     )
     member = PiecewiseDescription(breakpoints, pieces)
     assert family.contains(member)
-    assert family.distance(member, family.member(*family.round_coordinates(plan, member))) <= eps1
+    assert family.distance(member, family.member(*round_coordinates(family, plan, member))) <= eps1
 
 
 def test_witness_within_resolution_smooth():
@@ -308,7 +311,7 @@ def test_witness_within_resolution_smooth():
     rng = np.random.default_rng(303)
     for _ in range(40):
         member = family.sample(rng, 512)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 0.5
 
 
@@ -319,7 +322,7 @@ def test_witness_within_resolution_analytic():
     rng = np.random.default_rng(404)
     for _ in range(20):
         member = family.sample(rng, 512)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 1.0
 
 
@@ -336,7 +339,7 @@ def test_witness_within_resolution_with_a_step_at_pi(jumps):
         positions = (-math.pi, *np.sort(rng.uniform(-math.pi, math.pi, jumps - 1)))
         member = AnalyticStepMember(smooth, _circle_steps(positions, rng.uniform(-1.0, 1.0, jumps)))
         assert len(member.steps.breakpoints) == jumps - 1 and family.contains(member)
-        witness = family.member(*family.round_coordinates(plan, member))
+        witness = family.member(*round_coordinates(family, plan, member))
         assert family.distance(member, witness) <= 1.0
 
 
@@ -366,10 +369,10 @@ def test_witness_is_a_center_bit_for_bit():
         indices = {member_bytes(center): index for index, center in enumerate(members)}
         assert len(indices) == net.size
         for _ in range(40):
-            witness = family.member(*family.round_coordinates(net.plan, family.sample(rng, 128)))
+            witness = family.member(*round_coordinates(family, net.plan, family.sample(rng, 128)))
             assert member_bytes(witness) in indices
         for index in rng.choice(net.size, size=min(40, net.size), replace=False):
-            fixed = member_bytes(family.member(*family.round_coordinates(net.plan, members[index])))
+            fixed = member_bytes(family.member(*round_coordinates(family, net.plan, members[index])))
             assert indices[fixed] == index
 
 
@@ -436,7 +439,7 @@ def test_auto_mode_selection_and_budget(monkeypatch):
     )
     over = build_net(family, 0.75, m_max=1000)
     assert over.mode == "configurations" and over.decoder is None and over.size > 1000
-    monkeypatch.setattr(PiecewiseSmoothClass, "materialized_decoder", None)
+    monkeypatch.setattr(nets, "ConfigurationDecoder", None)
     with pytest.raises(NetTooLargeError):
         build_net(family, 0.75, m_max=1000, d=16)
 
@@ -606,12 +609,6 @@ def test_operator_terms_match_the_dense_closed_form():
                 np.testing.assert_allclose(q1, after @ y, rtol=0.0, atol=1e-12)
 
 
-def test_decoder_rejects_positions_off_the_uniform_grid():
-    positions = np.linspace(-3.0, 3.0, 8)
-    with pytest.raises(UsageError):
-        FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, 8, step_class())
-
-
 def test_operator_terms_follow_the_operator():
     plan = step_class().net_plan(1.5)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
@@ -624,7 +621,7 @@ def test_operator_terms_follow_the_operator():
     # Both decoders keep per-operator terms in one shared slot.
     for make_decoder in (
         lambda: step_decoder(1.5, 40),
-        lambda: step_class().materialized_decoder(plan, 40),
+        lambda: ConfigurationDecoder(plan, 40, step_class()),
     ):
         expected = [decode_all(make_decoder(), operator) for operator in operators]
         decoder = make_decoder()
@@ -666,7 +663,7 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
     y = np.random.default_rng(43).normal(size=9)
     for make_decoder in (
         lambda: step_decoder(1.5, 40),
-        lambda: step_class().materialized_decoder(plan, 40),
+        lambda: ConfigurationDecoder(plan, 40, step_class()),
     ):
         builds.clear()
         decoder = make_decoder()
@@ -783,7 +780,7 @@ def test_each_geometry_is_factored_once(monkeypatch):
     kept = []
     # Neither decoder builds terms at construction; each factors once per
     # operator, and a coefficient decode once per call, for the identity.
-    for decoder in (step_decoder(1.5, 40), step_class().materialized_decoder(plan, 40)):
+    for decoder in (step_decoder(1.5, 40), ConfigurationDecoder(plan, 40, step_class())):
         assert factored == [] and decoder._terms._held is None
         for count, operator in enumerate(operators, start=1):
             for _ in range(3):
@@ -851,7 +848,7 @@ def reference_rows(family, plan, d):
     configuration, kept here as the oracle.
     """
     rows = np.empty((plan.size, d))
-    for row, member in zip(rows, family.enumerate_members(plan)):
+    for row, member in zip(rows, enumerate_members(family, plan)):
         row[:] = family.coefficient_prefix(member, d)
     return rows
 
@@ -875,8 +872,8 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
     rng = np.random.default_rng(plan.size)
     k = len(plan.axes)
     for d in (3, 16):
-        with caplog.at_level(logging.DEBUG, logger="netsketch.function_classes"):
-            decoder = family.materialized_decoder(plan, d)
+        with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
+            decoder = ConfigurationDecoder(plan, d, family)
         assert re.fullmatch(
             rf"configuration decoder maps: M={plan.size} d={d}"
             rf" configurations={plan.config_count} axes={k}"
@@ -934,7 +931,7 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
     for d in (1, 2, 3, 4, 7, 43):
         net = build_net(family, eps1, d=d)
         assert net.mode == "factored" and isinstance(net.decoder, FactoredStepDecoder)
-        oracle = family.materialized_decoder(plan, d)
+        oracle = ConfigurationDecoder(plan, d, family)
         operator = random_subspace(d, max(1, d // 2), seed=d)
         targets = [
             step_member_coefficients(rng.choice(plan.positions), *rng.choice(levels, 2), d)
@@ -972,7 +969,7 @@ def test_decoder_input_validation():
     other = random_subspace(17, 7, seed=9)
     for decoder in (
         step_decoder(1.5, 16),
-        step_class().materialized_decoder(step_class().net_plan(1.5), 16),
+        ConfigurationDecoder(step_class().net_plan(1.5), 16, step_class()),
     ):
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.zeros((2, 3)))
@@ -989,8 +986,9 @@ def test_decoder_input_validation():
         with pytest.raises(UsageError):
             decoder.prepare(other)
         assert decoder._terms._held is None
-    with pytest.raises(UsageError):
-        dataclasses.replace(decoder, maps=decoder.maps[1:])
+    # The step decoder searches factored plans only.
+    with pytest.raises(UsageError, match="factored plan"):
+        FactoredStepDecoder(step_class(degree=1).net_plan(6.0), 16, step_class(degree=1))
 
 
 # ---------------------------------------------------------------------------
@@ -1016,22 +1014,24 @@ def length_p_on_breakpoints(positions, series):
     return np.fft.ifft(spectrum, axis=-1, norm="forward", out=spectrum).real
 
 
-def grid_decoder(count, start, d):
-    """A factored decoder at ``d`` on ``count`` breakpoints from ``start``, 2 pi / count apart."""
-    positions = start + (TWO_PI / count) * np.arange(count)
-    return FactoredStepDecoder(positions, symmetric_grid(1.0, 0.5), 0.5, d, step_class())
+def grid_decoder(count, d):
+    """A factored decoder at ``d`` on a plan of ``count`` breakpoints, any ``count``."""
+    level = AxisLog(grid_count(1.0, 0.5), 0.5)
+    plan = NetPlan(eps1=1.0, axes=(level, level), breakpoint_count=count, jumps=1, factored=True)
+    return FactoredStepDecoder(plan, d, step_class())
 
 
-@pytest.mark.parametrize("offset", [0.0, 0.5])
+# Every plan's grid starts half a pitch in, the one offset a decoder can have.
+@pytest.mark.parametrize("offset", [0.5])
 @pytest.mark.parametrize("count", [1, 2, 45, 70, 97, 10_054, 10_125])
 def test_on_breakpoints_matches_the_length_p_oracle(count, offset):
     # _on_breakpoints on smooth (1, 2, 45, 10,125) and rough (70, 97,
     # 10,054) grids alike, at a d whose series reach 3 P + 1 frequencies, so
     # the longest series fold three whole turns.  Widths P // 2 + 1 and
     # P // 2 + 2 reach the first bins folded onto P - f (the Nyquist bin of
-    # an even P), and 2 P - 1 ends one bin short of a second whole turn.  The
-    # grid starts at -pi, or half a pitch in as a net's does.
-    decoder = grid_decoder(count, -math.pi + offset * TWO_PI / count, 2 * (3 * count + 1))
+    # an even P), and 2 P - 1 ends one bin short of a second whole turn.
+    decoder = grid_decoder(count, 2 * (3 * count + 1))
+    assert decoder.positions[0] == -math.pi + offset * TWO_PI / count
     rng = np.random.default_rng(count)
     widths = (1, 2, count // 2, count // 2 + 1, count // 2 + 2, count, 2 * count - 1, 3 * count + 1)
     for width in widths:
@@ -1117,19 +1117,19 @@ def full_sweep(self, geometry, pulled):
     and ``pulled = R^T y``; ``q1 = <v, y> - q0`` for the constant one's image
     ``v = sqrt(2 pi) R[:, 0]`` is ``sqrt(2 pi) pulled[0] - q0``.
     """
-    c0 = self.levels
+    c0 = self.plan.axes[0].points()
     q0 = self._indicator_products(pulled)
     q1 = math.sqrt(TWO_PI) * pulled[0] - q0
     (g00, g01), (_, g11) = geometry.gram
-    half = (self.levels.size - 1) // 2
+    half = (self.plan.axes[0].points().size - 1) // 2
     k = np.multiply.outer(g01, c0)
     np.subtract(q1[:, None], k, out=k)
     k /= g11[:, None]
-    k /= self.level_step
+    k /= self.plan.axes[0].step
     k += 0.5
     np.floor(k, out=k)
     np.clip(k, -half, half, out=k)
-    c1 = k * self.level_step
+    c1 = k * self.plan.axes[0].step
     objective = np.multiply.outer(q0, c0)
     term = c1 * q1[:, None]
     objective += term
@@ -1150,7 +1150,7 @@ def bench_step_decoders(d):
     """The bench step class's factored decoder at eps = 0.6 (eps1 = 0.1) and
     ``d``, and a copy that sweeps every breakpoint."""
     decoder = step_decoder(0.1, d)
-    assert (decoder.positions.size, decoder.levels.size) == (2_592, 37)
+    assert (decoder.positions.size, decoder.plan.axes[0].points().size) == (2_592, 37)
     reference = copy.copy(decoder)
     reference._search = types.MethodType(full_sweep, reference)
     return decoder, reference
@@ -1182,11 +1182,11 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
     operator = random_subspace(d, n, seed=operator_seed)
     rng = np.random.default_rng(data_seed)
     if kind == "constant":
-        level = rng.choice(decoder.levels)  # c * 1 ties at every breakpoint
+        level = rng.choice(decoder.plan.axes[0].points())  # c * 1 ties at every breakpoint
         target = step_member_coefficients(0.0, level, level, d)
     else:
         b = rng.choice(decoder.positions)
-        target = step_member_coefficients(b, *rng.choice(decoder.levels, 2), d)
+        target = step_member_coefficients(b, *rng.choice(decoder.plan.axes[0].points(), 2), d)
         target += noise * rng.normal(size=d)
     for decode in (
         lambda dec, x: dec.decode_coefficients(x),
@@ -1210,7 +1210,7 @@ def test_kept_factor_decodes_as_the_per_decode_factor():
     rng = np.random.default_rng(61)
     targets = [rng.normal(scale=0.5, size=d) for _ in range(4)]
     # Constant members tie at every breakpoint.
-    targets += [step_member_coefficients(0.0, level, level, d) for level in decoder.levels[::17]]
+    targets += [step_member_coefficients(0.0, level, level, d) for level in decoder.plan.axes[0].points()[::17]]
 
     def decodes(dec, target, operator):
         results = [
@@ -1247,12 +1247,12 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     rng = np.random.default_rng(101)
     targets = []
     for _ in range(20):
-        c0, c1 = rng.choice(decoder.levels, 2, replace=False)
+        c0, c1 = rng.choice(decoder.plan.axes[0].points(), 2, replace=False)
         targets.append(step_member_coefficients(rng.choice(decoder.positions), c0, c1, d))
     # A constant (c0 = c1) ties at every breakpoint, so none can be pruned;
     # the level window still skips all levels but about one of each.
     for noise in (0.0, 1e-3):
-        level = rng.choice(decoder.levels)
+        level = rng.choice(decoder.plan.axes[0].points())
         targets.append(step_member_coefficients(0.0, level, level, d) + noise * rng.normal(size=d))
     with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
         for target in targets:

@@ -1,17 +1,22 @@
-"""Every public package name is used outside the tests.
+"""Every public name is used outside the tests, and one module owns the net.
 
-A name in ``netsketch.__all__`` that no library module and no benchmark
-script reads is code that only tests call.  This walks the package modules
-(not ``__init__.py``, which only re-exports) and ``perfbench/*.py`` and
-lists the public names that none of them loads.
+A name in ``netsketch.__all__`` or in a module's ``__all__`` that no library
+module and no benchmark script reads is code that only tests call.  This
+walks the package modules (not ``__init__.py``, which only re-exports) and
+``perfbench/*.py`` and lists the public names that none of them loads.
+
+``nets`` alone builds the decoders, from a net's ``NetPlan``: no other
+module constructs one, and ``function_classes``, which supplies only the
+hooks the net is walked through, loads neither.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
-import netsketch
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,6 +33,12 @@ def _used_names(path: Path, imports_count: bool) -> set[str]:
     return used
 
 
+MODULES = sorted(
+    path.stem for path in (ROOT / "src" / "netsketch").glob("*.py") if not path.stem.startswith("__")
+)
+DECODERS = {"FactoredStepDecoder", "ConfigurationDecoder"}
+
+
 def test_every_public_name_is_used_outside_the_tests():
     used: set[str] = set()
     for path in sorted((ROOT / "src" / "netsketch").glob("*.py")):
@@ -35,4 +46,25 @@ def test_every_public_name_is_used_outside_the_tests():
             used |= _used_names(path, imports_count=False)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         used |= _used_names(path, imports_count=True)
-    assert sorted(set(netsketch.__all__) - used) == []
+    unused = {
+        name: sorted(set(getattr(importlib.import_module(name), "__all__", ())) - used)
+        for name in ["netsketch", *(f"netsketch.{module}" for module in MODULES)]
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_function_classes_loads_no_decoder():
+    loaded = _used_names(ROOT / "src" / "netsketch" / "function_classes.py", imports_count=True)
+    assert sorted(loaded & DECODERS) == []
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module != "nets"])
+def test_only_nets_constructs_a_decoder(module):
+    tree = ast.parse((ROOT / "src" / "netsketch" / f"{module}.py").read_text(encoding="utf-8"))
+    built = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in DECODERS or getattr(node.func, "attr", None) in DECODERS)
+    ]
+    assert built == []

@@ -292,7 +292,7 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
 def test_reconstruct_returns_the_decoders_result(factored_step_sampler, maps):
     sampler, family = factored_step_sampler, factored_step_sampler.net.family
     if maps:
-        decoder = family.materialized_decoder(sampler.net.plan, sampler.d)
+        decoder = nets.ConfigurationDecoder(sampler.net.plan, sampler.d, family)
         sampler = replace(sampler, net=replace(sampler.net, decoder=decoder))
     assert isinstance(sampler.decoder, nets.ConfigurationDecoder) == maps
     member = family.sample(np.random.default_rng(59), 512)
@@ -321,12 +321,9 @@ def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
     # A second configuration repeating the first's map ties every center with
     # the one a net's length lower.
     decoder = smooth_sampler.decoder
-    tied_decoder = nets.ConfigurationDecoder(
-        np.concatenate([decoder.maps, decoder.maps]),
-        decoder.configurations * 2,
-        decoder.axes,
-        decoder.family,
-    )
+    tied_decoder = nets.ConfigurationDecoder(decoder.plan, decoder.d, decoder.family)
+    tied_decoder.maps = np.concatenate([decoder.maps, decoder.maps])
+    tied_decoder.configurations = decoder.configurations * 2
     tied = replace(smooth_sampler, net=replace(smooth_sampler.net, decoder=tied_decoder))
     rows = decoder_rows(tied_decoder)
     measured = np.array([apply_operator(tied.operator, row) for row in rows])
@@ -416,7 +413,7 @@ def test_reconstruct_factored_agrees_with_materialized():
     assert s.net.mode == "factored" and s.net.size == 72
     assert s.d == 300 and s.n == 100 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
-    maps = family.materialized_decoder(s.net.plan, s.d)
+    maps = nets.ConfigurationDecoder(s.net.plan, s.d, family)
     materialized = replace(s, net=replace(s.net, decoder=maps))
     probe = np.random.default_rng(43)
     for _ in range(10):
