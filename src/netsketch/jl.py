@@ -1,15 +1,15 @@
 """Random subspace measurement operators.
 
-A measurement operator carries an orthonormal family of ``n`` rows living in a
-``d``-dimensional coefficient space.  Applying it to a vector truncates to the
-first ``d`` coefficients, projects onto the row span, and rescales by
-``sqrt(d / n)`` so that squared norms are preserved in expectation over a
-uniformly random subspace.  The measurement count needed for a target success
+A measurement operator is the sketch map ``R = sqrt(d / n) Q``, where ``Q``
+holds an orthonormal family of ``n`` rows in a ``d``-dimensional coefficient
+space: applied to ``d`` coefficients, it projects onto the row span and
+rescales so that squared norms are preserved in expectation over a uniformly
+random subspace.  The measurement count needed for a target success
 probability over a finite point set is the Johnson-Lindenstrauss union bound,
 ``n = ceil(c * ln(m / (1 - p)))``, and ``failure_bound`` certifies it by
 Dasgupta and Gupta's tail, pricing each end of a distortion band at its own
 rate ``kappa``; ``certified_measurements`` raises the count, if need be, to
-one that tail certifies for the reconstruction chain.  An operator's rows are
+one that tail certifies for the reconstruction chain.  An operator's ``Q`` is
 the orthonormalized columns of a Gaussian ``d x n`` draw, by verified
 Cholesky QR.
 """
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetSketchError, UsageError
-from .hilbert import Signal
 
 __all__ = [
     "MeasurementOperator",
@@ -74,7 +73,6 @@ _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
 _CHOLESKY_PASSES = 3
 _BLOCK_ROWS = 64
-_GAUSSIAN_ROWS = 64
 
 logger = logging.getLogger(__name__)
 
@@ -185,24 +183,22 @@ def certified_measurements(
 
 @dataclass(frozen=True)
 class MeasurementOperator:
-    """An ``n x d`` orthonormal frame with the seed that produced it.
+    """The ``n x d`` sketch map ``R``: ``sqrt(d / n)`` times orthonormal rows.
 
-    ``frame`` is held read-only.  Any array a caller could still write
-    through is copied; a read-only C-ordered array that owns its data, as
-    ``random_subspace`` passes, is kept as it is.
+    ``frame`` holds ``R`` itself, read-only, so a sketch is ``frame @ x``.
+    Any array a caller could still write through is copied; a read-only
+    C-ordered array that owns its data, as ``random_subspace`` passes, is
+    kept as it is.
     """
 
     frame: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         frame = np.asarray(self.frame, dtype=np.float64)
         if frame.ndim != 2:
             raise UsageError("operator frame must be a 2-d array")
-        if frame.shape[0] > frame.shape[1]:
-            raise UsageError(
-                f"operator has more rows than columns: {frame.shape[0]} > {frame.shape[1]}"
-            )
+        if not 0 < frame.shape[0] <= frame.shape[1]:
+            raise UsageError(f"operator frame needs 1 to {frame.shape[1]} rows, got {frame.shape[0]}")
         flags = frame.flags
         if flags.writeable or not flags.owndata or not flags.c_contiguous:
             frame = frame.copy()
@@ -219,7 +215,7 @@ class MeasurementOperator:
 
     @property
     def scale(self) -> float:
-        """Rescaling factor ``sqrt(d / n)`` making the projection unbiased."""
+        """``sqrt(d / n)``, the factor ``frame`` carries over its orthonormal rows."""
         return math.sqrt(self.d / self.n)
 
 
@@ -258,25 +254,27 @@ def _factor_in_place(gram: np.ndarray) -> bool:
 
 
 def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
-    """Draw a uniformly random ``n``-dimensional subspace of ``R^d``.
+    """Draw the sketch map onto a uniformly random ``n``-dimensional subspace of ``R^d``.
 
-    The frame is the ``Q`` factor, with positive ``diag R``, of a Gaussian
-    ``d x n`` draw ``G``.  That factor is unique: with ``G^T G = L L^T``
-    (Cholesky), ``Q^T = L^{-1} G^T``.  Cholesky QR leaves an orthogonality
-    error near ``kappa(G)^2 u``, so each pass is verified and, if it fails, run
-    again on its own output (CholeskyQR2, Fukaya et al. 2014), three at most.  Rounding
-    an exactly orthonormal frame leaves ``|F F^T - I| <= 2u + u^2`` entrywise,
-    and computing ``F F^T`` adds at most ``gamma_d |f_i| |f_j| ~ d u`` (Higham,
-    *Accuracy and Stability*, section 3.1), so a frame is accepted when the
+    The frame is ``sqrt(d / n) Q^T``, where ``G = Q T``, with positive
+    ``diag T``, is the QR factorization of a Gaussian ``d x n`` draw ``G``.
+    ``Q`` is unique: with ``G^T G = L L^T`` (Cholesky), ``Q^T = L^{-1} G^T``.
+    Cholesky QR leaves an orthogonality error near ``kappa(G)^2 u``, so each
+    pass is verified and, if it fails, run again on its own output
+    (CholeskyQR2, Fukaya et al. 2014), three at most.  Rounding an exactly
+    orthonormal ``F`` leaves ``|F F^T - I| <= 2u + u^2`` entrywise, and
+    computing ``F F^T`` adds at most ``gamma_d |f_i| |f_j| ~ d u`` (Higham,
+    *Accuracy and Stability*, section 3.1), so a pass is accepted when the
     computed ``max |F F^T - I| <= (d + 2) eps``, twice that floor.  A
-    Cholesky diagonal (Householder QR's ``|diag R|``) at most
+    Cholesky diagonal (Householder QR's ``|diag T|``) at most
     ``_RANK_TOLERANCE``, or a failed factorization (``kappa(G) >~ 1e9``),
     counts as rank deficient: the draw is repeated, and after three fresh
-    redraws a failure is treated as an internal error.
+    redraws a failure is treated as an internal error.  The accepted ``Q^T``
+    is scaled in place, once, to the frame.
 
     Two buffers are allocated per call and reused by every pass and redraw:
-    a C-ordered ``n x d`` frame and an ``n x n`` Gram buffer.  ``G`` is drawn
-    in row blocks, the stream's order, into the frame's columns as ``G^T``.
+    a C-ordered ``n x d`` frame and an ``n x n`` Gram buffer.  ``G^T`` is
+    drawn straight into the frame, in the stream's order, by one call.
     The Gram matrix ``F F^T`` is formed into its buffer (syrk) and factored
     there in place by ``_factor_in_place``.  ``L^{-1}`` is then applied to the
     frame top-down by forward substitution: row block ``[s:e]`` loses
@@ -285,14 +283,14 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     verification's ``F F^T`` goes into the same Gram buffer, where the next
     pass factors it.  So at most these are alive at once, in float64 entries:
 
-    - ``n d``: the frame;
+    - ``n d``: the frame, holding ``G^T``, then each pass's output;
     - ``n^2``: the Gram buffer, holding ``G^T G``, then ``L`` with its
       diagonal blocks inverted, then ``F F^T``;
     - ``64 (d + n)``: the temporaries of one step, none of them ``n x n``:
-      one 64-row block of ``G`` (``64 n``) while drawing; the ``64 x 64``
-      work arrays of a diagonal block's factor or inverse, the panel product
-      (at most ``n x 64``) or one trailing-update block (at most ``64 x n``)
-      while factoring; and one 64-row block of the substitution (``64 d``).
+      the ``64 x 64`` work arrays of a diagonal block's factor or inverse,
+      the panel product (at most ``n x 64``) or one trailing-update block (at
+      most ``64 x n``) while factoring; and one 64-row block of the
+      substitution (``64 d``).
 
     The DEBUG line reports ``8 (n d + n^2 + 64 (d + n))`` bytes as
     ``work_bytes``.
@@ -307,9 +305,7 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     frame = np.empty((n, d))
     gram = np.empty((n, n))
     for redraws in range(1 + _QR_RETRIES):
-        for start in range(0, d, _GAUSSIAN_ROWS):
-            stop = min(d, start + _GAUSSIAN_ROWS)
-            frame[:, start:stop] = rng.standard_normal((stop - start, n)).T
+        rng.standard_normal(out=frame)
         np.matmul(frame, frame.T, out=gram)
         for passes in range(1, 1 + _CHOLESKY_PASSES):
             if not _factor_in_place(gram):
@@ -328,6 +324,7 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
             error = max(float(gram.max()), -float(gram.min()))
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
+                frame *= math.sqrt(d / n)
                 work = n * n + _BLOCK_ROWS * (d + n)
                 logger.debug(
                     "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d"
@@ -336,29 +333,15 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
                     frame.nbytes + 8 * work, time.perf_counter() - started,
                 )
                 frame.setflags(write=False)
-                return MeasurementOperator(frame=frame, seed=seed)
+                return MeasurementOperator(frame)
     raise NetSketchError(
         f"rank-deficient or ill-conditioned draw persisted over {1 + _QR_RETRIES} attempts"
     )
 
 
-def _coerce_coefficients(x: Signal | np.ndarray, d: int) -> np.ndarray:
-    if isinstance(x, Signal):
-        coefficients = x.coefficients
-    else:
-        coefficients = np.asarray(x, dtype=np.float64)
-        if coefficients.ndim != 1:
-            raise UsageError("expected a 1-d coefficient vector")
-    if coefficients.shape[0] < d:
-        raise UsageError(
-            f"input has {coefficients.shape[0]} coefficients but the operator needs {d}"
-        )
-    return coefficients[:d]
-
-
-def apply_operator(op: MeasurementOperator, x: Signal | np.ndarray) -> np.ndarray:
-    """Measure ``x``: truncate to ``op.d`` coefficients, project, rescale."""
-    return op.scale * (op.frame @ _coerce_coefficients(x, op.d))
+def apply_operator(op: MeasurementOperator, x: np.ndarray) -> np.ndarray:
+    """Measure ``x``, exactly ``op.d`` coefficients: ``R x``."""
+    return op.frame @ x
 
 
 @dataclass(frozen=True)
@@ -391,7 +374,7 @@ def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionRepo
         )
     truncated = points[:, : op.d]
     original = pdist(truncated)
-    projected = pdist(truncated @ (op.scale * op.frame).T)
+    projected = pdist(truncated @ op.frame.T)
     nonzero = original > 0.0
     if not np.any(nonzero):  # fewer than two points, or all coincide
         return DistortionReport(ok=True, min_ratio=None, max_ratio=None, pairs_checked=0)

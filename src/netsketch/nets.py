@@ -448,14 +448,14 @@ class _GridDecoder:
         if y.shape != (operator.n,):
             raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
         geometry = self.prepare(operator)
-        configuration, steps = self._search(geometry, operator.scale * (y @ operator.frame))
+        configuration, steps = self._search(geometry, y @ operator.frame)
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |y|^2), which cancels when it is small.
-        measured = operator.scale * (operator.frame @ coefficients)
+        measured = operator.frame @ coefficients
         distance = float(np.linalg.norm(y - measured))
         coordinates = (self.configurations[configuration], values)
         return DecodeResult(member, index, distance, coefficients, measured, coordinates)
@@ -473,7 +473,7 @@ class _GridDecoder:
             raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
         identity = np.eye(self.d)
         identity.setflags(write=False)  # so the operator keeps it uncopied
-        return self.decode_measurements(target, MeasurementOperator(identity, seed=0))
+        return self.decode_measurements(target, MeasurementOperator(identity))
 
 
 class FactoredStepDecoder(_GridDecoder):
@@ -548,21 +548,21 @@ class FactoredStepDecoder(_GridDecoder):
         and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
         ``g0f = W R^T v_full`` and the square-sum: ``_on_breakpoints``
         evaluates the ``t_r`` of ``_TERMS_BLOCK_ROWS`` rows at a time on the
-        ``P`` breakpoints, and their squares are summed there.  Rows are scaled as they are read and ``v_full @ R``
-        is ``scale * (v_full @ frame)``: no frame-sized copy.
+        ``P`` breakpoints, and their squares are summed there.  The rows are
+        read from ``R`` as it is stored: no frame-sized copy.
         """
         started = time.perf_counter()
-        scale, frame = operator.scale, operator.frame
+        frame = operator.frame
         n, d = frame.shape
         g00 = np.zeros(self.positions.size)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
-            values = self._on_breakpoints(_indicator_series(scale * frame[start : start + _TERMS_BLOCK_ROWS]))
+            values = self._on_breakpoints(_indicator_series(frame[start : start + _TERMS_BLOCK_ROWS]))
             g00 += np.einsum("ij,ij->j", values, values)
             del values  # before the next block's is built
-        first = scale * frame[:, 0]
+        first = frame[:, 0]
         v_full = _SQRT_2PI * first
         lead = float(np.dot(first, first))
-        g0f = self._indicator_products(scale * (v_full @ frame))
+        g0f = self._indicator_products(v_full @ frame)
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
             "factored decoder terms: P=%d d=%d n=%d block=%d rows built in %.3fs",
@@ -589,7 +589,7 @@ class ConfigurationDecoder(_GridDecoder):
     coefficients are linear in its axis values, so column ``j`` of the map is
     ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions per
     configuration, built at construction, and no center's.  The Grams are
-    ``scale * frame @ maps``'s, per operator, and the projections are the
+    ``R @ maps``'s, per operator, and the projections are the
     pulled-back target times the maps.  The decoded center is built by
     ``family.member(breakpoints, values)``, its coefficients by its map.
     """
@@ -612,7 +612,6 @@ class ConfigurationDecoder(_GridDecoder):
     def _operator_terms(self, operator) -> _Geometry:
         """The projected maps' Grams and their factor, kept read-only and shared."""
         maps = np.matmul(operator.frame, self.maps)
-        maps *= operator.scale
         gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
         return _grid_geometry(gram, self._grids)
 

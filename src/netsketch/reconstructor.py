@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AmbientTooSmallError, UsageError
 from .function_classes import TailDecayModel
-from .hilbert import DEFAULT_AMBIENT_DIM, Signal
+from .hilbert import DEFAULT_AMBIENT_DIM
 from .jl import (
     DEFAULT_JL_CONSTANT,
     DISTORTION_BAND,
@@ -262,8 +262,8 @@ def with_new_operator(
 # ---------------------------------------------------------------------------
 
 
-def measure(sampler: PreparedSampler, x: Signal | np.ndarray) -> np.ndarray:
-    """Sketch ``x``'s first ``d`` coefficients through the sampler's operator."""
+def measure(sampler: PreparedSampler, x: np.ndarray) -> np.ndarray:
+    """Sketch ``x``, exactly ``d`` coefficients, through the sampler's operator."""
     return apply_operator(sampler.operator, x)
 
 

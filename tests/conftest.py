@@ -293,8 +293,8 @@ def per_decode_copy(decoder):
 
     def operator_terms(operator):
         geometry = decoder._terms.get(operator)
-        v = math.sqrt(2.0 * math.pi) * (operator.scale * operator.frame[:, 0])
-        g0f = decoder._indicator_products(operator.scale * (v @ operator.frame))
+        v = math.sqrt(2.0 * math.pi) * operator.frame[:, 0]
+        g0f = decoder._indicator_products(v @ operator.frame)
         return geometry.gram[0][0], g0f, float(np.dot(v, v))
 
     reference._terms = nets._OperatorSlot(operator_terms)

@@ -391,8 +391,9 @@ def frame_products_per_trial(monkeypatch, text):
 def test_a_trial_reads_the_frame_three_times(monkeypatch, delta):
     # measure forms R x_d, the decode R^T y and, for its residual, R c; the
     # audit reuses R x_d and R c, and forms R(x_d - w_d) only when the
-    # witness w is not the decoded center.  Noise is added to R x_d.
-    text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 12") + f"delta = {delta}\n"
+    # witness w is not the decoded center.  Noise is added to R x_d.  At 16
+    # trials both cases occur at either delta (trial 13 decodes its witness).
+    text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 16") + f"delta = {delta}\n"
     trials = frame_products_per_trial(monkeypatch, text)
     assert [products for products, _ in trials] == [3 if same else 4 for _, same in trials]
     assert {same for _, same in trials} == {True, False}

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from netsketch import jl
 from netsketch.errors import NetSketchError, UsageError
-from netsketch.hilbert import Signal
 from netsketch.jl import (
     DISTORTION_BAND,
     KAPPA_LOWER,
@@ -92,9 +91,10 @@ def test_random_subspace_projections_follow_the_beta_law():
     # projection onto a uniformly random n-subspace is Beta(n/2, (d - n)/2).
     from scipy.stats import beta, kstest
 
+    # The frame is sqrt(d / n) Q^T, so |frame u|^2 is d / n times |Q^T u|^2.
     d, n = 12, 4
     u = np.ones(d) / math.sqrt(d)
-    lengths = [float(np.sum((random_subspace(d, n, seed=s).frame @ u) ** 2)) for s in range(2500)]
+    lengths = [float(np.sum((random_subspace(d, n, seed=s).frame @ u) ** 2)) * n / d for s in range(2500)]
     assert kstest(lengths, beta(n / 2.0, (d - n) / 2.0).cdf).pvalue > 1e-3
 
 
@@ -200,14 +200,21 @@ def test_required_measurements_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 
-def householder_frame(gaussian):
-    """The reference frame: Householder QR's ``Q``, signs fixed so ``diag R > 0``."""
-    q, r = np.linalg.qr(gaussian, mode="reduced")
-    return (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
+def one_call_subspace(d, n, seed):
+    """The reference draw: ``G^T`` in one call, then Householder QR of ``G``.
+
+    Its ``Q`` has signs fixed so that ``diag T > 0`` (``G = Q T``) and is
+    scaled to ``sqrt(d / n) Q^T``.
+    """
+    gaussian = np.random.default_rng(seed).standard_normal((n, d)).T
+    q, t = np.linalg.qr(gaussian, mode="reduced")
+    return math.sqrt(d / n) * (q * np.where(np.diag(t) < 0.0, -1.0, 1.0)).T
 
 
-def gram_error(frame):
-    return np.max(np.abs(frame @ frame.T - np.eye(frame.shape[0])))
+def gram_error(op):
+    """``max |Q Q^T - I|`` for the operator's orthonormal rows ``Q = frame / scale``."""
+    rows = op.frame / op.scale
+    return np.max(np.abs(rows @ rows.T - np.eye(op.n)))
 
 
 def test_orthonormal_rows():
@@ -216,10 +223,17 @@ def test_orthonormal_rows():
     for d, n in ((512, 128), (512, 167), (300, 150), (1, 1), (2, 2), (32, 32), (301, 301)):
         op = random_subspace(d, n, seed=7)
         assert op.d == d and op.n == n
-        assert gram_error(op.frame) <= (d + 2) * np.finfo(np.float64).eps
-        reference = householder_frame(np.random.default_rng(7).standard_normal((d, n)))
-        np.testing.assert_allclose(op.frame, reference, rtol=0.0, atol=1e-13)
+        assert gram_error(op) <= (d + 2) * np.finfo(np.float64).eps
         np.testing.assert_allclose(op.scale**2 * op.n / op.d, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(1886, 272), (512, 167), (65, 3), (301, 301), (32, 32), (1, 1)])
+def test_draw_matches_the_one_call_reference(d, n):
+    # The bench's d and n, other n off the 64-row blocks, and clamped n = d.
+    for seed in (7, 8):
+        np.testing.assert_allclose(
+            random_subspace(d, n, seed).frame, one_call_subspace(d, n, seed), rtol=0.0, atol=1e-13
+        )
 
 
 def blocked_cholesky(gram):
@@ -252,18 +266,19 @@ def blocked_cholesky(gram):
 def reference_subspace(d, n, seed):
     """Reference: the draw's arithmetic, in two frame buffers and fresh arrays.
 
-    It draws the Gaussian ``G`` as one ``d x n`` array, factors a copy of each
+    It draws ``G^T`` into one ``n x d`` array, factors a copy of each
     Gram matrix with ``blocked_cholesky``, and writes each pass's
     ``L^{-1} F`` by forward substitution into a fresh ``n x d`` array, so two
     frames and three ``n x n`` arrays are alive at once; kept here as the
-    oracle of the buffer reuse.
+    oracle of the buffer reuse.  The accepted frame is scaled by ``sqrt(d / n)``.
     """
     rng = np.random.default_rng(seed)
     tolerance = (d + 2) * np.finfo(np.float64).eps
     size = jl._BLOCK_ROWS
     for _ in range(1 + jl._QR_RETRIES):
-        gaussian = rng.standard_normal((d, n))
-        frame, gram = gaussian.T, gaussian.T @ gaussian
+        frame = np.empty((n, d))
+        rng.standard_normal(out=frame)
+        gram = frame @ frame.T
         for _ in range(jl._CHOLESKY_PASSES):
             factor = blocked_cholesky(gram)
             if factor is None:
@@ -279,7 +294,7 @@ def reference_subspace(d, n, seed):
             error = max(float(gram.max()), -float(gram.min()))
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
-                return frame
+                return frame * math.sqrt(d / n)
     raise NetSketchError("reference draw failed")
 
 
@@ -303,15 +318,13 @@ def unblocked_subspace(d, n, seed):
     ``np.linalg.cholesky`` factor, inverts it by recursive halving and applies
     the inverse bottom-up in 64-row blocks, so the Gram matrix, the Cholesky
     call's work copy and its factor, and then ``L`` and ``L^{-1}``, are alive
-    beside the frame.
+    beside the frame.  The accepted frame is scaled by ``sqrt(d / n)``.
     """
     rng = np.random.default_rng(seed)
     tolerance = (d + 2) * np.finfo(np.float64).eps
     frame = np.empty((n, d))
     for _ in range(1 + jl._QR_RETRIES):
-        for start in range(0, d, 64):
-            stop = min(d, start + 64)
-            frame[:, start:stop] = rng.standard_normal((stop - start, n)).T
+        rng.standard_normal(out=frame)
         gram = frame @ frame.T
         for _ in range(jl._CHOLESKY_PASSES):
             try:
@@ -333,6 +346,7 @@ def unblocked_subspace(d, n, seed):
             error = max(float(gram.max()), -float(gram.min()))
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
+                frame *= math.sqrt(d / n)
                 return frame
     raise NetSketchError("unblocked draw failed")
 
@@ -377,14 +391,15 @@ def test_draw_peak_memory_is_one_frame_and_small_blocks(caplog):
 
         8 (n d + n^2 + 64 d + 64 n) bytes = 4.37 MB:
 
-    - ``n d``: the one frame buffer, holding ``G^T`` and then each pass's
-      ``L^{-1} G^T``, written in place;
+    - ``n d``: the one frame buffer, holding ``G^T``, drawn into it in one
+      call, then each pass's ``L^{-1} G^T``, written in place, and at last
+      the frame scaled in place;
     - ``n^2``: the one Gram buffer, holding ``G^T G``, then the blocked
       factor, then the verification's ``F F^T``;
     - ``64 d``: one block of 64 substitution rows, formed before it is
       copied into place;
-    - ``64 n``: one block of 64 Gaussian rows, or the ``64 x 64`` factor and
-      inverse of one diagonal block with a panel product of ``n x 64``.
+    - ``64 n``: the ``64 x 64`` factor and inverse of one diagonal block
+      with a panel product of ``n x 64``.
 
     The unblocked draw held the Gram matrix with ``np.linalg.cholesky``'s
     work copy and factor, then ``L`` and ``L^{-1}``, ``8 (n d + 3 n^2 + 64 d +
@@ -412,7 +427,7 @@ def test_seed_determinism():
 
 def test_operator_frame_cannot_be_written_through():
     frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    op = MeasurementOperator(frame=frame, seed=0)
+    op = MeasurementOperator(frame=frame)
     frame[0, 0] = 5.0
     assert op.frame[0, 0] == 1.0 and not op.frame.flags.writeable
     with pytest.raises(ValueError):
@@ -420,13 +435,20 @@ def test_operator_frame_cannot_be_written_through():
     # A read-only view of a writable array is copied too.
     view = frame[:, :]
     view.setflags(write=False)
-    op = MeasurementOperator(frame=view, seed=0)
+    op = MeasurementOperator(frame=view)
     frame[0, 0] = 7.0
     assert op.frame[0, 0] == 5.0 and not op.frame.flags.writeable
     # A fresh frame from the draw is read-only already and kept as it is.
     drawn = random_subspace(16, 4, seed=3).frame
     assert not drawn.flags.writeable
-    assert MeasurementOperator(frame=drawn, seed=3).frame is drawn
+    assert MeasurementOperator(frame=drawn).frame is drawn
+
+
+def test_operator_frame_needs_a_row():
+    # No rows would leave scale = sqrt(d / 0); more rows than d are not orthonormal.
+    for rows in (0, 6):
+        with pytest.raises(UsageError, match="needs 1 to 5 rows"):
+            MeasurementOperator(np.zeros((rows, 5)))
 
 
 def test_full_rank_case_is_invertible():
@@ -435,7 +457,8 @@ def test_full_rank_case_is_invertible():
     x = rng.normal(size=32)
     y = apply_operator(op, x)
     # n = d: scale is 1 and the frame is a full orthogonal basis.
-    back = op.frame.T @ (y / op.scale)
+    assert op.scale == 1.0
+    back = op.frame.T @ y
     np.testing.assert_allclose(back, x, atol=1e-10)
     np.testing.assert_allclose(np.linalg.norm(y), np.linalg.norm(x), atol=1e-10)
 
@@ -462,19 +485,14 @@ def test_apply_zero_and_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_apply_truncates_long_inputs():
+def test_apply_takes_exactly_d_coefficients():
+    # A sketch is R x on the operator's d coefficients; nothing is truncated.
     op = random_subspace(16, 4, seed=3)
-    rng = np.random.default_rng(2)
-    long_vec = rng.normal(size=64)
-    np.testing.assert_array_equal(
-        apply_operator(op, long_vec), apply_operator(op, long_vec[:16])
-    )
-    signal = Signal(long_vec)
-    np.testing.assert_array_equal(
-        apply_operator(op, signal), apply_operator(op, long_vec[:16])
-    )
-    with pytest.raises(UsageError):
-        apply_operator(op, np.zeros(8))
+    x = np.random.default_rng(2).normal(size=16)
+    np.testing.assert_array_equal(apply_operator(op, x), op.frame @ x)
+    for size in (8, 64):
+        with pytest.raises(ValueError):
+            apply_operator(op, np.zeros(size))
 
 
 def test_apply_norm_is_contraction_after_scale():
@@ -514,8 +532,8 @@ def test_distortion_trivial_cases():
 
 
 def test_distortion_hand_computed_failure():
-    frame = np.array([[1.0, 0.0]])
-    op = MeasurementOperator(frame=frame, seed=0)
+    # n = 1 of d = 2: the frame is sqrt(2) times the orthonormal row e1.
+    op = MeasurementOperator(frame=np.array([[math.sqrt(2.0), 0.0]]))
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     report = distortion_ok(op, points)
     # Pair (origin, e2) projects to distance 0: ratio 0 breaks the lower bound.
@@ -547,32 +565,19 @@ def conditioned_gaussian(d, n, kappa):
 class FixedRNG:
     """Stands in for ``np.random.default_rng(seed)``: draw ``i`` is ``matrices[i]``.
 
-    The last matrix serves every draw past the list.  A draw asks for
-    consecutive row blocks of the Gaussian; a redraw starts over at row 0 of
-    the next matrix, which it may do only once the draw before it has read
-    every row.  ``draws`` counts the draws begun.
+    Each matrix is a ``d x n`` Gaussian ``G``; a draw writes its ``G^T`` into
+    the ``n x d`` buffer it is given, in one call.  The last matrix serves
+    every draw past the list.  ``draws`` counts the draws made.
     """
 
     def __init__(self, *matrices):
         self.matrices = matrices
         self.draws = 0
-        self.row = 0
 
-    @property
-    def matrix(self):
-        return self.matrices[min(self.draws, len(self.matrices)) - 1]
-
-    def standard_normal(self, size):
-        rows, columns = size
-        if self.draws == 0 or self.row == self.matrix.shape[0]:
-            self.draws += 1
-            self.row = 0
-        assert columns == self.matrix.shape[1]
-        stop = self.row + rows
-        assert stop <= self.matrix.shape[0]
-        block = self.matrix[self.row : stop].copy()
-        self.row = stop
-        return block
+    def standard_normal(self, *, out):
+        out[...] = self.matrices[min(self.draws, len(self.matrices) - 1)].T
+        self.draws += 1
+        return out
 
 
 def test_ill_conditioned_draw_needs_a_second_cholesky_pass(monkeypatch, caplog):
@@ -582,9 +587,10 @@ def test_ill_conditioned_draw_needs_a_second_cholesky_pass(monkeypatch, caplog):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(gaussian))
     with caplog.at_level(logging.DEBUG, logger="netsketch.jl"):
         op = random_subspace(300, 150, seed=0)
-    assert gram_error(op.frame) <= 302 * np.finfo(np.float64).eps
+    assert gram_error(op) <= 302 * np.finfo(np.float64).eps
     # The rows span the Gaussian's column space: projecting onto them keeps it.
-    residual = gaussian - op.frame.T @ (op.frame @ gaussian)
+    rows = op.frame / op.scale
+    residual = gaussian - rows.T @ (rows @ gaussian)
     assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(gaussian)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "netsketch.jl"]
     assert "d=300 n=150 passes=2 " in line and "redraws=0" in line
@@ -649,9 +655,9 @@ def test_a_redraw_leaves_nothing_behind_in_the_buffers(monkeypatch, caplog):
     # in its third diagonal block, after the first two have been factored in
     # place.  The good draw after them is the frame the good matrix gives alone.
     good = np.random.default_rng(5).standard_normal((300, 150))
+    bad = (conditioned_gaussian(300, 150, 1e8), with_column(3.0 * good[::-1], 130, 0.0))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(good))
     alone = random_subspace(300, 150, seed=0).frame
-    bad = (conditioned_gaussian(300, 150, 1e8), with_column(3.0 * good[::-1], 130, 0.0))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedRNG(*bad, good))
     cholesky, calls = np.linalg.cholesky, []
 

@@ -485,8 +485,7 @@ def test_factored_decoder_matches_brute_force_under_measurements():
     materialized = build_net(family, 1.5)
     decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 7, seed=9)
-    rows = operator.scale * operator.frame
-    table = brute_force_coefficients(materialized, 16) @ rows.T
+    table = brute_force_coefficients(materialized, 16) @ operator.frame.T
 
     rng = np.random.default_rng(23)
     for _ in range(12):
@@ -504,7 +503,7 @@ def test_decoded_distance_is_exact_next_to_a_member():
     decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 7, seed=9)
     coefficients = brute_force_coefficients(materialized, 16)
-    table = coefficients @ (operator.scale * operator.frame).T
+    table = coefficients @ operator.frame.T
     rng = np.random.default_rng(43)
     # A small residual is where |y|^2 + objective cancels.  Constant members
     # repeat at every breakpoint, so compare with the decoded index's row.
@@ -569,7 +568,7 @@ def test_indicator_products_match_the_dense_closed_form():
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
             # |w(b)|^2 in coefficient space: the terms under the identity,
             # against the dense rows and the squared closed forms.
-            identity = MeasurementOperator(np.eye(d), seed=0)
+            identity = MeasurementOperator(np.eye(d))
             norms = decoder._operator_terms(identity).gram[0][0]
             dense = np.einsum("ij,ij->i", w, w)
             np.testing.assert_allclose(norms, dense, rtol=0.0, atol=1e-12)
@@ -587,7 +586,7 @@ def test_operator_terms_match_the_dense_closed_form():
             w = dense_indicator_rows(decoder.positions, d)
             for n in sorted({1, max(1, d // 2), d}):
                 operator = random_subspace(d, n, seed=1000 * d + n)
-                rows = operator.scale * operator.frame
+                rows = operator.frame
                 projected = w @ rows.T
                 # The two axes under R: R w(b) and R (v - w(b)).
                 after = math.sqrt(TWO_PI) * rows[:, 0] - projected
@@ -656,7 +655,7 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
     ):
 
         def counted_build(self, operator, build=getattr(decoder_class, name)):
-            builds.append(operator.seed)
+            builds.append(operator.n)
             return build(self, operator)
 
         monkeypatch.setattr(decoder_class, name, counted_build)
@@ -675,17 +674,17 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
         assert frame() is None
         other = random_subspace(40, 9, seed=2)
         result = decoder.decode_measurements(y, other)
-        assert builds == [1, 2]
+        assert len(builds) == 2  # the dead operator's build, then the new one's
         expected = make_decoder().decode_measurements(y, other)
         assert (result.index, result.distance) == (expected.index, expected.distance)
 
 
 def test_operator_terms_make_no_frame_sized_copy():
     # At the bench's P and d with a tall n (P = 2,592, d = 1,886, n = 604)
-    # the build holds blocks of 32 rows, not a scaled copy of the 9.1 MB
-    # frame.  A block's scaled rows and series (0.48 MB each), half spectrum
-    # and values on the breakpoints (0.66 MB each) are released before the
-    # next block's are built, so the peak stays under 3 MB.
+    # the build reads the 9.1 MB frame 32 rows at a time and copies none of
+    # it.  A block's series (0.48 MB), half spectrum and values on the
+    # breakpoints (0.66 MB each) are released before the next block's are
+    # built, so the peak stays under 3 MB.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592
     operator = random_subspace(1886, 604, seed=1)
@@ -706,16 +705,16 @@ def test_coefficient_decode_keeps_its_identity_uncopied(monkeypatch):
     grown = []
     build = nets.MeasurementOperator
 
-    def measured_build(frame, seed):
+    def measured_build(frame):
         before = tracemalloc.get_traced_memory()[0]
-        operator = build(frame, seed=seed)
+        operator = build(frame)
         grown.append(tracemalloc.get_traced_memory()[0] - before)
         assert operator.frame is frame
         return operator
 
     decoder = step_decoder(1.5, d)
     target = np.random.default_rng(64).normal(scale=0.7, size=d)
-    expected = decoder.decode_measurements(target, build(np.eye(d), seed=0))
+    expected = decoder.decode_measurements(target, build(np.eye(d)))
     monkeypatch.setattr(nets, "MeasurementOperator", measured_build)
     tracemalloc.start()
     try:
@@ -887,7 +886,7 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
         for n in (2, d):
             operator = random_subspace(d, n, seed=d + n)
             decoder.prepare(operator)
-            measured = (operator.scale * operator.frame).T
+            measured = operator.frame.T
             for rows, used, decode in (
                 (oracle, expanded, decoder.decode_coefficients),
                 (

@@ -8,6 +8,11 @@ walks the package modules (not ``__init__.py``, which only re-exports) and
 ``nets`` alone builds the decoders, from a net's ``NetPlan``: no other
 module constructs one, and ``function_classes``, which supplies only the
 hooks the net is walked through, loads neither.
+
+An operator's ``frame`` is the sketch map ``R = sqrt(d / n) Q`` itself, so
+only ``jl``, which scales it, and ``reconstructor``, whose noise level is
+stated in unscaled units, read ``scale``; ``nets`` reads an operator only
+through ``frame``, ``n`` and ``d``; and ``jl`` loads nothing from ``hilbert``.
 """
 
 from __future__ import annotations
@@ -68,3 +73,34 @@ def test_only_nets_constructs_a_decoder(module):
         and (getattr(node.func, "id", None) in DECODERS or getattr(node.func, "attr", None) in DECODERS)
     ]
     assert built == []
+
+
+def _tree(module: str) -> ast.AST:
+    return ast.parse((ROOT / "src" / "netsketch" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES if module not in {"jl", "reconstructor"}])
+def test_only_jl_and_reconstructor_read_the_scale(module):
+    read = [
+        node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Attribute) and node.attr == "scale"
+    ]
+    assert read == []
+
+
+def test_nets_reads_an_operator_only_through_its_frame_and_shape():
+    read = {
+        node.attr
+        for node in ast.walk(_tree("nets"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "operator"
+    }
+    assert read and read <= {"frame", "n", "d"}
+
+
+def test_jl_imports_nothing_from_hilbert():
+    imported = set()
+    for node in ast.walk(_tree("jl")):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert sorted(name for name in imported if "hilbert" in name) == []

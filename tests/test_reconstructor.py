@@ -191,11 +191,11 @@ def test_preprocess_is_deterministic_given_stream():
     model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
     first = preprocess(family, 3.0, 0.5, model, np.random.default_rng(42))
     second = preprocess(family, 3.0, 0.5, model, np.random.default_rng(42))
-    assert first.operator.seed == second.operator.seed
+    assert first.operator_seed == second.operator_seed
     assert np.array_equal(first.operator.frame, second.operator.frame)
     assert np.array_equal(first.decoder.maps, second.decoder.maps)
     other = preprocess(family, 3.0, 0.5, model, np.random.default_rng(43))
-    assert other.operator.seed != first.operator.seed
+    assert other.operator_seed != first.operator_seed
 
 
 def test_decoder_rows_are_read_only(smooth_sampler):
@@ -236,10 +236,11 @@ def test_operator_is_drawn_from_its_seed_on_first_use(monkeypatch):
     assert draws == []
     operator = sampler.operator
     assert sampler.operator is operator
-    assert draws == [sampler.operator_seed] == [operator.seed]
+    assert draws == [sampler.operator_seed]
     assert (operator.n, operator.d) == (sampler.n, sampler.d)
-    assert redrawn.operator.seed == redrawn.operator_seed != operator.seed
-    assert draws == [operator.seed, redrawn.operator_seed]
+    assert redrawn.operator is not operator
+    assert draws == [sampler.operator_seed, redrawn.operator_seed]
+    assert redrawn.operator_seed != sampler.operator_seed
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +248,20 @@ def test_operator_is_drawn_from_its_seed_on_first_use(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def smooth_coefficients(sampler, seed):
+    """A smooth member's first ``d`` coefficients, what ``measure`` takes."""
+    family = SmoothClass(3, 2.0)
+    return family.coefficient_prefix(family.sample(np.random.default_rng(seed), 4096), sampler.d)
+
+
 def test_measure_noiseless_matches_operator(smooth_sampler):
-    x = SmoothClass(3, 2.0).sample(np.random.default_rng(2), 4096)
+    x = smooth_coefficients(smooth_sampler, 2)
     y = measure(smooth_sampler, x)
     assert np.array_equal(y, apply_operator(smooth_sampler.operator, x))
 
 
 def test_measure_noise_is_bounded_per_coordinate(smooth_sampler):
-    x = SmoothClass(3, 2.0).sample(np.random.default_rng(2), 4096)
+    x = smooth_coefficients(smooth_sampler, 2)
     clean = measure(smooth_sampler, x)
     delta = 0.25
     bound = delta * smooth_sampler.operator.scale
@@ -266,7 +273,7 @@ def test_measure_noise_is_bounded_per_coordinate(smooth_sampler):
 
 
 def test_measure_validates_noise_arguments(smooth_sampler):
-    x = SmoothClass(3, 2.0).sample(np.random.default_rng(2), 4096)
+    x = smooth_coefficients(smooth_sampler, 2)
     y = measure(smooth_sampler, x)
     with pytest.raises(UsageError):
         add_noise(smooth_sampler, y, -0.1, np.random.default_rng(2))
@@ -383,7 +390,7 @@ def test_reconstruct_noisy_accounting(smooth_sampler):
     delta = 0.1
     slack = noise_shift(smooth_sampler, delta)
     for _ in range(10):
-        x = family.sample(rng, DEFAULT_AMBIENT_DIM)
+        x = family.coefficient_prefix(family.sample(rng, DEFAULT_AMBIENT_DIM), smooth_sampler.d)
         y = add_noise(smooth_sampler, measure(smooth_sampler, x), delta, rng)
         out = reconstruct(smooth_sampler, y)
         assert out.distance <= _ball(smooth_sampler) + slack
@@ -417,7 +424,7 @@ def test_reconstruct_factored_agrees_with_materialized():
     materialized = replace(s, net=replace(s.net, decoder=maps))
     probe = np.random.default_rng(43)
     for _ in range(10):
-        x = family.to_signal(family.sample(probe, 512), 512)
+        x = family.coefficient_prefix(family.sample(probe, 512), s.d)
         y = measure(s, x) + probe.normal(0.0, 0.05, size=s.n)
         direct = reconstruct(materialized, y)
         via_decoder = reconstruct(s, y)
