@@ -444,7 +444,7 @@ def test_operator_frame_cannot_be_written_through():
     assert MeasurementOperator(frame=drawn).frame is drawn
 
 
-def test_operator_frame_needs_a_row():
+def test_operator_frame_needs_one_to_d_rows():
     # No rows would leave scale = sqrt(d / 0); more rows than d are not orthonormal.
     for rows in (0, 6):
         with pytest.raises(UsageError, match="needs 1 to 5 rows"):

@@ -44,6 +44,10 @@ MODULES = sorted(
 DECODERS = {"FactoredStepDecoder", "ConfigurationDecoder"}
 
 
+def _tree(module: str) -> ast.AST:
+    return ast.parse((ROOT / "src" / "netsketch" / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def test_every_public_name_is_used_outside_the_tests():
     used: set[str] = set()
     for path in sorted((ROOT / "src" / "netsketch").glob("*.py")):
@@ -65,18 +69,13 @@ def test_function_classes_loads_no_decoder():
 
 @pytest.mark.parametrize("module", [module for module in MODULES if module != "nets"])
 def test_only_nets_constructs_a_decoder(module):
-    tree = ast.parse((ROOT / "src" / "netsketch" / f"{module}.py").read_text(encoding="utf-8"))
     built = [
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(_tree(module))
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) in DECODERS or getattr(node.func, "attr", None) in DECODERS)
     ]
     assert built == []
-
-
-def _tree(module: str) -> ast.AST:
-    return ast.parse((ROOT / "src" / "netsketch" / f"{module}.py").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("module", [module for module in MODULES if module not in {"jl", "reconstructor"}])
