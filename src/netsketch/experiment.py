@@ -202,11 +202,11 @@ def audit_trial(
     ``fixed_x`` run builds its one member's once), else the center that
     ``nets.round_coordinates`` names.  When w's breakpoints and axis values
     are the decode's ``coordinates``, the upper pair is the lower one and
-    ``witness_error`` is ``ambient_error``.  Otherwise the audit applies the
-    operator to ``x_d - w_d`` and takes ``witness_error`` from
-    ``covering_witness``.  A clamped sampler applies the operator to the
-    lower pair's difference too: its isometry check allows ``1e-10``, which
-    the difference of two sketches would spend on cancellation.
+    ``witness_error`` is ``ambient_error``.  Otherwise the upper pair's
+    length is ``|R x_d - R w_d|``, ``R w_d`` from the decoder's kept sketch,
+    and ``witness_error`` is ``covering_witness``'s.  A clamped sampler
+    applies the operator to both pairs' differences: its isometry check
+    allows ``1e-10``, which a difference of sketches would spend on cancellation.
 
     Raises ``UsageError`` when ``x_d`` is not ``d`` coefficients or
     ``sketch`` is not ``n`` measurements, and ``NetSketchError`` when a
@@ -234,7 +234,9 @@ def audit_trial(
     else:
         if witness is None:
             witness = covering_witness(sampler, member, coordinates)
-        upper_ratio = _distortion_ratio(operator, x_d - witness.coefficients)
+        if not sampler.clamped:
+            kept = float(np.linalg.norm(sketch - sampler.decoder.center_sketch(coordinates, operator)))
+        upper_ratio = _distortion_ratio(operator, x_d - witness.coefficients, kept)
         witness_error = witness.error
     budget = sampler.budget
     if witness_error > budget.resolution:

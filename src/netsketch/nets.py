@@ -20,8 +20,8 @@ that decoder from the plan:
   ``m_max`` centers.
 
 A decoder serves one ``d`` and holds the class it covers.  Per operator it
-keeps only its search geometry, each configuration's factored Gram, built on
-the first decode under it; a decode projects the pulled-back target ``R^T y``
+keeps each configuration's factored Gram and the sketch of its axis vectors,
+built on the first decode under it; a decode projects ``y`` on that sketch
 for one exact closest-point search, ``_nearest_on_grid``, and the class's
 ``member`` builds the winner.  Ties go to the lowest member index, except
 that the last axis takes the rounding of its continuous optimum, half-way up.
@@ -139,26 +139,29 @@ class _OperatorSlot:
     holds its operator weakly, so a dead operator's frame is freed before the
     next one is drawn; a dead reference returns ``None``, so the identity
     check cannot match a different operator allocated at a reused address.
-    The reference has no callback, which could run during cyclic garbage
-    collection while the slot's lock is held.
+    An operator's death empties its entry, so the contents go with it; that
+    callback, which may run in cyclic garbage collection under the lock,
+    takes no lock.
     """
 
     def __init__(self, build) -> None:
         self._build = build
         self._lock = threading.Lock()
-        self._held: tuple[weakref.ref, object] | None = None
+        self._held: list | None = None
 
     def get(self, operator):
         with self._lock:
             held = self._held
-            if held is not None and held[0]() is operator:
+            if held and held[0]() is operator:
                 return held[1]
             # Release the previous operator's contents before building anew.
-            self._held = None
-        del held
+            if held:
+                held.clear()
         built = self._build(operator)
+        entry = [weakref.ref(operator), built]
+        weakref.finalize(operator, entry.clear)
         with self._lock:
-            self._held = (weakref.ref(operator), built)
+            self._held = entry
         return built
 
 
@@ -399,9 +402,8 @@ class DecodeResult:
 
     ``coefficients`` holds the member's first ``d`` coefficients.
     ``measured`` is the member as the distance compared it with the target:
-    its sketch ``R c``, the product the residual formed (``coefficients``
-    itself when ``R`` is the identity).  ``coordinates`` is ``(breakpoints,
-    values)``, what the class's ``member`` built the member from.
+    its sketch ``R c``, from the decoder's kept sketch.  ``coordinates`` is
+    ``(breakpoints, values)``, what the class's ``member`` built it from.
     """
 
     member: object
@@ -419,11 +421,12 @@ class _GridDecoder:
     ``configurations`` (each one's breakpoints) and the axis grids are the
     plan's, so center ``k`` is configuration ``k // A`` at the ``k % A``-th
     axis point in ``itertools.product`` order, ``A`` the product of the axis
-    counts: ``enumerate_members``'s order.  Per operator a decoder keeps only its search geometry
-    (``_terms``, a slot over ``_operator_terms``); a decode forms only
-    ``_projections(pulled)``, from the target pulled back to coefficient
-    space, and ``_center(configuration, values)`` builds the winner by
-    ``family.member``.
+    counts: ``enumerate_members``'s order.  Per operator a decoder keeps its
+    geometry and the sketch of its axis vectors (``_terms``, a slot over
+    ``_operator_terms``, the one reader of the frame); a decode works from the
+    sketch alone, through ``_projections(sketch, y)`` and ``_measured(sketch,
+    configuration, values)``, a center's ``R c``, and ``_center(configuration,
+    values)`` builds the winner by ``family.member``.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -432,30 +435,36 @@ class _GridDecoder:
         self._grids = [axis.points() for axis in plan.axes]
         self._step = plan.axes[-1].step
         self._terms = _OperatorSlot(self._operator_terms)
+        self._configuration_index = {breakpoints: index for index, breakpoints in enumerate(self.configurations)}
 
-    def prepare(self, operator) -> _Geometry:
-        """The geometry for ``operator``, built now if no decode under it has built it."""
+    def prepare(self, operator) -> tuple[_Geometry, object]:
+        """The geometry and sketch for ``operator``, built now if no decode under it has built them."""
         if operator.d != self.d:
             raise UsageError(f"decoder serves d = {self.d}, not an operator on d = {operator.d}")
         return self._terms.get(operator)
 
-    def _search(self, geometry: _Geometry, pulled: np.ndarray):
-        return _nearest_on_grid(geometry, self._projections(pulled), self._grids, self._step)
+    def center_sketch(self, coordinates: tuple, operator) -> np.ndarray:
+        """``R c`` for the center at ``(breakpoints, values)``, from the sketch kept for ``operator``."""
+        breakpoints, values = coordinates
+        return self._measured(self.prepare(operator)[1], self._configuration_index[breakpoints], values)
+
+    def _search(self, geometry: _Geometry, sketch, y: np.ndarray):
+        return _nearest_on_grid(geometry, self._projections(sketch, y), self._grids, self._step)
 
     def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
         """Nearest net member to measurements under ``operator`` (exactly)."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (operator.n,):
             raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
-        geometry = self.prepare(operator)
-        configuration, steps = self._search(geometry, y @ operator.frame)
+        geometry, sketch = self.prepare(operator)
+        configuration, steps = self._search(geometry, sketch, y)
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |y|^2), which cancels when it is small.
-        measured = operator.frame @ coefficients
+        measured = self._measured(sketch, configuration, values)
         distance = float(np.linalg.norm(y - measured))
         coordinates = (self.configurations[configuration], values)
         return DecodeResult(member, index, distance, coefficients, measured, coordinates)
@@ -492,7 +501,7 @@ class FactoredStepDecoder(_GridDecoder):
     The decoder serves targets of length ``d`` for ``family``, whose
     ``member`` and ``coefficient_prefix`` build and expand the decoded
     center.  It builds only its phases at construction, read-only and shared,
-    and its geometry per operator.
+    and its geometry and sketch per operator.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -531,50 +540,55 @@ class FactoredStepDecoder(_GridDecoder):
         spectrum[..., 0] += np.conj(spectrum[..., 0])  # no tail reaches bin 0
         return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward")
 
-    def _indicator_products(self, rows: np.ndarray) -> np.ndarray:
-        """``W @ rows`` along the last axis of ``rows``, never forming ``W``."""
-        periodic = self._on_breakpoints(_indicator_series(rows))
-        return periodic + np.multiply.outer(rows[..., 0] / _SQRT_2PI, self._shift)
-
-    def _operator_terms(self, operator) -> _Geometry:
-        """The search geometry under ``operator``.
+    def _operator_terms(self, operator) -> tuple[_Geometry, tuple]:
+        """The search geometry under ``operator``, and the sketch ``(table, beta, Rv)``.
 
         With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` and ``beta =
-        R[:, 0] / sqrt(2 pi)``,
+        R[:, 0] / sqrt(2 pi)``, ``R w(b) = t(b) + (b+pi) beta`` and
 
             |R w(b)|^2 = (b+pi)^2 |beta|^2 + 2 (b+pi) t[R^T beta](b)
                          + sum_r t_r(b)^2,
 
-        and ``R^T beta = R^T v_full / (2 pi)``, so ``g00`` follows from
-        ``g0f = W R^T v_full`` and the square-sum: ``_on_breakpoints``
-        evaluates the ``t_r`` of ``_TERMS_BLOCK_ROWS`` rows at a time on the
-        ``P`` breakpoints, and their squares are summed there.  The rows are
-        read from ``R`` as it is stored: no frame-sized copy.
+        and ``R^T beta = R^T Rv / (2 pi)`` for the constant one's image
+        ``Rv``, so ``g00`` follows from ``g0f = <R w(b), Rv>`` and the
+        square-sum: ``_on_breakpoints`` evaluates the ``t_r`` of
+        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, into
+        the kept ``n x P`` table, and their squares are summed there.  The
+        rows are read from ``R`` as it is stored: no frame-sized copy.
         """
         started = time.perf_counter()
         frame = operator.frame
         n, d = frame.shape
+        table = np.empty((n, self.positions.size))
         g00 = np.zeros(self.positions.size)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
             values = self._on_breakpoints(_indicator_series(frame[start : start + _TERMS_BLOCK_ROWS]))
             g00 += np.einsum("ij,ij->j", values, values)
+            table[start : start + _TERMS_BLOCK_ROWS] = values
             del values  # before the next block's is built
         first = frame[:, 0]
-        v_full = _SQRT_2PI * first
+        beta, v_full = first / _SQRT_2PI, _SQRT_2PI * first
         lead = float(np.dot(first, first))
-        g0f = self._indicator_products(v_full @ frame)
+        g0f = v_full @ table + np.dot(v_full, beta) * self._shift
         g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d block=%d rows built in %.3fs",
-            self.positions.size, d, n, _TERMS_BLOCK_ROWS, time.perf_counter() - started,
+            "factored decoder terms: P=%d d=%d n=%d block=%d rows, sketch %d bytes, built in %.3fs",
+            self.positions.size, d, n, _TERMS_BLOCK_ROWS, table.nbytes, time.perf_counter() - started,
         )
         g01 = g0f - g00
         gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]
-        return _grid_geometry(gram, self._grids)
+        for array in (table, beta, v_full):
+            array.setflags(write=False)
+        return _grid_geometry(gram, self._grids), (table, beta, v_full)
 
-    def _projections(self, pulled: np.ndarray):
-        q0 = self._indicator_products(pulled)
-        return q0, _SQRT_2PI * pulled[0] - q0  # <R v, y> = <v, R^T y> for the constant one v = sqrt(2 pi) e_0
+    def _projections(self, sketch: tuple, y: np.ndarray):
+        table, beta, v_full = sketch
+        q0 = y @ table + np.dot(y, beta) * self._shift
+        return q0, np.dot(v_full, y) - q0  # <R v, y> for the constant one v
+
+    def _measured(self, sketch: tuple, configuration: int, values: tuple) -> np.ndarray:
+        (table, beta, v_full), (c0, c1) = sketch, values
+        return (c0 - c1) * (table[:, configuration] + beta * self._shift[configuration]) + c1 * v_full
 
     def _center(self, configuration: int, values: tuple):
         member = self.family.member(self.configurations[configuration], values)
@@ -588,10 +602,9 @@ class ConfigurationDecoder(_GridDecoder):
     a center's first ``d`` coefficients.  At a fixed configuration a center's
     coefficients are linear in its axis values, so column ``j`` of the map is
     ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions per
-    configuration, built at construction, and no center's.  The Grams are
-    ``R @ maps``'s, per operator, and the projections are the
-    pulled-back target times the maps.  The decoded center is built by
-    ``family.member(breakpoints, values)``, its coefficients by its map.
+    configuration, built at construction, and no center's.  Per operator it
+    keeps ``R @ maps``, whose transpose times ``y`` gives the projections.
+    The center is built by ``family.member``, its coefficients by its map.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -609,14 +622,19 @@ class ConfigurationDecoder(_GridDecoder):
             self.maps.nbytes, time.perf_counter() - started,
         )
 
-    def _operator_terms(self, operator) -> _Geometry:
-        """The projected maps' Grams and their factor, kept read-only and shared."""
-        maps = np.matmul(operator.frame, self.maps)
-        gram = np.ascontiguousarray(np.matmul(maps.transpose(0, 2, 1), maps).transpose(1, 2, 0))
-        return _grid_geometry(gram, self._grids)
+    def _operator_terms(self, operator) -> tuple[_Geometry, np.ndarray]:
+        """The projected maps ``R @ maps``, the sketch, and their Grams' factor, kept read-only and shared."""
+        sketch = np.matmul(operator.frame, self.maps)
+        sketch.setflags(write=False)
+        gram = np.ascontiguousarray(np.matmul(sketch.transpose(0, 2, 1), sketch).transpose(1, 2, 0))
+        logger.debug("configuration decoder terms: C=%d n=%d axes=%d, sketch %d bytes", *sketch.shape, sketch.nbytes)
+        return _grid_geometry(gram, self._grids), sketch
 
-    def _projections(self, pulled: np.ndarray):
-        return np.ascontiguousarray(np.matmul(pulled, self.maps).T)
+    def _projections(self, sketch: np.ndarray, y: np.ndarray):
+        return np.ascontiguousarray(np.matmul(y, sketch).T)
+
+    def _measured(self, sketch: np.ndarray, configuration: int, values: tuple) -> np.ndarray:
+        return sketch[configuration] @ np.array(values)
 
     def _center(self, configuration: int, values: tuple):
         member = self.family.member(self.configurations[configuration], values)

@@ -260,43 +260,53 @@ def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
     return best_index, best
 
 
-def factor_per_decode(decoder, raw, pulled: np.ndarray):
+class CountedFrame(np.ndarray):
+    """An operator frame's view that records each matrix product it takes part in, in ``products``."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedFrame.products.append(None)
+        plain = [a.view(np.ndarray) if isinstance(a, CountedFrame) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def factor_per_decode(decoder, raw, projections):
     """A step decoder's search from its raw Gram terms, factored on every decode.
 
     The factored step decoder's search before it kept each operator's
     factor, kept as the oracle.  ``raw`` is ``(g00, g0f, gff)``: ``|w(b)|^2``,
     ``<w(b), v>`` and ``|v|^2`` for the constant one's image ``v``.  Every
     call assembles ``g01 = g0f - g00`` and ``g11 = gff - 2 g0f + g00``,
-    factors the ``P`` 2x2 Grams and searches them.  ``q1 = <v, y> - q0`` is
-    ``sqrt(2 pi) pulled[0] - q0``: the constant one's coefficients are
-    ``sqrt(2 pi) e_0``, and ``pulled`` is ``R^T y``.
+    factors the ``P`` 2x2 Grams and searches them with the decoder's own
+    ``projections`` ``(q0, q1)``.
     """
     g00, g0f, gff = raw
-    q0 = decoder._indicator_products(pulled)
-    q1 = math.sqrt(2.0 * math.pi) * pulled[0] - q0
     g01 = g0f - g00
     grids = (decoder.plan.axes[0].points(), decoder.plan.axes[0].points())
     geometry = nets._grid_geometry([[g00, g01], [g01, gff - 2.0 * g0f + g00]], grids)
-    return nets._nearest_on_grid(geometry, (q0, q1), grids, decoder.plan.axes[0].step)
+    return nets._nearest_on_grid(geometry, projections, grids, decoder.plan.axes[0].step)
 
 
 def per_decode_copy(decoder):
     """A copy of a factored step decoder that keeps raw terms and runs ``factor_per_decode``.
 
-    Its raw terms are read from ``decoder``'s ``_terms`` and the operator
-    alone: ``g00`` is the kept Gram's corner, and ``g0f`` and ``gff`` are
-    recomputed as the decoder computed them before it kept the factor (``W
-    R^T v`` and ``|v|^2`` for ``v = sqrt(2 pi) R[:, 0]``, the constant one's
-    image under an operator ``R``, the identity included).
+    Its raw terms are read from what ``decoder`` keeps for the operator:
+    ``g00`` is the kept Gram's corner, and ``g0f`` and ``gff`` are
+    recomputed from the kept sketch as the decoder computes them (``<R
+    w(b), v> = v.table + (v.beta)(b+pi)`` and ``|v|^2`` for ``v = sqrt(2 pi)
+    R[:, 0]``, the constant one's image under an operator ``R``, the
+    identity included).
     """
     reference = copy.copy(decoder)
 
     def operator_terms(operator):
-        geometry = decoder._terms.get(operator)
-        v = math.sqrt(2.0 * math.pi) * operator.frame[:, 0]
-        g0f = decoder._indicator_products(v @ operator.frame)
-        return geometry.gram[0][0], g0f, float(np.dot(v, v))
+        geometry, sketch = decoder._terms.get(operator)
+        table, beta, v = sketch
+        g0f = v @ table + np.dot(v, beta) * decoder._shift
+        return (geometry.gram[0][0], g0f, float(np.dot(v, v))), sketch
 
     reference._terms = nets._OperatorSlot(operator_terms)
-    reference._search = lambda raw, pulled: factor_per_decode(decoder, raw, pulled)
+    reference._search = lambda raw, sketch, y: factor_per_decode(decoder, raw, decoder._projections(sketch, y))
     return reference

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import CountedFrame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -349,15 +350,8 @@ def frame_products_per_trial(monkeypatch, text):
     Returns one ``(products, witness_is_decoded)`` pair per trial: whether
     the class's rounding witness is the decoded center, which forms no product.
     """
-    products = []
-
-    class CountedFrame(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                products.append(None)
-            plain = [a.view(np.ndarray) if isinstance(a, CountedFrame) else a for a in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs)
-
+    products = CountedFrame.products
+    products.clear()
     draw = reconstructor.random_subspace
 
     def counted_draw(*args, **kwargs):
@@ -388,22 +382,23 @@ def frame_products_per_trial(monkeypatch, text):
 
 
 @pytest.mark.parametrize("delta", ["0.0", "0.05"])
-def test_a_trial_reads_the_frame_three_times(monkeypatch, delta):
-    # measure forms R x_d, the decode R^T y and, for its residual, R c; the
-    # audit reuses R x_d and R c, and forms R(x_d - w_d) only when the
-    # witness w is not the decoded center.  Noise is added to R x_d.  At 16
+def test_a_trial_reads_the_frame_once(monkeypatch, delta):
+    # measure forms R x_d; the decode works from the decoder's kept sketch,
+    # which gives the winner's R c and, when the witness w is not the
+    # decoded center, R w_d for the audit.  Noise is added to R x_d.  At 16
     # trials both cases occur at either delta (trial 13 decodes its witness).
     text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 16") + f"delta = {delta}\n"
     trials = frame_products_per_trial(monkeypatch, text)
-    assert [products for products, _ in trials] == [3 if same else 4 for _, same in trials]
+    assert [products for products, _ in trials] == [1] * 16
     assert {same for _, same in trials} == {True, False}
 
 
 def test_a_clamped_trial_keeps_its_direct_products(monkeypatch):
-    # n = d: the audit applies the operator to the lower pair's difference,
-    # and to the upper pair's when the witness is not the decoded center.
+    # n = d: besides measure's R x_d, the audit applies the operator to the
+    # lower pair's difference, and to the upper pair's when the witness is
+    # not the decoded center.
     trials = frame_products_per_trial(monkeypatch, SMOOTH_CONFIG)
-    assert [products for products, _ in trials] == [4 if same else 5 for _, same in trials]
+    assert [products for products, _ in trials] == [2 if same else 3 for _, same in trials]
 
 
 def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkeypatch):
@@ -432,7 +427,9 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
     witness = family.member(*coordinates)
     witness_d = family.coefficient_prefix(witness, sampler.d)
     assert result.witness_error == family.distance(member, witness) <= sampler.budget.resolution
-    assert result.upper_ratio == experiment._distortion_ratio(sampler.operator, x_d - witness_d)
+    # The upper pair's length is |R x_d - R w_d| from the kept sketches.
+    direct = experiment._distortion_ratio(sampler.operator, x_d - witness_d)
+    assert result.upper_ratio == pytest.approx(direct, rel=1e-12, abs=0.0)
     assert result.premise and result.guarantee_met and not result.counterexample
     offset = np.linalg.norm(x_d - outcome.coefficients)
     lower, upper = sampler.budget.band

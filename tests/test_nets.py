@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from conftest import (
+    CountedFrame,
     decoder_rows,
     linear_expansion_bound,
     per_decode_copy,
@@ -560,16 +561,18 @@ def test_indicator_products_match_the_dense_closed_form():
             decoder = step_decoder(eps1, d)
             assert decoder.positions.size == count
             w = dense_indicator_rows(decoder.positions, d)
-            # One vector, or a block of rows along the leading axis.
-            for shape in ((d,), (4, d)):
-                block = rng.normal(size=shape)
-                products = decoder._indicator_products(block)
-                assert products.shape == shape[:-1] + (count,)
+            # The products <R_r, w(b)> of one row, or of a block of rows: the
+            # kept table plus its rank-one part (b+pi) R[:, 0] / sqrt(2 pi).
+            for rows in (1, min(4, d)):
+                block = rng.normal(size=(rows, d))
+                table, beta, _ = decoder._operator_terms(MeasurementOperator(block))[1]
+                assert table.shape == (rows, count)
+                products = table + np.multiply.outer(beta, decoder.positions + math.pi)
                 np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
             # |w(b)|^2 in coefficient space: the terms under the identity,
             # against the dense rows and the squared closed forms.
             identity = MeasurementOperator(np.eye(d))
-            norms = decoder._operator_terms(identity).gram[0][0]
+            norms = decoder._operator_terms(identity)[0].gram[0][0]
             dense = np.einsum("ij,ij->i", w, w)
             np.testing.assert_allclose(norms, dense, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(norms, indicator_norms(decoder.positions, d), rtol=0.0, atol=1e-12)
@@ -590,7 +593,15 @@ def test_operator_terms_match_the_dense_closed_form():
                 projected = w @ rows.T
                 # The two axes under R: R w(b) and R (v - w(b)).
                 after = math.sqrt(TWO_PI) * rows[:, 0] - projected
-                gram = decoder._operator_terms(operator).gram
+                geometry, sketch = decoder._operator_terms(operator)
+                # The kept sketch: the table plus its rank-one part is R w(b).
+                table, beta, v = sketch
+                assert table.shape == (n, decoder.positions.size) and not table.flags.writeable
+                np.testing.assert_allclose(
+                    table + np.multiply.outer(beta, decoder.positions + math.pi), projected.T, rtol=0.0, atol=1e-12
+                )
+                np.testing.assert_array_equal(v, math.sqrt(TWO_PI) * rows[:, 0])
+                gram = geometry.gram
                 for (i, j), (a, b) in {
                     (0, 0): (projected, projected),
                     (0, 1): (projected, after),
@@ -601,9 +612,9 @@ def test_operator_terms_match_the_dense_closed_form():
                         gram[i][j], np.einsum("ij,ij->i", a, b), rtol=0.0, atol=1e-12
                     )
                 y = rng.normal(size=n)
-                # The projections from R^T y alone: q0 = w(b).R^T y and
-                # q1 = (v - w(b)).R^T y, v the constant one.
-                q0, q1 = decoder._projections(y @ rows)
+                # The projections from the kept sketch alone: q0 = <R w(b), y>
+                # and q1 = <R (v - w(b)), y>, v the constant one.
+                q0, q1 = decoder._projections(sketch, y)
                 np.testing.assert_allclose(q0, projected @ y, rtol=0.0, atol=1e-12)
                 np.testing.assert_allclose(q1, after @ y, rtol=0.0, atol=1e-12)
 
@@ -645,8 +656,9 @@ def test_operator_terms_follow_the_operator():
 
 
 def test_decoders_hold_their_operator_weakly(monkeypatch):
-    # A decoder's slot must not keep a dead operator's frame alive into the
-    # next draw, and a new operator must not match the dead one's entry.
+    # A decoder's slot must not keep a dead operator's frame, nor the sketch
+    # it kept for it, alive into the next draw, and a new operator must not
+    # match the dead one's entry.
     plan = step_class().net_plan(1.5)
     builds = []
     for decoder_class, name in (
@@ -667,11 +679,12 @@ def test_decoders_hold_their_operator_weakly(monkeypatch):
         builds.clear()
         decoder = make_decoder()
         operator = random_subspace(40, 9, seed=1)
-        decoder.prepare(operator)
+        kept = decoder.prepare(operator)[1]
         frame = weakref.ref(operator.frame)
-        del operator
+        sketch = weakref.ref(kept[0] if isinstance(kept, tuple) else kept)
+        del operator, kept
         gc.collect()
-        assert frame() is None
+        assert frame() is None and sketch() is None
         other = random_subspace(40, 9, seed=2)
         result = decoder.decode_measurements(y, other)
         assert len(builds) == 2  # the dead operator's build, then the new one's
@@ -684,18 +697,63 @@ def test_operator_terms_make_no_frame_sized_copy():
     # the build reads the 9.1 MB frame 32 rows at a time and copies none of
     # it.  A block's series (0.48 MB), half spectrum and values on the
     # breakpoints (0.66 MB each) are released before the next block's are
-    # built, so the peak stays under 3 MB.
+    # built, so past the n x P table it keeps (12.5 MB here, its output,
+    # not a copy) the peak stays under 3 MB.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592
     operator = random_subspace(1886, 604, seed=1)
     tracemalloc.start()
     try:
-        decoder._operator_terms(operator)
-        peak = tracemalloc.get_traced_memory()[1]
+        table = decoder._operator_terms(operator)[1][0]
+        peak = tracemalloc.get_traced_memory()[1] - table.nbytes
     finally:
         tracemalloc.stop()
+    assert table.nbytes == 604 * 2592 * 8
     assert peak < operator.frame.nbytes / 2
     assert peak < 3_000_000
+
+
+def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
+    # Both decoders decode from the sketch they keep per operator: no product
+    # with the frame, in the decode or in a center's sketch, and each logs
+    # the kept sketch's bytes, P n 8 for the step table and C n k 8 for the
+    # projected maps.  A center's sketch is R c to rounding.
+    family, d, n = step_class(), 40, 9
+    plan = family.net_plan(1.5)
+    rng = np.random.default_rng(71)
+    for decoder, size in (
+        (step_decoder(1.5, d), plan.breakpoint_count * n * 8),
+        (ConfigurationDecoder(plan, d, family), plan.config_count * n * len(plan.axes) * 8),
+    ):
+        operator = random_subspace(d, n, seed=5)
+        frame = operator.frame
+        object.__setattr__(operator, "frame", frame.view(CountedFrame))
+        with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
+            decoder.prepare(operator)
+        assert re.search(rf"decoder terms: .*, sketch {size} bytes", caplog.text)
+        caplog.clear()
+        CountedFrame.products.clear()
+        for _ in range(4):
+            result = decoder.decode_measurements(rng.normal(size=n), operator)
+            witness = round_coordinates(family, plan, result.member)
+            assert witness == result.coordinates
+            assert decoder.center_sketch(witness, operator).tobytes() == result.measured.tobytes()
+            other = (plan.configurations().__next__(), result.coordinates[1])
+            sketch = decoder.center_sketch(other, operator)
+            np.testing.assert_allclose(
+                sketch, frame @ family.coefficient_prefix(family.member(*other), d), rtol=0.0, atol=1e-12
+            )
+        assert CountedFrame.products == []
+
+
+def test_the_kept_map_sketch_is_the_projected_maps():
+    family = step_class(max_jumps=2, min_gap=1.5)
+    plan = family.net_plan(3.0)
+    decoder = ConfigurationDecoder(plan, 16, family)
+    operator = random_subspace(16, 7, seed=13)
+    sketch = decoder.prepare(operator)[1]
+    assert sketch.shape == (plan.config_count, 7, len(plan.axes)) and not sketch.flags.writeable
+    np.testing.assert_allclose(sketch, np.einsum("nd,cdk->cnk", operator.frame, decoder.maps), rtol=0.0, atol=1e-13)
 
 
 def test_coefficient_decode_keeps_its_identity_uncopied(monkeypatch):
@@ -1107,18 +1165,16 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def full_sweep(self, geometry, pulled):
+def full_sweep(self, geometry, sketch, y):
     """Reference: every (breakpoint, ``c0``) pair, in the decoder's arithmetic.
 
     The factored decoder's sweep before it pruned breakpoints, kept here as
     the oracle the pruned search must match bit for bit.  It stands in for
     the decoder's ``_search`` and reads the same inputs, the kept 2x2 Grams
-    and ``pulled = R^T y``; ``q1 = <v, y> - q0`` for the constant one's image
-    ``v = sqrt(2 pi) R[:, 0]`` is ``sqrt(2 pi) pulled[0] - q0``.
+    and the decoder's projections ``q0`` and ``q1`` of ``y``.
     """
     c0 = self.plan.axes[0].points()
-    q0 = self._indicator_products(pulled)
-    q1 = math.sqrt(TWO_PI) * pulled[0] - q0
+    q0, q1 = self._projections(sketch, y)
     (g00, g01), (_, g11) = geometry.gram
     half = (self.plan.axes[0].points().size - 1) // 2
     k = np.multiply.outer(g01, c0)

@@ -12,7 +12,9 @@ hooks the net is walked through, loads neither.
 An operator's ``frame`` is the sketch map ``R = sqrt(d / n) Q`` itself, so
 only ``jl``, which scales it, and ``reconstructor``, whose noise level is
 stated in unscaled units, read ``scale``; ``nets`` reads an operator only
-through ``frame``, ``n`` and ``d``; and ``jl`` loads nothing from ``hilbert``.
+through ``frame``, ``n`` and ``d``, and only a decoder's ``_operator_terms``
+reads the frame, once per operator; and ``jl`` loads nothing from
+``hilbert``.
 """
 
 from __future__ import annotations
@@ -93,6 +95,17 @@ def test_nets_reads_an_operator_only_through_its_frame_and_shape():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "operator"
     }
     assert read and read <= {"frame", "n", "d"}
+
+
+def test_only_operator_terms_in_nets_read_the_frame():
+    readers = {
+        (function.name, node.lineno)
+        for function in ast.walk(_tree("nets"))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "frame"
+    }
+    assert readers and {name for name, _ in readers} == {"_operator_terms"}
 
 
 def test_jl_imports_nothing_from_hilbert():
