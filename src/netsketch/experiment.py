@@ -203,7 +203,7 @@ def audit_trial(
     ``nets.round_coordinates`` names.  When w's breakpoints and axis values
     are the decode's ``coordinates``, the upper pair is the lower one and
     ``witness_error`` is ``ambient_error``.  Otherwise the upper pair's
-    length is ``|R x_d - R w_d|``, ``R w_d`` from the decoder's kept sketch,
+    length is ``|R x_d - R w_d|``, ``R w_d`` from the sampler's ``sketched``,
     and ``witness_error`` is ``covering_witness``'s.  A clamped sampler
     applies the operator to both pairs' differences: its isometry check
     allows ``1e-10``, which a difference of sketches would spend on cancellation.
@@ -235,7 +235,7 @@ def audit_trial(
         if witness is None:
             witness = covering_witness(sampler, member, coordinates)
         if not sampler.clamped:
-            kept = float(np.linalg.norm(sketch - sampler.decoder.center_sketch(coordinates, operator)))
+            kept = float(np.linalg.norm(sketch - sampler.decoder.center_sketch(coordinates, sampler.sketched)))
         upper_ratio = _distortion_ratio(operator, x_d - witness.coefficients, kept)
         witness_error = witness.error
     budget = sampler.budget
@@ -403,9 +403,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
             covering_witness(sampler, member),
         )
     else:
-        # Every trial measures through this operator: draw it and build the
-        # decoder's terms for it in set-up, before worker threads share them.
-        sampler.decoder.prepare(sampler.operator)
+        # Every trial measures through this operator: draw it and sketch the
+        # net under it in set-up, before worker threads share the sampler.
+        sampler.sketched
 
     def worker(trial: int) -> tuple[dict[str, Any], TrialAudit]:
         return _run_trial(config, sampler, fixed, delta, trial)

@@ -19,12 +19,14 @@ that decoder from the plan:
   ``d x k`` linear map per breakpoint configuration, built for at most
   ``m_max`` centers.
 
-A decoder serves one ``d`` and holds the class it covers.  Per operator it
-keeps each configuration's factored Gram and the sketch of its axis vectors,
-built on the first decode under it; a decode projects ``y`` on that sketch
-for one exact closest-point search, ``_nearest_on_grid``, and the class's
-``member`` builds the winner.  Ties go to the lowest member index, except
-that the last axis takes the rounding of its continuous optimum, half-way up.
+A decoder serves one ``d``, holds the class it covers, and changes nothing
+after construction.  ``prepare`` builds the net as one operator sees it, a
+``SketchedNet``: each configuration's factored Gram and the sketch of its
+axis vectors, which the operator's owner keeps; a decode projects ``y`` on
+that sketch for one exact closest-point search, ``_nearest_on_grid``, and
+the class's ``member`` builds the winner.  Ties go to the lowest member
+index, except that the last axis takes the rounding of its continuous
+optimum, half-way up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
@@ -45,9 +47,7 @@ import functools
 import itertools
 import logging
 import math
-import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -64,6 +64,7 @@ __all__ = [
     "FactoredStepDecoder",
     "DecodeResult",
     "NetPlan",
+    "SketchedNet",
     "build_net",
     "enumerate_members",
     "round_coordinates",
@@ -129,40 +130,6 @@ class AxisLog:
         half = (self.count - 1) // 2
         k = int(math.floor(value / self.step + 0.5))
         return max(-half, min(half, k)) * self.step
-
-
-class _OperatorSlot:
-    """What a decoder built for the last operator it decoded under.
-
-    One slot, shared by every thread that decodes: a run under a fixed
-    operator builds once, and a new operator replaces the contents.  The slot
-    holds its operator weakly, so a dead operator's frame is freed before the
-    next one is drawn; a dead reference returns ``None``, so the identity
-    check cannot match a different operator allocated at a reused address.
-    An operator's death empties its entry, so the contents go with it; that
-    callback, which may run in cyclic garbage collection under the lock,
-    takes no lock.
-    """
-
-    def __init__(self, build) -> None:
-        self._build = build
-        self._lock = threading.Lock()
-        self._held: list | None = None
-
-    def get(self, operator):
-        with self._lock:
-            held = self._held
-            if held and held[0]() is operator:
-                return held[1]
-            # Release the previous operator's contents before building anew.
-            if held:
-                held.clear()
-        built = self._build(operator)
-        entry = [weakref.ref(operator), built]
-        weakref.finalize(operator, entry.clear)
-        with self._lock:
-            self._held = entry
-        return built
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +369,7 @@ class DecodeResult:
 
     ``coefficients`` holds the member's first ``d`` coefficients.
     ``measured`` is the member as the distance compared it with the target:
-    its sketch ``R c``, from the decoder's kept sketch.  ``coordinates`` is
+    its sketch ``R c``, from the operator's ``SketchedNet``.  ``coordinates`` is
     ``(breakpoints, values)``, what the class's ``member`` built it from.
     """
 
@@ -414,6 +381,22 @@ class DecodeResult:
     coordinates: tuple = field(compare=False)
 
 
+class SketchedNet(NamedTuple):
+    """A net as one operator sees it: a decoder's search geometry and the sketch of its axis vectors under ``operator``."""
+
+    operator: MeasurementOperator
+    geometry: _Geometry
+    sketch: object
+
+    @property
+    def n(self) -> int:
+        return self.operator.n
+
+    @property
+    def d(self) -> int:
+        return self.operator.d
+
+
 class _GridDecoder:
     """The decode entry points both decoders share, for targets of length ``d``.
 
@@ -421,12 +404,12 @@ class _GridDecoder:
     ``configurations`` (each one's breakpoints) and the axis grids are the
     plan's, so center ``k`` is configuration ``k // A`` at the ``k % A``-th
     axis point in ``itertools.product`` order, ``A`` the product of the axis
-    counts: ``enumerate_members``'s order.  Per operator a decoder keeps its
-    geometry and the sketch of its axis vectors (``_terms``, a slot over
-    ``_operator_terms``, the one reader of the frame); a decode works from the
-    sketch alone, through ``_projections(sketch, y)`` and ``_measured(sketch,
-    configuration, values)``, a center's ``R c``, and ``_center(configuration,
-    values)`` builds the winner by ``family.member``.
+    counts: ``enumerate_members``'s order.  ``prepare`` builds an operator's
+    ``SketchedNet`` by ``_operator_terms``, the one reader of the frame, and
+    keeps nothing; a decode works from that sketch alone, through
+    ``_projections(sketch, y)`` and ``_measured(sketch, configuration,
+    values)``, a center's ``R c``, and ``_center(configuration, values)``
+    builds the winner by ``family.member``.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -434,37 +417,37 @@ class _GridDecoder:
         self.configurations = tuple(plan.configurations())
         self._grids = [axis.points() for axis in plan.axes]
         self._step = plan.axes[-1].step
-        self._terms = _OperatorSlot(self._operator_terms)
         self._configuration_index = {breakpoints: index for index, breakpoints in enumerate(self.configurations)}
 
-    def prepare(self, operator) -> tuple[_Geometry, object]:
-        """The geometry and sketch for ``operator``, built now if no decode under it has built them."""
+    def prepare(self, operator) -> SketchedNet:
+        """The net under ``operator``, built now; the caller keeps it for as long as it measures through ``operator``."""
         if operator.d != self.d:
             raise UsageError(f"decoder serves d = {self.d}, not an operator on d = {operator.d}")
-        return self._terms.get(operator)
+        return SketchedNet(operator, *self._operator_terms(operator))
 
-    def center_sketch(self, coordinates: tuple, operator) -> np.ndarray:
-        """``R c`` for the center at ``(breakpoints, values)``, from the sketch kept for ``operator``."""
+    def center_sketch(self, coordinates: tuple, sketched: SketchedNet) -> np.ndarray:
+        """``R c`` for the center at ``(breakpoints, values)``, from ``sketched``'s sketch."""
         breakpoints, values = coordinates
-        return self._measured(self.prepare(operator)[1], self._configuration_index[breakpoints], values)
+        return self._measured(sketched.sketch, self._configuration_index[breakpoints], values)
 
     def _search(self, geometry: _Geometry, sketch, y: np.ndarray):
         return _nearest_on_grid(geometry, self._projections(sketch, y), self._grids, self._step)
 
-    def decode_measurements(self, y: np.ndarray, operator) -> DecodeResult:
-        """Nearest net member to measurements under ``operator`` (exactly)."""
+    def decode_measurements(self, y: np.ndarray, sketched: SketchedNet) -> DecodeResult:
+        """Nearest net member to measurements under ``sketched``'s operator (exactly)."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (operator.n,):
-            raise UsageError(f"expected {operator.n} measurements, got shape {y.shape}")
-        geometry, sketch = self.prepare(operator)
-        configuration, steps = self._search(geometry, sketch, y)
+        if sketched.d != self.d:
+            raise UsageError(f"decoder serves d = {self.d}, not a net sketched on d = {sketched.d}")
+        if y.shape != (sketched.n,):
+            raise UsageError(f"expected {sketched.n} measurements, got shape {y.shape}")
+        configuration, steps = self._search(sketched.geometry, sketched.sketch, y)
         counts = [grid.size for grid in self._grids]
         index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |y|^2), which cancels when it is small.
-        measured = self._measured(sketch, configuration, values)
+        measured = self._measured(sketched.sketch, configuration, values)
         distance = float(np.linalg.norm(y - measured))
         coordinates = (self.configurations[configuration], values)
         return DecodeResult(member, index, distance, coefficients, measured, coordinates)
@@ -482,7 +465,7 @@ class _GridDecoder:
             raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
         identity = np.eye(self.d)
         identity.setflags(write=False)  # so the operator keeps it uncopied
-        return self.decode_measurements(target, MeasurementOperator(identity))
+        return self.decode_measurements(target, self.prepare(MeasurementOperator(identity)))
 
 
 class FactoredStepDecoder(_GridDecoder):
@@ -500,8 +483,7 @@ class FactoredStepDecoder(_GridDecoder):
 
     The decoder serves targets of length ``d`` for ``family``, whose
     ``member`` and ``coefficient_prefix`` build and expand the decoded
-    center.  It builds only its phases at construction, read-only and shared,
-    and its geometry and sketch per operator.
+    center.  It builds its phases at construction, read-only and shared.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -602,8 +584,8 @@ class ConfigurationDecoder(_GridDecoder):
     a center's first ``d`` coefficients.  At a fixed configuration a center's
     coefficients are linear in its axis values, so column ``j`` of the map is
     ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions per
-    configuration, built at construction, and no center's.  Per operator it
-    keeps ``R @ maps``, whose transpose times ``y`` gives the projections.
+    configuration, built at construction, and no center's.  Its sketch under
+    an operator is ``R @ maps``, whose transpose times ``y`` gives the projections.
     The center is built by ``family.member``, its coefficients by its map.
     """
 

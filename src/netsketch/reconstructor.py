@@ -40,6 +40,7 @@ from .nets import (
     CoveringNet,
     DecodeResult,
     FactoredStepDecoder,
+    SketchedNet,
     build_net,
 )
 
@@ -134,19 +135,20 @@ class PreparedSampler:
     ``budget`` is how the accuracy target ``eps`` is spent: ``d`` keeps the
     tails within ``budget.tail`` and the net covers at ``budget.resolution``.
     ``decoder`` is the net's decoder, built with the net for this ``d``: it
-    finds the nearest net center to measurements under an operator, and
-    builds its terms on the first decode under each.
+    finds the nearest net center to measurements under an operator.
     ``clamped`` says that the Johnson-Lindenstrauss requirement met or
     exceeded ``d``, so ``n = d``: the operator is a full orthogonal map and
     the sketch is exact on the truncated space.
 
-    The ``n x d`` operator is drawn from ``operator_seed`` on first use of
-    ``operator``, so a sampler whose operator is replaced before any
-    measurement (every trial of a ``fixed_x`` run) never pays for the draw.
-    The draw takes no lock: draw it before threads share the sampler.
-    (Before Python 3.12, ``functools.cached_property`` holds one lock for
-    every sampler while it draws, which would serialize the draws of a
-    ``fixed_x`` run's worker threads.)
+    ``sketched`` is the net as the sampler's operator sees it: the ``n x d``
+    operator, drawn from ``operator_seed``, and the decoder's ``prepare`` of
+    it, both built on first use of ``sketched`` or ``operator`` and kept
+    with the sampler, so they die with it.  A sampler whose operator is
+    replaced before any measurement (every trial of a ``fixed_x`` run)
+    never pays for either.  The build takes no lock: build it before
+    threads share the sampler.  (Before Python 3.12,
+    ``functools.cached_property`` holds one lock for every sampler while it
+    builds, which would serialize a ``fixed_x`` run's worker threads.)
     """
 
     budget: AccuracyBudget
@@ -180,12 +182,16 @@ class PreparedSampler:
         return failure_bound(self.n, self.d, self.net.size, 1, self.budget.band)
 
     @property
+    def sketched(self) -> SketchedNet:
+        built = self.__dict__.get("_sketched")
+        if built is None:
+            built = self.decoder.prepare(random_subspace(self.d, self.n, seed=self.operator_seed))
+            object.__setattr__(self, "_sketched", built)
+        return built
+
+    @property
     def operator(self) -> MeasurementOperator:
-        drawn = self.__dict__.get("_operator")
-        if drawn is None:
-            drawn = random_subspace(self.d, self.n, seed=self.operator_seed)
-            object.__setattr__(self, "_operator", drawn)
-        return drawn
+        return self.sketched.operator
 
 
 def preprocess(
@@ -252,7 +258,7 @@ def with_new_operator(
     """Redraw the measurement operator, keeping dimensions, net and decoder.
 
     Takes the new operator's seed from ``rng`` now; the operator itself is
-    drawn on first use.
+    drawn, and the net sketched under it, on first use.
     """
     return replace(sampler, operator_seed=int(rng.integers(SEED_RANGE)))
 
@@ -303,4 +309,4 @@ def reconstruct(sampler: PreparedSampler, y: np.ndarray) -> DecodeResult:
     rounding (see ``nets._nearest_on_grid``).  The result's ``coefficients``
     and ``measured`` are the center's ``c_d`` and its sketch ``R c``.
     """
-    return sampler.decoder.decode_measurements(y, sampler.operator)
+    return sampler.decoder.decode_measurements(y, sampler.sketched)

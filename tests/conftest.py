@@ -292,21 +292,21 @@ def factor_per_decode(decoder, raw, projections):
 def per_decode_copy(decoder):
     """A copy of a factored step decoder that keeps raw terms and runs ``factor_per_decode``.
 
-    Its raw terms are read from what ``decoder`` keeps for the operator:
-    ``g00`` is the kept Gram's corner, and ``g0f`` and ``gff`` are
-    recomputed from the kept sketch as the decoder computes them (``<R
-    w(b), v> = v.table + (v.beta)(b+pi)`` and ``|v|^2`` for ``v = sqrt(2 pi)
-    R[:, 0]``, the constant one's image under an operator ``R``, the
-    identity included).
+    Its ``prepare`` puts raw terms where ``decoder.prepare``'s net has its
+    geometry: ``g00`` is that geometry's Gram corner, and ``g0f`` and
+    ``gff`` are recomputed from the sketch as the decoder computes them
+    (``<R w(b), v> = v.table + (v.beta)(b+pi)`` and ``|v|^2`` for ``v =
+    sqrt(2 pi) R[:, 0]``, the constant one's image under an operator ``R``,
+    the identity included).  Prepare once per operator, as for ``decoder``.
     """
     reference = copy.copy(decoder)
 
-    def operator_terms(operator):
-        geometry, sketch = decoder._terms.get(operator)
-        table, beta, v = sketch
+    def prepare(operator):
+        sketched = decoder.prepare(operator)
+        table, beta, v = sketched.sketch
         g0f = v @ table + np.dot(v, beta) * decoder._shift
-        return (geometry.gram[0][0], g0f, float(np.dot(v, v))), sketch
+        return sketched._replace(geometry=(sketched.geometry.gram[0][0], g0f, float(np.dot(v, v))))
 
-    reference._terms = nets._OperatorSlot(operator_terms)
+    reference.prepare = prepare
     reference._search = lambda raw, sketch, y: factor_per_decode(decoder, raw, decoder._projections(sketch, y))
     return reference

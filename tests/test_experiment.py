@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import math
+import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -270,39 +275,95 @@ def test_theorem_bound_check_uses_the_configured_constant():
     assert summary["theorem_bound_check"] is True
 
 
+def term_builds(monkeypatch, text, jobs):
+    """Run ``text`` and list, for each decoder terms build, the trial it ran in, ``None`` for set-up."""
+    builds = []
+    current = threading.local()
+    trial = experiment._run_trial
+
+    def tagged_trial(config, sampler, fixed, delta, index):
+        current.trial = index
+        try:
+            return trial(config, sampler, fixed, delta, index)
+        finally:
+            current.trial = None
+
+    monkeypatch.setattr(experiment, "_run_trial", tagged_trial)
+    for decoder in (nets.FactoredStepDecoder, nets.ConfigurationDecoder):
+
+        def counted_build(self, operator, build=decoder._operator_terms):
+            builds.append(getattr(current, "trial", None))
+            return build(self, operator)
+
+        monkeypatch.setattr(decoder, "_operator_terms", counted_build)
+    config = load_experiment_config(text)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_experiment(config, jobs=jobs)
+    finally:
+        sys.setswitchinterval(previous)
+    return builds
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
     # Both decoders build what they need for the run's one operator in
     # set-up, so no trial, the first one included, pays for it.
-    started = []
-    builds = []
-    trial = experiment._run_trial
+    for text in (FACTORED_FIXED_W_CONFIG, SMOOTH_CONFIG):
+        assert term_builds(monkeypatch, text, jobs) == [None]
 
-    def counted_trial(*args, **kwargs):
-        started.append(None)
-        return trial(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "_run_trial", counted_trial)
-    for decoder, name in (
-        (nets.FactoredStepDecoder, "_operator_terms"),
-        (nets.ConfigurationDecoder, "_operator_terms"),
-    ):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fixed_x_builds_decoder_terms_once_per_trial(monkeypatch, jobs):
+    # Each trial sketches the net under its own operator once, for its
+    # decode and its audit both, whatever the other threads' trials do;
+    # set-up sketches nothing.  40 trials give the threads room to interleave.
+    for text in (FACTORED_FIXED_W_CONFIG, SMOOTH_CONFIG):
+        text = re.sub(r"trials = \d+", "trials = 40", text.replace("mode = fixed_w", "mode = fixed_x"))
+        assert sorted(term_builds(monkeypatch, text, jobs)) == list(range(40))
 
-        def counted_build(self, operator, build=getattr(decoder, name), name=name):
-            builds.append((name, len(started)))
-            return build(self, operator)
 
-        monkeypatch.setattr(decoder, name, counted_build)
-    for text, name in (
-        (FACTORED_FIXED_W_CONFIG, "_operator_terms"),
-        (SMOOTH_CONFIG, "_operator_terms"),
-    ):
-        builds.clear()
-        started.clear()
-        config = load_experiment_config(text)
-        run_experiment(config, jobs=jobs)
-        assert len(started) == config.trials
-        assert builds == [(name, 0)]
+def test_a_fixed_x_trial_frees_its_operator_and_table(monkeypatch):
+    # A trial's operator and the sketched net built for it are the trial
+    # sampler's alone, so they die with it: once _run_trial returns, no frame
+    # or step table of that trial is reachable.  The set-up sampler never
+    # draws.
+    samplers, seeds, alive = [], [], []
+    prepare, draw, trial = experiment.preprocess, reconstructor.random_subspace, experiment._run_trial
+    build = nets.FactoredStepDecoder._operator_terms
+
+    def kept_sampler(*args, **kwargs):
+        samplers.append(prepare(*args, **kwargs))
+        return samplers[-1]
+
+    def watched_draw(d, n, seed):
+        operator = draw(d, n, seed=seed)
+        seeds.append(seed)
+        alive.append(weakref.ref(operator.frame))
+        return operator
+
+    def watched_build(self, operator):
+        geometry, sketch = build(self, operator)
+        alive.append(weakref.ref(sketch[0]))
+        return geometry, sketch
+
+    def checked_trial(*args):
+        result = trial(*args)
+        gc.collect()
+        assert len(alive) == 2 and [ref() for ref in alive] == [None, None]
+        alive.clear()
+        return result
+
+    monkeypatch.setattr(experiment, "preprocess", kept_sampler)
+    monkeypatch.setattr(reconstructor, "random_subspace", watched_draw)
+    monkeypatch.setattr(nets.FactoredStepDecoder, "_operator_terms", watched_build)
+    monkeypatch.setattr(experiment, "_run_trial", checked_trial)
+    text = FACTORED_FIXED_W_CONFIG.replace("mode = fixed_w", "mode = fixed_x")
+    run_experiment(load_experiment_config(text))
+    (sampler,) = samplers
+    assert len(seeds) == 4 and sampler.operator_seed not in seeds
+    assert "_sketched" not in vars(sampler)
 
 
 def test_summary_reports_the_certified_failure_bound(smooth_result):

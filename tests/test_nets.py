@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
-import gc
 import io
 import itertools
 import logging
@@ -14,7 +13,6 @@ import re
 import sys
 import tracemalloc
 import types
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -487,13 +485,14 @@ def test_factored_decoder_matches_brute_force_under_measurements():
     decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 7, seed=9)
     table = brute_force_coefficients(materialized, 16) @ operator.frame.T
+    sketched = decoder.prepare(operator)
 
     rng = np.random.default_rng(23)
     for _ in range(12):
         y = rng.normal(size=7)
         distances = np.linalg.norm(table - y, axis=1)
         expected_index = int(np.argmin(distances))
-        result = decoder.decode_measurements(y, operator)
+        result = decoder.decode_measurements(y, sketched)
         assert result.index == expected_index
         assert result.distance == pytest.approx(float(distances[expected_index]), rel=1e-10)
 
@@ -505,12 +504,13 @@ def test_decoded_distance_is_exact_next_to_a_member():
     operator = random_subspace(16, 7, seed=9)
     coefficients = brute_force_coefficients(materialized, 16)
     table = coefficients @ operator.frame.T
+    sketched = decoder.prepare(operator)
     rng = np.random.default_rng(43)
     # A small residual is where |y|^2 + objective cancels.  Constant members
     # repeat at every breakpoint, so compare with the decoded index's row.
     for index in rng.choice(len(table), size=8, replace=False):
         for rows, decode in (
-            (table, lambda y: decoder.decode_measurements(y, operator)),
+            (table, lambda y: decoder.decode_measurements(y, sketched)),
             (coefficients, decoder.decode_coefficients),
         ):
             y = rows[index] + 1e-4 * rng.normal(size=rows.shape[1])
@@ -624,72 +624,41 @@ def test_operator_terms_follow_the_operator():
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
     ys = np.random.default_rng(37).normal(size=(6, 9))
 
-    def decode_all(decoder, operator):
-        results = [decoder.decode_measurements(y, operator) for y in ys]
+    def decode_all(decoder, sketched):
+        results = [decoder.decode_measurements(y, sketched) for y in ys]
         return [(result.index, result.distance) for result in results]
 
-    # Both decoders keep per-operator terms in one shared slot.
+    # Each operator's terms are its own SketchedNet; a decoder keeps none,
+    # and no decode changes what it holds.
     for make_decoder in (
         lambda: step_decoder(1.5, 40),
         lambda: ConfigurationDecoder(plan, 40, step_class()),
     ):
-        expected = [decode_all(make_decoder(), operator) for operator in operators]
+        expected = []
+        for operator in operators:
+            fresh = make_decoder()
+            expected.append(decode_all(fresh, fresh.prepare(operator)))
         decoder = make_decoder()
-        # Alternate operators on one decoder: every switch rebuilds the terms.
+        held = dict(vars(decoder))
+        sketched = [decoder.prepare(operator) for operator in operators]
         for _ in range(2):
-            for which, operator in enumerate(operators):
-                assert decode_all(decoder, operator) == expected[which]
+            for which, net in enumerate(sketched):
+                assert net.operator is operators[which] and (net.n, net.d) == (9, 40)
+                assert decode_all(decoder, net) == expected[which]
 
-        # Threads sharing the decoder, each with its own operator, switching
-        # often.
+        # Threads sharing the decoder, each with one of the two sketched
+        # nets, switching often.
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [
-                    pool.submit(decode_all, decoder, operators[k % 2]) for k in range(8)
-                ]
+                futures = [pool.submit(decode_all, decoder, sketched[k % 2]) for k in range(8)]
                 for k, future in enumerate(futures):
                     assert future.result(timeout=60) == expected[k % 2]
         finally:
             sys.setswitchinterval(previous)
-
-
-def test_decoders_hold_their_operator_weakly(monkeypatch):
-    # A decoder's slot must not keep a dead operator's frame, nor the sketch
-    # it kept for it, alive into the next draw, and a new operator must not
-    # match the dead one's entry.
-    plan = step_class().net_plan(1.5)
-    builds = []
-    for decoder_class, name in (
-        (FactoredStepDecoder, "_operator_terms"),
-        (ConfigurationDecoder, "_operator_terms"),
-    ):
-
-        def counted_build(self, operator, build=getattr(decoder_class, name)):
-            builds.append(operator.n)
-            return build(self, operator)
-
-        monkeypatch.setattr(decoder_class, name, counted_build)
-    y = np.random.default_rng(43).normal(size=9)
-    for make_decoder in (
-        lambda: step_decoder(1.5, 40),
-        lambda: ConfigurationDecoder(plan, 40, step_class()),
-    ):
-        builds.clear()
-        decoder = make_decoder()
-        operator = random_subspace(40, 9, seed=1)
-        kept = decoder.prepare(operator)[1]
-        frame = weakref.ref(operator.frame)
-        sketch = weakref.ref(kept[0] if isinstance(kept, tuple) else kept)
-        del operator, kept
-        gc.collect()
-        assert frame() is None and sketch() is None
-        other = random_subspace(40, 9, seed=2)
-        result = decoder.decode_measurements(y, other)
-        assert len(builds) == 2  # the dead operator's build, then the new one's
-        expected = make_decoder().decode_measurements(y, other)
-        assert (result.index, result.distance) == (expected.index, expected.distance)
+        assert vars(decoder).keys() == held.keys()
+        assert all(vars(decoder)[name] is value for name, value in held.items())
 
 
 def test_operator_terms_make_no_frame_sized_copy():
@@ -714,7 +683,7 @@ def test_operator_terms_make_no_frame_sized_copy():
 
 
 def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
-    # Both decoders decode from the sketch they keep per operator: no product
+    # Both decoders decode from the operator's SketchedNet: no product
     # with the frame, in the decode or in a center's sketch, and each logs
     # the kept sketch's bytes, P n 8 for the step table and C n k 8 for the
     # projected maps.  A center's sketch is R c to rounding.
@@ -729,17 +698,17 @@ def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
         frame = operator.frame
         object.__setattr__(operator, "frame", frame.view(CountedFrame))
         with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
-            decoder.prepare(operator)
+            sketched = decoder.prepare(operator)
         assert re.search(rf"decoder terms: .*, sketch {size} bytes", caplog.text)
         caplog.clear()
         CountedFrame.products.clear()
         for _ in range(4):
-            result = decoder.decode_measurements(rng.normal(size=n), operator)
+            result = decoder.decode_measurements(rng.normal(size=n), sketched)
             witness = round_coordinates(family, plan, result.member)
             assert witness == result.coordinates
-            assert decoder.center_sketch(witness, operator).tobytes() == result.measured.tobytes()
+            assert decoder.center_sketch(witness, sketched).tobytes() == result.measured.tobytes()
             other = (plan.configurations().__next__(), result.coordinates[1])
-            sketch = decoder.center_sketch(other, operator)
+            sketch = decoder.center_sketch(other, sketched)
             np.testing.assert_allclose(
                 sketch, frame @ family.coefficient_prefix(family.member(*other), d), rtol=0.0, atol=1e-12
             )
@@ -751,7 +720,7 @@ def test_the_kept_map_sketch_is_the_projected_maps():
     plan = family.net_plan(3.0)
     decoder = ConfigurationDecoder(plan, 16, family)
     operator = random_subspace(16, 7, seed=13)
-    sketch = decoder.prepare(operator)[1]
+    sketch = decoder.prepare(operator).sketch
     assert sketch.shape == (plan.config_count, 7, len(plan.axes)) and not sketch.flags.writeable
     np.testing.assert_allclose(sketch, np.einsum("nd,cdk->cnk", operator.frame, decoder.maps), rtol=0.0, atol=1e-13)
 
@@ -772,7 +741,7 @@ def test_coefficient_decode_keeps_its_identity_uncopied(monkeypatch):
 
     decoder = step_decoder(1.5, d)
     target = np.random.default_rng(64).normal(scale=0.7, size=d)
-    expected = decoder.decode_measurements(target, build(np.eye(d)))
+    expected = decoder.decode_measurements(target, decoder.prepare(build(np.eye(d))))
     monkeypatch.setattr(nets, "MeasurementOperator", measured_build)
     tracemalloc.start()
     try:
@@ -822,6 +791,19 @@ def geometry_arrays(geometry):
     return []
 
 
+def count_term_builds(monkeypatch):
+    """Patch both decoders' ``_operator_terms`` to log each build's ``n``; returns the log."""
+    builds = []
+    for decoder_class in (FactoredStepDecoder, ConfigurationDecoder):
+
+        def counted_build(self, operator, build=decoder_class._operator_terms):
+            builds.append(operator.n)
+            return build(self, operator)
+
+        monkeypatch.setattr(decoder_class, "_operator_terms", counted_build)
+    return builds
+
+
 def test_each_geometry_is_factored_once(monkeypatch):
     factored = []
     real = nets._grid_geometry
@@ -831,24 +813,27 @@ def test_each_geometry_is_factored_once(monkeypatch):
         return real(gram, grids)
 
     monkeypatch.setattr(nets, "_grid_geometry", counting)
+    builds = count_term_builds(monkeypatch)
     rng = np.random.default_rng(53)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
     plan = step_class().net_plan(1.5)
     kept = []
-    # Neither decoder builds terms at construction; each factors once per
-    # operator, and a coefficient decode once per call, for the identity.
+    # Neither decoder builds terms at construction or in a measurement
+    # decode; each factors once per prepare, and a coefficient decode once
+    # per call, for the identity.
     for decoder in (step_decoder(1.5, 40), ConfigurationDecoder(plan, 40, step_class())):
-        assert factored == [] and decoder._terms._held is None
+        assert factored == [] and builds == []
         for count, operator in enumerate(operators, start=1):
+            sketched = decoder.prepare(operator)
             for _ in range(3):
-                decoder.decode_measurements(rng.normal(size=9), operator)
-            assert len(factored) == count
-        kept.append(decoder._terms.get(operators[1]))
-        assert len(factored) == 2
+                decoder.decode_measurements(rng.normal(size=9), sketched)
+            assert len(factored) == len(builds) == count
+        kept.append(sketched)
         for count in (3, 4):
             decoder.decode_coefficients(rng.normal(scale=0.7, size=40))
-            assert len(factored) == count
+            assert len(factored) == len(builds) == count
         factored.clear()
+        builds.clear()
 
     for geometry in kept:
         arrays = geometry_arrays(geometry)
@@ -870,12 +855,11 @@ def test_a_step_decode_builds_its_center_through_the_class(monkeypatch):
     family, d = step_class(), 40
     decoder = build_net(family, 1.5, d=d).decoder
     assert decoder.family is family
-    operator = random_subspace(d, 9, seed=3)
-    decoder.prepare(operator)
+    sketched = decoder.prepare(random_subspace(d, 9, seed=3))
     monkeypatch.setattr(function_classes, "analyze_piecewise", counting)
     rng = np.random.default_rng(59)
     for decode in (
-        lambda: decoder.decode_measurements(rng.normal(size=9), operator),
+        lambda: decoder.decode_measurements(rng.normal(size=9), sketched),
         lambda: decoder.decode_coefficients(rng.normal(scale=0.5, size=d)),
     ):
         calls.clear()
@@ -888,12 +872,13 @@ def test_a_step_decode_builds_its_center_through_the_class(monkeypatch):
 def test_full_rank_measurements_reduce_to_coefficient_decoding():
     decoder = step_decoder(1.5, 16)
     operator = random_subspace(16, 16, seed=5)
+    sketched = decoder.prepare(operator)
     rng = np.random.default_rng(31)
     for _ in range(8):
         target = rng.normal(scale=0.7, size=16)
         y = apply_operator(operator, target)
         direct = decoder.decode_coefficients(target)
-        via_op = decoder.decode_measurements(y, operator)
+        via_op = decoder.decode_measurements(y, sketched)
         assert via_op.index == direct.index
         assert via_op.distance == pytest.approx(direct.distance, rel=1e-10)
 
@@ -943,14 +928,14 @@ def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog
         assert np.all(np.abs(expanded - oracle) <= bounds[:, None])
         for n in (2, d):
             operator = random_subspace(d, n, seed=d + n)
-            decoder.prepare(operator)
+            sketched = decoder.prepare(operator)
             measured = operator.frame.T
             for rows, used, decode in (
                 (oracle, expanded, decoder.decode_coefficients),
                 (
                     oracle @ measured,
                     expanded @ measured,
-                    lambda y: decoder.decode_measurements(y, operator),
+                    lambda y: decoder.decode_measurements(y, sketched),
                 ),
             ):
                 # Each distance the maps give moves by at most ``gap``.
@@ -990,6 +975,7 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
         assert net.mode == "factored" and isinstance(net.decoder, FactoredStepDecoder)
         oracle = ConfigurationDecoder(plan, d, family)
         operator = random_subspace(d, max(1, d // 2), seed=d)
+        sketched = {decoder: decoder.prepare(operator) for decoder in (net.decoder, oracle)}
         targets = [
             step_member_coefficients(rng.choice(plan.positions), *rng.choice(levels, 2), d)
             + scale * rng.normal(size=d)
@@ -999,7 +985,7 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
         for target in targets:
             for decode in (
                 lambda decoder: decoder.decode_coefficients(target),
-                lambda decoder: decoder.decode_measurements(apply_operator(operator, target), operator),
+                lambda decoder: decoder.decode_measurements(apply_operator(operator, target), sketched[decoder]),
             ):
                 got, want = decode(net.decoder), decode(oracle)
                 if got.index == want.index:
@@ -1021,28 +1007,31 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
                     assert abs(got.distance - want.distance) <= 1e-12 * np.linalg.norm(target)
 
 
-def test_decoder_input_validation():
+def test_decoder_input_validation(monkeypatch):
+    builds = count_term_builds(monkeypatch)
     operator = random_subspace(16, 7, seed=9)
     other = random_subspace(17, 7, seed=9)
     for decoder in (
         step_decoder(1.5, 16),
         ConfigurationDecoder(step_class().net_plan(1.5), 16, step_class()),
     ):
+        sketched = decoder.prepare(operator)
+        builds.clear()
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.zeros((2, 3)))
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.array([]))
         with pytest.raises(UsageError):
-            decoder.decode_measurements(np.zeros(6), operator)
+            decoder.decode_measurements(np.zeros(6), sketched)
         # A decoder serves one d: other lengths and operators are refused,
         # before any terms are built for them.
         with pytest.raises(UsageError):
             decoder.decode_coefficients(np.zeros(15))
         with pytest.raises(UsageError):
-            decoder.decode_measurements(np.zeros(7), other)
-        with pytest.raises(UsageError):
             decoder.prepare(other)
-        assert decoder._terms._held is None
+        assert builds == []
+        with pytest.raises(UsageError, match="serves d = 16"):
+            decoder.decode_measurements(np.zeros(7), step_decoder(1.5, 17).prepare(other))
     # The step decoder searches factored plans only.
     with pytest.raises(UsageError, match="factored plan"):
         FactoredStepDecoder(step_class(degree=1).net_plan(6.0), 16, step_class(degree=1))
@@ -1154,8 +1143,7 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
     assert decoder.positions.size == 2_592
     operator = random_subspace(d, 604, seed=3)
     target = step_member_coefficients(decoder.positions[1234], 0.5, -0.25, d)
-    decoder.prepare(operator)
-    decoder.decode_measurements(apply_operator(operator, target), operator)
+    decoder.decode_measurements(apply_operator(operator, target), decoder.prepare(operator))
     decoder.decode_coefficients(target)
     assert lengths and set(lengths) == {("irfft", 2_592)}
 
@@ -1235,6 +1223,7 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
     d, n = 300, 150
     decoder, reference = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=operator_seed)
+    sketched = decoder.prepare(operator)  # the reference's too: it differs only in its search
     rng = np.random.default_rng(data_seed)
     if kind == "constant":
         level = rng.choice(decoder.plan.axes[0].points())  # c * 1 ties at every breakpoint
@@ -1245,7 +1234,7 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
         target += noise * rng.normal(size=d)
     for decode in (
         lambda dec, x: dec.decode_coefficients(x),
-        lambda dec, x: dec.decode_measurements(apply_operator(operator, x), operator),
+        lambda dec, x: dec.decode_measurements(apply_operator(operator, x), sketched),
     ):
         want = decode(reference, target)
         assert_same_decode(decode(decoder, target), want)
@@ -1267,28 +1256,30 @@ def test_kept_factor_decodes_as_the_per_decode_factor():
     # Constant members tie at every breakpoint.
     targets += [step_member_coefficients(0.0, level, level, d) for level in decoder.plan.axes[0].points()[::17]]
 
-    def decodes(dec, target, operator):
+    def decodes(dec, target, sketched):
         results = [
             dec.decode_coefficients(target),
-            dec.decode_measurements(apply_operator(operator, target), operator),
+            dec.decode_measurements(apply_operator(sketched.operator, target), sketched),
         ]
         return [(result.index, result.distance.hex()) for result in results]
 
+    kept, raw = decoder.prepare(operator), reference.prepare(operator)
     for target in targets:
-        assert decodes(decoder, target, operator) == decodes(reference, target, operator)
+        assert decodes(decoder, target, kept) == decodes(reference, target, raw)
 
     # Four threads sharing one fresh decoder at each of d 40 and 41, both spaces.
     for d in (40, 41):
         shared = step_decoder(0.1, d)
         reference = per_decode_copy(step_decoder(0.1, d))
         operator = random_subspace(d, 20, seed=d)
+        kept, raw = shared.prepare(operator), reference.prepare(operator)
         cases = [rng.normal(scale=0.7, size=d) for _ in range(4)]
-        expected = [decodes(reference, target, operator) for target in cases]
+        expected = [decodes(reference, target, raw) for target in cases]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(decodes, shared, target, operator) for target in cases * 2]
+                futures = [pool.submit(decodes, shared, target, kept) for target in cases * 2]
                 for want, future in zip(expected * 2, futures):
                     assert future.result(timeout=120) == want
         finally:
@@ -1299,6 +1290,7 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     d, n = 1_886, 604  # the bench's fitted d at seed 1, and a tall n
     decoder, _ = bench_step_decoders(d)
     operator = random_subspace(d, n, seed=11)
+    sketched = decoder.prepare(operator)
     rng = np.random.default_rng(101)
     targets = []
     for _ in range(20):
@@ -1312,7 +1304,7 @@ def test_pruning_sweeps_few_breakpoints(caplog):
     with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
         for target in targets:
             decoder.decode_coefficients(target)
-            decoder.decode_measurements(apply_operator(operator, target), operator)
+            decoder.decode_measurements(apply_operator(operator, target), sketched)
     line = re.compile(
         r"grid search: 2592 configurations, (\d+) kept after bounding"
         r" \(\d+ never pruned\), frontier \1, (\d+) leaves"

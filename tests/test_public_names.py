@@ -15,6 +15,9 @@ stated in unscaled units, read ``scale``; ``nets`` reads an operator only
 through ``frame``, ``n`` and ``d``, and only a decoder's ``_operator_terms``
 reads the frame, once per operator; and ``jl`` loads nothing from
 ``hilbert``.
+
+A decoder holds nothing per operator: ``prepare`` returns the net under an
+operator to its caller, so ``nets`` needs no lock and no weak reference.
 """
 
 from __future__ import annotations
@@ -108,11 +111,19 @@ def test_only_operator_terms_in_nets_read_the_frame():
     assert readers and {name for name, _ in readers} == {"_operator_terms"}
 
 
-def test_jl_imports_nothing_from_hilbert():
+def _imported(module: str) -> set[str]:
     imported = set()
-    for node in ast.walk(_tree("jl")):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert sorted(name for name in imported if "hilbert" in name) == []
+    return imported
+
+
+def test_jl_imports_nothing_from_hilbert():
+    assert sorted(name for name in _imported("jl") if "hilbert" in name) == []
+
+
+def test_nets_imports_no_lock_or_weak_reference():
+    assert sorted(_imported("nets") & {"threading", "weakref"}) == []

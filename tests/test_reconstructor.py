@@ -305,7 +305,7 @@ def test_reconstruct_returns_the_decoders_result(factored_step_sampler, maps):
     member = family.sample(np.random.default_rng(59), 512)
     y = measure(sampler, family.coefficient_prefix(member, sampler.d))
     out = reconstruct(sampler, y)
-    decoded = sampler.decoder.decode_measurements(y, sampler.operator)
+    decoded = sampler.decoder.decode_measurements(y, sampler.decoder.prepare(sampler.operator))
     assert isinstance(out, nets.DecodeResult)
     assert out == decoded
     np.testing.assert_array_equal(out.coefficients, decoded.coefficients)
