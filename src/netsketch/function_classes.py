@@ -26,6 +26,7 @@ from .errors import UsageError
 from .hilbert import (
     MAX_PIECE_DEGREE,
     TWO_PI,
+    _SQRT_2PI,
     PiecewiseDescription,
     Signal,
     _taylor,
@@ -50,7 +51,6 @@ __all__ = [
 
 _MAX_SAMPLE_ATTEMPTS = 1000
 _MEMBERSHIP_TOLERANCE = 1e-9
-_SQRT_2PI = math.sqrt(TWO_PI)
 
 
 def _fmt(value: float) -> str:

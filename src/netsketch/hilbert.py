@@ -35,7 +35,7 @@ import numpy as np
 from .errors import UsageError
 
 TWO_PI = 2.0 * math.pi
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(TWO_PI)
 _SQRT_PI = math.sqrt(math.pi)
 
 #: Highest local polynomial degree accepted by the analysis.

@@ -54,7 +54,7 @@ from typing import IO, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NetTooLargeError, UsageError
-from .hilbert import dump_signal
+from .hilbert import TWO_PI, _SQRT_2PI, dump_signal
 from .jl import MeasurementOperator
 
 __all__ = [
@@ -76,8 +76,6 @@ __all__ = [
     "write_net",
 ]
 
-TWO_PI = 2.0 * math.pi
-_SQRT_2PI = math.sqrt(TWO_PI)
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 DEFAULT_NET_BUDGET = 10**6
@@ -479,7 +477,8 @@ class FactoredStepDecoder(_GridDecoder):
     ``g01 = g0f - g00`` and ``g11 = gff - 2 g0f + g00``.  The plan's
     ``positions`` are uniform at pitch ``2 pi / P``: every term is then a
     trigonometric polynomial in ``b``, and one real inverse FFT of length
-    ``P`` evaluates it on all ``P`` breakpoints at once.
+    ``P`` evaluates it on all ``P`` breakpoints at once.  Its sketch keeps
+    ``R w(b)`` whole: the Gram, the projections and ``R c`` each read it once.
 
     The decoder serves targets of length ``d`` for ``family``, whose
     ``member`` and ``coefficient_prefix`` build and expand the decoded
@@ -491,8 +490,6 @@ class FactoredStepDecoder(_GridDecoder):
             raise UsageError("a factored step decoder needs a factored plan: one jump, one level grid")
         super().__init__(plan, d, family)
         self.positions = plan.positions
-        self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
-        self._shift.setflags(write=False)
         # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
         self._phases = 0.5 * np.exp(1j * np.arange(self.d // 2 + 1) * self.positions[0])
         self._phases.setflags(write=False)
@@ -523,54 +520,49 @@ class FactoredStepDecoder(_GridDecoder):
         return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward")
 
     def _operator_terms(self, operator) -> tuple[_Geometry, tuple]:
-        """The search geometry under ``operator``, and the sketch ``(table, beta, Rv)``.
+        """The search geometry under ``operator``, and the sketch ``(table, Rv)``.
 
-        With ``t_r(b)`` the periodic part of ``<R_r, w(b)>`` and ``beta =
-        R[:, 0] / sqrt(2 pi)``, ``R w(b) = t(b) + (b+pi) beta`` and
-
-            |R w(b)|^2 = (b+pi)^2 |beta|^2 + 2 (b+pi) t[R^T beta](b)
-                         + sum_r t_r(b)^2,
-
-        and ``R^T beta = R^T Rv / (2 pi)`` for the constant one's image
-        ``Rv``, so ``g00`` follows from ``g0f = <R w(b), Rv>`` and the
-        square-sum: ``_on_breakpoints`` evaluates the ``t_r`` of
-        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, into
-        the kept ``n x P`` table, and their squares are summed there.  The
-        rows are read from ``R`` as it is stored: no frame-sized copy.
+        The sketch is ``R`` applied to the axis vectors: ``table[:, p] = R
+        w(b_p)`` and ``Rv = sqrt(2 pi) R[:, 0]``, the constant one's image.
+        ``R w(b)`` is ``(b+pi) R[:, 0] / sqrt(2 pi)`` plus the periodic part
+        of ``_indicator_series``, which ``_on_breakpoints`` evaluates
+        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, summed
+        into their slice of the table.  Then ``g00`` is the table's column
+        square-sum and ``g0f = <R w(b), Rv>`` one product.  The rows are read
+        from ``R`` as it is stored: no frame-sized copy.
         """
         started = time.perf_counter()
         frame = operator.frame
         n, d = frame.shape
+        shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         table = np.empty((n, self.positions.size))
-        g00 = np.zeros(self.positions.size)
         for start in range(0, n, _TERMS_BLOCK_ROWS):
-            values = self._on_breakpoints(_indicator_series(frame[start : start + _TERMS_BLOCK_ROWS]))
-            g00 += np.einsum("ij,ij->j", values, values)
-            table[start : start + _TERMS_BLOCK_ROWS] = values
-            del values  # before the next block's is built
-        first = frame[:, 0]
-        beta, v_full = first / _SQRT_2PI, _SQRT_2PI * first
-        lead = float(np.dot(first, first))
-        g0f = v_full @ table + np.dot(v_full, beta) * self._shift
-        g00 += self._shift * (2.0 * g0f - self._shift * lead) / TWO_PI
+            rows = frame[start : start + _TERMS_BLOCK_ROWS]
+            np.add(
+                self._on_breakpoints(_indicator_series(rows)),
+                np.multiply.outer(rows[:, 0] / _SQRT_2PI, shift),  # (b+pi) R[rows, 0] / sqrt(2 pi)
+                out=table[start : start + _TERMS_BLOCK_ROWS],
+            )
+        v_full = _SQRT_2PI * frame[:, 0]
+        g00, g0f = np.einsum("ij,ij->j", table, table), v_full @ table
         logger.debug(
             "factored decoder terms: P=%d d=%d n=%d block=%d rows, sketch %d bytes, built in %.3fs",
             self.positions.size, d, n, _TERMS_BLOCK_ROWS, table.nbytes, time.perf_counter() - started,
         )
         g01 = g0f - g00
         gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]
-        for array in (table, beta, v_full):
+        for array in (table, v_full):
             array.setflags(write=False)
-        return _grid_geometry(gram, self._grids), (table, beta, v_full)
+        return _grid_geometry(gram, self._grids), (table, v_full)
 
     def _projections(self, sketch: tuple, y: np.ndarray):
-        table, beta, v_full = sketch
-        q0 = y @ table + np.dot(y, beta) * self._shift
+        table, v_full = sketch
+        q0 = y @ table
         return q0, np.dot(v_full, y) - q0  # <R v, y> for the constant one v
 
     def _measured(self, sketch: tuple, configuration: int, values: tuple) -> np.ndarray:
-        (table, beta, v_full), (c0, c1) = sketch, values
-        return (c0 - c1) * (table[:, configuration] + beta * self._shift[configuration]) + c1 * v_full
+        (table, v_full), (c0, c1) = sketch, values
+        return (c0 - c1) * table[:, configuration] + c1 * v_full
 
     def _center(self, configuration: int, values: tuple):
         member = self.family.member(self.configurations[configuration], values)

@@ -294,8 +294,8 @@ def per_decode_copy(decoder):
 
     Its ``prepare`` puts raw terms where ``decoder.prepare``'s net has its
     geometry: ``g00`` is that geometry's Gram corner, and ``g0f`` and
-    ``gff`` are recomputed from the sketch as the decoder computes them
-    (``<R w(b), v> = v.table + (v.beta)(b+pi)`` and ``|v|^2`` for ``v =
+    ``gff`` are recomputed from the sketch ``(table, v)`` as the decoder
+    computes them (``<R w(b), v> = v.table`` and ``|v|^2`` for ``v =
     sqrt(2 pi) R[:, 0]``, the constant one's image under an operator ``R``,
     the identity included).  Prepare once per operator, as for ``decoder``.
     """
@@ -303,8 +303,8 @@ def per_decode_copy(decoder):
 
     def prepare(operator):
         sketched = decoder.prepare(operator)
-        table, beta, v = sketched.sketch
-        g0f = v @ table + np.dot(v, beta) * decoder._shift
+        table, v = sketched.sketch
+        g0f = v @ table
         return sketched._replace(geometry=(sketched.geometry.gram[0][0], g0f, float(np.dot(v, v))))
 
     reference.prepare = prepare

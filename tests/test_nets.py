@@ -562,13 +562,12 @@ def test_indicator_products_match_the_dense_closed_form():
             assert decoder.positions.size == count
             w = dense_indicator_rows(decoder.positions, d)
             # The products <R_r, w(b)> of one row, or of a block of rows: the
-            # kept table plus its rank-one part (b+pi) R[:, 0] / sqrt(2 pi).
+            # kept table itself.
             for rows in (1, min(4, d)):
                 block = rng.normal(size=(rows, d))
-                table, beta, _ = decoder._operator_terms(MeasurementOperator(block))[1]
+                table, _ = decoder._operator_terms(MeasurementOperator(block))[1]
                 assert table.shape == (rows, count)
-                products = table + np.multiply.outer(beta, decoder.positions + math.pi)
-                np.testing.assert_allclose(products, block @ w.T, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(table, block @ w.T, rtol=0.0, atol=1e-12)
             # |w(b)|^2 in coefficient space: the terms under the identity,
             # against the dense rows and the squared closed forms.
             identity = MeasurementOperator(np.eye(d))
@@ -594,12 +593,11 @@ def test_operator_terms_match_the_dense_closed_form():
                 # The two axes under R: R w(b) and R (v - w(b)).
                 after = math.sqrt(TWO_PI) * rows[:, 0] - projected
                 geometry, sketch = decoder._operator_terms(operator)
-                # The kept sketch: the table plus its rank-one part is R w(b).
-                table, beta, v = sketch
+                # The kept sketch is R applied to the two axis vectors: the
+                # table is R w(b), and v is R times the constant one.
+                table, v = sketch
                 assert table.shape == (n, decoder.positions.size) and not table.flags.writeable
-                np.testing.assert_allclose(
-                    table + np.multiply.outer(beta, decoder.positions + math.pi), projected.T, rtol=0.0, atol=1e-12
-                )
+                np.testing.assert_allclose(table, projected.T, rtol=0.0, atol=1e-12)
                 np.testing.assert_array_equal(v, math.sqrt(TWO_PI) * rows[:, 0])
                 gram = geometry.gram
                 for (i, j), (a, b) in {
@@ -664,9 +662,9 @@ def test_operator_terms_follow_the_operator():
 def test_operator_terms_make_no_frame_sized_copy():
     # At the bench's P and d with a tall n (P = 2,592, d = 1,886, n = 604)
     # the build reads the 9.1 MB frame 32 rows at a time and copies none of
-    # it.  A block's series (0.48 MB), half spectrum and values on the
-    # breakpoints (0.66 MB each) are released before the next block's are
-    # built, so past the n x P table it keeps (12.5 MB here, its output,
+    # it.  A block's series (0.48 MB), half spectrum, values on the
+    # breakpoints and linear part (0.66 MB each) are released before the
+    # next block's are built, so past the n x P table it keeps (12.5 MB here, its output,
     # not a copy) the peak stays under 3 MB.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592

@@ -18,6 +18,9 @@ reads the frame, once per operator; and ``jl`` loads nothing from
 
 A decoder holds nothing per operator: ``prepare`` returns the net under an
 operator to its caller, so ``nets`` needs no lock and no weak reference.
+
+``hilbert`` owns the basis constants ``TWO_PI`` and ``_SQRT_2PI``: every
+other module imports them.
 """
 
 from __future__ import annotations
@@ -127,3 +130,18 @@ def test_jl_imports_nothing_from_hilbert():
 
 def test_nets_imports_no_lock_or_weak_reference():
     assert sorted(_imported("nets") & {"threading", "weakref"}) == []
+
+
+def test_hilbert_alone_defines_the_basis_constants():
+    constants = {"TWO_PI", "_SQRT_2PI"}
+    defined = {
+        module: sorted(
+            target.id
+            for node in ast.walk(_tree(module))
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id in constants
+        )
+        for module in MODULES
+    }
+    assert {module: names for module, names in defined.items() if names} == {"hilbert": sorted(constants)}
