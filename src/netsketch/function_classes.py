@@ -33,6 +33,7 @@ from .hilbert import (
     analyze_piecewise,
     exact_l2_distance,
     pad_or_truncate,
+    piecewise_norm,
     tail_norm,
 )
 from .nets import AxisLog, NetPlan, grid_count, position_grid
@@ -293,6 +294,10 @@ class PiecewiseSmoothClass(FunctionClass):
     def distance(self, a: PiecewiseDescription, b: PiecewiseDescription) -> float:
         return exact_l2_distance(a, b)
 
+    def norm(self, member: PiecewiseDescription) -> float:
+        """The distance to ``zero``, bit for bit, from the member's own pieces."""
+        return piecewise_norm(member)
+
     def net_plan(self, eps1: float) -> NetPlan:
         """The net at ``eps1``, laid out from the exact error of its witness.
 
@@ -378,10 +383,7 @@ class PiecewiseSmoothClass(FunctionClass):
         if self.max_jumps == 0:
             return ()
         count = plan.breakpoint_count
-        indices = [
-            max(0, min(count - 1, plan.cell(b)))
-            for b in np.sort(np.asarray(member.breakpoints, dtype=np.float64))
-        ]
+        indices = [max(0, min(count - 1, plan.cell(b))) for b in member.breakpoints.tolist()]
         # Enforce distinctness and the configuration gap, bumping forward.
         for t in range(1, len(indices)):
             indices[t] = max(indices[t], indices[t - 1] + plan.index_gap)

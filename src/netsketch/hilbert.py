@@ -27,6 +27,7 @@ division), and its squared integral over ``[t - h, t + h]`` is
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -123,40 +124,45 @@ class PiecewiseDescription:
     ``breakpoints`` are the interior jump locations in (-pi, pi), strictly
     increasing.  ``piece_coefficients`` hold one monomial-coefficient array
     per piece, ``len(breakpoints) + 1`` of them, in increasing degree,
-    expressed in the local coordinate around the piece midpoint.
+    expressed in the local coordinate around the piece midpoint.  Both are
+    kept read-only, and ``_edges``, ``-pi``, the breakpoints and ``pi`` as
+    plain floats, serves the piece lookups; the checks run on those floats.
     """
 
     breakpoints: np.ndarray
     piece_coefficients: tuple[np.ndarray, ...] = field()
+    _edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         points = np.ascontiguousarray(self.breakpoints, dtype=float)
         if points.ndim != 1:
             raise UsageError("breakpoints must form a 1-d array")
-        if points.size and not np.all(np.diff(points) > 0):
+        edges = (-math.pi, *points.tolist(), math.pi)
+        inner = edges[1:-1]
+        if not all(right - left > 0.0 for left, right in zip(inner, inner[1:])):
             raise UsageError("breakpoints must be strictly increasing")
-        if points.size and (points[0] <= -math.pi or points[-1] >= math.pi):
+        if inner and (inner[0] <= -math.pi or inner[-1] >= math.pi):
             raise UsageError("interior breakpoints must lie in (-pi, pi)")
-        expected_pieces = points.size + 1
         pieces = tuple(
             np.ascontiguousarray(c, dtype=float) for c in self.piece_coefficients
         )
-        if len(pieces) != expected_pieces:
+        if len(pieces) != len(edges) - 1:
             raise UsageError(
-                f"expected {expected_pieces} coefficient arrays, got {len(pieces)}"
+                f"expected {len(edges) - 1} coefficient arrays, got {len(pieces)}"
             )
         for coeffs in pieces:
             if coeffs.ndim != 1 or coeffs.size == 0:
                 raise UsageError("piece coefficients must form non-empty 1-d arrays")
-            coeffs.flags.writeable = False
-        points.flags.writeable = False
+            coeffs.setflags(write=False)
+        points.setflags(write=False)
         object.__setattr__(self, "breakpoints", points)
         object.__setattr__(self, "piece_coefficients", pieces)
+        object.__setattr__(self, "_edges", edges)
 
     def piece_intervals(self) -> list[tuple[float, float]]:
         """Each piece's ``(start, end)``, from ``-pi`` to ``pi``."""
-        edges = np.concatenate([[-math.pi], self.breakpoints, [math.pi]])
-        return [(float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1)]
+        edges = self._edges
+        return list(zip(edges[:-1], edges[1:]))
 
     def evaluate(self, t):
         """Evaluate at points ``t``, clipped to [-pi, pi]."""
@@ -205,15 +211,18 @@ def analyze_piecewise(description: PiecewiseDescription, ambient_dim: int) -> Si
     ends = []  # each piece's local coordinates at its start and its end
     total_const = 0.0
     intervals = description.piece_intervals()
-    for (start, end), coeffs in zip(intervals, description.piece_coefficients):
+    for (start, end), coeffs, values in zip(intervals, description.piece_coefficients, pieces):
         if coeffs.size - 1 > MAX_PIECE_DEGREE:
             raise UsageError(
                 f"piece degree {coeffs.size - 1} exceeds the cap of {MAX_PIECE_DEGREE}"
             )
         midpoint = 0.5 * (start + end)
         alpha, beta = start - midpoint, end - midpoint
-        powers = np.arange(1, coeffs.size + 1, dtype=float)
-        total_const += float(np.dot(coeffs, (beta**powers - alpha**powers) / powers))
+        if coeffs.size == 1:  # the product np.dot forms below, on plain floats
+            total_const += values[0] * (beta - alpha)
+        else:
+            powers = np.arange(1, coeffs.size + 1, dtype=float)
+            total_const += float(np.dot(coeffs, (beta**powers - alpha**powers) / powers))
         ends.append((alpha, beta))
     js = np.arange(1, ambient_dim // 2 + 1, dtype=float)
     inverse = np.zeros(js.size, dtype=complex)  # 1 / (ij)
@@ -249,9 +258,9 @@ def _taylor(
     ``s``, leaves them as remainders; at the piece's midpoint, ``s = 0``,
     they are its own coefficients, bit for bit.
     """
-    edges = [-math.pi, *description.breakpoints.tolist(), math.pi]
+    edges = description._edges
     if piece is None:
-        piece = int(np.searchsorted(description.breakpoints, t, side="right"))
+        piece = _piece_at(description, t)
     q = description.piece_coefficients[piece].tolist()
     q += [0.0] * (count - len(q))
     s = t - 0.5 * (edges[piece] + edges[piece + 1])
@@ -259,6 +268,27 @@ def _taylor(
         for i in range(len(q) - 2, low - 1, -1):
             q[i] += s * q[i + 1]
     return q[:count]
+
+
+def _piece_at(description: PiecewiseDescription, t: float) -> int:
+    """The piece holding ``t``: how many breakpoints lie at or below it.
+
+    ``np.searchsorted(breakpoints, t, side="right")``, by ``bisect`` on the edge tuple.
+    """
+    edges = description._edges
+    return bisect.bisect_right(edges, t, 1, len(edges) - 1) - 1
+
+
+def _add_square_integral(total: float, q: list[float], half: float) -> float:
+    """``total`` plus ``int_{-h}^{h} (sum_i q_i u^i)^2 du`` for ``h = half``, one term at a time.
+
+    The terms are ``q_i q_j 2 h^(i+j+1) / (i+j+1)`` over even ``i + j``, in
+    the order of ``i``, then ``j``.
+    """
+    for i, qi in enumerate(q):
+        for j in range(i % 2, len(q), 2):
+            total += qi * q[j] * 2.0 * half ** (i + j + 1) / (i + j + 1)
+    return total
 
 
 def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float:
@@ -270,15 +300,27 @@ def exact_l2_distance(a: PiecewiseDescription, b: PiecewiseDescription) -> float
     sign of ``q`` drops out, so swapping ``a`` and ``b`` changes no bit.
     """
     count = max(len(c) for c in (*a.piece_coefficients, *b.piece_coefficients))
-    edges = sorted({-math.pi, math.pi, *a.breakpoints.tolist(), *b.breakpoints.tolist()})
+    edges = sorted({*a._edges, *b._edges})
     total = 0.0
     for start, end in zip(edges[:-1], edges[1:]):
         midpoint, half = 0.5 * (start + end), 0.5 * (end - start)
         pairs = zip(_taylor(a, midpoint, count), _taylor(b, midpoint, count))
-        q = [x - y for x, y in pairs]
-        for i, qi in enumerate(q):
-            for j in range(i % 2, count, 2):
-                total += qi * q[j] * 2.0 * half ** (i + j + 1) / (i + j + 1)
+        total = _add_square_integral(total, [x - y for x, y in pairs], half)
+    return math.sqrt(max(total, 0.0))
+
+
+def piecewise_norm(description: PiecewiseDescription) -> float:
+    """Exact L2[-pi, pi] norm: ``exact_l2_distance`` to the zero function, bit for bit.
+
+    With no breakpoint of its own, zero adds no interval, and about each
+    piece's midpoint the difference's Taylor coefficients are the piece's
+    own, so the squared integrals are added piece by piece, in that order.
+    """
+    count = max(len(c) for c in description.piece_coefficients)
+    total = 0.0
+    for (start, end), coeffs in zip(description.piece_intervals(), description.piece_coefficients):
+        q = coeffs.tolist()
+        total = _add_square_integral(total, q + [0.0] * (count - len(q)), 0.5 * (end - start))
     return math.sqrt(max(total, 0.0))
 
 

@@ -76,7 +76,7 @@ __all__ = [
     "write_net",
 ]
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2.0)
 
 DEFAULT_NET_BUDGET = 10**6
 
@@ -145,51 +145,54 @@ def _gamma(m: int) -> float:
 
 
 class _Geometry(NamedTuple):
-    """Every configuration's Gram ``G``, a ``(k, k, C)`` array (``gram[i][j]``), and its factor.
+    """Every configuration's Gram and its factor, stacked by axis over the ``C`` configurations.
 
-    ``G = U diag(pivots) U^T`` (``U`` unit upper triangular, ``upper[i][j]``),
-    eliminated from the last axis back; ``widths``: ``w_i = sum_{m <= i}
-    |U_mi| L_m``, the most ``|(U^T x)_i|`` on the grid box (``L_m`` the
-    largest value on axis ``m``); ``valid``: every pivot exceeds
-    ``_PIVOT_FLOOR`` of its diagonal; ``slack``: the rounding slack's Gram part.
+    ``gram`` is ``(k, k, C)``, ``G_ij`` at ``gram[i, j]``.  ``G = U
+    diag(pivots) U^T`` (``U`` unit upper triangular, ``U_ij`` at ``upper[i,
+    j]`` for ``i < j``, zero elsewhere), eliminated from the last axis back;
+    ``pivots`` and ``widths`` are ``(k, C)``, ``w_i = sum_{m <= i} |U_mi|
+    L_m`` the most ``|(U^T x)_i|`` on the grid box (``L_m`` the largest value
+    on axis ``m``); ``valid``: every pivot exceeds ``_PIVOT_FLOOR`` of its
+    diagonal; ``slack``: the rounding slack's Gram part.
     """
 
     gram: np.ndarray
-    pivots: list
-    upper: list
-    widths: list
+    pivots: np.ndarray
+    upper: np.ndarray
+    widths: np.ndarray
     valid: np.ndarray
     slack: np.ndarray
 
 
 def _grid_geometry(gram, grids: Sequence[np.ndarray]) -> _Geometry:
-    """Factor every configuration's Gram, elementwise; each array kept, ``gram``'s too, is read-only."""
-    gram = np.asarray(gram)
-    k = len(grids)
+    """Factor every configuration's Gram, elementwise; each array kept, ``gram``'s stack too, is read-only."""
+    gram = np.asarray(gram, dtype=np.float64)
+    k, count = len(grids), gram.shape[-1]
     tops = [float(grid[-1]) for grid in grids]
-    pivots: list = [None] * k
-    upper: list = [[None] * k for _ in range(k)]
+    pivots, upper = np.empty((k, count)), np.zeros((k, k, count))
     with np.errstate(all="ignore"):
         for j in reversed(range(k)):
-            pivots[j] = gram[j][j]  # the last axis's pivot is its diagonal, not a copy
+            pivots[j] = gram[j, j]
             for m in range(j + 1, k):
-                pivots[j] = pivots[j] - pivots[m] * upper[j][m] ** 2
+                pivots[j] -= pivots[m] * upper[j, m] ** 2
             for i in range(j):
-                entry = gram[i][j] - sum(upper[i][m] * pivots[m] * upper[j][m] for m in range(j + 1, k))
-                upper[i][j] = entry / pivots[j]
-        widths = [top + sum(np.abs(upper[m][i]) * tops[m] for m in range(i)) for i, top in enumerate(tops)]
+                entry = gram[i, j] - sum(upper[i, m] * pivots[m] * upper[j, m] for m in range(j + 1, k))
+                upper[i, j] = entry / pivots[j]
+        widths = [top + sum(np.abs(upper[m, i]) * tops[m] for m in range(i)) for i, top in enumerate(tops)]
         factor = sum(p * w**2 for p, w in zip(pivots, widths))
         slack = 2.0 * (_gamma(k * (k + 1) // 2 + max(k, 2)) + _gamma(k + 3)) * factor
         valid = np.isfinite(slack)
         for j in range(k):
-            valid &= (gram[j][j] > 0.0) & (pivots[j] > _PIVOT_FLOOR * gram[j][j])
-    kept = {id(a): a for a in (gram, *pivots, *itertools.chain(*upper), *widths, valid, slack)}
-    arrays = [array for array in kept.values() if isinstance(array, np.ndarray)]
+            valid &= (gram[j, j] > 0.0) & (pivots[j] > _PIVOT_FLOOR * gram[j, j])
+    widths = np.array([np.broadcast_to(w, (count,)) for w in widths])
+    arrays = (gram, pivots, upper, widths, valid, slack)
     for array in arrays:
         array.setflags(write=False)
-    kept_bytes = sum(array.nbytes for array in arrays if array.base is None)  # a view of ``gram`` adds none
-    logger.debug("search geometry: %d configurations, %d axes, %d bytes kept", valid.size, k, kept_bytes)
-    return _Geometry(gram, pivots, upper, widths, valid, slack)
+    logger.debug(
+        "search geometry: %d configurations, %d axes, %d bytes kept",
+        count, k, sum(array.nbytes for array in arrays),
+    )
+    return _Geometry(*arrays)
 
 
 def _leaf_objective(gram, projections, rows, values, step: float, count: int):
@@ -198,47 +201,54 @@ def _leaf_objective(gram, projections, rows, values, step: float, count: int):
     Leaf ``l`` is configuration ``rows[l]`` with axis ``i`` at ``values[i][l]``
     for every axis but the last, ``z``, whose value solves its quadratic and
     is rounded onto the ``count``-point grid of pitch ``step``, a half-way
-    value up (the higher index).  In place, one rounding step per line, each
-    formula left to right:
+    value up (the higher index).  One rounding step per line, each formula
+    left to right:
 
       c_z = (q_z - sum_{i<z} G_iz c_i) / G_zz,  k = clip(floor(c_z / step + 1/2))
       objective = -2 sum_i c_i q_i + sum_i (G_ii c_i^2 + sum_{j>i} 2 c_i c_j G_ij)
 
-    ``|t - A c|^2 - |t|^2`` for ``G = A^T A``, ``q = A^T t``.  A zero last
-    column (``0 / 0``) ties every value there and takes the lowest.
+    ``|t - A c|^2 - |t|^2`` for ``G = A^T A``, ``q = A^T t``, with
+    ``projections[i]`` the ``q_i``.  A zero last column (``0 / 0``) ties every
+    value there and takes the lowest; call it under ``np.errstate(all="ignore")``.
+    ``rows`` may be one configuration's index and ``values`` scalars: one
+    leaf, in the same arithmetic.
     """
     last, half = len(values), (count - 1) // 2
-    index = projections[last][rows] - sum(gram[i][last][rows] * values[i] for i in range(last))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        index /= gram[last][last][rows]
+    index = projections[last, rows] - sum(gram[i, last, rows] * values[i] for i in range(last))
+    index /= gram[last, last, rows]
     index /= step
     index += 0.5
-    np.floor(index, out=index)
-    np.fmin(np.fmax(index, -half, out=index), half, out=index)
+    index = np.fmin(np.fmax(np.floor(index), -half), half)
     chosen = [*values, index * step]
-    objective = projections[0][rows] * chosen[0]
+    objective = projections[0, rows] * chosen[0]
     for i in range(1, last + 1):
-        objective += chosen[i] * projections[i][rows]
+        objective += chosen[i] * projections[i, rows]
     objective *= -2.0
     for i in range(last + 1):
-        objective += gram[i][i][rows] * chosen[i] ** 2
+        objective += gram[i, i, rows] * (chosen[i] * chosen[i])
         for j in range(i + 1, last + 1):
             term = 2.0 * chosen[i] * chosen[j]
-            term *= gram[i][j][rows]
+            term *= gram[i, j, rows]
             objective += term
     return objective, index + half
+
+
+# The most leaves whose objectives a search takes one at a time, on numpy
+# scalars, rather than in arrays (``_nearest_on_grid``).
+_SCALAR_LEAVES = 8
 
 
 def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     """The nearest center's configuration and axis indices, exactly.
 
-    Configuration ``c`` has Gram ``G = A^T A`` and projections ``q = A^T t``;
-    a center ``x`` on the symmetric axis ``grids`` has objective ``f(x) =
-    -2 q.x + x^T G x = |t - A x|^2 - |t|^2``.  A leaf is a configuration and
-    a point of every grid but the last, whose axis ``_leaf_objective`` solves
-    in closed form, rounding a half-way value up.  The winner is the least
-    objective over all leaves, ties to the lowest leaf, and so to the lowest
-    member index but for that rounding: what sweeping the leaves all gives.
+    Configuration ``c`` has Gram ``G = A^T A`` and projections ``q = A^T t``
+    (``projections[i][c]``, stacked as ``(k, C)``); a center ``x`` on the
+    symmetric axis ``grids`` has objective ``f(x) = -2 q.x + x^T G x = |t -
+    A x|^2 - |t|^2``.  A leaf is a configuration and a point of every grid
+    but the last, whose axis ``_leaf_objective`` solves in closed form,
+    rounding a half-way value up.  The winner is the least objective over all
+    leaves, ties to the lowest leaf, and so to the lowest member index but
+    for that rounding: what sweeping the leaves all gives.
 
     Bound (Fincke & Pohst 1985; Schnorr & Euchner 1994; Agrell et al. 2002).
     With ``G = U D U^T``, ``h = U^-1 q``, ``a = h / D`` and ``y = U^T x``,
@@ -253,6 +263,13 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     each window, and the near-singular ones (``valid`` false) whole.  Leaves
     stay in index order, so the argmin is the exhaustive one, bits and ties
     included: a leaf left out is above ``U``.
+
+    Few leaves.  Most searches reach a leaf or two, where numpy's cost per
+    call outweighs the arithmetic.  The seed leaf, and up to
+    ``_SCALAR_LEAVES`` leaves, are evaluated one at a time on numpy scalars,
+    the seed leaf's value reused; more go through arrays.  Both run
+    ``_leaf_objective``, the same arithmetic in the same order, and take the
+    first least, so they find the same winner.
 
     Slack.  A sum whose terms each pass through at most ``m`` roundings is
     off by at most ``gamma_m`` times their magnitudes' sum (Higham, *Accuracy
@@ -277,65 +294,89 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     half-width adds the computed centre's error ``gamma_{k+3} (|a_j| +
     w_j)``, and a factor ``1 + 1e-6`` covers the rest.
     """
-    k = len(grids)
+    k, count = len(grids), grids[-1].size
     gram, pivots, upper, widths = geometry.gram, geometry.pivots, geometry.upper, geometry.widths
+    projections = np.asarray(projections, dtype=np.float64)
     gamma = _gamma(k + 3)
     with np.errstate(all="ignore"):
-        solved = list(projections)
+        solved = projections.copy()
         for i in reversed(range(k)):
             for m in range(i + 1, k):
-                solved[i] = solved[i] - upper[i][m] * solved[m]
-        centres = [h / pivot for h, pivot in zip(solved, pivots)]
-        bound = -sum(h * a for h, a in zip(solved, centres))
-        slack = sum(np.abs(h) * w for h, w in zip(solved, widths))
+                solved[i] -= upper[i, m] * solved[m]
+        centres = solved / pivots
+        bound = -sum(solved * centres)
+        slack = sum(np.abs(solved) * widths)
         slack *= 2.0 * (_gamma(k * (k + 1) // 2 + max(k, 2)) + gamma)
         slack += gamma * np.abs(bound)
         del solved
         lower = bound - (geometry.slack + 2.0 * slack)
         valid = geometry.valid & np.isfinite(lower)
-        seed = int(np.argmin(np.where(valid, bound, np.inf)))
+        seed = int(np.where(valid, bound, np.inf).argmin())
 
         def leaves(rows, room):
-            """Every leaf of ``rows`` in its windows; an infinite ``room`` sweeps whole."""
+            """Every leaf of ``rows`` in its windows, an infinite ``room`` sweeping whole: rows and grid indices."""
             indices, frontier = [], []
             for j, grid in enumerate(grids[:-1]):
                 frontier.append(rows.size)
-                centre = centres[j][rows] - sum(upper[m][j][rows] * grids[m][indices[m]] for m in range(j))
-                radius = np.sqrt(room / pivots[j][rows]) * (1.0 + 1e-6)
-                radius += gamma * (np.abs(centres[j][rows]) + np.broadcast_to(widths[j], lower.shape)[rows])
-                lo = np.searchsorted(grid, centre - radius)
-                hi = np.searchsorted(grid, centre + radius, side="right")
-                lo[room == np.inf], hi[room == np.inf] = 0, grid.size
+                a = centres[j, rows]
+                centre = a - sum(upper[m, j, rows] * grids[m][indices[m]] for m in range(j))
+                radius = np.sqrt(room / pivots[j, rows]) * (1.0 + 1e-6)
+                radius += gamma * (np.abs(a) + widths[j, rows])
+                lo = grid.searchsorted(centre - radius)
+                hi = grid.searchsorted(centre + radius, side="right")
+                sweep = room == np.inf
+                lo[sweep], hi[sweep] = 0, grid.size
                 counts = hi - lo
-                parents = np.repeat(np.arange(rows.size), counts)
-                columns = np.arange(parents.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+                parents = np.arange(rows.size).repeat(counts)
+                columns = np.arange(parents.size) - (counts.cumsum() - counts - lo).repeat(counts)
                 rows, room = rows[parents], room[parents]
                 indices = [index[parents] for index in indices] + [columns]
-            values = [grid[index] for grid, index in zip(grids, indices)]
-            objective, last = _leaf_objective(gram, projections, rows, values, step, grids[-1].size)
-            return objective, rows, [*indices, last], frontier
+            return rows, indices, frontier
 
-        seeded = []
+        seeded = []  # the seed leaf's grid index on each axis but the last
         for j, grid in enumerate(grids[:-1]):
-            centre = centres[j][seed] - sum(upper[m][j][seed] * seeded[m] for m in range(j))
-            seeded.append(grid[np.argmin(np.abs(grid - centre))])
-        incumbent = float(_leaf_objective(gram, projections, [seed], seeded, step, grids[-1].size)[0][0])
+            centre = centres[j, seed] - sum(upper[m, j, seed] * grids[m][i] for m, i in enumerate(seeded))
+            seeded.append(int(np.abs(grid - centre).argmin()))
+        values = [grid[i] for grid, i in zip(grids, seeded)]
+        seed_objective = _leaf_objective(gram, projections, seed, values, step, count)
+        incumbent = float(seed_objective[0])
         keep = ~valid | (lower <= incumbent)
         keep[seed] = True
-        rows = np.flatnonzero(keep)
+        rows = keep.nonzero()[0]
         room = incumbent - lower[rows] + gamma * (abs(incumbent) + np.abs(lower[rows]))
         room[~valid[rows]] = np.inf
-        objective, leaf_rows, indices, frontier = leaves(rows, room)
-    best = int(np.argmin(objective))
-    logger.debug(
-        "grid search: %d configurations, %d kept after bounding (%d never pruned),"
-        " frontier %s, %d leaves", valid.size, rows.size,
-        np.count_nonzero(~geometry.valid), "/".join(map(str, frontier)), objective.size,
-    )
-    return int(leaf_rows[best]), tuple(int(index[best]) for index in indices)
+        leaf_rows, indices, frontier = leaves(rows, room)
+        if leaf_rows.size <= _SCALAR_LEAVES:
+            objective, last, seed_leaf = [], [], (seed, *seeded)
+            for leaf in zip(leaf_rows.tolist(), *(index.tolist() for index in indices)):
+                if leaf == seed_leaf:
+                    value, index = seed_objective
+                else:
+                    values = [grid[i] for grid, i in zip(grids, leaf[1:])]
+                    value, index = _leaf_objective(gram, projections, leaf[0], values, step, count)
+                objective.append(value)
+                last.append(index)
+            objective = np.array(objective)
+        else:
+            values = [grid[index] for grid, index in zip(grids, indices)]
+            objective, last = _leaf_objective(gram, projections, leaf_rows, values, step, count)
+        best = int(objective.argmin())
+        row, steps = int(leaf_rows[best]), tuple(int(index[best]) for index in (*indices, last))
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "grid search: %d configurations, %d kept after bounding (%d never pruned),"
+            " frontier %s, %d leaves", valid.size, rows.size,
+            np.count_nonzero(~geometry.valid), "/".join(map(str, frontier)), leaf_rows.size,
+        )
+    return row, steps
 
 
-def _indicator_series(rows: np.ndarray) -> np.ndarray:
+def _head(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The C-contiguous array of ``shape`` that starts ``buffer``, a flat scratch array."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _indicator_series(rows: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None):
     """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``.
 
     ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi, b]``,
@@ -344,7 +385,9 @@ def _indicator_series(rows: np.ndarray) -> np.ndarray:
     ``(b+pi)`` term a row's product with ``w(b)`` is ``Re sum_j z_j exp(i j
     b)``, of degree ``K = d // 2``: ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``
     and ``z_j = conj(c_j + i s_j) (-i) / (j sqrt(pi))`` for the row's
-    cosine-``j`` and sine-``j`` entries, read as complex pairs.
+    cosine-``j`` and sine-``j`` entries, read as complex pairs.  ``out``, when
+    given, takes the series, and ``work``, a flat complex buffer, the pairs'
+    conjugates: then nothing as large is allocated.
     """
     rows = np.ascontiguousarray(rows)
     d = rows.shape[-1]
@@ -352,10 +395,12 @@ def _indicator_series(rows: np.ndarray) -> np.ndarray:
     js = np.arange(1, degree + 1)
     weights = 1.0 / (js * math.sqrt(math.pi))
     factors = -1j * weights
-    out = np.empty(rows.shape[:-1] + (degree + 1,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(rows.shape[:-1] + (degree + 1,), dtype=np.complex128)
     out[..., 0] = rows[..., 2::2] @ (np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs])
     pair_view = rows[..., 1 : 1 + 2 * pairs].view(np.complex128)
-    np.multiply(np.conj(pair_view), factors[:pairs], out=out[..., 1 : pairs + 1])
+    conjugates = np.conjugate(pair_view, out=None if work is None else _head(work, pair_view.shape))
+    np.multiply(conjugates, factors[:pairs], out=out[..., 1 : pairs + 1])
     if d % 2 == 0:
         out[..., degree] = factors[-1] * rows[..., d - 1]
     return out
@@ -439,8 +484,9 @@ class _GridDecoder:
         if y.shape != (sketched.n,):
             raise UsageError(f"expected {sketched.n} measurements, got shape {y.shape}")
         configuration, steps = self._search(sketched.geometry, sketched.sketch, y)
-        counts = [grid.size for grid in self._grids]
-        index = configuration * math.prod(counts) + int(np.ravel_multi_index(steps, counts))
+        index = configuration
+        for step, grid in zip(steps, self._grids):  # the axis points in itertools.product order
+            index = index * grid.size + step
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
         member, coefficients = self._center(configuration, values)
         # The distance comes from the residual, not from the objective (the
@@ -494,8 +540,8 @@ class FactoredStepDecoder(_GridDecoder):
         self._phases = 0.5 * np.exp(1j * np.arange(self.d // 2 + 1) * self.positions[0])
         self._phases.setflags(write=False)
 
-    def _on_breakpoints(self, series: np.ndarray) -> np.ndarray:
-        """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``.
+    def _on_breakpoints(self, series: np.ndarray, out=None, work=None) -> np.ndarray:
+        """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``, into ``out`` when given.
 
         With ``b_p = b_0 + 2 pi p / P`` and ``u_f = series_f exp(i f b_0)``
         folded a whole turn at a time, ``U_k = sum_{f = k mod P} u_f``, the
@@ -503,21 +549,30 @@ class FactoredStepDecoder(_GridDecoder):
         conj(U_{P-k})) / 2``: one real inverse FFT of its half ``k = 0 ..
         P // 2``, written a slice at a time from each turn's head ``f <= P //
         2`` and its reversed tail.  ``position_grid`` makes ``P`` free of
-        large primes; any other ``P`` is as exact, only slower.
+        large primes; any other ``P`` is as exact, only slower.  ``work``, a
+        flat complex buffer of twice ``series``' rows times ``P // 2 + 1``,
+        holds the spectrum and each slice's terms; it is made here when not
+        given.
         """
         count, width = self.positions.size, series.shape[-1]
         bins = count // 2 + 1
-        spectrum = np.zeros(series.shape[:-1] + (bins,), dtype=np.complex128)
+        shape = (*series.shape[:-1], bins)
+        if work is None:
+            work = np.empty(2 * math.prod(shape), dtype=np.complex128)
+        spectrum, terms = _head(work, shape), work[math.prod(shape) :]
+        spectrum.fill(0.0)
         phases = self._phases[:width]
         for start in range(0, width, count):
             head, tail = slice(start, start + bins), slice(start + count - count // 2, start + count)
-            values = series[..., head] * phases[head]
+            part = series[..., head]
+            values = np.multiply(part, phases[head], out=_head(terms, part.shape))
             spectrum[..., : values.shape[-1]] += values
             if tail.start < width:  # else the series ends before this turn's tail
-                values = series[..., tail] * phases[tail]
-                spectrum[..., bins - values.shape[-1] :] += np.conj(values[..., ::-1])
+                part = series[..., tail][..., ::-1]  # reversed, to be conjugated into bins P // 2 down
+                values = np.multiply(part, phases[tail][::-1], out=_head(terms, part.shape))
+                spectrum[..., bins - values.shape[-1] :] += np.conjugate(values, out=values)
         spectrum[..., 0] += np.conj(spectrum[..., 0])  # no tail reaches bin 0
-        return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward")
+        return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward", out=out)
 
     def _operator_terms(self, operator) -> tuple[_Geometry, tuple]:
         """The search geometry under ``operator``, and the sketch ``(table, Rv)``.
@@ -526,23 +581,29 @@ class FactoredStepDecoder(_GridDecoder):
         w(b_p)`` and ``Rv = sqrt(2 pi) R[:, 0]``, the constant one's image.
         ``R w(b)`` is ``(b+pi) R[:, 0] / sqrt(2 pi)`` plus the periodic part
         of ``_indicator_series``, which ``_on_breakpoints`` evaluates
-        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, summed
-        into their slice of the table.  Then ``g00`` is the table's column
+        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, straight
+        into their slice of the table, the linear part added in place.  Every
+        block reuses one set of buffers.  Then ``g00`` is the table's column
         square-sum and ``g0f = <R w(b), Rv>`` one product.  The rows are read
         from ``R`` as it is stored: no frame-sized copy.
         """
         started = time.perf_counter()
         frame = operator.frame
         n, d = frame.shape
+        count = self.positions.size
         shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
-        table = np.empty((n, self.positions.size))
+        table = np.empty((n, count))
+        block = min(n, _TERMS_BLOCK_ROWS)
+        series = np.empty((block, d // 2 + 1), dtype=np.complex128)
+        work = np.empty(block * max((d - 1) // 2, 2 * (count // 2 + 1)), dtype=np.complex128)
+        linear = np.empty((block, count))
         for start in range(0, n, _TERMS_BLOCK_ROWS):
             rows = frame[start : start + _TERMS_BLOCK_ROWS]
-            np.add(
-                self._on_breakpoints(_indicator_series(rows)),
-                np.multiply.outer(rows[:, 0] / _SQRT_2PI, shift),  # (b+pi) R[rows, 0] / sqrt(2 pi)
-                out=table[start : start + _TERMS_BLOCK_ROWS],
-            )
+            size = rows.shape[0]
+            out = table[start : start + size]
+            self._on_breakpoints(_indicator_series(rows, series[:size], work), out, work)
+            # (b+pi) R[rows, 0] / sqrt(2 pi), the linear part
+            out += np.multiply.outer(rows[:, 0] / _SQRT_2PI, shift, out=linear[:size])
         v_full = _SQRT_2PI * frame[:, 0]
         g00, g0f = np.einsum("ij,ij->j", table, table), v_full @ table
         logger.debug(
@@ -555,10 +616,12 @@ class FactoredStepDecoder(_GridDecoder):
             array.setflags(write=False)
         return _grid_geometry(gram, self._grids), (table, v_full)
 
-    def _projections(self, sketch: tuple, y: np.ndarray):
+    def _projections(self, sketch: tuple, y: np.ndarray) -> np.ndarray:
         table, v_full = sketch
-        q0 = y @ table
-        return q0, np.dot(v_full, y) - q0  # <R v, y> for the constant one v
+        projections = np.empty((2, table.shape[1]))
+        q0 = np.matmul(y, table, out=projections[0])
+        np.subtract(np.dot(v_full, y), q0, out=projections[1])  # <R v, y> for the constant one v
+        return projections
 
     def _measured(self, sketch: tuple, configuration: int, values: tuple) -> np.ndarray:
         (table, v_full), (c0, c1) = sketch, values

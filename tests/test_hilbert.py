@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import subprocess
 import sys
 
@@ -24,11 +25,13 @@ from netsketch.hilbert import (
     MAX_PIECE_DEGREE,
     PiecewiseDescription,
     Signal,
+    _piece_at,
     _taylor,
     analyze_piecewise,
     dump_signal,
     exact_l2_distance,
     pad_or_truncate,
+    piecewise_norm,
     synthesize,
     tail_norm,
 )
@@ -363,6 +366,30 @@ def test_exact_l2_distance_matches_the_fraction_oracle(a, b):
     assert exact_l2_distance(b, a).hex() == distance.hex()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    description=piecewise_descriptions() | circle_step_descriptions(),
+    between=st.floats(0.0, 1.0),
+)
+def test_piece_lookup_counts_breakpoints_as_searchsorted_does(description, between):
+    # At every breakpoint, a float either side of it, +/-pi and a point
+    # between each pair of edges, the piece ``_taylor`` takes is the count
+    # of breakpoints at or below the point.
+    points = description.breakpoints
+    edges = [-math.pi, *points.tolist(), math.pi]
+    probes = [*edges, *np.nextafter(points, -np.inf), *np.nextafter(points, np.inf)]
+    probes += [left + between * (right - left) for left, right in zip(edges[:-1], edges[1:])]
+    for t in probes:
+        assert _piece_at(description, float(t)) == int(np.searchsorted(points, t, side="right"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(description=piecewise_descriptions() | circle_step_descriptions())
+def test_piecewise_norm_is_the_distance_to_zero_bit_for_bit(description):
+    zero = PiecewiseDescription((), ((0.0,),))
+    assert piecewise_norm(description).hex() == exact_l2_distance(description, zero).hex()
+
+
 def test_taylor_about_a_piece_midpoint_is_its_coefficients_bit_for_bit():
     # 2,000 descriptions of three degree-8 pieces with 1/m! bounds: 6,000
     # pieces, of which dividing derivatives by r! got 5,303 an ulp off.
@@ -428,6 +455,30 @@ def test_piecewise_evaluate_periodic_wraps():
         steps = _circle_steps(positions, levels)
         assert len(steps.breakpoints) == count - case % 2
         np.testing.assert_array_equal(steps.evaluate(t), arc_lookup(positions, levels, t))
+
+
+@pytest.mark.parametrize(
+    "breakpoints, pieces, message",
+    [
+        ([1.0, -1.0], ([1.0], [1.0], [1.0]), "strictly increasing"),
+        ([0.5, 0.5], ([1.0], [1.0], [1.0]), "strictly increasing"),
+        ([-math.pi], ([1.0], [1.0]), "lie in (-pi, pi)"),
+        ([0.0, math.pi], ([1.0], [1.0], [1.0]), "lie in (-pi, pi)"),
+        ([4.0], ([1.0], [1.0]), "lie in (-pi, pi)"),
+        ([0.0], ([1.0],), "expected 2 coefficient arrays, got 1"),
+        ([], ([1.0], [1.0]), "expected 1 coefficient arrays, got 2"),
+        ([0.0], ([1.0], []), "non-empty 1-d arrays"),
+        ([0.0], ([1.0], [[1.0, 2.0]]), "non-empty 1-d arrays"),
+        ([[0.0]], ([1.0], [1.0]), "1-d array"),
+    ],
+    ids=[
+        "unsorted", "repeated", "at -pi", "at pi", "past pi", "too few pieces",
+        "too many pieces", "empty piece", "2-d piece", "2-d breakpoints",
+    ],
+)
+def test_piecewise_description_refuses(breakpoints, pieces, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        PiecewiseDescription(np.array(breakpoints), pieces)
 
 
 def test_piecewise_validation_rejects_bad_input():

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1151,6 +1152,11 @@ def test_bench_size_decode_uses_only_smooth_fft_lengths(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# Leaf budgets that send every search down one path: every leaf evaluated in
+# arrays, or every one on scalars, one at a time.
+ONE_PATH_BUDGETS = {"in arrays": 0, "one by one": 10**9}
+
+
 def full_sweep(self, geometry, sketch, y):
     """Reference: every (breakpoint, ``c0``) pair, in the decoder's arithmetic.
 
@@ -1239,6 +1245,53 @@ def test_pruned_decode_equals_the_full_sweep(kind, noise, operator_seed, data_se
         # On a member the winner's objective meets its bound up to rounding.
         member = decode(reference, want.coefficients)
         assert_same_decode(decode(decoder, want.coefficients), member)
+
+
+@pytest.mark.parametrize("path", sorted(ONE_PATH_BUDGETS))
+def test_each_leaf_path_decodes_as_the_full_sweep(path):
+    # Constant targets tie at every breakpoint; noisy members keep few or
+    # many breakpoints.  Either path alone must give the sweep's decode.
+    d, n = 300, 150
+    decoder, reference = bench_step_decoders(d)
+    operator = random_subspace(d, n, seed=71)
+    sketched = decoder.prepare(operator)
+    rng = np.random.default_rng(71)
+    levels = decoder.plan.axes[0].points()
+    targets = [step_member_coefficients(0.0, level, level, d) for level in levels[::9]]
+    for noise in (0.0, 1e-4, 0.03, 0.3):
+        b = rng.choice(decoder.positions)
+        targets.append(step_member_coefficients(b, *rng.choice(levels, 2), d) + noise * rng.normal(size=d))
+    with mock.patch.object(nets, "_SCALAR_LEAVES", ONE_PATH_BUDGETS[path]):
+        for target in targets:
+            assert_same_decode(decoder.decode_coefficients(target), reference.decode_coefficients(target))
+            y = apply_operator(operator, target)
+            want = reference.decode_measurements(y, sketched)
+            assert_same_decode(decoder.decode_measurements(y, sketched), want)
+
+
+@pytest.mark.parametrize(
+    "family, eps1",
+    [(SmoothClass(3, 2.0), 0.5), (step_class(max_jumps=2, min_gap=1.5), 3.0), (step_class(degree=1), 6.0)],
+)
+def test_each_leaf_path_decodes_as_the_row_scan(family, eps1):
+    # Configuration nets of one to three axes: both paths give one decode,
+    # the row scan's winner up to ties within the maps' rounding.
+    d = 16
+    decoder = build_net(family, eps1, d=d).decoder
+    rows = decoder_rows(decoder)
+    rng = np.random.default_rng(83)
+    for scale in (0.0, 1e-3, 0.3):
+        for index in rng.choice(len(rows), size=4):
+            target = rows[index] + scale * rng.normal(size=d)
+            decodes = []
+            for budget in ONE_PATH_BUDGETS.values():
+                with mock.patch.object(nets, "_SCALAR_LEAVES", budget):
+                    decodes.append(decoder.decode_coefficients(target))
+            first, second = decodes
+            assert (first.index, first.distance.hex()) == (second.index, second.distance.hex())
+            assert member_bytes(first.member) == member_bytes(second.member)
+            best, distance = row_scan(rows, target)
+            assert decodes[0].index == best or decodes[0].distance <= distance * (1.0 + 1e-12) + 1e-12
 
 
 def test_kept_factor_decodes_as_the_per_decode_factor():
@@ -1353,9 +1406,10 @@ def exhaustive_on_grid(gram, projections, grids, step):
     size, configs = math.prod(counts), projections[0].size
     rows = np.repeat(np.arange(configs), size)
     values = [np.tile(p, configs) for p in prefix]
-    objective, last = nets._leaf_objective(
-        gram, projections, rows, values, step, grids[-1].size
-    )
+    with np.errstate(all="ignore"):  # a zero last column is 0 / 0
+        objective, last = nets._leaf_objective(
+            gram, projections, rows, values, step, grids[-1].size
+        )
     best = int(np.argmin(objective))
     steps = np.unravel_index(best % size, counts) if counts else ()
     return int(rows[best]), (*map(int, steps), int(last[best]))
@@ -1457,6 +1511,64 @@ def test_nearest_on_grid_equals_exhaustive_enumeration(problem):
     assert found == exhaustive_on_grid(gram, projections, grids, step)
     if exact:
         assert found == exact_nearest(gram, projections, grids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=grid_problems())
+@example(problem=mirrored_problem(0))
+@example(problem=mirrored_problem(1))
+def test_each_leaf_path_equals_exhaustive_enumeration(problem):
+    # The scalar and the array evaluation run the same arithmetic on the same
+    # leaves in the same order, so each alone finds the exhaustive winner.
+    gram, projections, grids, step, _ = problem
+    geometry = nets._grid_geometry(gram, grids)
+    want = exhaustive_on_grid(gram, projections, grids, step)
+    for budget in ONE_PATH_BUDGETS.values():
+        with mock.patch.object(nets, "_SCALAR_LEAVES", budget):
+            assert nets._nearest_on_grid(geometry, projections, grids, step) == want
+
+
+def seed_leaf_problem(case):
+    """One configuration of two axes whose seed leaf rounds its last axis as ``case`` says.
+
+    ``zero column``: ``G_zz = G_0z = q_z = 0``, so ``c_z`` is ``0 / 0`` and
+    takes the lowest index; ``clamped high`` and ``clamped low``: ``q_z``
+    far past either end of the grid; ``inside``: a member's own projections.
+    """
+    grids = [nets._centered_grid(9, 0.25)] * 2
+    maps = np.array([[[1.0, 0.5], [0.25, 1.0], [0.5, -0.75]]])
+    if case == "zero column":
+        maps[..., 1] = 0.0
+    gram, projections, _, step, _ = grid_problem(maps, grids, maps[0] @ np.array([0.5, -0.25]), 0.25)
+    if case.startswith("clamped"):
+        projections[1] = 1e3 if case == "clamped high" else -1e3
+    return gram, projections, grids, step
+
+
+@pytest.mark.parametrize("case", ["zero column", "clamped high", "clamped low", "inside"])
+def test_the_incumbent_is_the_seed_leaf_in_array_arithmetic(monkeypatch, case):
+    # The search evaluates its seed leaf on scalars; the bits must be those
+    # of the same leaf as a length-1 array, 0 / 0 and a clamped index included.
+    gram, projections, grids, step = seed_leaf_problem(case)
+    calls = []
+    real = nets._leaf_objective
+
+    def recording(gram, projections, rows, values, step, count):
+        result = real(gram, projections, rows, values, step, count)
+        calls.append((rows, list(values), result))
+        return result
+
+    monkeypatch.setattr(nets, "_leaf_objective", recording)
+    found = nets._nearest_on_grid(nets._grid_geometry(gram, grids), projections, grids, step)
+    seed, values, (objective, last) = calls[0]
+    assert isinstance(seed, int) and np.ndim(objective) == 0
+    with np.errstate(all="ignore"):
+        want, want_last = real(gram, projections, np.array([seed]), [np.array([v]) for v in values], step, 9)
+    assert float(objective).hex() == float(want[0]).hex()
+    assert int(last) == int(want_last[0])
+    expected_last = {"zero column": 0, "clamped high": 8, "clamped low": 0, "inside": 3}[case]
+    assert int(last) == expected_last
+    assert found == exhaustive_on_grid(gram, projections, grids, step)
 
 
 # ---------------------------------------------------------------------------

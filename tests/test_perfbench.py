@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -155,3 +156,28 @@ def test_traced_command_opens_every_cli_layer(tmp_path, command, config, spans):
     pairs = Counter(tuple(pair) for pair in json.loads(stdout.splitlines()[-1]))
     assert pairs[("cli.main", "process")] == 1
     assert {pair: pairs[pair] for pair in spans} == spans
+
+
+# The bench's output digests at bench seed 1, the first 16 hex digits of
+# each child's sha256 over its CSV and JSON: a byte that moves in either
+# step workload's outputs fails here.
+STEP_DIGESTS = {"step_fixed_w": "fae5873d0695816a", "step_fixed_x": "00b458d674d32078"}
+
+
+@pytest.mark.parametrize("workload", sorted(STEP_DIGESTS))
+def test_bench_step_outputs_keep_their_digest(workload):
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "30", "--trace", "0",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "correct" in proc.stdout.splitlines()
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    digests = re.findall(r"^  child\d+: status 0, .* outputs ([0-9a-f]{16})$", proc.stdout, re.M)
+    assert digests == [STEP_DIGESTS[workload]] * 3
