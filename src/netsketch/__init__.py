@@ -21,7 +21,6 @@ from .hilbert import (
     Signal,
     analyze_piecewise,
     exact_l2_distance,
-    synthesize,
     tail_norm,
 )
 from .function_classes import (
@@ -99,7 +98,6 @@ __all__ = [
     "reconstruct",
     "required_measurements",
     "run_experiment",
-    "synthesize",
     "tail_norm",
     "truncation_dimension",
     "wilson_interval",

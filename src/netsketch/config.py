@@ -139,10 +139,12 @@ def _as_budget(value: str) -> float:
         raise UsageError(f"config key 'm_max' needs an integer or 'inf', got {value!r}")
 
 
-# Keys whose syntax their type does not say: "auto" noise, "inf" budgets.
+# Keys whose syntax their type does not say: "auto" noise, "inf" budgets, and
+# a constant that an experiment may leave unset.
 _PARSERS_BY_KEY: dict[str, Callable[[str], Any]] = {
     "delta": _as_delta,
     "m_max": _as_budget,
+    "jl_constant": _as_number("jl_constant", float),
 }
 
 
@@ -234,7 +236,8 @@ class ExperimentConfig:
     seed: int
     mode: Literal["fixed_x", "fixed_w"]
     delta: float | None = 0.0  # None means "auto": eps / (4 sqrt(d))
-    jl_constant: float = DEFAULT_JL_CONSTANT
+    # Sets no n (the exact Beta tail does); only theorem_bound_check reads it.
+    jl_constant: float | None = None
     ambient_dim: int = DEFAULT_AMBIENT_DIM
     m_max: float = DEFAULT_NET_BUDGET
     tail_samples: int = 40
@@ -247,6 +250,8 @@ class ExperimentConfig:
             raise UsageError(f"eps must be positive, got {self.eps!r}")
         if not 0.0 < self.p < 1.0:
             raise UsageError(f"p must lie in (0, 1), got {self.p!r}")
+        if self.jl_constant is not None and not self.jl_constant > 0.0:
+            raise UsageError(f"jl_constant must be positive, got {self.jl_constant!r}")
 
 
 def load_experiment_config(

@@ -143,10 +143,11 @@ def within_measurement_budget(
     For every ``c > 0`` the rate bounds the union-bound count
     ``ceil(c ln((M+1)/(1-p)))`` at ``H = log2 M``: with ``a = 1/(1-p)``,
     ``ln(M+1) <= ln 2 (H+1)`` and ``ln a <= a - 1`` leave that count ``c ((a
-    - ln 2) H + 1 - ln 2) > 0`` below it.  It does not bound the count
-    ``jl.certified_measurements`` raises for ``c >= 1 / KAPPA_LOWER``: at
-    ``c = 4`` and ``p = 1/2`` a 7-center net gets ``n = 33`` (its union-bound
-    count is 12), over ``8 log2 7 + 9 = 31.5``, and the check is False.
+    - ln 2) H + 1 - ln 2) > 0`` below it.  An experiment's count comes from
+    the exact Beta tail instead (``jl.exact_measurements``), which the rate
+    bounds only for ``c`` large enough: at ``p = 1/2`` a 7-center net gets
+    ``n = 7`` at ``d = 1000``, within ``2 c (log2 7 + 1) + 1`` from ``c =
+    0.79`` up.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"probability must lie in (0, 1), got {p!r}")

@@ -28,7 +28,7 @@ from .entropy import measurement_lower_bound, within_measurement_budget
 from .function_classes import fit_class_tail_model
 # tail_norm is imported for callers that wrap it here (perfbench/child.py).
 from .hilbert import tail_norm  # noqa: F401
-from .jl import apply_operator
+from .jl import DEFAULT_JL_CONSTANT, apply_operator
 from .nets import DecodeResult, build_net, round_coordinates
 from .reconstructor import (
     PreparedSampler,
@@ -357,11 +357,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run all trials and aggregate; reproducible from the master seed.
 
     Wall time is reported on the logging channel only, keeping the summary
-    (and hence the JSON output) identical across repeated runs.
+    (and hence the JSON output) identical across repeated runs.  A config
+    that sets ``jl_constant`` gets a WARNING: the exact Beta tail sets ``n``,
+    and the constant is read only by ``theorem_bound_check``.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs!r}")
     started = time.monotonic()
+    jl_constant = DEFAULT_JL_CONSTANT
+    if config.jl_constant is not None:
+        jl_constant = config.jl_constant
+        logger.warning(
+            "jl_constant = %g is unused for n, which the exact Beta tail sets;"
+            " only theorem_bound_check reads it", jl_constant,
+        )
     family = config.family
     # The measurement lower bound is stated at eps, not at the net's
     # resolution r, so it counts a second net at eps; lay it out before any
@@ -384,7 +393,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         tail_model,
         _stream(config.seed, _DOMAIN_PREPROCESS),
         ambient_dim=config.ambient_dim,
-        jl_constant=config.jl_constant,
         m_max=config.m_max,
     )
     delta = (
@@ -438,7 +446,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "delta_policy": "auto" if config.delta is None else "fixed",
         "trials": config.trials,
         "seed": config.seed,
-        "jl_constant": config.jl_constant,
+        "jl_constant": jl_constant,
         "ambient_dim": config.ambient_dim,
         "d": sampler.d,
         "n": sampler.n,
@@ -463,7 +471,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         "within_ball_failures": sum(1 for row in rows if not row["within_ball"]),
         "distortion_failures": sum(1 for row in rows if not row["distortion_ok"]),
         "theorem_bound_check": within_measurement_budget(
-            sampler.n, config.p, entropy_bits, config.jl_constant
+            sampler.n, config.p, entropy_bits, jl_constant
         ),
         "measurement_lower_bound": lower_bound,
         "n_meets_lower_bound": sampler.n >= lower_bound,

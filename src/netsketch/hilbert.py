@@ -71,9 +71,6 @@ class Signal:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
-    def evaluate(self, t) -> np.ndarray:
-        return synthesize(self.coefficients, t)
-
 
 def pad_or_truncate(values: np.ndarray, dim: int) -> np.ndarray:
     """The first ``dim`` entries of ``values``, zero-padded when it is shorter."""
@@ -88,28 +85,6 @@ def tail_norm(x: Signal, d: int) -> float:
     if not 1 <= d <= x.ambient_dim:
         raise UsageError(f"tail dimension {d} outside [1, {x.ambient_dim}]")
     return float(np.linalg.norm(x.coefficients[d:]))
-
-
-def synthesize(coefficients, t):
-    """Evaluate the function with the given basis coefficients at points ``t``."""
-    coeffs = np.asarray(coefficients, dtype=float)
-    points = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(points).ravel()
-    out = np.full(flat.shape, coeffs[0] / _SQRT_2PI)
-    if coeffs.size > 1:
-        jmax = coeffs.size // 2
-        js = np.arange(1, jmax + 1, dtype=float)
-        cos_coeffs = coeffs[1::2]
-        sin_coeffs = np.zeros(jmax)
-        sin_coeffs[: (coeffs.size - 1) // 2] = coeffs[2::2]
-        for start in range(0, flat.size, 4096):
-            block = flat[start : start + 4096, None] * js[None, :]
-            out[start : start + 4096] += (
-                np.cos(block) @ cos_coeffs + np.sin(block) @ sin_coeffs
-            ) / _SQRT_PI
-    if points.ndim == 0:
-        return float(out[0])
-    return out.reshape(points.shape)
 
 
 # ---------------------------------------------------------------------------

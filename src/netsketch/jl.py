@@ -4,14 +4,16 @@ A measurement operator is the sketch map ``R = sqrt(d / n) Q``, where ``Q``
 holds an orthonormal family of ``n`` rows in a ``d``-dimensional coefficient
 space: applied to ``d`` coefficients, it projects onto the row span and
 rescales so that squared norms are preserved in expectation over a uniformly
-random subspace.  The measurement count needed for a target success
-probability over a finite point set is the Johnson-Lindenstrauss union bound,
-``n = ceil(c * ln(m / (1 - p)))``, and ``failure_bound`` certifies it by
-Dasgupta and Gupta's tail, pricing each end of a distortion band at its own
-rate ``kappa``; ``certified_measurements`` raises the count, if need be, to
-one that tail certifies for the reconstruction chain.  An operator's ``Q`` is
-the orthonormalized columns of a Gaussian ``d x n`` draw, by verified
-Cholesky QR.
+random subspace.  A fixed unit vector's squared projection follows
+Beta(n/2, (d - n)/2), so the chance that some pair leaves its end of a
+distortion band is at most ``exact_failure_bound``, a union of the exact Beta
+tails (``log_betainc`` and ``log_betaincc``), and ``exact_measurements`` is
+the smallest ``n`` whose bound meets a target success probability.
+``required_measurements``, the Johnson-Lindenstrauss union-bound count ``n =
+ceil(c * ln(m / (1 - p)))``, and ``failure_bound``, Dasgupta and Gupta's
+exponential tail on it, price the same events more loosely.  An operator's
+``Q`` is the orthonormalized columns of a Gaussian ``d x n`` draw, by
+verified Cholesky QR.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ __all__ = [
     "MeasurementOperator",
     "DISTORTION_BAND",
     "DistortionReport",
-    "certified_measurements",
+    "exact_failure_bound",
+    "exact_measurements",
     "failure_bound",
     "kappa",
+    "log_betainc",
+    "log_betaincc",
     "required_measurements",
     "random_subspace",
     "apply_operator",
@@ -95,9 +100,8 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
     ``m exp(-KAPPA_LOWER n) <= 1 - p`` once ``n >= ln(m / (1 - p)) /
     KAPPA_LOWER``, so every ``jl_constant >= 1 / KAPPA_LOWER ~ 3.143``
     certifies the lower end alone.  A band whose upper end is priced at a
-    slower rate, as the reconstruction chain's, can need more:
-    ``certified_measurements`` raises the count to what its
-    ``failure_bound`` certifies.
+    slower rate, as the reconstruction chain's, can need more.
+    ``exact_measurements`` prices both ends by their exact tails instead.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
@@ -106,6 +110,35 @@ def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONS
     if jl_constant <= 0.0:
         raise UsageError(f"jl_constant must be positive, got {jl_constant!r}")
     return max(1, math.ceil(jl_constant * math.log(m / (1.0 - p))))
+
+
+def _union_bound(n, d, lower_pairs, upper_pairs, band, log_tails) -> float:
+    """``min(1, lower_pairs P_lo + upper_pairs P_hi)``, 0.0 at ``n >= d``.
+
+    ``log_tails(a_lo, a_hi)`` gives ``(ln P_lo, ln P_hi)`` at ``band``'s ends.
+    Each term is formed from its logarithm, so that pair counts beyond float
+    range stay exact.  A full orthogonal operator, ``n >= d``, distorts
+    nothing.
+    """
+    if n < 1 or d < 1:
+        raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
+    if lower_pairs < 0 or upper_pairs < 0:
+        raise UsageError(
+            f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
+        )
+    lower, upper = band
+    if not 0.0 < lower < 1.0 < upper:
+        raise UsageError(f"a distortion band must straddle 1, got {band!r}")
+    if n >= d:
+        return 0.0
+    total = 0.0
+    for pairs, log_tail in zip((lower_pairs, upper_pairs), log_tails(lower, upper)):
+        if pairs:
+            exponent = math.log(pairs) + log_tail
+            if exponent >= 0.0:
+                return 1.0
+            total += math.exp(exponent)
+    return min(1.0, total)
 
 
 def failure_bound(
@@ -121,64 +154,201 @@ def failure_bound(
     ``upper_pairs`` below its upper end ``a_hi``, under a uniformly random
     ``n``-subspace of ``R^d``.  Returns ``lower_pairs exp(-kappa(a_lo) n) +
     upper_pairs exp(-kappa(a_hi) n)``, Dasgupta and Gupta's tails (see
-    ``required_measurements``), each formed from its logarithm, so that pair
-    counts beyond float range stay exact, and the sum capped at 1.  It is
-    exactly 0.0 when ``n >= d``: a full orthogonal operator distorts nothing.
+    ``required_measurements``), capped at 1, and exactly 0.0 when ``n >= d``.
+    ``exact_failure_bound`` is the same union over the exact tails, which
+    these bound from above.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
-    if lower_pairs < 0 or upper_pairs < 0:
-        raise UsageError(
-            f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
-        )
-    lower, upper = band
-    if not 0.0 < lower < 1.0 < upper:
-        raise UsageError(f"a distortion band must straddle 1, got {band!r}")
-    if n >= d:
-        return 0.0
+    return _union_bound(
+        n, d, lower_pairs, upper_pairs, band, lambda lower, upper: (-kappa(lower) * n, -kappa(upper) * n)
+    )
+
+
+# The Stirling series' coefficients B_2k / (2k (2k - 1)), k = 1..8 (DLMF 5.11.1).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_CF_LIMIT = 10_000
+_CF_TINY = 1e-300
+
+
+def _stirling_remainder(z: float) -> float:
+    """``ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)``, for ``z > 0``.
+
+    From the series at ``z >= 8``, where its first omitted term is below
+    1e-16; below that, from ``math.lgamma``, whose values at the
+    half-integers the tails pass are at most ``ln Gamma(8) = 8.5``.
+    """
+    if z < 8.0:
+        return math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_TWO_PI)
+    t = 1.0 / (z * z)
     total = 0.0
-    for pairs, rate in ((lower_pairs, kappa(lower)), (upper_pairs, kappa(upper))):
-        if pairs:
-            exponent = math.log(pairs) - rate * n
-            if exponent >= 0.0:
-                return 1.0
-            total += math.exp(exponent)
-    return min(1.0, total)
+    for coefficient in reversed(_STIRLING):
+        total = total * t + coefficient
+    return total / z
 
 
-def certified_measurements(
+def _rlog1(e: float, ratio: float) -> float:
+    """``e - ln(1 + e)`` for ``e > -1``, given ``ratio``, ``1 + e`` formed on its own.
+
+    Far from 0 it is ``e - ln(ratio)``, whose log keeps the digits that ``1 +
+    e`` would lose near ``e = -1``.  Near 0, with ``t = e / (2 + e)``, ``ln(1
+    + e) = 2 atanh t`` and ``e - 2t = t e``, so the value is ``t e - 2 (t^3/3
+    + t^5/5 + ...)``.
+    """
+    if abs(e) > 0.5:
+        return e - math.log(ratio)
+    t = e / (2.0 + e)
+    square = t * t
+    power, k, series = t * square, 3, 0.0
+    while True:
+        term = power / k
+        series += term
+        if abs(term) <= 1e-17 * abs(series):
+            return t * e - 2.0 * series
+        power *= square
+        k += 2
+
+
+def _log_power_over_beta(a: float, b: float, x: float) -> float:
+    """``ln(x^a (1 - x)^b / B(a, b))`` for ``0 < x < 1``, without cancellation.
+
+    Didonato and Morris's form (*ACM TOMS* 18(3), 1992, Algorithm 708,
+    ``brcomp`` and ``bcorr``).  Stirling's formula leaves ``x0^a y0^b / B(a,
+    b) = sqrt(a b / (a + b)) / sqrt(2 pi) e^-(D(a) + D(b) - D(a + b))`` at
+    ``x0 = a / (a + b)``, ``y0 = 1 - x0``, with ``D`` the small Stirling
+    remainders, so no large ``ln Gamma`` is ever formed.  The rest, ``a ln(x
+    / x0) + b ln(y / y0)``, is ``-(a rlog1(e_a) + b rlog1(e_b))`` with ``e_a
+    = x / x0 - 1 = -lam / a`` and ``e_b = y / y0 - 1 = lam / b`` at ``lam =
+    a - (a + b) x``, because ``a e_a + b e_b = 0``: two non-negative terms.
+    """
+    total = a + b
+    lam = a - total * x
+    remainders = _stirling_remainder(a) + _stirling_remainder(b) - _stirling_remainder(total)
+    deviation = a * _rlog1(-lam / a, x * total / a) + b * _rlog1(lam / b, (1.0 - x) * total / b)
+    return 0.5 * math.log(a * b / total) - _HALF_LOG_TWO_PI - remainders - deviation
+
+
+def _log_betainc_below(a: float, b: float, x: float) -> float:
+    """``ln I_x(a, b)`` for ``0 < x < (a + 1) / (a + b + 2)``, where the fraction converges.
+
+    ``I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) / (1 + d_1 / (1 + d_2 / (1 +
+    ...)))`` with ``d_2m = m (b - m) x / ((a + 2m - 1)(a + 2m))`` and
+    ``d_2m+1 = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1))`` (DLMF
+    8.17.22), evaluated by the modified Lentz method (*Numerical Recipes*,
+    section 6.4).
+    """
+    c, inverse = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    inverse = 1.0 / (inverse if abs(inverse) > _CF_TINY else _CF_TINY)
+    fraction = inverse
+    for m in range(1, _CF_LIMIT):
+        twice = 2 * m
+        for term in (
+            m * (b - m) * x / ((a + twice - 1.0) * (a + twice)),
+            -(a + m) * (a + b + m) * x / ((a + twice) * (a + twice + 1.0)),
+        ):
+            inverse = 1.0 + term * inverse
+            inverse = 1.0 / (inverse if abs(inverse) > _CF_TINY else _CF_TINY)
+            c = 1.0 + term / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = inverse * c
+            fraction *= step
+        if abs(step - 1.0) <= 2.2e-16:
+            return _log_power_over_beta(a, b, x) - math.log(a) + math.log(fraction)
+    raise NetSketchError(f"the incomplete beta fraction at a={a!r}, b={b!r}, x={x!r} did not converge")
+
+
+def _log1mexp(log_value: float) -> float:
+    """``ln(1 - e^v)`` for ``v < 0``, each branch where it keeps its digits."""
+    if log_value > -math.log(2.0):
+        return math.log(-math.expm1(log_value))
+    return math.log1p(-math.exp(log_value))
+
+
+def _check_beta(a: float, b: float) -> None:
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+        raise UsageError(f"beta parameters must be positive and finite, got a={a!r}, b={b!r}")
+
+
+def log_betainc(a: float, b: float, x: float) -> float:
+    """``ln I_x(a, b)``, the log of the regularized incomplete beta function.
+
+    Computed directly below ``x = (a + 1) / (a + b + 2)``; above it, ``I_x(a,
+    b) = 1 - I_{1-x}(b, a)`` and the direct side is ``log_betaincc``'s.
+    ``-inf`` at ``x <= 0`` and 0.0 at ``x >= 1``.
+    """
+    _check_beta(a, b)
+    if x <= 0.0:
+        return -math.inf
+    if x >= 1.0:
+        return 0.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _log_betainc_below(a, b, x)
+    return _log1mexp(_log_betainc_below(b, a, 1.0 - x))
+
+
+def log_betaincc(a: float, b: float, x: float) -> float:
+    """``ln(1 - I_x(a, b))``, computed directly from ``x = (a + 1) / (a + b + 2)`` up.
+
+    Below that point it is formed from ``log_betainc``'s direct side.  0.0
+    at ``x <= 0`` and ``-inf`` at ``x >= 1``.
+    """
+    _check_beta(a, b)
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return -math.inf
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _log1mexp(_log_betainc_below(a, b, x))
+    return _log_betainc_below(b, a, 1.0 - x)
+
+
+def exact_failure_bound(
+    n: int,
+    d: int,
+    lower_pairs: int,
+    upper_pairs: int,
+    band: tuple[float, float] = DISTORTION_BAND,
+) -> float:
+    """``failure_bound``'s union over the exact tails: ``F(n)``.
+
+    A pair's rescaled distance ratio is ``sqrt(d L / n)`` with ``L ~
+    Beta(n/2, (d - n)/2)``, so it falls below ``a_lo`` with chance
+    ``I_{a_lo^2 n/d}(n/2, (d - n)/2)`` and rises above ``a_hi`` with ``1 -
+    I_{a_hi^2 n/d}(n/2, (d - n)/2)``, which is 0 once ``a_hi^2 n / d >= 1``.
+    Returns ``lower_pairs`` times the first plus ``upper_pairs`` times the
+    second, capped at 1, and exactly 0.0 when ``n >= d``.  Dasgupta and
+    Gupta's tails bound these from above, so this is at most
+    ``failure_bound``.
+    """
+
+    def log_tails(lower: float, upper: float) -> tuple[float, float]:
+        a, b = n / 2.0, (d - n) / 2.0
+        return log_betainc(a, b, lower * lower * n / d), log_betaincc(a, b, upper * upper * n / d)
+
+    return _union_bound(n, d, lower_pairs, upper_pairs, band, log_tails)
+
+
+def exact_measurements(
     p: float,
     d: int,
-    centers: int,
+    lower_pairs: int,
+    upper_pairs: int,
     band: tuple[float, float] = DISTORTION_BAND,
-    jl_constant: float = DEFAULT_JL_CONSTANT,
 ) -> int:
-    """Measurements for the reconstruction chain over a net of ``centers`` centers.
+    """The smallest ``n`` in ``[1, d]`` with ``exact_failure_bound(n, ...) <= 1 - p``.
 
-    The chain needs ``band``'s lower end on the ``centers`` pairs of the
-    signal with a center and its upper end on the one pair with the covering
-    witness.  ``required_measurements(p, centers + 1, jl_constant)`` pays for
-    that one pair at the lower rate, which covers it only while
-    ``kappa(a_hi) >= kappa(a_lo)``: at ``DISTORTION_BAND`` every
-    ``jl_constant >= 1 / KAPPA_LOWER`` is certified, but an upper end near 1
-    is priced far more slowly.  So for such a constant the count is raised,
-    if need be, to the smallest ``n <= d`` whose ``failure_bound(n, d,
-    centers, 1, band)`` is at most ``1 - p``; that bound falls as ``n`` grows
-    and is 0 at ``n = d``, so a bisection over ``[1, d]`` finds it.  A
-    smaller constant asks for an uncertified count and gets the union-bound
-    count alone.  The result is not clamped at ``d``.
+    The bound falls as ``n`` grows and is 0 at ``n = d``, so a bisection over
+    ``[1, d]`` finds it; ``d`` itself means no smaller count is certified.
     """
-    wanted = required_measurements(p, centers + 1, jl_constant)
-    if jl_constant < 1.0 / KAPPA_LOWER:
-        return wanted
+    if not 0.0 < p < 1.0:
+        raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
     low, high = 1, d
     while low < high:
         middle = (low + high) // 2
-        if failure_bound(middle, d, centers, 1, band) <= 1.0 - p:
+        if exact_failure_bound(middle, d, lower_pairs, upper_pairs, band) <= 1.0 - p:
             high = middle
         else:
             low = middle + 1
-    return max(wanted, low)
+    return low
 
 
 @dataclass(frozen=True)

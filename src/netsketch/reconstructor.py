@@ -5,8 +5,8 @@ produces a ``PreparedSampler``: an ``AccuracyBudget`` that splits the accuracy
 target ``eps`` into two tail budgets ``t = eps / 6`` and the net resolution
 ``r``, a truncation dimension ``d`` that keeps the coefficient tails within
 ``t``, a covering net at resolution ``r``, and a random ``n``-dimensional
-measurement operator sized for the net by the Johnson-Lindenstrauss union
-bound.  ``measure`` sketches a signal through the operator, ``add_noise``
+measurement operator, ``n`` the fewest rows that the exact Beta tails certify
+for the net.  ``measure`` sketches a signal through the operator, ``add_noise``
 perturbs the sketch within a bound, and ``reconstruct`` decodes it to the
 nearest projected net center.  Comparing a reconstruction with its ground
 truth is ``experiment.audit_trial``'s job.
@@ -25,13 +25,12 @@ from .errors import AmbientTooSmallError, UsageError
 from .function_classes import TailDecayModel
 from .hilbert import DEFAULT_AMBIENT_DIM
 from .jl import (
-    DEFAULT_JL_CONSTANT,
     DISTORTION_BAND,
     SEED_RANGE,
     MeasurementOperator,
     apply_operator,
-    certified_measurements,
-    failure_bound,
+    exact_failure_bound,
+    exact_measurements,
     random_subspace,
 )
 from .nets import (
@@ -63,9 +62,9 @@ logger = logging.getLogger(__name__)
 #: guards the pair (x, c) for every center c the decode may return, ``M``
 #: pairs, and keeps ``jl.DISTORTION_BAND``'s 1/2.  The upper end guards only
 #: the pair (x, w) with the covering witness w, paid for once in the union
-#: bound, so it sits near 1: at ``a_hi = 1.15`` its rate ``jl.kappa(1.15)``
-#: is 0.0215 per measurement, and the net gets the resolution that the
-#: narrower end frees (``AccuracyBudget``).
+#: bound, so it sits near 1: at ``a_hi = 1.15`` and the bench's ``n`` 37 its
+#: exact tail is 0.089 (the ``M`` lower pairs' union is 0.33), and the net
+#: gets the resolution that the narrower end frees (``AccuracyBudget``).
 CHAIN_BAND = (DISTORTION_BAND[0], 1.15)
 
 
@@ -136,9 +135,9 @@ class PreparedSampler:
     tails within ``budget.tail`` and the net covers at ``budget.resolution``.
     ``decoder`` is the net's decoder, built with the net for this ``d``: it
     finds the nearest net center to measurements under an operator.
-    ``clamped`` says that the Johnson-Lindenstrauss requirement met or
-    exceeded ``d``, so ``n = d``: the operator is a full orthogonal map and
-    the sketch is exact on the truncated space.
+    ``clamped`` says that no count below ``d`` is certified, so ``n = d``:
+    the operator is a full orthogonal map and the sketch is exact on the
+    truncated space.
 
     ``sketched`` is the net as the sampler's operator sees it: the ``n x d``
     operator, drawn from ``operator_seed``, and the decoder's ``prepare`` of
@@ -176,10 +175,10 @@ class PreparedSampler:
 
         The chain needs the budget band's lower end on the pair (x, c) for
         whichever center c is decoded, ``M`` pairs in all, and its upper end
-        on the one pair (x, w) with the covering witness w, each priced at its
-        own rate: ``jl.failure_bound(n, d, M, 1, budget.band)``.
+        on the one pair (x, w) with the covering witness w, each priced by
+        its exact tail: ``jl.exact_failure_bound(n, d, M, 1, budget.band)``.
         """
-        return failure_bound(self.n, self.d, self.net.size, 1, self.budget.band)
+        return exact_failure_bound(self.n, self.d, self.net.size, 1, self.budget.band)
 
     @property
     def sketched(self) -> SketchedNet:
@@ -202,23 +201,17 @@ def preprocess(
     rng: np.random.Generator,
     *,
     ambient_dim: int = DEFAULT_AMBIENT_DIM,
-    jl_constant: float = DEFAULT_JL_CONSTANT,
     m_max: float = DEFAULT_NET_BUDGET,
 ) -> PreparedSampler:
     """Prepare the decoding side: truncation dimension, net, and operator.
 
     The accuracy target ``eps`` is split by ``AccuracyBudget.split``: ``d``
     keeps the truncation tails within ``budget.tail`` and the net is laid out
-    at ``budget.resolution``.  The operator gets ``certified_measurements(p,
-    d, M, budget.band, jl_constant)`` rows for a net of ``M`` centers: ``ceil(c
-    ln((M + 1) / (1 - p)))`` by the union bound over the signal's pairs with
-    the centers, raised for ``c >= 1 / jl.KAPPA_LOWER`` until the band's
-    slow upper end is paid for too, and clamped at ``d`` — a full orthogonal
-    operator is already exact on the truncated space, so further rows cannot
-    help.  The INFO line reports the budget and the sampler's
-    ``certified_failure_bound``, at most ``1 - p`` for every ``c >= 1 /
-    jl.KAPPA_LOWER``; a smaller constant is not refused, and its bound may
-    exceed ``1 - p``.
+    at ``budget.resolution``.  For a net of ``M`` centers the operator gets
+    ``jl.exact_measurements(p, d, M, 1, budget.band)`` rows: the fewest,
+    at most ``d``, whose ``certified_failure_bound`` is at most ``1 - p``.
+    At ``d`` the operator is a full orthogonal map, exact on the truncated
+    space.  The INFO line reports the budget and that bound.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise UsageError(f"accuracy target must be positive, got {eps!r}")
@@ -234,19 +227,18 @@ def preprocess(
             f" dimension {ambient_dim}"
         )
     net = build_net(family, budget.resolution, m_max=m_max, d=d)
-    wanted = certified_measurements(p, d, net.size, budget.band, jl_constant)
     sampler = PreparedSampler(
         budget=budget,
         p=p,
         d=d,
-        n=min(wanted, d),
+        n=exact_measurements(p, d, net.size, 1, budget.band),
         operator_seed=int(rng.integers(SEED_RANGE)),
         net=net,
     )
     logger.info(
-        "prepared sampler: eps=%g tail=%g r=%g band=[%g, %g] d=%d n=%d (wanted %d) M=%d"
+        "prepared sampler: eps=%g tail=%g r=%g band=[%g, %g] d=%d n=%d M=%d"
         " mode=%s failure_bound=%.3g",
-        eps, budget.tail, budget.resolution, *budget.band, d, sampler.n, wanted,
+        eps, budget.tail, budget.resolution, *budget.band, d, sampler.n,
         net.size, net.mode, sampler.certified_failure_bound,
     )
     return sampler

@@ -8,6 +8,9 @@ a third computes squared L2 distances of piecewise polynomials exactly, in
 forms in the package.  A fourth computes the coefficients in closed form by a
 recursion in the monomial degree, piece by piece, which shares only the
 constant coefficient's expression with the package's jump relations.
+``synthesize`` evaluates a coefficient vector at points by the basis
+convention that ``netsketch.hilbert`` states, so it is that convention's
+oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,28 @@ import numpy as np
 from scipy import integrate
 
 from netsketch import nets
+
+
+def synthesize(coefficients, t):
+    """Evaluate the function with the given basis coefficients at points ``t``."""
+    coeffs = np.asarray(coefficients, dtype=float)
+    points = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(points).ravel()
+    out = np.full(flat.shape, coeffs[0] / math.sqrt(2.0 * math.pi))
+    if coeffs.size > 1:
+        jmax = coeffs.size // 2
+        js = np.arange(1, jmax + 1, dtype=float)
+        cos_coeffs = coeffs[1::2]
+        sin_coeffs = np.zeros(jmax)
+        sin_coeffs[: (coeffs.size - 1) // 2] = coeffs[2::2]
+        for start in range(0, flat.size, 4096):
+            block = flat[start : start + 4096, None] * js[None, :]
+            out[start : start + 4096] += (
+                np.cos(block) @ cos_coeffs + np.sin(block) @ sin_coeffs
+            ) / math.sqrt(math.pi)
+    if points.ndim == 0:
+        return float(out[0])
+    return out.reshape(points.shape)
 
 
 def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
@@ -114,9 +139,11 @@ def _point_values(member):
     """A smooth, piecewise or analytic member's point evaluator and its jumps."""
     if hasattr(member, "steps"):  # analytic: smooth part plus steps on the circle
         return (
-            lambda t: member.smooth.evaluate(t) + member.steps.evaluate(t),
+            lambda t: synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t),
             member.steps.breakpoints,
         )
+    if hasattr(member, "coefficients"):  # smooth: a Signal
+        return (lambda t: synthesize(member.coefficients, t)), ()
     return member.evaluate, getattr(member, "breakpoints", ())
 
 

@@ -22,7 +22,7 @@ from netsketch.function_classes import (
     TailDecayModel,
 )
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM
-from netsketch.jl import apply_operator, failure_bound, required_measurements
+from netsketch.jl import apply_operator, exact_failure_bound, required_measurements
 from netsketch.nets import build_net, round_coordinates
 from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
 
@@ -60,20 +60,19 @@ def step_runs():
 
 @pytest.fixture(scope="module")
 def unclamped_trials():
-    """100 direct-pipeline trials with n < d and a per-trial implication audit.
+    """200 direct-pipeline trials with n < d and a per-trial implication audit.
 
     The injected tail model keeps the truncation dimension small enough that
     the measurement count is not clamped, so the random-projection step is
     genuinely lossy and the triangle-inequality implication is non-vacuous.
+    At n 6 of d 36 the chain's premise holds on 183 of the 200 trials.
     """
     family = SmoothClass(3, 2.0)
     model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
-    sampler = preprocess(
-        family, 3.0, 0.5, model, np.random.default_rng(404), jl_constant=4.0
-    )
+    sampler = preprocess(family, 3.0, 0.5, model, np.random.default_rng(404))
     assert not sampler.clamped and sampler.n < sampler.d
 
-    trials = 100
+    trials = 200
     premises = counterexamples = successes = 0
     for trial in range(trials):
         member = family.sample(np.random.default_rng([404, 5, trial]), DEFAULT_AMBIENT_DIM)
@@ -202,16 +201,22 @@ def test_step_audits_match_direct_products(monkeypatch, mode, trials, delta):
     assert checked == list(range(trials))
 
 
+# The smooth class's tail models: unclamped_trials' (d 36, n 6), and one that
+# stops at d 2, where no count below d is certified.
+SMOOTH_MODELS = {
+    False: TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5),
+    True: TailDecayModel(constant=1.0, decay_exponent=1.0, norm_bound=1.0),
+}
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.05])
-@pytest.mark.parametrize("jl_constant", [4.0, 400.0])
-def test_smooth_audits_match_direct_products(jl_constant, delta):
+@pytest.mark.parametrize("clamped", [False, True])
+def test_smooth_audits_match_direct_products(clamped, delta):
     # The sampler of unclamped_trials, and the same class clamped at n = d.
     family = SmoothClass(3, 2.0)
-    model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
-    sampler = preprocess(
-        family, 3.0, 0.5, model, np.random.default_rng(404), jl_constant=jl_constant
-    )
-    assert sampler.clamped == (jl_constant == 400.0)
+    sampler = preprocess(family, 3.0, 0.5, SMOOTH_MODELS[clamped], np.random.default_rng(404))
+    assert sampler.clamped == clamped
+    assert sampler.d == (2 if clamped else 36)
     for trial in range(20):
         rng = np.random.default_rng([404, 6, trial])
         member = family.sample(rng, DEFAULT_AMBIENT_DIM)
@@ -250,33 +255,32 @@ m_max = 1000000
 @pytest.mark.parametrize("mode", ["fixed_w", "fixed_x"])
 @pytest.mark.parametrize("seed, d", [(436732992, 1886), (2045698760, 1938)])
 def test_the_bench_step_config_is_certified(seed, d, mode):
-    # r = 0.4 / 2.3 = 0.1739: P 900 and 21 levels, M = 396,900 and n =
-    # ceil(20 ln 793,802) = 272, with a bound of 0.0029 against 1/2.
+    # r = 0.4 / 2.3 = 0.1739: P 900 and 21 levels, M = 396,900, and n 37,
+    # the first count whose exact bound is within 1/2: 0.4185 at d 1,886 and
+    # 0.4196 at d 1,938.
     summary = run_experiment(
         load_experiment_config(BENCH_STEP_CONFIG.format(mode=mode, seed=seed))
     ).summary
-    assert (summary["net_size"], summary["n"], summary["d"]) == (396_900, 272, d)
-    assert summary["certified_failure_bound"] == pytest.approx(0.002895, rel=1e-3)
+    assert (summary["net_size"], summary["n"], summary["d"]) == (396_900, 37, d)
+    expected = {1886: 0.4185, 1938: 0.4196}[d]
+    assert summary["certified_failure_bound"] == pytest.approx(expected, abs=1e-4)
     assert summary["success_rate"] == 1.0
     assert summary["implication_counterexamples"] == 0
 
 
 def test_every_acceptance_config_is_certified(step_runs, unclamped_trials):
-    # Each band end priced at its own rate, M pairs below and one above.
+    # Each band end priced by its exact tail, M pairs below and one above.
     for result, _ in step_runs.values():
         summary = result.summary
-        bound = failure_bound(
+        bound = exact_failure_bound(
             summary["n"], summary["d"], summary["net_size"], 1, tuple(summary["band"])
         )
         assert summary["certified_failure_bound"] == bound <= 1.0 - summary["p"]
     sampler = unclamped_trials["sampler"]
     assert sampler.certified_failure_bound <= 1.0 - sampler.p
-    for jl_constant in (4.0, 400.0):
+    for model in SMOOTH_MODELS.values():
         family = SmoothClass(3, 2.0)
-        model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
-        sampler = preprocess(
-            family, 3.0, 0.5, model, np.random.default_rng(404), jl_constant=jl_constant
-        )
+        sampler = preprocess(family, 3.0, 0.5, model, np.random.default_rng(404))
         assert sampler.certified_failure_bound <= 1.0 - sampler.p
 
 

@@ -31,12 +31,11 @@ p = 0.5
 trials = 6
 mode = fixed_w
 seed = 17
-jl_constant = 4.0
 tail_dims = 32,64,128,256
 """
 
-# A step class decodes factored; jl_constant 0.5 keeps n below d, and the
-# auto noise level makes every trial noisy.
+# A step class decodes factored; the exact tail keeps n (13) below d (20),
+# and the auto noise level makes every trial noisy.
 FACTORED_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -50,13 +49,12 @@ trials = 12
 mode = {mode}
 seed = 5
 delta = auto
-jl_constant = 0.5
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
 """
 
-# The bench's step class at eps 0.6 (d ~ 1,900, n = 316), with few trials.
+# The bench's step class at eps 0.6 (d ~ 1,900, n = 37), with few trials.
 BENCH_STEP_EXPERIMENT = """
 class = piecewise
 degree = 0
@@ -71,8 +69,8 @@ mode = fixed_x
 seed = 101
 """
 
-# The degree-1, one-jump class decodes by its 135 configurations' maps
-# (165,375 centers); jl_constant 0.1 keeps n below d.
+# The degree-1, one-jump class decodes by its configurations' maps (16,200
+# centers); the exact tail keeps n (15) below d (17).
 MATERIALIZED_EXPERIMENT = """
 class = piecewise
 degree = 1
@@ -80,13 +78,12 @@ max_jumps = 1
 deriv_bound = 1.0
 min_gap = 0.5
 level_bound = 1.0
-eps = 12.0
+eps = 10.0
 p = 0.5
 trials = 12
 mode = {mode}
 seed = 5
 delta = auto
-jl_constant = 0.1
 ambient_dim = 512
 tail_samples = 10
 tail_dims = 32,64,128
@@ -672,6 +669,49 @@ def test_module_entry_point_usage_error(tmp_path):
     )
     assert proc.returncode == 1
     assert "no-such-file" in proc.stderr
+
+
+def test_experiment_run_needs_no_scipy(tmp_path):
+    # n comes from the in-house Beta tail: with scipy, scipy.special and
+    # scipy.spatial unimportable, a step run still exits 0 (an import would
+    # cost set-up time and resident memory on every run).
+    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_x"))
+    probe = (
+        "import sys\n"
+        "sys.modules.update(dict.fromkeys(['scipy', 'scipy.special', 'scipy.spatial']))\n"
+        "from netsketch.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "experiment", "run", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert summary["certified_failure_bound"] <= 1.0 - summary["p"]
+
+
+def test_a_set_jl_constant_is_warned_about_on_stderr_alone(tmp_path, capsys):
+    # The key still parses, but sets no n: the run's outputs are those of a
+    # config without it, and stderr carries one WARNING naming it.
+    text = FACTORED_EXPERIMENT.format(mode="fixed_w")
+    plain, named = tmp_path / "plain", tmp_path / "named"
+    assert main(["experiment", "run", _write(tmp_path, "plain.cfg", text), "--out", str(plain)]) == 0
+    plain_streams = capsys.readouterr()
+    cfg = _write(tmp_path, "named.cfg", text + "jl_constant = 20.0\n")
+    assert main(["experiment", "run", cfg, "--out", str(named)]) == 0
+    named_streams = capsys.readouterr()
+    assert plain_streams.err == ""
+    assert named_streams.err == (
+        "netsketch.experiment: jl_constant = 20 is unused for n, which the exact Beta tail"
+        " sets; only theorem_bound_check reads it\n"
+    )
+    assert named_streams.out == plain_streams.out.replace(str(plain), str(named))
+    for suffix in (".csv", ".json"):
+        assert plain.with_suffix(suffix).read_bytes() == named.with_suffix(suffix).read_bytes()
 
 
 def _scipy_modules_after(statement: str) -> set[str]:

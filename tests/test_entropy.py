@@ -16,7 +16,7 @@ from netsketch.entropy import (
 )
 from netsketch.errors import UsageError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
-from netsketch.jl import certified_measurements, required_measurements
+from netsketch.jl import exact_measurements, required_measurements
 from netsketch.reconstructor import CHAIN_BAND
 from netsketch.nets import build_net
 
@@ -148,10 +148,11 @@ def test_within_measurement_budget_holds_the_union_bound_count(jl_constant, p, s
 
 @pytest.mark.parametrize("d", [40, 100, 1_000])
 def test_within_measurement_budget_misses_the_certified_floor(d):
-    # For c >= 1 / KAPPA_LOWER the certified count can pass the rate: at c 4
-    # a 7-center net needs n 33 for the chain's band, not the union-bound
-    # count 12, and 33 > 8 log2 7 + 9 = 31.46.
-    assert required_measurements(0.5, 8, 4.0) == 12
-    n = certified_measurements(0.5, d, 7, CHAIN_BAND, 4.0)
-    assert n == 33
-    assert not within_measurement_budget(n, 0.5, math.log2(7), 4.0)
+    # The exact tail certifies a 7-center net for the chain's band at n 6 or
+    # 7, within the rate 2 c (log2 7 + 1) + 1 at c 4 (31.46), but past it at
+    # c 0.5 (4.81), where the union-bound count is 2.
+    assert required_measurements(0.5, 8, 0.5) == 2
+    n = exact_measurements(0.5, d, 7, 1, CHAIN_BAND)
+    assert n == (6 if d == 40 else 7)
+    assert within_measurement_budget(n, 0.5, math.log2(7), 4.0)
+    assert not within_measurement_budget(n, 0.5, math.log2(7), 0.5)

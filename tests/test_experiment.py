@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import gc
 import json
+import logging
 import math
 import re
 import sys
@@ -22,7 +23,8 @@ from netsketch import experiment, nets, reconstructor
 from netsketch.config import build_family, load_experiment_config, parse_flat_config
 from netsketch.entropy import measurement_lower_bound, within_measurement_budget
 from netsketch.errors import AmbientTooSmallError, UsageError
-from netsketch.jl import failure_bound
+from netsketch.jl import exact_failure_bound
+from netsketch.reconstructor import CHAIN_BAND
 from netsketch.experiment import (
     CSV_COLUMNS,
     run_experiment,
@@ -261,18 +263,24 @@ tail_dims = 32,64,128
 """
 
 
-def test_theorem_bound_check_uses_the_configured_constant():
-    # At eps 1.0 (r = 0.2899, M = 60,840) and c = 60, n = ceil(60 ln((M + 1)
-    # / 0.5)) = ceil(702.5) = 703 stays below d = 1,242: over c = 20's rate
-    # 40 log2(M) + 41 ~ 677, within c = 60's ~ 2,028.
+def test_theorem_bound_check_uses_the_configured_constant(caplog):
+    # At eps 1.0 (r = 0.2899, M = 60,840) the exact tail sets n 31 of d
+    # 1,242, at any constant: within c = 20's rate 40 log2(M) + 41 ~ 677, over
+    # c = 0.1's 0.2 log2(M) + 1.2 ~ 4.4.  Setting the constant is warned
+    # about, once, on the package's logger.
     text = FACTORED_FIXED_W_CONFIG.split("eps = ")[0] + (
-        "eps = 1.0\np = 0.5\ntrials = 1\nmode = fixed_w\nseed = 17\njl_constant = 60\n"
+        "eps = 1.0\np = 0.5\ntrials = 1\nmode = fixed_w\nseed = 17\njl_constant = 0.1\n"
         "tail_dims = 32,64,128,256\n"
     )
-    summary = run_experiment(load_experiment_config(text)).summary
-    assert (summary["net_size"], summary["n"], summary["d"]) == (60_840, 703, 1_242)
-    assert not within_measurement_budget(703, 0.5, summary["entropy_bits"])
-    assert summary["theorem_bound_check"] is True
+    with caplog.at_level(logging.WARNING, logger="netsketch"):
+        summary = run_experiment(load_experiment_config(text)).summary
+    assert (summary["net_size"], summary["n"], summary["d"]) == (60_840, 31, 1_242)
+    assert within_measurement_budget(31, 0.5, summary["entropy_bits"])
+    assert summary["jl_constant"] == 0.1
+    assert summary["theorem_bound_check"] is False
+    warnings = [record for record in caplog.records if record.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].name.startswith("netsketch")
+    assert "jl_constant = 0.1 is unused" in warnings[0].getMessage()
 
 
 def term_builds(monkeypatch, text, jobs):
@@ -367,16 +375,54 @@ def test_a_fixed_x_trial_frees_its_operator_and_table(monkeypatch):
 
 
 def test_summary_reports_the_certified_failure_bound(smooth_result):
-    # A clamped operator is exact.  Unclamped, the bound is the chain's: the
-    # lower band on each of M pairs, the upper band on one; at jl_constant
-    # 0.5, below 1 / KAPPA_LOWER, it is reported, not refused.
+    # A clamped operator is exact.  Unclamped, the bound is the chain's exact
+    # tails: the lower band on each of M pairs, the upper band on one.  It is
+    # within 1 - p whatever jl_constant says, and n does not follow it.
     assert smooth_result.summary["clamped"]
     assert smooth_result.summary["certified_failure_bound"] == 0.0
-    config = load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 2"))
-    summary = run_experiment(config).summary
-    assert not summary["clamped"]
-    bound = failure_bound(summary["n"], summary["d"], summary["net_size"], 1)
-    assert summary["certified_failure_bound"] == bound > 1.0 - config.p
+    counts = set()
+    for constant in ("0.1", "0.5", "4.0", "400"):
+        text = FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 2")
+        config = load_experiment_config(text.replace("jl_constant = 0.5", f"jl_constant = {constant}"))
+        summary = run_experiment(config).summary
+        assert not summary["clamped"]
+        bound = exact_failure_bound(summary["n"], summary["d"], summary["net_size"], 1, CHAIN_BAND)
+        assert summary["certified_failure_bound"] == bound <= 1.0 - config.p
+        counts.add(summary["n"])
+    assert len(counts) == 1
+
+
+# perfbench/run.py's materialized_fixed_w inputs at bench seed 1: eps 4.8,
+# jl_constant 2.0, and the master seed its tail fit puts at d 43.
+SMALL_CONSTANT_CONFIG = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 4.8
+p = 0.5
+trials = 20
+mode = fixed_w
+seed = 434211399
+delta = 0.0
+jl_constant = 2.0
+ambient_dim = 4096
+m_max = 1000000
+"""
+
+
+def test_a_small_jl_constant_leaves_no_run_uncertified():
+    # The union-bound rule gave this run ceil(2 ln(181 / 0.5)) = 12 rows,
+    # whose Dasgupta-Gupta bound is 1.0; the exact tail certifies n 13 of d
+    # 43 at 0.406, within 1 - p, and the premise holds on every trial.
+    summary = run_experiment(load_experiment_config(SMALL_CONSTANT_CONFIG)).summary
+    assert (summary["d"], summary["net_size"], summary["n"]) == (43, 180, 13)
+    assert summary["certified_failure_bound"] == pytest.approx(0.406, abs=1e-3)
+    assert summary["certified_failure_bound"] <= 1.0 - summary["p"]
+    assert summary["implication_premise_trials"] == summary["trials"]
+    assert summary["implication_counterexamples"] == 0 and summary["success_rate"] == 1.0
 
 
 def test_fixed_x_builds_its_witness_once_in_set_up(monkeypatch):
@@ -463,9 +509,9 @@ def test_a_clamped_trial_keeps_its_direct_products(monkeypatch):
 
 
 def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkeypatch):
-    # Trial 4 of the factored run: the rounding witness w is neither the
+    # Trial 2 of the factored run: the rounding witness w is neither the
     # nearest center c* in coefficient space nor the decoded center c, the
-    # premise holds (lower ratio 0.669, upper 0.884), and the decode's
+    # premise holds (lower ratio 0.916, upper 0.997), and the decode's
     # minimality with the band's ends on (x, w) and (x, c) still bounds
     # |x_d - c_d| by (a_hi / a_lo) |x_d - w_d|.
     audits = {}
@@ -478,7 +524,7 @@ def test_the_witness_closes_the_chain_where_the_nearest_center_is_another(monkey
 
     monkeypatch.setattr(experiment, "audit_trial", recorded_audit)
     run_experiment(load_experiment_config(FACTORED_FIXED_W_CONFIG.replace("trials = 4", "trials = 6")))
-    sampler, member, x_d, outcome, result = audits[4]
+    sampler, member, x_d, outcome, result = audits[2]
     family, plan = sampler.net.family, sampler.net.plan
     coordinates = round_coordinates(family, plan, member)
     nearest = sampler.decoder.decode_coefficients(x_d)
@@ -511,8 +557,7 @@ _WITNESS_CLASSES = {
 def witness_samplers():
     return {
         name: reconstructor.preprocess(
-            family, eps, 0.5, _WITNESS_TAILS, np.random.default_rng(3),
-            ambient_dim=512, jl_constant=0.5,
+            family, eps, 0.5, _WITNESS_TAILS, np.random.default_rng(3), ambient_dim=512
         )
         for name, (family, eps) in _WITNESS_CLASSES.items()
     }
@@ -541,8 +586,7 @@ def test_the_witness_covers_every_sampled_member(witness_samplers, name, seed):
 def _scaled_witness_sampler(name, scale):
     family, eps = _WITNESS_CLASSES[name]
     return reconstructor.preprocess(
-        family, eps * scale, 0.5, _WITNESS_TAILS, np.random.default_rng(3),
-        ambient_dim=512, jl_constant=0.5,
+        family, eps * scale, 0.5, _WITNESS_TAILS, np.random.default_rng(3), ambient_dim=512
     )
 
 

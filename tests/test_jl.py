@@ -21,10 +21,13 @@ from netsketch.jl import (
     KAPPA_UPPER,
     MeasurementOperator,
     apply_operator,
-    certified_measurements,
     distortion_ok,
+    exact_failure_bound,
+    exact_measurements,
     failure_bound,
     kappa,
+    log_betainc,
+    log_betaincc,
     random_subspace,
     required_measurements,
 )
@@ -106,17 +109,17 @@ def test_random_subspace_projections_follow_the_beta_law():
     upper=st.one_of(st.just(1.15), st.floats(1.01, 2.0)),
 )
 def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, centers, p, upper):
-    # At the symmetric band the union-bound count alone is certified; with
-    # an upper end nearer 1 it is raised until the band's bound is met.
+    # At the symmetric band the union-bound count alone is certified, so the
+    # exact tail's count is at most it; at any band the exact count is the
+    # first whose bound is met.
     n = required_measurements(p, centers + 1, jl_constant)
     assert failure_bound(n, 10**9, centers, 1) <= 1.0 - p
-    assert certified_measurements(p, 10**9, centers, DISTORTION_BAND, jl_constant) == n
+    assert exact_measurements(p, 10**9, centers, 1) <= n
     band = (0.5, upper)
-    raised = certified_measurements(p, 10**9, centers, band, jl_constant)
-    assert raised >= n
-    assert failure_bound(raised, 10**9, centers, 1, band) <= 1.0 - p
-    if raised > n:
-        assert failure_bound(raised - 1, 10**9, centers, 1, band) > 1.0 - p
+    exact = exact_measurements(p, 10**9, centers, 1, band)
+    assert exact_failure_bound(exact, 10**9, centers, 1, band) <= 1.0 - p
+    if exact > 1:
+        assert exact_failure_bound(exact - 1, 10**9, centers, 1, band) > 1.0 - p
 
 
 def test_kappa_gives_the_symmetric_band_rates_bit_for_bit():
@@ -160,28 +163,149 @@ def test_failure_bound_at_the_default_band_is_the_symmetric_bound():
             failure_bound(5, 10, 1, 1, band)
 
 
-def test_certified_measurements_pays_for_the_slow_upper_end():
-    # One center at c 20: ceil(20 ln 4) = 28 rows leave e^(-0.0215 * 28) =
-    # 0.5477 on the witness pair, 0.548 > 1/2 in all; 33 is the first to
-    # reach 0.492.
+def test_exact_measurements_pays_for_the_slow_upper_end():
+    # One center: ceil(20 ln 4) = 28 rows leave Dasgupta-Gupta's e^(-0.0215
+    # * 28) = 0.548 on the witness pair, where the exact tails leave 0.117;
+    # 2 rows are the first within 1/2.
     assert required_measurements(0.5, 2) == 28
     assert failure_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.548, abs=1e-3)
-    assert certified_measurements(0.5, 1886, 1, CHAIN) == 33
-    assert failure_bound(33, 1886, 1, 1, CHAIN) <= 0.5 < failure_bound(32, 1886, 1, 1, CHAIN)
-    # The bench net, M 396,900: the rule's 272 rows already certify it
-    # (0.0029); at c = 1 / KAPPA_LOWER the rule's 43 rows reach only 0.85,
-    # and 47 rows are the first within 1/2.
-    assert certified_measurements(0.5, 1886, 396_900, CHAIN) == 272
+    assert exact_failure_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.1167, abs=1e-4)
+    assert exact_measurements(0.5, 1886, 1, 1, CHAIN) == 2
+    # The bench net, M 396,900: the union-bound rule's 272 rows certify
+    # 0.0029 by Dasgupta-Gupta and 7.7e-05 exactly; 37 rows are the first
+    # within 1/2 (0.4185, against 0.5534 at 36), and 45 within 1/10.
     assert failure_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(0.002895, rel=1e-3)
-    slowest = 1.0 / KAPPA_LOWER
-    assert required_measurements(0.5, 396_901, slowest) == 43
-    assert failure_bound(43, 1886, 396_900, 1, CHAIN) == pytest.approx(0.85, abs=0.01)
-    assert certified_measurements(0.5, 1886, 396_900, CHAIN, slowest) == 47
-    # The raise stops at d, where the bound is 0, and skips smaller constants.
-    assert certified_measurements(0.5, 20, 396_900, CHAIN, slowest) == 43
-    assert certified_measurements(0.5, 20, 1, CHAIN) == 28
-    assert certified_measurements(0.5, 30, 1, CHAIN) == 30
-    assert certified_measurements(0.5, 1886, 1, CHAIN, 0.5) == required_measurements(0.5, 2, 0.5)
+    assert exact_failure_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(7.718e-05, rel=1e-3)
+    assert exact_measurements(0.5, 1886, 396_900, 1, CHAIN) == 37
+    assert exact_failure_bound(37, 1886, 396_900, 1, CHAIN) == pytest.approx(0.4185, abs=1e-4)
+    assert exact_failure_bound(36, 1886, 396_900, 1, CHAIN) == pytest.approx(0.5534, abs=1e-4)
+    assert exact_measurements(0.9, 1886, 396_900, 1, CHAIN) == 45
+    # The symmetric band at M 3,548,448, where the union-bound rule asks 316.
+    assert exact_measurements(0.5, 1886, 3_548_448, 1) == 43
+    # The count stays in [1, d]: d itself when nothing smaller is certified.
+    assert exact_measurements(0.5, 20, 396_900, 1, CHAIN) == 19
+    assert exact_measurements(0.5, 4, 396_900, 1, CHAIN) == 4
+    assert exact_measurements(0.5, 1, 396_900, 1, CHAIN) == 1
+    for p in (0.0, 1.0, math.nan):
+        with pytest.raises(UsageError):
+            exact_measurements(p, 20, 1, 1, CHAIN)
+
+
+# Each d's n: every n below d up to 1,021, else n = 1, 2, d - 2, d - 1 and
+# 360 log-spaced counts, over 200 distinct in all.
+BETA_DIMENSIONS = (44, 512, 1021, 1886, 9170)
+BAND_ENDS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.05, 1.1, 1.15, 1.2, 1.3, 1.5, 1.75, 2.0)
+
+
+def _beta_counts(d):
+    if d <= 1021:
+        return range(1, d)
+    counts = {1, 2, d - 2, d - 1, *np.geomspace(1, d - 1, 360).astype(int).tolist()}
+    assert len(counts) > 200
+    return sorted(counts)
+
+
+def test_log_betainc_matches_scipy_on_each_direct_side():
+    # Each side is checked where it is computed directly: I_x(a, b) below
+    # (a + 1) / (a + b + 2), 1 - I_x(a, b) from there up, at the tail's own
+    # x = end^2 n / d.  Where scipy's value is itself off by more than
+    # 1e-12, a 40-digit mpmath value decides, at 1e-13.
+    from scipy.special import betainc, betaincc
+
+    checked, disputed = 0, []
+    for d in BETA_DIMENSIONS:
+        for n in _beta_counts(d):
+            a, b = n / 2.0, (d - n) / 2.0
+            for end in BAND_ENDS:
+                x = end * end * n / d
+                if x >= 1.0:
+                    continue
+                below = x < (a + 1.0) / (a + b + 2.0)
+                expected = float(betainc(a, b, x) if below else betaincc(a, b, x))
+                if expected < 1e-300:  # scipy's value has left the normal range
+                    continue
+                got = math.exp(log_betainc(a, b, x) if below else log_betaincc(a, b, x))
+                checked += 1
+                if abs(got - expected) > 1e-12 * expected:
+                    disputed.append((a, b, x, below, got))
+    assert checked > 10_000
+    import mpmath
+
+    with mpmath.workdps(40):
+        for a, b, x, below, got in disputed:
+            if below:
+                exact = mpmath.betainc(a, b, 0, x, regularized=True)
+            else:
+                exact = mpmath.betainc(b, a, 0, 1 - mpmath.mpf(x), regularized=True)
+            assert abs(got - exact) <= 1e-13 * exact, (a, b, x)
+    assert len(disputed) <= 5
+
+
+def test_log_betainc_edges_and_sides():
+    # Both functions agree with each other across the switch, and the ends of
+    # [0, 1] are exact.
+    for a, b in ((0.5, 0.5), (0.5, 943.0), (943.0, 0.5), (18.5, 924.5), (2292.5, 2292.5)):
+        for x in (1e-9, 0.01, (a + 1.0) / (a + b + 2.0), 0.5, 0.99):
+            lower, upper = math.exp(log_betainc(a, b, x)), math.exp(log_betaincc(a, b, x))
+            assert lower + upper == pytest.approx(1.0, rel=1e-13)
+        assert log_betainc(a, b, 0.0) == log_betaincc(a, b, 1.0) == -math.inf
+        assert log_betainc(a, b, 1.0) == log_betaincc(a, b, 0.0) == 0.0
+    # I_x(1/2, 1/2) = (2 / pi) asin(sqrt x), the arcsine law.
+    assert math.exp(log_betainc(0.5, 0.5, 0.25)) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    for a, b in ((0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(UsageError):
+            log_betainc(a, b, 0.5)
+
+
+def test_exact_failure_bound_is_at_most_dasgupta_gupta_and_falls_with_n():
+    for d in (2, 8, 44, 64, 300, 1886):
+        for lower_pairs in (1, 7, 30, 396_900, 10**12):
+            for band in (CHAIN, DISTORTION_BAND, (0.8, 1.05)):
+                exact = [exact_failure_bound(n, d, lower_pairs, 1, band) for n in range(1, d + 1)]
+                loose = [failure_bound(n, d, lower_pairs, 1, band) for n in range(1, d + 1)]
+                assert all(0.0 <= e <= f <= 1.0 for e, f in zip(exact, loose))
+                assert all(later <= earlier for earlier, later in zip(exact, exact[1:]))
+                assert exact[-1] == 0.0
+
+
+def test_exact_failure_bound_edges():
+    # n >= d is exact; an upper end past sqrt(d / n) cannot be crossed; pair
+    # counts beyond float range stay finite in log space.
+    assert exact_failure_bound(1886, 1886, 10**12, 10**12) == 0.0
+    assert exact_failure_bound(2000, 1886, 1, 1) == 0.0
+    a, b = 500.0, 443.0  # n 1,000 of d 1,886: 2^2 n / d >= 1
+    assert exact_failure_bound(1000, 1886, 0, 1) == 0.0
+    assert exact_failure_bound(1000, 1886, 1, 0) == math.exp(log_betainc(a, b, 0.25 * 1000 / 1886))
+    assert exact_failure_bound(2, 1886, 10**12, 0) == 1.0
+    assert exact_failure_bound(5, 1886, 0, 0) == 0.0
+    assert 0.0 < exact_failure_bound(3000, 4000, 10**400, 1) < failure_bound(3000, 4000, 10**400, 1)
+    for args in ((0, 8, 1, 1), (3, 0, 1, 1), (3, 8, -1, 1), (3, 8, 1, -1)):
+        with pytest.raises(UsageError):
+            exact_failure_bound(*args)
+    for band in ((0.5, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, math.nan)):
+        with pytest.raises(UsageError):
+            exact_failure_bound(5, 10, 1, 1, band)
+
+
+def test_the_exact_certificate_can_fail_at_its_rate():
+    # A net small enough to enumerate: a signal x, 30 centers c and a
+    # witness w in R^64.  At n 11 the chain's bound is F = 0.323, so the
+    # operator should break the chain (some |R(x - c)| below a_lo |x - c|,
+    # or |R(x - w)| above a_hi |x - w|) on about that share of draws, and not
+    # on more than F plus three standard errors.
+    d, centers, n, draws = 64, 30, 11, 2000
+    bound = exact_failure_bound(n, d, centers, 1, CHAIN)
+    assert bound == pytest.approx(0.323, abs=1e-3)
+    rng = np.random.default_rng(2013)
+    x = rng.normal(size=d)
+    differences = np.vstack([x - rng.normal(size=(centers, d)), x - rng.normal(size=d)])
+    lengths = np.linalg.norm(differences, axis=1)
+    broken = 0
+    for seed in range(draws):
+        ratios = np.linalg.norm(differences @ random_subspace(d, n, seed=seed).frame.T, axis=1) / lengths
+        broken += bool(np.any(ratios[:centers] < CHAIN[0]) or ratios[centers] > CHAIN[1])
+    rate = broken / draws
+    assert 0.25 < rate <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / draws)
 
 
 def test_required_measurements_rejects_bad_input():

@@ -16,7 +16,7 @@ from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM, tail_norm
-from netsketch.jl import apply_operator, required_measurements
+from netsketch.jl import apply_operator, exact_failure_bound, exact_measurements, required_measurements
 from netsketch.reconstructor import (
     add_noise,
     measure,
@@ -36,16 +36,16 @@ def step_class() -> PiecewiseSmoothClass:
 
 @pytest.fixture(scope="module")
 def smooth_sampler():
-    """Small materialized setting: 7 centers, d=36, n=33, not clamped."""
+    """Small materialized setting: 7 centers, d=36, n=6, not clamped."""
     family = SmoothClass(3, 2.0)
     model = TailDecayModel(constant=1.2, decay_exponent=0.5, norm_bound=2.5)
     rng = np.random.default_rng(11)
-    return preprocess(family, 3.0, 0.5, model, rng, jl_constant=4.0)
+    return preprocess(family, 3.0, 0.5, model, rng)
 
 
 @pytest.fixture(scope="module")
 def factored_step_sampler():
-    """Factored step net of 72 centers: d=300, n=100, ambient 512."""
+    """Factored step net of 72 centers: d=300, n=12, ambient 512."""
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     return preprocess(step_class(), 9.0, 0.5, model, rng, ambient_dim=512)
@@ -108,14 +108,12 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     assert s.d == 36
     assert s.net.size == 7
     assert s.net.mode == "configurations"
-    # ceil(4 * ln(8 / (1 - 0.5))) = ceil(11.09) = 12 rows by the rule, whose
-    # bound 7 e^(-KAPPA_LOWER 12) + e^(-kappa(1.15) 12) = 0.927 exceeds 1/2.
-    # The certified floor is 33 (0.492; 32 gives 0.503), below d = 36.
-    assert s.n == 33
-    assert s.certified_failure_bound <= 0.5
+    # The exact tails certify 6 rows (0.464; 5 give 0.605), below d = 36.
+    assert s.n == 6
+    assert s.certified_failure_bound == pytest.approx(0.4642, abs=1e-4)
     assert not s.clamped
     assert s.decoder.maps.shape == (1, 36, len(s.net.plan.axes))
-    assert s.operator.frame.shape == (33, 36)
+    assert s.operator.frame.shape == (6, 36)
 
 
 def test_preprocess_clamps_operator_at_truncation_dimension():
@@ -136,20 +134,22 @@ def test_preprocess_clamps_operator_at_truncation_dimension():
 
 
 def test_preprocess_clamp_example_numbers():
-    # 100 centers at p = 1/2 want ceil(20 ln 202) = 107 rows; a tail model
-    # stopping at d = 100 caps the operator there.
-    assert required_measurements(0.5, 101) == 107
-    model = TailDecayModel(constant=1.0, decay_exponent=0.5, norm_bound=1.0)
+    # A tail model stopping at d = 17 (0.4 / (0.6 / 6) squared, rounded up)
+    # caps the operator there.
+    model = TailDecayModel(constant=0.4, decay_exponent=0.5, norm_bound=1.0)
     rng = np.random.default_rng(29)
     s = preprocess(step_class(), 0.6, 0.5, model, rng)
-    assert s.d == 100
+    assert s.d == 17
     assert s.net.mode == "factored"
-    # r 0.1739: P 900 and 21 levels, M = 900 * 21^2 = 396,900 would want
-    # ceil(20 ln 793,802) = ceil(271.7) = 272 rows, over d.
+    # r 0.1739: P 900 and 21 levels, M = 900 * 21^2 = 396,900, whose exact
+    # bound at n 16 is 0.824: no count below d is certified (from d 18 one is).
     assert s.net.size == 396_900
     assert s.decoder is s.net.decoder
-    assert s.n == 100
+    assert exact_failure_bound(16, 17, 396_900, 1, s.budget.band) == pytest.approx(0.8237, abs=1e-4)
+    assert exact_measurements(0.5, 18, 396_900, 1, s.budget.band) == 17
+    assert s.n == 17
     assert s.clamped
+    assert s.certified_failure_bound == 0.0
 
 
 def test_preprocess_ambient_too_small_reports_requirement():
@@ -415,10 +415,10 @@ def test_reconstruct_factored_agrees_with_materialized():
     model = TailDecayModel(constant=450.0, decay_exponent=1.0, norm_bound=1.0)
     rng = np.random.default_rng(41)
     s = preprocess(family, 9.0, 0.5, model, rng, ambient_dim=512)
-    # r = (9 - 3) / 2.3 = 2.61: P 8 and 3 levels, M = 8 * 3^2 = 72 and
-    # n = ceil(20 ln 146) = ceil(99.67) = 100.
+    # r = (9 - 3) / 2.3 = 2.61: P 8 and 3 levels, M = 8 * 3^2 = 72, and
+    # the exact tails certify n 12 (0.488; 11 give 0.627).
     assert s.net.mode == "factored" and s.net.size == 72
-    assert s.d == 300 and s.n == 100 and not s.clamped
+    assert s.d == 300 and s.n == 12 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
     maps = nets.ConfigurationDecoder(s.net.plan, s.d, family)
     materialized = replace(s, net=replace(s.net, decoder=maps))
