@@ -78,6 +78,11 @@ _QR_RETRIES = 3
 _RANK_TOLERANCE = 1e-12
 _CHOLESKY_PASSES = 3
 _BLOCK_ROWS = 64
+# Columns per chunk of the forward substitution.  OpenBLAS picks its kernel
+# by a product's shape: at the bench's 37 x 1,886 frame, 1,024-column
+# chunks round as the whole-width product does, where 256, 943 and 1,536
+# columns move its last bits.
+_CHUNK_COLUMNS = 1024
 
 logger = logging.getLogger(__name__)
 
@@ -449,21 +454,24 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
     there in place by ``_factor_in_place``.  ``L^{-1}`` is then applied to the
     frame top-down by forward substitution: row block ``[s:e]`` loses
     ``L[s:e, :s]`` times the rows above it, which already hold the pass's
-    output, and is multiplied by its diagonal block's inverse.  The
-    verification's ``F F^T`` goes into the same Gram buffer, where the next
-    pass factors it.  So at most these are alive at once, in float64 entries:
+    output, and is multiplied by its diagonal block's inverse, one chunk of
+    at most ``_CHUNK_COLUMNS`` columns at a time, so each product is formed
+    chunk by chunk, not ``64 x d`` at once.  The verification's ``F F^T``
+    goes into the same Gram buffer, where the next pass factors it.  So at
+    most these are alive at once, in float64 entries:
 
     - ``n d``: the frame, holding ``G^T``, then each pass's output;
     - ``n^2``: the Gram buffer, holding ``G^T G``, then ``L`` with its
       diagonal blocks inverted, then ``F F^T``;
-    - ``64 (d + n)``: the temporaries of one step, none of them ``n x n``:
-      the ``64 x 64`` work arrays of a diagonal block's factor or inverse,
-      the panel product (at most ``n x 64``) or one trailing-update block (at
-      most ``64 x n``) while factoring; and one 64-row block of the
-      substitution (``64 d``).
+    - ``min(n, 64) min(d, 1024) + 64 n``: the temporaries of one step, none
+      of them ``n x n``: one chunk of the substitution; or the ``64 x 64``
+      work arrays of a diagonal block's factor or inverse, the panel product
+      (at most ``n x 64``) or one trailing-update block (at most ``64 x n``)
+      while factoring.
 
-    The DEBUG line reports ``8 (n d + n^2 + 64 (d + n))`` bytes as
-    ``work_bytes``.
+    The DEBUG line reports ``8 (n d + n^2 + min(n, 64) min(d, 1024) + 64
+    n)`` bytes as ``work_bytes``: a chunk is 296 KiB at ``n`` 37 and ``d``
+    1,886, against the frame's 545 KiB.
     """
     if n < 1 or d < 1:
         raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
@@ -482,10 +490,12 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
                 break
             for start in range(0, n, _BLOCK_ROWS):  # top down: L X = F
                 stop = min(n, start + _BLOCK_ROWS)
-                rows = frame[start:stop]
-                if start:
-                    rows -= gram[start:stop, :start] @ frame[:start]
-                rows[...] = gram[start:stop, start:stop] @ rows
+                for column in range(0, d, _CHUNK_COLUMNS):
+                    columns = slice(column, column + _CHUNK_COLUMNS)
+                    chunk = frame[start:stop, columns]
+                    if start:
+                        chunk -= gram[start:stop, :start] @ frame[:start, columns]
+                    chunk[...] = gram[start:stop, start:stop] @ chunk
             np.matmul(frame, frame.T, out=gram)
             # max |gram - I| without n x n temporaries; the next pass factors
             # ``gram``, so its diagonal is restored from a copy, bit for bit.
@@ -495,7 +505,7 @@ def random_subspace(d: int, n: int, seed: int) -> MeasurementOperator:
             gram.flat[:: n + 1] = diagonal
             if error <= tolerance:
                 frame *= math.sqrt(d / n)
-                work = n * n + _BLOCK_ROWS * (d + n)
+                work = n * n + min(n, _BLOCK_ROWS) * min(d, _CHUNK_COLUMNS) + _BLOCK_ROWS * n
                 logger.debug(
                     "random subspace: d=%d n=%d passes=%d gram_error=%.2e redraws=%d"
                     " frame_bytes=%d work_bytes=%d in %.3fs",

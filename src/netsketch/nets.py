@@ -81,7 +81,7 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2.0)
 DEFAULT_NET_BUDGET = 10**6
 
 # Operator rows per block of the factored decoder's operator terms.
-_TERMS_BLOCK_ROWS = 32
+_TERMS_BLOCK_ROWS = 8
 
 logger = logging.getLogger(__name__)
 
@@ -371,41 +371,6 @@ def _nearest_on_grid(geometry: _Geometry, projections, grids, step: float):
     return row, steps
 
 
-def _head(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The C-contiguous array of ``shape`` that starts ``buffer``, a flat scratch array."""
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
-def _indicator_series(rows: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None):
-    """Series ``z_0 .. z_K`` of ``<rows, w(b)> - rows[0] (b+pi)/sqrt(2 pi)``.
-
-    ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi, b]``,
-    has constant ``(b+pi)/sqrt(2 pi)``, cosine-``j`` ``sin(j b)/(j sqrt(pi))``
-    and sine-``j`` ``((-1)^j - cos(j b))/(j sqrt(pi))``.  So past the
-    ``(b+pi)`` term a row's product with ``w(b)`` is ``Re sum_j z_j exp(i j
-    b)``, of degree ``K = d // 2``: ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))``
-    and ``z_j = conj(c_j + i s_j) (-i) / (j sqrt(pi))`` for the row's
-    cosine-``j`` and sine-``j`` entries, read as complex pairs.  ``out``, when
-    given, takes the series, and ``work``, a flat complex buffer, the pairs'
-    conjugates: then nothing as large is allocated.
-    """
-    rows = np.ascontiguousarray(rows)
-    d = rows.shape[-1]
-    degree, pairs = d // 2, (d - 1) // 2
-    js = np.arange(1, degree + 1)
-    weights = 1.0 / (js * math.sqrt(math.pi))
-    factors = -1j * weights
-    if out is None:
-        out = np.empty(rows.shape[:-1] + (degree + 1,), dtype=np.complex128)
-    out[..., 0] = rows[..., 2::2] @ (np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs])
-    pair_view = rows[..., 1 : 1 + 2 * pairs].view(np.complex128)
-    conjugates = np.conjugate(pair_view, out=None if work is None else _head(work, pair_view.shape))
-    np.multiply(conjugates, factors[:pairs], out=out[..., 1 : pairs + 1])
-    if d % 2 == 0:
-        out[..., degree] = factors[-1] * rows[..., d - 1]
-    return out
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     """The nearest member, its index in net order, and its distance.
@@ -528,7 +493,8 @@ class FactoredStepDecoder(_GridDecoder):
 
     The decoder serves targets of length ``d`` for ``family``, whose
     ``member`` and ``coefficient_prefix`` build and expand the decoded
-    center.  It builds its phases at construction, read-only and shared.
+    center.  It builds its phases, the series' weights and the shifted
+    positions at construction, read-only and shared.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
@@ -536,42 +502,90 @@ class FactoredStepDecoder(_GridDecoder):
             raise UsageError("a factored step decoder needs a factored plan: one jump, one level grid")
         super().__init__(plan, d, family)
         self.positions = plan.positions
+        degree, pairs = d // 2, (d - 1) // 2
         # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
-        self._phases = 0.5 * np.exp(1j * np.arange(self.d // 2 + 1) * self.positions[0])
-        self._phases.setflags(write=False)
+        self._phases = 0.5 * np.exp(1j * np.arange(degree + 1) * self.positions[0])
+        js = np.arange(1, degree + 1)
+        weights = 1.0 / (js * math.sqrt(math.pi))
+        # z_0's weights on the sine entries, and each z_j's factor -i / (j sqrt(pi)).
+        self._alternating = np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs]
+        self._factors = -1j * weights
+        self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
+        for array in (self._phases, self._alternating, self._factors, self._shift):
+            array.setflags(write=False)
 
-    def _on_breakpoints(self, series: np.ndarray, out=None, work=None) -> np.ndarray:
+    def _indicator_series(self, rows: np.ndarray, constants: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Series ``z_0 .. z_K`` of ``<row, w(b)> - row[0] (b+pi)/sqrt(2 pi)``, each row into its row of ``out``.
+
+        ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi,
+        b]``, has constant ``(b+pi)/sqrt(2 pi)``, cosine-``j`` ``sin(j
+        b)/(j sqrt(pi))`` and sine-``j`` ``((-1)^j - cos(j b))/(j
+        sqrt(pi))``.  So past the ``(b+pi)`` term a row's product with
+        ``w(b)`` is ``Re sum_j z_j exp(i j b)``, of degree ``K = d // 2``:
+        ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))`` and ``z_j = conj(c_j + i
+        s_j) (-i) / (j sqrt(pi))`` for the row's cosine-``j`` and sine-``j``
+        entries, read as complex pairs.  The weights are the decoder's, built
+        at construction.  ``constants`` holds the rows' ``z_0``: the caller
+        forms it for every row of the frame in one product, because numpy
+        sums a one-row product in another order.  Each row is written in
+        place by one-dimensional calls: numpy buffers a broadcast or strided
+        two-dimensional operand.
+        """
+        d = rows.shape[-1]
+        degree, pairs = d // 2, (d - 1) // 2
+        out[:, 0] = constants
+        factors = self._factors[:pairs]
+        for row, series in zip(rows, out):
+            part = np.conjugate(row[1 : 1 + 2 * pairs].view(np.complex128), out=series[1 : pairs + 1])
+            np.multiply(part, factors, out=part)
+        if d % 2 == 0:
+            out[:, degree] = self._factors[-1] * rows[:, d - 1]
+        return out
+
+    def _on_breakpoints(self, series: np.ndarray, out=None) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``, into ``out`` when given.
 
-        With ``b_p = b_0 + 2 pi p / P`` and ``u_f = series_f exp(i f b_0)``
-        folded a whole turn at a time, ``U_k = sum_{f = k mod P} u_f``, the
-        sum is the length-``P`` inverse DFT of the Hermitian ``H_k = (U_k +
-        conj(U_{P-k})) / 2``: one real inverse FFT of its half ``k = 0 ..
-        P // 2``, written a slice at a time from each turn's head ``f <= P //
-        2`` and its reversed tail.  ``position_grid`` makes ``P`` free of
-        large primes; any other ``P`` is as exact, only slower.  ``work``, a
-        flat complex buffer of twice ``series``' rows times ``P // 2 + 1``,
-        holds the spectrum and each slice's terms; it is made here when not
-        given.
+        ``series`` is a complex array of rows, which the call overwrites.
+        With ``b_p = b_0 + 2 pi p / P`` and ``u_f = series_f exp(i f b_0)``,
+        formed in place, and folded a whole turn at a time, ``U_k = sum_{f =
+        k mod P} u_f``, the sum is the length-``P`` inverse DFT of the
+        Hermitian ``H_k = (U_k + conj(U_{P-k})) / 2``: one real inverse FFT
+        of its half ``k = 0 .. P // 2``.  A row's first ``P // 2 + 1`` terms
+        are the first turn's head, so the row holds its own half: each tail,
+        conjugated and reversed, and each later turn's head ``f <= P // 2``
+        are added there, by one-dimensional calls.  A series shorter than
+        the half is zero-padded to it first; no tail reaches it.
+        ``position_grid`` makes ``P`` free of large primes; any other ``P``
+        is as exact, only slower.
         """
         count, width = self.positions.size, series.shape[-1]
         bins = count // 2 + 1
-        shape = (*series.shape[:-1], bins)
-        if work is None:
-            work = np.empty(2 * math.prod(shape), dtype=np.complex128)
-        spectrum, terms = _head(work, shape), work[math.prod(shape) :]
-        spectrum.fill(0.0)
-        phases = self._phases[:width]
+        folds = []  # (terms, their bins, conjugated and reversed), besides the first head
         for start in range(0, width, count):
-            head, tail = slice(start, start + bins), slice(start + count - count // 2, start + count)
-            part = series[..., head]
-            values = np.multiply(part, phases[head], out=_head(terms, part.shape))
-            spectrum[..., : values.shape[-1]] += values
-            if tail.start < width:  # else the series ends before this turn's tail
-                part = series[..., tail][..., ::-1]  # reversed, to be conjugated into bins P // 2 down
-                values = np.multiply(part, phases[tail][::-1], out=_head(terms, part.shape))
-                spectrum[..., bins - values.shape[-1] :] += np.conjugate(values, out=values)
-        spectrum[..., 0] += np.conj(spectrum[..., 0])  # no tail reaches bin 0
+            if start:
+                head = min(bins, width - start)
+                folds.append((slice(start, start + head), slice(0, head), False))
+            tail = min(count, width - start) - (count - count // 2)
+            if tail > 0:  # else the series ends before this turn's tail
+                first = start + count - count // 2
+                folds.append((slice(first, first + tail), slice(bins - tail, bins), True))
+        if width < bins:
+            padded = np.zeros((*series.shape[:-1], bins), dtype=np.complex128)
+            padded[..., :width] = series
+            series = padded
+        phases = self._phases[:width]
+        for values in series.reshape(-1, series.shape[-1]):
+            np.multiply(values[:width], phases, out=values[:width])
+            half = values[:bins]
+            np.add(half, 0.0, out=half)  # 0 + u, as a zeroed spectrum would sum it: -0 becomes +0
+            for terms, target, reversed_ in folds:
+                part = values[terms]
+                if reversed_:
+                    part = np.conjugate(part)[::-1]
+                np.add(values[target], part, out=values[target])
+        spectrum = series[..., :bins]
+        first = spectrum[..., 0]
+        np.add(first, np.conjugate(first), out=first)  # no tail reaches bin 0
         return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward", out=out)
 
     def _operator_terms(self, operator) -> tuple[_Geometry, tuple]:
@@ -582,33 +596,39 @@ class FactoredStepDecoder(_GridDecoder):
         ``R w(b)`` is ``(b+pi) R[:, 0] / sqrt(2 pi)`` plus the periodic part
         of ``_indicator_series``, which ``_on_breakpoints`` evaluates
         ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, straight
-        into their slice of the table, the linear part added in place.  Every
-        block reuses one set of buffers.  Then ``g00`` is the table's column
-        square-sum and ``g0f = <R w(b), Rv>`` one product.  The rows are read
-        from ``R`` as it is stored: no frame-sized copy.
+        into their slice of the table; the linear part is added a row at a
+        time.  The build's scratch, which the DEBUG line reports, is a block's
+        series, ``16 B (K + 1)`` bytes for ``B`` rows, multiplied by the
+        phases and folded into its own head (with a zero-padded copy of ``16
+        B (P // 2 + 1)`` bytes when ``K < P // 2``), and one row's linear
+        part, ``8 P`` bytes; the series goes before the geometry is built.
+        Then ``g00`` is the table's column square-sum and ``g0f = <R w(b),
+        Rv>`` one product.  The rows are read from ``R`` as it is stored: no
+        frame-sized copy.
         """
         started = time.perf_counter()
         frame = operator.frame
         n, d = frame.shape
         count = self.positions.size
-        shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
         table = np.empty((n, count))
         block = min(n, _TERMS_BLOCK_ROWS)
-        series = np.empty((block, d // 2 + 1), dtype=np.complex128)
-        work = np.empty(block * max((d - 1) // 2, 2 * (count // 2 + 1)), dtype=np.complex128)
-        linear = np.empty((block, count))
-        for start in range(0, n, _TERMS_BLOCK_ROWS):
-            rows = frame[start : start + _TERMS_BLOCK_ROWS]
-            size = rows.shape[0]
-            out = table[start : start + size]
-            self._on_breakpoints(_indicator_series(rows, series[:size], work), out, work)
-            # (b+pi) R[rows, 0] / sqrt(2 pi), the linear part
-            out += np.multiply.outer(rows[:, 0] / _SQRT_2PI, shift, out=linear[:size])
+        constants = frame[:, 2::2] @ self._alternating  # every row's z_0
+        series = np.empty((block, self._phases.size), dtype=np.complex128)
+        for start in range(0, n, block):
+            rows, stop = frame[start : start + block], min(n, start + block)
+            out = table[start:stop]
+            self._on_breakpoints(self._indicator_series(rows, constants[start:stop], series[: stop - start]), out)
+            for values, level in zip(out, rows[:, 0] / _SQRT_2PI):
+                values += level * self._shift  # (b+pi) R[row, 0] / sqrt(2 pi), the linear part
+        width, bins = self._phases.size, count // 2 + 1
+        scratch = 16 * block * (width + (bins if width < bins else 0)) + 8 * count
+        del series
         v_full = _SQRT_2PI * frame[:, 0]
         g00, g0f = np.einsum("ij,ij->j", table, table), v_full @ table
         logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d block=%d rows, sketch %d bytes, built in %.3fs",
-            self.positions.size, d, n, _TERMS_BLOCK_ROWS, table.nbytes, time.perf_counter() - started,
+            "factored decoder terms: P=%d d=%d n=%d block=%d rows, scratch %d bytes, sketch %d bytes,"
+            " built in %.3fs",
+            count, d, n, block, scratch, table.nbytes, time.perf_counter() - started,
         )
         g01 = g0f - g00
         gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]

@@ -145,6 +145,16 @@ def test_no_implication_counterexamples_across_suite(step_runs, unclamped_trials
     assert total_trials >= 500
     assert premise_trials >= 300  # the implication is not vacuous
     assert counterexamples == 0
+    # The floor above needs the exact step runs (the smooth trials hold the
+    # premise on 183), so each must hold it at least as often as its
+    # certificate promises: 1 - F of its trials, less three standard errors
+    # (43 of 100 at F = 0.419; they hold it on 89 and 97).  A noisy run
+    # holds it on none, since the premise asks for delta 0.
+    for mode in ("fixed_x", "fixed_w"):
+        summary = step_runs[(mode, "0.0")][0].summary
+        trials, bound = summary["trials"], summary["certified_failure_bound"]
+        floor = trials * (1.0 - bound) - 3.0 * math.sqrt(trials * bound * (1.0 - bound))
+        assert summary["implication_premise_trials"] >= floor > trials / 3, (mode, floor)
 
 
 def check_against_direct_products(sampler, member, x_d, sketch, outcome, delta, audit):

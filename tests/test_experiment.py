@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -372,6 +373,68 @@ def test_a_fixed_x_trial_frees_its_operator_and_table(monkeypatch):
     (sampler,) = samplers
     assert len(seeds) == 4 and sampler.operator_seed not in seeds
     assert "_sketched" not in vars(sampler)
+
+
+# The bench's step config at its seed 1 (master seed 436732992): d 1,886,
+# n 37, P 900 breakpoints and M 396,900 centers.
+BENCH_FIXED_X_CONFIG = """
+class = piecewise
+degree = 0
+max_jumps = 1
+deriv_bound = 1.0
+min_gap = 0.5
+level_bound = 1.0
+eps = 0.6
+p = 0.5
+trials = 6
+mode = fixed_x
+seed = 436732992
+delta = 0.0
+ambient_dim = 4096
+tail_samples = 40
+tail_dims = 64,128,256,512,1024
+"""
+
+
+def test_a_fixed_x_trial_allocates_little_beyond_what_it_keeps(monkeypatch):
+    # A trial keeps its frame (545 KiB), its n x P table (260 KiB) and its
+    # search geometry (92 KiB).  Past them, each steady-state trial's traced
+    # peak stays within 192 KiB: the draw's one substitution chunk lives
+    # before the table, the terms build's 8-row series and half spectrum
+    # are gone before the geometry, and numpy buffers no operand of theirs.
+    # An n x d substitution product and 32-row terms blocks read 1,351 KiB.
+    # Trial 0 is left out: it also makes the FFT's one-time plan.
+    draw, build, trial = reconstructor.random_subspace, nets.FactoredStepDecoder._operator_terms, experiment._run_trial
+    kept, extra = [], []
+
+    def watched_draw(d, n, seed):
+        operator = draw(d, n, seed=seed)
+        kept.append(operator.frame.nbytes)
+        return operator
+
+    def watched_build(self, operator):
+        geometry, sketch = build(self, operator)
+        kept.append(sketch[0].nbytes + sum(array.nbytes for array in geometry))
+        return geometry, sketch
+
+    def traced_trial(config, sampler, fixed, delta, index):
+        if index == 0:
+            return trial(config, sampler, fixed, delta, index)
+        kept.clear()
+        tracemalloc.start()
+        try:
+            result = trial(config, sampler, fixed, delta, index)
+            extra.append(tracemalloc.get_traced_memory()[1] - sum(kept))
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(reconstructor, "random_subspace", watched_draw)
+    monkeypatch.setattr(nets.FactoredStepDecoder, "_operator_terms", watched_build)
+    monkeypatch.setattr(experiment, "_run_trial", traced_trial)
+    summary = run_experiment(load_experiment_config(BENCH_FIXED_X_CONFIG)).summary
+    assert (summary["d"], summary["n"], summary["net_size"]) == (1886, 37, 396_900)
+    assert len(extra) == 5 and max(extra) <= 192 * 1024, extra
 
 
 def test_summary_reports_the_certified_failure_bound(smooth_result):

@@ -660,25 +660,38 @@ def test_operator_terms_follow_the_operator():
         assert all(vars(decoder)[name] is value for name, value in held.items())
 
 
-def test_operator_terms_make_no_frame_sized_copy():
+def test_operator_terms_make_no_frame_sized_copy(monkeypatch, caplog):
     # At the bench's P and d with a tall n (P = 2,592, d = 1,886, n = 604)
-    # the build reads the 9.1 MB frame 32 rows at a time and copies none of
-    # it.  A block's series (0.48 MB), half spectrum, values on the
-    # breakpoints and linear part (0.66 MB each) are released before the
-    # next block's are built, so past the n x P table it keeps (12.5 MB here, its output,
-    # not a copy) the peak stays under 3 MB.
+    # the build reads the 9.1 MB frame 8 rows at a time and copies none of
+    # it.  Past the n x P table it keeps (12.5 MB here, its output, not a
+    # copy), its block loop holds no more than the scratch its DEBUG line
+    # reports: one block's series (0.12 MB) and, as K < P / 2 here, its
+    # zero-padded copy, which holds the half spectrum (0.17 MB), and one
+    # row's linear part (0.02 MB), 0.31 MB in all, where 32-row blocks held
+    # 2.47 MB.  The scratch is gone before the search geometry's arrays are
+    # made, so they and their temporaries stay within it too.
     decoder = step_decoder(0.1, 1886)
     assert decoder.positions.size == 2592
     operator = random_subspace(1886, 604, seed=1)
+    factor, loop_peaks = nets._grid_geometry, []
+
+    def measured_factor(gram, grids):
+        loop_peaks.append(tracemalloc.get_traced_memory()[1])
+        return factor(gram, grids)
+
+    monkeypatch.setattr(nets, "_grid_geometry", measured_factor)
     tracemalloc.start()
     try:
-        table = decoder._operator_terms(operator)[1][0]
+        with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
+            geometry, (table, _) = decoder._operator_terms(operator)
         peak = tracemalloc.get_traced_memory()[1] - table.nbytes
     finally:
         tracemalloc.stop()
+    (scratch,) = [int(size) for size in re.findall(r"scratch (\d+) bytes", caplog.text)]
     assert table.nbytes == 604 * 2592 * 8
-    assert peak < operator.frame.nbytes / 2
-    assert peak < 3_000_000
+    assert scratch == 16 * 8 * (1886 // 2 + 1 + 2592 // 2 + 1) + 8 * 2592 == 307_584
+    assert loop_peaks[0] - table.nbytes <= scratch
+    assert peak - sum(array.nbytes for array in geometry) <= scratch
 
 
 def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
@@ -1085,7 +1098,7 @@ def test_on_breakpoints_matches_the_length_p_oracle(count, offset):
             rng.normal(size=(3, width)) + 1j * rng.normal(size=(3, width)),
             rng.normal(size=width),  # real, as the indicator norms pass
         ):
-            got = decoder._on_breakpoints(series)
+            got = decoder._on_breakpoints(series.astype(np.complex128))  # a copy: it is overwritten
             want = length_p_on_breakpoints(decoder.positions, series)
             assert got.shape == want.shape and got.flags.c_contiguous
             scale = np.sum(np.abs(series), axis=-1, keepdims=True)
