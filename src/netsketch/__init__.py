@@ -39,7 +39,6 @@ from .jl import (
     apply_operator,
     distortion_ok,
     random_subspace,
-    required_measurements,
 )
 from .entropy import (
     EntropyScan,
@@ -96,7 +95,6 @@ __all__ = [
     "preprocess",
     "random_subspace",
     "reconstruct",
-    "required_measurements",
     "run_experiment",
     "tail_norm",
     "truncation_dimension",

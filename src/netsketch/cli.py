@@ -41,14 +41,16 @@ from .jl import (
     DISTORTION_BAND,
     SEED_RANGE,
     distortion_ok,
-    failure_bound,
+    exact_failure_bound,
+    exact_measurements,
     random_subspace,
-    required_measurements,
 )
 from .nets import build_net, write_net
 from .entropy import fit_growth
 
 __all__ = ["COMMANDS", "main"]
+
+logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
@@ -110,23 +112,26 @@ def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
     """Draw ``seeds`` random subspaces and count how often all pairwise
     ratios land in ``DISTORTION_BAND`` for ``m`` random unit vectors.
 
-    The report's ``certified_failure_bound`` is ``jl.failure_bound`` with
-    both bands on every one of the ``m (m - 1) / 2`` pairs."""
-    d, m, p, draws = config.d, config.m, config.p, config.seeds
-    seed, jl_constant = config.seed, config.jl_constant
+    ``n`` is the fewest rows whose exact Beta-tail union over both band ends
+    of every one of the ``m (m - 1) / 2`` pairs is at most ``1 - p``
+    (``jl.exact_measurements``, at most ``d``), and the report's
+    ``certified_failure_bound`` is that union at ``n``: each draw keeps every
+    pair in the band with probability at least ``1 - certified_failure_bound
+    >= p``.  A set ``jl_constant`` sets nothing and gets a WARNING."""
+    d, m, p, draws, seed = config.d, config.m, config.p, config.seeds, config.seed
     if d < 1:
         raise UsageError(f"ambient dimension must be positive, got {d!r}")
     if m < 2:
         raise UsageError(f"need at least two points, got {m!r}")
     if draws < 1:
         raise UsageError(f"draw count must be positive, got {draws!r}")
-    n = required_measurements(p, m, jl_constant)
-    if n > d:
-        raise UsageError(
-            f"measurement count {n} exceeds the ambient dimension {d}; "
-            "raise d or lower the point count"
+    if config.jl_constant is not None:
+        logger.warning(
+            "jl_constant = %g is unused: the exact Beta tail sets jl check's n",
+            config.jl_constant,
         )
     pairs = m * (m - 1) // 2
+    n = exact_measurements(p, d, pairs, pairs)
     successes = 0
     for draw in range(draws):
         point_rng = np.random.default_rng([seed, 1, draw])
@@ -141,12 +146,11 @@ def run_jl_check(config: JlCheckConfig) -> dict[str, Any]:
         "m": m,
         "p": p,
         "n": n,
-        "jl_constant": jl_constant,
         "draws": draws,
         "seed": seed,
         "successes": successes,
         "success_fraction": successes / draws,
-        "certified_failure_bound": failure_bound(n, d, pairs, pairs),
+        "certified_failure_bound": exact_failure_bound(n, d, pairs, pairs),
         "lower": DISTORTION_BAND[0],
         "upper": DISTORTION_BAND[1],
     }

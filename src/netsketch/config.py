@@ -19,7 +19,6 @@ from typing import Any, Callable, Literal, Mapping
 from .errors import UsageError
 from .function_classes import PiecewiseAnalyticClass, PiecewiseSmoothClass, SmoothClass
 from .hilbert import DEFAULT_AMBIENT_DIM
-from .jl import DEFAULT_JL_CONSTANT
 from .nets import DEFAULT_NET_BUDGET
 
 __all__ = [
@@ -280,7 +279,13 @@ class JlCheckConfig:
     m: int = 64
     p: float = 0.5
     seeds: int = 200
-    jl_constant: float = DEFAULT_JL_CONSTANT
+    # Sets nothing (the exact Beta tail sets n); parsed so that configs
+    # naming it still load.
+    jl_constant: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.jl_constant is not None and not self.jl_constant > 0.0:
+            raise UsageError(f"jl_constant must be positive, got {self.jl_constant!r}")
 
 
 @dataclass(frozen=True)

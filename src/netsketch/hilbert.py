@@ -215,7 +215,8 @@ def analyze_piecewise(description: PiecewiseDescription, ambient_dim: int) -> Si
         if t == math.pi:
             series[::2] *= -1.0  # e^{ij pi} = (-1)^j, exactly
         else:  # not *=, which numpy can round differently on a length-1 array
-            series = series * (np.cos(js * t) + 1j * np.sin(js * t))
+            angles = js * t
+            series = series * (np.cos(angles) + 1j * np.sin(angles))
         spectrum += series
     coeffs_out = np.zeros(ambient_dim)
     coeffs_out[0] = total_const / _SQRT_2PI

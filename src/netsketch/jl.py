@@ -8,12 +8,9 @@ random subspace.  A fixed unit vector's squared projection follows
 Beta(n/2, (d - n)/2), so the chance that some pair leaves its end of a
 distortion band is at most ``exact_failure_bound``, a union of the exact Beta
 tails (``log_betainc`` and ``log_betaincc``), and ``exact_measurements`` is
-the smallest ``n`` whose bound meets a target success probability.
-``required_measurements``, the Johnson-Lindenstrauss union-bound count ``n =
-ceil(c * ln(m / (1 - p)))``, and ``failure_bound``, Dasgupta and Gupta's
-exponential tail on it, price the same events more loosely.  An operator's
-``Q`` is the orthonormalized columns of a Gaussian ``d x n`` draw, by
-verified Cholesky QR.
+the smallest ``n`` whose bound meets a target success probability.  An
+operator's ``Q`` is the orthonormalized columns of a Gaussian ``d x n``
+draw, by verified Cholesky QR.
 """
 
 from __future__ import annotations
@@ -33,11 +30,8 @@ __all__ = [
     "DistortionReport",
     "exact_failure_bound",
     "exact_measurements",
-    "failure_bound",
-    "kappa",
     "log_betainc",
     "log_betaincc",
-    "required_measurements",
     "random_subspace",
     "apply_operator",
     "distortion_ok",
@@ -46,29 +40,9 @@ __all__ = [
 DEFAULT_JL_CONSTANT = 20.0
 
 #: A pair's measured-over-true distance ratio passes inside ``[1/2, 2]``.
-#: ``distortion_ok`` checks every pair against it; ``failure_bound`` takes it
-#: as the default band.
+#: ``distortion_ok`` checks every pair against it; ``exact_failure_bound``
+#: takes it as the default band.
 DISTORTION_BAND = (0.5, 2.0)
-
-
-def kappa(ratio: float) -> float:
-    """Dasgupta-Gupta rate, per measurement, of a pair's ratio passing ``ratio``.
-
-    ``(a^2 - 1 - ln a^2) / 2`` at ``a = ratio``: the chance that a fixed
-    pair's measured-over-true distance ratio falls below ``a < 1``, or rises
-    above ``a > 1``, under a uniformly random ``n``-subspace is at most
-    ``exp(-kappa(a) n)`` (see ``required_measurements``).
-    """
-    if not (math.isfinite(ratio) and ratio > 0.0):
-        raise UsageError(f"distortion ratio must be positive and finite, got {ratio!r}")
-    beta = ratio * ratio
-    return (beta - 1.0 - math.log(beta)) / 2.0
-
-
-#: The rates at ``DISTORTION_BAND``'s ends: ``(ln 4 - 3/4) / 2`` below and
-#: ``(3 - ln 4) / 2`` above.
-KAPPA_LOWER = kappa(DISTORTION_BAND[0])
-KAPPA_UPPER = kappa(DISTORTION_BAND[1])
 
 #: Operator seeds are drawn from a caller's stream as ints below this bound,
 #: so ``(d, n, seed)`` alone reproduces an operator.
@@ -85,88 +59,6 @@ _BLOCK_ROWS = 64
 _CHUNK_COLUMNS = 1024
 
 logger = logging.getLogger(__name__)
-
-
-def required_measurements(p: float, m: int, jl_constant: float = DEFAULT_JL_CONSTANT) -> int:
-    """Measurements needed to preserve pairwise distances among ``m`` points.
-
-    Returns ``ceil(jl_constant * ln(m / (1 - p)))``, clamped to at least one
-    measurement, where ``p`` is the target success probability.
-
-    The form is the union bound.  For a fixed unit ``u`` and a uniformly
-    random ``n``-subspace with orthonormal frame ``Q``, ``L = |Q^T u|^2``
-    satisfies ``P(L <= beta n / d) <= exp((n / 2) (1 - beta + ln beta))`` for
-    ``beta < 1``, and the same bound on ``P(L >= beta n / d)`` for ``beta >
-    1`` (Dasgupta and Gupta, *Random Struct. Alg.* 22(1), 2003, Lemma 2.2).
-    A pair's rescaled distance ratio is ``sqrt(d L / n)``, so passing a band
-    end ``a`` is ``beta = a^2``, at the rate ``kappa(a) = (a^2 - 1 - ln a^2)
-    / 2`` per measurement: ``KAPPA_LOWER = kappa(1/2)`` and ``KAPPA_UPPER =
-    kappa(2)`` for ``DISTORTION_BAND``.  With ``m`` pairs on the lower end,
-    ``m exp(-KAPPA_LOWER n) <= 1 - p`` once ``n >= ln(m / (1 - p)) /
-    KAPPA_LOWER``, so every ``jl_constant >= 1 / KAPPA_LOWER ~ 3.143``
-    certifies the lower end alone.  A band whose upper end is priced at a
-    slower rate, as the reconstruction chain's, can need more.
-    ``exact_measurements`` prices both ends by their exact tails instead.
-    """
-    if not 0.0 < p < 1.0:
-        raise UsageError(f"success probability must lie in (0, 1), got {p!r}")
-    if m < 2:
-        raise UsageError(f"need at least two points, got m={m!r}")
-    if jl_constant <= 0.0:
-        raise UsageError(f"jl_constant must be positive, got {jl_constant!r}")
-    return max(1, math.ceil(jl_constant * math.log(m / (1.0 - p))))
-
-
-def _union_bound(n, d, lower_pairs, upper_pairs, band, log_tails) -> float:
-    """``min(1, lower_pairs P_lo + upper_pairs P_hi)``, 0.0 at ``n >= d``.
-
-    ``log_tails(a_lo, a_hi)`` gives ``(ln P_lo, ln P_hi)`` at ``band``'s ends.
-    Each term is formed from its logarithm, so that pair counts beyond float
-    range stay exact.  A full orthogonal operator, ``n >= d``, distorts
-    nothing.
-    """
-    if n < 1 or d < 1:
-        raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
-    if lower_pairs < 0 or upper_pairs < 0:
-        raise UsageError(
-            f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
-        )
-    lower, upper = band
-    if not 0.0 < lower < 1.0 < upper:
-        raise UsageError(f"a distortion band must straddle 1, got {band!r}")
-    if n >= d:
-        return 0.0
-    total = 0.0
-    for pairs, log_tail in zip((lower_pairs, upper_pairs), log_tails(lower, upper)):
-        if pairs:
-            exponent = math.log(pairs) + log_tail
-            if exponent >= 0.0:
-                return 1.0
-            total += math.exp(exponent)
-    return min(1.0, total)
-
-
-def failure_bound(
-    n: int,
-    d: int,
-    lower_pairs: int,
-    upper_pairs: int,
-    band: tuple[float, float] = DISTORTION_BAND,
-) -> float:
-    """Union bound on the chance that some pair leaves its end of ``band``.
-
-    ``lower_pairs`` pairs must stay above the band's lower end ``a_lo`` and
-    ``upper_pairs`` below its upper end ``a_hi``, under a uniformly random
-    ``n``-subspace of ``R^d``.  Returns ``lower_pairs exp(-kappa(a_lo) n) +
-    upper_pairs exp(-kappa(a_hi) n)``, Dasgupta and Gupta's tails (see
-    ``required_measurements``), capped at 1, and exactly 0.0 when ``n >= d``.
-    ``exact_failure_bound`` is the same union over the exact tails, which
-    these bound from above.
-    """
-    return _union_bound(
-        n, d, lower_pairs, upper_pairs, band, lambda lower, upper: (-kappa(lower) * n, -kappa(upper) * n)
-    )
-
 
 # The Stirling series' coefficients B_2k / (2k (2k - 1)), k = 1..8 (DLMF 5.11.1).
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
@@ -313,23 +205,42 @@ def exact_failure_bound(
     upper_pairs: int,
     band: tuple[float, float] = DISTORTION_BAND,
 ) -> float:
-    """``failure_bound``'s union over the exact tails: ``F(n)``.
+    """Union bound on the chance that some pair leaves its end of ``band``: ``F(n)``.
 
-    A pair's rescaled distance ratio is ``sqrt(d L / n)`` with ``L ~
-    Beta(n/2, (d - n)/2)``, so it falls below ``a_lo`` with chance
-    ``I_{a_lo^2 n/d}(n/2, (d - n)/2)`` and rises above ``a_hi`` with ``1 -
-    I_{a_hi^2 n/d}(n/2, (d - n)/2)``, which is 0 once ``a_hi^2 n / d >= 1``.
-    Returns ``lower_pairs`` times the first plus ``upper_pairs`` times the
-    second, capped at 1, and exactly 0.0 when ``n >= d``.  Dasgupta and
-    Gupta's tails bound these from above, so this is at most
-    ``failure_bound``.
+    ``lower_pairs`` pairs must stay above the band's lower end ``a_lo`` and
+    ``upper_pairs`` below its upper end ``a_hi``, under a uniformly random
+    ``n``-subspace of ``R^d``.  A pair's rescaled distance ratio is ``sqrt(d
+    L / n)`` with ``L ~ Beta(n/2, (d - n)/2)``, so it falls below ``a_lo``
+    with chance ``I_{a_lo^2 n/d}(n/2, (d - n)/2)`` and rises above ``a_hi``
+    with ``1 - I_{a_hi^2 n/d}(n/2, (d - n)/2)``, which is 0 once ``a_hi^2 n
+    / d >= 1``.  Returns ``lower_pairs`` times the first plus
+    ``upper_pairs`` times the second, capped at 1, and exactly 0.0 when ``n
+    >= d``: a full orthogonal operator distorts nothing.  Each term is
+    formed from its logarithm, so that pair counts beyond float range stay
+    exact.  Dasgupta and Gupta's exponential tails (*Random Struct. Alg.*
+    22(1), 2003, Lemma 2.2) bound these from above.
     """
-
-    def log_tails(lower: float, upper: float) -> tuple[float, float]:
-        a, b = n / 2.0, (d - n) / 2.0
-        return log_betainc(a, b, lower * lower * n / d), log_betaincc(a, b, upper * upper * n / d)
-
-    return _union_bound(n, d, lower_pairs, upper_pairs, band, log_tails)
+    if n < 1 or d < 1:
+        raise UsageError(f"dimensions must be positive, got d={d!r}, n={n!r}")
+    if lower_pairs < 0 or upper_pairs < 0:
+        raise UsageError(
+            f"pair counts must be non-negative, got {lower_pairs!r} and {upper_pairs!r}"
+        )
+    lower, upper = band
+    if not 0.0 < lower < 1.0 < upper:
+        raise UsageError(f"a distortion band must straddle 1, got {band!r}")
+    if n >= d:
+        return 0.0
+    a, b = n / 2.0, (d - n) / 2.0
+    log_tails = (log_betainc(a, b, lower * lower * n / d), log_betaincc(a, b, upper * upper * n / d))
+    total = 0.0
+    for pairs, log_tail in zip((lower_pairs, upper_pairs), log_tails):
+        if pairs:
+            exponent = math.log(pairs) + log_tail
+            if exponent >= 0.0:
+                return 1.0
+            total += math.exp(exponent)
+    return min(1.0, total)
 
 
 def exact_measurements(
@@ -534,6 +445,24 @@ class DistortionReport:
     pairs_checked: int
 
 
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``points``, pairs ``(i, j)``, ``i < j``, in row order.
+
+    ``scipy.spatial.distance.pdist``'s layout, one row's pairs at a time, so
+    no more than ``m - 1`` differences are alive at once.  Each difference
+    is one rounded subtraction, as in ``pdist``; only the order of the sum
+    of squares differs, within a few units in the last place.
+    """
+    m = points.shape[0]
+    squares = np.empty(m * (m - 1) // 2)
+    stop = 0
+    for row in range(m - 1):
+        start, stop = stop, stop + m - 1 - row
+        differences = points[row + 1 :] - points[row]
+        np.einsum("ij,ij->i", differences, differences, out=squares[start:stop])
+    return np.sqrt(squares, out=squares)
+
+
 def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionReport:
     """Check that projected pairwise distances stay within ``DISTORTION_BAND``.
 
@@ -541,10 +470,6 @@ def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionRepo
     ratios compare distances after measurement to distances among the
     truncated originals.  Coincident pairs are skipped.
     """
-    # Imported here: see README, "Start-up cost".  pdist, not numpy: it sums
-    # each distance in sequence, and the report's ratios are pinned to those bits.
-    from scipy.spatial.distance import pdist
-
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise UsageError("expected a 2-d array of points")
@@ -553,8 +478,8 @@ def distortion_ok(op: MeasurementOperator, points: np.ndarray) -> DistortionRepo
             f"points have {points.shape[1]} coefficients but the operator needs {op.d}"
         )
     truncated = points[:, : op.d]
-    original = pdist(truncated)
-    projected = pdist(truncated @ op.frame.T)
+    original = _pairwise_distances(truncated)
+    projected = _pairwise_distances(truncated @ op.frame.T)
     nonzero = original > 0.0
     if not np.any(nonzero):  # fewer than two points, or all coincide
         return DistortionReport(ok=True, min_ratio=None, max_ratio=None, pairs_checked=0)

@@ -22,7 +22,7 @@ from netsketch.function_classes import (
     TailDecayModel,
 )
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM
-from netsketch.jl import apply_operator, exact_failure_bound, required_measurements
+from netsketch.jl import apply_operator, exact_failure_bound
 from netsketch.nets import build_net, round_coordinates
 from netsketch.reconstructor import add_noise, measure, preprocess, reconstruct
 
@@ -100,12 +100,15 @@ def unclamped_trials():
 
 
 def test_jl_distortion_band_success_fraction():
-    # ceil(20 ln(64 / 0.5)) = ceil(97.04) = 98 rows by the union bound.
-    assert required_measurements(0.5, 64) == 98
+    # The exact Beta tails over both ends of all 2,016 pairs certify 20 rows
+    # (F 0.490), where the union-bound rule asked ceil(20 ln(64 / 0.5)) =
+    # ceil(97.04) = 98.
+    assert math.ceil(20.0 * math.log(64 / 0.5)) == 98
     started = time.monotonic()
     report = run_jl_check(JlCheckConfig(seed=9001, d=512, m=64, p=0.5, seeds=200))
     elapsed = time.monotonic() - started
-    assert report["n"] == 98
+    assert report["n"] == 20
+    assert report["certified_failure_bound"] <= 0.5
     assert report["success_fraction"] >= 0.5
     assert elapsed < 60.0
 

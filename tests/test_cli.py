@@ -19,7 +19,7 @@ from netsketch.cli import COMMANDS, main, run_jl_check
 from netsketch.config import JlCheckConfig
 from netsketch.errors import NetSketchError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
-from netsketch.jl import failure_bound, required_measurements
+from netsketch.jl import exact_failure_bound
 from netsketch.nets import enumerate_members, gap_separated_count
 
 SMOOTH_EXPERIMENT = """
@@ -95,7 +95,6 @@ m = 8
 p = 0.5
 seeds = 20
 seed = 5
-jl_constant = 4.0
 """
 
 STEP_CLASS = """
@@ -311,31 +310,66 @@ def test_jl_check_reports_fraction(tmp_path, capsys):
     assert main(["jl", "check", cfg, "--out", out]) == 0
     assert "fraction" in capsys.readouterr().out
     report = json.loads((tmp_path / "jl.json").read_text(encoding="utf-8"))
-    assert report["n"] == required_measurements(0.5, 8, 4.0)
     assert report["draws"] == 20
     assert 0.0 <= report["success_fraction"] <= 1.0
     assert report["successes"] == round(report["success_fraction"] * 20)
-    # Both bands on every one of the 8 * 7 / 2 pairs.
-    assert report["certified_failure_bound"] == failure_bound(report["n"], 64, 28, 28)
+    assert "jl_constant" not in report
+
+
+def test_jl_check_certifies_its_n_and_meets_its_rate():
+    # n is the first count whose exact union over both ends of all 8 * 7 / 2
+    # pairs is within 1 - p, the report's bound is that union, and over 300
+    # draws the success fraction stays above 1 - F less three standard errors.
+    d, pairs, draws = 64, 28, 300
+    report = run_jl_check(JlCheckConfig(seed=5, d=d, m=8, p=0.5, seeds=draws))
+    n, bound = report["n"], report["certified_failure_bound"]
+    assert bound == exact_failure_bound(n, d, pairs, pairs) <= 1.0 - report["p"]
+    assert n > 1 and exact_failure_bound(n - 1, d, pairs, pairs) > 1.0 - report["p"]
+    floor = 1.0 - bound - 3.0 * math.sqrt(bound * (1.0 - bound) / draws)
+    assert report["success_fraction"] >= floor
 
 
 def test_jl_check_seed_flag_substitutes_for_config_key(tmp_path, capsys):
-    cfg = _write(tmp_path, "jl.cfg", "d = 32\nm = 4\nseeds = 5\njl_constant = 4.0\n")
+    cfg = _write(tmp_path, "jl.cfg", "d = 32\nm = 4\nseeds = 5\n")
     assert main(["jl", "check", cfg]) == 1
     assert "seed" in capsys.readouterr().err
     assert main(["jl", "check", cfg, "--seed", "7"]) == 0
 
 
 def test_run_jl_check_is_deterministic():
-    config = JlCheckConfig(seed=7, d=32, m=4, p=0.5, seeds=5, jl_constant=4.0)
+    config = JlCheckConfig(seed=7, d=32, m=4, p=0.5, seeds=5)
     first = run_jl_check(config)
     second = run_jl_check(config)
     assert first == second
 
 
-def test_run_jl_check_rejects_undersized_ambient():
-    with pytest.raises(Exception, match="exceeds the ambient dimension"):
-        run_jl_check(JlCheckConfig(seed=0, d=8, m=64, p=0.5, seeds=1))
+def test_run_jl_check_takes_at_most_d_rows():
+    # 2,016 pairs in R^8: no count below d is certified, so n is d itself and
+    # the full orthogonal operator keeps every pair.
+    report = run_jl_check(JlCheckConfig(seed=0, d=8, m=64, p=0.5, seeds=3))
+    assert report["n"] == 8
+    assert report["certified_failure_bound"] == 0.0
+    assert report["successes"] == 3
+
+
+def test_a_set_jl_constant_sets_no_jl_check_count(tmp_path, capsys):
+    # The key still parses, but the report is that of a config without it,
+    # and stderr carries one WARNING naming it.
+    plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+    assert main(["jl", "check", _write(tmp_path, "plain.cfg", JL_CHECK), "--out", str(plain)]) == 0
+    plain_streams = capsys.readouterr()
+    cfg = _write(tmp_path, "named.cfg", JL_CHECK + "jl_constant = 4.0\n")
+    assert main(["jl", "check", cfg, "--out", str(named)]) == 0
+    named_streams = capsys.readouterr()
+    assert plain_streams.err == ""
+    assert named_streams.err == (
+        "netsketch.cli: jl_constant = 4 is unused: the exact Beta tail sets jl check's n\n"
+    )
+    assert named_streams.out == plain_streams.out.replace(str(plain), str(named))
+    assert plain.read_bytes() == named.read_bytes()
+    bad = _write(tmp_path, "bad.cfg", JL_CHECK + "jl_constant = 0\n")
+    assert main(["jl", "check", bad]) == 1
+    assert "jl_constant must be positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -672,25 +706,27 @@ def test_module_entry_point_usage_error(tmp_path):
 
 
 def test_experiment_run_needs_no_scipy(tmp_path):
-    # n comes from the in-house Beta tail: with scipy, scipy.special and
-    # scipy.spatial unimportable, a step run still exits 0 (an import would
-    # cost set-up time and resident memory on every run).
-    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_x"))
+    # numpy is the only run-time dependency: with scipy, scipy.special and
+    # scipy.spatial unimportable, every subcommand still exits 0 (an import
+    # would cost set-up time and resident memory on every run).
     probe = (
         "import sys\n"
         "sys.modules.update(dict.fromkeys(['scipy', 'scipy.special', 'scipy.spatial']))\n"
         "from netsketch.cli import main\n"
         "raise SystemExit(main(sys.argv[1:]))\n"
     )
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, "experiment", "run", cfg, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    cases = {**COMMAND_CASES, ("experiment", "run"): (FACTORED_EXPERIMENT.format(mode="fixed_x"), None)}
+    for words, (text, _) in cases.items():
+        cfg = _write(tmp_path, "command.cfg", text)
+        out = tmp_path / "-".join(words)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *words, cfg, "--seed", "4", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (words, proc.stderr)
+    summary = json.loads((tmp_path / "experiment-run.json").read_text(encoding="utf-8"))
     assert summary["certified_failure_bound"] <= 1.0 - summary["p"]
 
 
@@ -731,14 +767,16 @@ def _scipy_modules_after(statement: str) -> set[str]:
 
 
 def test_cli_import_loads_no_scipy_submodule(tmp_path):
-    # scipy is imported only where jl check uses it; every command pays for
-    # what the import of netsketch.cli loads.
+    # Every command pays for what the import of netsketch.cli loads, and
+    # neither an experiment nor a jl check loads any scipy module.
     loaded = _scipy_modules_after("import netsketch.cli")
     assert loaded <= _scipy_modules_after("import scipy")
-    cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
-    run = (
-        "import io, sys, netsketch.cli; shown, sys.stdout = sys.stdout, io.StringIO(); "
-        f"code = netsketch.cli.main(['experiment', 'run', {cfg!r}]); "
-        "sys.stdout = shown; assert code == 0, code"
-    )
-    assert _scipy_modules_after(run) == set()
+    experiment_cfg = _write(tmp_path, "exp.cfg", FACTORED_EXPERIMENT.format(mode="fixed_w"))
+    jl_cfg = _write(tmp_path, "jl.cfg", JL_CHECK)
+    for argv in (["experiment", "run", experiment_cfg], ["jl", "check", jl_cfg]):
+        run = (
+            "import io, sys, netsketch.cli; shown, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = netsketch.cli.main({argv!r}); "
+            "sys.stdout = shown; assert code == 0, code"
+        )
+        assert _scipy_modules_after(run) == set()

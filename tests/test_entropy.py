@@ -16,7 +16,7 @@ from netsketch.entropy import (
 )
 from netsketch.errors import UsageError
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass
-from netsketch.jl import exact_measurements, required_measurements
+from netsketch.jl import exact_measurements
 from netsketch.reconstructor import CHAIN_BAND
 from netsketch.nets import build_net
 
@@ -142,7 +142,7 @@ def test_within_measurement_budget_threshold():
 )
 def test_within_measurement_budget_holds_the_union_bound_count(jl_constant, p, size):
     # The rate at c bounds ceil(c ln((M + 1) / (1 - p))) for every c > 0.
-    n = required_measurements(p, size + 1, jl_constant)
+    n = max(1, math.ceil(jl_constant * math.log((size + 1) / (1.0 - p))))
     assert within_measurement_budget(n, p, math.log2(size), jl_constant)
 
 
@@ -151,7 +151,7 @@ def test_within_measurement_budget_misses_the_certified_floor(d):
     # The exact tail certifies a 7-center net for the chain's band at n 6 or
     # 7, within the rate 2 c (log2 7 + 1) + 1 at c 4 (31.46), but past it at
     # c 0.5 (4.81), where the union-bound count is 2.
-    assert required_measurements(0.5, 8, 0.5) == 2
+    assert math.ceil(0.5 * math.log(8 / 0.5)) == 2
     n = exact_measurements(0.5, d, 7, 1, CHAIN_BAND)
     assert n == (6 if d == 40 else 7)
     assert within_measurement_budget(n, 0.5, math.log2(7), 4.0)

@@ -10,67 +10,51 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsketch import jl
 from netsketch.errors import NetSketchError, UsageError
 from netsketch.jl import (
     DISTORTION_BAND,
-    KAPPA_LOWER,
-    KAPPA_UPPER,
     MeasurementOperator,
     apply_operator,
     distortion_ok,
     exact_failure_bound,
     exact_measurements,
-    failure_bound,
-    kappa,
     log_betainc,
     log_betaincc,
     random_subspace,
-    required_measurements,
 )
 
 # The reconstruction chain's band: 1/2 below, 1.15 above (reconstructor.CHAIN_BAND).
 CHAIN = (0.5, 1.15)
 
 # ---------------------------------------------------------------------------
-# Measurement-count formula (frozen arithmetic)
+# Measurement counts and their certificates
 # ---------------------------------------------------------------------------
 
-
-def test_required_measurements_frozen_values():
-    # ceil(20 * ln(m / (1 - p))), the default constant 20.
-    assert required_measurements(0.5, 8) == 56  # ceil(20 * ln 16) = ceil(55.45...)
-    assert required_measurements(0.9, 3) == 69  # ceil(20 * ln 30) = ceil(68.02...)
-    assert required_measurements(0.5, 101) == 107  # ceil(20 * ln 202) = ceil(106.17...)
-    assert required_measurements(0.5, 64) == 98  # ceil(20 * ln 128) = ceil(97.04...)
+#: Dasgupta and Gupta's per-measurement rate at the lower end 1/2, (ln 4 - 3/4) / 2.
+DG_LOWER_RATE = (math.log(4.0) - 0.75) / 2.0
 
 
-def test_required_measurements_at_the_bench_net():
-    # M = 3,548,448 centers: ceil(20 ln(3,548,449 / 0.5)) = ceil(315.50) and
-    # ceil(20 ln(3,548,449 / 0.1)) = ceil(347.69).
-    assert required_measurements(0.5, 3_548_449) == 316
-    assert required_measurements(0.9, 3_548_449) == 348
+def dasgupta_gupta_bound(n, d, lower_pairs, upper_pairs, band=DISTORTION_BAND):
+    """Dasgupta and Gupta's closed-form union bound, which the exact tails sharpen.
 
-
-def test_failure_bound_rates_and_edges():
-    assert KAPPA_LOWER == pytest.approx(0.3181471805599453, rel=1e-15)
-    assert KAPPA_UPPER == pytest.approx(0.8068528194400547, rel=1e-15)
-    # The bench: n 316, d 1,886, M lower pairs and one upper pair.
-    expected = 3_548_448 * math.exp(-KAPPA_LOWER * 316) + math.exp(-KAPPA_UPPER * 316)
-    assert failure_bound(316, 1886, 3_548_448, 1) == pytest.approx(expected, rel=1e-12)
-    assert failure_bound(316, 1886, 3_548_448, 1) < 1e-30
-    # A clamped operator is exact, and a bound never exceeds 1.
-    assert failure_bound(1886, 1886, 10**12, 10**12) == 0.0
-    assert failure_bound(2, 1886, 10**12, 0) == 1.0
-    assert failure_bound(5, 1886, 0, 0) == 0.0
-    # Pair counts far beyond float range stay finite in log space.
-    assert 0.0 < failure_bound(3000, 4000, 10**400, 1) < 1e-14  # e^(921 - 954)
-    for args in ((0, 8, 1, 1), (3, 0, 1, 1), (3, 8, -1, 1), (3, 8, 1, -1)):
-        with pytest.raises(UsageError):
-            failure_bound(*args)
+    A pair's ratio passes a band end ``a`` with chance at most ``exp(-kappa(a)
+    n)``, ``kappa(a) = (a^2 - 1 - ln a^2) / 2`` (*Random Struct. Alg.* 22(1),
+    2003, Lemma 2.2).  0.0 at ``n >= d``, capped at 1, and formed from logs.
+    """
+    if n >= d:
+        return 0.0
+    total = 0.0
+    for pairs, end in zip((lower_pairs, upper_pairs), band):
+        if pairs:
+            exponent = math.log(pairs) - n * (end * end - 1.0 - math.log(end * end)) / 2.0
+            if exponent >= 0.0:
+                return 1.0
+            total += math.exp(exponent)
+    return min(1.0, total)
 
 
 @pytest.mark.parametrize("d", [8, 20, 64, 300, 1886])
@@ -78,15 +62,19 @@ def test_failure_bound_dominates_the_exact_beta_tails(d):
     # |Q^T u|^2 ~ Beta(n/2, (d - n)/2) for a uniformly random n-subspace, so
     # the ratio sqrt(d L / n) falls below 1/2 with probability
     # I(n / (4d); n/2, (d - n)/2) and rises above 2 with 1 - I(4n / d; ...).
-    from scipy.special import betainc
+    # exact_failure_bound on one pair is that tail, and Dasgupta and Gupta's
+    # bound lies above it.
+    from scipy.special import betainc, betaincc
 
     n = np.arange(1, d)
     a, b = n / 2.0, (d - n) / 2.0
     below = betainc(a, b, n / (4.0 * d))
-    above = 1.0 - betainc(a, b, np.minimum(1.0, 4.0 * n / d))
+    above = betaincc(a, b, np.minimum(1.0, 4.0 * n / d))
     for k, low, high in zip(n.tolist(), below, above):
-        assert failure_bound(k, d, 1, 0) >= low
-        assert failure_bound(k, d, 0, 1) >= high
+        assert exact_failure_bound(k, d, 1, 0) == pytest.approx(low, rel=1e-11, abs=1e-300)
+        assert exact_failure_bound(k, d, 0, 1) == pytest.approx(high, rel=1e-11, abs=1e-300)
+        assert dasgupta_gupta_bound(k, d, 1, 0) >= low
+        assert dasgupta_gupta_bound(k, d, 0, 1) >= high
 
 
 def test_random_subspace_projections_follow_the_beta_law():
@@ -103,17 +91,17 @@ def test_random_subspace_projections_follow_the_beta_law():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    jl_constant=st.floats(1.0 / KAPPA_LOWER, 100.0),
+    jl_constant=st.floats(1.0 / DG_LOWER_RATE, 100.0),
     centers=st.integers(1, 10**12),
     p=st.floats(1e-6, 1.0 - 1e-6),
     upper=st.one_of(st.just(1.15), st.floats(1.01, 2.0)),
 )
 def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, centers, p, upper):
-    # At the symmetric band the union-bound count alone is certified, so the
-    # exact tail's count is at most it; at any band the exact count is the
-    # first whose bound is met.
-    n = required_measurements(p, centers + 1, jl_constant)
-    assert failure_bound(n, 10**9, centers, 1) <= 1.0 - p
+    # At the symmetric band the union-bound count ceil(c ln((M + 1) / (1 -
+    # p))) alone is certified, so the exact tail's count is at most it; at
+    # any band the exact count is the first whose bound is met.
+    n = max(1, math.ceil(jl_constant * math.log((centers + 1) / (1.0 - p))))
+    assert dasgupta_gupta_bound(n, 10**9, centers, 1) <= 1.0 - p
     assert exact_measurements(p, 10**9, centers, 1) <= n
     band = (0.5, upper)
     exact = exact_measurements(p, 10**9, centers, 1, band)
@@ -122,59 +110,17 @@ def test_the_rule_is_certified_for_every_constant_above_the_rate(jl_constant, ce
         assert exact_failure_bound(exact - 1, 10**9, centers, 1, band) > 1.0 - p
 
 
-def test_kappa_gives_the_symmetric_band_rates_bit_for_bit():
-    assert kappa(0.5) == KAPPA_LOWER == (math.log(4.0) - 0.75) / 2.0
-    assert kappa(2.0) == KAPPA_UPPER == (3.0 - math.log(4.0)) / 2.0
-    assert kappa(1.0) == 0.0
-    # (1.15^2 - 1 - ln 1.15^2) / 2: the chain's upper end, 15 times slower.
-    assert kappa(1.15) == pytest.approx(0.021488057624841267, rel=1e-14)
-    for ratio in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(UsageError):
-            kappa(ratio)
-
-
-def _symmetric_failure_bound(n, d, lower_pairs, upper_pairs):
-    """The bound at [1/2, 2] with its rates written out, as before bands were passed."""
-    if n >= d:
-        return 0.0
-    total = 0.0
-    for pairs, rate in (
-        (lower_pairs, (math.log(4.0) - 0.75) / 2.0),
-        (upper_pairs, (3.0 - math.log(4.0)) / 2.0),
-    ):
-        if pairs:
-            exponent = math.log(pairs) - rate * n
-            if exponent >= 0.0:
-                return 1.0
-            total += math.exp(exponent)
-    return min(1.0, total)
-
-
-def test_failure_bound_at_the_default_band_is_the_symmetric_bound():
-    for n in (1, 2, 5, 43, 98, 272, 316, 1000):
-        for d in (8, 300, 1886):
-            for lower in (0, 1, 7, 28, 396_900, 3_548_448, 10**12):
-                for upper in (0, 1, 28):
-                    expected = _symmetric_failure_bound(n, d, lower, upper)
-                    assert failure_bound(n, d, lower, upper) == expected
-                    assert failure_bound(n, d, lower, upper, DISTORTION_BAND) == expected
-    for band in ((0.5, 1.0), (1.0, 2.0), (0.0, 2.0), (0.5, math.nan)):
-        with pytest.raises(UsageError):
-            failure_bound(5, 10, 1, 1, band)
-
-
 def test_exact_measurements_pays_for_the_slow_upper_end():
     # One center: ceil(20 ln 4) = 28 rows leave Dasgupta-Gupta's e^(-0.0215
     # * 28) = 0.548 on the witness pair, where the exact tails leave 0.117;
     # 2 rows are the first within 1/2.
-    assert required_measurements(0.5, 2) == 28
-    assert failure_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.548, abs=1e-3)
+    assert dasgupta_gupta_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.548, abs=1e-3)
     assert exact_failure_bound(28, 1886, 1, 1, CHAIN) == pytest.approx(0.1167, abs=1e-4)
     assert exact_measurements(0.5, 1886, 1, 1, CHAIN) == 2
     # The bench net, M 396,900: the union-bound rule's 272 rows certify
     # 0.0029 by Dasgupta-Gupta and 7.7e-05 exactly; 37 rows are the first
     # within 1/2 (0.4185, against 0.5534 at 36), and 45 within 1/10.
-    assert failure_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(0.002895, rel=1e-3)
+    assert dasgupta_gupta_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(0.002895, rel=1e-3)
     assert exact_failure_bound(272, 1886, 396_900, 1, CHAIN) == pytest.approx(7.718e-05, rel=1e-3)
     assert exact_measurements(0.5, 1886, 396_900, 1, CHAIN) == 37
     assert exact_failure_bound(37, 1886, 396_900, 1, CHAIN) == pytest.approx(0.4185, abs=1e-4)
@@ -262,7 +208,7 @@ def test_exact_failure_bound_is_at_most_dasgupta_gupta_and_falls_with_n():
         for lower_pairs in (1, 7, 30, 396_900, 10**12):
             for band in (CHAIN, DISTORTION_BAND, (0.8, 1.05)):
                 exact = [exact_failure_bound(n, d, lower_pairs, 1, band) for n in range(1, d + 1)]
-                loose = [failure_bound(n, d, lower_pairs, 1, band) for n in range(1, d + 1)]
+                loose = [dasgupta_gupta_bound(n, d, lower_pairs, 1, band) for n in range(1, d + 1)]
                 assert all(0.0 <= e <= f <= 1.0 for e, f in zip(exact, loose))
                 assert all(later <= earlier for earlier, later in zip(exact, exact[1:]))
                 assert exact[-1] == 0.0
@@ -278,7 +224,7 @@ def test_exact_failure_bound_edges():
     assert exact_failure_bound(1000, 1886, 1, 0) == math.exp(log_betainc(a, b, 0.25 * 1000 / 1886))
     assert exact_failure_bound(2, 1886, 10**12, 0) == 1.0
     assert exact_failure_bound(5, 1886, 0, 0) == 0.0
-    assert 0.0 < exact_failure_bound(3000, 4000, 10**400, 1) < failure_bound(3000, 4000, 10**400, 1)
+    assert 0.0 < exact_failure_bound(3000, 4000, 10**400, 1) < dasgupta_gupta_bound(3000, 4000, 10**400, 1)
     for args in ((0, 8, 1, 1), (3, 0, 1, 1), (3, 8, -1, 1), (3, 8, 1, -1)):
         with pytest.raises(UsageError):
             exact_failure_bound(*args)
@@ -306,17 +252,6 @@ def test_the_exact_certificate_can_fail_at_its_rate():
         broken += bool(np.any(ratios[:centers] < CHAIN[0]) or ratios[centers] > CHAIN[1])
     rate = broken / draws
     assert 0.25 < rate <= bound + 3.0 * math.sqrt(bound * (1.0 - bound) / draws)
-
-
-def test_required_measurements_rejects_bad_input():
-    with pytest.raises(UsageError):
-        required_measurements(0.0, 8)
-    with pytest.raises(UsageError):
-        required_measurements(1.0, 8)
-    with pytest.raises(UsageError):
-        required_measurements(0.5, 1)
-    with pytest.raises(UsageError):
-        required_measurements(0.5, 8, jl_constant=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +614,53 @@ def test_distortion_hand_computed_failure():
     assert report.pairs_checked == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(2, 12),
+    k=st.integers(1, 40),
+    rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    copies=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from([0.0, 1e-15, 1e-12, 1e-6])),
+        max_size=6,
+    ),
+)
+@example(m=2, k=1, rows=1, seed=0, scale=1.0, copies=[])
+@example(m=2, k=1, rows=1, seed=0, scale=1.0, copies=[(0, 1, 0.0)])
+@example(m=3, k=5, rows=2, seed=1, scale=1.0, copies=[(0, 1, 1e-15), (0, 2, 0.0)])
+def test_pairwise_distances_match_pdist(m, k, rows, seed, scale, copies):
+    # Each pair's difference is rounded once, as in pdist; only the order of
+    # its sum of squares differs.  Coincident rows (a copy at offset 0) and
+    # near-coincident ones (a copy moved by a small relative offset) included.
+    from scipy.spatial.distance import pdist
+
+    rng = np.random.default_rng(seed)
+    points = scale * rng.normal(size=(m, k))
+    for source, target, offset in copies:
+        points[target % m] = points[source % m] * (1.0 + offset * rng.normal(size=k))
+    expected = pdist(points)
+    got = jl._pairwise_distances(points)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+    # distortion_ok skips the same coincident pairs and sees the same ratios.
+    op = random_subspace(k, min(rows, k), seed=seed)
+    report = distortion_ok(op, points)
+    nonzero = expected > 0.0
+    assert report.pairs_checked == np.count_nonzero(nonzero)
+    if report.pairs_checked:
+        ratios = pdist(points @ op.frame.T)[nonzero] / expected[nonzero]
+        assert report.min_ratio == pytest.approx(ratios.min(), rel=1e-13, abs=0.0)
+        assert report.max_ratio == pytest.approx(ratios.max(), rel=1e-13, abs=0.0)
+    else:
+        assert report.ok and report.min_ratio is None and report.max_ratio is None
+
+
 def test_distortion_band_usually_holds_at_formula_count():
     rng = np.random.default_rng(42)
     points = rng.normal(size=(64, 512))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
-    n = required_measurements(0.5, 64)
+    n = math.ceil(20.0 * math.log(64 / 0.5))  # 98 rows, the union-bound rule at c 20
     hits = sum(
         distortion_ok(random_subspace(512, n, seed=s), points).ok for s in range(30)
     )

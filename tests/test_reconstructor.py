@@ -16,7 +16,7 @@ from netsketch.errors import AmbientTooSmallError, NetTooLargeError, UsageError
 from netsketch.experiment import audit_trial
 from netsketch.function_classes import PiecewiseSmoothClass, SmoothClass, TailDecayModel
 from netsketch.hilbert import DEFAULT_AMBIENT_DIM, tail_norm
-from netsketch.jl import apply_operator, exact_failure_bound, exact_measurements, required_measurements
+from netsketch.jl import apply_operator, exact_failure_bound, exact_measurements
 from netsketch.reconstructor import (
     add_noise,
     measure,
@@ -122,7 +122,7 @@ def test_preprocess_clamps_operator_at_truncation_dimension():
     rng = np.random.default_rng(3)
     s = preprocess(family, 3.0, 0.5, model, rng)
     assert s.d == 2
-    assert required_measurements(0.5, s.net.size + 1) > s.d
+    assert exact_measurements(0.5, s.d, s.net.size, 1, s.budget.band) == s.d
     assert s.n == 2
     assert s.clamped
     # a clamped operator is a full orthogonal map: exact isometry
