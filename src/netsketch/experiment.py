@@ -375,10 +375,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     # The measurement lower bound is stated at eps, not at the net's
     # resolution r, so it counts a second net at eps; lay it out before any
     # trial runs.
-    try:
-        entropy_bits_at_eps = build_net(family, config.eps).entropy_bits
-    except UsageError as error:
-        raise UsageError(f"the net at eps = {config.eps!r}: {error}") from error
+    entropy_bits_at_eps = build_net(family, config.eps).entropy_bits
     tail_model = fit_class_tail_model(
         family,
         config.tail_samples,

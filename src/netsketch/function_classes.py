@@ -25,7 +25,6 @@ import numpy as np
 from .errors import UsageError
 from .hilbert import (
     MAX_PIECE_DEGREE,
-    TWO_PI,
     _SQRT_2PI,
     PiecewiseDescription,
     Signal,
@@ -94,10 +93,10 @@ class FunctionClass:
     onto it and round a member onto it, through three hooks:
     ``member(breakpoints, values)`` builds the center at a configuration and
     one value per axis, and its coefficients must be linear in ``values``,
-    with no offset; ``snap_breakpoints(plan, member)`` gives the grid indices
-    of a configuration for a member's breakpoints, from the grid cells
-    ``plan.cell`` names; and ``coordinates(plan, member, breakpoints)`` gives
-    the member's unsnapped value on each axis, given its snapped breakpoints.
+    with no offset; ``breakpoints(member)`` gives the member's interior
+    breakpoints, which ``NetPlan.snap``, the one snap rule, takes to a
+    configuration; and ``coordinates(plan, member, breakpoints)`` gives the
+    member's unsnapped value on each axis, given its snapped breakpoints.
     """
 
     def to_signal(self, member, ambient_dim: int) -> Signal:
@@ -112,7 +111,7 @@ class FunctionClass:
         """Exact ``|x - prefix|`` as ``sqrt(|x|^2 - |prefix|^2)``, to ``1e-16 |x|^2 / tail^2`` relative."""
         return math.sqrt(max(self.norm(member) ** 2 - float(prefix @ prefix), 0.0))
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
+    def breakpoints(self, member) -> tuple[float, ...]:
         return ()
 
 
@@ -307,12 +306,13 @@ class PiecewiseSmoothClass(FunctionClass):
         ``step_m``.  Let ``B_m`` be the degree-``m`` bound and ``delta = pi /
         P`` half a cell.  For a member with all ``s`` breakpoints:
 
-        - Positions.  Each breakpoint moves at most ``delta``, and the gap rule
-          never bumps one.  With ``s > 1`` the nominal pitch is at most
+        - Positions.  Each breakpoint moves at most ``delta``, to its cell's
+          point.  With ``s > 1`` the nominal pitch is at most
           ``min_gap / 4`` and at least ``2 delta``, so ``index_gap <= ceil(z) -
           2`` for ``z = min_gap / (2 delta)``, while breakpoints ``min_gap``
           apart fall ``floor(z) >= ceil(z) - 1`` or more cells apart: a cell to
-          spare for the rounding of ``(b + pi) / (2 delta)``.  The same bound
+          spare for the rounding of ``(b + pi) / (2 delta)``.  So
+          ``NetPlan.snap`` neither bumps nor pulls back any.  The same bound
           leaves ``P - (s - 1)(index_gap - 1) > 2 (s - 1) >= s``, so every
           layout has a configuration.
         - Moved regions.  The member and its witness take different pieces
@@ -335,9 +335,10 @@ class PiecewiseSmoothClass(FunctionClass):
           = eps1^2 / 2``, and the pitch ``eps1^2 / (s h^2)`` keeps ``s delta
           h^2 <= eps1^2 / 2`` (``position_grid``).
 
-        A member with fewer breakpoints is snapped with extra ones after its
-        last; at degree 0 that splits a constant and the bound holds, but at
-        higher degree a split piece's coefficients can pass ``R_m``.
+        A member with fewer breakpoints is padded after its last and pulled
+        back from the grid's end, and need not be covered: a pulled-back
+        breakpoint moves more than ``delta``, and at higher degree a split
+        piece's coefficients can pass ``R_m``.
         """
         s, degree = self.max_jumps, self.degree
         bounds = self.coefficient_bounds()
@@ -379,20 +380,8 @@ class PiecewiseSmoothClass(FunctionClass):
         )
         return PiecewiseDescription(breakpoints=breakpoints, piece_coefficients=pieces)
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
-        if self.max_jumps == 0:
-            return ()
-        count = plan.breakpoint_count
-        indices = [max(0, min(count - 1, plan.cell(b))) for b in member.breakpoints.tolist()]
-        # Enforce distinctness and the configuration gap, bumping forward.
-        for t in range(1, len(indices)):
-            indices[t] = max(indices[t], indices[t - 1] + plan.index_gap)
-        while len(indices) < self.max_jumps:
-            candidate = (indices[-1] + plan.index_gap) if indices else 0
-            indices.append(candidate)
-        if indices and indices[-1] >= count:
-            raise UsageError("member breakpoints cannot be snapped into the net grid")
-        return tuple(indices)
+    def breakpoints(self, member: PiecewiseDescription) -> np.ndarray:
+        return member.breakpoints
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
         """Piece ``j``'s polynomial about snapped piece ``j``'s midpoint, piece by piece.
@@ -414,29 +403,6 @@ class PiecewiseSmoothClass(FunctionClass):
 # ---------------------------------------------------------------------------
 
 
-def _circle_steps(positions, levels) -> PiecewiseDescription:
-    """The step function that takes ``levels[i]`` from ``positions[i]`` on.
-
-    ``positions`` increase in [-pi, pi).  The last level wraps onto
-    [-pi, positions[0]), so a position at -pi is no interior breakpoint.
-    """
-    positions = tuple(float(p) for p in positions)
-    levels = tuple((float(v),) for v in levels)
-    if positions[0] == -math.pi:
-        return PiecewiseDescription(positions[1:], levels)
-    return PiecewiseDescription(positions, (levels[-1], *levels))
-
-
-def _circle_jumps(steps: PiecewiseDescription) -> tuple[float, ...]:
-    """A step description's jump positions on the circle, increasing in [-pi, pi).
-
-    -pi when its end levels differ, then its interior breakpoints.
-    """
-    pieces = steps.piece_coefficients
-    wrap = (-math.pi,) if pieces[0][0] != pieces[-1][0] else ()
-    return wrap + tuple(float(b) for b in steps.breakpoints)
-
-
 @dataclass(frozen=True)
 class AnalyticStepMember:
     """Analytic coefficients plus a piecewise-constant step component."""
@@ -456,7 +422,8 @@ class PiecewiseAnalyticClass(FunctionClass):
 
     The analytic part satisfies ``|c_i| <= K exp(-eta j)`` where ``j`` is the
     frequency of basis index ``i``; the step part has at most ``max_jumps``
-    jumps on the circle, a jump at +/-pi included, with levels in ``[-K, K]``.
+    interior breakpoints, as ``PiecewiseSmoothClass`` counts them (a jump at
+    +/-pi is implied), with levels in ``[-K, K]``.
     """
 
     max_jumps: int
@@ -465,8 +432,8 @@ class PiecewiseAnalyticClass(FunctionClass):
     zero = AnalyticStepMember(Signal(np.zeros(1)), PiecewiseSmoothClass.zero)
 
     def __post_init__(self) -> None:
-        if self.max_jumps < 1:
-            raise UsageError(f"max_jumps must be >= 1, got {self.max_jumps!r}")
+        if self.max_jumps < 0:
+            raise UsageError(f"max_jumps must be >= 0, got {self.max_jumps!r}")
         if not self.strip_width > 0.0:
             raise UsageError(f"strip_width must be positive, got {self.strip_width!r}")
         if not self.amplitude > 0.0:
@@ -486,9 +453,10 @@ class PiecewiseAnalyticClass(FunctionClass):
     def sample(self, rng: np.random.Generator, ambient_dim: int) -> AnalyticStepMember:
         envelope = self.coefficient_envelope(ambient_dim)
         smooth = Signal(envelope * rng.uniform(-1.0, 1.0, ambient_dim))
-        positions = np.sort(rng.uniform(-math.pi, math.pi, self.max_jumps))
-        levels = rng.uniform(-self.amplitude, self.amplitude, self.max_jumps)
-        return AnalyticStepMember(smooth=smooth, steps=_circle_steps(positions, levels))
+        breakpoints = np.sort(rng.uniform(-math.pi, math.pi, self.max_jumps))
+        levels = rng.uniform(-self.amplitude, self.amplitude, self.max_jumps + 1)
+        steps = PiecewiseDescription(breakpoints, tuple((float(v),) for v in levels))
+        return AnalyticStepMember(smooth=smooth, steps=steps)
 
     def coefficient_prefix(self, member: AnalyticStepMember, dim: int) -> np.ndarray:
         smooth = pad_or_truncate(member.smooth.coefficients, dim)
@@ -502,7 +470,7 @@ class PiecewiseAnalyticClass(FunctionClass):
         envelope = self.coefficient_envelope(member.smooth.ambient_dim)
         if np.any(np.abs(member.smooth.coefficients) > envelope * (1.0 + tolerance) + 1e-300):
             return False
-        if len(_circle_jumps(member.steps)) > self.max_jumps:
+        if len(member.steps.breakpoints) > self.max_jumps:
             return False
         level_cap = self.amplitude * (1.0 + tolerance)
         return all(
@@ -524,69 +492,61 @@ class PiecewiseAnalyticClass(FunctionClass):
         return math.sqrt(max(total, 0.0))
 
     def net_plan(self, eps1: float) -> NetPlan:
-        kappa, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
-        # Step positions, step levels, coefficient rounding and the coefficient
-        # tail each get a quarter of eps1.  The snap steps past grid points
-        # already taken, so a position may move more than half a cell: the
-        # pitch budgets a whole cell per step, (eps1/4)^2 / (kappa (2K)^2).
-        count, _ = position_grid((eps1 / 4.0) ** 2 / (kappa * (2.0 * big_k) ** 2))
-        if count < kappa:
-            raise UsageError(
-                f"step-position grid at eps1 = {eps1!r} has {count}"
-                f" points, fewer than max_jumps = {kappa}"
-            )
+        """``s + 1`` levels on ``PiecewiseSmoothClass``'s degree-0 layout, then coefficients ``1 .. 2F``.
+
+        The levels carry the constant: there is no ``c_0`` axis.  The witness
+        (``nets.round_coordinates``) gives snapped piece ``j`` the level of
+        the member's piece ``j`` (its last, past its last) plus ``c_0 / sqrt(2
+        pi)``.  Its error has three parts, with ``q = exp(-eta)``:
+
+        - Tail.  ``F`` is the least frequency with ``K q^F / (1 - q) <= eps1
+          / 4``; past it the norm is at most ``sqrt(2) K q^(F+1) / sqrt(1 -
+          q^2)``, below ``eps1 / 4``.
+        - Coefficients.  ``2F`` of them, rounded at ``coeff_step``: ``eps1 /
+          4`` in norm.
+        - Steps.  Each breakpoint moves at most ``s - 1/2`` cells
+          (``NetPlan.snap``), so the pieces' indices differ on a set of
+          measure at most ``s (s - 1/2) 2 pi / P``.  There the two differ by
+          at most ``h = 2K + level_step / 2`` (the ``c_0`` shift cancels);
+          elsewhere by the level rounding alone, ``eps1 / 4`` in norm.  The
+          pitch ``(eps1 / 4)^2 / (s (s - 1/2) h^2)`` keeps the first set's
+          part within ``(eps1 / 4)^2`` too: the steps are within ``sqrt(2)
+          eps1 / 4``.
+
+        In all, ``(2 + sqrt(2)) eps1 / 4 < eps1``.  The level axes reach ``K
+        (1 + 1 / sqrt(2 pi))``, so no level clamps.  And ``h >= level_step /
+        2`` gives ``(eps1 / 4)^2 <= 2 pi h^2``: the pitch is at most ``2 pi /
+        (s (s - 1/2))``, so ``P >= s`` and every layout has a configuration.
+        """
+        s, big_k, eta = self.max_jumps, self.amplitude, self.strip_width
         level_step = eps1 / (2.0 * _SQRT_2PI)
-        axes = [AxisLog(count=grid_count(big_k, level_step), step=level_step)] * kappa
+        height = 2.0 * big_k + level_step / 2.0
+        count = position_grid((eps1 / 4.0) ** 2 / (s * (s - 0.5) * height**2))[0] if s else 0
+        level = AxisLog(count=grid_count(big_k * (1.0 + 1.0 / _SQRT_2PI), level_step), step=level_step)
         ratio = 4.0 * big_k / ((1.0 - math.exp(-eta)) * eps1)
         freq_cut = max(1, int(math.ceil(math.log(max(ratio, 1.0 + 1e-12)) / eta)))
-        n_coeffs = 2 * freq_cut + 1
-        coeff_step = eps1 / (2.0 * math.sqrt(n_coeffs))
-        envelope = self.coefficient_envelope(n_coeffs)
+        coeff_step = eps1 / (2.0 * math.sqrt(2 * freq_cut))
+        envelope = self.coefficient_envelope(2 * freq_cut + 1)
+        axes = [level] * (s + 1)
         axes.extend(
             AxisLog(count=grid_count(envelope[i], coeff_step), step=coeff_step)
-            for i in range(n_coeffs)
+            for i in range(1, 2 * freq_cut + 1)
         )
-        return NetPlan(
-            eps1=eps1,
-            axes=tuple(axes),
-            breakpoint_count=count,
-            jumps=kappa,
-        )
+        return NetPlan(eps1=eps1, axes=tuple(axes), breakpoint_count=count, jumps=s)
 
     def member(self, breakpoints, values) -> AnalyticStepMember:
-        kappa = self.max_jumps
-        steps = _circle_steps(breakpoints, values[:kappa])
-        return AnalyticStepMember(smooth=Signal(np.array(values[kappa:])), steps=steps)
+        s = self.max_jumps
+        steps = PiecewiseDescription(breakpoints, tuple((v,) for v in values[: s + 1]))
+        return AnalyticStepMember(smooth=Signal(np.array([0.0, *values[s + 1 :]])), steps=steps)
 
-    def snap_breakpoints(self, plan: NetPlan, member) -> tuple[int, ...]:
-        """Nearest free grid points on the circle, moving on past taken ones."""
-        count = plan.breakpoint_count
-        taken: set[int] = set()
-        indices: list[int] = []
-        for b in _circle_jumps(member.steps):
-            idx = plan.cell(b) % count
-            while idx in taken:
-                idx = (idx + 1) % count
-            taken.add(idx)
-            indices.append(idx)
-        while len(indices) < self.max_jumps:
-            idx = 0
-            while idx in taken:
-                idx += 1
-            if idx >= count:
-                raise UsageError("step positions cannot be snapped into the net grid")
-            taken.add(idx)
-            indices.append(idx)
-        return tuple(sorted(indices))
+    def breakpoints(self, member: AnalyticStepMember) -> np.ndarray:
+        return member.steps.breakpoints
 
     def coordinates(self, plan: NetPlan, member, breakpoints) -> list[float]:
-        """The step levels at the snapped arcs' midpoints, then the coefficients."""
-        arcs = np.array([*breakpoints, breakpoints[0] + TWO_PI])
-        midpoints = np.mod(0.5 * (arcs[:-1] + arcs[1:]) + math.pi, TWO_PI) - math.pi
-        coefficients = pad_or_truncate(
-            member.smooth.coefficients, len(plan.axes) - self.max_jumps
-        )
-        return [*member.steps.evaluate(midpoints), *coefficients]
+        """Snapped piece ``j`` at the member's piece ``j`` (its last, past its last) plus ``c_0 / sqrt(2 pi)``, then coefficients ``1 ..``."""
+        coefficients = pad_or_truncate(member.smooth.coefficients, len(plan.axes) - self.max_jumps)
+        levels = [coeffs[0] + coefficients[0] / _SQRT_2PI for coeffs in member.steps.piece_coefficients]
+        return [*(levels[min(j, len(levels) - 1)] for j in range(self.max_jumps + 1)), *coefficients[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ to count one, so counting works at any scale.  This module alone reads the
 plan: center ``k`` is the same member in every walk of the net, whether
 ``enumerate_members`` lists it, a decoder returns its index, or
 ``round_coordinates`` rounds a member onto it.  A class supplies only hooks:
-``net_plan``, ``member``, ``snap_breakpoints`` and ``coordinates`` (see
-``function_classes.FunctionClass``).  ``build_net`` labels a net by the
-decoder its plan calls for and, given the truncation dimension ``d``, builds
-that decoder from the plan:
+``net_plan``, ``member``, ``breakpoints`` and ``coordinates`` (see
+``function_classes.FunctionClass``); ``NetPlan.snap`` is the one snap rule.
+``build_net`` labels a net by the decoder its plan calls for and, given the
+truncation dimension ``d``, builds that decoder from the plan:
 
 - ``factored``: plans marked ``factored`` (single-jump piecewise-constant
   classes), at any size: ``FactoredStepDecoder`` gets every breakpoint's
@@ -32,13 +32,15 @@ Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
 rounding error never exceeds half a step even at the boundary.  Breakpoint
 grids are uniform with ``2^a 3^b 5^c`` points (``position_grid``), so the
-step decoder's length-``P`` FFTs have no large prime factor; a breakpoint
-snapped onto one moves at most half a cell.  A piecewise net's error is then
-exact in two disjoint parts: on the moved regions, of measure at most half a
-cell per breakpoint, the member and its rounding differ by at most a bounded
-height ``h``; everywhere else they differ by the coefficient rounding alone.
-Squared errors of disjoint regions add, so the net splits ``eps1^2`` between
-the two (``PiecewiseSmoothClass.net_plan``).
+step decoder's length-``P`` FFTs have no large prime factor; ``NetPlan.snap``
+moves a breakpoint at most half a cell, or, at index gap 1, ``s - 1/2``
+cells when it bumps or pulls one back.  A piecewise net's error is then
+exact in two disjoint parts: on the moved regions, of measure at most that
+much per breakpoint, the member and its rounding differ by at most a
+bounded height ``h``; everywhere else they differ by the coefficient
+rounding alone.  Squared errors of disjoint regions add, so the net splits
+``eps1^2`` between the two (``PiecewiseSmoothClass.net_plan``,
+``PiecewiseAnalyticClass.net_plan``).
 """
 
 from __future__ import annotations
@@ -732,7 +734,8 @@ class NetPlan:
     The net is every choice of one of ``config_count`` breakpoint
     configurations (``jumps`` of the ``breakpoint_count`` grid points,
     consecutive indices at least ``index_gap`` apart) times one point on
-    each axis.  The grid, ``positions``, is built on first use only.
+    each axis.  The grid, ``positions``, is built on first use only;
+    ``snap`` takes a member's breakpoints to a configuration.
     ``factored``: one jump and two axes on one level grid, which
     ``FactoredStepDecoder`` searches at any size without enumerating the net.
     """
@@ -774,9 +777,25 @@ class NetPlan:
         for combo in iter_gap_tuples(positions.size, self.jumps, self.index_gap):
             yield tuple(float(positions[i]) for i in combo)
 
-    def cell(self, b: float) -> int:
-        """The unclamped index ``p`` of the cell ``[-pi + p 2 pi / P, -pi + (p + 1) 2 pi / P)`` holding ``b``."""
-        return int(math.floor((b + math.pi) / (TWO_PI / self.breakpoint_count)))
+    def snap(self, breakpoints: Sequence[float]) -> tuple[int, ...]:
+        """The configuration, by grid index, that increasing ``breakpoints`` snap to.
+
+        Breakpoint ``t`` takes its cell ``[-pi + p 2 pi / P, -pi + (p + 1) 2
+        pi / P)``, clamped to the grid, or ``index_gap`` past breakpoint ``t -
+        1``'s index if that is later; missing ones follow the last,
+        ``index_gap`` apart; then index ``t`` is capped at ``P - 1 - (jumps -
+        1 - t) index_gap``.  Each pass keeps the gaps, and breakpoint ``t``
+        lands at most ``max(t, jumps - 1 - t)`` gaps from its cell: at
+        ``index_gap`` 1, within ``jumps - 1/2`` cells of where it was.
+        """
+        count, gap, jumps = self.breakpoint_count, self.index_gap, self.jumps
+        indices = []
+        for b in breakpoints:
+            cell = max(0, min(count - 1, int(math.floor((b + math.pi) / (TWO_PI / count)))))
+            indices.append(max(cell, indices[-1] + gap) if indices else cell)
+        while len(indices) < jumps:
+            indices.append(indices[-1] + gap if indices else 0)
+        return tuple(min(index, count - 1 - (jumps - 1 - t) * gap) for t, index in enumerate(indices))
 
 
 def enumerate_members(family, plan: NetPlan) -> Iterator:
@@ -790,12 +809,12 @@ def enumerate_members(family, plan: NetPlan) -> Iterator:
 def round_coordinates(family, plan: NetPlan, member) -> tuple[tuple, tuple]:
     """``(breakpoints, values)`` of the center of ``plan``'s net that witnesses the covering of ``member``.
 
-    ``family.snap_breakpoints`` picks the member's grid points by index, and
-    ``family.coordinates`` gives its unsnapped value on each axis, which is
+    ``plan.snap`` picks the grid points of ``family.breakpoints(member)`` by
+    index, and ``family.coordinates`` gives its unsnapped value on each axis, which is
     snapped onto that axis.  The result compares equal to a decode's
     ``coordinates`` exactly when the decoded center is this one.
     """
-    breakpoints = tuple(float(plan.positions[i]) for i in family.snap_breakpoints(plan, member))
+    breakpoints = tuple(float(plan.positions[i]) for i in plan.snap(family.breakpoints(member)))
     coordinates = family.coordinates(plan, member, breakpoints)
     values = tuple(axis.snap(float(value)) for axis, value in zip(plan.axes, coordinates, strict=True))
     return breakpoints, values

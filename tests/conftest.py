@@ -137,7 +137,7 @@ def recursion_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
 
 def _point_values(member):
     """A smooth, piecewise or analytic member's point evaluator and its jumps."""
-    if hasattr(member, "steps"):  # analytic: smooth part plus steps on the circle
+    if hasattr(member, "steps"):  # analytic: coefficients plus a piecewise-constant description
         return (
             lambda t: synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t),
             member.steps.breakpoints,

@@ -747,39 +747,6 @@ def test_run_experiment_propagates_preprocess_errors():
         run_experiment(load_experiment_config(SMOOTH_CONFIG), jobs=0)
 
 
-# The net at eps / 6 lays out; the net at eps itself does not.  A piecewise
-# net always lays out: its pitch stays under min_gap / 2, which leaves every
-# grid a configuration (PiecewiseSmoothClass.net_plan).
-COARSE_REFUSALS = {
-    "analytic": (
-        "class = analytic\nmax_jumps = 3\nstrip_width = 1.0\namplitude = 1.0\neps = 60\n",
-        "step-position grid at eps1 = 60.0 has 1 points",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(COARSE_REFUSALS))
-def test_a_refused_layout_at_eps_runs_no_trial(monkeypatch, name):
-    text, reason = COARSE_REFUSALS[name]
-    config = load_experiment_config(
-        text + "p = 0.5\ntrials = 2\nmode = fixed_w\nseed = 3\nambient_dim = 512\n"
-        "tail_samples = 10\ntail_dims = 32,64,128\n"
-    )
-    build_net(config.family, config.eps / 6.0)  # the run's own net lays out
-    started = []
-    trial = experiment._run_trial
-
-    def counted_trial(*args, **kwargs):
-        started.append(None)
-        return trial(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "_run_trial", counted_trial)
-    with pytest.raises(UsageError, match="the net at eps = ") as refusal:
-        run_experiment(config)
-    assert reason in str(refusal.value)
-    assert started == []
-
-
 @pytest.mark.parametrize("above", [False, True])
 def test_within_ball_holds_up_to_twice_eps1_plus_the_noise_shift(monkeypatch, above):
     # Every decode lands exactly on the ball's edge, or one float above it.

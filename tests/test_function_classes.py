@@ -226,17 +226,26 @@ def test_analytic_samples_are_members():
         assert len(member.steps.breakpoints) == 2
 
 
-def test_analytic_contains_counts_the_jump_at_pi():
+def test_analytic_max_jumps_counts_interior_breakpoints():
     cls = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
 
-    def member(*levels):
-        steps = PiecewiseDescription((-1.0, 1.0), tuple((v,) for v in levels))
+    def member(breakpoints, *levels):
+        steps = PiecewiseDescription(breakpoints, tuple((v,) for v in levels))
         return AnalyticStepMember(Signal(np.zeros(8)), steps)
 
-    # Two interior breakpoints are max_jumps jumps while the end levels meet
-    # at +/-pi; unequal end levels jump there a third time.
-    assert cls.contains(member(0.5, -0.5, 0.5))
-    assert not cls.contains(member(0.5, -0.5, 0.25))
+    # The jump at +/-pi is implied: two interior breakpoints are max_jumps
+    # whether or not the end levels meet there, and fewer are members too.
+    assert cls.contains(member((-1.0, 1.0), 0.5, -0.5, 0.5))
+    assert cls.contains(member((-1.0, 1.0), 0.5, -0.5, 0.25))
+    assert cls.contains(member((), 0.5))
+    assert not cls.contains(member((-1.0, 0.0, 1.0), 0.5, -0.5, 0.5, 0.25))
+    # max_jumps = 0 is the analytic part plus a constant, and one jump is one
+    # interior breakpoint.
+    assert PiecewiseAnalyticClass(0, 0.5, 1.0).contains(member((), 0.5))
+    assert not PiecewiseAnalyticClass(0, 0.5, 1.0).contains(member((0.0,), 0.5, 0.5))
+    assert PiecewiseAnalyticClass(1, 0.5, 1.0).contains(member((0.0,), 0.5, -0.5))
+    with pytest.raises(UsageError, match="max_jumps must be >= 0"):
+        PiecewiseAnalyticClass(-1, 0.5, 1.0)
 
 
 def _quadrature_cases():

@@ -21,7 +21,6 @@ from conftest import (
     synthesize,
 )
 from netsketch.errors import UsageError
-from netsketch.function_classes import _circle_steps
 from netsketch.hilbert import (
     MAX_PIECE_DEGREE,
     PiecewiseDescription,
@@ -107,16 +106,13 @@ def test_step_envelope_slope_is_minus_one():
 # ---------------------------------------------------------------------------
 
 
-def random_description(rng: np.random.Generator, circle: bool = False) -> PiecewiseDescription:
-    """Random polynomial pieces of degree up to 4, or steps on the circle.
-
-    The circle's steps start inside (-pi, pi), so the last level wraps
-    through +/-pi onto the first piece.
-    """
+def random_description(rng: np.random.Generator, steps: bool = False) -> PiecewiseDescription:
+    """Random polynomial pieces of degree up to 4, or constant pieces anywhere in (-pi, pi)."""
     num_jumps = int(rng.integers(1, 4))
-    if circle:
+    if steps:
         positions = np.sort(rng.uniform(-math.pi, math.pi, size=num_jumps))
-        return _circle_steps(positions, rng.uniform(-1.0, 1.0, size=num_jumps))
+        levels = rng.uniform(-1.0, 1.0, size=num_jumps + 1)
+        return PiecewiseDescription(positions, tuple((level,) for level in levels))
     points = np.sort(rng.uniform(-2.5, 2.5, size=num_jumps))
     pieces = tuple(
         rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 6))) for _ in range(num_jumps + 1)
@@ -124,11 +120,11 @@ def random_description(rng: np.random.Generator, circle: bool = False) -> Piecew
     return PiecewiseDescription(breakpoints=points, piece_coefficients=pieces)
 
 
-@pytest.mark.parametrize("circle", [False, True])
+@pytest.mark.parametrize("steps", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_analyze_matches_quadrature_oracle(circle, seed):
+def test_analyze_matches_quadrature_oracle(steps, seed):
     rng = np.random.default_rng(seed)
-    desc = random_description(rng, circle)
+    desc = random_description(rng, steps)
     computed = analyze_piecewise(desc, ambient_dim=128).coefficients
     expected = oracle_trig_coefficients(desc, ambient_dim=128)
     np.testing.assert_allclose(computed, expected, atol=1e-8)
@@ -305,9 +301,9 @@ def test_tail_norm_decreasing_in_dimension():
 
 def test_exact_l2_distance_matches_quadrature():
     rng = np.random.default_rng(23)
-    for circle in (False, True):
-        a = random_description(rng, circle)
-        b = random_description(rng, circle)
+    for steps in (False, True):
+        a = random_description(rng, steps)
+        b = random_description(rng, steps)
         edges = sorted({-math.pi, math.pi, *a.breakpoints, *b.breakpoints})
         total = 0.0
         for start, end in zip(edges[:-1], edges[1:]):
@@ -329,35 +325,29 @@ def test_exact_l2_distance_mixed_models():
         breakpoints=np.array([0.5]),
         piece_coefficients=(np.array([1.0]), np.array([2.0])),
     )
-    # Steps at 0.5 and 2.5 with levels 2 and 1: the level 1 wraps through
-    # +/-pi, so they are 1, 2, 1 on the interval, bit for bit.
-    arc = _circle_steps((0.5, 2.5), (2.0, 1.0))
-    same = PiecewiseDescription(
+    # The two differ by 1 on [2.5, pi] alone.
+    steps = PiecewiseDescription(
         breakpoints=np.array([0.5, 2.5]),
         piece_coefficients=(np.array([1.0]), np.array([2.0]), np.array([1.0])),
     )
-    assert arc.breakpoints.tobytes() == same.breakpoints.tobytes()
-    assert [c.tobytes() for c in arc.piece_coefficients] == [
-        c.tobytes() for c in same.piece_coefficients
-    ]
-    assert exact_l2_distance(same, arc) == 0.0
-    assert exact_l2_distance(interval, arc) > 0.5
+    assert exact_l2_distance(steps, steps) == 0.0
+    assert exact_l2_distance(interval, steps) == pytest.approx(math.sqrt(math.pi - 2.5), rel=1e-14)
 
 
 @st.composite
-def circle_step_descriptions(draw):
-    """One to four steps on the circle, at times with a position at -pi."""
-    positions = draw(
-        st.sets(st.just(-math.pi) | st.floats(-3.14, 3.14), min_size=1, max_size=4)
-    )
-    levels = [draw(st.floats(-1.0, 1.0)) for _ in positions]
-    return _circle_steps(sorted(positions), levels)
+def step_descriptions(draw):
+    """Zero to four breakpoints with constant pieces, at times with equal end levels."""
+    points = sorted(draw(st.sets(st.floats(-3.14, 3.14), max_size=4)))
+    levels = [draw(st.floats(-1.0, 1.0)) for _ in range(len(points) + 1)]
+    if draw(st.booleans()):
+        levels[-1] = levels[0]
+    return PiecewiseDescription(np.array(points), tuple((level,) for level in levels))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    a=piecewise_descriptions() | circle_step_descriptions(),
-    b=piecewise_descriptions() | circle_step_descriptions(),
+    a=piecewise_descriptions() | step_descriptions(),
+    b=piecewise_descriptions() | step_descriptions(),
 )
 def test_exact_l2_distance_matches_the_fraction_oracle(a, b):
     # Every breakpoint, midpoint, coefficient and +/-pi is a float, hence a
@@ -370,7 +360,7 @@ def test_exact_l2_distance_matches_the_fraction_oracle(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    description=piecewise_descriptions() | circle_step_descriptions(),
+    description=piecewise_descriptions() | step_descriptions(),
     between=st.floats(0.0, 1.0),
 )
 def test_piece_lookup_counts_breakpoints_as_searchsorted_does(description, between):
@@ -386,7 +376,7 @@ def test_piece_lookup_counts_breakpoints_as_searchsorted_does(description, betwe
 
 
 @settings(max_examples=200, deadline=None)
-@given(description=piecewise_descriptions() | circle_step_descriptions())
+@given(description=piecewise_descriptions() | step_descriptions())
 def test_piecewise_norm_is_the_distance_to_zero_bit_for_bit(description):
     zero = PiecewiseDescription((), ((0.0,),))
     assert piecewise_norm(description).hex() == exact_l2_distance(description, zero).hex()
@@ -430,33 +420,6 @@ def test_piecewise_evaluate_interval_model():
     t = np.array([-3.0, -1.0, 0.5, 1.0, 2.5, math.pi])
     expected = np.array([1.0, -1.5, 0.0, 0.5, 3.0, 3.0])
     np.testing.assert_allclose(desc.evaluate(t), expected, rtol=1e-14)
-
-
-def arc_lookup(positions, levels, t):
-    """The level of the arc from ``positions[i]`` to the next position round
-    the circle that holds each ``t``."""
-    starts = np.asarray(positions, dtype=float)
-    lengths = np.mod(np.roll(starts, -1) - starts, 2 * math.pi)
-    lengths[lengths == 0.0] = 2 * math.pi  # one position: one arc, the whole circle
-    inside = np.mod(t[:, None] - starts[None, :], 2 * math.pi) < lengths
-    assert np.all(inside.sum(axis=1) == 1)
-    return np.asarray(levels)[np.argmax(inside, axis=1)]
-
-
-def test_piecewise_evaluate_periodic_wraps():
-    # Steps on the circle, with the first at -pi in every other case, read
-    # at random points, at -pi and at every position.
-    rng = np.random.default_rng(29)
-    for case in range(16):
-        count = int(rng.integers(1, 5))
-        positions = np.sort(rng.uniform(-math.pi, math.pi, size=count))
-        if case % 2:
-            positions[0] = -math.pi
-        levels = rng.uniform(-1.0, 1.0, size=count)
-        t = np.concatenate([rng.uniform(-math.pi, math.pi, size=200), [-math.pi], positions])
-        steps = _circle_steps(positions, levels)
-        assert len(steps.breakpoints) == count - case % 2
-        np.testing.assert_array_equal(steps.evaluate(t), arc_lookup(positions, levels, t))
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from netsketch.function_classes import (
     PiecewiseAnalyticClass,
     PiecewiseSmoothClass,
     SmoothClass,
-    _circle_steps,
 )
 from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
 from netsketch.jl import MeasurementOperator, apply_operator, random_subspace
@@ -316,31 +315,79 @@ def test_witness_within_resolution_smooth():
 
 
 def test_witness_within_resolution_analytic():
-    family = PiecewiseAnalyticClass(max_jumps=2, strip_width=0.5, amplitude=1.0)
-    net = build_net(family, 1.0)
-    plan = net.plan
     rng = np.random.default_rng(404)
-    for _ in range(20):
-        member = family.sample(rng, 512)
-        witness = family.member(*round_coordinates(family, plan, member))
-        assert family.distance(member, witness) <= 1.0
+    for jumps in range(4):
+        family = PiecewiseAnalyticClass(max_jumps=jumps, strip_width=0.5, amplitude=1.0)
+        plan = build_net(family, 1.0).plan
+        for _ in range(200):
+            member = family.sample(rng, 256)
+            witness = family.member(*round_coordinates(family, plan, member))
+            assert family.distance(member, witness) <= 1.0
 
 
-@pytest.mark.parametrize("jumps", [1, 2])
+def alternating_steps(breakpoints, sign):
+    """Levels +/-1 in turn on the pieces between ``breakpoints``: every jump as high as the class allows."""
+    levels = tuple((sign * (-1.0) ** j,) for j in range(len(breakpoints) + 1))
+    return PiecewiseDescription(np.asarray(breakpoints, dtype=float), levels)
+
+
+@pytest.mark.parametrize("jumps", [1, 2, 3])
 def test_witness_within_resolution_with_a_step_at_pi(jumps):
-    # The first step starts at -pi, so the last level wraps onto nothing: with
-    # one step the member is a constant, with two its only jump off the
-    # interior breakpoints is the one at +/-pi.
+    # Up to s breakpoints inside the grid's first cell, next to -pi, or its
+    # last, next to pi, and fewer than s anywhere: the snap bumps them into
+    # the cells after the first, pads after the last and pulls back from the
+    # grid's end, s - 1/2 cells at most, and padded pieces take the last level.
     family = PiecewiseAnalyticClass(max_jumps=jumps, strip_width=0.5, amplitude=1.0)
     plan = build_net(family, 1.0).plan
+    cell = TWO_PI / plan.breakpoint_count
     rng = np.random.default_rng(505)
-    for _ in range(20):
-        smooth = family.sample(rng, 512).smooth
-        positions = (-math.pi, *np.sort(rng.uniform(-math.pi, math.pi, jumps - 1)))
-        member = AnalyticStepMember(smooth, _circle_steps(positions, rng.uniform(-1.0, 1.0, jumps)))
-        assert len(member.steps.breakpoints) == jumps - 1 and family.contains(member)
-        witness = family.member(*round_coordinates(family, plan, member))
-        assert family.distance(member, witness) <= 1.0
+    for count in range(jumps + 1):
+        for _ in range(10):
+            smooth = family.sample(rng, 512).smooth
+            offsets = cell * np.sort(1.0 - rng.uniform(0.0, 1.0, count))  # in (0, cell]
+            cases = [-math.pi + offsets, math.pi - offsets[::-1]]
+            if count < jumps:
+                cases.append(np.sort(rng.uniform(-math.pi, math.pi, count)))
+            sign = float(rng.choice([-1.0, 1.0]))
+            for breakpoints in cases:
+                member = AnalyticStepMember(smooth, alternating_steps(breakpoints, sign))
+                assert family.contains(member)
+                witness = family.member(*round_coordinates(family, plan, member))
+                assert len(witness.steps.breakpoints) == jumps
+                assert family.distance(member, witness) <= 1.0
+
+
+def test_snap_takes_cells_bumps_pads_and_pulls_back():
+    plan = NetPlan(eps1=1.0, axes=(), breakpoint_count=10, index_gap=2, jumps=3)
+    cell = TWO_PI / 10
+
+    def at(*cells):
+        return [-math.pi + (c + 0.5) * cell for c in cells]
+
+    assert plan.snap(at(1, 4, 7)) == (1, 4, 7)
+    assert plan.snap(at(1, 2, 7)) == (1, 3, 7)  # bumped index_gap past its neighbour
+    assert plan.snap(at(2)) == (2, 4, 6)  # padded after the last
+    assert plan.snap(at(8, 9)) == (5, 7, 9)  # padded to 12, then pulled back
+    assert plan.snap([]) == (0, 2, 4)
+    assert plan.snap([-math.pi, math.pi]) == (0, 7, 9)  # the ends clamp to the grid
+    assert NetPlan(eps1=1.0, axes=()).snap([]) == ()
+
+    # A full piecewise member takes its cells: no bump, no pull-back.
+    rng = np.random.default_rng(808)
+    for family, eps1 in ((step_class(max_jumps=2, min_gap=1.5), 0.5), (step_class(degree=1, max_jumps=3), 2.0)):
+        plan = build_net(family, eps1).plan
+        for _ in range(200):
+            breakpoints = family.sample(rng, 1).breakpoints.tolist()
+            cells = tuple(int(math.floor((b + math.pi) / (TWO_PI / plan.breakpoint_count))) for b in breakpoints)
+            assert plan.snap(breakpoints) == cells
+    # One breakpoint short, next to pi: padded and pulled back, where the
+    # grid's end once refused it.  Such a member is snapped, not covered.
+    family = step_class(max_jumps=2, min_gap=1.5)
+    plan = build_net(family, 0.5).plan
+    member = PiecewiseDescription([3.1], ((1.0,), (-1.0,)))
+    count, gap = plan.breakpoint_count, plan.index_gap
+    assert plan.snap(member.breakpoints) == (count - 1 - gap, count - 1)
+    assert len(round_coordinates(family, plan, member)[0]) == 2
 
 
 def member_bytes(value) -> bytes:
@@ -351,6 +398,16 @@ def member_bytes(value) -> bytes:
     if isinstance(value, tuple):
         return b"[" + b",".join(member_bytes(v) for v in value) + b"]"
     return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def test_every_analytic_layout_has_a_configuration():
+    # The pitch is at most 2 pi / (s (s - 1/2)), so P >= s at any eps1; a
+    # grid coarser than max_jumps was once refused (s 3, K 0.01, eps1 10).
+    for jumps in range(1, 6):
+        for amplitude in (0.01, 1.0, 100.0):
+            for eps1 in (1e4, 60.0, 10.0, 1.0):
+                plan = build_net(PiecewiseAnalyticClass(jumps, 1.0, amplitude), eps1).plan
+                assert plan.breakpoint_count >= jumps and plan.config_count >= 1
 
 
 def test_witness_is_a_center_bit_for_bit():
@@ -377,13 +434,21 @@ def test_witness_is_a_center_bit_for_bit():
 
 
 def test_centers_are_members_with_grid_overshoot_tolerance():
+    # The analytic levels carry the constant too, so they reach K (1 + 1 /
+    # sqrt(2 pi)) and a center need not be a member.  Every center's levels
+    # and coefficients lie within the plan's reaches, but for the half step
+    # a grid may overshoot them by.
     family = PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5)
     net = build_net(family, 2.0)
-    assert net.size == 243
-    # Grids may overshoot a bound by half a step, so membership of the
-    # centers holds under the matching relative slack.
-    slack = max(axis.step for axis in net.plan.axes) / (2.0 * 0.5)
-    assert all(family.contains(member, tolerance=slack) for member in centers(net))
+    assert net.size == 500
+    level, coefficient = net.plan.axes[0], net.plan.axes[-1]
+    level_reach = 0.5 * (1.0 + 1.0 / math.sqrt(TWO_PI)) + level.step / 2.0
+    envelope = family.coefficient_envelope(len(net.plan.axes) - 1) + coefficient.step / 2.0
+    envelope[0] = 0.0  # no c_0 axis: the levels carry the constant
+    for member in centers(net):
+        assert all(abs(coeffs[0]) <= level_reach for coeffs in member.steps.piece_coefficients)
+        assert np.all(np.abs(member.smooth.coefficients) <= envelope)
+    assert any(not family.contains(member) for member in centers(net))
 
     step_net = build_net(step_class(), 1.5)
     assert step_net.size == 162
@@ -1399,6 +1464,67 @@ def test_one_configuration_decode_seeds_with_one_leaf():
             tracemalloc.stop()
         assert peak < 1_000_000
         assert result.distance <= 0.1
+
+
+VALID_UNDER_THE_IDENTITY = (
+    SmoothClass(2, 2.0),
+    step_class(max_jumps=0),
+    step_class(),
+    step_class(max_jumps=2, min_gap=1.5),
+    step_class(degree=1),
+    PiecewiseAnalyticClass(0, 1.0, 1.0),
+    PiecewiseAnalyticClass(1, 1.0, 1.0),
+    PiecewiseAnalyticClass(2, 1.0, 1.0),
+)
+
+
+@pytest.mark.parametrize("family", VALID_UNDER_THE_IDENTITY, ids=lambda family: family.spec_string())
+def test_every_configuration_is_valid_under_the_identity(family):
+    # Each axis vector is carried once, so no configuration's Gram is
+    # singular and the search bounds every one.
+    identity = np.eye(64)
+    identity.setflags(write=False)
+    operator = MeasurementOperator(identity)
+    for eps1 in (12.0, 8.0, 6.0):
+        geometry = build_net(family, eps1, m_max=math.inf, d=64).decoder.prepare(operator).geometry
+        assert geometry.valid.all()
+
+
+def test_an_analytic_decode_bounds_every_configuration(caplog):
+    family = PiecewiseAnalyticClass(2, 1.0, 1.0)
+    decoder = build_net(family, 6.0, m_max=math.inf, d=64).decoder
+    rng = np.random.default_rng(31)
+    with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
+        for _ in range(3):
+            decoder.decode_coefficients(family.coefficient_prefix(family.sample(rng, 256), 64))
+    line = re.compile(r"grid search: 1770 configurations, (\d+) kept after bounding \((\d+) never pruned\).*")
+    matches = [match for match in map(line.fullmatch, caplog.messages) if match]
+    assert len(matches) == 3
+    assert all(int(match.group(2)) == 0 for match in matches)
+    assert min(int(match.group(1)) for match in matches) < 1770
+
+
+@pytest.mark.parametrize("jumps, eps1", [(1, 3.0), (2, 12.0)])
+def test_analytic_centers_coincide_only_through_equal_adjacent_levels(jumps, eps1):
+    # Two equal adjacent levels hide a breakpoint, so the same function is
+    # a center at every position of it; no other two centers coincide.
+    # Centers at distance 0 have the same first 64 coefficients, so each is
+    # among the centers whose prefix is near another's.
+    family = PiecewiseAnalyticClass(jumps, 1.0, 1.0)
+    members = centers(build_net(family, eps1))
+    prefixes = np.array([family.coefficient_prefix(member, 64) for member in members])
+    squares = np.einsum("ij,ij->i", prefixes, prefixes)
+    shared = 0
+    for start in range(0, len(members), 512):
+        block = prefixes[start : start + 512]
+        near = squares[start : start + 512, None] + squares[None, :] - 2.0 * block @ prefixes.T < 1e-9
+        for i, row in enumerate(near, start):
+            if row.sum() > 1:
+                levels = [coeffs[0] for coeffs in members[i].steps.piece_coefficients]
+                assert any(left == right for left, right in zip(levels, levels[1:]))
+                assert family.distance(members[int(row.argmax())], members[i]) == 0.0
+                shared += 1
+    assert shared
 
 
 # ---------------------------------------------------------------------------
