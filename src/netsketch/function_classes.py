@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import UsageError
 from .hilbert import (
+    DEFAULT_AMBIENT_DIM,
     MAX_PIECE_DEGREE,
     _SQRT_2PI,
     PiecewiseDescription,
@@ -87,8 +88,8 @@ class FunctionClass:
     ``to_signal`` wraps it as a ``Signal``.
 
     Covering nets: ``net_plan(eps1)`` lays the net out as breakpoint
-    configurations times one point on each quantized axis, and marks it
-    ``factored`` when its step decoder can search it without enumeration.
+    configurations times one point on each quantized axis, and states the
+    axes' vectors: the piece degree and the coefficient axes' basis indices.
     ``nets`` walks that layout for every class, to enumerate the net, decode
     onto it and round a member onto it, through three hooks:
     ``member(breakpoints, values)`` builds the center at a configuration and
@@ -179,14 +180,13 @@ class SmoothClass(FunctionClass):
 
     def net_plan(self, eps1: float) -> NetPlan:
         k, big_k = self.smoothness, self.amplitude
-        truncation = max(1, int(math.ceil((2.0 * big_k / eps1) ** (1.0 / k))))
+        width = (2.0 * big_k / eps1) ** (1.0 / k)
+        if not width <= DEFAULT_AMBIENT_DIM:  # before any axis is built
+            raise UsageError(f"net needs {width:.4g} coefficient axes, over {DEFAULT_AMBIENT_DIM}")
+        truncation = max(1, int(math.ceil(width)))
         step = eps1 / math.sqrt(truncation)
-        envelope = self.coefficient_envelope(truncation)
-        axes = tuple(
-            AxisLog(count=grid_count(envelope[i], step), step=step)
-            for i in range(truncation)
-        )
-        return NetPlan(eps1=eps1, axes=axes)
+        axes = tuple(AxisLog(grid_count(bound, step), step) for bound in self.coefficient_envelope(truncation))
+        return NetPlan(eps1=eps1, axes=axes, coefficients=tuple(range(truncation)))
 
     def member(self, breakpoints, values) -> Signal:
         return Signal(np.array(values))
@@ -369,7 +369,7 @@ class PiecewiseSmoothClass(FunctionClass):
             breakpoint_count=count,
             index_gap=gap,
             jumps=s,
-            factored=degree == 0 and s == 1,
+            degree=degree,
         )
 
     def member(self, breakpoints, values) -> PiecewiseDescription:
@@ -524,15 +524,14 @@ class PiecewiseAnalyticClass(FunctionClass):
         count = position_grid((eps1 / 4.0) ** 2 / (s * (s - 0.5) * height**2))[0] if s else 0
         level = AxisLog(count=grid_count(big_k * (1.0 + 1.0 / _SQRT_2PI), level_step), step=level_step)
         ratio = 4.0 * big_k / ((1.0 - math.exp(-eta)) * eps1)
-        freq_cut = max(1, int(math.ceil(math.log(max(ratio, 1.0 + 1e-12)) / eta)))
-        coeff_step = eps1 / (2.0 * math.sqrt(2 * freq_cut))
-        envelope = self.coefficient_envelope(2 * freq_cut + 1)
-        axes = [level] * (s + 1)
-        axes.extend(
-            AxisLog(count=grid_count(envelope[i], coeff_step), step=coeff_step)
-            for i in range(1, 2 * freq_cut + 1)
-        )
-        return NetPlan(eps1=eps1, axes=tuple(axes), breakpoint_count=count, jumps=s)
+        span = math.log(max(ratio, 1.0 + 1e-12)) / eta
+        if not 2.0 * span <= DEFAULT_AMBIENT_DIM:  # before any axis is built
+            raise UsageError(f"net needs {2.0 * span:.4g} coefficient axes, over {DEFAULT_AMBIENT_DIM}")
+        freq_cut = max(1, int(math.ceil(span)))
+        step = eps1 / (2.0 * math.sqrt(2 * freq_cut))
+        envelope, coefficients = self.coefficient_envelope(2 * freq_cut + 1), tuple(range(1, 2 * freq_cut + 1))
+        axes = (level,) * (s + 1) + tuple(AxisLog(grid_count(envelope[i], step), step) for i in coefficients)
+        return NetPlan(eps1, axes, count, jumps=s, degree=0, coefficients=coefficients)
 
     def member(self, breakpoints, values) -> AnalyticStepMember:
         s = self.max_jumps

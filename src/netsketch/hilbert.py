@@ -139,20 +139,6 @@ class PiecewiseDescription:
         edges = self._edges
         return list(zip(edges[:-1], edges[1:]))
 
-    def evaluate(self, t):
-        """Evaluate at points ``t``, clipped to [-pi, pi]."""
-        points = np.asarray(t, dtype=float)
-        flat = np.clip(np.atleast_1d(points).astype(float).ravel(), -math.pi, math.pi)
-        idx = np.searchsorted(self.breakpoints, flat, side="right")
-        out = np.empty_like(flat)
-        for piece, (start, end) in enumerate(self.piece_intervals()):
-            mask = idx == piece
-            coeffs = self.piece_coefficients[piece].tolist()
-            out[mask] = _derivatives(coeffs, flat[mask] - 0.5 * (start + end), 1)[0]
-        if points.ndim == 0:
-            return float(out[0])
-        return out.reshape(points.shape)
-
 
 def _derivatives(coeffs: list[float], u: float | np.ndarray, count: int) -> list:
     """``p(u), p'(u), ..., p^(count - 1)(u)`` for monomial coefficients ``coeffs``, by Horner."""

@@ -9,30 +9,28 @@ plan: center ``k`` is the same member in every walk of the net, whether
 ``round_coordinates`` rounds a member onto it.  A class supplies only hooks:
 ``net_plan``, ``member``, ``breakpoints`` and ``coordinates`` (see
 ``function_classes.FunctionClass``); ``NetPlan.snap`` is the one snap rule.
-``build_net`` labels a net by the decoder its plan calls for and, given the
-truncation dimension ``d``, builds that decoder from the plan:
 
-- ``factored``: plans marked ``factored`` (single-jump piecewise-constant
-  classes), at any size: ``FactoredStepDecoder`` gets every breakpoint's
-  Gram at once from closed forms and FFTs.
-- ``configurations``: every other plan, by ``ConfigurationDecoder`` from one
-  ``d x k`` linear map per breakpoint configuration, built for at most
-  ``m_max`` centers.
-
-A decoder serves one ``d``, holds the class it covers, and changes nothing
-after construction.  ``prepare`` builds the net as one operator sees it, a
-``SketchedNet``: each configuration's factored Gram and the sketch of its
-axis vectors, which the operator's owner keeps; a decode projects ``y`` on
-that sketch for one exact closest-point search, ``_nearest_on_grid``, and
-the class's ``member`` builds the winner.  Ties go to the lowest member
-index, except that the last axis takes the rounding of its continuous
-optimum, half-way up.
+One decoder, ``FactoredStepDecoder``, serves every class.  The plan states
+the axes' vectors in two fields, ``degree`` (the piece degree, ``None`` for
+no pieces) and ``coefficients`` (the coefficient axes' basis indices), and
+``build_net``, given the truncation dimension ``d``, builds the decoder
+from it for at most ``m_max`` centers, or for the one-jump step net (``mode``
+``factored``; every other net is ``configurations``) at any size.  By the
+jump relations each axis's sketch under an operator is a mix of shared
+columns, one table per monomial order on the breakpoint grid and a few
+constants, and each configuration's Gram the same mix of their products.
+A decoder serves one ``d`` and changes nothing after construction;
+``prepare`` builds the net as one operator sees it, a ``SketchedNet``, which
+the operator's owner keeps, and a decode runs one exact closest-point
+search on it, ``_nearest_on_grid``.  Ties go to the lowest member index,
+except that the last axis takes the rounding of its continuous optimum,
+half-way up.
 
 Grids are "round-image": a symmetric grid with ``2*floor(bound/step + 1/2)+1``
 points always contains the rounding of any in-bound value, so per-coordinate
 rounding error never exceeds half a step even at the boundary.  Breakpoint
 grids are uniform with ``2^a 3^b 5^c`` points (``position_grid``), so the
-step decoder's length-``P`` FFTs have no large prime factor; ``NetPlan.snap``
+decoder's length-``P`` FFTs have no large prime factor; ``NetPlan.snap``
 moves a breakpoint at most half a cell, or, at index gap 1, ``s - 1/2``
 cells when it bumps or pulls one back.  A piecewise net's error is then
 exact in two disjoint parts: on the moved regions, of measure at most that
@@ -50,7 +48,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +60,6 @@ from .jl import MeasurementOperator
 __all__ = [
     "AxisLog",
     "CoveringNet",
-    "ConfigurationDecoder",
     "FactoredStepDecoder",
     "DecodeResult",
     "NetPlan",
@@ -82,7 +79,7 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps / 2.0)
 
 DEFAULT_NET_BUDGET = 10**6
 
-# Operator rows per block of the factored decoder's operator terms.
+# Operator rows per block of the decoder's per-breakpoint tables.
 _TERMS_BLOCK_ROWS = 8
 
 logger = logging.getLogger(__name__)
@@ -407,27 +404,110 @@ class SketchedNet(NamedTuple):
         return self.operator.d
 
 
-class _GridDecoder:
-    """The decode entry points both decoders share, for targets of length ``d``.
+def _axis_terms(plan: NetPlan, slots: np.ndarray) -> list[list[tuple[tuple[int, int], object]]]:
+    """Each axis's ``(column, weight)`` terms, columns descending (``FactoredStepDecoder``).
 
-    A decoder is built from its net's ``plan`` and searches that net alone:
-    ``configurations`` (each one's breakpoints) and the axis grids are the
-    plan's, so center ``k`` is configuration ``k // A`` at the ``k % A``-th
-    axis point in ``itertools.product`` order, ``A`` the product of the axis
-    counts: ``enumerate_members``'s order.  ``prepare`` builds an operator's
-    ``SketchedNet`` by ``_operator_terms``, the one reader of the frame, and
-    keeps nothing; a decode works from that sketch alone, through
-    ``_projections(sketch, y)`` and ``_measured(sketch, configuration,
-    values)``, a center's ``R c``, and ``_center(configuration, values)``
-    builds the winner by ``family.member``.
+    Column ``(t, r)`` is order ``r``'s table at breakpoint ``t < s``; ``(s,
+    0)`` is ``V``, ``(s, 1 + r)`` ``T_r(pi)``, then one per coefficient axis.
+    A weight is a number or one per configuration (``slots``).  Monomial
+    ``u^j`` takes ``(-1)^r D_r = (-1)^r j! / (j-r)! x^(j-r)`` at its piece's
+    end, ``x = beta``, and minus that at its start, ``x = alpha``.  For ``j
+    >= 1`` the anchor of ``W`` adds ``(beta^j - alpha^j) T_0(pi)`` and, with
+    the integral's term, ``-(j (beta^(j+1) - alpha^(j+1)) / (j + 1) + (m +
+    pi) (beta^j - alpha^j)) V / (2 pi)``, ``m`` the midpoint.
+    """
+    s, degree, terms = plan.jumps, plan.degree, []
+    orders = 0 if degree is None else degree + 1
+    if degree is not None:
+        ends = [np.full(len(slots), -math.pi), *(plan.positions[slots[:, t]] for t in range(s))]
+        ends.append(np.full(len(slots), math.pi))
+        for k in range(s + 1):
+            mid = 0.5 * (ends[k] + ends[k + 1])
+            alpha, beta = ends[k] - mid, ends[k + 1] - mid
+            for j in range(orders):
+                parts = []
+                for r in range(j + 1):
+                    scale = (-1) ** r * math.factorial(j) / math.factorial(j - r)
+                    for edge, x, sign in ((k + 1, beta, 1.0), (k, alpha, -1.0)):
+                        if 0 < edge <= s:
+                            column = (edge - 1, r)
+                        elif r or edge:  # T_r(pi) at either end, and W(pi) = V; W(-pi) = 0
+                            column = (s, 1 + r) if r else (s, 0)
+                        else:
+                            continue
+                        parts.append((column, sign * scale * (x ** (j - r) if j > r else 1.0)))
+                if j:  # the anchor of W
+                    rise = beta**j - alpha**j
+                    area = j * (beta ** (j + 1) - alpha ** (j + 1)) / (j + 1) + (mid + math.pi) * rise
+                    parts += [((s, 1), rise), ((s, 0), -area / TWO_PI)]
+                axis: dict[tuple[int, int], object] = {}
+                for column, weight in parts:
+                    axis[column] = axis[column] + weight if column in axis else weight
+                terms.append(sorted(axis.items(), key=lambda term: term[0], reverse=True))
+    first = 0 if degree is None else 1 + orders
+    return terms + [[((s, first + i), 1.0)] for i in range(len(plan.coefficients))]
+
+
+class FactoredStepDecoder:
+    """Exact nearest-member search over any plan's net, from shared per-breakpoint tables.
+
+    The one decoder, named for the step net it first served, for targets of
+    length ``d``: center ``k`` is configuration ``k // A`` at the ``k %
+    A``-th of its ``A`` axis points in ``itertools.product`` order, as
+    ``enumerate_members`` lists them, built by ``family.member``.
+
+    Axis sketches.  An axis vector is a piece monomial ``u^j`` (``u`` the
+    offset from the piece's midpoint, ``j <= plan.degree``) or a basis vector
+    ``e_i`` (``i`` in ``plan.coefficients``).  By the jump relations
+    (``hilbert.analyze_piecewise``) ``R`` takes a piece monomial to ``sum_t
+    sum_r (-1)^r D_r(t) T_r(t) + R[:, 0] int / sqrt(2 pi)`` over its ends
+    ``t`` (``-pi`` read as ``pi``), ``D_r(t)`` the drop of its ``r``-th
+    derivative there, ``T_r(b) = Re sum_j Z_j exp(i j b) / (i j)^(r+1)`` and
+    ``Z_j = (R[:, 2j-1] - i R[:, 2j]) / sqrt(pi)``.  Order 0 is anchored:
+    ``W(b) = T_0(b) - T_0(pi) + R[:, 0] (b + pi) / sqrt(2 pi)`` is ``R`` times
+    the indicator of ``[-pi, b]``, with ``W(-pi) = 0`` and ``W(pi) = V =
+    sqrt(2 pi) R[:, 0]``, so a level is ``W(end) - W(start)``.  An
+    operator's sketch is the shared columns: one ``n x P`` table per order on
+    the breakpoint grid (``W``, then ``T_1 .. T_degree``), and ``V``,
+    ``T_r(pi)`` and ``R e_i``; ``_axis_terms`` weighs them per axis.
+
+    Grams.  A configuration's Gram is its weights' mix of the columns'
+    products, ``G_ab = sum_{i <= j} c_ij K_ij`` from the highest pair down:
+    a square-sum per pair of orders at one breakpoint, a ``P x P`` product
+    per pair at two, a product with each constant; no configuration gets a
+    vector.  The step net's Gram is ``|W|^2``, ``<W, V> - |W|^2`` and ``|V|^2
+    - 2 <W, V> + |W|^2``.  What construction builds is shared and never
+    written; ``_operator_terms`` alone reads the frame, and a decode the sketch.
     """
 
     def __init__(self, plan: NetPlan, d: int, family) -> None:
         self.plan, self.d, self.family = plan, d, family
+        self.positions = plan.positions
+        combos = list(iter_gap_tuples(plan.breakpoint_count, plan.jumps, plan.index_gap))
+        self._slots = np.array(combos, dtype=np.intp).reshape(len(combos), plan.jumps)
+        # Slot t's breakpoint index per configuration; with one jump, every breakpoint in order.
+        self._at = [slice(None) if plan.jumps == 1 else self._slots[:, t] for t in range(plan.jumps)]
         self.configurations = tuple(plan.configurations())
-        self._grids = [axis.points() for axis in plan.axes]
-        self._step = plan.axes[-1].step
         self._configuration_index = {breakpoints: index for index, breakpoints in enumerate(self.configurations)}
+        self._grids = [axis.points() for axis in plan.axes]
+        self._terms, columns = _axis_terms(plan, self._slots), {}
+        for a, terms in enumerate(self._terms):
+            for column, weight in terms:
+                columns.setdefault(column, []).append((a, weight))
+        self._columns = sorted(columns.items())  # each column's axes and weights, for a center's sketch
+        orders, degree, pairs = 0 if plan.degree is None else plan.degree + 1, d // 2, (d - 1) // 2
+        # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
+        self._phases = 0.5 * np.exp(1j * np.arange(degree + 1) * (self.positions[0] if plan.jumps else 0.0))
+        js = np.arange(1, degree + 1)
+        # Order r's factors 1 / ((i j)^(r+1) sqrt(pi)), and T_r(pi)'s weights, (-1)^j times them:
+        # on the sine entries for even r, on the cosine entries for odd r.
+        factors = -1j / (js * math.sqrt(math.pi))
+        self._factors = np.array([factors * (-1j / js) ** r if r else factors for r in range(orders)])
+        signed = np.where(js % 2 == 0, 1.0, -1.0) * self._factors.reshape(orders, degree)
+        self._at_pi = [(2 - r % 2, (g.real if r % 2 else g.imag[:pairs]).copy()) for r, g in enumerate(signed)]
+        self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
+        for array in (self._slots, self._phases, self._factors, self._shift, *(w for _, w in self._at_pi)):
+            array.setflags(write=False)
 
     def prepare(self, operator) -> SketchedNet:
         """The net under ``operator``, built now; the caller keeps it for as long as it measures through ``operator``."""
@@ -441,7 +521,7 @@ class _GridDecoder:
         return self._measured(sketched.sketch, self._configuration_index[breakpoints], values)
 
     def _search(self, geometry: _Geometry, sketch, y: np.ndarray):
-        return _nearest_on_grid(geometry, self._projections(sketch, y), self._grids, self._step)
+        return _nearest_on_grid(geometry, self._projections(sketch, y), self._grids, self.plan.axes[-1].step)
 
     def decode_measurements(self, y: np.ndarray, sketched: SketchedNet) -> DecodeResult:
         """Nearest net member to measurements under ``sketched``'s operator (exactly)."""
@@ -455,7 +535,8 @@ class _GridDecoder:
         for step, grid in zip(steps, self._grids):  # the axis points in itertools.product order
             index = index * grid.size + step
         values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
-        member, coefficients = self._center(configuration, values)
+        member = self.family.member(self.configurations[configuration], values)
+        coefficients = self.family.coefficient_prefix(member, self.d)
         # The distance comes from the residual, not from the objective (the
         # squared distance minus |y|^2), which cancels when it is small.
         measured = self._measured(sketched.sketch, configuration, values)
@@ -464,85 +545,13 @@ class _GridDecoder:
         return DecodeResult(member, index, distance, coefficients, measured, coordinates)
 
     def decode_coefficients(self, target: np.ndarray) -> DecodeResult:
-        """Nearest net member to ``d`` coefficients: the measurement decode under the identity.
-
-        Only the tests and the bench name it.  Each call builds the identity's
-        geometry, a ``C d k`` map product on a net of ``C`` configurations and
-        ``k`` axes.  ROADMAP item 21 deletes it once the bench stops patching
-        it.
-        """
+        """Nearest net member to ``d`` coefficients, under the identity: for the tests and the bench (item 21)."""
         target = np.asarray(target, dtype=np.float64)
         if target.shape != (self.d,):
             raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
         identity = np.eye(self.d)
         identity.setflags(write=False)  # so the operator keeps it uncopied
         return self.decode_measurements(target, self.prepare(MeasurementOperator(identity)))
-
-
-class FactoredStepDecoder(_GridDecoder):
-    """Exact nearest-member search over a ``factored`` plan's single-jump step-function net.
-
-    Members are ``c0`` on ``[-pi, b]`` and ``c1`` after the jump, ``b`` on
-    the plan's breakpoint grid and the levels on its shared level grid.  A
-    breakpoint is a configuration of two axes, the pre-jump indicator
-    ``w(b)`` and the post-jump ``v - w(b)`` (``v`` the constant one): with
-    ``g00 = |w|^2``, ``g0f = <w, v>`` and ``gff = |v|^2`` their Gram is
-    ``g01 = g0f - g00`` and ``g11 = gff - 2 g0f + g00``.  The plan's
-    ``positions`` are uniform at pitch ``2 pi / P``: every term is then a
-    trigonometric polynomial in ``b``, and one real inverse FFT of length
-    ``P`` evaluates it on all ``P`` breakpoints at once.  Its sketch keeps
-    ``R w(b)`` whole: the Gram, the projections and ``R c`` each read it once.
-
-    The decoder serves targets of length ``d`` for ``family``, whose
-    ``member`` and ``coefficient_prefix`` build and expand the decoded
-    center.  It builds its phases, the series' weights and the shifted
-    positions at construction, read-only and shared.
-    """
-
-    def __init__(self, plan: NetPlan, d: int, family) -> None:
-        if not plan.factored:
-            raise UsageError("a factored step decoder needs a factored plan: one jump, one level grid")
-        super().__init__(plan, d, family)
-        self.positions = plan.positions
-        degree, pairs = d // 2, (d - 1) // 2
-        # exp(i f b_0) / 2 for every frequency a series reaches, K = d // 2.
-        self._phases = 0.5 * np.exp(1j * np.arange(degree + 1) * self.positions[0])
-        js = np.arange(1, degree + 1)
-        weights = 1.0 / (js * math.sqrt(math.pi))
-        # z_0's weights on the sine entries, and each z_j's factor -i / (j sqrt(pi)).
-        self._alternating = np.where(js[:pairs] % 2 == 0, 1.0, -1.0) * weights[:pairs]
-        self._factors = -1j * weights
-        self._shift = self.positions + math.pi  # sqrt(2 pi) w_0(b) = <w(b), v>, any d
-        for array in (self._phases, self._alternating, self._factors, self._shift):
-            array.setflags(write=False)
-
-    def _indicator_series(self, rows: np.ndarray, constants: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Series ``z_0 .. z_K`` of ``<row, w(b)> - row[0] (b+pi)/sqrt(2 pi)``, each row into its row of ``out``.
-
-        ``w(b)``, the first ``d`` coefficients of the indicator of ``[-pi,
-        b]``, has constant ``(b+pi)/sqrt(2 pi)``, cosine-``j`` ``sin(j
-        b)/(j sqrt(pi))`` and sine-``j`` ``((-1)^j - cos(j b))/(j
-        sqrt(pi))``.  So past the ``(b+pi)`` term a row's product with
-        ``w(b)`` is ``Re sum_j z_j exp(i j b)``, of degree ``K = d // 2``:
-        ``z_0 = sum_j (-1)^j s_j / (j sqrt(pi))`` and ``z_j = conj(c_j + i
-        s_j) (-i) / (j sqrt(pi))`` for the row's cosine-``j`` and sine-``j``
-        entries, read as complex pairs.  The weights are the decoder's, built
-        at construction.  ``constants`` holds the rows' ``z_0``: the caller
-        forms it for every row of the frame in one product, because numpy
-        sums a one-row product in another order.  Each row is written in
-        place by one-dimensional calls: numpy buffers a broadcast or strided
-        two-dimensional operand.
-        """
-        d = rows.shape[-1]
-        degree, pairs = d // 2, (d - 1) // 2
-        out[:, 0] = constants
-        factors = self._factors[:pairs]
-        for row, series in zip(rows, out):
-            part = np.conjugate(row[1 : 1 + 2 * pairs].view(np.complex128), out=series[1 : pairs + 1])
-            np.multiply(part, factors, out=part)
-        if d % 2 == 0:
-            out[:, degree] = self._factors[-1] * rows[:, d - 1]
-        return out
 
     def _on_breakpoints(self, series: np.ndarray, out=None) -> np.ndarray:
         """``Re sum_f series_f exp(i f b)`` at every breakpoint ``b``, into ``out`` when given.
@@ -591,113 +600,117 @@ class FactoredStepDecoder(_GridDecoder):
         return np.fft.irfft(spectrum, n=count, axis=-1, norm="forward", out=out)
 
     def _operator_terms(self, operator) -> tuple[_Geometry, tuple]:
-        """The search geometry under ``operator``, and the sketch ``(table, Rv)``.
+        """The search geometry under ``operator``, and the sketch ``(tables, constants)``.
 
-        The sketch is ``R`` applied to the axis vectors: ``table[:, p] = R
-        w(b_p)`` and ``Rv = sqrt(2 pi) R[:, 0]``, the constant one's image.
-        ``R w(b)`` is ``(b+pi) R[:, 0] / sqrt(2 pi)`` plus the periodic part
-        of ``_indicator_series``, which ``_on_breakpoints`` evaluates
-        ``_TERMS_BLOCK_ROWS`` rows at a time on the ``P`` breakpoints, straight
-        into their slice of the table; the linear part is added a row at a
-        time.  The build's scratch, which the DEBUG line reports, is a block's
-        series, ``16 B (K + 1)`` bytes for ``B`` rows, multiplied by the
-        phases and folded into its own head (with a zero-padded copy of ``16
-        B (P // 2 + 1)`` bytes when ``K < P // 2``), and one row's linear
-        part, ``8 P`` bytes; the series goes before the geometry is built.
-        Then ``g00`` is the table's column square-sum and ``g0f = <R w(b),
-        Rv>`` one product.  The rows are read from ``R`` as it is stored: no
-        frame-sized copy.
+        ``tables[r][:, p]`` is ``W(b_p)`` for order ``r = 0`` and ``T_r(b_p)``
+        after; ``constants`` holds ``V``, the ``T_r(pi)`` and the ``R e_i``.
+        A row's order-``r`` series is ``z_j = conj(c_j + i s_j) factors_j =
+        Z_j / (i j)^(r+1)`` over its cosine-``j`` and sine-``j`` entries, read
+        as complex pairs, and ``z_0``: ``-T_0(pi)`` for ``W``, formed for every
+        row in one product (numpy sums a one-row product in another order),
+        0 for ``T_r``.  ``_on_breakpoints`` evaluates it ``_TERMS_BLOCK_ROWS``
+        rows at a time into their slice of the table, and ``W``'s linear part,
+        ``(b+pi) R[:, 0] / sqrt(2 pi)``, is added a row at a time.  Each row is
+        written by one-dimensional calls: numpy buffers a broadcast or
+        strided two-dimensional operand.
+        The scratch, which the DEBUG line reports, is a block's series, ``16
+        B (K + 1)`` bytes for ``B`` rows (with a zero-padded copy of ``16 B
+        (P // 2 + 1)`` when ``K < P // 2``), and one row's linear part, ``8
+        P``; it goes before the Gram is built.  No frame-sized copy is made.
         """
         started = time.perf_counter()
         frame = operator.frame
         n, d = frame.shape
-        count = self.positions.size
-        table = np.empty((n, count))
-        block = min(n, _TERMS_BLOCK_ROWS)
-        constants = frame[:, 2::2] @ self._alternating  # every row's z_0
-        series = np.empty((block, self._phases.size), dtype=np.complex128)
-        for start in range(0, n, block):
-            rows, stop = frame[start : start + block], min(n, start + block)
-            out = table[start:stop]
-            self._on_breakpoints(self._indicator_series(rows, constants[start:stop], series[: stop - start]), out)
-            for values, level in zip(out, rows[:, 0] / _SQRT_2PI):
-                values += level * self._shift  # (b+pi) R[row, 0] / sqrt(2 pi), the linear part
-        width, bins = self._phases.size, count // 2 + 1
-        scratch = 16 * block * (width + (bins if width < bins else 0)) + 8 * count
-        del series
-        v_full = _SQRT_2PI * frame[:, 0]
-        g00, g0f = np.einsum("ij,ij->j", table, table), v_full @ table
-        logger.debug(
-            "factored decoder terms: P=%d d=%d n=%d block=%d rows, scratch %d bytes, sketch %d bytes,"
-            " built in %.3fs",
-            count, d, n, block, scratch, table.nbytes, time.perf_counter() - started,
-        )
-        g01 = g0f - g00
-        gram = [[g00, g01], [g01, float(np.dot(v_full, v_full)) - 2.0 * g0f + g00]]
-        for array in (table, v_full):
+        count, plan, pairs = self.positions.size, self.plan, (d - 1) // 2
+        at_pi = [frame[:, start::2] @ weights for start, weights in self._at_pi]
+        tables = np.empty((len(at_pi) if plan.jumps else 0, n, count))
+        block, scratch = min(n, _TERMS_BLOCK_ROWS), 0
+        if len(tables):
+            z0s = -at_pi[0]  # every row's z_0 for W
+            series = np.empty((block, self._phases.size), dtype=np.complex128)
+            for order, (table, factors) in enumerate(zip(tables, self._factors)):
+                for start in range(0, n, block):
+                    rows, stop = frame[start : start + block], min(n, start + block)
+                    out, part = table[start:stop], series[: stop - start]
+                    part[:, 0] = 0.0 if order else z0s[start:stop]
+                    for row, values in zip(rows, part):
+                        pair = np.conjugate(row[1 : 1 + 2 * pairs].view(np.complex128), out=values[1 : pairs + 1])
+                        np.multiply(pair, factors[:pairs], out=pair)
+                    if d % 2 == 0:
+                        part[:, d // 2] = factors[-1] * rows[:, d - 1]
+                    self._on_breakpoints(part, out)
+                    for values, level in zip(out, rows[:, 0] / _SQRT_2PI if order == 0 else ()):
+                        values += level * self._shift  # (b+pi) R[row, 0] / sqrt(2 pi), the linear part
+            width, bins = self._phases.size, count // 2 + 1
+            scratch = 16 * block * (width + (bins if width < bins else 0)) + 8 * count
+            del series, part, pair, values  # the views too, so the series' buffer goes
+        columns = [] if plan.degree is None else [_SQRT_2PI * frame[:, 0], *at_pi]
+        columns += [frame[:, i] if i < d else np.zeros(n) for i in plan.coefficients]
+        constants = np.array(columns).reshape(len(columns), n)
+        for array in (tables, constants):
             array.setflags(write=False)
-        return _grid_geometry(gram, self._grids), (table, v_full)
+        logger.debug(
+            "decoder terms: P=%d d=%d n=%d orders=%d block=%d rows, scratch %d bytes, sketch %d bytes,"
+            " built in %.3fs",
+            count, d, n, len(tables), block, scratch, tables.nbytes + constants.nbytes, time.perf_counter() - started,
+        )
+        return _grid_geometry(self._gram(tables, constants), self._grids), (tables, constants)
+
+    def _gram(self, tables: np.ndarray, constants: np.ndarray) -> np.ndarray:
+        """Every configuration's Gram, ``(k, k, C)``: ``sum_{i <= j} c_ij K_ij`` from the highest pair down."""
+        s, slots, products = self.plan.jumps, self._slots, {}
+
+        def product(left, right):
+            """``K_ij`` for columns ``left <= right``: one per configuration, or one number."""
+            (t, r), (u, q) = left, right
+            if t == s:
+                return float(np.dot(constants[r], constants[q]))
+            key = (u == s, t == u, r, q)
+            if key not in products:
+                if u == s:
+                    products[key] = constants[q] @ tables[r]
+                else:
+                    products[key] = np.einsum("ij,ij->j", tables[r], tables[q]) if t == u else tables[r].T @ tables[q]
+            return products[key][self._at[t]] if u == s or t == u else products[key][slots[:, t], slots[:, u]]
+
+        k = len(self._terms)
+        gram = np.empty((k, k, len(slots)))
+        for a, b in itertools.combinations_with_replacement(range(k), 2):
+            mix: dict = {}
+            for i, left in self._terms[a]:
+                for j, right in self._terms[b]:
+                    key = min(i, j), max(i, j)
+                    mix[key] = mix[key] + left * right if key in mix else left * right
+            total = None
+            for key in sorted(mix, reverse=True):
+                term = mix[key] * product(*key)
+                total = term if total is None else total + term
+            gram[a, b] = gram[b, a] = total
+        return gram
 
     def _projections(self, sketch: tuple, y: np.ndarray) -> np.ndarray:
-        table, v_full = sketch
-        projections = np.empty((2, table.shape[1]))
-        q0 = np.matmul(y, table, out=projections[0])
-        np.subtract(np.dot(v_full, y), q0, out=projections[1])  # <R v, y> for the constant one v
+        """``q_a = sum_i w_ia <column_i, y>`` for every configuration, columns from the highest down."""
+        (tables, constants), s, read = sketch, self.plan.jumps, {}
+        per_order = [np.matmul(y, table) for table in tables]
+        projections = np.empty((len(self._terms), len(self._slots)))
+        for row, terms in zip(projections, self._terms):
+            for count, ((t, r), weight) in enumerate(terms):
+                if (t, r) not in read:
+                    read[t, r] = per_order[r][self._at[t]] if t < s else np.dot(constants[r], y)
+                if count:
+                    row += weight * read[t, r]
+                else:
+                    np.multiply(weight, read[t, r], out=row)
         return projections
 
     def _measured(self, sketch: tuple, configuration: int, values: tuple) -> np.ndarray:
-        (table, v_full), (c0, c1) = sketch, values
-        return (c0 - c1) * table[:, configuration] + c1 * v_full
-
-    def _center(self, configuration: int, values: tuple):
-        member = self.family.member(self.configurations[configuration], values)
-        return member, self.family.coefficient_prefix(member, self.d)
-
-
-class ConfigurationDecoder(_GridDecoder):
-    """Exact nearest-member search over any plan's net, by one map per configuration.
-
-    ``maps[c]`` (read-only) takes configuration ``c``'s ``k`` axis values to
-    a center's first ``d`` coefficients.  At a fixed configuration a center's
-    coefficients are linear in its axis values, so column ``j`` of the map is
-    ``coefficient_prefix(member(breakpoints, e_j), d)``: ``k`` expansions per
-    configuration, built at construction, and no center's.  Its sketch under
-    an operator is ``R @ maps``, whose transpose times ``y`` gives the projections.
-    The center is built by ``family.member``, its coefficients by its map.
-    """
-
-    def __init__(self, plan: NetPlan, d: int, family) -> None:
-        super().__init__(plan, d, family)
-        started = time.perf_counter()
-        units = np.eye(len(plan.axes))
-        self.maps = np.empty((len(self.configurations), d, len(plan.axes)))
-        for block, breakpoints in zip(self.maps, self.configurations):
-            for column, e in zip(block.T, units):
-                column[:] = family.coefficient_prefix(family.member(breakpoints, e), d)
-        self.maps.flags.writeable = False
-        logger.debug(
-            "configuration decoder maps: M=%d d=%d configurations=%d axes=%d bytes=%d"
-            " built in %.3fs", plan.size, d, len(self.configurations), len(plan.axes),
-            self.maps.nbytes, time.perf_counter() - started,
-        )
-
-    def _operator_terms(self, operator) -> tuple[_Geometry, np.ndarray]:
-        """The projected maps ``R @ maps``, the sketch, and their Grams' factor, kept read-only and shared."""
-        sketch = np.matmul(operator.frame, self.maps)
-        sketch.setflags(write=False)
-        gram = np.ascontiguousarray(np.matmul(sketch.transpose(0, 2, 1), sketch).transpose(1, 2, 0))
-        logger.debug("configuration decoder terms: C=%d n=%d axes=%d, sketch %d bytes", *sketch.shape, sketch.nbytes)
-        return _grid_geometry(gram, self._grids), sketch
-
-    def _projections(self, sketch: np.ndarray, y: np.ndarray):
-        return np.ascontiguousarray(np.matmul(y, sketch).T)
-
-    def _measured(self, sketch: np.ndarray, configuration: int, values: tuple) -> np.ndarray:
-        return sketch[configuration] @ np.array(values)
-
-    def _center(self, configuration: int, values: tuple):
-        member = self.family.member(self.configurations[configuration], values)
-        return member, self.maps[configuration] @ np.array(values)
+        """``R c`` at one configuration: each column once, at its mixed weight, columns ascending."""
+        (tables, constants), s, measured = sketch, self.plan.jumps, None
+        for (t, r), weights in self._columns:
+            mixed = sum((w if isinstance(w, float) else w[configuration]) * values[a] for a, w in weights)
+            term = mixed * (tables[r][:, self._slots[configuration, t]] if t < s else constants[r])
+            measured = term if measured is None else measured + term
+        return measured
 
 
 @dataclass(frozen=True)
@@ -706,12 +719,14 @@ class CoveringNet:
 
     family: object
     plan: NetPlan
-    decoder: FactoredStepDecoder | ConfigurationDecoder | None = field(default=None)
+    decoder: FactoredStepDecoder | None = field(default=None)
     m_max: int | float = DEFAULT_NET_BUDGET
 
     @property
     def mode(self) -> str:
-        return "factored" if self.plan.factored else "configurations"
+        """``factored`` for the one-jump step net, which ``m_max`` does not bound; ``configurations`` otherwise."""
+        plan = self.plan
+        return "factored" if (plan.degree, plan.jumps, plan.coefficients) == (0, 1, ()) else "configurations"
 
     @property
     def size(self) -> int:
@@ -735,9 +750,10 @@ class NetPlan:
     configurations (``jumps`` of the ``breakpoint_count`` grid points,
     consecutive indices at least ``index_gap`` apart) times one point on
     each axis.  The grid, ``positions``, is built on first use only;
-    ``snap`` takes a member's breakpoints to a configuration.
-    ``factored``: one jump and two axes on one level grid, which
-    ``FactoredStepDecoder`` searches at any size without enumerating the net.
+    ``snap`` takes a member's breakpoints to a configuration.  The axes'
+    vectors, which the decoder sketches, are the class's layout, not an
+    option: ``degree + 1`` monomials per piece, ``None`` for no pieces,
+    then one basis vector per index in ``coefficients``.
     """
 
     eps1: float
@@ -745,7 +761,8 @@ class NetPlan:
     breakpoint_count: int = 0
     index_gap: int = 1
     jumps: int = 0
-    factored: bool = False
+    degree: int | None = None
+    coefficients: tuple[int, ...] = ()
 
     @property
     def config_count(self) -> int:
@@ -838,7 +855,7 @@ def position_grid(pitch: float) -> tuple[int, float]:
     """Breakpoint count ``P`` and actual pitch ``2 pi / P``, no coarser than ``pitch``.
 
     ``P`` is the smallest ``2^a 3^b 5^c`` at least ``ceil(2 pi / pitch)``, so
-    the step decoder's length-``P`` FFT has no large prime factor; the
+    the decoder's length-``P`` FFTs have no large prime factor; the
     rounding adds at most ``log2(15/13) < 0.21`` bits per jump to
     ``entropy_bits`` (``P`` 13 to 15 is the worst ratio).
 
@@ -878,20 +895,19 @@ def build_net(
 ) -> CoveringNet:
     """Lay out and count a covering net at resolution ``eps1``; build no member.
 
-    The plan alone picks the decoder, ``factored`` or ``configurations``.
-    Given ``d``, the net carries it for targets of length ``d``, but maps for
-    more than ``m_max`` centers are refused; without ``d``, nothing past the
-    counts is built.
+    Given ``d``, the net carries its decoder for targets of length ``d``,
+    but a net of more than ``m_max`` centers is refused one, unless it is
+    the ``factored`` step net; without ``d``, nothing past the counts is
+    built.
     """
     if not eps1 > 0.0:
         raise UsageError(f"net resolution must be positive, got {eps1!r}")
-    plan = family.net_plan(eps1)
-    decoder = None
-    if d is not None:
-        if not plan.factored and plan.size > m_max:
-            raise NetTooLargeError(f"net with {plan.size} centers is over m_max = {m_max}: no maps are built")
-        decoder = (FactoredStepDecoder if plan.factored else ConfigurationDecoder)(plan, d, family)
-    return CoveringNet(family, plan, decoder, m_max)
+    net = CoveringNet(family, family.net_plan(eps1), None, m_max)
+    if d is None:
+        return net
+    if net.mode != "factored" and net.size > m_max:
+        raise NetTooLargeError(f"net with {net.size} centers is over m_max = {m_max}: no decoder is built")
+    return replace(net, decoder=FactoredStepDecoder(net.plan, d, family))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .jl import (
 )
 from .nets import (
     DEFAULT_NET_BUDGET,
-    ConfigurationDecoder,
     CoveringNet,
     DecodeResult,
     FactoredStepDecoder,
@@ -162,7 +161,7 @@ class PreparedSampler:
         return self.budget.eps
 
     @property
-    def decoder(self) -> FactoredStepDecoder | ConfigurationDecoder:
+    def decoder(self) -> FactoredStepDecoder:
         return self.net.decoder
 
     @property

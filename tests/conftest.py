@@ -10,7 +10,9 @@ recursion in the monomial degree, piece by piece, which shares only the
 constant coefficient's expression with the package's jump relations.
 ``synthesize`` evaluates a coefficient vector at points by the basis
 convention that ``netsketch.hilbert`` states, so it is that convention's
-oracle.
+oracle, and ``evaluate`` a piecewise polynomial by its pieces.
+``ConfigurationDecoder`` decodes by one ``d x k`` map per configuration,
+the exactness reference for the package's decoder.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import numpy as np
 from scipy import integrate
 
 from netsketch import nets
+from netsketch.errors import UsageError
+from netsketch.hilbert import _derivatives
+from netsketch.jl import MeasurementOperator
 
 
 def synthesize(coefficients, t):
@@ -48,10 +53,25 @@ def synthesize(coefficients, t):
     return out.reshape(points.shape)
 
 
+def evaluate(description, t):
+    """``description``, a piecewise polynomial, at points ``t`` clipped to [-pi, pi], by Horner on each piece."""
+    points = np.asarray(t, dtype=float)
+    flat = np.clip(np.atleast_1d(points).astype(float).ravel(), -math.pi, math.pi)
+    idx = np.searchsorted(description.breakpoints, flat, side="right")
+    out = np.empty_like(flat)
+    for piece, (start, end) in enumerate(description.piece_intervals()):
+        mask = idx == piece
+        coeffs = description.piece_coefficients[piece].tolist()
+        out[mask] = _derivatives(coeffs, flat[mask] - 0.5 * (start + end), 1)[0]
+    if points.ndim == 0:
+        return float(out[0])
+    return out.reshape(points.shape)
+
+
 def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
     """Compute trig-basis coefficients of ``description`` by adaptive quadrature.
 
-    Integrates ``description.evaluate`` piece by piece with ``quad`` weight
+    Integrates ``evaluate(description, t)`` piece by piece with ``quad`` weight
     rules, so smoothness is never violated inside a single call.
     """
     intervals = description.piece_intervals()
@@ -61,7 +81,7 @@ def oracle_trig_coefficients(description, ambient_dim: int) -> np.ndarray:
     sin_part = np.zeros(jmax)
 
     def f(t: float) -> float:
-        return float(description.evaluate(t))
+        return float(evaluate(description, t))
 
     for start, end in intervals:
         const += integrate.quad(f, start, end, epsabs=1e-13, limit=400)[0]
@@ -139,12 +159,12 @@ def _point_values(member):
     """A smooth, piecewise or analytic member's point evaluator and its jumps."""
     if hasattr(member, "steps"):  # analytic: coefficients plus a piecewise-constant description
         return (
-            lambda t: synthesize(member.smooth.coefficients, t) + member.steps.evaluate(t),
+            lambda t: synthesize(member.smooth.coefficients, t) + evaluate(member.steps, t),
             member.steps.breakpoints,
         )
     if hasattr(member, "coefficients"):  # smooth: a Signal
         return (lambda t: synthesize(member.coefficients, t)), ()
-    return member.evaluate, getattr(member, "breakpoints", ())
+    return (lambda t: evaluate(member, t)), getattr(member, "breakpoints", ())
 
 
 def oracle_l2_distance(a, b, points_per_piece: int) -> float:
@@ -256,15 +276,89 @@ def linear_expansion_bound(family, values) -> float:
     return 2.0 * gamma * magnitude * float(np.sum(np.abs(values)))
 
 
+def configuration_maps(plan, d, family) -> np.ndarray:
+    """One ``d x k`` map per configuration: column ``a`` is ``coefficient_prefix(member(b, e_a), d)``.
+
+    At a fixed configuration ``b`` a center's coefficients are linear in its
+    ``k`` axis values, so its map times its axis point is the center.
+    """
+    units = np.eye(len(plan.axes))
+    maps = np.empty((plan.config_count, d, len(plan.axes)))
+    for block, breakpoints in zip(maps, plan.configurations()):
+        for column, e in zip(block.T, units):
+            column[:] = family.coefficient_prefix(family.member(breakpoints, e), d)
+    maps.setflags(write=False)
+    return maps
+
+
 def decoder_rows(decoder) -> np.ndarray:
-    """Every center's first ``d`` coefficients in index order, from a decoder's maps.
+    """Every center's first ``d`` coefficients in index order, from its configuration's map.
 
     The materialized decoder's rows before it searched the maps directly.
     Each is its configuration's map times its axis point, in
-    ``itertools.product`` order, the product the decoder forms for a winner.
+    ``itertools.product`` order.
     """
+    maps = configuration_maps(decoder.plan, decoder.d, decoder.family)
     points = [np.array(p) for p in itertools.product(*(axis.points() for axis in decoder.plan.axes))]
-    return np.array([block @ point for block in decoder.maps for point in points])
+    return np.array([block @ point for block in maps for point in points])
+
+
+class ConfigurationDecoder:
+    """The exactness reference: exact nearest-member search by one map per configuration.
+
+    ``maps`` holds ``configuration_maps``; an operator's sketch is ``R @ maps``, each
+    configuration's Gram ``(R maps_c)^T (R maps_c)`` and its projections
+    ``(R maps_c)^T y``, searched by the package's ``_nearest_on_grid``.  The
+    winner is ``family.member``'s, its coefficients its map's image.
+    """
+
+    def __init__(self, plan, d: int, family) -> None:
+        self.plan, self.d, self.family = plan, d, family
+        self.configurations = tuple(plan.configurations())
+        self._index = {breakpoints: index for index, breakpoints in enumerate(self.configurations)}
+        self._grids = [axis.points() for axis in plan.axes]
+        self.maps = configuration_maps(plan, d, family)
+
+    def prepare(self, operator) -> nets.SketchedNet:
+        if operator.d != self.d:
+            raise UsageError(f"decoder serves d = {self.d}, not an operator on d = {operator.d}")
+        sketch = np.matmul(operator.frame, self.maps)
+        sketch.setflags(write=False)
+        gram = np.ascontiguousarray(np.matmul(sketch.transpose(0, 2, 1), sketch).transpose(1, 2, 0))
+        return nets.SketchedNet(operator, nets._grid_geometry(gram, self._grids), sketch)
+
+    def center_sketch(self, coordinates, sketched) -> np.ndarray:
+        breakpoints, values = coordinates
+        return sketched.sketch[self._index[breakpoints]] @ np.array(values)
+
+    def decode_measurements(self, y, sketched) -> nets.DecodeResult:
+        y = np.asarray(y, dtype=np.float64)
+        if sketched.d != self.d:
+            raise UsageError(f"decoder serves d = {self.d}, not a net sketched on d = {sketched.d}")
+        if y.shape != (sketched.n,):
+            raise UsageError(f"expected {sketched.n} measurements, got shape {y.shape}")
+        projections = np.ascontiguousarray(np.matmul(y, sketched.sketch).T)
+        configuration, steps = nets._nearest_on_grid(
+            sketched.geometry, projections, self._grids, self.plan.axes[-1].step
+        )
+        index = configuration
+        for step, grid in zip(steps, self._grids):
+            index = index * grid.size + step
+        values = tuple(float(grid[i]) for grid, i in zip(self._grids, steps))
+        member = self.family.member(self.configurations[configuration], values)
+        measured = sketched.sketch[configuration] @ np.array(values)
+        distance = float(np.linalg.norm(y - measured))
+        coefficients = self.maps[configuration] @ np.array(values)
+        coordinates = (self.configurations[configuration], values)
+        return nets.DecodeResult(member, index, distance, coefficients, measured, coordinates)
+
+    def decode_coefficients(self, target) -> nets.DecodeResult:
+        target = np.asarray(target, dtype=np.float64)
+        if target.shape != (self.d,):
+            raise UsageError(f"expected {self.d} coefficients, got shape {target.shape}")
+        identity = np.eye(self.d)
+        identity.setflags(write=False)
+        return self.decode_measurements(target, self.prepare(MeasurementOperator(identity)))
 
 
 def row_scan(table: np.ndarray, target: np.ndarray) -> tuple[int, float]:
@@ -321,16 +415,17 @@ def per_decode_copy(decoder):
 
     Its ``prepare`` puts raw terms where ``decoder.prepare``'s net has its
     geometry: ``g00`` is that geometry's Gram corner, and ``g0f`` and
-    ``gff`` are recomputed from the sketch ``(table, v)`` as the decoder
-    computes them (``<R w(b), v> = v.table`` and ``|v|^2`` for ``v =
-    sqrt(2 pi) R[:, 0]``, the constant one's image under an operator ``R``,
-    the identity included).  Prepare once per operator, as for ``decoder``.
+    ``gff`` are recomputed from the sketch's table ``R w(b)`` and its first
+    constant ``v`` as the decoder computes them (``<R w(b), v> = v.table``
+    and ``|v|^2`` for ``v = sqrt(2 pi) R[:, 0]``, the constant one's image
+    under an operator ``R``, the identity included).  Prepare once per
+    operator, as for ``decoder``.
     """
     reference = copy.copy(decoder)
 
     def prepare(operator):
         sketched = decoder.prepare(operator)
-        table, v = sketched.sketch
+        (table,), (v, *_) = sketched.sketch
         g0f = v @ table
         return sketched._replace(geometry=(sketched.geometry.gram[0][0], g0f, float(np.dot(v, v))))
 

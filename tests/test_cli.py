@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -70,7 +71,7 @@ mode = fixed_x
 seed = 101
 """
 
-# The degree-1, one-jump class decodes by its configurations' maps (16,200
+# The degree-1, one-jump class decodes by its configurations (16,200
 # centers); the exact tail keeps n (15) below d (17).
 MATERIALIZED_EXPERIMENT = """
 class = piecewise
@@ -271,14 +272,53 @@ def test_a_one_jump_analytic_run_fits_in_a_gigabyte(tmp_path):
     assert summary["success_rate"] >= 0.5
 
 
-def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys):
-    # Set-up expands one center per axis and configuration, to the d
-    # coefficients the decoder keeps and no further.
+DEGREE_ONE_EXPERIMENT = """
+class = piecewise
+degree = 1
+max_jumps = 1
+deriv_bound = 1
+min_gap = 0.5
+level_bound = 1
+eps = 1.2
+p = 0.5
+trials = 3
+mode = fixed_w
+seed = 5
+m_max = inf
+"""
+
+
+def test_the_degree_one_class_decodes_in_200_mb_of_address_space(tmp_path):
+    # d 846, n 61, 3,750 configurations of 4 axes, M 2.26e9.  The decoder
+    # keeps two n x P tables and the Grams; it needs about 150 MB of address
+    # space in all.  One d x 4 map per configuration took 96.8 MiB, and the
+    # run needed about 250 MB.
+    cfg = _write(tmp_path, "degree1.cfg", DEGREE_ONE_EXPERIMENT)
+    out = tmp_path / "degree1"
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (200 * 2**20, 200 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "netsketch", "experiment", "run", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+    assert (summary["d"], summary["n"], summary["success_rate"]) == (846, 61, 1.0)
+
+
+def test_decoder_set_up_expands_no_member(tmp_path, monkeypatch, capsys):
+    # The decoder sketches its axes from shared per-breakpoint tables, so
+    # building it expands no center: every expansion in a run is a trial's.
     dims: list[int] = []
-    plans = []
     inside = []
     analyze = function_classes.analyze_piecewise
-    build = nets.ConfigurationDecoder.__init__
+    build = nets.FactoredStepDecoder.__init__
 
     def recording_analyze(description, dim):
         if inside:
@@ -286,7 +326,6 @@ def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys
         return analyze(description, dim)
 
     def recording_build(self, plan, d, family):
-        plans.append(plan)
         inside.append(True)
         try:
             return build(self, plan, d, family)
@@ -294,17 +333,14 @@ def test_materialized_decoder_expands_members_at_d(tmp_path, monkeypatch, capsys
             inside.pop()
 
     monkeypatch.setattr(function_classes, "analyze_piecewise", recording_analyze)
-    monkeypatch.setattr(nets.ConfigurationDecoder, "__init__", recording_build)
+    monkeypatch.setattr(nets.FactoredStepDecoder, "__init__", recording_build)
     cfg = _write(tmp_path, "exp.cfg", MATERIALIZED_EXPERIMENT.format(mode="fixed_w"))
     out = tmp_path / "out"
     assert main(["experiment", "run", cfg, "--out", str(out)]) == 0
     summary = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
     assert summary["net_mode"] == "configurations"
     assert summary["d"] < summary["ambient_dim"]
-    [plan] = plans
-    assert plan.size == summary["net_size"]
-    assert len(dims) == plan.config_count * len(plan.axes) < summary["net_size"]
-    assert set(dims) == {summary["d"]}
+    assert dims == []
 
 
 def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
@@ -318,14 +354,14 @@ def test_verbose_flag_logs_to_stderr_and_changes_no_output(tmp_path, capsys):
     assert "netsketch.reconstructor: prepared sampler:" in loud_streams.err
     summary = json.loads(loud.with_suffix(".json").read_text(encoding="utf-8"))
     assert f"failure_bound={summary['certified_failure_bound']:.3g}" in loud_streams.err
-    assert "factored decoder terms" not in loud_streams.err
+    assert "decoder terms" not in loud_streams.err
     assert loud_streams.out == quiet_streams.out.replace(str(quiet), str(loud))
     for suffix in (".csv", ".json"):
         first, second = quiet.with_suffix(suffix), loud.with_suffix(suffix)
         assert first.read_bytes() == second.read_bytes()
     assert main(["experiment", "run", cfg, "--log-level", "DEBUG"]) == 0
     debug_err = capsys.readouterr().err
-    assert "netsketch.nets: factored decoder terms: P=" in debug_err
+    assert "netsketch.nets: decoder terms: P=" in debug_err
     assert main(["experiment", "run", cfg, "--log-level", "LOUD"]) == 1
     assert "invalid choice: 'LOUD'" in capsys.readouterr().err
 
@@ -465,6 +501,28 @@ def test_net_build_counted_net_cannot_be_dumped(tmp_path, capsys):
         assert over.read_bytes() == b"an earlier net\n"  # nor truncates one
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "class = analytic\nmax_jumps = 1\nstrip_width = 1e-5\namplitude = 1\n",
+        "class = analytic\nmax_jumps = 1\nstrip_width = 1e-6\namplitude = 1\n",
+        "class = analytic\nmax_jumps = 1\nstrip_width = 1e-4\namplitude = 1\n",
+        "class = smooth\nsmoothness = 1\namplitude = 1e6\n",
+    ],
+    ids=["analytic_strip_1e-5", "analytic_strip_1e-6", "analytic_strip_1e-4", "smooth_K_1e6"],
+)
+def test_net_build_refuses_more_coefficient_axes_than_the_ambient_dimension(tmp_path, capsys, block):
+    # These layouts ask for 2e5 to 4e6 coefficient axes, more than the 4,096
+    # ambient coefficients: refused before any axis is built.  They ran past
+    # 60 s, ended in a MemoryError, or took 6 s to print a 70-digit M.
+    eps1 = "0.5" if "smooth" in block else "1"
+    cfg = _write(tmp_path, "net.cfg", block + f"eps1 = {eps1}\n")
+    started = time.perf_counter()
+    assert main(["net", "build", cfg]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert "coefficient axes, over 4096" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ambient_dim", [0, -3])
 def test_net_build_refuses_a_nonpositive_ambient_dim_before_writing(tmp_path, capsys, ambient_dim):
     for text in (NET_BUILD, STEP_CLASS + "eps1 = 1.5\n"):
@@ -482,14 +540,14 @@ def test_net_build_refuses_a_nonpositive_ambient_dim_before_writing(tmp_path, ca
 
 def test_experiment_over_m_max_exits_before_building_maps(tmp_path, capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(nets, "ConfigurationDecoder", lambda *args: built.append(args))
+    monkeypatch.setattr(nets, "FactoredStepDecoder", lambda *args: built.append(args))
     text = TAILFIT.replace("validation_samples = 20\n", "") + (
         "eps = 4.5\np = 0.5\ntrials = 2\nmode = fixed_w\nm_max = 1000\n"
         "ambient_dim = 512\ntail_samples = 10\ntail_dims = 32,64,128\n"
     )
     cfg = _write(tmp_path, "exp.cfg", text)
     assert main(["experiment", "run", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "over m_max = 1000: no maps are built" in capsys.readouterr().err
+    assert "over m_max = 1000: no decoder is built" in capsys.readouterr().err
     assert built == []
     assert not (tmp_path / "out.json").exists()
 

@@ -298,13 +298,12 @@ def term_builds(monkeypatch, text, jobs):
             current.trial = None
 
     monkeypatch.setattr(experiment, "_run_trial", tagged_trial)
-    for decoder in (nets.FactoredStepDecoder, nets.ConfigurationDecoder):
 
-        def counted_build(self, operator, build=decoder._operator_terms):
-            builds.append(getattr(current, "trial", None))
-            return build(self, operator)
+    def counted_build(self, operator, build=nets.FactoredStepDecoder._operator_terms):
+        builds.append(getattr(current, "trial", None))
+        return build(self, operator)
 
-        monkeypatch.setattr(decoder, "_operator_terms", counted_build)
+    monkeypatch.setattr(nets.FactoredStepDecoder, "_operator_terms", counted_build)
     config = load_experiment_config(text)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -317,8 +316,9 @@ def term_builds(monkeypatch, text, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_fixed_w_builds_decoder_terms_once_in_set_up(monkeypatch, jobs):
-    # Both decoders build what they need for the run's one operator in
-    # set-up, so no trial, the first one included, pays for it.
+    # The decoder builds what it needs for the run's one operator in set-up,
+    # for the step net and the smooth net alike, so no trial, the first one
+    # included, pays for it.
     for text in (FACTORED_FIXED_W_CONFIG, SMOOTH_CONFIG):
         assert term_builds(monkeypatch, text, jobs) == [None]
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    evaluate,
     fraction_l2_distance_squared,
     grid_l2_inner,
     oracle_trig_coefficients,
@@ -197,9 +198,6 @@ def test_expansion_leaves_numpy_polynomial_unimported():
         "    a, b = family.sample(rng, 64), family.sample(rng, 64)\n"
         "    family.distance(a, b)\n"
         "    family.member(*round_coordinates(family, family.net_plan(eps1), a))\n"
-        "    points = getattr(a, 'steps', a)\n"
-        "    if hasattr(points, 'evaluate'):  # a smooth member is a Signal: no evaluator\n"
-        "        points.evaluate(np.linspace(-4.0, 4.0, 9))\n"
         "print(*sys.modules)\n"
     )
     proc = subprocess.run(
@@ -311,7 +309,7 @@ def test_exact_l2_distance_matches_quadrature():
             nudged = grid.copy()
             nudged[0] += 1e-12
             nudged[-1] -= 1e-12
-            diff = a.evaluate(nudged) - b.evaluate(nudged)
+            diff = evaluate(a, nudged) - evaluate(b, nudged)
             total += grid_l2_inner(diff, diff, grid)
         expected = math.sqrt(total)
         distance = exact_l2_distance(a, b)
@@ -419,7 +417,7 @@ def test_piecewise_evaluate_interval_model():
     )
     t = np.array([-3.0, -1.0, 0.5, 1.0, 2.5, math.pi])
     expected = np.array([1.0, -1.5, 0.0, 0.5, 3.0, 3.0])
-    np.testing.assert_allclose(desc.evaluate(t), expected, rtol=1e-14)
+    np.testing.assert_allclose(evaluate(desc, t), expected, rtol=1e-14)
 
 
 @pytest.mark.parametrize(

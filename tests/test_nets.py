@@ -19,6 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    ConfigurationDecoder,
     CountedFrame,
     decoder_rows,
     linear_expansion_bound,
@@ -41,7 +42,6 @@ from netsketch.hilbert import PiecewiseDescription, analyze_piecewise
 from netsketch.jl import MeasurementOperator, apply_operator, random_subspace
 from netsketch.nets import (
     AxisLog,
-    ConfigurationDecoder,
     FactoredStepDecoder,
     NetPlan,
     build_net,
@@ -484,7 +484,7 @@ def test_entropy_bits_match_sizes():
 def test_auto_mode_selection_and_budget(monkeypatch):
     flat = build_net(step_class(max_jumps=0), 6.0)
     assert flat.mode == "configurations" and flat.decoder is None
-    assert isinstance(build_net(step_class(max_jumps=0), 6.0, d=8).decoder, ConfigurationDecoder)
+    assert isinstance(build_net(step_class(max_jumps=0), 6.0, d=8).decoder, FactoredStepDecoder)
 
     # Without a d the net is counted only; with one it carries its decoder.
     assert build_net(step_class(), 0.1).decoder is None
@@ -497,14 +497,14 @@ def test_auto_mode_selection_and_budget(monkeypatch):
         assert small.mode == "factored" and factored_size(small.decoder) == small.size == 162
         assert isinstance(small.decoder, FactoredStepDecoder)
 
-    # Maps for a net over the budget are refused before any is built; its
+    # A decoder for a net over the budget is refused before it is built; its
     # counts are not.
     family = PiecewiseSmoothClass(
         degree=1, max_jumps=2, deriv_bound=1.0, min_gap=0.5, level_bound=1.0
     )
     over = build_net(family, 0.75, m_max=1000)
     assert over.mode == "configurations" and over.decoder is None and over.size > 1000
-    monkeypatch.setattr(nets, "ConfigurationDecoder", None)
+    monkeypatch.setattr(nets, "FactoredStepDecoder", None)
     with pytest.raises(NetTooLargeError):
         build_net(family, 0.75, m_max=1000, d=16)
 
@@ -631,7 +631,7 @@ def test_indicator_products_match_the_dense_closed_form():
             # kept table itself.
             for rows in (1, min(4, d)):
                 block = rng.normal(size=(rows, d))
-                table, _ = decoder._operator_terms(MeasurementOperator(block))[1]
+                (table,), _ = decoder._operator_terms(MeasurementOperator(block))[1]
                 assert table.shape == (rows, count)
                 np.testing.assert_allclose(table, block @ w.T, rtol=0.0, atol=1e-12)
             # |w(b)|^2 in coefficient space: the terms under the identity,
@@ -661,7 +661,7 @@ def test_operator_terms_match_the_dense_closed_form():
                 geometry, sketch = decoder._operator_terms(operator)
                 # The kept sketch is R applied to the two axis vectors: the
                 # table is R w(b), and v is R times the constant one.
-                table, v = sketch
+                (table,), (v, *_) = sketch
                 assert table.shape == (n, decoder.positions.size) and not table.flags.writeable
                 np.testing.assert_allclose(table, projected.T, rtol=0.0, atol=1e-12)
                 np.testing.assert_array_equal(v, math.sqrt(TWO_PI) * rows[:, 0])
@@ -696,7 +696,7 @@ def test_operator_terms_follow_the_operator():
     # and no decode changes what it holds.
     for make_decoder in (
         lambda: step_decoder(1.5, 40),
-        lambda: ConfigurationDecoder(plan, 40, step_class()),
+        lambda: build_net(step_class(degree=1), 6.0, d=40).decoder,
     ):
         expected = []
         for operator in operators:
@@ -760,17 +760,17 @@ def test_operator_terms_make_no_frame_sized_copy(monkeypatch, caplog):
 
 
 def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
-    # Both decoders decode from the operator's SketchedNet: no product
-    # with the frame, in the decode or in a center's sketch, and each logs
-    # the kept sketch's bytes, P n 8 for the step table and C n k 8 for the
-    # projected maps.  A center's sketch is R c to rounding.
-    family, d, n = step_class(), 40, 9
-    plan = family.net_plan(1.5)
+    # The decoder decodes from the operator's SketchedNet: no product with
+    # the frame, in the decode or in a center's sketch, and it logs the
+    # kept sketch's bytes: one n x P table per order and n per constant
+    # column (V and each T_r(pi)), (P + 2) n 8 for the step net and (2 P +
+    # 3) n 8 at degree 1.
+    # A center's sketch is R c to rounding.
+    d, n = 40, 9
     rng = np.random.default_rng(71)
-    for decoder, size in (
-        (step_decoder(1.5, d), plan.breakpoint_count * n * 8),
-        (ConfigurationDecoder(plan, d, family), plan.config_count * n * len(plan.axes) * 8),
-    ):
+    for family, eps1, tables, constants in ((step_class(), 1.5, 1, 2), (step_class(degree=1), 6.0, 2, 3)):
+        plan = family.net_plan(eps1)
+        decoder, size = build_net(family, eps1, d=d).decoder, (tables * plan.breakpoint_count + constants) * n * 8
         operator = random_subspace(d, n, seed=5)
         frame = operator.frame
         object.__setattr__(operator, "frame", frame.view(CountedFrame))
@@ -790,16 +790,6 @@ def test_a_decode_under_a_prepared_operator_reads_no_frame(caplog):
                 sketch, frame @ family.coefficient_prefix(family.member(*other), d), rtol=0.0, atol=1e-12
             )
         assert CountedFrame.products == []
-
-
-def test_the_kept_map_sketch_is_the_projected_maps():
-    family = step_class(max_jumps=2, min_gap=1.5)
-    plan = family.net_plan(3.0)
-    decoder = ConfigurationDecoder(plan, 16, family)
-    operator = random_subspace(16, 7, seed=13)
-    sketch = decoder.prepare(operator).sketch
-    assert sketch.shape == (plan.config_count, 7, len(plan.axes)) and not sketch.flags.writeable
-    np.testing.assert_allclose(sketch, np.einsum("nd,cdk->cnk", operator.frame, decoder.maps), rtol=0.0, atol=1e-13)
 
 
 def test_coefficient_decode_keeps_its_identity_uncopied(monkeypatch):
@@ -869,15 +859,14 @@ def geometry_arrays(geometry):
 
 
 def count_term_builds(monkeypatch):
-    """Patch both decoders' ``_operator_terms`` to log each build's ``n``; returns the log."""
+    """Patch the decoder's ``_operator_terms`` to log each build's ``n``; returns the log."""
     builds = []
-    for decoder_class in (FactoredStepDecoder, ConfigurationDecoder):
 
-        def counted_build(self, operator, build=decoder_class._operator_terms):
-            builds.append(operator.n)
-            return build(self, operator)
+    def counted_build(self, operator, build=FactoredStepDecoder._operator_terms):
+        builds.append(operator.n)
+        return build(self, operator)
 
-        monkeypatch.setattr(decoder_class, "_operator_terms", counted_build)
+    monkeypatch.setattr(FactoredStepDecoder, "_operator_terms", counted_build)
     return builds
 
 
@@ -893,12 +882,11 @@ def test_each_geometry_is_factored_once(monkeypatch):
     builds = count_term_builds(monkeypatch)
     rng = np.random.default_rng(53)
     operators = [random_subspace(40, 9, seed=seed) for seed in (1, 2)]
-    plan = step_class().net_plan(1.5)
     kept = []
-    # Neither decoder builds terms at construction or in a measurement
-    # decode; each factors once per prepare, and a coefficient decode once
-    # per call, for the identity.
-    for decoder in (step_decoder(1.5, 40), ConfigurationDecoder(plan, 40, step_class())):
+    # No decoder builds terms at construction or in a measurement decode;
+    # each factors once per prepare, and a coefficient decode once per
+    # call, for the identity.
+    for decoder in (step_decoder(1.5, 40), build_net(step_class(degree=1), 6.0, d=40).decoder):
         assert factored == [] and builds == []
         for count, operator in enumerate(operators, start=1):
             sketched = decoder.prepare(operator)
@@ -982,57 +970,155 @@ def reference_rows(family, plan, d):
         (PiecewiseAnalyticClass(max_jumps=1, strip_width=2.0, amplitude=0.5), 2.0),
     ],
 )
-def test_materialized_decoder_matches_the_per_member_oracle(family, eps1, caplog):
+def test_materialized_decoder_matches_the_per_member_oracle(family, eps1):
     plan = family.net_plan(eps1)
     members = centers(build_net(family, eps1))
     grid = np.array(list(itertools.product(*(axis.points() for axis in plan.axes))))
     values = np.tile(grid, (plan.config_count, 1))
     bounds = np.array([linear_expansion_bound(family, row) for row in values])
+    coordinates = [(b, tuple(map(float, point))) for b in plan.configurations() for point in grid]
     rng = np.random.default_rng(plan.size)
-    k = len(plan.axes)
     for d in (3, 16):
-        with caplog.at_level(logging.DEBUG, logger="netsketch.nets"):
-            decoder = ConfigurationDecoder(plan, d, family)
-        assert re.fullmatch(
-            rf"configuration decoder maps: M={plan.size} d={d}"
-            rf" configurations={plan.config_count} axes={k}"
-            rf" bytes={plan.config_count * d * k * 8} built in \d+\.\d{{3}}s",
-            caplog.messages[-1],
-        )
-        assert decoder.maps.shape == (plan.config_count, d, k)
+        decoder = build_net(family, eps1, m_max=math.inf, d=d).decoder
         oracle = reference_rows(family, plan, d)
-        expanded = decoder_rows(decoder)
-        assert np.all(np.abs(expanded - oracle) <= bounds[:, None])
-        for n in (2, d):
-            operator = random_subspace(d, n, seed=d + n)
+        identity = np.eye(d)
+        identity.setflags(write=False)
+        operators = (MeasurementOperator(identity), random_subspace(d, 2, seed=d + 2))
+        operators += (random_subspace(d, d, seed=2 * d),)
+        for operator in operators:
             sketched = decoder.prepare(operator)
-            measured = operator.frame.T
-            for rows, used, decode in (
-                (oracle, expanded, decoder.decode_coefficients),
-                (
-                    oracle @ measured,
-                    expanded @ measured,
-                    lambda y: decoder.decode_measurements(y, sketched),
-                ),
-            ):
-                # Each distance the maps give moves by at most ``gap``.
-                gap = float(np.max(np.linalg.norm(used - rows, axis=1)))
-                for scale in (1e-3, 0.1, 1.0):
-                    for index in rng.choice(plan.size, size=4):
-                        target = rows[index] + scale * rng.normal(size=rows.shape[1])
-                        result = decode(target)
-                        best, distance = row_scan(rows, target)
-                        # The winner is the scan's, or ties it up to 1e-12
-                        # relative and twice the maps' rounding gap.
-                        assert result.index == best or np.linalg.norm(
-                            rows[result.index] - target
-                        ) <= distance * (1.0 + 1e-12) + 2.0 * gap
-                        assert member_bytes(result.member) == member_bytes(
-                            members[result.index]
-                        )
-                        assert np.array_equal(
-                            result.coefficients, expanded[result.index]
-                        )
+            # The decoder's sketch of every center, from the shared columns.
+            used = np.array([decoder.center_sketch(center, sketched) for center in coordinates])
+            rows = oracle @ operator.frame.T
+            if operator.frame is identity:
+                assert np.all(np.abs(used - oracle) <= bounds[:, None])
+            # Each distance the decoder computes moves by at most ``gap``.
+            gap = float(np.max(np.linalg.norm(used - rows, axis=1)))
+            for scale in (1e-3, 0.1, 1.0):
+                for index in rng.choice(plan.size, size=4):
+                    target = rows[index] + scale * rng.normal(size=rows.shape[1])
+                    result = decoder.decode_measurements(target, sketched)
+                    best, distance = row_scan(rows, target)
+                    # The winner is the scan's, or ties it up to 1e-12
+                    # relative and twice the sketches' rounding gap.
+                    assert result.index == best or np.linalg.norm(
+                        rows[result.index] - target
+                    ) <= distance * (1.0 + 1e-12) + 2.0 * gap
+                    assert member_bytes(result.member) == member_bytes(members[result.index])
+                    assert np.array_equal(result.coefficients, oracle[result.index])
+                    assert result.measured.tobytes() == used[result.index].tobytes()
+
+
+# Small nets of every class: smooth, analytic with 0 to 2 jumps, and
+# piecewise of degree 0 to 3 with 0 to 3 jumps (wide gaps keep three jumps
+# enumerable).
+REFERENCE_CASES = (
+    (SmoothClass(2, 2.0), 0.5),
+    *((PiecewiseAnalyticClass(s, 1.0, 1.0), eps1) for s, eps1 in ((0, 3.0), (1, 3.0), (2, 12.0))),
+    *((step_class(degree=degree, max_jumps=0), 3.0) for degree in range(4)),
+    *((step_class(degree=degree), eps1) for degree, eps1 in ((0, 3.0), (1, 6.0), (2, 12.0), (3, 24.0))),
+    (step_class(max_jumps=2, min_gap=3.0), 3.0),
+    (step_class(degree=1, max_jumps=2, min_gap=3.0), 12.0),
+    (step_class(degree=2, max_jumps=2, min_gap=3.0, deriv_bound=0.5, level_bound=4.0), 40.0),
+    (step_class(degree=3, max_jumps=2, min_gap=3.0, deriv_bound=0.5, level_bound=4.0), 40.0),
+    (step_class(max_jumps=3, min_gap=3.0), 3.0),
+    (step_class(degree=1, max_jumps=3, min_gap=3.0), 12.0),
+    (step_class(degree=2, max_jumps=3, min_gap=3.0, deriv_bound=0.5, level_bound=4.0), 40.0),
+    (step_class(degree=3, max_jumps=3, min_gap=3.0, deriv_bound=0.5, level_bound=4.0), 24.0),
+)
+
+
+def test_reference_cases_are_small():
+    # A search sweeps a configuration whole when its Gram is singular (as
+    # under a one-row operator), so every net here stays small.
+    assert max(family.net_plan(eps1).size for family, eps1 in REFERENCE_CASES) <= 20_000
+
+
+@functools.lru_cache(maxsize=None)
+def reference_pair(case, d):
+    """The decoder of ``REFERENCE_CASES[case]`` at ``d``, and the map decoder over the same plan."""
+    family, eps1 = REFERENCE_CASES[case]
+    decoder = build_net(family, eps1, m_max=math.inf, d=d).decoder
+    return decoder, ConfigurationDecoder(decoder.plan, d, family)
+
+
+def reference_operator(d, n, seed):
+    """The identity at ``n = d``, else a random ``n``-row operator."""
+    if n < d:
+        return random_subspace(d, n, seed=seed)
+    identity = np.eye(d)
+    identity.setflags(write=False)
+    return MeasurementOperator(identity)
+
+
+def jump_scale(plan, axis):
+    """An axis's jump-relation size: ``sum_r j! / (j - r)! pi^(j-r)`` for a monomial ``u^j``, 1 for a basis vector.
+
+    The sketch of a monomial on a short piece is a difference of terms this
+    large, and ``hilbert.analyze_piecewise`` and the decoder's tables each
+    round every one of them: a cubic one cell wide has a sketch near 4e-10
+    from jumps of 6, and each misses a 50-digit value by about 1e-6 of it.
+    """
+    if plan.degree is None or axis >= (plan.jumps + 1) * (plan.degree + 1):
+        return 1.0
+    j = axis % (plan.degree + 1)
+    return sum(math.factorial(j) / math.factorial(j - r) * math.pi ** (j - r) for r in range(j + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(0, len(REFERENCE_CASES) - 1),
+    d=st.sampled_from([1, 2, 9, 16]),
+    rows=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_axis_sketches_and_grams_are_the_projected_maps(case, d, rows, seed):
+    # Every axis of every configuration: the decoder's sketch is R times
+    # the axis's expansion, coefficient_prefix(member(b, e_a), d), to 1e-12
+    # of the axis's jump terms (or of its own norm, if larger); its Gram
+    # entries agree to the same scale.
+    decoder, reference = reference_pair(case, d)
+    plan, k = decoder.plan, len(decoder.plan.axes)
+    operator = reference_operator(d, max(1, round(rows * d)), seed)
+    sketched = decoder.prepare(operator)
+    maps = operator.frame @ reference.maps  # (C, n, k)
+    norm = float(np.linalg.norm(operator.frame, 2))
+    units, jumps = np.eye(k), np.array([jump_scale(plan, a) for a in range(k)])
+    for c, breakpoints in enumerate(decoder.configurations):
+        assert breakpoints == reference.configurations[c]
+        got = np.column_stack([decoder.center_sketch((breakpoints, tuple(unit)), sketched) for unit in units])
+        scale = np.maximum(np.linalg.norm(maps[c], axis=0), norm * jumps)
+        assert np.all(np.abs(got - maps[c]) <= 1e-12 * scale)
+        gram = maps[c].T @ maps[c]
+        assert np.all(np.abs(sketched.geometry.gram[:, :, c] - gram) <= 1e-12 * np.outer(scale, scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(0, len(REFERENCE_CASES) - 1),
+    d=st.sampled_from([9, 16]),
+    rows=st.floats(0.0, 1.0),
+    noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 1.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_decoder_decodes_as_the_reference_map_decoder(case, d, rows, noise, seed):
+    # Under the identity and random operators, targets at a center, near
+    # one and far from every one decode to the map decoder's index, or to a
+    # tie: the same function (at exact distance 0), or objectives within
+    # 1e-12 of the target's and the centers' squared sketches.
+    decoder, reference = reference_pair(case, d)
+    family, _ = REFERENCE_CASES[case]
+    operator = reference_operator(d, max(1, round(rows * d)), seed)
+    rng = np.random.default_rng(seed)
+    configuration = reference.configurations[rng.integers(len(reference.configurations))]
+    values = tuple(float(rng.choice(grid)) for grid in reference._grids)
+    center = family.coefficient_prefix(family.member(configuration, values), d)
+    y = operator.frame @ (center + noise * rng.normal(size=d))
+    got = decoder.decode_measurements(y, decoder.prepare(operator))
+    want = reference.decode_measurements(y, reference.prepare(operator))
+    if got.index != want.index and family.distance(got.member, want.member) > 0.0:
+        scale = float(y @ y + got.measured @ got.measured + want.measured @ want.measured)
+        assert abs(got.distance**2 - want.distance**2) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("eps1", [0.8, 0.3])
@@ -1044,7 +1130,7 @@ def test_factored_decoder_matches_the_configuration_decoder(eps1):
     # residuals are exact only relative to the target.
     family = step_class()
     plan = family.net_plan(eps1)
-    assert plan.factored and plan.size <= nets.DEFAULT_NET_BUDGET
+    assert plan.size <= nets.DEFAULT_NET_BUDGET
     levels = plan.axes[0].points()
     rng = np.random.default_rng(int(10 * eps1))
     for d in (1, 2, 3, 4, 7, 43):
@@ -1090,7 +1176,7 @@ def test_decoder_input_validation(monkeypatch):
     other = random_subspace(17, 7, seed=9)
     for decoder in (
         step_decoder(1.5, 16),
-        ConfigurationDecoder(step_class().net_plan(1.5), 16, step_class()),
+        build_net(step_class(degree=1), 6.0, d=16).decoder,
     ):
         sketched = decoder.prepare(operator)
         builds.clear()
@@ -1109,9 +1195,6 @@ def test_decoder_input_validation(monkeypatch):
         assert builds == []
         with pytest.raises(UsageError, match="serves d = 16"):
             decoder.decode_measurements(np.zeros(7), step_decoder(1.5, 17).prepare(other))
-    # The step decoder searches factored plans only.
-    with pytest.raises(UsageError, match="factored plan"):
-        FactoredStepDecoder(step_class(degree=1).net_plan(6.0), 16, step_class(degree=1))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,7 +1223,7 @@ def length_p_on_breakpoints(positions, series):
 def grid_decoder(count, d):
     """A factored decoder at ``d`` on a plan of ``count`` breakpoints, any ``count``."""
     level = AxisLog(grid_count(1.0, 0.5), 0.5)
-    plan = NetPlan(eps1=1.0, axes=(level, level), breakpoint_count=count, jumps=1, factored=True)
+    plan = NetPlan(eps1=1.0, axes=(level, level), breakpoint_count=count, jumps=1, degree=0)
     return FactoredStepDecoder(plan, d, step_class())
 
 
@@ -1452,7 +1535,7 @@ def test_one_configuration_decode_seeds_with_one_leaf():
     # where sweeping the configuration traced 715 MB.
     family = SmoothClass(2, 2.0)
     decoder = build_net(family, 0.1, m_max=math.inf, d=64).decoder
-    assert decoder.maps.shape == (1, 64, 7) and math.prod(grid.size for grid in decoder._grids) == 11_830_455
+    assert len(decoder.configurations) == 1 and math.prod(grid.size for grid in decoder._grids) == 11_830_455
     rng = np.random.default_rng(67)
     for _ in range(3):
         target = family.coefficient_prefix(family.sample(rng, 256), 64)

@@ -5,9 +5,9 @@ module and no benchmark script reads is code that only tests call.  This
 walks the package modules (not ``__init__.py``, which only re-exports) and
 ``perfbench/*.py`` and lists the public names that none of them loads.
 
-``nets`` alone builds the decoders, from a net's ``NetPlan``: no other
+``nets`` alone builds the decoder, from a net's ``NetPlan``: no other
 module constructs one, and ``function_classes``, which supplies only the
-hooks the net is walked through, loads neither.
+hooks the net is walked through, does not load it.
 
 An operator's ``frame`` is the sketch map ``R = sqrt(d / n) Q`` itself, so
 only ``jl``, which scales it, and ``reconstructor``, whose noise level is
@@ -49,7 +49,7 @@ def _used_names(path: Path, imports_count: bool) -> set[str]:
 MODULES = sorted(
     path.stem for path in (ROOT / "src" / "netsketch").glob("*.py") if not path.stem.startswith("__")
 )
-DECODERS = {"FactoredStepDecoder", "ConfigurationDecoder"}
+DECODERS = {"FactoredStepDecoder"}
 
 
 def _tree(module: str) -> ast.AST:

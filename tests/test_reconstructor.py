@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import decoder_rows, row_scan
+from conftest import ConfigurationDecoder, decoder_rows, row_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,7 +113,7 @@ def test_preprocess_dimensions_smooth(smooth_sampler):
     assert s.n == 6
     assert s.certified_failure_bound == pytest.approx(0.4642, abs=1e-4)
     assert not s.clamped
-    assert s.decoder.maps.shape == (1, 36, len(s.net.plan.axes))
+    assert len(s.decoder.configurations) == 1 and s.net.plan.coefficients == tuple(range(len(s.net.plan.axes)))
     assert s.operator.frame.shape == (6, 36)
 
 
@@ -193,14 +194,18 @@ def test_preprocess_is_deterministic_given_stream():
     second = preprocess(family, 3.0, 0.5, model, np.random.default_rng(42))
     assert first.operator_seed == second.operator_seed
     assert np.array_equal(first.operator.frame, second.operator.frame)
-    assert np.array_equal(first.decoder.maps, second.decoder.maps)
+    assert first.decoder.configurations == second.decoder.configurations
     other = preprocess(family, 3.0, 0.5, model, np.random.default_rng(43))
     assert other.operator_seed != first.operator_seed
 
 
 def test_decoder_rows_are_read_only(smooth_sampler):
-    with pytest.raises(ValueError):
-        smooth_sampler.decoder.maps[0, 0, 0] = 1.0
+    # The sketch every decode reads, its columns and its Grams, is shared
+    # read-only.
+    sketched = smooth_sampler.sketched
+    for array in (*sketched.sketch, sketched.geometry.gram):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
 
 
 def test_with_new_operator_keeps_net_and_redraws_frame(smooth_sampler):
@@ -299,9 +304,9 @@ def test_reconstruct_exact_center_measurement(smooth_sampler):
 def test_reconstruct_returns_the_decoders_result(factored_step_sampler, maps):
     sampler, family = factored_step_sampler, factored_step_sampler.net.family
     if maps:
-        decoder = nets.ConfigurationDecoder(sampler.net.plan, sampler.d, family)
+        decoder = ConfigurationDecoder(sampler.net.plan, sampler.d, family)
         sampler = replace(sampler, net=replace(sampler.net, decoder=decoder))
-    assert isinstance(sampler.decoder, nets.ConfigurationDecoder) == maps
+    assert isinstance(sampler.decoder, ConfigurationDecoder) == maps
     member = family.sample(np.random.default_rng(59), 512)
     y = measure(sampler, family.coefficient_prefix(member, sampler.d))
     out = reconstruct(sampler, y)
@@ -325,14 +330,14 @@ def test_noise_shift_is_the_largest_noise_length(smooth_sampler):
 
 
 def test_reconstruct_breaks_ties_toward_lowest_index(smooth_sampler):
-    # A second configuration repeating the first's map ties every center with
-    # the one a net's length lower.
+    # A second configuration repeating the first ties every center with the
+    # one a net's length lower.
     decoder = smooth_sampler.decoder
-    tied_decoder = nets.ConfigurationDecoder(decoder.plan, decoder.d, decoder.family)
-    tied_decoder.maps = np.concatenate([decoder.maps, decoder.maps])
+    tied_decoder = copy.copy(decoder)
+    tied_decoder._slots = np.concatenate([decoder._slots, decoder._slots])
     tied_decoder.configurations = decoder.configurations * 2
     tied = replace(smooth_sampler, net=replace(smooth_sampler.net, decoder=tied_decoder))
-    rows = decoder_rows(tied_decoder)
+    rows = np.concatenate([decoder_rows(decoder)] * 2)
     measured = np.array([apply_operator(tied.operator, row) for row in rows])
     size = smooth_sampler.net.size
     assert reconstruct(tied, measured[size + 1]).index == 1
@@ -420,7 +425,7 @@ def test_reconstruct_factored_agrees_with_materialized():
     assert s.net.mode == "factored" and s.net.size == 72
     assert s.d == 300 and s.n == 12 and not s.clamped
     # The configuration decoder over the same plan is the oracle.
-    maps = nets.ConfigurationDecoder(s.net.plan, s.d, family)
+    maps = ConfigurationDecoder(s.net.plan, s.d, family)
     materialized = replace(s, net=replace(s.net, decoder=maps))
     probe = np.random.default_rng(43)
     for _ in range(10):
